@@ -29,7 +29,7 @@ from conemodes.frobenius import (
     induced_singular_deformation,
     solve_mode_bvp,
 )
-from conemodes.geometry import ConeModel, CrossSection, DomainError
+from conemodes.geometry import ConeModel, DomainError
 from conemodes.indicial import root_table_rows, system_for_mode
 from conemodes.modes import (
     CoclosedMode,
@@ -37,6 +37,8 @@ from conemodes.modes import (
     ScalarMode,
     TTMode,
     circle_spectrum,
+    mode_from_dict,
+    mode_to_dict,
 )
 from conemodes.oracle import (
     OracleField,
@@ -55,6 +57,7 @@ from conemodes.oracle import (
 from conemodes.reduction import (
     OneFormModeBlock,
     RadialExpr,
+    RadialProfile,
     TensorModeBlock,
     apply_L_oneform,
     apply_P_tensor,
@@ -100,15 +103,9 @@ class RunConfig:
     def load_model(self) -> ConeModel:
         if self.model_path is None:
             raise InputError("this command needs --model")
-        data = _read_json(self.model_path)
         try:
-            cs = data.get("cross_section")
-            cross = (CrossSection(cs["kind"], cs.get("length"))
-                     if cs else CrossSection("explicit"))
-            return ConeModel(n=int(data["n"]), alpha=float(data["angle"]),
-                             tube_radius=float(data["tube_radius"]),
-                             cross_section=cross)
-        except (KeyError, TypeError, ValueError) as exc:
+            return ConeModel.from_dict(_read_json(self.model_path))
+        except ValueError as exc:
             raise InputError(f"bad model file: {exc}") from exc
 
     def load_modes(self, model: ConeModel) -> ModeList:
@@ -169,28 +166,6 @@ def _parse_complex(value, what: str) -> complex:
             and all(isinstance(x, (int, float)) for x in value)):
         return complex(value[0], value[1])
     raise InputError(f"{what} must be a number or [re, im] pair")
-
-
-def _mode_from_dict(d) -> ScalarMode | CoclosedMode | TTMode:
-    try:
-        kind = d["type"]
-        if kind == "scalar":
-            return ScalarMode(float(d["lambda"]), int(d["p"]))
-        if kind == "coclosed":
-            return CoclosedMode(float(d["mu"]), int(d["p"]))
-        if kind == "tt":
-            return TTMode(float(d["nu"]), int(d["p"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad mode entry: {exc}") from exc
-    raise InputError(f"unknown mode type {kind!r}")
-
-
-def _mode_label(mode) -> dict:
-    if isinstance(mode, ScalarMode):
-        return {"type": "scalar", "lambda": mode.lam, "p": mode.p}
-    if isinstance(mode, CoclosedMode):
-        return {"type": "coclosed", "mu": mode.mu, "p": mode.p}
-    return {"type": "tt", "nu": mode.nu, "p": mode.p}
 
 
 def _gnuplot_script(csv_name: str, title: str, columns, logx: bool) -> str:
@@ -329,7 +304,7 @@ def reduce(cfg: RunConfig, block_file, standard):
         cfg.write_csv("block_image.csv", image_head, image_rows),
         cfg.write_json("block_image.json", {
             "family": block.family, "kind": block.kind,
-            "mode": _mode_label(block.mode),
+            "mode": mode_to_dict(block.mode),
             "grid": [float(r) for r in grid],
             "image": {nm: [[v.real, v.imag] for v in image[nm]]
                       for nm in names}}),
@@ -362,7 +337,7 @@ def frobenius_cmd(cfg: RunConfig, family, solution_class, order):
             return None
         system = system_for_mode(model, mode, family)
         entry = {"family": family, "kind": system.kind,
-                 "mode": _mode_label(mode), "branches": []}
+                 "mode": mode_to_dict(mode), "branches": []}
         for branch_kind, kappa, vec in admissible_branches(system, solution_class):
             if branch_kind == "power":
                 ser = frobenius_series(system, kappa, vector=vec, order=order)
@@ -401,8 +376,11 @@ def solve(cfg: RunConfig, family, mode_type, mode_p, mode_eig, boundary,
           solution_class, source):
     """Dirichlet solve for one mode; profile CSV plus residual report."""
     model = cfg.load_model()
-    mode = _mode_from_dict({"type": mode_type, "lambda": mode_eig,
-                            "mu": mode_eig, "nu": mode_eig, "p": mode_p})
+    try:
+        mode = mode_from_dict({"type": mode_type, "lambda": mode_eig,
+                               "mu": mode_eig, "nu": mode_eig, "p": mode_p})
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     try:
         bdata = json.loads(boundary)
     except json.JSONDecodeError as exc:
@@ -501,7 +479,7 @@ def deform_angle(cfg: RunConfig, cutoff, order):
     for mode, res in solves.items():
         coeffs = {nm: [v.real, v.imag] for nm, v in res.axis_values.items()
                   if abs(v) > 1e-12}
-        induced.append({"mode": _mode_label(mode), "status": res.status,
+        induced.append({"mode": mode_to_dict(mode), "status": res.status,
                         "axis_regular": res.axis_regular, "induced": coeffs})
 
     profile_rows = [[f"{r:.12g}", f"{fv.real:.12g}", f"{gv.real:.12g}",
@@ -547,10 +525,10 @@ def induced_metric(cfg: RunConfig, boundary_file, solution_class):
     boundary_data = {}
     for entry in entries:
         try:
-            mode = _mode_from_dict(entry["mode"])
+            mode = mode_from_dict(entry["mode"])
             values = {k: _parse_complex(v, f"values[{k}]")
                       for k, v in entry["values"].items()}
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad boundary entry: {exc}") from exc
         boundary_data[mode] = values
 
@@ -563,7 +541,7 @@ def induced_metric(cfg: RunConfig, boundary_file, solution_class):
     payload = []
     for mode, res in solves.items():
         payload.append({
-            "mode": _mode_label(mode),
+            "mode": mode_to_dict(mode),
             "status": res.status,
             "axis_regular": res.axis_regular,
             "boundary_residual": res.boundary_residual,
@@ -581,28 +559,12 @@ def induced_metric(cfg: RunConfig, boundary_file, solution_class):
 # verify
 
 
-@dataclass(frozen=True)
-class _FaultChart(TubeChart):
-    """Chart with one connection entry scaled; only for fault injection."""
-
-    fault: float = 0.0
-
-    def _table(self):
-        tab = super()._table()
-        gam = dict(tab["gam"])
-        gam[(1, 0, 1)] = (1.0 + self.fault) * gam[(1, 0, 1)]
-        out = dict(tab)
-        out["gam"] = gam
-        return out
-
-
 def _random_polynomial_profiles(rng, names):
-    from conemodes.reduction import RadialProfile
     out = {}
     for name in names:
-        c = rng.normal(size=3)
-        out[name] = RadialProfile.from_sympy(
-            f"{c[0]:.6f} + {c[1]:.6f}*r + {c[2]:.6f}*r**2")
+        c0, c1, c2 = (float(f"{c:.6f}") for c in rng.normal(size=3))
+        out[name] = (RadialProfile.constant(c0) + RadialProfile.monomial(1, c1)
+                     + RadialProfile.monomial(2, c2))
     return out
 
 
@@ -674,10 +636,8 @@ def _energy_ratios(model, chart, n_cases, seed):
               type=click.Choice(["identities", "oracle", "energy"]),
               help="suites to run (default: all)")
 @click.option("--cases", type=int, default=20, show_default=True)
-@click.option("--fault-christoffel", type=float, default=0.0, hidden=True,
-              help="test hook: scale one connection table entry by 1+eps")
 @click.pass_context
-def verify(ctx, suites, cases, fault_christoffel):
+def verify(ctx, suites, cases):
     """Run verification suites; nonzero exit when any residual is above tol."""
     cfg: RunConfig = ctx.obj
     model = cfg.load_model()
@@ -687,8 +647,7 @@ def verify(ctx, suites, cases, fault_christoffel):
         raise InputError("--cases must be positive")
     suites = tuple(suites) or ("identities", "oracle", "energy")
     tol = cfg.residual_tol
-    chart = (TubeChart(model) if fault_christoffel == 0.0
-             else _FaultChart(model, fault=fault_christoffel))
+    chart = TubeChart(model)
 
     rows = []
     files = []

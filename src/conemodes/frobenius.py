@@ -425,11 +425,8 @@ def integrate_mode_ode(system: ModeSystem, series: FrobeniusSeries,
         raise FrobeniusError(
             f"continuation failed ({sol.message}); try a larger handoff radius")
     X, dX = sol.y[:k], sol.y[k:]
-    q, qp, qpp = (f(grid) for f in
-                  (system.drift_at, system.drift_d1_at, system.drift_d2_at))
-    V, Vp, Vpp = (f(grid) for f in
-                  (system.potential_at, system.potential_d1_at,
-                   system.potential_d2_at))
+    q, qp, qpp = (system.drift_at(grid, d) for d in range(3))
+    V, Vp, Vpp = (system.potential_at(grid, d) for d in range(3))
     S = np.zeros((k, grid.size), dtype=complex)
     Sp = np.zeros_like(S)
     Spp = np.zeros_like(S)

@@ -174,7 +174,7 @@ _th = np.tanh
 
 def _require_positive(r):
     r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
+    if np.count_nonzero(r <= 0.0):
         raise DomainError("radial coordinate must satisfy r > 0")
     return r
 
@@ -345,6 +345,7 @@ class ConeModel:
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 3:
             raise ValueError("dimension n must be an integer >= 3")
+        object.__setattr__(self, "n", int(self.n))
         if not (self.alpha > 0):
             raise ValueError("cone angle must be positive")
         if not (self.tube_radius > 0):
@@ -369,16 +370,30 @@ class ConeModel:
 
     @classmethod
     def from_json(cls, text: str) -> "ConeModel":
-        d = json.loads(text)
+        return cls.from_dict(json.loads(text))
+
+    @classmethod
+    def from_dict(cls, d) -> "ConeModel":
+        """Model from its JSON object.  The cone angle is read from "alpha"
+        (as written by `to_json`) or "angle"; a missing cross-section means
+        an explicit one.  Malformed input raises ValueError."""
+        if not isinstance(d, dict):
+            raise ValueError("model JSON must be an object")
+        if "alpha" in d and "angle" in d and d["alpha"] != d["angle"]:
+            raise ValueError("model JSON gives two different cone angles")
         try:
+            cs = d.get("cross_section")
             return cls(
                 n=d["n"],
-                alpha=d["alpha"],
-                tube_radius=d["tube_radius"],
-                cross_section=CrossSection.from_dict(d["cross_section"]),
+                alpha=float(d["alpha"] if "alpha" in d else d["angle"]),
+                tube_radius=float(d["tube_radius"]),
+                cross_section=(CrossSection.from_dict(cs) if cs
+                               else CrossSection("explicit")),
             )
         except KeyError as exc:
             raise ValueError(f"model JSON missing field {exc}") from exc
+        except TypeError as exc:
+            raise ValueError(f"malformed model JSON: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,8 @@ __all__ = [
     "CoclosedMode",
     "TTMode",
     "Mode",
+    "mode_to_dict",
+    "mode_from_dict",
     "ModeList",
     "circle_spectrum",
     "active_tensor_families",
@@ -93,6 +95,34 @@ class TTMode:
 
 
 Mode = Union[ScalarMode, CoclosedMode, TTMode]
+
+
+def mode_to_dict(mode: Mode) -> dict:
+    """Typed JSON form of a mode; `mode_from_dict` reads it back."""
+    if isinstance(mode, ScalarMode):
+        return {"type": "scalar", "lambda": mode.lam, "p": mode.p}
+    if isinstance(mode, CoclosedMode):
+        return {"type": "coclosed", "mu": mode.mu, "p": mode.p}
+    if isinstance(mode, TTMode):
+        return {"type": "tt", "nu": mode.nu, "p": mode.p}
+    raise TypeError(f"not a mode: {mode!r}")
+
+
+def mode_from_dict(d) -> Mode:
+    """Mode from its typed JSON form; a malformed entry raises ValueError."""
+    try:
+        kind, p = d["type"], d["p"]
+        if isinstance(p, bool) or int(p) != p:
+            raise ValueError(f"theta-frequency must be an integer, got {p!r}")
+        if kind == "scalar":
+            return ScalarMode(float(d["lambda"]), int(p))
+        if kind == "coclosed":
+            return CoclosedMode(float(d["mu"]), int(p))
+        if kind == "tt":
+            return TTMode(float(d["nu"]), int(p))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"bad mode entry {d!r}: {exc!r}") from exc
+    raise ValueError(f"unknown mode type {kind!r}")
 
 
 @dataclass(frozen=True)

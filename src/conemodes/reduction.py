@@ -7,8 +7,15 @@ mode the relevant operators become systems of radial ODEs
     (O X)_i = -X_i'' - q(r) X_i' + sum_j V_ij(r) X_j,
     q(r) = 1/th(r) + (n-2) th(r),
 
-with potentials V assembled from the nine registered radial coefficient
-functions.  This module owns those systems: it applies them pointwise, forms
+with every potential a constant pencil over seven fixed radial products,
+
+    V(r) = sum_b C_b phi_b(r),
+    phi_b in (1, inv_th^2, th^2, inv_sh_sq, inv_ch_sq, sh_th_inv, th*inv_ch).
+
+The operator formulas are written entry by entry as radial expressions and
+compiled into the matrices C_b once, when a system is built; the pointwise
+values, both radial derivatives and the exact Laurent data of V are all read
+off that pencil.  This module owns those systems: it applies them pointwise, forms
 the first-order gradient/exterior-derivative displays for one-form blocks,
 computes weighted tube norms by Gauss-Legendre quadrature, and produces the
 standard singular deformation blocks (cone angle, locus metric, gluing).
@@ -23,7 +30,9 @@ D (trace-free transverse mode: k4).
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping
@@ -44,6 +53,8 @@ from conemodes.modes import (
     ScalarMode,
     TTMode,
     active_tensor_families,
+    mode_from_dict,
+    mode_to_dict,
 )
 
 __all__ = [
@@ -80,9 +91,9 @@ class RadialExpr:
     """Linear combination of products of registered radial functions.
 
     terms[k] = (coefficient, tuple of function names); the empty tuple is the
-    constant function 1.  A single representation serves both the float
-    evaluators and the exact Laurent expansion, so the indicial data is
-    generated from the same object that the pointwise operator uses.
+    constant function 1.  Radial expressions spell out the operator formulas
+    (compiled into a `ModeSystem`'s basis pencil) and the source terms of
+    inhomogeneous problems; `RadialProfile.from_expr` supplies derivatives.
     """
 
     terms: tuple
@@ -106,41 +117,6 @@ class RadialExpr:
         return RadialExpr(tuple((c * scalar, names) for c, names in self.terms))
 
     __rmul__ = __mul__
-
-    def _term_value(self, r, names, orders):
-        part = np.ones(np.shape(r))
-        for name, k in zip(names, orders):
-            fn = RADIAL_FUNCTIONS[name]
-            part = part * (fn(r), fn.d1(r), fn.d2(r))[k]
-        return part
-
-    def eval_d1(self, r):
-        r = np.asarray(r, dtype=float)
-        acc = np.zeros(r.shape, dtype=complex)
-        for c, names in self.terms:
-            if c == 0:
-                continue
-            for i in range(len(names)):
-                orders = [1 if j == i else 0 for j in range(len(names))]
-                acc = acc + c * self._term_value(r, names, orders)
-        return acc
-
-    def eval_d2(self, r):
-        r = np.asarray(r, dtype=float)
-        acc = np.zeros(r.shape, dtype=complex)
-        for c, names in self.terms:
-            if c == 0:
-                continue
-            m = len(names)
-            for i in range(m):
-                orders = [2 if j == i else 0 for j in range(m)]
-                acc = acc + c * self._term_value(r, names, orders)
-            for i in range(m):
-                for j in range(m):
-                    if i != j:
-                        orders = [1 if k in (i, j) else 0 for k in range(m)]
-                        acc = acc + c * self._term_value(r, names, orders)
-        return acc
 
     def laurent(self, order: int) -> LaurentSeries:
         """Exact Laurent series with `order` coefficients from the leading power."""
@@ -256,7 +232,19 @@ class RadialProfile:
 
     @classmethod
     def from_expr(cls, expr: RadialExpr) -> "RadialProfile":
-        return cls(lambda r: expr(r), expr.eval_d1, expr.eval_d2)
+        """Profile of a radial expression: sums and `times` products of the
+        registered functions, so derivatives follow the one product rule."""
+        parts = []
+        for c, names in expr.terms:
+            if c == 0:
+                continue
+            fns = [RADIAL_FUNCTIONS[name] for name in names]
+            if not fns:
+                parts.append(cls.constant(c))
+                continue
+            product = functools.reduce(cls.times, [cls(f, f.d1, f.d2) for f in fns])
+            parts.append(product if c == 1 else c * product)
+        return functools.reduce(operator.add, parts) if parts else cls.zero()
 
     @classmethod
     def from_sympy(cls, expr_text: str) -> "RadialProfile":
@@ -411,9 +399,53 @@ def component_weights(family: str, names) -> np.ndarray:
 # the reduced operator systems
 
 
+# The seven radial products every potential entry is a combination of.
+_BASIS = ((), ("inv_th", "inv_th"), ("th", "th"), ("inv_sh_sq",), ("inv_ch_sq",),
+          ("sh_th_inv",), ("th", "inv_ch"))
+_BASIS_INDEX = {tuple(sorted(names)): b for b, names in enumerate(_BASIS)}
+_BASIS_PROFILES = tuple(RadialProfile.from_expr(_ex(*names)) for names in _BASIS)
+
+
+def _derivative(profile: RadialProfile, k: int):
+    return (profile, profile.d1, profile.d2)[k]
+
+
+@functools.lru_cache(maxsize=32)
+def _basis_series(order: int) -> np.ndarray:
+    """S[j, b]: coefficient of r^(j-2) in phi_b, j = 0..order-1, exact then complex."""
+    out = np.zeros((order, len(_BASIS)), dtype=complex)
+    for b, names in enumerate(_BASIS):
+        s = _ex(*names).laurent(order + 3)
+        out[:, b] = [s.coefficient(j - 2) for j in range(order)]
+    out.flags.writeable = False
+    return out
+
+
+def _compile_pencil(table) -> np.ndarray:
+    """Constant matrices C_b with V = sum_b C_b phi_b from a k x k table of
+    radial expressions; a product outside the basis raises ValueError."""
+    k = len(table)
+    pencil = np.zeros((len(_BASIS), k, k), dtype=complex)
+    for i, row in enumerate(table):
+        for j, expr in enumerate(row):
+            for c, names in expr.terms:
+                b = _BASIS_INDEX.get(tuple(sorted(names)))
+                if b is None:
+                    raise ValueError(
+                        f"radial product {names} is outside the potential basis")
+                pencil[b, i, j] += c
+    pencil.flags.writeable = False
+    return pencil
+
+
 @dataclass(frozen=True)
 class ModeSystem:
-    """One mode's radial ODE system for a deformation operator."""
+    """One mode's radial ODE system for a deformation operator.
+
+    ``pencil`` holds the constant matrices C_b, shape (7, k, k), of
+    V(r) = sum_b C_b phi_b(r) over the fixed basis products.  It is fixed by
+    the other fields, so it takes no part in equality or hashing.
+    """
 
     family: str
     kind: str
@@ -421,51 +453,24 @@ class ModeSystem:
     n: int
     gamma: float
     names: tuple
-    drift: RadialExpr
-    potential: tuple  # tuple of tuples of RadialExpr, row-major
+    pencil: np.ndarray = field(compare=False, repr=False)
 
     @property
     def arity(self) -> int:
         return len(self.names)
 
-    def drift_at(self, r):
-        return np.real(self.drift(r))
+    @property
+    def drift(self) -> RadialExpr:
+        return _drift(self.n)
 
-    def drift_d1_at(self, r):
-        return np.real(self.drift.eval_d1(r))
+    def drift_at(self, r, derivative: int = 0):
+        """q(r) or its first or second radial derivative."""
+        return np.real(_derivative(_drift_profile(self.n), derivative)(r))
 
-    def drift_d2_at(self, r):
-        return np.real(self.drift.eval_d2(r))
-
-    def potential_at(self, r):
-        r = np.asarray(r, dtype=float)
-        out = np.zeros((self.arity, self.arity) + r.shape, dtype=complex)
-        for i in range(self.arity):
-            for j in range(self.arity):
-                expr = self.potential[i][j]
-                if expr.terms:
-                    out[i, j] = expr(r)
-        return out
-
-    def potential_d1_at(self, r):
-        r = np.asarray(r, dtype=float)
-        out = np.zeros((self.arity, self.arity) + r.shape, dtype=complex)
-        for i in range(self.arity):
-            for j in range(self.arity):
-                expr = self.potential[i][j]
-                if expr.terms:
-                    out[i, j] = expr.eval_d1(r)
-        return out
-
-    def potential_d2_at(self, r):
-        r = np.asarray(r, dtype=float)
-        out = np.zeros((self.arity, self.arity) + r.shape, dtype=complex)
-        for i in range(self.arity):
-            for j in range(self.arity):
-                expr = self.potential[i][j]
-                if expr.terms:
-                    out[i, j] = expr.eval_d2(r)
-        return out
+    def potential_at(self, r, derivative: int = 0):
+        """V(r) or its first or second radial derivative, shape (k, k) + r.shape."""
+        phi = np.array([_derivative(p, derivative)(r) for p in _BASIS_PROFILES])
+        return np.einsum("bij,b...->ij...", self.pencil, phi)
 
     def apply(self, block, r):
         """Pointwise operator value on the block's profiles at radii r."""
@@ -501,22 +506,18 @@ class ModeSystem:
         return LaurentSeries(s.leading + 1, s.coeffs[:order])
 
     def laurent_potential(self, order: int):
-        """W_j matrices: r^2 V(r) = sum_j W_j r^j, j = 0..order-1, exact."""
-        k = self.arity
-        mats = [np.zeros((k, k), dtype=complex) for _ in range(order)]
-        for i in range(k):
-            for j in range(k):
-                expr = self.potential[i][j]
-                if not expr.terms:
-                    continue
-                s = expr.laurent(order + 3)
-                for m in range(order):
-                    mats[m][i, j] = complex(s.coefficient(m - 2))
-        return mats
+        """W_j matrices: r^2 V(r) = sum_j W_j r^j, j = 0..order-1, from the
+        exact basis series."""
+        return list(np.einsum("jb,bik->jik", _basis_series(order), self.pencil))
 
 
 def _drift(n: int) -> RadialExpr:
     return _ex("inv_th") + float(n - 2) * _ex("th")
+
+
+@functools.lru_cache(maxsize=None)
+def _drift_profile(n: int) -> RadialProfile:
+    return RadialProfile.from_expr(_drift(n))
 
 
 def _grid_table(k: int):
@@ -547,8 +548,8 @@ def oneform_system(model: ConeModel, mode: Mode, kind: str) -> ModeSystem:
     else:
         mu = mode.mu
         V[0][0] = _TH2 + (pg * pg) * _S2 + mu * _C2 + _const(n - 1)
-    return ModeSystem("oneform", kind, mode, n, g, names, _drift(n),
-                      tuple(tuple(row) for row in V))
+    return ModeSystem("oneform", kind, mode, n, g, names,
+                      _compile_pencil(V))
 
 
 def tensor_system(model: ConeModel, mode: Mode, kind: str) -> ModeSystem:
@@ -631,8 +632,8 @@ def tensor_system(model: ConeModel, mode: Mode, kind: str) -> ModeSystem:
         nu = mode.nu
         V[idx["k4"]][idx["k4"]] = 2.0 * _TH2 + G + nu * _C2 + _const(-2.0)
 
-    return ModeSystem("tensor", kind, mode, n, g, names, _drift(n),
-                      tuple(tuple(row) for row in V))
+    return ModeSystem("tensor", kind, mode, n, g, names,
+                      _compile_pencil(V))
 
 
 def apply_L_oneform(model: ConeModel, block: OneFormModeBlock, r):
@@ -858,13 +859,6 @@ def block_to_dict(model: ConeModel, block, grid=None) -> dict:
     if grid is None:
         grid = log_grid(model)
     grid = np.asarray(grid, dtype=float)
-    mode = block.mode
-    if isinstance(mode, ScalarMode):
-        mode_d = {"type": "scalar", "lambda": mode.lam, "p": mode.p}
-    elif isinstance(mode, CoclosedMode):
-        mode_d = {"type": "coclosed", "mu": mode.mu, "p": mode.p}
-    else:
-        mode_d = {"type": "tt", "nu": mode.nu, "p": mode.p}
     comps = {}
     for name in (_ONEFORM_COMPONENTS if block.family == "oneform"
                  else _TENSOR_COMPONENTS)[block.kind]:
@@ -880,7 +874,7 @@ def block_to_dict(model: ConeModel, block, grid=None) -> dict:
     return {
         "family": block.family,
         "kind": block.kind,
-        "mode": mode_d,
+        "mode": mode_to_dict(block.mode),
         "grid": grid.tolist(),
         "profiles": comps,
     }
@@ -888,13 +882,7 @@ def block_to_dict(model: ConeModel, block, grid=None) -> dict:
 
 def block_from_dict(d: dict):
     """Rebuild a block from its sampled JSON form (grid-interpolated)."""
-    md = d["mode"]
-    if md["type"] == "scalar":
-        mode = ScalarMode(md["lambda"], md["p"])
-    elif md["type"] == "coclosed":
-        mode = CoclosedMode(md["mu"], md["p"])
-    else:
-        mode = TTMode(md["nu"], md["p"])
+    mode = mode_from_dict(d["mode"])
     grid = np.asarray(d["grid"], dtype=float)
     profiles = {}
     for name, c in d["profiles"].items():

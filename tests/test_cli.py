@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from conemodes import cli
 from conemodes.cli import main
 from conemodes.geometry import ConeModel, CrossSection
 from conemodes.indicial import root_table_rows
-from conemodes.modes import ModeList, ScalarMode
+from conemodes.modes import ModeList, ScalarMode, mode_from_dict, mode_to_dict
+from conemodes.oracle import TubeChart
 
 
 runner = CliRunner()
@@ -351,6 +353,31 @@ class TestInducedMetric:
         assert by_p[0]["induced"]
         assert by_p[2]["induced"] == {}
 
+    def test_library_model_and_modes_load_in_cli(self, tmp_path):
+        model = ConeModel(n=3, alpha=math.pi / 2, tube_radius=1.0,
+                          cross_section=CrossSection("circle", 2.0))
+        model_path = tmp_path / "model.json"
+        model_path.write_text(model.to_json())
+        out = tmp_path / "out"
+        result = invoke(["--model", str(model_path), "--out", str(out),
+                         "indicial", "--family", "oneform"])
+        assert result.exit_code == 0
+        from conemodes.modes import circle_spectrum
+        _, expected = root_table_rows(
+            model, circle_spectrum(model, m_max=1, p_max=2), "oneform")
+        _, got = read_csv(out / "roots.csv")
+        assert got == [[str(c) for c in row] for row in expected]
+
+        mode = ScalarMode(0.0, 1)
+        bpath = tmp_path / "bvals.json"
+        bpath.write_text(json.dumps([{"mode": mode_to_dict(mode),
+                                      "values": {"f": 0.5}}]))
+        result = invoke(["--model", str(model_path), "--out", str(out),
+                         "induced-metric", "--boundary-file", str(bpath)])
+        assert result.exit_code == 0
+        payload = json.loads((out / "induced_metric.json").read_text())
+        assert [mode_from_dict(e["mode"]) for e in payload] == [mode]
+
     def test_bad_entry_rejected(self, tmp_path):
         model_path = write_model(tmp_path)
         bpath = tmp_path / "bvals.json"
@@ -396,12 +423,21 @@ class TestVerify:
         assert len(rows) == 6
         assert all(float(r[1]) >= 1.0 for r in rows)
 
-    def test_fault_injection_fails_with_exit_one(self, tmp_path):
+    def test_fault_injection_fails_with_exit_one(self, tmp_path, monkeypatch):
+        class FaultChart(TubeChart):
+            """Chart with one connection table entry scaled by 1 + 1e-4."""
+
+            def _table(self):
+                tab = super()._table()
+                gam = dict(tab["gam"])
+                gam[(1, 0, 1)] = (1.0 + 1e-4) * gam[(1, 0, 1)]
+                return {**tab, "gam": gam}
+
+        monkeypatch.setattr(cli, "TubeChart", FaultChart)
         model_path = write_model(tmp_path)
         out = tmp_path / "out"
         result = invoke(["--model", model_path, "--out", str(out),
-                         "verify", "--suite", "oracle", "--cases", "2",
-                         "--fault-christoffel", "1e-4"])
+                         "verify", "--suite", "oracle", "--cases", "2"])
         assert result.exit_code == 1
         payload = json.loads((out / "verify.json").read_text())
         assert payload["pass"] is False

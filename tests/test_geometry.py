@@ -201,6 +201,17 @@ def test_model_json_missing_field():
         ConeModel.from_json('{"n": 3, "alpha": 1.0}')
 
 
+def test_model_dict_reads_either_angle_key():
+    m = ConeModel(n=3, alpha=1.25, tube_radius=0.8)
+    assert ConeModel.from_dict({"n": 3, "angle": 1.25, "tube_radius": 0.8}) == m
+    assert ConeModel.from_dict({"n": 3, "alpha": 1.25, "angle": 1.25,
+                                "tube_radius": 0.8}) == m
+    with pytest.raises(ValueError):
+        ConeModel.from_dict({"n": 3, "alpha": 1.25, "angle": 1.0, "tube_radius": 0.8})
+    with pytest.raises(ValueError):
+        ConeModel.from_dict([3, 1.25, 0.8])
+
+
 # --- frame connection -------------------------------------------------------
 
 

@@ -227,7 +227,7 @@ def predicted_log(family, kind, names, t: Fraction) -> bool:
     return at == 0
 
 
-@pytest.mark.parametrize("family,kind,names", [
+EXACT_BLOCKS = [
     ("oneform", "A", ("f", "g", "omega")),
     ("oneform", "B", ("f", "g")),
     ("oneform", "C", ("varpi",)),
@@ -237,7 +237,10 @@ def predicted_log(family, kind, names, t: Fraction) -> bool:
     ("tensor", "C", ("sigma_bar", "eta_bar", "k3")),
     ("tensor", "C", ("sigma_bar", "eta_bar")),
     ("tensor", "D", ("k4",)),
-])
+]
+
+
+@pytest.mark.parametrize("family,kind,names", EXACT_BLOCKS)
 def test_exact_log_grid(family, kind, names):
     for num in range(-18, 19):
         t = Fraction(num, 6)
@@ -267,16 +270,23 @@ def test_exact_matches_float_path():
             assert log == root.log_required
 
 
-def test_exact_w0_matches_series_w0():
-    gamma = Fraction(4, 3)
-    model = model_with_gamma(float(gamma), n=4)
+@pytest.mark.parametrize("family,kind,names", EXACT_BLOCKS)
+def test_exact_w0_matches_series_w0(family, kind, names):
     from conemodes.indicial import _exact_w0
-    for p in (0, 1, 2):
-        system = tensor_system(model, ScalarMode(2.0, p), "A")
-        w0 = system.laurent_potential(1)[0]
-        exact = _exact_w0("tensor", "A", system.names, p * gamma)
-        exact_np = np.array(exact.evalf(20)).astype(complex)
-        assert np.max(np.abs(w0 - exact_np)) < 1e-12
+    # n = 4 admits k2, k3 (at mu = 0) and a trace-free transverse block
+    n = 4 if {"k2", "k3", "k4"} & set(names) else 3
+    eig = {"A": 2.0, "B": 0.0, "C": 0.0, "D": 3.0}[kind]
+    for gamma in (Fraction(4, 3), Fraction(1), Fraction(5, 2)):
+        model = model_with_gamma(float(gamma), n=n)
+        for p in (-2, -1, 0, 1, 2):
+            mode = {"A": ScalarMode, "B": ScalarMode, "C": CoclosedMode,
+                    "D": TTMode}[kind](eig, p)
+            system = system_for_mode(model, mode, family)
+            assert system.names == names
+            w0 = system.laurent_potential(1)[0]
+            exact = _exact_w0(family, kind, system.names, p * gamma)
+            exact_np = np.array(exact.evalf(20)).astype(complex)
+            assert np.max(np.abs(w0 - exact_np)) < 1e-12, (gamma, p)
 
 
 # ---------------------------------------------------------------------------

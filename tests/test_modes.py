@@ -18,6 +18,8 @@ from conemodes.modes import (
     active_tensor_families,
     basis_relation_table,
     circle_spectrum,
+    mode_from_dict,
+    mode_to_dict,
 )
 
 
@@ -100,6 +102,17 @@ def test_mode_list_json_round_trip():
 def test_mode_list_json_missing_field():
     with pytest.raises(ValueError):
         ModeList.from_json('{"scalar": [{"p": 0}]}')
+
+
+def test_mode_dict_round_trip_and_errors():
+    for mode in (ScalarMode(4.0, -2), CoclosedMode(1.5, 1), TTMode(3.0, 0)):
+        assert mode_from_dict(json.loads(json.dumps(mode_to_dict(mode)))) == mode
+    assert mode_to_dict(ScalarMode(4.0, -2)) == {"type": "scalar", "lambda": 4.0, "p": -2}
+    for bad in ({"type": "scalar", "p": 0}, {"type": "cone", "mu": 1.0, "p": 0},
+                {"type": "tt", "nu": 1.0, "p": 0.5}, {"type": "scalar", "lambda": -1.0, "p": 0},
+                ["scalar", 0]):
+        with pytest.raises(ValueError):
+            mode_from_dict(bad)
 
 
 # --- relation table ---------------------------------------------------------

@@ -516,6 +516,10 @@ def test_axial_sign_round_trip():
 # radial system equivalence
 
 
+# fixed per block kind, so every process draws the same cases
+KIND_SEEDS = {"A": 101, "B": 202, "C": 303}
+
+
 def random_profiles(rng, names):
     out = {}
     for name in names:
@@ -531,7 +535,7 @@ def random_profiles(rng, names):
     ("C", ("varpi",)),
 ])
 def test_oneform_operator_matches_coordinates(kind, names):
-    rng = np.random.default_rng(hash(kind) % 2 ** 31)
+    rng = np.random.default_rng(KIND_SEEDS[kind])
     ch = chart()
     r = np.linspace(0.1, 1.0, 12)
     for case in range(3):
@@ -556,7 +560,7 @@ def test_oneform_operator_matches_coordinates(kind, names):
     ("C", ("sigma_bar", "eta_bar")),
 ])
 def test_tensor_operator_matches_coordinates(kind, names):
-    rng = np.random.default_rng(hash(kind) % 2 ** 31 + 1)
+    rng = np.random.default_rng(KIND_SEEDS[kind] + 1)
     ch = chart()
     r = np.linspace(0.1, 1.0, 12)
     for case in range(3):

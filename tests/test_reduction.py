@@ -447,6 +447,14 @@ def test_laurent_partial_sums_track_potential():
     assert np.max(np.abs(approx - r**2 * V)) < 1e-12
 
 
+def test_pencil_rejects_product_outside_basis():
+    from conemodes.reduction import _compile_pencil
+    pencil = _compile_pencil([[RadialExpr(((2.0, ("inv_ch", "th")),))]])
+    assert pencil.shape == (7, 1, 1) and pencil[6, 0, 0] == 2.0
+    with pytest.raises(ValueError):
+        _compile_pencil([[RadialExpr(((1.0, ("sh", "ch")),))]])
+
+
 def test_laurent_drift_series():
     system = oneform_system(MODEL4, ScalarMode(0.0, 0), "B")
     s = system.laurent_drift(6)
@@ -465,12 +473,15 @@ def test_expr_laurent_matches_evaluation(p, lam):
     model = ConeModel(n=3, alpha=1.1, tube_radius=1.0)
     system = oneform_system(model, ScalarMode(lam, p), "A")
     r = 1e-3
-    for row in system.potential:
-        for expr in row:
-            if not expr.terms:
+    V = system.potential_at(r)
+    W = system.laurent_potential(10)
+    k = system.arity
+    for i in range(k):
+        for j in range(k):
+            if not np.any(system.pencil[:, i, j]):
                 continue
-            s = expr.laurent(10)
-            assert s(r) == pytest.approx(complex(expr(r)), rel=1e-9, abs=1e-12)
+            series = sum(Wm[i, j] * r ** (m - 2) for m, Wm in enumerate(W))
+            assert series == pytest.approx(complex(V[i, j]), rel=1e-9, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
