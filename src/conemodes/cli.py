@@ -29,7 +29,7 @@ from conemodes.frobenius import (
     induced_singular_deformation,
     solve_mode_bvp,
 )
-from conemodes.geometry import ConeModel, DomainError
+from conemodes.geometry import RADIAL_FUNCTIONS, ConeModel, DomainError
 from conemodes.indicial import root_table_rows, system_for_mode
 from conemodes.modes import (
     CoclosedMode,
@@ -41,18 +41,13 @@ from conemodes.modes import (
     mode_to_dict,
 )
 from conemodes.oracle import (
-    OracleField,
     TubeChart,
     apply_L_coords,
     apply_P_coords,
-    bump_chain,
     oneform_components,
     oneform_field,
-    poly_chain,
     tensor_components,
     tensor_field,
-    tube_inner_product,
-    tube_norm,
 )
 from conemodes.reduction import (
     OneFormModeBlock,
@@ -395,13 +390,20 @@ def solve(cfg: RunConfig, family, mode_type, mode_p, mode_eig, boundary,
             sdata = json.loads(source)
         except json.JSONDecodeError as exc:
             raise InputError(f"invalid source JSON: {exc}") from exc
+        if not isinstance(sdata, dict):
+            raise InputError("source must be a JSON object")
         source_map = {}
         for name, terms in sdata.items():
             try:
-                source_map[name] = RadialExpr(tuple(
-                    (complex(c), tuple(factors)) for c, factors in terms))
+                terms = tuple((complex(c), tuple(factors)) for c, factors in terms)
+                unknown = [f for _, factors in terms for f in factors
+                           if f not in RADIAL_FUNCTIONS]
             except (TypeError, ValueError) as exc:
                 raise InputError(f"bad source term for {name}: {exc}") from exc
+            if unknown:
+                raise InputError(f"bad source term for {name}: unknown radial "
+                                 f"factor {unknown[0]!r}")
+            source_map[name] = RadialExpr(terms)
 
     try:
         result = solve_mode_bvp(model, mode, family, bvals,
@@ -526,10 +528,12 @@ def induced_metric(cfg: RunConfig, boundary_file, solution_class):
     for entry in entries:
         try:
             mode = mode_from_dict(entry["mode"])
-            values = {k: _parse_complex(v, f"values[{k}]")
-                      for k, v in entry["values"].items()}
+            values = entry["values"]
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad boundary entry: {exc}") from exc
+        if not isinstance(values, dict):
+            raise InputError("bad boundary entry: values must be a JSON object")
+        values = {k: _parse_complex(v, f"values[{k}]") for k, v in values.items()}
         boundary_data[mode] = values
 
     try:
@@ -607,30 +611,6 @@ def _equivalence_suite(model, chart, n_cases, seed, tol):
     return rows
 
 
-def _energy_ratios(model, chart, n_cases, seed):
-    rng = np.random.default_rng(seed)
-    a = model.tube_radius
-    length = model.cross_section.length
-    ratios = []
-    for _ in range(n_cases):
-        lo = rng.uniform(0.1, 0.35) * a
-        hi = rng.uniform(0.6, 0.9) * a
-        bump = bump_chain(lo, hi, order=4)
-        comps = {}
-        for i in range(3):
-            for j in range(i, 3):
-                c = bump * poly_chain(rng.normal(size=3) + 1j * rng.normal(size=3))
-                comps[(i, j)] = c
-                if i != j:
-                    comps[(j, i)] = c
-        h = OracleField(chart, 2, comps,
-                        angular=float(rng.integers(0, 4)) * chart.gamma,
-                        axial=2 * math.pi * float(rng.integers(-2, 3)) / length)
-        num = tube_inner_product(apply_P_coords(h), h, lo, hi).real
-        ratios.append(num / tube_norm(h, lo, hi) ** 2)
-    return ratios
-
-
 @main.command()
 @click.option("--suite", "suites", multiple=True,
               type=click.Choice(["identities", "oracle", "energy"]),
@@ -657,7 +637,8 @@ def verify(ctx, suites, cases):
     if "oracle" in suites:
         rows.extend(_equivalence_suite(model, chart, cases, cfg.seed + 1, tol))
     if "energy" in suites:
-        ratios = _energy_ratios(model, chart, cases, cfg.seed + 2)
+        ratios = oracle.energy_ratios(chart, np.random.default_rng(cfg.seed + 2),
+                                      cases)
         bound = model.n - 2
         violation = max(0.0, (bound - min(ratios)) / bound)
         rows.append({"identity": "einstein_operator_energy_bound",

@@ -177,16 +177,23 @@ def indicial_report(system: ModeSystem, rtol: float = 1e-10) -> IndicialReport:
     """Cluster the closed-form exponent multiset and attach eigenvectors."""
     t = system.mode.p * system.gamma
     multiset = closed_root_multiset(system.family, system.kind, system.names, t)
-    scale = abs(t) + 3.0
+    tol = 1e-9 * (abs(t) + 3.0)
     clusters = []
     for value in multiset:
-        if clusters and abs(value - clusters[-1][0]) <= 1e-9 * scale:
+        if clusters and abs(value - clusters[-1][0]) <= tol:
             clusters[-1][1] += 1
         else:
             clusters.append([value, 1])
     w0 = system.laurent_potential(1)[0]
     roots = []
     for value, mult in clusters:
+        # roots are +-(t + integer), so distinct roots meet only at a
+        # half-integer, and the classification thresholds are integers: a
+        # label within the merge tolerance of a half-integer takes that
+        # value, so an ulp change of the angle cannot move it across one
+        half = round(2 * value) / 2
+        if abs(value - half) <= tol:
+            value = half
         m = w0 - (value ** 2) * np.eye(system.arity)
         vecs = null_space(m, rtol)
         roots.append(IndicialRoot(

@@ -845,7 +845,8 @@ def standard_deformation_block(model: ConeModel, kind: str):
         return TensorModeBlock("B", ScalarMode(0.0, 0),
                                {"k1": RadialProfile.constant(1.0)})
     if kind == "angle_gluing":
-        prof = RadialProfile.from_sympy("r**2/(sinh(r)*cosh(r))")
+        prof = RadialProfile.monomial(2).times(
+            RadialProfile.from_expr(_ex("inv_sh", "inv_ch")))
         return TensorModeBlock("C", CoclosedMode(0.0, 0), {"eta_bar": prof})
     raise ValueError(f"unknown standard deformation {kind!r}")
 

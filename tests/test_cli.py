@@ -4,6 +4,8 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -177,6 +179,28 @@ class TestReduce:
         assert payload["kind"] == "A"
         assert payload["mode"]["p"] == 1
 
+    def test_angle_gluing_loads_no_sympy(self, tmp_path):
+        model_path = write_model(tmp_path)
+        out = tmp_path / "out"
+        script = (
+            "import sys\n"
+            "from click.testing import CliRunner\n"
+            "from conemodes.cli import main\n"
+            f"args = ['--model', {model_path!r}, '--out', {str(out)!r},\n"
+            "        'reduce', '--standard', 'angle_gluing']\n"
+            "result = CliRunner().invoke(main, args)\n"
+            "assert result.exit_code == 0, result.output\n"
+            "print('sympy' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+        assert (out / "block_image.json").exists()
+
     def test_requires_exactly_one_input(self, tmp_path):
         model_path = write_model(tmp_path)
         out = tmp_path / "out"
@@ -278,6 +302,18 @@ class TestSolve:
         assert (out / "solve.gp").exists()
         report = json.loads((out / "solve_report.json").read_text())
         assert report["boundary_residual"] < 1e-9
+
+    @pytest.mark.parametrize("source", ['{"f": [[1.0, ["nope"]]]}',
+                                        '{"f": [[1.0, "sh"]]}',
+                                        '[[1.0, ["sh"]]]'])
+    def test_bad_source_rejected_without_output(self, tmp_path, source):
+        model_path = write_model(tmp_path)
+        out = tmp_path / "out"
+        result = invoke(["--model", model_path, "--out", str(out),
+                         "solve", "--family", "oneform", "--mode-p", "0",
+                         "--boundary", '{"f": 0.2}', "--source", source])
+        assert result.exit_code == 2
+        assert os.listdir(out) == []
 
 
 class TestDeformAngle:
@@ -387,6 +423,19 @@ class TestInducedMetric:
                          "induced-metric", "--boundary-file", str(bpath)])
         assert result.exit_code == 2
 
+    def test_list_values_rejected_without_output(self, tmp_path):
+        model_path = write_model(tmp_path)
+        bpath = tmp_path / "bvals.json"
+        bpath.write_text(json.dumps([
+            {"mode": {"type": "scalar", "lambda": 0.0, "p": 0},
+             "values": [0.3, 0.5]}]))
+        out = tmp_path / "out"
+        result = invoke(["--model", model_path, "--out", str(out),
+                         "induced-metric", "--boundary-file", str(bpath)])
+        assert result.exit_code == 2
+        assert "values must be a JSON object" in result.output
+        assert os.listdir(out) == []
+
 
 class TestVerify:
     def test_identities_suite_passes(self, tmp_path):
@@ -422,6 +471,17 @@ class TestVerify:
         assert header == ["case", "ratio"]
         assert len(rows) == 6
         assert all(float(r[1]) >= 1.0 for r in rows)
+
+    def test_energy_ratios_are_pinned(self, tmp_path):
+        # the seed fixes the draw order of supports, chains and phases
+        model_path = write_model(tmp_path)
+        out = tmp_path / "out"
+        result = invoke(["--model", model_path, "--out", str(out), "--seed", "5",
+                         "verify", "--suite", "energy", "--cases", "3"])
+        assert result.exit_code == 0
+        _, rows = read_csv(out / "energy_ratios.csv")
+        assert [float(r[1]) for r in rows] == pytest.approx(
+            [305.499843787, 643.218595068, 548.503000872], rel=1e-9)
 
     def test_fault_injection_fails_with_exit_one(self, tmp_path, monkeypatch):
         class FaultChart(TubeChart):

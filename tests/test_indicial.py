@@ -333,6 +333,32 @@ def test_admissibility_full_turn_log():
     assert out["has_log_root"]
 
 
+ULP_MODES = [ScalarMode(0.0, p) for p in (-1, 0, 1, 2)] + [
+    ScalarMode(4.0, 1), CoclosedMode(0.0, 1), CoclosedMode(0.0, 2), TTMode(1.0, 1)]
+
+
+def admissibility_counts(alpha):
+    model = ConeModel(n=3, alpha=alpha, tube_radius=1.0)
+    return [angle_admissibility(model, mode, family, cls)["count"]
+            for family in ("tensor", "oneform") for mode in ULP_MODES
+            if not (family == "oneform" and isinstance(mode, TTMode))
+            for cls in SOLUTION_CLASSES]
+
+
+@pytest.mark.parametrize("k", [-4, -3, -2, -1, 1, 2, 3, 4])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_branch_counts_survive_ulp_changes_of_angle(m, k):
+    alpha = 2 * math.pi / m
+    assert admissibility_counts(alpha * (1 + k * np.finfo(float).eps)) == \
+        admissibility_counts(alpha)
+    if m == 1:
+        # the triple roots at +-1 of ScalarMode(0, 1) count in full
+        model = ConeModel(n=3, alpha=alpha * (1 + k * np.finfo(float).eps),
+                          tube_radius=1.0)
+        assert [angle_admissibility(model, ScalarMode(0.0, 1), fam)["count"]
+                for fam in ("tensor", "oneform")] == [4, 2]
+
+
 def test_admissibility_rejects_unknown_class():
     model = ConeModel(n=3, alpha=math.pi / 2, tube_radius=1.0)
     with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -162,6 +163,30 @@ def test_frozen_christoffel_values():
     assert G[1, 1, 0][0].real == pytest.approx(GAMMA_TH_R_TH, abs=1e-12)
     assert G[0, 1, 1][0].real == pytest.approx(GAMMA_R_TH_TH, abs=1e-12)
     assert G[0, 0, 0][0] == 0
+
+
+def test_chart_table_keys_and_constant_curvature():
+    ch = chart()
+    tab = ch._table()
+    assert set(tab["gam"]) == {(0, 1, 1), (0, 2, 2), (1, 0, 1), (1, 1, 0),
+                               (2, 0, 2), (2, 2, 0)}
+    assert set(tab["riem_low"]) == {key for a in range(3) for b in range(3)
+                                    if a != b
+                                    for key in ((a, b, a, b), (a, b, b, a))}
+
+    def g(a, b):
+        return ch.metric_profile(a) if a == b else ChainProfile.zero()
+
+    # hyperbolic space form: R_abcd = -(g_ac g_bd - g_ad g_bc), down to the
+    # second radial derivative of both sides
+    r = np.array([0.05, 0.3, 0.7, 1.0])
+    for a, b, c, d in itertools.product(range(3), repeat=4):
+        expected = -(g(a, c) * g(b, d) - g(a, d) * g(b, c))
+        got = ch.riemann_profile(a, b, c, d)
+        for k in range(3):
+            want = expected.fns[k](r)
+            assert np.allclose(got.fns[k](r), want, rtol=1e-12, atol=1e-12), \
+                ((a, b, c, d), k)
 
 
 def test_chart_rejects_nonpositive_radius():

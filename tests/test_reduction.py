@@ -392,6 +392,16 @@ def test_angle_gluing_block():
     assert prof(1e-4) == pytest.approx(1e-4, rel=1e-6)
 
 
+def test_angle_gluing_derivatives_match_sympy_profile():
+    prof = standard_deformation_block(MODEL3, "angle_gluing").component("eta_bar")
+    ref = RadialProfile.from_sympy("r**2/(sinh(r)*cosh(r))")
+    r = log_grid(MODEL3)
+    for got, want in ((prof(r), ref(r)), (prof.d1(r), ref.d1(r)),
+                      (prof.d2(r), ref.d2(r))):
+        # both lose digits of d2 to cancellation as r -> 0
+        assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) < 1e-8
+
+
 def test_unknown_standard_block():
     with pytest.raises(ValueError):
         standard_deformation_block(MODEL3, "twist")
