@@ -5,6 +5,11 @@ singular point at the cone axis.  This module constructs Frobenius series
 (with logarithmic branches where the indicial structure forces them),
 continues them outward with a high-order integrator, and solves Dirichlet
 problems at the tube boundary within a prescribed solution class.
+
+All admissible branches of a mode and its particular solution are continued
+together, as the columns of one matrix ODE in a single integrator call.  Each
+column is normalized by its largest value at the handoff, so a steep branch
+r^kappa is not lost below the integrator's absolute tolerance.
 """
 
 from __future__ import annotations
@@ -386,12 +391,23 @@ def _auto_handoff(r_end: float) -> float:
     return min(0.1, 0.125 * r_end)
 
 
-def integrate_mode_ode(system: ModeSystem, series: FrobeniusSeries,
-                       handoff: float, r_end: float,
+def integrate_mode_ode(system: ModeSystem, series, handoff: float, r_end: float,
                        source_profiles: Optional[Mapping[str, RadialProfile]] = None,
                        num: int = 400, rtol: float = 1e-11, atol: float = 1e-13,
-                       method: str = "DOP853") -> ContinuedSolution:
-    """Continue a series solution from the handoff radius out to ``r_end``.
+                       method: str = "DOP853"):
+    """Continue series solutions from the handoff radius out to ``r_end``.
+
+    ``series`` is one FrobeniusSeries, giving one ContinuedSolution, or a
+    sequence of them, giving one ContinuedSolution per series.  A sequence is
+    continued as one matrix ODE: the series are the columns of a (2k, nb)
+    state and share one ``solve_ivp`` call.  When ``source_profiles`` is
+    given, the last series is the particular solution and its column alone
+    is fed the source.
+
+    Each column is divided by its largest value at the handoff and scaled
+    back afterwards (its source by the same factor), so ``atol`` is relative
+    to the column's size there: a branch r^kappa with large kappa starts far
+    below any fixed absolute tolerance.
 
     Handing off deep inside the singular region loses accuracy: absolute
     integrator noise at radius r0 feeds the steepest homogeneous mode with
@@ -404,41 +420,47 @@ def integrate_mode_ode(system: ModeSystem, series: FrobeniusSeries,
         raise DomainError(
             "handoff radius below 1e-8 collapses integrator steps; "
             "evaluate the series directly there instead")
-    k = system.arity
-    src_rows = [None] * k
-    if source_profiles:
-        for name, prof in source_profiles.items():
-            src_rows[system.names.index(name)] = prof
+    single = isinstance(series, FrobeniusSeries)
+    columns = [series] if single else list(series)
+    k, nb = system.arity, len(columns)
+    y0 = np.stack([np.concatenate([ser.evaluate(handoff), ser.evaluate(handoff, 1)])
+                   for ser in columns], axis=1)
+    scale = np.max(np.abs(y0), axis=0)
+    scale[scale == 0.0] = 1.0
+    src_rows = [(system.names.index(name), prof)
+                for name, prof in (source_profiles or {}).items()]
     src = None
-    if any(p is not None for p in src_rows):
+    if src_rows:
         def src(r):
-            return np.array(
-                [0j if p is None else complex(p(r)) for p in src_rows])
+            out = np.zeros((k, nb), dtype=complex)
+            for i, prof in src_rows:
+                out[i, -1] = complex(prof(r)) / scale[-1]
+            return out
 
-    y0 = np.concatenate([series.evaluate(handoff), series.evaluate(handoff, 1)])
     grid = np.geomspace(handoff, r_end, num)
     grid[0], grid[-1] = handoff, r_end
-    sol = solve_ivp(lambda t, y: system.rhs_first_order(t, y, src),
-                    (handoff, r_end), y0.astype(complex), method=method,
-                    rtol=rtol, atol=atol, t_eval=grid)
+    sol = solve_ivp(
+        lambda t, y: system.rhs_first_order(t, y.reshape(2 * k, nb), src).ravel(),
+        (handoff, r_end), (y0 / scale).astype(complex).ravel(), method=method,
+        rtol=rtol, atol=atol, t_eval=grid)
     if not sol.success:
         raise FrobeniusError(
             f"continuation failed ({sol.message}); try a larger handoff radius")
-    X, dX = sol.y[:k], sol.y[k:]
+    Y = sol.y.reshape(2 * k, nb, grid.size) * scale[:, None]
+    X, dX = Y[:k], Y[k:]
     q, qp, qpp = (system.drift_at(grid, d) for d in range(3))
     V, Vp, Vpp = (system.potential_at(grid, d) for d in range(3))
-    S = np.zeros((k, grid.size), dtype=complex)
-    Sp = np.zeros_like(S)
-    Spp = np.zeros_like(S)
-    for i, prof in enumerate(src_rows):
-        if prof is not None:
-            S[i], Sp[i], Spp[i] = prof(grid), prof.d1(grid), prof.d2(grid)
-    mat = lambda M, Y: np.einsum("ijr,jr->ir", M, Y)
+    S, Sp, Spp = np.zeros((3, k, nb, grid.size), dtype=complex)
+    for i, prof in src_rows:
+        S[i, -1], Sp[i, -1], Spp[i, -1] = prof(grid), prof.d1(grid), prof.d2(grid)
+    mat = lambda M, Y: np.einsum("ijr,jcr->icr", M, Y)
     d2 = -q * dX + mat(V, X) - S
     d3 = -qp * dX - q * d2 + mat(Vp, X) + mat(V, dX) - Sp
     d4 = (-qpp * dX - 2 * qp * d2 - q * d3
           + mat(Vpp, X) + 2 * mat(Vp, dX) + mat(V, d2) - Spp)
-    return ContinuedSolution(system, grid, X, dX, d2, d3, d4)
+    out = [ContinuedSolution(system, grid, X[:, c], dX[:, c], d2[:, c],
+                             d3[:, c], d4[:, c]) for c in range(nb)]
+    return out[0] if single else out
 
 
 def _piecewise(inner: RadialProfile, outer: RadialProfile, cut: float) -> RadialProfile:
@@ -548,38 +570,35 @@ def solve_mode_bvp(model: ConeModel, mode: Mode, family: str,
         handoff = _auto_handoff(a)
     k = system.arity
     branches = admissible_branches(system, solution_class)
+    nb = len(branches)
 
-    columns, branch_profiles, branch_axis = [], [], []
-    for kind, kappa, vec in branches:
-        if kind == "power":
-            ser = frobenius_series(system, kappa, vector=vec, order=order)
-        else:
-            ser = frobenius_series(system, kappa, log_vector=vec, order=order)
-        cont = integrate_mode_ode(system, ser, handoff, a, num=num,
-                                  rtol=rtol, atol=atol)
-        columns.append(cont.endpoint)
-        branch_profiles.append({
-            name: _piecewise(_series_profile(ser, name), cont.profile(name), handoff)
-            for name in system.names})
-        if kind == "power" and abs(kappa) < 1e-12:
-            branch_axis.append(np.asarray(ser.coefficients[0], dtype=complex))
-        else:
-            branch_axis.append(None)
+    series = [frobenius_series(system, kappa, order=order,
+                               vector=vec if kind == "power" else None,
+                               log_vector=vec if kind == "log" else None)
+              for kind, kappa, vec in branches]
+    branch_axis = [np.asarray(ser.coefficients[0], dtype=complex)
+                   if kind == "power" and abs(kappa) < 1e-12 else None
+                   for ser, (kind, kappa, _) in zip(series, branches)]
+    pser, sprofs = None, None
+    if source:
+        pser = inhomogeneous_series(system, source, order=order)
+        sprofs = {nm: RadialProfile.from_expr(ex) for nm, ex in source.items()}
+    columns = series + ([pser] if pser is not None else [])
+    conts = integrate_mode_ode(system, columns, handoff, a, source_profiles=sprofs,
+                               num=num, rtol=rtol, atol=atol) if columns else []
+    col_profiles = [
+        {name: _piecewise(_series_profile(ser, name), cont.profile(name), handoff)
+         for name in system.names}
+        for ser, cont in zip(columns, conts)]
+    branch_profiles = col_profiles[:nb]
 
     part_profiles = None
     part_end = np.zeros(k, dtype=complex)
     part_axis = np.zeros(k, dtype=complex)
     part_regular = True
-    if source:
-        pser = inhomogeneous_series(system, source, order=order)
-        sprofabs = {nm: RadialProfile.from_expr(ex) for nm, ex in source.items()}
-        pcont = integrate_mode_ode(system, pser, handoff, a,
-                                   source_profiles=sprofabs, num=num,
-                                   rtol=rtol, atol=atol)
-        part_profiles = {
-            name: _piecewise(_series_profile(pser, name), pcont.profile(name), handoff)
-            for name in system.names}
-        part_end = pcont.endpoint
+    if pser is not None:
+        part_profiles = col_profiles[-1]
+        part_end = conts[-1].endpoint
         if pser.kappa < -1e-12:
             part_regular = False
         elif abs(pser.kappa) < 1e-12:
@@ -589,9 +608,8 @@ def solve_mode_bvp(model: ConeModel, mode: Mode, family: str,
 
     bvec = np.array([complex(boundary.get(nm, 0.0)) for nm in system.names])
     target = bvec - part_end
-    nb = len(branches)
     if nb:
-        B = np.stack(columns, axis=1)
+        B = np.stack([cont.endpoint for cont in conts[:nb]], axis=1)
         _, sv, vh = np.linalg.svd(B)
         rank = int(np.sum(sv > 1e-10 * max(sv[0], 1.0)))
         cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf

@@ -149,6 +149,8 @@ class ModeList:
     @classmethod
     def from_json(cls, text: str) -> "ModeList":
         d = json.loads(text)
+        if not isinstance(d, dict):
+            raise ValueError("mode JSON must be an object")
         try:
             return cls(
                 scalar=tuple(ScalarMode(m["lambda"], m["p"])

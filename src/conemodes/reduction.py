@@ -46,6 +46,7 @@ from conemodes.geometry import (
     DomainError,
     LaurentSeries,
     RADIAL_FUNCTIONS,
+    _require_positive,
 )
 from conemodes.modes import (
     CoclosedMode,
@@ -403,11 +404,51 @@ def component_weights(family: str, names) -> np.ndarray:
 _BASIS = ((), ("inv_th", "inv_th"), ("th", "th"), ("inv_sh_sq",), ("inv_ch_sq",),
           ("sh_th_inv",), ("th", "inv_ch"))
 _BASIS_INDEX = {tuple(sorted(names)): b for b, names in enumerate(_BASIS)}
-_BASIS_PROFILES = tuple(RadialProfile.from_expr(_ex(*names)) for names in _BASIS)
 
 
-def _derivative(profile: RadialProfile, k: int):
-    return (profile, profile.d1, profile.d2)[k]
+def _sinh_cosh(r):
+    """(sinh r, cosh r): math floats for a Python float, arrays otherwise."""
+    if isinstance(r, float):
+        if not r > 0.0:
+            raise DomainError("radial coordinate must satisfy r > 0")
+        return math.sinh(r), math.cosh(r)
+    r = _require_positive(r)
+    return np.sinh(r), np.cosh(r)
+
+
+def _basis_values(r, derivative: int = 0) -> np.ndarray:
+    """phi_b(r) or its first or second derivative, shape (7,) + r.shape, in
+    closed form over one sinh/cosh evaluation."""
+    s, c = _sinh_cosh(r)
+    ss, cc = s * s, c * c
+    zero = 0.0 * s
+    if derivative == 0:
+        vals = (zero + 1.0, cc / ss, ss / cc, 1.0 / ss, 1.0 / cc, c / ss, s / cc)
+    elif derivative == 1:
+        d_inv_sh_sq, d_inv_ch_sq = -2.0 * c / (ss * s), -2.0 * s / (cc * c)
+        vals = (zero, d_inv_sh_sq, -d_inv_ch_sq, d_inv_sh_sq, d_inv_ch_sq,
+                (ss - 2.0 * cc) / (ss * s), (cc - 2.0 * ss) / (cc * c))
+    elif derivative == 2:
+        dd_inv_sh_sq = (4.0 * cc + 2.0) / (ss * ss)
+        dd_inv_ch_sq = (6.0 * ss - 2.0 * cc) / (cc * cc)
+        vals = (zero, dd_inv_sh_sq, -dd_inv_ch_sq, dd_inv_sh_sq, dd_inv_ch_sq,
+                c * (6.0 * cc - 5.0 * ss) / (ss * ss),
+                s * (6.0 * ss - 5.0 * cc) / (cc * cc))
+    else:
+        raise ValueError("derivative order must be 0, 1 or 2")
+    return np.array(vals)
+
+
+def _drift_values(r, n: int, derivative: int = 0):
+    """q(r) = coth r + (n - 2) tanh r or its first or second derivative."""
+    s, c = _sinh_cosh(r)
+    if derivative == 0:
+        return c / s + (n - 2) * s / c
+    if derivative == 1:
+        return -1.0 / (s * s) + (n - 2) / (c * c)
+    if derivative == 2:
+        return 2.0 * c / (s * s * s) - 2.0 * (n - 2) * s / (c * c * c)
+    raise ValueError("derivative order must be 0, 1 or 2")
 
 
 @functools.lru_cache(maxsize=32)
@@ -465,12 +506,14 @@ class ModeSystem:
 
     def drift_at(self, r, derivative: int = 0):
         """q(r) or its first or second radial derivative."""
-        return np.real(_derivative(_drift_profile(self.n), derivative)(r))
+        return _drift_values(r, self.n, derivative)
 
     def potential_at(self, r, derivative: int = 0):
         """V(r) or its first or second radial derivative, shape (k, k) + r.shape."""
-        phi = np.array([_derivative(p, derivative)(r) for p in _BASIS_PROFILES])
-        return np.einsum("bij,b...->ij...", self.pencil, phi)
+        phi = _basis_values(r, derivative)
+        k = self.arity
+        V = self.pencil.reshape(len(_BASIS), k * k).T @ phi.reshape(len(_BASIS), -1)
+        return V.reshape((k, k) + phi.shape[1:])
 
     def apply(self, block, r):
         """Pointwise operator value on the block's profiles at radii r."""
@@ -490,14 +533,14 @@ class ModeSystem:
         return out
 
     def rhs_first_order(self, r, y, source=None):
-        """First-order form for integrators: y = [X, X'] stacked, O X = src."""
+        """First-order form for integrators: y = [X, X'] stacked along axis 0,
+        X of shape (k,) or (k, columns), and O X = source(r) of X's shape."""
         k = self.arity
         X, dX = y[:k], y[k:]
-        q = self.drift_at(r)
-        V = self.potential_at(r)
-        src = np.zeros(k, dtype=complex) if source is None else source(r)
-        ddX = -src - q * dX + V @ X
         # O X = -X'' - q X' + V X = src  =>  X'' = -q X' + V X - src
+        ddX = self.potential_at(r) @ X - self.drift_at(r) * dX
+        if source is not None:
+            ddX = ddX - source(r)
         return np.concatenate([dX, ddX])
 
     def laurent_drift(self, order: int) -> LaurentSeries:
@@ -513,11 +556,6 @@ class ModeSystem:
 
 def _drift(n: int) -> RadialExpr:
     return _ex("inv_th") + float(n - 2) * _ex("th")
-
-
-@functools.lru_cache(maxsize=None)
-def _drift_profile(n: int) -> RadialProfile:
-    return RadialProfile.from_expr(_drift(n))
 
 
 def _grid_table(k: int):
@@ -885,6 +923,8 @@ def block_from_dict(d: dict):
     """Rebuild a block from its sampled JSON form (grid-interpolated)."""
     mode = mode_from_dict(d["mode"])
     grid = np.asarray(d["grid"], dtype=float)
+    if not isinstance(d["profiles"], dict):
+        raise ValueError("block profiles must be a JSON object")
     profiles = {}
     for name, c in d["profiles"].items():
         vals = np.asarray(c["value_re"]) + 1j * np.asarray(c["value_im"])

@@ -179,6 +179,20 @@ class TestReduce:
         assert payload["kind"] == "A"
         assert payload["mode"]["p"] == 1
 
+    def test_list_profiles_rejected_without_output(self, tmp_path):
+        block_path = tmp_path / "block.json"
+        block_path.write_text(json.dumps({
+            "family": "tensor", "kind": "B",
+            "mode": {"type": "scalar", "lambda": 0.0, "p": 0},
+            "grid": [0.5, 1.0], "profiles": [0.3, 0.5]}))
+        model_path = write_model(tmp_path)
+        out = tmp_path / "out"
+        result = invoke(["--model", model_path, "--out", str(out),
+                         "reduce", "--block-file", str(block_path)])
+        assert result.exit_code == 2
+        assert "profiles must be a JSON object" in result.output
+        assert not out.exists() or os.listdir(out) == []
+
     def test_angle_gluing_loads_no_sympy(self, tmp_path):
         model_path = write_model(tmp_path)
         out = tmp_path / "out"
@@ -542,6 +556,17 @@ class TestInputValidation:
         result = invoke(["--model", model_path, "--modes", str(bad),
                          "--out", str(tmp_path / "o"), "indicial"])
         assert result.exit_code == 2
+
+    def test_list_modes_file_rejected_without_output(self, tmp_path):
+        model_path = write_model(tmp_path)
+        bad = tmp_path / "modes.json"
+        bad.write_text(json.dumps([{"lambda": 0.0, "p": 1}]))
+        out = tmp_path / "o"
+        result = invoke(["--model", model_path, "--modes", str(bad),
+                         "--out", str(out), "indicial"])
+        assert result.exit_code == 2
+        assert "mode JSON must be an object" in result.output
+        assert not out.exists() or os.listdir(out) == []
 
     def test_nonpositive_tolerances(self, tmp_path):
         model_path = write_model(tmp_path)

@@ -210,6 +210,41 @@ def test_continuation_profile_solves_ode_between_nodes():
     assert max(np.max(np.abs(v)) for v in out.values()) < 1e-8
 
 
+@pytest.mark.parametrize("model, mode, solution_class, source", [
+    # power branches at exponents 1 and 0, and the log branch at exponent 0
+    (M_2PI, ScalarMode(4.0, 0), "l2", None),
+    # the angle-potential system: two power branches and the particular column
+    (M_HALF, ScalarMode(0.0, 0), "strong", {"f": 2.0 * _ex("inv_th")}),
+])
+def test_matrix_continuation_matches_single_columns(model, mode, solution_class,
+                                                    source):
+    system = oneform_system(model, mode, "A" if mode.lam > 0 else "B")
+    branches = admissible_branches(system, solution_class)
+    columns = [frobenius_series(system, kap, order=14,
+                                vector=vec if kind == "power" else None,
+                                log_vector=vec if kind == "log" else None)
+               for kind, kap, vec in branches]
+    sources = [None] * len(columns)
+    if source:
+        columns.append(inhomogeneous_series(system, source, order=14))
+        sources.append({nm: RadialProfile.from_expr(ex)
+                        for nm, ex in source.items()})
+    assert any(ser.has_log for ser in columns)
+    # nodal d4 carries V'' ~ r^-4 times the integrator's own error, so the
+    # step sequences of the two calls are made to agree closely
+    tols = {"rtol": 1e-13, "atol": 1e-15}
+    together = integrate_mode_ode(system, columns, 0.1, 1.0,
+                                  source_profiles=sources[-1], **tols)
+    assert len(together) == len(columns)
+    for ser, src, cont in zip(columns, sources, together):
+        alone = integrate_mode_ode(system, ser, 0.1, 1.0, source_profiles=src,
+                                   **tols)
+        for attr in ("endpoint", "d2", "d3", "d4"):
+            want = getattr(alone, attr)
+            got = getattr(cont, attr)
+            assert np.max(np.abs(got - want)) < 1e-9 * np.max(np.abs(want))
+
+
 def test_continuation_guards():
     system = oneform_system(M_HALF, ScalarMode(4.0, 1), "A")
     ser = frobenius_series(system, 5.0, order=6)
@@ -253,6 +288,20 @@ def test_bvp_manufactured_roundtrip_oneform():
                          "strong")
     assert res.status == "unique"
     assert np.max(np.abs(res.coefficients - cstar)) < 1e-6
+
+
+def test_bvp_manufactured_roundtrip_high_exponent():
+    # alpha = 1, p = 2: the strong branches r^13.57 and r^11.57 are about
+    # 1e-12 at the handoff r = 0.1, below the integrator's absolute tolerance
+    model = ConeModel(3, 1.0, 1.0, CrossSection("circle", 1.0))
+    mode = CoclosedMode(0.0, 2)
+    system = tensor_system(model, mode, "C")
+    for seed in (0, 1, 2):
+        cstar, boundary = _manufactured(system, "strong", seed)
+        res = solve_mode_bvp(model, mode, "tensor", boundary, "strong")
+        assert res.status == "unique"
+        err = np.max(np.abs(res.coefficients - cstar))
+        assert err < 1e-6 * max(1.0, np.max(np.abs(cstar)))
 
 
 def test_bvp_boundary_and_interior_consistency():

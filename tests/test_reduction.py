@@ -465,6 +465,40 @@ def test_pencil_rejects_product_outside_basis():
         _compile_pencil([[RadialExpr(((1.0, ("sh", "ch")),))]])
 
 
+def test_closed_form_kernel_matches_product_rule():
+    from conemodes.reduction import (_BASIS, _basis_values, _drift,
+                                     _drift_values, _ex)
+    grid = log_grid(MODEL3)
+    floats = (1e-6, 0.05, 0.5, 1.0, 2.5)
+    basis = [RadialProfile.from_expr(_ex(*names)) for names in _BASIS]
+    drifts = {n: RadialProfile.from_expr(_drift(n)) for n in (3, 4, 7)}
+
+    def close(got, prof, d, r):
+        want = (prof, prof.d1, prof.d2)[d](r).real
+        # relative; the absolute floor covers the zero crossings of
+        # (th inv_ch)', (th^2)'' and q'' inside the tube
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want) + 1e-14)
+
+    for d in range(3):
+        phi = _basis_values(grid, d)
+        assert phi.shape == (7, grid.size)
+        for r in floats:
+            assert _basis_values(r, d).shape == (7,)
+        for b, prof in enumerate(basis):
+            close(phi[b], prof, d, grid)
+            for r in floats:
+                close(_basis_values(r, d)[b], prof, d, r)
+        for n, prof in drifts.items():
+            close(_drift_values(grid, n, d), prof, d, grid)
+            for r in floats:
+                close(_drift_values(r, n, d), prof, d, r)
+    for bad in (0.0, -0.5, np.array([0.1, 0.0])):
+        with pytest.raises(DomainError):
+            _basis_values(bad)
+        with pytest.raises(DomainError):
+            _drift_values(bad, 3)
+
+
 def test_laurent_drift_series():
     system = oneform_system(MODEL4, ScalarMode(0.0, 0), "B")
     s = system.laurent_drift(6)
