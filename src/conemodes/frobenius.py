@@ -368,6 +368,16 @@ class ContinuedSolution:
         return self.values[:, -1]
 
     def profile(self, name: str, derivative: int = 0) -> RadialProfile:
+        """Hermite interpolant of one component, or of its first derivative.
+
+        The profile's value, d1 and d2 interpolate consecutive pairs of the
+        nodal stack: (values, d1), (d1, d2), (d2, d3) for `derivative=0`, and
+        (d1, d2), (d2, d3), (d3, d4) for `derivative=1`. Near the handoff the
+        nodal d3 and d4 carry the integrator's error times V' ~ r^-3 and
+        V'' ~ r^-4, about 50 times the relative noise of the nodal values at
+        the default tolerances, so the derivatives read from them (d2 here,
+        and d1, d2 with `derivative=1`) are that much noisier.
+        """
         if derivative not in (0, 1):
             raise ValueError("derivative order must be 0 or 1")
         i = self.system.names.index(name)

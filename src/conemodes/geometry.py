@@ -37,6 +37,7 @@ __all__ = [
     "ConeModel",
     "FrameConnection",
     "frame_connection_table",
+    "gauss_legendre",
     "SIGMA_TOKEN",
 ]
 
@@ -441,3 +442,14 @@ def frame_connection_table(model: ConeModel, r: float) -> FrameConnection:
         ("e_j", "e^j"): (("e^r", -th), (SIGMA_TOKEN, None)),
     }
     return FrameConnection(rr, entries)
+
+
+@lru_cache(maxsize=None)
+def gauss_legendre(num: int):
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed once per size."""
+    from scipy.special import roots_legendre
+
+    x, w = roots_legendre(num)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w

@@ -8,7 +8,11 @@ the two routes is established by the test suite, not assumed.
 
 Fields keep the single-mode structure profile(r) * exp(i(p*gamma*theta + k*s)),
 so angular derivatives are exact multiplications and only the radial
-direction carries analytic derivative chains.
+direction carries analytic derivative chains. Chains are evaluated as
+jets: `chain.jet(r, m, memo)` is levels 0..m at the radii as one array, read
+once per operand and kept in `memo` under id(chain), so one evaluation
+computes every shared node and leaf level once. A memo serves one radius
+grid and only while its trees are alive: make a fresh one per evaluation.
 """
 
 from __future__ import annotations
@@ -21,10 +25,8 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.special import roots_legendre
 
-from conemodes.geometry import ConeModel, DomainError
-from conemodes.modes import CoclosedMode, ScalarMode
+from conemodes.geometry import ConeModel, DomainError, gauss_legendre
 
 __all__ = [
     "ChainProfile",
@@ -69,33 +71,53 @@ def _zero_fn(r):
 
 
 class ChainProfile:
-    """Radial function carrying derivative closures down to a fixed depth."""
+    """Radial function carrying derivatives down to a fixed depth.
 
-    __slots__ = ("fns", "is_zero")
+    A leaf holds one closure per level. A node holds node(r, m, memo), its
+    jet of levels 0..m computed from its operands' jets: sums, negations,
+    scalar multiples, Leibniz products and derivatives (the shifted jet).
+    """
 
-    def __init__(self, *fns, is_zero: bool = False):
-        if not fns:
+    __slots__ = ("_leaf", "_node", "depth", "is_zero")
+
+    def __init__(self, *fns, is_zero: bool = False, node: Optional[Callable] = None,
+                 depth: int = 0):
+        if not fns and node is None:
             raise ValueError("need at least the value closure")
-        self.fns = fns
-        self.is_zero = is_zero
+        self._leaf, self._node, self.is_zero = fns, node, is_zero
+        self.depth = len(fns) - 1 if fns else depth
+
+    @property
+    def fns(self) -> tuple:
+        return self._leaf or tuple(lambda r, k=k: self.jet(r, k, {})[k]
+                                   for k in range(self.depth + 1))
 
     def __call__(self, r):
         return self.fns[0](r)
 
-    @property
-    def depth(self) -> int:
-        return len(self.fns) - 1
+    def jet(self, r, m: int, memo: dict) -> np.ndarray:
+        """Levels 0..m <= depth at the radii, shape (m+1,) + r.shape, kept in `memo`."""
+        have = memo.get(id(self), ())
+        if len(have) <= m:
+            if self._node is not None:
+                have = self._node(r, m, memo)
+            else:  # a leaf computes only the levels not yet in the memo
+                new = [f(r) for f in self._leaf[len(have):m + 1]]
+                have = np.array([*have, *new], dtype=complex)
+            memo[id(self)] = have
+        return have[:m + 1]
 
     def derivative(self) -> "ChainProfile":
         if self.is_zero:
             return self
         if self.depth == 0:
             raise ValueError("derivative chain exhausted")
-        return ChainProfile(*self.fns[1:])
+        return ChainProfile(node=lambda r, m, memo: self.jet(r, m + 1, memo)[1:],
+                            depth=self.depth - 1)
 
     @classmethod
     def zero(cls, depth: int = 8) -> "ChainProfile":
-        return cls(*([_zero_fn] * (depth + 1)), is_zero=True)
+        return _zero_chain(depth)
 
     @classmethod
     def constant(cls, c: complex, depth: int = 8) -> "ChainProfile":
@@ -113,16 +135,17 @@ class ChainProfile:
     def __neg__(self):
         if self.is_zero:
             return self
-        return ChainProfile(*[lambda r, f=f: -f(r) for f in self.fns])
+        return ChainProfile(node=lambda r, m, memo: -self.jet(r, m, memo),
+                            depth=self.depth)
 
     def __add__(self, other):
         if other.is_zero:
             return self
         if self.is_zero:
             return other
-        k = min(self.depth, other.depth)
-        return ChainProfile(*[lambda r, f=f, g=g: f(r) + g(r)
-                              for f, g in zip(self.fns[:k + 1], other.fns[:k + 1])])
+        return ChainProfile(node=lambda r, m, memo: (self.jet(r, m, memo)
+                                                     + other.jet(r, m, memo)),
+                            depth=min(self.depth, other.depth))
 
     def __sub__(self, other):
         return self + (-other)
@@ -132,24 +155,26 @@ class ChainProfile:
             return ChainProfile.zero(self.depth)
         if c == 1:
             return self
-        return ChainProfile(*[lambda r, f=f, c=c: c * f(r) for f in self.fns])
+        return ChainProfile(node=lambda r, m, memo: c * self.jet(r, m, memo),
+                            depth=self.depth)
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
             return self.__rmul__(other)
         if self.is_zero or other.is_zero:
             return ChainProfile.zero(min(self.depth, other.depth))
-        k = min(self.depth, other.depth)
 
-        def level(m):
-            def call(r, m=m):
-                out = np.zeros_like(np.asarray(r, dtype=complex))
-                for j in range(m + 1):
-                    out = out + math.comb(m, j) * self.fns[j](r) * other.fns[m - j](r)
-                return out
-            return call
+        def leibniz(r, m, memo):  # the order j = 0..k fixes the rounding
+            a, b = self.jet(r, m, memo), other.jet(r, m, memo)
+            return np.array([sum(math.comb(k, j) * a[j] * b[k - j] for j in range(k + 1))
+                             for k in range(m + 1)])
 
-        return ChainProfile(*[level(m) for m in range(k + 1)])
+        return ChainProfile(node=leibniz, depth=min(self.depth, other.depth))
+
+
+@functools.lru_cache(maxsize=None)
+def _zero_chain(depth: int) -> ChainProfile:
+    return ChainProfile(*([_zero_fn] * (depth + 1)), is_zero=True)
 
 
 def _trig_chain(start: int, depth: int = 8) -> ChainProfile:
@@ -335,21 +360,18 @@ class TubeChart:
     def _table(self):
         return _chart_tables() if self.fd_step is None else _fd_tables(self.fd_step)
 
-    def metric(self, r):
+    def _diagonal(self, name: str, r):
         r = self._check(r)
-        tab = self._table()["g"]
         out = np.zeros((_DIM, _DIM) + r.shape, dtype=complex)
-        for a in range(_DIM):
-            out[a, a] = tab[a](r)
+        for a, prof in enumerate(self._table()[name]):
+            out[a, a] = prof(r)
         return out
 
+    def metric(self, r):
+        return self._diagonal("g", r)
+
     def inverse_metric(self, r):
-        r = self._check(r)
-        tab = self._table()["ginv"]
-        out = np.zeros((_DIM, _DIM) + r.shape, dtype=complex)
-        for a in range(_DIM):
-            out[a, a] = tab[a](r)
-        return out
+        return self._diagonal("ginv", r)
 
     def metric_profile(self, a: int) -> ChainProfile:
         return self._table()["g"][a]
@@ -364,12 +386,7 @@ class TubeChart:
         return self._table()["riem_low"].get((a, b, c, d), ChainProfile.zero())
 
     def ricci(self, r):
-        r = self._check(r)
-        tab = self._table()["ricci"]
-        out = np.zeros((_DIM, _DIM) + r.shape, dtype=complex)
-        for a in range(_DIM):
-            out[a, a] = tab[a](r)
-        return out
+        return self._diagonal("ricci", r)
 
 
 def christoffel_coords(chart: TubeChart, r):
@@ -416,13 +433,13 @@ class OracleField:
             return (1j * self.angular) * comp
         return (1j * self.axial) * comp
 
-    def values(self, r):
+    def values(self, r, memo: Optional[dict] = None):
         """Radial coefficient array, shape (3,)*rank + r.shape; phase excluded."""
         r = self.chart._check(np.atleast_1d(r))
+        memo = {} if memo is None else memo
         out = np.zeros((_DIM,) * self.rank + r.shape, dtype=complex)
         for idx, prof in self.components.items():
-            if not prof.is_zero:
-                out[idx] = prof(r)
+            out[idx] = prof.jet(r, 0, memo)[0]
         return out
 
     def evaluate(self, r, theta: float = 0.0, s: float = 0.0):
@@ -794,11 +811,11 @@ def tube_inner_product(u: OracleField, v: OracleField, inner: float = 0.0,
         return 0.0
     chart = u.chart
     a = chart.model.tube_radius if outer is None else outer
-    x, w = roots_legendre(num)
+    x, w = gauss_legendre(num)
     r = 0.5 * (a + inner) + 0.5 * (a - inner) * x
     w = 0.5 * (a - inner) * w
-    uv = u.values(r)
-    vv = v.values(r)
+    memo = {}  # shared, so tube_norm(u) evaluates u once
+    uv, vv = u.values(r, memo), v.values(r, memo)
     ginv = chart.inverse_metric(r)
     dens = np.zeros_like(r, dtype=complex)
     for idx in _all_indices(u.rank):
@@ -827,11 +844,12 @@ def cross_section_normalizer(model: ConeModel) -> float:
 
 
 def _rel_residual(x: OracleField, y: OracleField, r) -> float:
-    dx = x.values(r) - y.values(r)
-    scale = np.max(np.abs(x.values(r))) + np.max(np.abs(y.values(r)))
+    memo = {}
+    xv, yv = x.values(r, memo), y.values(r, memo)
+    scale = np.max(np.abs(xv)) + np.max(np.abs(yv))
     if scale == 0:
         return 0.0
-    return float(np.max(np.abs(dx)) / scale)
+    return float(np.max(np.abs(xv - yv)) / scale)
 
 
 def _random_oneform(chart, rng, chains):
@@ -868,11 +886,8 @@ def _random_twoform(chart, rng, chains):
 
 def _suite_chains(rng, fd_step, count: int = 3):
     def one():
-        coeffs = rng.normal(size=4) + 1j * rng.normal(size=4)
-        if fd_step is None:
-            return poly_chain(coeffs)
-        p = poly_chain(coeffs)
-        return fd_chain(p.fns[0], fd_step)
+        p = poly_chain(rng.normal(size=4) + 1j * rng.normal(size=4))
+        return p if fd_step is None else fd_chain(p.fns[0], fd_step)
     return [one() for _ in range(count)]
 
 

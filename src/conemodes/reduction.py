@@ -39,7 +39,6 @@ from typing import Callable, Mapping
 
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
-from scipy.special import roots_legendre
 
 from conemodes.geometry import (
     ConeModel,
@@ -47,6 +46,7 @@ from conemodes.geometry import (
     LaurentSeries,
     RADIAL_FUNCTIONS,
     _require_positive,
+    gauss_legendre,
 )
 from conemodes.modes import (
     CoclosedMode,
@@ -847,7 +847,7 @@ def l2_norm_tube(model: ConeModel, block_or_profiles, inner_cutoff: float = 0.0,
         raise ValueError("inner cutoff must lie in [0, tube radius)")
 
     def integrate(nn):
-        x, w = roots_legendre(nn)
+        x, w = gauss_legendre(nn)
         r = 0.5 * (a - lo) * (x + 1.0) + lo
         scale = 0.5 * (a - lo)
         dens = np.zeros_like(r)

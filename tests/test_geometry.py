@@ -7,6 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy.special import roots_legendre
 from hypothesis import strategies as st
 
 from conemodes.geometry import (
@@ -15,6 +16,7 @@ from conemodes.geometry import (
     CrossSection,
     DomainError,
     frame_connection_table,
+    gauss_legendre,
     radial_series,
 )
 
@@ -259,3 +261,14 @@ def test_connection_metric_compatibility(r):
             for j, z in enumerate(basis):
                 omega[i, j] = tab.coefficient(x, y, z)
         np.testing.assert_allclose(omega, -omega.T, atol=1e-12)
+
+
+def test_gauss_legendre_nodes_are_cached_and_read_only():
+    x, w = gauss_legendre(37)
+    assert gauss_legendre(37)[0] is x
+    want_x, want_w = roots_legendre(37)
+    assert np.array_equal(x, want_x) and np.array_equal(w, want_w)
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    with pytest.raises(ValueError):
+        w *= 2.0

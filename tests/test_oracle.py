@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from conemodes.geometry import ConeModel, CrossSection, DomainError
 from conemodes.modes import CoclosedMode, ScalarMode
 from conemodes.oracle import (
+    _CH,
+    _SH,
     ChainProfile,
     OracleField,
     TubeChart,
@@ -151,6 +154,68 @@ def test_fd_chain_second_order():
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.1)
     with pytest.raises(ValueError):
         fd_chain(np.sinh, 1e-3, depth=4).fns[4](0.5)
+
+
+def test_chain_jets_match_closed_forms():
+    r = np.linspace(0.2, 1.3, 9)
+    # sinh cosh = sinh(2r)/2: level k is 2^(k-1) sinh(2r) or cosh(2r)
+    want = [2.0 ** (k - 1) * (np.sinh if k % 2 == 0 else np.cosh)(2 * r)
+            for k in range(5)]
+    prod = _SH * _CH
+    assert np.allclose(prod.jet(r, 4, {}), want, rtol=1e-13, atol=0)
+    for k in range(5):
+        assert np.allclose(prod.fns[k](r), want[k], rtol=1e-13, atol=0)
+    one = (_CH * _CH - _SH * _SH).jet(r, 4, {})
+    assert np.allclose(one[0], 1.0, rtol=1e-13, atol=0)
+    assert np.max(np.abs(one[1:])) < 1e-11
+    # nested sums, products and derivatives of polynomials, level by level
+    pc, qc = np.array([1.0, -2.0, 0.5, 3.0]), np.array([0.5, 0.0, 1j, -0.25])
+    p, q = poly_chain(pc), poly_chain(qc)
+    nested = ((p * q).derivative() - 2.0 * (p.derivative() * q) + (-(q * q))
+              + ChainProfile.constant(1.5))
+    closed = npoly.polysub(npoly.polymul(pc, npoly.polyder(qc)),
+                           npoly.polymul(npoly.polyder(pc), qc))
+    closed = npoly.polyadd(npoly.polysub(closed, npoly.polymul(qc, qc)), [1.5])
+    memo = {}
+    jet = nested.jet(r, 4, memo)
+    for k in range(5):
+        exact = npoly.polyval(r, npoly.polyder(closed, k) if k else closed)
+        assert np.allclose(jet[k], exact, rtol=1e-12, atol=1e-12), k
+    assert np.allclose(nested.jet(r, 2, memo), jet[:3], rtol=0, atol=0)
+    # values() hands out its own array: changing it leaves a second
+    # evaluation, through the same memo, untouched
+    fld = scalar_field(chart(), prod)
+    first = fld.values(r, memo)
+    first[...] = 99.0
+    assert np.allclose(fld.values(r, memo), 0.5 * np.sinh(2 * r), rtol=1e-13, atol=0)
+    assert np.allclose(fld.values(r), 0.5 * np.sinh(2 * r), rtol=1e-13, atol=0)
+
+
+def test_values_evaluates_each_leaf_once():
+    calls = {}
+
+    def counting(name, coeffs):
+        base = poly_chain(coeffs)
+
+        def level(k):
+            def call(r):
+                calls[(name, k)] = calls.get((name, k), 0) + 1
+                return base.fns[k](r)
+            return call
+        return ChainProfile(*[level(k) for k in range(base.depth + 1)])
+
+    rng = np.random.default_rng(3)
+    comps = {}
+    for a, b in itertools.combinations_with_replacement(range(3), 2):
+        c = counting((a, b), rng.normal(size=4) + 1j * rng.normal(size=4))
+        comps[(a, b)] = comps[(b, a)] = c
+    h = OracleField(chart(), 2, comps, angular=2 * chart().gamma,
+                    axial=2 * math.pi / CS.length)
+    lap = rough_laplacian(h)
+    vals = lap.values(np.linspace(0.2, 0.9, 7))
+    assert np.all(np.isfinite(vals))
+    assert {k for _, k in calls} == {0, 1, 2}
+    assert max(calls.values()) == 1, {k: n for k, n in calls.items() if n > 1}
 
 
 # ---------------------------------------------------------------------------
