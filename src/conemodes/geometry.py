@@ -320,8 +320,9 @@ class CrossSection:
         if self.kind not in ("circle", "explicit"):
             raise ValueError(f"unknown cross-section kind {self.kind!r}")
         if self.kind == "circle":
-            if self.length is None or self.length <= 0:
-                raise ValueError("circle cross-section needs a positive length")
+            if self.length is None or not (math.isfinite(self.length)
+                                           and self.length > 0):
+                raise ValueError("circle cross-section needs a finite positive length")
 
     def to_dict(self) -> dict:
         if self.kind == "circle":
@@ -347,10 +348,10 @@ class ConeModel:
         if int(self.n) != self.n or self.n < 3:
             raise ValueError("dimension n must be an integer >= 3")
         object.__setattr__(self, "n", int(self.n))
-        if not (self.alpha > 0):
-            raise ValueError("cone angle must be positive")
-        if not (self.tube_radius > 0):
-            raise ValueError("tube radius must be positive")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError("cone angle must be finite and positive")
+        if not (math.isfinite(self.tube_radius) and self.tube_radius > 0):
+            raise ValueError("tube radius must be finite and positive")
         if self.cross_section.kind == "circle" and self.n != 3:
             raise ValueError("circle cross-section only makes sense for n = 3")
 

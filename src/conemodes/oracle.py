@@ -2,9 +2,10 @@
 
 Everything here lives in the chart (r, theta, s) with metric
 diag(1, sinh^2 r, cosh^2 r): Christoffel symbols, curvature and all
-operators are generated from that metric by the generic Levi-Civita
-recipe, never from the mode-reduced radial systems. Agreement between
-the two routes is established by the test suite, not assumed.
+operators come from that metric by the textbook Levi-Civita sums, taken
+on the same radial chains as the fields, never from the mode-reduced
+radial systems. Agreement between the two routes is established by the
+test suite, not assumed.
 
 Fields keep the single-mode structure profile(r) * exp(i(p*gamma*theta + k*s)),
 so angular derivatives are exact multiplications and only the radial
@@ -75,7 +76,8 @@ class ChainProfile:
 
     A leaf holds one closure per level. A node holds node(r, m, memo), its
     jet of levels 0..m computed from its operands' jets: sums, negations,
-    scalar multiples, Leibniz products and derivatives (the shifted jet).
+    scalar multiples, Leibniz products, reciprocals and derivatives (the
+    shifted jet).
     """
 
     __slots__ = ("_leaf", "_node", "depth", "is_zero")
@@ -103,7 +105,7 @@ class ChainProfile:
                 have = self._node(r, m, memo)
             else:  # a leaf computes only the levels not yet in the memo
                 new = [f(r) for f in self._leaf[len(have):m + 1]]
-                have = np.array([*have, *new], dtype=complex)
+                have = np.array([*have, *new], dtype=np.result_type(complex, *new))
             memo[id(self)] = have
         return have[:m + 1]
 
@@ -112,8 +114,22 @@ class ChainProfile:
             return self
         if self.depth == 0:
             raise ValueError("derivative chain exhausted")
+        if self._leaf and all(f is _zero_fn for f in self._leaf[1:]):  # a constant
+            return ChainProfile.zero(self.depth - 1)
         return ChainProfile(node=lambda r, m, memo: self.jet(r, m + 1, memo)[1:],
                             depth=self.depth - 1)
+
+    def reciprocal(self) -> "ChainProfile":
+        """1 / self, level by level: q_k = -q_0 sum_{j>=1} C(k, j) f_j q_{k-j}."""
+        def recip(r, m, memo):
+            f = self.jet(r, m, memo)
+            q = [1 / f[0]]
+            for k in range(1, m + 1):
+                q.append(-q[0] * sum(math.comb(k, j) * f[j] * q[k - j]
+                                     for j in range(1, k + 1)))
+            return np.array(q)
+
+        return ChainProfile(node=recip, depth=self.depth)
 
     @classmethod
     def zero(cls, depth: int = 8) -> "ChainProfile":
@@ -177,10 +193,11 @@ def _zero_chain(depth: int) -> ChainProfile:
     return ChainProfile(*([_zero_fn] * (depth + 1)), is_zero=True)
 
 
-def _trig_chain(start: int, depth: int = 8) -> ChainProfile:
+def _trig_chain(start: int, dtype=float, depth: int = 8) -> ChainProfile:
     # start 0 -> sinh, 1 -> cosh; the chain alternates
     fns = [(np.sinh if (start + k) % 2 == 0 else np.cosh) for k in range(depth + 1)]
-    return ChainProfile(*[lambda r, f=f: f(np.asarray(r, dtype=float)).astype(complex)
+    out = np.result_type(complex, dtype)
+    return ChainProfile(*[lambda r, f=f: f(np.asarray(r, dtype=dtype)).astype(out)
                           for f in fns])
 
 
@@ -244,62 +261,46 @@ def fd_chain(fn: Callable, step: float, depth: int = 3) -> ChainProfile:
 
 
 # ---------------------------------------------------------------------------
-# chart tables, generated symbolically from the metric once
-
-
-def _wrap_sympy(expr, symbol):
-    import sympy as sp
-
-    fn = sp.lambdify(symbol, expr, modules="numpy")
-
-    def call(r):
-        r = np.asarray(r, dtype=float)
-        out = np.asarray(fn(r), dtype=complex)
-        if out.shape != r.shape:
-            out = np.broadcast_to(out, r.shape).copy()
-        return out
-
-    return call
+# chart tables, built once from the metric by the Levi-Civita sums on chains
 
 
 @functools.lru_cache(maxsize=1)
 def _chart_tables():
-    import sympy as sp
+    # long double leaves: near the axis R^1_010 = csch^2 - coth^2 cancels terms
+    # of size 1/r^2, which in float64 costs verify up to 0.7 accuracy digits
+    sh, ch = _trig_chain(0, np.longdouble), _trig_chain(1, np.longdouble)
+    zero, idx = ChainProfile.zero(), range(_DIM)
+    diag = [ChainProfile.constant(1.0), sh * sh, ch * ch]
+    g = [[diag[a] if a == b else zero for b in idx] for a in idx]
+    ginv = [[diag[a].reciprocal() if a == b else zero for b in idx] for a in idx]
 
-    x = sp.symbols("r theta s", positive=True)
-    r = x[0]
-    g = sp.diag(1, sp.sinh(r) ** 2, sp.cosh(r) ** 2)
-    ginv = g.inv()
-    idx = range(_DIM)
+    def dx(chain, b):  # the metric depends on r alone
+        return chain.derivative() if b == 0 else zero
 
-    def chain(expr, depth=4):
-        # no simplification pass: sympy's automatic canonical form already
-        # cancels every identically zero entry of this metric
-        if expr == 0:
-            return ChainProfile.zero(depth)
-        fns = [_wrap_sympy(sp.diff(expr, r, k), r) for k in range(depth + 1)]
-        return ChainProfile(*fns)
-
-    gam = {(a, b, c): sum(ginv[a, d] * (sp.diff(g[d, c], x[b])
-                                        + sp.diff(g[d, b], x[c])
-                                        - sp.diff(g[b, c], x[d]))
-                          for d in idx) / 2
+    gam = {(a, b, c): 0.5 * sum((ginv[a][d] * (dx(g[d][c], b) + dx(g[d][b], c)
+                                               - dx(g[b][c], d)) for d in idx), zero)
            for a, b, c in itertools.product(idx, repeat=3)}
-    riem = {(a, b, c, d): (sp.diff(gam[(a, d, b)], x[c])
-                           - sp.diff(gam[(a, c, b)], x[d])
-                           + sum(gam[(a, c, k)] * gam[(k, d, b)]
-                                 - gam[(a, d, k)] * gam[(k, c, b)] for k in idx))
-            for a, b, c, d in itertools.product(idx, repeat=4)}
-    riem_low = {(a, b, c, d): sum(g[a, e] * riem[(e, b, c, d)] for e in idx)
+    riem = {(a, b, c, c): zero for a, b, c in itertools.product(idx, repeat=3)}
+    for a, b, c, d in itertools.product(idx, repeat=4):
+        if c < d:  # antisymmetric in (c, d), so R^a_bcc is exactly zero
+            quad = sum((gam[(a, c, k)] * gam[(k, d, b)] - gam[(a, d, k)] * gam[(k, c, b)]
+                        for k in idx), zero)
+            riem[(a, b, c, d)] = dx(gam[(a, d, b)], c) - dx(gam[(a, c, b)], d) + quad
+            riem[(a, b, d, c)] = -riem[(a, b, c, d)]
+    riem_low = {(a, b, c, d): sum((g[a][e] * riem[(e, b, c, d)] for e in idx), zero)
                 for a, b, c, d in riem}
-    ricci = [sum(riem[(a, b, a, b)] for a in idx) for b in idx]
+    ricci = [sum((riem[(a, b, a, b)] for a in idx), zero) for b in idx]
+
+    def entry(e):  # cast back to complex128 for the field arithmetic
+        return e if e.is_zero else ChainProfile(
+            node=lambda r, m, memo: e.jet(r, m, memo).astype(complex), depth=e.depth)
 
     return {
-        "g": [chain(g[a, a]) for a in idx],
-        "ginv": [chain(ginv[a, a]) for a in idx],
-        "gam": {k: chain(e) for k, e in gam.items() if e != 0},
-        "riem_low": {k: chain(e) for k, e in riem_low.items() if e != 0},
-        "ricci": [chain(e) for e in ricci],
+        "g": [entry(g[a][a]) for a in idx],
+        "ginv": [entry(ginv[a][a]) for a in idx],
+        "gam": {k: entry(e) for k, e in gam.items() if not e.is_zero},
+        "riem_low": {k: entry(e) for k, e in riem_low.items() if not e.is_zero},
+        "ricci": [entry(e) for e in ricci],
     }
 
 
@@ -353,7 +354,7 @@ class TubeChart:
 
     def _check(self, r):
         r = np.asarray(r, dtype=float)
-        if np.any(r <= 0):
+        if not np.all(r > 0):
             raise DomainError("coordinate radius must be positive")
         return r
 

@@ -452,6 +452,30 @@ class TestInducedMetric:
 
 
 class TestVerify:
+    def test_verify_loads_no_sympy(self, tmp_path):
+        model_path = write_model(tmp_path)
+        out = tmp_path / "out"
+        script = (
+            "import sys\n"
+            "import conemodes.oracle\n"
+            "after_import = 'sympy' in sys.modules\n"
+            "from click.testing import CliRunner\n"
+            "from conemodes.cli import main\n"
+            f"args = ['--model', {model_path!r}, '--out', {str(out)!r},\n"
+            "        'verify', '--cases', '1']\n"
+            "result = CliRunner().invoke(main, args)\n"
+            "assert result.exit_code == 0, result.output\n"
+            "print(after_import, 'sympy' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False False"
+        assert json.loads((out / "verify.json").read_text())["pass"] is True
+
     def test_identities_suite_passes(self, tmp_path):
         model_path = write_model(tmp_path)
         out = tmp_path / "out"
@@ -566,6 +590,17 @@ class TestInputValidation:
                          "--out", str(out), "indicial"])
         assert result.exit_code == 2
         assert "mode JSON must be an object" in result.output
+        assert not out.exists() or os.listdir(out) == []
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["angle", "tube_radius", "length"])
+    def test_nonfinite_model_values_rejected_without_output(self, tmp_path, name,
+                                                            value):
+        model_path = write_model(tmp_path, **{name: value})
+        out = tmp_path / "o"
+        result = invoke(["--model", model_path, "--out", str(out), "indicial"])
+        assert result.exit_code == 2
+        assert "finite" in result.output
         assert not out.exists() or os.listdir(out) == []
 
     def test_nonpositive_tolerances(self, tmp_path):

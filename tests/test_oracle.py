@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
@@ -254,11 +255,47 @@ def test_chart_table_keys_and_constant_curvature():
                 ((a, b, c, d), k)
 
 
+def _exact_levels(fn, r, depth):
+    """Derivatives 0..depth of an mpmath function at the radii, as floats."""
+    with mp.workdps(40):
+        return np.array([[float(mp.diff(fn, mp.mpf(float(x)), k)) for x in r]
+                         for k in range(depth + 1)])
+
+
+def test_chart_tables_match_closed_forms():
+    r = np.linspace(0.05, 1.0, 12)
+
+    def assert_close(got, want):  # relative, with floor 1
+        err = np.abs(got - want) / np.maximum(np.abs(want), 1.0)
+        assert np.max(err) <= 1e-13, np.max(err, axis=-1)
+
+    closed = {(1, 0, 1): mp.coth, (2, 0, 2): mp.tanh,
+              (0, 1, 1): lambda x: -mp.sinh(x) * mp.cosh(x),
+              (0, 2, 2): lambda x: -mp.sinh(x) * mp.cosh(x)}
+    for key, fn in closed.items():
+        assert_close(chart().gamma_profile(*key).jet(r, 4, {}), _exact_levels(fn, r, 4))
+    assert_close((_SH * _SH).reciprocal().jet(r, 4, {}),
+                 _exact_levels(lambda x: 1 / mp.sinh(x) ** 2, r, 4))
+    assert ChainProfile.constant(1.0).derivative().is_zero
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
+                    reason="long double is float64 on this platform")
+def test_chart_curvature_keeps_digits_near_axis():
+    # R_0101 = -sinh^2 r is a difference of terms of size cosh^2 r
+    r = np.array([0.05])
+    got = chart().riemann_profile(0, 1, 0, 1)(r)[0]
+    want = -float(mp.sinh(mp.mpf(0.05)) ** 2)
+    assert abs(got - want) <= 1e-15 * abs(want)
+
+
 def test_chart_rejects_nonpositive_radius():
     with pytest.raises(DomainError):
         christoffel_coords(chart(), np.array([0.0]))
     with pytest.raises(DomainError):
         chart().metric(np.array([0.5, -0.1]))
+    with pytest.raises(DomainError):
+        chart().metric(np.array([np.nan, 0.5]))
 
 
 def test_chart_requires_circle_model():
