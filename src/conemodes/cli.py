@@ -23,6 +23,7 @@ import numpy as np
 
 from conemodes import oracle
 from conemodes.frobenius import (
+    FrobeniusError,
     admissible_branches,
     angle_deformation_profile,
     frobenius_series,
@@ -68,6 +69,17 @@ class InputError(click.ClickException):
     exit_code = 2
 
 
+class _Main(click.Group):
+    """The command group; a failed series or continuation exits 1 with its
+    message, not a traceback."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except FrobeniusError as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
 @dataclass
 class RunConfig:
     """Paths, tolerances and reproducibility knobs shared by all commands."""
@@ -88,6 +100,9 @@ class RunConfig:
             raise InputError("series order, node count and jobs must be positive")
         if not (self.rtol > 0 and self.residual_tol > 0):
             raise InputError("tolerances must be positive")
+        if self.rtol < np.finfo(float).eps:
+            raise InputError("--tol-rtol below float64 resolution (2.2e-16) "
+                             "cannot be met")
         try:
             os.makedirs(self.out_dir, exist_ok=True)
         except OSError as exc:
@@ -173,7 +188,7 @@ def _gnuplot_script(csv_name: str, title: str, columns, logx: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-@click.group()
+@click.group(cls=_Main)
 @click.option("--model", "model_path", type=click.Path(), default=None,
               help="model JSON: n, angle, tube_radius, cross_section")
 @click.option("--modes", "modes_path", type=click.Path(), default=None,
@@ -184,7 +199,8 @@ def _gnuplot_script(csv_name: str, title: str, columns, logx: bool) -> str:
 @click.option("--tol-series-order", "series_order", type=int, default=14,
               show_default=True, help="Frobenius truncation order")
 @click.option("--tol-rtol", "rtol", type=float, default=1e-11,
-              show_default=True, help="ODE integrator relative tolerance")
+              show_default=True,
+              help="continuation error bound (step-doubling estimate)")
 @click.option("--tol-nodes", "nodes", type=int, default=200,
               show_default=True, help="quadrature / sampling node count")
 @click.option("--tol-residual", "residual_tol", type=float, default=1e-8,

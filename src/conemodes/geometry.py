@@ -26,6 +26,7 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "DomainError",
@@ -448,9 +449,7 @@ def frame_connection_table(model: ConeModel, r: float) -> FrameConnection:
 @lru_cache(maxsize=None)
 def gauss_legendre(num: int):
     """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed once per size."""
-    from scipy.special import roots_legendre
-
-    x, w = roots_legendre(num)
+    x, w = leggauss(num)
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w

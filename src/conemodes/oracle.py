@@ -239,25 +239,34 @@ def fd_chain(fn: Callable, step: float, depth: int = 3) -> ChainProfile:
     """Derivative chain built by central differences of a value closure.
 
     The secondary verification path: all radial derivatives are O(step^2)
-    finite differences, so identity residuals shrink at second order.
+    finite differences, so identity residuals shrink at second order.  A
+    jet calls `fn` once, on the shifted grids it needs stacked into one array.
+    When `fn` is itself a chain, its value is read from a sub-memo of the
+    jet's memo, so fd chains of one graph evaluated together share it.
     """
-    def d(k):
-        def call(r, k=k):
-            r = np.asarray(r, dtype=float)
-            if k == 0:
-                return np.asarray(fn(r), dtype=complex)
-            h = step
-            if k == 1:
-                return (fn(r + h) - fn(r - h)) / (2 * h)
-            if k == 2:
-                return (fn(r + h) - 2 * fn(r) + fn(r - h)) / h ** 2
-            if k == 3:
-                return (fn(r + 2 * h) - 2 * fn(r + h) + 2 * fn(r - h)
-                        - fn(r - 2 * h)) / (2 * h ** 3)
-            raise ValueError("finite-difference chain supports depth <= 3")
-        return call
+    if depth > 3:
+        raise ValueError("finite-difference chain supports depth <= 3")
+    h = step
+    shifts = np.array([0.0, h, -h, 2 * h, -2 * h])
 
-    return ChainProfile(*[d(k) for k in range(depth + 1)])
+    def node(r, m, memo):
+        r = np.asarray(r, dtype=float)
+        n = 1 if m == 0 else 3 if m < 3 else 5
+        rs = r + shifts[:n].reshape((n,) + (1,) * r.ndim)
+        if isinstance(fn, ChainProfile):
+            f = fn.jet(rs, 0, memo.setdefault(("fd", h, n), {}))[0].astype(complex)
+        else:
+            f = np.asarray(fn(rs), dtype=complex)
+        levels = [f[0]]
+        if m >= 1:
+            levels.append((f[1] - f[2]) / (2 * h))
+        if m >= 2:
+            levels.append((f[1] - 2 * f[0] + f[2]) / h ** 2)
+        if m >= 3:
+            levels.append((f[3] - 2 * f[1] + 2 * f[2] - f[4]) / (2 * h ** 3))
+        return np.array(levels)
+
+    return ChainProfile(node=node, depth=depth)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +318,7 @@ def _fd_tables(step: float):
     base = _chart_tables()
 
     def wrap(ch):
-        return ch if ch.is_zero else fd_chain(ch.fns[0], step)
+        return ch if ch.is_zero else fd_chain(ch, step)
 
     return {
         "g": [wrap(c) for c in base["g"]],
@@ -888,7 +897,7 @@ def _random_twoform(chart, rng, chains):
 def _suite_chains(rng, fd_step, count: int = 3):
     def one():
         p = poly_chain(rng.normal(size=4) + 1j * rng.normal(size=4))
-        return p if fd_step is None else fd_chain(p.fns[0], fd_step)
+        return p if fd_step is None else fd_chain(p, fd_step)
     return [one() for _ in range(count)]
 
 
@@ -903,7 +912,7 @@ def _bump_case(rng, model, fd_step, count: int = 3):
     for _ in range(count):
         coeffs = rng.normal(size=3) + 1j * rng.normal(size=3)
         c = bump * poly_chain(coeffs)
-        chains.append(c if fd_step is None else fd_chain(c.fns[0], fd_step))
+        chains.append(c if fd_step is None else fd_chain(c, fd_step))
     return chains, lo, hi
 
 

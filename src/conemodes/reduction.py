@@ -38,7 +38,6 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from conemodes.geometry import (
     ConeModel,
@@ -61,6 +60,7 @@ from conemodes.modes import (
 __all__ = [
     "RadialExpr",
     "RadialProfile",
+    "cubic_hermite",
     "OneFormModeBlock",
     "TensorModeBlock",
     "ModeSystem",
@@ -157,6 +157,33 @@ _THC = _ex("th", "inv_ch")
 
 # ---------------------------------------------------------------------------
 # radial profiles
+
+
+def cubic_hermite(r_grid, values, slopes, derivative: int = 0) -> Callable:
+    """The piecewise cubic through (r_grid, values) with the given slopes at
+    the increasing nodes, or its first or second derivative, as a vectorized
+    callable.  A point on an interior node takes the piece to its right, and
+    outside the grid the end pieces extend."""
+    x = np.asarray(r_grid, dtype=float)
+    y, m = np.asarray(values, dtype=complex), np.asarray(slopes, dtype=complex)
+    dx = np.diff(x)
+    secant = np.diff(y) / dx
+    bend = (m[:-1] + m[1:] - 2.0 * secant) / dx
+    # ascending power coefficients in u = r - x[i] on piece i
+    coef = [y[:-1], m[:-1], (secant - m[:-1]) / dx - bend, bend / dx]
+    for _ in range(derivative):
+        coef = [j * cj for j, cj in enumerate(coef[1:], 1)]
+
+    def call(r):
+        r = np.asarray(r, dtype=float)
+        i = np.clip(np.searchsorted(x, r, side="right") - 1, 0, dx.size - 1)
+        u = r - x[i]
+        acc = coef[-1][i]
+        for cj in coef[-2::-1]:
+            acc = acc * u + cj[i]
+        return acc
+
+    return call
 
 
 class RadialProfile:
@@ -276,11 +303,9 @@ class RadialProfile:
         if d1 is None:
             d1 = np.gradient(values, r_grid)
         d1 = np.asarray(d1, dtype=complex)
-        spline = CubicHermiteSpline(r_grid, values, d1)
-        dsp = spline.derivative()
-        d2sp = dsp.derivative()
-        prof = cls(lambda r: spline(r), lambda r: dsp(r),
-                   (lambda r: d2sp(r)) if d2 is None
+        prof = cls(cubic_hermite(r_grid, values, d1),
+                   cubic_hermite(r_grid, values, d1, derivative=1),
+                   cubic_hermite(r_grid, values, d1, derivative=2) if d2 is None
                    else cls._grid_interp(r_grid, np.asarray(d2, dtype=complex)))
         prof.grid = r_grid
         prof.grid_values = values

@@ -271,6 +271,19 @@ class TestSolve:
         i = header.index("f_re")
         assert float(boundary[i]) == pytest.approx(1.0, abs=1e-8)
 
+    def test_unmet_rtol_exits_one_without_output(self, tmp_path):
+        # just above float64 resolution: the step-doubling check cannot pass
+        model_path = write_model(tmp_path)
+        out = tmp_path / "out"
+        result = invoke(["--model", model_path, "--out", str(out),
+                         "--tol-rtol", "2.2205e-16", "solve", "--family", "tensor",
+                         "--mode-type", "scalar", "--mode-eig", "4.0",
+                         "--mode-p", "1", "--boundary", '{"f": 1.0}'])
+        assert result.exit_code == 1
+        assert "exceeds rtol" in result.output
+        assert "Traceback" not in result.output
+        assert os.listdir(out) == []
+
     def test_zero_data_gives_zero_solution(self, tmp_path):
         model_path = write_model(tmp_path)
         out = tmp_path / "out"
@@ -609,6 +622,16 @@ class TestInputValidation:
                          "--tol-rtol", "-1e-9", "indicial"])
         assert result.exit_code == 2
 
+    def test_rtol_below_float_resolution_rejected(self, tmp_path):
+        model_path = write_model(tmp_path)
+        out = tmp_path / "o"
+        result = invoke(["--model", model_path, "--out", str(out),
+                         "--tol-rtol", "1e-18", "solve", "--family", "tensor",
+                         "--boundary", '{"f": 1.0}'])
+        assert result.exit_code == 2
+        assert "--tol-rtol" in result.output
+        assert not out.exists() or os.listdir(out) == []
+
     def test_no_partial_files_on_error(self, tmp_path):
         model_path = write_model(tmp_path)
         out = tmp_path / "out"
@@ -620,3 +643,41 @@ class TestInputValidation:
         assert not os.path.exists(out / "solve_report.json")
         leftovers = [p for p in os.listdir(out)] if out.exists() else []
         assert all(not p.endswith(".tmp") for p in leftovers)
+
+
+class TestRuntimeImports:
+    def test_cli_paths_load_no_scipy(self, tmp_path):
+        model_path = write_model(tmp_path)
+        modes = write_modes(tmp_path, scalar=[(0.0, 0)])
+        bpath = tmp_path / "bvals.json"
+        bpath.write_text(json.dumps([
+            {"mode": {"type": "scalar", "lambda": 0.0, "p": 0},
+             "values": {"f": 0.3, "g": 0.5, "h": 0.0, "k1": [0.2, 0.0]}}]))
+        common = ["--model", model_path, "--out", str(tmp_path / "out")]
+        commands = [
+            ["indicial", "--family", "both", "--angle-sweep", "1.0", "3.0", "3"],
+            ["--modes", modes, "--tol-nodes", "120", "deform-angle"],
+            ["induced-metric", "--boundary-file", str(bpath)],
+            ["solve", "--family", "tensor", "--mode-type", "scalar",
+             "--mode-eig", "4.0", "--mode-p", "1", "--boundary", '{"f": 1.0}'],
+            ["verify", "--cases", "1"],
+        ]
+        script = (
+            "import sys\n"
+            "from click.testing import CliRunner\n"
+            "from conemodes.cli import main\n"
+            "loaded = ['import'] if 'scipy' in sys.modules else []\n"
+            f"for args in {commands!r}:\n"
+            f"    result = CliRunner().invoke(main, {common!r} + args)\n"
+            "    assert result.exit_code == 0, (args, result.output)\n"
+            "    if 'scipy' in sys.modules and not loaded:\n"
+            "        loaded.append(args[-1])\n"
+            "print(loaded)\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -180,6 +180,34 @@ def test_continuation_matches_direct_series_evaluation():
     assert np.max(np.abs(cont.endpoint - truth)) < 1e-9
 
 
+def test_continuation_converges_at_eighth_order():
+    # rtol = 1 keeps one Gauss-Legendre step per grid interval
+    system = tensor_system(M_HALF, ScalarMode(4.0, 1), "A")
+    truth = frobenius_series(system, 6.0, order=60).evaluate(1.0)
+    ser = frobenius_series(system, 6.0, order=14)
+    errs = [np.max(np.abs(integrate_mode_ode(system, ser, 0.1, 1.0, num=num,
+                                              rtol=1.0).endpoint - truth))
+            for num in (20, 40)]
+    assert errs[1] * 2 ** 6 <= errs[0]
+
+
+def test_continuation_refines_coarse_grid_to_rtol():
+    # one step per interval of a 20-node grid misses the truth by ~6e-9;
+    # the default rtol makes the check split each interval into substeps
+    system = tensor_system(M_HALF, ScalarMode(4.0, 1), "A")
+    truth = frobenius_series(system, 6.0, order=60).evaluate(1.0)
+    ser = frobenius_series(system, 6.0, order=14)
+    end = integrate_mode_ode(system, ser, 0.1, 1.0, num=20).endpoint
+    assert np.max(np.abs(end - truth)) < 1e-10 * np.max(np.abs(truth))
+
+
+def test_continuation_rejects_unattainable_rtol():
+    system = tensor_system(M_HALF, ScalarMode(4.0, 1), "A")
+    ser = frobenius_series(system, 6.0, order=14)
+    with pytest.raises(FrobeniusError, match=r"exceeds rtol 1e-18 at r = 0\.\d+"):
+        integrate_mode_ode(system, ser, 0.1, 1.0, rtol=1e-18)
+
+
 def test_continuation_handoff_richardson():
     system = tensor_system(M_HALF, ScalarMode(4.0, 1), "A")
     ser = frobenius_series(system, 6.0, order=16)
@@ -230,9 +258,9 @@ def test_matrix_continuation_matches_single_columns(model, mode, solution_class,
         sources.append({nm: RadialProfile.from_expr(ex)
                         for nm, ex in source.items()})
     assert any(ser.has_log for ser in columns)
-    # nodal d4 carries V'' ~ r^-4 times the integrator's own error, so the
-    # step sequences of the two calls are made to agree closely
-    tols = {"rtol": 1e-13, "atol": 1e-15}
+    # nodal d4 carries V'' ~ r^-4 times the continuation's own error, so
+    # both calls are held to a tight error bound
+    tols = {"rtol": 1e-13}
     together = integrate_mode_ode(system, columns, 0.1, 1.0,
                                   source_profiles=sources[-1], **tols)
     assert len(together) == len(columns)
@@ -292,7 +320,7 @@ def test_bvp_manufactured_roundtrip_oneform():
 
 def test_bvp_manufactured_roundtrip_high_exponent():
     # alpha = 1, p = 2: the strong branches r^13.57 and r^11.57 are about
-    # 1e-12 at the handoff r = 0.1, below the integrator's absolute tolerance
+    # 1e-12 at the handoff r = 0.1; the per-column normalization lifts them
     model = ConeModel(3, 1.0, 1.0, CrossSection("circle", 1.0))
     mode = CoclosedMode(0.0, 2)
     system = tensor_system(model, mode, "C")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicHermiteSpline
 
 from conemodes.geometry import ConeModel, CrossSection, DomainError
 from conemodes.modes import CoclosedMode, ScalarMode, TTMode
@@ -19,6 +20,7 @@ from conemodes.reduction import (
     block_from_dict,
     block_to_dict,
     component_weights,
+    cubic_hermite,
     ext_d_oneform,
     grad_oneform,
     l2_norm_tube,
@@ -93,6 +95,25 @@ def test_grid_profile_consistency():
     assert bad.consistency_residual() > 0.1
     with pytest.raises(ValueError):
         RadialProfile.monomial(2).consistency_residual()
+
+
+def test_cubic_hermite_matches_scipy():
+    rng = np.random.default_rng(7)
+    x = np.geomspace(0.1, 1.0, 23)
+    y = rng.normal(size=x.size) + 1j * rng.normal(size=x.size)
+    m = 3.0 * (rng.normal(size=x.size) + 1j * rng.normal(size=x.size))
+    mids = 0.5 * (x[1:] + x[:-1])
+    outside = np.array([0.01, 0.09, 1.0 + 1e-9, 1.2])
+    r = np.concatenate([x, mids, x[:-1] + 0.1 * np.diff(x), outside])
+    spline = CubicHermiteSpline(x, y, m)
+    for d in range(3):
+        want = spline.derivative(d)(r) if d else spline(r)
+        got = cubic_hermite(x, y, m, derivative=d)(r)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # a profile from the grid reproduces the given node data
+    prof = RadialProfile.from_grid(x, y, m)
+    assert np.max(np.abs(prof(x) - y)) <= 1e-15 * np.max(np.abs(y))
+    assert np.max(np.abs(prof.d1(x) - m)) <= 1e-13 * np.max(np.abs(m))
 
 
 # ---------------------------------------------------------------------------
