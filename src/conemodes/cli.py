@@ -171,11 +171,20 @@ def _read_json(path: str):
 
 def _parse_complex(value, what: str) -> complex:
     if isinstance(value, (int, float)):
-        return complex(value)
-    if (isinstance(value, list) and len(value) == 2
+        parts = [value]
+    elif (isinstance(value, list) and len(value) == 2
             and all(isinstance(x, (int, float)) for x in value)):
-        return complex(value[0], value[1])
-    raise InputError(f"{what} must be a number or [re, im] pair")
+        parts = value
+    else:
+        raise InputError(f"{what} must be a number or [re, im] pair")
+    # Python's json reads NaN and Infinity as floats, and integers of any size
+    try:
+        z = complex(*parts)
+    except OverflowError as exc:
+        raise InputError(f"{what} must be finite") from exc
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise InputError(f"{what} must be finite")
+    return z
 
 
 def _gnuplot_script(csv_name: str, title: str, columns, logx: bool) -> str:
@@ -226,6 +235,12 @@ def main(ctx, **kwargs):
 @click.pass_obj
 def indicial(cfg: RunConfig, family: str, angle_sweep):
     """Indicial root tables (CSV + JSON), optionally swept over the angle."""
+    if angle_sweep is not None:
+        start, stop, count = angle_sweep
+        if not (all(math.isfinite(x) for x in angle_sweep) and 0 < start <= stop
+                and count >= 1 and count.is_integer()):
+            raise InputError("angle sweep needs finite 0 < START <= STOP and "
+                             "an integer COUNT >= 1")
     model = cfg.load_model()
     modes = cfg.load_modes(model)
     families = ["oneform", "tensor"] if family == "both" else [family]
@@ -241,9 +256,6 @@ def indicial(cfg: RunConfig, family: str, angle_sweep):
              cfg.write_json("roots.json", payload)]
 
     if angle_sweep is not None:
-        start, stop, count = angle_sweep
-        if not (0 < start <= stop) or int(count) < 1:
-            raise InputError("angle sweep needs 0 < START <= STOP and COUNT >= 1")
         angles = np.linspace(start, stop, int(count))
 
         def sweep_one(alpha):
@@ -414,11 +426,14 @@ def solve(cfg: RunConfig, family, mode_type, mode_p, mode_eig, boundary,
                 terms = tuple((complex(c), tuple(factors)) for c, factors in terms)
                 unknown = [f for _, factors in terms for f in factors
                            if f not in RADIAL_FUNCTIONS]
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise InputError(f"bad source term for {name}: {exc}") from exc
             if unknown:
                 raise InputError(f"bad source term for {name}: unknown radial "
                                  f"factor {unknown[0]!r}")
+            if not all(np.isfinite(c) for c, _ in terms):
+                raise InputError(f"bad source term for {name}: coefficients "
+                                 "must be finite")
             source_map[name] = RadialExpr(terms)
 
     try:
@@ -461,6 +476,8 @@ def deform_angle(cfg: RunConfig, cutoff, order):
     """Cone-angle deformation: potential profile, correction block, residuals."""
     model = cfg.load_model()
     order = max(16, cfg.series_order) if order is None else order
+    if order < 1:
+        raise InputError("series order must be positive")
     a = model.tube_radius
     if cutoff is not None and not (0 < cutoff[0] < cutoff[1] <= a):
         raise InputError("cutoff needs 0 < C0 < C1 <= tube radius")

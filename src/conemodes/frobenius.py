@@ -137,12 +137,14 @@ class FrobeniusSeries:
             )
         return out[:, 0] if scalar else out
 
-    def profile(self, name: str) -> RadialProfile:
+    def profile(self, name: str, shift: int = 0) -> RadialProfile:
+        """One component, or with ``shift=1`` its first derivative, as a
+        profile with two more derivatives."""
         i = self.names.index(name)
         return RadialProfile(
-            lambda r: self.evaluate(r, 0)[i],
-            lambda r: self.evaluate(r, 1)[i],
-            lambda r: self.evaluate(r, 2)[i],
+            lambda r: self.evaluate(r, shift)[i],
+            lambda r: self.evaluate(r, shift + 1)[i],
+            lambda r: self.evaluate(r, shift + 2)[i],
         )
 
     def profiles(self) -> dict:
@@ -328,7 +330,7 @@ def inhomogeneous_series(system: ModeSystem, source: Mapping[str, RadialExpr],
     rows = {}
     leads = []
     for name, expr in source.items():
-        ser = expr.laurent(order + 6)
+        ser = expr.laurent(order + 1)  # the recursion reads orders 0..order
         rows[system.names.index(name)] = ser
         leads.append(ser.leading)
     if not rows:
@@ -597,15 +599,6 @@ def _piecewise(inner: RadialProfile, outer: RadialProfile, cut: float) -> Radial
                          switch(inner.d2, outer.d2))
 
 
-def _series_profile(series: FrobeniusSeries, name: str, shift: int = 0) -> RadialProfile:
-    i = series.names.index(name)
-    return RadialProfile(
-        lambda r: series.evaluate(r, shift)[i],
-        lambda r: series.evaluate(r, shift + 1)[i],
-        lambda r: series.evaluate(r, shift + 2)[i],
-    )
-
-
 # ---------------------------------------------------------------------------
 # boundary-value solving
 
@@ -706,7 +699,7 @@ def solve_mode_bvp(model: ConeModel, mode: Mode, family: str,
     conts = integrate_mode_ode(system, columns, handoff, a, source_profiles=sprofs,
                                num=num, rtol=rtol) if columns else []
     col_profiles = [
-        {name: _piecewise(_series_profile(ser, name), cont.profile(name), handoff)
+        {name: _piecewise(ser.profile(name), cont.profile(name), handoff)
          for name in system.names}
         for ser, cont in zip(columns, conts)]
     branch_profiles = col_profiles[:nb]
@@ -849,20 +842,19 @@ class AngleDeformation:
     continuation: ContinuedSolution
     handoff: float
 
+    def _profile(self, name: str, derivative: int = 0) -> RadialProfile:
+        # the series inside the handoff, the continuation outside it
+        return _piecewise(self.series.profile(name, shift=derivative),
+                          self.continuation.profile(name, derivative=derivative),
+                          self.handoff)
+
     @property
     def f_profile(self) -> RadialProfile:
-        return _piecewise(_series_profile(self.series, "f"),
-                          self.continuation.profile("f"), self.handoff)
+        return self._profile("f")
 
     @property
     def g_profile(self) -> RadialProfile:
-        return _piecewise(_series_profile(self.series, "g"),
-                          self.continuation.profile("g"), self.handoff)
-
-    def _f_derivative_profile(self) -> RadialProfile:
-        return _piecewise(_series_profile(self.series, "f", shift=1),
-                          self.continuation.profile("f", derivative=1),
-                          self.handoff)
+        return self._profile("g")
 
     def residual(self, radii) -> np.ndarray:
         """Max componentwise defect of O X = (2/tanh r, 0) at the radii."""
@@ -882,7 +874,7 @@ class AngleDeformation:
         """
         n = self.model.n
         f = self.f_profile
-        fd = self._f_derivative_profile()
+        fd = self._profile("f", derivative=1)
         if cutoff is not None:
             c, c1, c2, c3 = _cutoff_derivatives(*cutoff)
             chi = RadialProfile(c, c1, c2)

@@ -6,14 +6,17 @@ The tube around the singular locus carries the metric
 
 with theta periodic of period alpha (the cone angle) and g_S the metric of
 the (n-2)-dimensional cross-section.  Everything downstream (mode reduction,
-indicial systems, series solvers) consumes two things from this module: exact
-Laurent expansions of the radial coefficient functions at r = 0, and the
-connection coefficients of the orthonormal tube frame.
+indicial systems, series solvers) consumes two things from this module: the
+radial coefficient functions, and the connection coefficients of the
+orthonormal tube frame.
 
-Radial coefficient functions are registered by name; each carries a float
-evaluator with two derivatives, a definite parity, and an exact Laurent
-series over `fractions.Fraction` generated from the sinh/cosh Maclaurin
-coefficients (never typed in by hand).
+Every radial coefficient is a monomial sh(r)^a ch(r)^b with small integer
+exponents, so the exponent pair (a, b) is its whole representation.  One
+evaluator, `sinh_cosh_values`, gives values and derivatives of any pairs:
+by ch^2 = 1 + sh^2 each derivative is again a sum of monomials.  One builder,
+`sinh_cosh_series`, gives the exact Laurent series over `fractions.Fraction`
+as r^a (sh/r)^a ch^b from the sinh/cosh Maclaurin coefficients, cached per
+pair.  `RADIAL_FUNCTIONS` names nine pairs for the operator formulas.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -34,6 +36,8 @@ __all__ = [
     "RadialFunction",
     "RADIAL_FUNCTIONS",
     "radial_series",
+    "sinh_cosh_values",
+    "sinh_cosh_series",
     "CrossSection",
     "ConeModel",
     "FrameConnection",
@@ -77,36 +81,16 @@ class LaurentSeries:
             k += 1
         return LaurentSeries(self.leading + k, self.coeffs[k:])
 
-    def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
-        lead = min(self.leading, other.leading)
-        # both series are truncations; the sum is only valid to the shorter reach
-        reach = min(self.leading + len(self.coeffs), other.leading + len(other.coeffs))
-        out = [Fraction(0)] * (reach - lead)
-        for src in (self, other):
-            for k, c in enumerate(src.coeffs):
-                pos = src.leading + k - lead
-                if pos < len(out):
-                    out[pos] = out[pos] + c
-        return LaurentSeries(lead, tuple(out))
-
-    def __mul__(self, other):
-        if isinstance(other, LaurentSeries):
-            lead = self.leading + other.leading
-            reach = min(
-                self.leading + len(self.coeffs) + other.leading,
-                other.leading + len(other.coeffs) + self.leading,
-            )
-            out = [Fraction(0)] * (reach - lead)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    if i + j < len(out):
-                        out[i + j] = out[i + j] + a * b
-            return LaurentSeries(lead, tuple(out))
-        return LaurentSeries(self.leading, tuple(c * other for c in self.coeffs))
-
-    __rmul__ = __mul__
+    def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
+        # both factors are truncations; the product keeps the shorter length
+        out = [Fraction(0)] * min(len(self.coeffs), len(other.coeffs))
+        for i, a in enumerate(self.coeffs):
+            if a == 0:
+                continue
+            for j, b in enumerate(other.coeffs):
+                if i + j < len(out):
+                    out[i + j] = out[i + j] + a * b
+        return LaurentSeries(self.leading + other.leading, tuple(out))
 
     def reciprocal(self) -> "LaurentSeries":
         s = self.trimmed()
@@ -152,26 +136,8 @@ class LaurentSeries:
         return None
 
 
-def _sh_series(n: int) -> LaurentSeries:
-    coeffs = [Fraction(0)] * n
-    for k in range(0, n, 2):
-        coeffs[k] = Fraction(1, math.factorial(k + 1))
-    return LaurentSeries(1, tuple(coeffs))
-
-
-def _ch_series(n: int) -> LaurentSeries:
-    coeffs = [Fraction(0)] * n
-    for k in range(0, n, 2):
-        coeffs[k] = Fraction(1, math.factorial(k))
-    return LaurentSeries(0, tuple(coeffs))
-
-
 # ---------------------------------------------------------------------------
-# named radial coefficient functions
-
-_sh = np.sinh
-_ch = np.cosh
-_th = np.tanh
+# sinh^a cosh^b monomials
 
 
 def _require_positive(r):
@@ -181,118 +147,132 @@ def _require_positive(r):
     return r
 
 
+@lru_cache(maxsize=None)
+def _derivative_terms(a: int, b: int, derivative: int) -> tuple:
+    """The derivative of sh^a ch^b as terms (k, p, q) of k sh^p ch^q.
+
+    (sh^p ch^q)' = p sh^(p-1) ch^(q-1) + (p+q) sh^(p+1) ch^(q-1) uses
+    ch^2 = 1 + sh^2, so every level is again a sum of monomials: coth' comes
+    out as -sh^-2, not as the cancelling 1 - coth^2.  Terms with a zero
+    coefficient are dropped, so a pair with a >= 0 never meets a negative
+    power of sh.
+    """
+    if derivative < 0:
+        raise ValueError("derivative order must be nonnegative")
+    if derivative == 0:
+        return ((1, a, b),)
+    acc = {}
+    for k, p, q in _derivative_terms(a, b, derivative - 1):
+        acc[p - 1] = acc.get(p - 1, 0) + k * p
+        acc[p + 1] = acc.get(p + 1, 0) + k * (p + q)
+    return tuple((k, p, b - derivative) for p, k in sorted(acc.items()) if k)
+
+
+def sinh_cosh_values(pairs, r, derivative: int = 0) -> np.ndarray:
+    """sh(r)^a ch(r)^b, or its derivative of the given order, for each
+    exponent pair (a, b); shape (len(pairs),) + r.shape, from one sinh/cosh
+    evaluation.  A pair with a < 0 is singular at the axis, and then r <= 0
+    raises DomainError."""
+    pairs = tuple(pairs)
+    if any(a < 0 for a, _ in pairs):
+        r = _require_positive(r)
+    else:
+        r = np.asarray(r, dtype=float)
+    s, c = np.sinh(r), np.cosh(r)
+    out = np.zeros((len(pairs),) + r.shape)
+    for i, (a, b) in enumerate(pairs):
+        for k, p, q in _derivative_terms(a, b, derivative):
+            out[i] += k * s ** p * c ** q
+    return out
+
+
+def _unit_power(series: LaurentSeries, e: int) -> LaurentSeries:
+    # series starts with 1 at r^0, so every power keeps its length
+    base = series if e >= 0 else series.reciprocal()
+    out = LaurentSeries(0, (Fraction(1),) + (Fraction(0),) * (series.order - 1))
+    for _ in range(abs(e)):
+        out = out * base
+    return out
+
+
+def _series_table(a: int, b: int, order: int) -> LaurentSeries:
+    sh_r = tuple(Fraction(1, math.factorial(k + 1)) if k % 2 == 0 else Fraction(0)
+                 for k in range(order))
+    ch = tuple(Fraction(1, math.factorial(k)) if k % 2 == 0 else Fraction(0)
+               for k in range(order))
+    unit = _unit_power(LaurentSeries(0, sh_r), a) * _unit_power(LaurentSeries(0, ch), b)
+    return LaurentSeries(a, unit.coeffs)
+
+
+_SERIES_TABLES: dict = {}
+
+
+def sinh_cosh_series(a: int, b: int, order: int) -> LaurentSeries:
+    """The first `order` exact Laurent coefficients of sh^a ch^b, from r^a.
+
+    sh^a ch^b = r^a (sh/r)^a ch^b, and (sh/r) and ch are power series that
+    start with 1, so products and reciprocals of `order`-term truncations
+    are exact to `order` terms.  One table is kept per pair; it is rebuilt
+    only when a longer one is asked for.
+    """
+    table = _SERIES_TABLES.get((a, b))
+    if table is None or table.order < order:
+        table = _SERIES_TABLES[(a, b)] = _series_table(a, b, order)
+    return table if table.order == order else LaurentSeries(a, table.coeffs[:order])
+
+
+# ---------------------------------------------------------------------------
+# named radial coefficient functions
+
+
 @dataclass(frozen=True)
 class RadialFunction:
-    """Named radial coefficient with evaluator, two derivatives and exact series."""
+    """A named radial coefficient sh(r)^a ch(r)^b."""
 
     name: str
-    leading: int
-    parity: int  # +1 even, -1 odd
-    singular: bool
-    _val: Callable
-    _d1: Callable
-    _d2: Callable
-    _series: Callable
+    a: int
+    b: int
+
+    @property
+    def leading(self) -> int:
+        return self.a
+
+    @property
+    def parity(self) -> int:
+        return -1 if self.a % 2 else 1
+
+    @property
+    def singular(self) -> bool:
+        return self.a < 0
 
     def __call__(self, r):
-        r = _require_positive(r) if self.singular else np.asarray(r, dtype=float)
-        return self._val(r)
+        return sinh_cosh_values(((self.a, self.b),), r)[0]
 
     def d1(self, r):
-        r = _require_positive(r) if self.singular else np.asarray(r, dtype=float)
-        return self._d1(r)
+        return sinh_cosh_values(((self.a, self.b),), r, 1)[0]
 
     def d2(self, r):
-        r = _require_positive(r) if self.singular else np.asarray(r, dtype=float)
-        return self._d2(r)
+        return sinh_cosh_values(((self.a, self.b),), r, 2)[0]
 
     def series(self, order: int) -> LaurentSeries:
         if order < 2:
             raise ValueError("need order >= 2")
-        return self._series(order)
+        return sinh_cosh_series(self.a, self.b, order)
 
 
-def _series_factory(builder: Callable[[int], LaurentSeries]):
-    @lru_cache(maxsize=None)
-    def cached(order: int) -> LaurentSeries:
-        # build with slack so reciprocals and products keep full reach
-        work = order + 6
-        s = builder(work)
-        s = s.trimmed()
-        return LaurentSeries(s.leading, s.coeffs[:order])
-
-    return cached
-
-
-RADIAL_FUNCTIONS: dict[str, RadialFunction] = {}
-
-
-def _register(name, leading, parity, singular, val, d1, d2, builder):
-    fn = RadialFunction(name, leading, parity, singular, val, d1, d2,
-                        _series_factory(builder))
-    RADIAL_FUNCTIONS[name] = fn
-    return fn
-
-
-_register(
-    "sh", 1, -1, False,
-    _sh, _ch, _sh,
-    lambda n: _sh_series(n + 1),
-)
-_register(
-    "ch", 0, 1, False,
-    _ch, _sh, _ch,
-    lambda n: _ch_series(n),
-)
-_register(
-    "th", 1, -1, False,
-    _th,
-    lambda r: 1.0 / _ch(r) ** 2,
-    lambda r: -2.0 * _th(r) / _ch(r) ** 2,
-    lambda n: _sh_series(n + 2) * _ch_series(n + 2).reciprocal(),
-)
-_register(
-    "inv_th", -1, -1, True,
-    lambda r: _ch(r) / _sh(r),
-    lambda r: -1.0 / _sh(r) ** 2,
-    lambda r: 2.0 * _ch(r) / _sh(r) ** 3,
-    lambda n: _ch_series(n + 2) * _sh_series(n + 2).reciprocal(),
-)
-_register(
-    "inv_sh", -1, -1, True,
-    lambda r: 1.0 / _sh(r),
-    lambda r: -_ch(r) / _sh(r) ** 2,
-    lambda r: (_ch(r) ** 2 + 1.0) / _sh(r) ** 3,
-    lambda n: _sh_series(n + 2).reciprocal(),
-)
-_register(
-    "inv_sh_sq", -2, 1, True,
-    lambda r: 1.0 / _sh(r) ** 2,
-    lambda r: -2.0 * _ch(r) / _sh(r) ** 3,
-    lambda r: (4.0 * _ch(r) ** 2 + 2.0) / _sh(r) ** 4,
-    lambda n: (_sh_series(n + 3) * _sh_series(n + 3)).reciprocal(),
-)
-_register(
-    "inv_ch", 0, 1, False,
-    lambda r: 1.0 / _ch(r),
-    lambda r: -_sh(r) / _ch(r) ** 2,
-    lambda r: (2.0 * _sh(r) ** 2 - _ch(r) ** 2) / _ch(r) ** 3,
-    lambda n: _ch_series(n + 2).reciprocal(),
-)
-_register(
-    "inv_ch_sq", 0, 1, False,
-    lambda r: 1.0 / _ch(r) ** 2,
-    lambda r: -2.0 * _sh(r) / _ch(r) ** 3,
-    lambda r: (6.0 * _sh(r) ** 2 - 2.0 * _ch(r) ** 2) / _ch(r) ** 4,
-    lambda n: (_ch_series(n + 2) * _ch_series(n + 2)).reciprocal(),
-)
-_register(
-    "sh_th_inv", -2, 1, True,
-    lambda r: _ch(r) / _sh(r) ** 2,
-    lambda r: (_sh(r) ** 2 - 2.0 * _ch(r) ** 2) / _sh(r) ** 3,
-    lambda r: _ch(r) * (6.0 * _ch(r) ** 2 - 5.0 * _sh(r) ** 2) / _sh(r) ** 4,
-    lambda n: _ch_series(n + 3) * (_sh_series(n + 3) * _sh_series(n + 3)).reciprocal(),
-)
+RADIAL_FUNCTIONS: dict[str, RadialFunction] = {
+    fn.name: fn for fn in (
+        RadialFunction("sh", 1, 0),
+        RadialFunction("ch", 0, 1),
+        RadialFunction("th", 1, -1),
+        RadialFunction("inv_th", -1, 1),
+        RadialFunction("inv_sh", -1, 0),
+        RadialFunction("inv_sh_sq", -2, 0),
+        RadialFunction("inv_ch", 0, -1),
+        RadialFunction("inv_ch_sq", 0, -2),
+        RadialFunction("sh_th_inv", -2, 1),
+    )
+}
 
 
 def radial_series(name: str, order: int) -> LaurentSeries:

@@ -12,11 +12,18 @@ with every potential a constant pencil over seven fixed radial products,
     V(r) = sum_b C_b phi_b(r),
     phi_b in (1, inv_th^2, th^2, inv_sh_sq, inv_ch_sq, sh_th_inv, th*inv_ch).
 
-The operator formulas are written entry by entry as radial expressions and
-compiled into the matrices C_b once, when a system is built; the pointwise
-values, both radial derivatives and the exact Laurent data of V are all read
-off that pencil.  This module owns those systems: it applies them pointwise, forms
-the first-order gradient/exterior-derivative displays for one-form blocks,
+Each phi_b, like every radial coefficient, is a monomial sh^a ch^b, so the
+basis is the seven exponent pairs (0, 0), (-2, 2), (2, -2), (-2, 0), (0, -2),
+(-2, 1), (1, -2), and q is the pair (-1, 1) plus n - 2 times (1, -1).  The
+operator formulas are written entry by entry as radial expressions, products
+of named functions that are read as the sums of their exponents, and
+compiled into the matrices C_b once, when a system is built.  Pointwise
+values and both radial derivatives of V and q come from the one monomial
+evaluator of :mod:`conemodes.geometry`, and their exact Laurent data from its
+one series table per pair.
+
+This module owns those systems: it applies them pointwise, forms the
+first-order gradient/exterior-derivative displays for one-form blocks,
 computes weighted tube norms by Gauss-Legendre quadrature, and produces the
 standard singular deformation blocks (cone angle, locus metric, gluing).
 
@@ -32,9 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Mapping
 
 import numpy as np
@@ -44,8 +49,9 @@ from conemodes.geometry import (
     DomainError,
     LaurentSeries,
     RADIAL_FUNCTIONS,
-    _require_positive,
     gauss_legendre,
+    sinh_cosh_series,
+    sinh_cosh_values,
 )
 from conemodes.modes import (
     CoclosedMode,
@@ -92,23 +98,26 @@ class RadialExpr:
     """Linear combination of products of registered radial functions.
 
     terms[k] = (coefficient, tuple of function names); the empty tuple is the
-    constant function 1.  Radial expressions spell out the operator formulas
-    (compiled into a `ModeSystem`'s basis pencil) and the source terms of
-    inhomogeneous problems; `RadialProfile.from_expr` supplies derivatives.
+    constant function 1, and a product of names is the monomial sh^a ch^b
+    with the summed exponents.  Radial expressions spell out the operator
+    formulas (compiled into a `ModeSystem`'s basis pencil) and the source
+    terms of inhomogeneous problems.
     """
 
     terms: tuple
 
-    def __call__(self, r):
+    def _monomials(self):
+        return [(c, _pair(names)) for c, names in self.terms if c != 0]
+
+    def __call__(self, r, derivative: int = 0):
+        """Value, or the radial derivative of the given order, at radii r."""
         r = np.asarray(r, dtype=float)
         acc = np.zeros(r.shape, dtype=complex)
-        for c, names in self.terms:
-            if c == 0:
-                continue
-            part = np.ones(r.shape, dtype=float)
-            for name in names:
-                part = part * RADIAL_FUNCTIONS[name](r)
-            acc = acc + c * part
+        terms = self._monomials()
+        if terms:
+            values = sinh_cosh_values([pair for _, pair in terms], r, derivative)
+            for (c, _), v in zip(terms, values):
+                acc = acc + c * v
         return acc if acc.shape else acc[()]
 
     def __add__(self, other: "RadialExpr") -> "RadialExpr":
@@ -120,22 +129,22 @@ class RadialExpr:
     __rmul__ = __mul__
 
     def laurent(self, order: int) -> LaurentSeries:
-        """Exact Laurent series with `order` coefficients from the leading power."""
-        lead = min((sum(RADIAL_FUNCTIONS[n].leading for n in names)
-                    for _, names in self.terms), default=0)
-        acc = None
-        for c, names in self.terms:
-            if c == 0:
-                continue
-            part = LaurentSeries(0, tuple([Fraction(1)] + [Fraction(0)] * (order + 8)))
-            for name in names:
-                part = part * RADIAL_FUNCTIONS[name].series(order + 8)
-            part = c * part
-            acc = part if acc is None else acc + part
-        if acc is None:
-            acc = LaurentSeries(lead, (0j,) * order)
-        coeffs = [acc.coefficient(lead + k) for k in range(order)]
-        return LaurentSeries(lead, tuple(complex(c) for c in coeffs))
+        """Complex Laurent series with `order` coefficients from the lowest
+        power of any term; each term is rounded once from its exact table."""
+        lead = min((_pair(names)[0] for _, names in self.terms), default=0)
+        acc = np.zeros(order, dtype=complex)
+        for c, (a, b) in self._monomials():
+            if a - lead < order:
+                exact = sinh_cosh_series(a, b, order - (a - lead)).coeffs
+                acc[a - lead:] += [complex(x) * c for x in exact]
+        return LaurentSeries(lead, tuple(complex(x) for x in acc))
+
+
+@functools.lru_cache(maxsize=None)
+def _pair(names: tuple) -> tuple:
+    """Exponent pair (a, b) of a product of named radial functions."""
+    fns = [RADIAL_FUNCTIONS[name] for name in names]
+    return sum(f.a for f in fns), sum(f.b for f in fns)
 
 
 def _ex(*names) -> RadialExpr:
@@ -260,19 +269,9 @@ class RadialProfile:
 
     @classmethod
     def from_expr(cls, expr: RadialExpr) -> "RadialProfile":
-        """Profile of a radial expression: sums and `times` products of the
-        registered functions, so derivatives follow the one product rule."""
-        parts = []
-        for c, names in expr.terms:
-            if c == 0:
-                continue
-            fns = [RADIAL_FUNCTIONS[name] for name in names]
-            if not fns:
-                parts.append(cls.constant(c))
-                continue
-            product = functools.reduce(cls.times, [cls(f, f.d1, f.d2) for f in fns])
-            parts.append(product if c == 1 else c * product)
-        return functools.reduce(operator.add, parts) if parts else cls.zero()
+        """Profile of a radial expression, derivatives from the monomial rule."""
+        return cls(expr, functools.partial(expr, derivative=1),
+                   functools.partial(expr, derivative=2))
 
     @classmethod
     def from_sympy(cls, expr_text: str) -> "RadialProfile":
@@ -425,64 +424,22 @@ def component_weights(family: str, names) -> np.ndarray:
 # the reduced operator systems
 
 
-# The seven radial products every potential entry is a combination of.
-_BASIS = ((), ("inv_th", "inv_th"), ("th", "th"), ("inv_sh_sq",), ("inv_ch_sq",),
-          ("sh_th_inv",), ("th", "inv_ch"))
-_BASIS_INDEX = {tuple(sorted(names)): b for b, names in enumerate(_BASIS)}
-
-
-def _sinh_cosh(r):
-    """(sinh r, cosh r): math floats for a Python float, arrays otherwise."""
-    if isinstance(r, float):
-        if not r > 0.0:
-            raise DomainError("radial coordinate must satisfy r > 0")
-        return math.sinh(r), math.cosh(r)
-    r = _require_positive(r)
-    return np.sinh(r), np.cosh(r)
-
-
-def _basis_values(r, derivative: int = 0) -> np.ndarray:
-    """phi_b(r) or its first or second derivative, shape (7,) + r.shape, in
-    closed form over one sinh/cosh evaluation."""
-    s, c = _sinh_cosh(r)
-    ss, cc = s * s, c * c
-    zero = 0.0 * s
-    if derivative == 0:
-        vals = (zero + 1.0, cc / ss, ss / cc, 1.0 / ss, 1.0 / cc, c / ss, s / cc)
-    elif derivative == 1:
-        d_inv_sh_sq, d_inv_ch_sq = -2.0 * c / (ss * s), -2.0 * s / (cc * c)
-        vals = (zero, d_inv_sh_sq, -d_inv_ch_sq, d_inv_sh_sq, d_inv_ch_sq,
-                (ss - 2.0 * cc) / (ss * s), (cc - 2.0 * ss) / (cc * c))
-    elif derivative == 2:
-        dd_inv_sh_sq = (4.0 * cc + 2.0) / (ss * ss)
-        dd_inv_ch_sq = (6.0 * ss - 2.0 * cc) / (cc * cc)
-        vals = (zero, dd_inv_sh_sq, -dd_inv_ch_sq, dd_inv_sh_sq, dd_inv_ch_sq,
-                c * (6.0 * cc - 5.0 * ss) / (ss * ss),
-                s * (6.0 * ss - 5.0 * cc) / (cc * cc))
-    else:
-        raise ValueError("derivative order must be 0, 1 or 2")
-    return np.array(vals)
-
-
-def _drift_values(r, n: int, derivative: int = 0):
-    """q(r) = coth r + (n - 2) tanh r or its first or second derivative."""
-    s, c = _sinh_cosh(r)
-    if derivative == 0:
-        return c / s + (n - 2) * s / c
-    if derivative == 1:
-        return -1.0 / (s * s) + (n - 2) / (c * c)
-    if derivative == 2:
-        return 2.0 * c / (s * s * s) - 2.0 * (n - 2) * s / (c * c * c)
-    raise ValueError("derivative order must be 0, 1 or 2")
+# The exponent pairs (a, b) of the seven radial products sh^a ch^b every
+# potential entry is a combination of: 1, inv_th^2, th^2, inv_sh_sq,
+# inv_ch_sq, sh_th_inv and th*inv_ch.
+_BASIS = ((0, 0), (-2, 2), (2, -2), (-2, 0), (0, -2), (-2, 1), (1, -2))
+_BASIS_INDEX = {pair: b for b, pair in enumerate(_BASIS)}
 
 
 @functools.lru_cache(maxsize=32)
 def _basis_series(order: int) -> np.ndarray:
-    """S[j, b]: coefficient of r^(j-2) in phi_b, j = 0..order-1, exact then complex."""
+    """S[j, b]: coefficient of r^(j-2) in phi_b, j = 0..order-1, rounded
+    from the exact series tables."""
     out = np.zeros((order, len(_BASIS)), dtype=complex)
-    for b, names in enumerate(_BASIS):
-        s = _ex(*names).laurent(order + 3)
-        out[:, b] = [s.coefficient(j - 2) for j in range(order)]
+    for b, (a, e) in enumerate(_BASIS):
+        if a + 2 < order:
+            out[a + 2:, b] = [complex(x) for x in
+                              sinh_cosh_series(a, e, order - a - 2).coeffs]
     out.flags.writeable = False
     return out
 
@@ -495,7 +452,7 @@ def _compile_pencil(table) -> np.ndarray:
     for i, row in enumerate(table):
         for j, expr in enumerate(row):
             for c, names in expr.terms:
-                b = _BASIS_INDEX.get(tuple(sorted(names)))
+                b = _BASIS_INDEX.get(_pair(names))
                 if b is None:
                     raise ValueError(
                         f"radial product {names} is outside the potential basis")
@@ -530,12 +487,13 @@ class ModeSystem:
         return _drift(self.n)
 
     def drift_at(self, r, derivative: int = 0):
-        """q(r) or its first or second radial derivative."""
-        return _drift_values(r, self.n, derivative)
+        """q(r) or its radial derivative of the given order."""
+        return np.real(self.drift(r, derivative))
 
     def potential_at(self, r, derivative: int = 0):
-        """V(r) or its first or second radial derivative, shape (k, k) + r.shape."""
-        phi = _basis_values(r, derivative)
+        """V(r) or its radial derivative of the given order, shape
+        (k, k) + r.shape."""
+        phi = sinh_cosh_values(_BASIS, r, derivative)
         k = self.arity
         V = self.pencil.reshape(len(_BASIS), k * k).T @ phi.reshape(len(_BASIS), -1)
         return V.reshape((k, k) + phi.shape[1:])
@@ -569,9 +527,9 @@ class ModeSystem:
         return np.concatenate([dX, ddX])
 
     def laurent_drift(self, order: int) -> LaurentSeries:
-        """Exact series of r * q(r) (leading coefficient 1, even powers)."""
-        s = self.drift.laurent(order + 2)
-        return LaurentSeries(s.leading + 1, s.coeffs[:order])
+        """Series of r * q(r) (leading coefficient 1, even powers)."""
+        s = self.drift.laurent(order)
+        return LaurentSeries(s.leading + 1, s.coeffs)
 
     def laurent_potential(self, order: int):
         """W_j matrices: r^2 V(r) = sum_j W_j r^j, j = 0..order-1, from the
@@ -818,7 +776,7 @@ def scalar_mode_operator(model: ConeModel, mode: ScalarMode,
     r = _check_radii(model, r)
     pg = mode.p * model.gamma
     q = np.real(_drift(model.n)(r))
-    pot = (pg * pg) / np.sinh(r) ** 2 + mode.lam / np.cosh(r) ** 2
+    pot = ((pg * pg) * _S2 + mode.lam * _C2)(r)
     return (-profile.d2(r) - q * profile.d1(r)
             + (pot + shift) * profile(r))
 

@@ -138,9 +138,12 @@ class TestIndicial:
     def test_bad_sweep_rejected(self, tmp_path):
         model_path = write_model(tmp_path)
         out = tmp_path / "out"
-        result = invoke(["--model", model_path, "--out", str(out),
-                         "indicial", "--angle-sweep", "-1", "2", "3"])
-        assert result.exit_code == 2
+        for sweep in (("-1", "2", "3"), ("2", "1", "3"), ("1", "inf", "3"),
+                      ("nan", "2", "3"), ("1", "2", "0"), ("1", "2", "2.5")):
+            result = invoke(["--model", model_path, "--out", str(out),
+                             "indicial", "--angle-sweep", *sweep])
+            assert result.exit_code == 2, sweep
+            assert os.listdir(out) == [], sweep
 
 
 class TestReduce:
@@ -395,6 +398,51 @@ class TestDeformAngle:
                          "deform-angle", "--cutoff", "0.5", "0.2"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("order", ["-3", "0"])
+    def test_bad_order_rejected_without_output(self, tmp_path, order):
+        model_path = write_model(tmp_path)
+        out = tmp_path / "out"
+        result = invoke(["--model", model_path, "--out", str(out),
+                         "deform-angle", "--order", order])
+        assert result.exit_code == 2
+        assert os.listdir(out) == []
+
+    def test_exact_tables_built_once_across_commands(self, tmp_path, monkeypatch):
+        # deform-angle asks for longer Laurent data than induced-metric; the
+        # shorter request must be read from the tables already built
+        from collections import Counter
+
+        from conemodes import frobenius, geometry, reduction
+
+        built = Counter()
+        build = geometry._series_table
+
+        def counted(a, b, order):
+            built[(a, b)] += 1
+            return build(a, b, order)
+
+        monkeypatch.setattr(geometry, "_SERIES_TABLES", {})
+        monkeypatch.setattr(geometry, "_series_table", counted)
+        frobenius._coefficient_data.cache_clear()
+        reduction._basis_series.cache_clear()
+        model_path = write_model(tmp_path, angle=1.0, length=1.0)
+        modes_path = write_modes(tmp_path, scalar=[(0.0, 0)], coclosed=[(0.0, 2)])
+        bpath = tmp_path / "bvals.json"
+        bpath.write_text(json.dumps([
+            {"mode": {"type": "scalar", "lambda": 0.0, "p": 0},
+             "values": {"f": 0.3, "g": 0.5, "h": 0.0, "k1": 0.2}},
+            {"mode": {"type": "coclosed", "mu": 0.0, "p": 2},
+             "values": {"sigma_bar": 0.1, "eta_bar": 0.4}}]))
+        out = str(tmp_path / "out")
+        result = invoke(["--model", model_path, "--modes", modes_path,
+                         "--out", out, "--tol-nodes", "60", "deform-angle"])
+        assert result.exit_code == 0
+        result = invoke(["--model", model_path, "--out", out,
+                         "induced-metric", "--boundary-file", str(bpath)])
+        assert result.exit_code == 0
+        assert set(reduction._BASIS) <= set(built)
+        assert set(built.values()) == {1}, built
+
 
 class TestInducedMetric:
     def test_reports_axis_values(self, tmp_path):
@@ -615,6 +663,26 @@ class TestInputValidation:
         assert result.exit_code == 2
         assert "finite" in result.output
         assert not out.exists() or os.listdir(out) == []
+
+    def test_nonfinite_numbers_rejected_without_output(self, tmp_path):
+        model_path = write_model(tmp_path)
+        bpath = tmp_path / "bvals.json"
+        bpath.write_text('[{"mode": {"type": "scalar", "lambda": 0.0, "p": 0}, '
+                         '"values": {"f": [0.5, Infinity]}}]')
+        huge = "1" + "0" * 400  # a JSON integer beyond float range
+        runs = [["solve", "--family", "oneform", "--boundary", '{"f": NaN}'],
+                ["solve", "--family", "oneform", "--boundary",
+                 '{"f": [0.5, %s]}' % huge],
+                ["solve", "--family", "oneform", "--boundary", '{"f": 0.5}',
+                 "--source", '{"f": [[-Infinity, ["inv_th"]]]}'],
+                ["solve", "--family", "oneform", "--boundary", '{"f": 0.5}',
+                 "--source", '{"f": [[%s, ["inv_th"]]]}' % huge],
+                ["induced-metric", "--boundary-file", str(bpath)]]
+        for k, args in enumerate(runs):
+            out = tmp_path / f"out{k}"
+            result = invoke(["--model", model_path, "--out", str(out)] + args)
+            assert result.exit_code == 2, args
+            assert os.listdir(out) == [], args
 
     def test_nonpositive_tolerances(self, tmp_path):
         model_path = write_model(tmp_path)

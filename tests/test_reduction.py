@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -486,38 +487,50 @@ def test_pencil_rejects_product_outside_basis():
         _compile_pencil([[RadialExpr(((1.0, ("sh", "ch")),))]])
 
 
-def test_closed_form_kernel_matches_product_rule():
-    from conemodes.reduction import (_BASIS, _basis_values, _drift,
-                                     _drift_values, _ex)
-    grid = log_grid(MODEL3)
-    floats = (1e-6, 0.05, 0.5, 1.0, 2.5)
-    basis = [RadialProfile.from_expr(_ex(*names)) for names in _BASIS]
-    drifts = {n: RadialProfile.from_expr(_drift(n)) for n in (3, 4, 7)}
+def test_monomial_derivatives_match_mpmath():
+    # reference derivatives by mpmath's own differentiation of the textbook
+    # formulas, independent of the exponent pairs and the monomial rule
+    from conemodes.geometry import RADIAL_FUNCTIONS, sinh_cosh_values
+    from conemodes.reduction import _BASIS
 
-    def close(got, prof, d, r):
-        want = (prof, prof.d1, prof.d2)[d](r).real
+    sh, ch, th, coth = mp.sinh, mp.cosh, mp.tanh, mp.coth
+    named = {
+        "sh": sh, "ch": ch, "th": th, "inv_th": coth,
+        "inv_sh": lambda x: 1 / sh(x), "inv_sh_sq": lambda x: 1 / sh(x) ** 2,
+        "inv_ch": lambda x: 1 / ch(x), "inv_ch_sq": lambda x: 1 / ch(x) ** 2,
+        "sh_th_inv": lambda x: ch(x) / sh(x) ** 2,
+    }
+    basis = [lambda x: mp.mpf(1), lambda x: coth(x) ** 2, lambda x: th(x) ** 2,
+             named["inv_sh_sq"], named["inv_ch_sq"], named["sh_th_inv"],
+             lambda x: th(x) / ch(x)]
+    drifts = {n: oneform_system(ConeModel(n=n, alpha=1.0, tube_radius=1.0),
+                                ScalarMode(0.0, 0), "B") for n in (3, 4, 7)}
+    grid = np.concatenate([log_grid(MODEL3), [0.05, 2.5]])
+
+    def close(got, fn, d, r):
+        with mp.workdps(40):
+            want = np.array([float(mp.diff(fn, mp.mpf(x), d)) for x in r])
         # relative; the absolute floor covers the zero crossings of
         # (th inv_ch)', (th^2)'' and q'' inside the tube
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want) + 1e-14)
 
     for d in range(3):
-        phi = _basis_values(grid, d)
+        for name, fn in named.items():
+            f = RADIAL_FUNCTIONS[name]
+            close((f, f.d1, f.d2)[d](grid), fn, d, grid)
+        phi = sinh_cosh_values(_BASIS, grid, d)
         assert phi.shape == (7, grid.size)
-        for r in floats:
-            assert _basis_values(r, d).shape == (7,)
-        for b, prof in enumerate(basis):
-            close(phi[b], prof, d, grid)
-            for r in floats:
-                close(_basis_values(r, d)[b], prof, d, r)
-        for n, prof in drifts.items():
-            close(_drift_values(grid, n, d), prof, d, grid)
-            for r in floats:
-                close(_drift_values(r, n, d), prof, d, r)
+        assert sinh_cosh_values(_BASIS, 0.5, d).shape == (7,)
+        for b, fn in enumerate(basis):
+            close(phi[b], fn, d, grid)
+        for n, system in drifts.items():
+            close(system.drift_at(grid, d),
+                  lambda x, n=n: coth(x) + (n - 2) * th(x), d, grid)
     for bad in (0.0, -0.5, np.array([0.1, 0.0])):
         with pytest.raises(DomainError):
-            _basis_values(bad)
+            drifts[3].potential_at(bad)
         with pytest.raises(DomainError):
-            _drift_values(bad, 3)
+            drifts[3].drift_at(bad)
 
 
 def test_laurent_drift_series():
