@@ -30,7 +30,7 @@ from conemodes.frobenius import (
     induced_singular_deformation,
     solve_mode_bvp,
 )
-from conemodes.geometry import RADIAL_FUNCTIONS, ConeModel, DomainError
+from conemodes.geometry import RADIAL_FUNCTIONS, ConeModel, DomainError, RadialProfile
 from conemodes.indicial import root_table_rows, system_for_mode
 from conemodes.modes import (
     CoclosedMode,
@@ -53,7 +53,6 @@ from conemodes.oracle import (
 from conemodes.reduction import (
     OneFormModeBlock,
     RadialExpr,
-    RadialProfile,
     TensorModeBlock,
     apply_L_oneform,
     apply_P_tensor,

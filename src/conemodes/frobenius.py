@@ -15,6 +15,13 @@ against ``rtol``.  All admissible branches of a mode and its particular
 solution are continued together, as the columns of one matrix state pushed
 through the same maps.  Each column is normalized by its largest value at
 the handoff, so a steep branch r^kappa starts at size one.
+
+Series and continued solutions hand out each component as a
+:class:`conemodes.geometry.RadialProfile` with three derivatives, and a
+solution on the whole tube is one jet node that reads the series below the
+handoff and the continuation above it, so derivatives of a solution (and of
+its products, as in the cone-angle correction block) come from the profile
+algebra rather than from hand-written product rules.
 """
 
 from __future__ import annotations
@@ -25,17 +32,15 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .geometry import ConeModel, DomainError, gauss_legendre
+from .geometry import ConeModel, DomainError, RadialProfile, cubic_hermite, gauss_legendre
 from .indicial import classify_exponent, indicial_report, system_for_mode
 from .modes import Mode, ScalarMode
 from .reduction import (
     ModeSystem,
     OneFormModeBlock,
     RadialExpr,
-    RadialProfile,
     TensorModeBlock,
     component_weights,
-    cubic_hermite,
     oneform_system,
     _ex,
 )
@@ -137,15 +142,10 @@ class FrobeniusSeries:
             )
         return out[:, 0] if scalar else out
 
-    def profile(self, name: str, shift: int = 0) -> RadialProfile:
-        """One component, or with ``shift=1`` its first derivative, as a
-        profile with two more derivatives."""
+    def profile(self, name: str) -> RadialProfile:
+        """One component as a profile with three derivatives."""
         i = self.names.index(name)
-        return RadialProfile(
-            lambda r: self.evaluate(r, shift)[i],
-            lambda r: self.evaluate(r, shift + 1)[i],
-            lambda r: self.evaluate(r, shift + 2)[i],
-        )
+        return RadialProfile(*[lambda r, k=k: self.evaluate(r, k)[i] for k in range(4)])
 
     def profiles(self) -> dict:
         return {name: self.profile(name) for name in self.names}
@@ -378,34 +378,25 @@ class ContinuedSolution:
     def endpoint(self):
         return self.values[:, -1]
 
-    def profile(self, name: str, derivative: int = 0) -> RadialProfile:
-        """Hermite interpolant of one component, or of its first derivative.
+    def profile(self, name: str) -> RadialProfile:
+        """One component as a profile with three derivatives.
 
-        The profile's value, d1 and d2 interpolate consecutive pairs of the
-        nodal stack: (values, d1), (d1, d2), (d2, d3) for `derivative=0`, and
-        (d1, d2), (d2, d3), (d3, d4) for `derivative=1`. Near the handoff the
-        nodal d3 and d4 carry the propagator's error times V' ~ r^-3 and
-        V'' ~ r^-4: for the angle-potential system at the defaults, against
-        a 6-stage reference with 4 substeps per interval, the nodal values
-        are within 3e-15 relative on r < 0.2, d3 within 2e-13 and d4 within
-        1e-11, so the derivatives read from them (d2 here, and d1, d2 with
-        `derivative=1`) are that much less accurate than the values.
+        Level k is the cubic Hermite interpolant of the nodal pair
+        (d_k, d_k+1), with d_0 the values, so each level keeps quartic-order
+        accuracy. Near the handoff the nodal d3 and d4 carry the
+        propagator's error times V' ~ r^-3 and V'' ~ r^-4: for the
+        angle-potential system at the defaults, against a 6-stage reference
+        with 4 substeps per interval, the nodal values are within 3e-15
+        relative on r < 0.2, d3 within 2e-13 and d4 within 1e-11, so levels
+        2 and 3, read from them, are that much less accurate than the values.
         """
-        if derivative not in (0, 1):
-            raise ValueError("derivative order must be 0 or 1")
         i = self.system.names.index(name)
         stack = (self.values, self.d1, self.d2, self.d3, self.d4)
-        x0, x1, x2, x3 = (stack[derivative + j][i] for j in range(4))
-        return _hermite_profile(self.grid, x0, x1, x2, x3)
+        return RadialProfile(*[cubic_hermite(self.grid, stack[k][i], stack[k + 1][i])
+                               for k in range(4)])
 
     def profiles(self) -> dict:
         return {name: self.profile(name) for name in self.system.names}
-
-
-def _hermite_profile(grid, x0, x1, x2, x3) -> RadialProfile:
-    # separate interpolants so each derivative keeps quartic-order accuracy
-    return RadialProfile(cubic_hermite(grid, x0, x1), cubic_hermite(grid, x1, x2),
-                         cubic_hermite(grid, x2, x3))
 
 
 def _auto_handoff(r_end: float) -> float:
@@ -576,7 +567,7 @@ def integrate_mode_ode(system: ModeSystem, series, handoff: float, r_end: float,
     V, Vp, Vpp = (np.moveaxis(system.potential_at(grid, d), -1, 0) for d in range(3))
     S, Sp, Spp = np.zeros((3,) + X.shape, dtype=complex)
     for i, prof in src_rows:
-        S[:, i, -1], Sp[:, i, -1], Spp[:, i, -1] = prof(grid), prof.d1(grid), prof.d2(grid)
+        S[:, i, -1], Sp[:, i, -1], Spp[:, i, -1] = prof.jet(grid, 2, {})
     d2 = -q * dX + V @ X - S
     d3 = -qp * dX - q * d2 + Vp @ X + V @ dX - Sp
     d4 = -qpp * dX - 2 * qp * d2 - q * d3 + Vpp @ X + 2 * (Vp @ dX) + V @ d2 - Spp
@@ -586,17 +577,16 @@ def integrate_mode_ode(system: ModeSystem, series, handoff: float, r_end: float,
 
 
 def _piecewise(inner: RadialProfile, outer: RadialProfile, cut: float) -> RadialProfile:
-    def switch(f, g):
-        def call(r):
-            r = np.asarray(r, dtype=float)
-            lo = f(np.minimum(r, cut))
-            hi = g(np.maximum(r, cut))
-            return np.where(r < cut, lo, hi)
-        return call
+    """`inner` below the cut, `outer` from it on.  Each side is read on the
+    grid clipped to its side, through a sub-memo of the jet's memo shared by
+    every switch at this cut."""
+    def node(r, m, memo):
+        r = np.asarray(r, dtype=float)
+        lo = inner.jet(np.minimum(r, cut), m, memo.setdefault(("below", cut), {}))
+        hi = outer.jet(np.maximum(r, cut), m, memo.setdefault(("above", cut), {}))
+        return np.where(r < cut, lo, hi)
 
-    return RadialProfile(switch(inner, outer),
-                         switch(inner.d1, outer.d1),
-                         switch(inner.d2, outer.d2))
+    return RadialProfile(node=node, depth=min(inner.depth, outer.depth))
 
 
 # ---------------------------------------------------------------------------
@@ -689,7 +679,7 @@ def solve_mode_bvp(model: ConeModel, mode: Mode, family: str,
                                log_vector=vec if kind == "log" else None)
               for kind, kappa, vec in branches]
     branch_axis = [np.asarray(ser.coefficients[0], dtype=complex)
-                   if kind == "power" and abs(kappa) < 1e-12 else None
+                   if kind == "power" and kappa == 0 else None
                    for ser, (kind, kappa, _) in zip(series, branches)]
     pser, sprofs = None, None
     if source:
@@ -711,9 +701,9 @@ def solve_mode_bvp(model: ConeModel, mode: Mode, family: str,
     if pser is not None:
         part_profiles = col_profiles[-1]
         part_end = conts[-1].endpoint
-        if pser.kappa < -1e-12:
+        if pser.kappa < 0:
             part_regular = False
-        elif abs(pser.kappa) < 1e-12:
+        elif pser.kappa == 0:
             part_axis = np.asarray(pser.coefficients[0], dtype=complex)
             if pser.has_log and np.any(np.abs(pser.log_coefficients[0]) > 1e-14):
                 part_regular = False
@@ -752,8 +742,7 @@ def solve_mode_bvp(model: ConeModel, mode: Mode, family: str,
     for c, (kind, kappa, _), v0 in zip(coeffs, branches, branch_axis):
         if v0 is not None:
             axis = axis + c * v0
-        elif abs(c) > 1e-9 and (kappa < -1e-12 or
-                                (abs(kappa) < 1e-12 and kind == "log")):
+        elif abs(c) > 1e-9 and (kappa < 0 or (kappa == 0 and kind == "log")):
             regular = False
     axis_values = {name: complex(axis[i]) for i, name in enumerate(system.names)}
 
@@ -842,11 +831,10 @@ class AngleDeformation:
     continuation: ContinuedSolution
     handoff: float
 
-    def _profile(self, name: str, derivative: int = 0) -> RadialProfile:
+    def _profile(self, name: str) -> RadialProfile:
         # the series inside the handoff, the continuation outside it
-        return _piecewise(self.series.profile(name, shift=derivative),
-                          self.continuation.profile(name, derivative=derivative),
-                          self.handoff)
+        return _piecewise(self.series.profile(name),
+                          self.continuation.profile(name), self.handoff)
 
     @property
     def f_profile(self) -> RadialProfile:
@@ -869,24 +857,19 @@ class AngleDeformation:
     def correction_block(self, cutoff=None) -> TensorModeBlock:
         """Deformation tensor h0 - delta*(chi f e^r) in cross-section slots.
 
-        ``cutoff=(c0, c1)`` multiplies the gauge potential by a C^2 bump that
+        ``cutoff=(c0, c1)`` multiplies the gauge potential by a C^3 bump that
         is 1 below c0 and 0 above c1; None keeps the raw potential.
         """
         n = self.model.n
         f = self.f_profile
-        fd = self._profile("f", derivative=1)
         if cutoff is not None:
-            c, c1, c2, c3 = _cutoff_derivatives(*cutoff)
-            chi = RadialProfile(c, c1, c2)
-            chi_d = RadialProfile(c1, c2, c3)
-            fd = chi_d.times(f) + chi.times(fd)
-            f = chi.times(f)
+            f = RadialProfile(*_cutoff_derivatives(*cutoff)) * f
         th = RadialProfile.from_expr(_ex("th"))
         inv_th = RadialProfile.from_expr(_ex("inv_th"))
         profiles = {
-            "f": -1.0 * fd,
-            "g": RadialProfile.constant(1.0) - f.times(inv_th),
-            "k1": -np.sqrt(n - 2) * f.times(th),
+            "f": -1.0 * f.derivative(),
+            "g": RadialProfile.constant(1.0) - f * inv_th,
+            "k1": -np.sqrt(n - 2) * (f * th),
         }
         return TensorModeBlock("B", ScalarMode(0.0, 0), profiles)
 

@@ -17,6 +17,15 @@ by ch^2 = 1 + sh^2 each derivative is again a sum of monomials.  One builder,
 `sinh_cosh_series`, gives the exact Laurent series over `fractions.Fraction`
 as r^a (sh/r)^a ch^b from the sinh/cosh Maclaurin coefficients, cached per
 pair.  `RADIAL_FUNCTIONS` names nine pairs for the operator formulas.
+
+Every field the package handles is a radial function with a few of its
+derivatives, and `RadialProfile` is the one type for it: the reduced blocks,
+the Frobenius and continued solutions and the coordinate oracle's chart
+tables and fields are all built from it.  A profile is evaluated as a jet:
+`profile.jet(r, m, memo)` is levels 0..m at the radii as one array, read
+once per operand and kept in `memo` under id(profile), so one evaluation
+computes every shared node and leaf level once.  A memo serves one radius
+grid and only while its trees are alive: make a fresh one per evaluation.
 """
 
 from __future__ import annotations
@@ -25,7 +34,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -36,6 +46,8 @@ __all__ = [
     "RadialFunction",
     "RADIAL_FUNCTIONS",
     "radial_series",
+    "RadialProfile",
+    "cubic_hermite",
     "sinh_cosh_values",
     "sinh_cosh_series",
     "CrossSection",
@@ -280,6 +292,227 @@ def radial_series(name: str, order: int) -> LaurentSeries:
     if name not in RADIAL_FUNCTIONS:
         raise KeyError(f"unknown radial function {name!r}")
     return RADIAL_FUNCTIONS[name].series(order)
+
+
+# ---------------------------------------------------------------------------
+# radial profiles
+
+# derivatives carried by the closed-form constructors
+_DEPTH = 8
+
+
+def _zero_fn(r):
+    return np.zeros_like(np.asarray(r, dtype=complex))
+
+
+class RadialProfile:
+    """Complex radial function carrying its derivatives down to a fixed depth.
+
+    A leaf holds one closure per level. A node holds node(r, m, memo), its
+    jet of levels 0..m computed from its operands' jets: sums, negations,
+    scalar multiples, Leibniz products, reciprocals and derivatives (the
+    shifted jet).  Calling a profile, `d1` and `d2` each read one level
+    through a fresh memo.
+    """
+
+    __slots__ = ("_leaf", "_node", "depth", "is_zero", "_grid")
+
+    def __init__(self, *fns, is_zero: bool = False, node: Optional[Callable] = None,
+                 depth: int = 0):
+        if not fns and node is None:
+            raise ValueError("need at least the value closure")
+        self._leaf, self._node, self.is_zero = fns, node, is_zero
+        self.depth = len(fns) - 1 if fns else depth
+        self._grid = None
+
+    @property
+    def fns(self) -> tuple:
+        return self._leaf or tuple(lambda r, k=k: self.jet(r, k, {})[k]
+                                   for k in range(self.depth + 1))
+
+    def __call__(self, r):
+        return self.jet(np.asarray(r, dtype=float), 0, {})[0]
+
+    def d1(self, r):
+        return self.jet(np.asarray(r, dtype=float), 1, {})[1]
+
+    def d2(self, r):
+        return self.jet(np.asarray(r, dtype=float), 2, {})[2]
+
+    def jet(self, r, m: int, memo: dict) -> np.ndarray:
+        """Levels 0..m <= depth at the radii, shape (m+1,) + r.shape, kept in `memo`."""
+        have = memo.get(id(self), ())
+        if len(have) <= m:
+            if self._node is not None:
+                have = self._node(r, m, memo)
+            else:  # a leaf computes only the levels not yet in the memo
+                new = [f(r) for f in self._leaf[len(have):m + 1]]
+                have = np.array([*have, *new], dtype=np.result_type(complex, *new))
+            memo[id(self)] = have
+        return have[:m + 1]
+
+    def derivative(self) -> "RadialProfile":
+        if self.is_zero:
+            return self
+        if self.depth == 0:
+            raise ValueError("derivative chain exhausted")
+        if self._leaf and all(f is _zero_fn for f in self._leaf[1:]):  # a constant
+            return RadialProfile.zero(self.depth - 1)
+        return RadialProfile(node=lambda r, m, memo: self.jet(r, m + 1, memo)[1:],
+                             depth=self.depth - 1)
+
+    def reciprocal(self) -> "RadialProfile":
+        """1 / self, level by level: q_k = -q_0 sum_{j>=1} C(k, j) f_j q_{k-j}."""
+        def recip(r, m, memo):
+            f = self.jet(r, m, memo)
+            q = [1 / f[0]]
+            for k in range(1, m + 1):
+                q.append(-q[0] * sum(math.comb(k, j) * f[j] * q[k - j]
+                                     for j in range(1, k + 1)))
+            return np.array(q)
+
+        return RadialProfile(node=recip, depth=self.depth)
+
+    def __neg__(self):
+        if self.is_zero:
+            return self
+        return RadialProfile(node=lambda r, m, memo: -self.jet(r, m, memo),
+                             depth=self.depth)
+
+    def __add__(self, other):
+        if other.is_zero:
+            return self
+        if self.is_zero:
+            return other
+        return RadialProfile(node=lambda r, m, memo: (self.jet(r, m, memo)
+                                                      + other.jet(r, m, memo)),
+                             depth=min(self.depth, other.depth))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rmul__(self, c: complex):
+        if self.is_zero or c == 0:
+            return RadialProfile.zero(self.depth)
+        if c == 1:
+            return self
+        return RadialProfile(node=lambda r, m, memo: c * self.jet(r, m, memo),
+                             depth=self.depth)
+
+    def __mul__(self, other):
+        if not isinstance(other, RadialProfile):
+            return self.__rmul__(other)
+        if self.is_zero or other.is_zero:
+            return RadialProfile.zero(min(self.depth, other.depth))
+
+        def leibniz(r, m, memo):  # the order j = 0..k fixes the rounding
+            a, b = self.jet(r, m, memo), other.jet(r, m, memo)
+            return np.array([sum(math.comb(k, j) * a[j] * b[k - j] for j in range(k + 1))
+                             for k in range(m + 1)])
+
+        return RadialProfile(node=leibniz, depth=min(self.depth, other.depth))
+
+    @classmethod
+    def zero(cls, depth: int = _DEPTH) -> "RadialProfile":
+        return _zero_profile(depth)
+
+    @classmethod
+    def constant(cls, c: complex, depth: int = _DEPTH) -> "RadialProfile":
+        if c == 0:
+            return cls.zero(depth)
+        return cls(lambda r, c=c: np.full_like(np.asarray(r, dtype=complex), c),
+                   *([_zero_fn] * depth))
+
+    @classmethod
+    def monomial(cls, k: float, c=1.0) -> "RadialProfile":
+        """c r^k; level j is c k (k-1) ... (k-j+1) r^(k-j)."""
+        def level(j):
+            coef = c
+            for i in range(j):
+                coef = coef * (k - i)
+            if j and coef == 0:
+                return _zero_fn
+            return lambda r: coef * r ** (k - j)
+
+        return cls(*[level(j) for j in range(_DEPTH + 1)])
+
+    @classmethod
+    def from_expr(cls, expr) -> "RadialProfile":
+        """Profile of a radial expression, levels from `expr(r, derivative=k)`."""
+        return cls(*[partial(expr, derivative=k) for k in range(_DEPTH + 1)])
+
+    @classmethod
+    def from_sympy(cls, expr_text: str) -> "RadialProfile":
+        import sympy as sp
+
+        r = sp.symbols("r", positive=True)
+        e = sp.sympify(expr_text, locals={"r": r, "I": sp.I})
+        fns = [sp.lambdify(r, sp.diff(e, r, k), modules="numpy") for k in range(3)]
+
+        def wrap(fn):
+            def call(x):
+                x = np.asarray(x, dtype=float)
+                out = np.asarray(fn(x), dtype=complex)
+                return np.broadcast_to(out, x.shape).copy() if out.shape != x.shape else out
+            return call
+
+        return cls(*[wrap(f) for f in fns])
+
+    @classmethod
+    def from_grid(cls, r_grid, values, d1=None) -> "RadialProfile":
+        """Cubic Hermite interpolant of samples on an increasing grid, with
+        two derivatives.  It reproduces the given d1 array at the nodes;
+        without one, d1 is the second-order difference of the values."""
+        r_grid = np.asarray(r_grid, dtype=float)
+        values = np.asarray(values, dtype=complex)
+        d1 = np.gradient(values, r_grid) if d1 is None else np.asarray(d1, dtype=complex)
+        prof = cls(*[cubic_hermite(r_grid, values, d1, derivative=k) for k in range(3)])
+        prof._grid = (r_grid, values, d1)
+        return prof
+
+    def consistency_residual(self) -> float:
+        """Max relative mismatch between the derivative array and a central
+        difference of the value array on the stored grid (grid profiles only)."""
+        if self._grid is None:
+            raise ValueError("consistency check applies to grid-sampled profiles")
+        r, v, d1 = self._grid
+        if len(r) < 3:
+            return 0.0
+        fd = (v[2:] - v[:-2]) / (r[2:] - r[:-2])
+        scale = np.max(np.abs(d1)) or 1.0
+        return float(np.max(np.abs(fd - d1[1:-1])) / scale)
+
+
+@lru_cache(maxsize=None)
+def _zero_profile(depth: int) -> RadialProfile:
+    return RadialProfile(*([_zero_fn] * (depth + 1)), is_zero=True)
+
+
+def cubic_hermite(r_grid, values, slopes, derivative: int = 0) -> Callable:
+    """The piecewise cubic through (r_grid, values) with the given slopes at
+    the increasing nodes, or its first or second derivative, as a vectorized
+    callable.  A point on an interior node takes the piece to its right, and
+    outside the grid the end pieces extend."""
+    x = np.asarray(r_grid, dtype=float)
+    y, m = np.asarray(values, dtype=complex), np.asarray(slopes, dtype=complex)
+    dx = np.diff(x)
+    secant = np.diff(y) / dx
+    bend = (m[:-1] + m[1:] - 2.0 * secant) / dx
+    # ascending power coefficients in u = r - x[i] on piece i
+    coef = [y[:-1], m[:-1], (secant - m[:-1]) / dx - bend, bend / dx]
+    for _ in range(derivative):
+        coef = [j * cj for j, cj in enumerate(coef[1:], 1)]
+
+    def call(r):
+        r = np.asarray(r, dtype=float)
+        i = np.clip(np.searchsorted(x, r, side="right") - 1, 0, dx.size - 1)
+        u = r - x[i]
+        acc = coef[-1][i]
+        for cj in coef[-2::-1]:
+            acc = acc * u + cj[i]
+        return acc
+
+    return call
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ mode frequency t = p * gamma, so the exponent multiset has the closed form
 
 A repeated exponent whose eigenspace is smaller than its multiplicity forces
 ln(r) factors in the local solution basis; that deficiency is computed here
-both in floating point (from the reduction module's exact series data) and
-exactly over the rationals when t is rational, which is how the log locus is
-certified on a parameter grid.
+both in floating point (from `ModeSystem.w0`, read off the pencil with no
+series table) and exactly over the rationals when t is rational, which is
+how the log locus is certified on a parameter grid.
 """
 
 from __future__ import annotations
@@ -93,8 +93,7 @@ def closed_root_multiset(family: str, kind: str, names, t):
 
 
 def indicial_matrix(system: ModeSystem, kappa: float) -> np.ndarray:
-    w0 = system.laurent_potential(1)[0]
-    return w0 - (kappa ** 2) * np.eye(system.arity)
+    return system.w0 - (kappa ** 2) * np.eye(system.arity)
 
 
 @dataclass(frozen=True)
@@ -152,17 +151,6 @@ class IndicialReport:
     def has_log_root(self) -> bool:
         return any(r.log_required for r in self.roots)
 
-    def admissible(self, solution_class: str):
-        """(root, vector) pairs whose pure-power branch the class admits."""
-        if solution_class not in SOLUTION_CLASSES:
-            raise ValueError(f"unknown solution class {solution_class!r}")
-        out = []
-        for root in self.roots:
-            if classify_exponent(root.value, False)[solution_class]:
-                for v in root.vectors:
-                    out.append((root, np.asarray(v)))
-        return out
-
 
 def null_space(matrix: np.ndarray, rtol: float = 1e-10):
     u, s, vh = np.linalg.svd(matrix)
@@ -184,7 +172,7 @@ def indicial_report(system: ModeSystem, rtol: float = 1e-10) -> IndicialReport:
             clusters[-1][1] += 1
         else:
             clusters.append([value, 1])
-    w0 = system.laurent_potential(1)[0]
+    w0 = system.w0
     roots = []
     for value, mult in clusters:
         # roots are +-(t + integer), so distinct roots meet only at a

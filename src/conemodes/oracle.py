@@ -9,11 +9,11 @@ test suite, not assumed.
 
 Fields keep the single-mode structure profile(r) * exp(i(p*gamma*theta + k*s)),
 so angular derivatives are exact multiplications and only the radial
-direction carries analytic derivative chains. Chains are evaluated as
-jets: `chain.jet(r, m, memo)` is levels 0..m at the radii as one array, read
-once per operand and kept in `memo` under id(chain), so one evaluation
-computes every shared node and leaf level once. A memo serves one radius
-grid and only while its trees are alive: make a fresh one per evaluation.
+direction carries analytic derivative chains. Those chains, and the chart
+tables, are `geometry.RadialProfile` jets, the container the reduced blocks
+use too: a block's component profiles enter a coordinate field as they are.
+Only the container is shared; every operator here is still computed from
+the metric, so the oracle stays independent of the reduced systems.
 """
 
 from __future__ import annotations
@@ -27,10 +27,9 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from conemodes.geometry import ConeModel, DomainError, gauss_legendre
+from conemodes.geometry import ConeModel, DomainError, RadialProfile, gauss_legendre
 
 __all__ = [
-    "ChainProfile",
     "TubeChart",
     "OracleField",
     "christoffel_coords",
@@ -67,137 +66,11 @@ __all__ = [
 _DIM = 3
 
 
-def _zero_fn(r):
-    return np.zeros_like(np.asarray(r, dtype=complex))
-
-
-class ChainProfile:
-    """Radial function carrying derivatives down to a fixed depth.
-
-    A leaf holds one closure per level. A node holds node(r, m, memo), its
-    jet of levels 0..m computed from its operands' jets: sums, negations,
-    scalar multiples, Leibniz products, reciprocals and derivatives (the
-    shifted jet).
-    """
-
-    __slots__ = ("_leaf", "_node", "depth", "is_zero")
-
-    def __init__(self, *fns, is_zero: bool = False, node: Optional[Callable] = None,
-                 depth: int = 0):
-        if not fns and node is None:
-            raise ValueError("need at least the value closure")
-        self._leaf, self._node, self.is_zero = fns, node, is_zero
-        self.depth = len(fns) - 1 if fns else depth
-
-    @property
-    def fns(self) -> tuple:
-        return self._leaf or tuple(lambda r, k=k: self.jet(r, k, {})[k]
-                                   for k in range(self.depth + 1))
-
-    def __call__(self, r):
-        return self.fns[0](r)
-
-    def jet(self, r, m: int, memo: dict) -> np.ndarray:
-        """Levels 0..m <= depth at the radii, shape (m+1,) + r.shape, kept in `memo`."""
-        have = memo.get(id(self), ())
-        if len(have) <= m:
-            if self._node is not None:
-                have = self._node(r, m, memo)
-            else:  # a leaf computes only the levels not yet in the memo
-                new = [f(r) for f in self._leaf[len(have):m + 1]]
-                have = np.array([*have, *new], dtype=np.result_type(complex, *new))
-            memo[id(self)] = have
-        return have[:m + 1]
-
-    def derivative(self) -> "ChainProfile":
-        if self.is_zero:
-            return self
-        if self.depth == 0:
-            raise ValueError("derivative chain exhausted")
-        if self._leaf and all(f is _zero_fn for f in self._leaf[1:]):  # a constant
-            return ChainProfile.zero(self.depth - 1)
-        return ChainProfile(node=lambda r, m, memo: self.jet(r, m + 1, memo)[1:],
-                            depth=self.depth - 1)
-
-    def reciprocal(self) -> "ChainProfile":
-        """1 / self, level by level: q_k = -q_0 sum_{j>=1} C(k, j) f_j q_{k-j}."""
-        def recip(r, m, memo):
-            f = self.jet(r, m, memo)
-            q = [1 / f[0]]
-            for k in range(1, m + 1):
-                q.append(-q[0] * sum(math.comb(k, j) * f[j] * q[k - j]
-                                     for j in range(1, k + 1)))
-            return np.array(q)
-
-        return ChainProfile(node=recip, depth=self.depth)
-
-    @classmethod
-    def zero(cls, depth: int = 8) -> "ChainProfile":
-        return _zero_chain(depth)
-
-    @classmethod
-    def constant(cls, c: complex, depth: int = 8) -> "ChainProfile":
-        if c == 0:
-            return cls.zero(depth)
-        return cls(lambda r, c=c: np.full_like(np.asarray(r, dtype=complex), c),
-                   *([_zero_fn] * depth))
-
-    @classmethod
-    def from_radial_profile(cls, profile) -> "ChainProfile":
-        return cls(lambda r: np.asarray(profile(r), dtype=complex),
-                   lambda r: np.asarray(profile.d1(r), dtype=complex),
-                   lambda r: np.asarray(profile.d2(r), dtype=complex))
-
-    def __neg__(self):
-        if self.is_zero:
-            return self
-        return ChainProfile(node=lambda r, m, memo: -self.jet(r, m, memo),
-                            depth=self.depth)
-
-    def __add__(self, other):
-        if other.is_zero:
-            return self
-        if self.is_zero:
-            return other
-        return ChainProfile(node=lambda r, m, memo: (self.jet(r, m, memo)
-                                                     + other.jet(r, m, memo)),
-                            depth=min(self.depth, other.depth))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rmul__(self, c: complex):
-        if self.is_zero or c == 0:
-            return ChainProfile.zero(self.depth)
-        if c == 1:
-            return self
-        return ChainProfile(node=lambda r, m, memo: c * self.jet(r, m, memo),
-                            depth=self.depth)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return self.__rmul__(other)
-        if self.is_zero or other.is_zero:
-            return ChainProfile.zero(min(self.depth, other.depth))
-
-        def leibniz(r, m, memo):  # the order j = 0..k fixes the rounding
-            a, b = self.jet(r, m, memo), other.jet(r, m, memo)
-            return np.array([sum(math.comb(k, j) * a[j] * b[k - j] for j in range(k + 1))
-                             for k in range(m + 1)])
-
-        return ChainProfile(node=leibniz, depth=min(self.depth, other.depth))
-
-
-@functools.lru_cache(maxsize=None)
-def _zero_chain(depth: int) -> ChainProfile:
-    return ChainProfile(*([_zero_fn] * (depth + 1)), is_zero=True)
-
-
-def _trig_chain(start: int, dtype=float, depth: int = 8) -> ChainProfile:
+def _trig_chain(start: int, dtype=float, depth: int = 8) -> RadialProfile:
     # start 0 -> sinh, 1 -> cosh; the chain alternates
     fns = [(np.sinh if (start + k) % 2 == 0 else np.cosh) for k in range(depth + 1)]
     out = np.result_type(complex, dtype)
-    return ChainProfile(*[lambda r, f=f: f(np.asarray(r, dtype=dtype)).astype(out)
+    return RadialProfile(*[lambda r, f=f: f(np.asarray(r, dtype=dtype)).astype(out)
                           for f in fns])
 
 
@@ -205,18 +78,18 @@ _SH = _trig_chain(0)
 _CH = _trig_chain(1)
 
 
-def poly_chain(coeffs, depth: int = 5) -> ChainProfile:
+def poly_chain(coeffs, depth: int = 5) -> RadialProfile:
     """Polynomial radial profile from ascending coefficients."""
     c = np.asarray(coeffs, dtype=complex)
     fns = []
     for _ in range(depth + 1):
         fns.append(lambda r, c=c.copy(): npoly.polyval(np.asarray(r, dtype=float), c))
         c = npoly.polyder(c) if len(c) > 1 else np.zeros(1, dtype=complex)
-    return ChainProfile(*fns)
+    return RadialProfile(*fns)
 
 
 def bump_chain(inner: float, outer: float, order: int = 4,
-               amplitude: complex = 1.0, depth: int = 5) -> ChainProfile:
+               amplitude: complex = 1.0, depth: int = 5) -> RadialProfile:
     """Compactly supported polynomial bump on (inner, outer), C^(order-1)."""
     if not 0 <= inner < outer:
         raise ValueError("need 0 <= inner < outer")
@@ -232,10 +105,10 @@ def bump_chain(inner: float, outer: float, order: int = 4,
             return np.where((u > 0) & (u < 1), vals, 0.0).astype(complex)
         fns.append(call)
         c = npoly.polyder(c)
-    return ChainProfile(*fns)
+    return RadialProfile(*fns)
 
 
-def fd_chain(fn: Callable, step: float, depth: int = 3) -> ChainProfile:
+def fd_chain(fn: Callable, step: float, depth: int = 3) -> RadialProfile:
     """Derivative chain built by central differences of a value closure.
 
     The secondary verification path: all radial derivatives are O(step^2)
@@ -253,7 +126,7 @@ def fd_chain(fn: Callable, step: float, depth: int = 3) -> ChainProfile:
         r = np.asarray(r, dtype=float)
         n = 1 if m == 0 else 3 if m < 3 else 5
         rs = r + shifts[:n].reshape((n,) + (1,) * r.ndim)
-        if isinstance(fn, ChainProfile):
+        if isinstance(fn, RadialProfile):
             f = fn.jet(rs, 0, memo.setdefault(("fd", h, n), {}))[0].astype(complex)
         else:
             f = np.asarray(fn(rs), dtype=complex)
@@ -266,7 +139,7 @@ def fd_chain(fn: Callable, step: float, depth: int = 3) -> ChainProfile:
             levels.append((f[3] - 2 * f[1] + 2 * f[2] - f[4]) / (2 * h ** 3))
         return np.array(levels)
 
-    return ChainProfile(node=node, depth=depth)
+    return RadialProfile(node=node, depth=depth)
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +151,8 @@ def _chart_tables():
     # long double leaves: near the axis R^1_010 = csch^2 - coth^2 cancels terms
     # of size 1/r^2, which in float64 costs verify up to 0.7 accuracy digits
     sh, ch = _trig_chain(0, np.longdouble), _trig_chain(1, np.longdouble)
-    zero, idx = ChainProfile.zero(), range(_DIM)
-    diag = [ChainProfile.constant(1.0), sh * sh, ch * ch]
+    zero, idx = RadialProfile.zero(), range(_DIM)
+    diag = [RadialProfile.constant(1.0), sh * sh, ch * ch]
     g = [[diag[a] if a == b else zero for b in idx] for a in idx]
     ginv = [[diag[a].reciprocal() if a == b else zero for b in idx] for a in idx]
 
@@ -301,7 +174,7 @@ def _chart_tables():
     ricci = [sum((riem[(a, b, a, b)] for a in idx), zero) for b in idx]
 
     def entry(e):  # cast back to complex128 for the field arithmetic
-        return e if e.is_zero else ChainProfile(
+        return e if e.is_zero else RadialProfile(
             node=lambda r, m, memo: e.jet(r, m, memo).astype(complex), depth=e.depth)
 
     return {
@@ -383,17 +256,17 @@ class TubeChart:
     def inverse_metric(self, r):
         return self._diagonal("ginv", r)
 
-    def metric_profile(self, a: int) -> ChainProfile:
+    def metric_profile(self, a: int) -> RadialProfile:
         return self._table()["g"][a]
 
-    def gamma_profile(self, a: int, b: int, c: int) -> ChainProfile:
-        return self._table()["gam"].get((a, b, c), ChainProfile.zero())
+    def gamma_profile(self, a: int, b: int, c: int) -> RadialProfile:
+        return self._table()["gam"].get((a, b, c), RadialProfile.zero())
 
-    def inverse_profile(self, a: int) -> ChainProfile:
+    def inverse_profile(self, a: int) -> RadialProfile:
         return self._table()["ginv"][a]
 
-    def riemann_profile(self, a: int, b: int, c: int, d: int) -> ChainProfile:
-        return self._table()["riem_low"].get((a, b, c, d), ChainProfile.zero())
+    def riemann_profile(self, a: int, b: int, c: int, d: int) -> RadialProfile:
+        return self._table()["riem_low"].get((a, b, c, d), RadialProfile.zero())
 
     def ricci(self, r):
         return self._diagonal("ricci", r)
@@ -423,7 +296,7 @@ class OracleField:
 
     chart: TubeChart
     rank: int
-    components: Mapping[tuple, ChainProfile] = field(default_factory=dict)
+    components: Mapping[tuple, RadialProfile] = field(default_factory=dict)
     angular: float = 0.0
     axial: float = 0.0
 
@@ -432,10 +305,10 @@ class OracleField:
             if len(idx) != self.rank or not all(0 <= i < _DIM for i in idx):
                 raise ValueError(f"bad component index {idx} for rank {self.rank}")
 
-    def component(self, idx: tuple) -> ChainProfile:
-        return self.components.get(tuple(idx), ChainProfile.zero())
+    def component(self, idx: tuple) -> RadialProfile:
+        return self.components.get(tuple(idx), RadialProfile.zero())
 
-    def partial(self, a: int, idx: tuple) -> ChainProfile:
+    def partial(self, a: int, idx: tuple) -> RadialProfile:
         comp = self.component(idx)
         if a == 0:
             return comp.derivative()
@@ -486,7 +359,7 @@ class OracleField:
                            self.angular + other.angular, self.axial + other.axial)
 
 
-def scalar_field(chart: TubeChart, profile: ChainProfile,
+def scalar_field(chart: TubeChart, profile: RadialProfile,
                  angular: float = 0.0, axial: float = 0.0) -> OracleField:
     return OracleField(chart, 0, {(): profile}, angular, axial)
 
@@ -509,7 +382,7 @@ def covariant_derivative(fld: OracleField) -> OracleField:
     for idx in _all_indices(fld.rank):
         base = fld.components.get(idx)
         for a in range(_DIM):
-            entry = fld.partial(a, idx) if base is not None else ChainProfile.zero()
+            entry = fld.partial(a, idx) if base is not None else RadialProfile.zero()
             for i in range(fld.rank):
                 for c in range(_DIM):
                     src = fld.components.get(idx[:i] + (c,) + idx[i + 1:])
@@ -536,7 +409,7 @@ def adjoint_divergence(fld: OracleField) -> OracleField:
     D = covariant_derivative(fld)
     comps = {}
     for idx in _all_indices(fld.rank - 1):
-        entry = ChainProfile.zero()
+        entry = RadialProfile.zero()
         for a in range(_DIM):
             src = D.components.get((a, a) + idx)
             if src is None or src.is_zero:
@@ -593,7 +466,7 @@ def delta_star(oneform: OracleField) -> OracleField:
 def trace(fld: OracleField) -> OracleField:
     if fld.rank != 2:
         raise ValueError("trace is defined on rank-2 fields")
-    entry = ChainProfile.zero()
+    entry = RadialProfile.zero()
     for a in range(_DIM):
         src = fld.components.get((a, a))
         if src is None or src.is_zero:
@@ -619,7 +492,7 @@ def ricci_action(h: OracleField) -> OracleField:
     ginv = tab["ginv"]
     comps = {}
     for a, b in _all_indices(2):
-        entry = ChainProfile.zero()
+        entry = RadialProfile.zero()
         for (c, d), src in h.components.items():
             key = (a, c, b, d)
             if key not in riem or src.is_zero:
@@ -684,12 +557,6 @@ def _axial_wavenumber(mode, sign: int) -> float:
     return sign * math.sqrt(lam) if lam > 0 else 0.0
 
 
-def _chain(profile) -> ChainProfile:
-    if isinstance(profile, ChainProfile):
-        return profile
-    return ChainProfile.from_radial_profile(profile)
-
-
 def oneform_field(chart: TubeChart, block, axial_sign: int = 1) -> OracleField:
     """Coordinate realization of a one-form mode block.
 
@@ -702,19 +569,19 @@ def oneform_field(chart: TubeChart, block, axial_sign: int = 1) -> OracleField:
     comps = {}
     if block.kind in ("A", "B"):
         axial = _axial_wavenumber(mode, axial_sign)
-        f = _chain(block.component("f"))
-        g = _chain(block.component("g"))
+        f = block.component("f")
+        g = block.component("g")
         if not f.is_zero:
             comps[(0,)] = f
         if not g.is_zero:
             comps[(1,)] = _SH * g
         if block.kind == "A":
-            w = _chain(block.component("omega"))
+            w = block.component("omega")
             if not w.is_zero:
                 comps[(2,)] = (_I * axial_sign) * (_CH * w)
     else:
         axial = 0.0
-        vp = _chain(block.component("varpi"))
+        vp = block.component("varpi")
         if not vp.is_zero:
             comps[(2,)] = _CH * vp
     return OracleField(chart, 1, comps, angular, axial)
@@ -746,23 +613,23 @@ def tensor_field(chart: TubeChart, block, axial_sign: int = 1) -> OracleField:
 
     if block.kind in ("A", "B"):
         axial = _axial_wavenumber(mode, axial_sign)
-        put((0, 0), _chain(block.component("f")))
-        put((1, 1), _SH * _SH * _chain(block.component("g")))
-        put((2, 2), _CH * _CH * _chain(block.component("k1")))
-        h = 0.5 * (_SH * _chain(block.component("h")))
+        put((0, 0), block.component("f"))
+        put((1, 1), _SH * _SH * block.component("g"))
+        put((2, 2), _CH * _CH * block.component("k1"))
+        h = 0.5 * (_SH * block.component("h"))
         put((0, 1), h)
         put((1, 0), h)
         if block.kind == "A":
-            sig = (0.5j * axial_sign) * (_CH * _chain(block.component("sigma")))
-            eta = (0.5j * axial_sign) * (_SH * _CH * _chain(block.component("eta")))
+            sig = (0.5j * axial_sign) * (_CH * block.component("sigma"))
+            eta = (0.5j * axial_sign) * (_SH * _CH * block.component("eta"))
             put((0, 2), sig)
             put((2, 0), sig)
             put((1, 2), eta)
             put((2, 1), eta)
     else:
         axial = 0.0
-        sig = 0.5 * (_CH * _chain(block.component("sigma_bar")))
-        eta = 0.5 * (_SH * _CH * _chain(block.component("eta_bar")))
+        sig = 0.5 * (_CH * block.component("sigma_bar"))
+        eta = 0.5 * (_SH * _CH * block.component("eta_bar"))
         put((0, 2), sig)
         put((2, 0), sig)
         put((1, 2), eta)

@@ -26,6 +26,11 @@ This module owns those systems: it applies them pointwise, forms the
 first-order gradient/exterior-derivative displays for one-form blocks,
 computes weighted tube norms by Gauss-Legendre quadrature, and produces the
 standard singular deformation blocks (cone angle, locus metric, gluing).
+Block components are :class:`conemodes.geometry.RadialProfile` jets, and
+`ModeSystem.apply` reads levels 0..2 of every component through one shared
+memo, so components built from a common profile evaluate it once.  The
+indicial matrix W0 = lim r^2 V is read off the pencil (`ModeSystem.w0`)
+without any series table.
 
 One-form block kinds: A (scalar mode with gradient part: f, g, omega),
 B (scalar mode, eigenvalue 0: f, g), C (co-closed mode: varpi).
@@ -40,7 +45,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -49,6 +54,7 @@ from conemodes.geometry import (
     DomainError,
     LaurentSeries,
     RADIAL_FUNCTIONS,
+    RadialProfile,
     gauss_legendre,
     sinh_cosh_series,
     sinh_cosh_values,
@@ -65,8 +71,6 @@ from conemodes.modes import (
 
 __all__ = [
     "RadialExpr",
-    "RadialProfile",
-    "cubic_hermite",
     "OneFormModeBlock",
     "TensorModeBlock",
     "ModeSystem",
@@ -162,174 +166,6 @@ _S2 = _ex("inv_sh_sq")
 _C2 = _ex("inv_ch_sq")
 _STI = _ex("sh_th_inv")
 _THC = _ex("th", "inv_ch")
-
-
-# ---------------------------------------------------------------------------
-# radial profiles
-
-
-def cubic_hermite(r_grid, values, slopes, derivative: int = 0) -> Callable:
-    """The piecewise cubic through (r_grid, values) with the given slopes at
-    the increasing nodes, or its first or second derivative, as a vectorized
-    callable.  A point on an interior node takes the piece to its right, and
-    outside the grid the end pieces extend."""
-    x = np.asarray(r_grid, dtype=float)
-    y, m = np.asarray(values, dtype=complex), np.asarray(slopes, dtype=complex)
-    dx = np.diff(x)
-    secant = np.diff(y) / dx
-    bend = (m[:-1] + m[1:] - 2.0 * secant) / dx
-    # ascending power coefficients in u = r - x[i] on piece i
-    coef = [y[:-1], m[:-1], (secant - m[:-1]) / dx - bend, bend / dx]
-    for _ in range(derivative):
-        coef = [j * cj for j, cj in enumerate(coef[1:], 1)]
-
-    def call(r):
-        r = np.asarray(r, dtype=float)
-        i = np.clip(np.searchsorted(x, r, side="right") - 1, 0, dx.size - 1)
-        u = r - x[i]
-        acc = coef[-1][i]
-        for cj in coef[-2::-1]:
-            acc = acc * u + cj[i]
-        return acc
-
-    return call
-
-
-class RadialProfile:
-    """Complex radial profile with two derivatives.
-
-    Wraps (value, d1, d2) callables; analytic constructors are preferred so
-    operator applications see exact derivatives.  Profiles form a complex
-    vector space.
-    """
-
-    def __init__(self, val: Callable, d1: Callable, d2: Callable):
-        self._val, self._d1, self._d2 = val, d1, d2
-
-    def __call__(self, r):
-        return np.asarray(self._val(np.asarray(r, dtype=float)), dtype=complex)
-
-    def d1(self, r):
-        return np.asarray(self._d1(np.asarray(r, dtype=float)), dtype=complex)
-
-    def d2(self, r):
-        return np.asarray(self._d2(np.asarray(r, dtype=float)), dtype=complex)
-
-    def __add__(self, other: "RadialProfile") -> "RadialProfile":
-        return RadialProfile(
-            lambda r: self._val(r) + other._val(r),
-            lambda r: self._d1(r) + other._d1(r),
-            lambda r: self._d2(r) + other._d2(r),
-        )
-
-    def __mul__(self, c) -> "RadialProfile":
-        return RadialProfile(
-            lambda r: c * np.asarray(self._val(r), dtype=complex),
-            lambda r: c * np.asarray(self._d1(r), dtype=complex),
-            lambda r: c * np.asarray(self._d2(r), dtype=complex),
-        )
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * (-1.0)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def times(self, other: "RadialProfile") -> "RadialProfile":
-        return RadialProfile(
-            lambda r: self._val(r) * other._val(r),
-            lambda r: self._d1(r) * other._val(r) + self._val(r) * other._d1(r),
-            lambda r: (
-                self._d2(r) * other._val(r)
-                + 2.0 * self._d1(r) * other._d1(r)
-                + self._val(r) * other._d2(r)
-            ),
-        )
-
-    @classmethod
-    def zero(cls) -> "RadialProfile":
-        z = lambda r: np.zeros(np.shape(r), dtype=complex)
-        return cls(z, z, z)
-
-    @classmethod
-    def constant(cls, c) -> "RadialProfile":
-        z = lambda r: np.zeros(np.shape(r), dtype=complex)
-        return cls(lambda r: c * np.ones(np.shape(r), dtype=complex), z, z)
-
-    @classmethod
-    def monomial(cls, k: float, c=1.0) -> "RadialProfile":
-        return cls(
-            lambda r: c * r ** k,
-            lambda r: c * k * r ** (k - 1) if k != 0 else np.zeros(np.shape(r)),
-            lambda r: (c * k * (k - 1) * r ** (k - 2)
-                       if k not in (0, 1) else np.zeros(np.shape(r))),
-        )
-
-    @classmethod
-    def from_expr(cls, expr: RadialExpr) -> "RadialProfile":
-        """Profile of a radial expression, derivatives from the monomial rule."""
-        return cls(expr, functools.partial(expr, derivative=1),
-                   functools.partial(expr, derivative=2))
-
-    @classmethod
-    def from_sympy(cls, expr_text: str) -> "RadialProfile":
-        import sympy as sp
-
-        r = sp.symbols("r", positive=True)
-        e = sp.sympify(expr_text, locals={"r": r, "I": sp.I})
-        fns = [sp.lambdify(r, sp.diff(e, r, k), modules="numpy") for k in range(3)]
-
-        def wrap(fn):
-            def call(x):
-                x = np.asarray(x, dtype=float)
-                out = np.asarray(fn(x), dtype=complex)
-                return np.broadcast_to(out, x.shape).copy() if out.shape != x.shape else out
-            return call
-
-        return cls(*[wrap(f) for f in fns])
-
-    @classmethod
-    def from_grid(cls, r_grid, values, d1=None, d2=None) -> "RadialProfile":
-        """Sampled profile on an increasing grid; derivatives optional.
-
-        If d1 is supplied the profile is the cubic Hermite interpolant, which
-        reproduces the given derivative arrays at the nodes.
-        """
-        r_grid = np.asarray(r_grid, dtype=float)
-        values = np.asarray(values, dtype=complex)
-        if d1 is None:
-            d1 = np.gradient(values, r_grid)
-        d1 = np.asarray(d1, dtype=complex)
-        prof = cls(cubic_hermite(r_grid, values, d1),
-                   cubic_hermite(r_grid, values, d1, derivative=1),
-                   cubic_hermite(r_grid, values, d1, derivative=2) if d2 is None
-                   else cls._grid_interp(r_grid, np.asarray(d2, dtype=complex)))
-        prof.grid = r_grid
-        prof.grid_values = values
-        prof.grid_d1 = d1
-        prof.grid_d2 = None if d2 is None else np.asarray(d2, dtype=complex)
-        return prof
-
-    @staticmethod
-    def _grid_interp(r_grid, arr):
-        def call(r):
-            return (np.interp(r, r_grid, arr.real)
-                    + 1j * np.interp(r, r_grid, arr.imag))
-        return call
-
-    def consistency_residual(self) -> float:
-        """Max relative mismatch between the derivative array and a central
-        difference of the value array on the stored grid (grid profiles only)."""
-        if not hasattr(self, "grid"):
-            raise ValueError("consistency check applies to grid-sampled profiles")
-        r, v, d1 = self.grid, self.grid_values, self.grid_d1
-        if len(r) < 3:
-            return 0.0
-        fd = (v[2:] - v[:-2]) / (r[2:] - r[:-2])
-        scale = np.max(np.abs(d1)) or 1.0
-        return float(np.max(np.abs(fd - d1[1:-1])) / scale)
 
 
 def log_grid(model: ConeModel, num: int = 200, inner: float = 1e-6) -> np.ndarray:
@@ -503,15 +339,15 @@ class ModeSystem:
         r = np.asarray(r, dtype=float)
         if np.any(r <= 0):
             raise DomainError("operator application needs r > 0")
-        profs = [block.component(name) for name in self.names]
+        memo = {}  # shared, so components built from one profile read it once
+        jets = [block.component(name).jet(r, 2, memo) for name in self.names]
         q = self.drift_at(r)
         V = self.potential_at(r)
-        vals = np.stack([p(r) for p in profs])
         out = {}
         for i, name in enumerate(self.names):
-            acc = -profs[i].d2(r) - q * profs[i].d1(r)
+            acc = -jets[i][2] - q * jets[i][1]
             for j in range(self.arity):
-                acc = acc + V[i, j] * vals[j]
+                acc = acc + V[i, j] * jets[j][0]
             out[name] = acc
         return out
 
@@ -530,6 +366,12 @@ class ModeSystem:
         """Series of r * q(r) (leading coefficient 1, even powers)."""
         s = self.drift.laurent(order)
         return LaurentSeries(s.leading + 1, s.coeffs)
+
+    @property
+    def w0(self) -> np.ndarray:
+        """r^2 V(r) at r = 0: every sh^a ch^b starts with 1 at r^a, so only
+        the slices with a = -2 reach it, each with coefficient 1."""
+        return sum(self.pencil[b] for b, (a, _) in enumerate(_BASIS) if a == -2)
 
     def laurent_potential(self, order: int):
         """W_j matrices: r^2 V(r) = sum_j W_j r^j, j = 0..order-1, from the
@@ -777,8 +619,8 @@ def scalar_mode_operator(model: ConeModel, mode: ScalarMode,
     pg = mode.p * model.gamma
     q = np.real(_drift(model.n)(r))
     pot = ((pg * pg) * _S2 + mode.lam * _C2)(r)
-    return (-profile.d2(r) - q * profile.d1(r)
-            + (pot + shift) * profile(r))
+    t = profile.jet(r, 2, {})
+    return -t[2] - q * t[1] + (pot + shift) * t[0]
 
 
 # ---------------------------------------------------------------------------
@@ -866,8 +708,7 @@ def standard_deformation_block(model: ConeModel, kind: str):
         return TensorModeBlock("B", ScalarMode(0.0, 0),
                                {"k1": RadialProfile.constant(1.0)})
     if kind == "angle_gluing":
-        prof = RadialProfile.monomial(2).times(
-            RadialProfile.from_expr(_ex("inv_sh", "inv_ch")))
+        prof = RadialProfile.monomial(2) * RadialProfile.from_expr(_ex("inv_sh", "inv_ch"))
         return TensorModeBlock("C", CoclosedMode(0.0, 0), {"eta_bar": prof})
     raise ValueError(f"unknown standard deformation {kind!r}")
 
@@ -886,12 +727,12 @@ def block_to_dict(model: ConeModel, block, grid=None) -> dict:
                  else _TENSOR_COMPONENTS)[block.kind]:
         if name not in block.profiles:
             continue
-        p = block.profiles[name]
+        value, d1 = block.profiles[name].jet(grid, 1, {})
         comps[name] = {
-            "value_re": p(grid).real.tolist(),
-            "value_im": p(grid).imag.tolist(),
-            "d1_re": p.d1(grid).real.tolist(),
-            "d1_im": p.d1(grid).imag.tolist(),
+            "value_re": value.real.tolist(),
+            "value_im": value.imag.tolist(),
+            "d1_re": d1.real.tolist(),
+            "d1_im": d1.imag.tolist(),
         }
     return {
         "family": block.family,

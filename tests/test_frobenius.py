@@ -13,6 +13,7 @@ from conemodes.frobenius import (
     integrate_mode_ode,
     series_block,
     solve_mode_bvp,
+    _cutoff_derivatives,
 )
 from conemodes.geometry import ConeModel, CrossSection, DomainError
 from conemodes.indicial import indicial_report
@@ -469,6 +470,23 @@ def test_angle_cutoff_block_matches_raw_inside(angle):
     r_out = np.array([0.6, 0.9])
     assert np.max(np.abs(cut.component("f")(r_out))) < 1e-12
     assert np.max(np.abs(cut.component("g")(r_out) - 1.0)) < 1e-12
+
+
+def test_angle_cutoff_block_inside_band(angle):
+    # inside the band the f slot is (-chi f)', with its d1 from the Leibniz
+    # jet of chi f; both against central differences of -chi f
+    chi = _cutoff_derivatives(0.25, 0.5)[0]
+    f = angle.correction_block(cutoff=(0.25, 0.5)).component("f")
+    r = np.linspace(0.27, 0.48, 8)
+    h = 1e-5
+
+    def g(x):
+        return -chi(x) * angle.f_profile(x)
+
+    fd1 = (g(r + h) - g(r - h)) / (2 * h)
+    fd2 = (g(r + h) - 2 * g(r) + g(r - h)) / h ** 2
+    assert np.max(np.abs(f(r) - fd1)) <= 1e-6 * np.max(np.abs(fd1))
+    assert np.max(np.abs(f.d1(r) - fd2)) <= 1e-6 * np.max(np.abs(fd2))
 
 
 def test_angle_end_to_end_induced_content(angle):

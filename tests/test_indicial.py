@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conemodes.frobenius import admissible_branches
 from conemodes.geometry import ConeModel
 from conemodes.indicial import (
     SOLUTION_CLASSES,
@@ -367,16 +368,41 @@ def test_admissibility_rejects_unknown_class():
 
 def test_admissible_pairs_have_vectors():
     model = ConeModel(n=3, alpha=math.pi / 2, tube_radius=1.0)
-    report = indicial_report(tensor_system(model, ScalarMode(2.0, 1), "A"))
-    pairs = report.admissible("strong")
-    assert len(pairs) == 6
-    for root, vec in pairs:
-        assert root.value >= 1 or root.value == 0
+    branches = admissible_branches(tensor_system(model, ScalarMode(2.0, 1), "A"),
+                                   "strong")
+    assert [kind for kind, _, _ in branches] == ["power"] * 6
+    for _, kappa, vec in branches:
+        assert kappa >= 1 or kappa == 0
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
 # tables and symmetry
+
+
+def test_root_tables_build_no_laurent_tables(monkeypatch):
+    # the indicial matrix is read off the pencil, so a root table builds no
+    # exact series table, not even a one-term one
+    from conemodes import geometry, reduction
+
+    built = []
+    build = geometry._series_table
+
+    def counted(a, b, order):
+        built.append((a, b, order))
+        return build(a, b, order)
+
+    monkeypatch.setattr(geometry, "_SERIES_TABLES", {})
+    monkeypatch.setattr(geometry, "_series_table", counted)
+    reduction._basis_series.cache_clear()
+    modes = [ScalarMode(0.0, 0), ScalarMode(2.0, 1), CoclosedMode(1.0, -1),
+             TTMode(1.0, 2)]
+    for n in (3, 4):
+        model = ConeModel(n=n, alpha=1.3, tube_radius=1.0)
+        for family in ("oneform", "tensor"):
+            _, rows = root_table_rows(model, modes, family)
+            assert rows
+    assert built == []
 
 
 def test_root_table_rows_structure():

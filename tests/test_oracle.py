@@ -12,7 +12,6 @@ from conemodes.modes import CoclosedMode, ScalarMode
 from conemodes.oracle import (
     _CH,
     _SH,
-    ChainProfile,
     OracleField,
     TubeChart,
     adjoint_divergence,
@@ -103,29 +102,20 @@ def test_chain_product_rule():
 
 
 def test_chain_zero_and_constant_shortcuts():
-    z = ChainProfile.zero()
-    c = ChainProfile.constant(2.5)
+    z = RadialProfile.zero()
+    c = RadialProfile.constant(2.5)
     assert z.is_zero and not c.is_zero
     assert (z + c)(0.3) == 2.5
     assert (z * c).is_zero
     assert (0.0 * c).is_zero
-    assert ChainProfile.constant(0.0).is_zero
+    assert RadialProfile.constant(0.0).is_zero
     assert np.all(c.derivative()(np.array([0.2, 0.9])) == 0)
 
 
 def test_chain_depth_exhaustion():
-    c = ChainProfile(lambda r: np.asarray(r, dtype=complex))
+    c = RadialProfile(lambda r: np.asarray(r, dtype=complex))
     with pytest.raises(ValueError):
         c.derivative()
-
-
-def test_chain_from_radial_profile():
-    p = poly_profile("0.3*r**2 + sinh(r)")
-    c = ChainProfile.from_radial_profile(p)
-    r = np.linspace(0.2, 1.0, 5)
-    assert np.allclose(c(r), p(r))
-    assert np.allclose(c.derivative()(r), p.d1(r))
-    assert np.allclose(c.derivative().derivative()(r), p.d2(r))
 
 
 def test_bump_chain_support_and_smoothness():
@@ -173,7 +163,7 @@ def test_chain_jets_match_closed_forms():
     pc, qc = np.array([1.0, -2.0, 0.5, 3.0]), np.array([0.5, 0.0, 1j, -0.25])
     p, q = poly_chain(pc), poly_chain(qc)
     nested = ((p * q).derivative() - 2.0 * (p.derivative() * q) + (-(q * q))
-              + ChainProfile.constant(1.5))
+              + RadialProfile.constant(1.5))
     closed = npoly.polysub(npoly.polymul(pc, npoly.polyder(qc)),
                            npoly.polymul(npoly.polyder(pc), qc))
     closed = npoly.polyadd(npoly.polysub(closed, npoly.polymul(qc, qc)), [1.5])
@@ -203,7 +193,7 @@ def test_values_evaluates_each_leaf_once():
                 calls[(name, k)] = calls.get((name, k), 0) + 1
                 return base.fns[k](r)
             return call
-        return ChainProfile(*[level(k) for k in range(base.depth + 1)])
+        return RadialProfile(*[level(k) for k in range(base.depth + 1)])
 
     rng = np.random.default_rng(3)
     comps = {}
@@ -241,7 +231,7 @@ def test_chart_table_keys_and_constant_curvature():
                                     for key in ((a, b, a, b), (a, b, b, a))}
 
     def g(a, b):
-        return ch.metric_profile(a) if a == b else ChainProfile.zero()
+        return ch.metric_profile(a) if a == b else RadialProfile.zero()
 
     # hyperbolic space form: R_abcd = -(g_ac g_bd - g_ad g_bc), down to the
     # second radial derivative of both sides
@@ -276,7 +266,7 @@ def test_chart_tables_match_closed_forms():
         assert_close(chart().gamma_profile(*key).jet(r, 4, {}), _exact_levels(fn, r, 4))
     assert_close((_SH * _SH).reciprocal().jet(r, 4, {}),
                  _exact_levels(lambda x: 1 / mp.sinh(x) ** 2, r, 4))
-    assert ChainProfile.constant(1.0).derivative().is_zero
+    assert RadialProfile.constant(1.0).derivative().is_zero
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
@@ -325,9 +315,9 @@ def test_metric_inverse_consistency():
 
 def test_field_rejects_bad_component_index():
     with pytest.raises(ValueError):
-        OracleField(chart(), 1, {(0, 1): ChainProfile.constant(1.0)})
+        OracleField(chart(), 1, {(0, 1): RadialProfile.constant(1.0)})
     with pytest.raises(ValueError):
-        OracleField(chart(), 1, {(4,): ChainProfile.constant(1.0)})
+        OracleField(chart(), 1, {(4,): RadialProfile.constant(1.0)})
 
 
 def test_field_addition_requires_matching_mode():
@@ -365,7 +355,7 @@ def test_evaluate_carries_phase():
 
 
 def test_gradient_of_constant_scalar_vanishes():
-    u = scalar_field(chart(), ChainProfile.constant(3.0))
+    u = scalar_field(chart(), RadialProfile.constant(3.0))
     D = covariant_derivative(u)
     assert np.max(np.abs(D.values(np.linspace(0.2, 1.0, 5)))) == 0
 
@@ -475,7 +465,7 @@ def test_curvature_action_fixes_tracefree_tensors():
 
 
 def _sh2():
-    return ChainProfile(*[lambda r, k=k: _sh_d(k, r) for k in range(6)])
+    return RadialProfile(*[lambda r, k=k: _sh_d(k, r) for k in range(6)])
 
 
 def _sh_d(k, r):
@@ -488,7 +478,7 @@ def _sh_d(k, r):
 
 
 def _ch2():
-    return ChainProfile(*[lambda r, k=k: _ch_d(k, r) for k in range(6)])
+    return RadialProfile(*[lambda r, k=k: _ch_d(k, r) for k in range(6)])
 
 
 def _ch_d(k, r):
@@ -717,7 +707,7 @@ def test_distinct_modes_are_orthogonal():
 
 
 def test_constant_scalar_norm_matches_volume():
-    u = scalar_field(chart(), ChainProfile.constant(1.0))
+    u = scalar_field(chart(), RadialProfile.constant(1.0))
     vol = MODEL.alpha * CS.length * math.sinh(1.0) ** 2 / 2
     assert tube_norm(u) ** 2 == pytest.approx(vol, rel=1e-12)
 

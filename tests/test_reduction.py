@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicHermiteSpline
 
-from conemodes.geometry import ConeModel, CrossSection, DomainError
+from conemodes.geometry import ConeModel, CrossSection, DomainError, cubic_hermite
 from conemodes.modes import CoclosedMode, ScalarMode, TTMode
 from conemodes.reduction import (
     OneFormModeBlock,
@@ -21,7 +21,6 @@ from conemodes.reduction import (
     block_from_dict,
     block_to_dict,
     component_weights,
-    cubic_hermite,
     ext_d_oneform,
     grad_oneform,
     l2_norm_tube,
@@ -201,6 +200,29 @@ def test_apply_linearity():
     out_c = apply_L_oneform(MODEL3, OneFormModeBlock("A", mode, combo), r)
     for k in out_c:
         assert np.max(np.abs(out_c[k] - a * out_u[k] - b * out_v[k])) < 1e-12
+
+
+def test_apply_evaluates_each_leaf_level_once():
+    # f, g and k1 built from one profile, as the angle correction block is
+    expr = RadialExpr(((0.5, ("sh", "ch")), (0.25j, ("sh",))))
+    calls = {}
+
+    def level(k):
+        def call(r):
+            calls[k] = calls.get(k, 0) + 1
+            return expr(r, derivative=k)
+        return call
+
+    leaf = RadialProfile(*[level(k) for k in range(4)])
+    block = TensorModeBlock("B", ScalarMode(0.0, 0), {
+        "f": -1.0 * leaf.derivative(),
+        "g": RadialProfile.constant(1.0) - leaf * expr_profile((1.0, ("inv_th",))),
+        "k1": -math.sqrt(MODEL4.n - 2) * (leaf * expr_profile((1.0, ("th",)))),
+    })
+    r = np.linspace(0.2, 0.9, 7)
+    out = tensor_system(MODEL4, ScalarMode(0.0, 0), "B").apply(block, r)
+    assert all(np.all(np.isfinite(v)) for v in out.values())
+    assert calls == {0: 1, 1: 1, 2: 1, 3: 1}
 
 
 def test_conjugation_intertwines_sign_of_p():
@@ -431,6 +453,21 @@ def test_unknown_standard_block():
 
 # ---------------------------------------------------------------------------
 # exact series data off the systems
+
+
+@pytest.mark.parametrize("family,kind,mode,model", [
+    ("oneform", "A", ScalarMode(2.5, 1), MODEL3),
+    ("oneform", "C", CoclosedMode(1.0, -2), MODEL4),
+    ("tensor", "A", ScalarMode(3.0, 2), MODEL4),
+    ("tensor", "B", ScalarMode(0.0, 0), MODEL3),
+    ("tensor", "C", CoclosedMode(0.5, 1), MODEL4),
+])
+def test_w0_is_leading_laurent_matrix(family, kind, mode, model):
+    build = oneform_system if family == "oneform" else tensor_system
+    system = build(model, mode, kind)
+    w0, lead = system.w0, system.laurent_potential(1)[0]
+    assert np.array_equal(w0, lead)
+    assert np.array_equal(np.signbit(w0.view(float)), np.signbit(lead.view(float)))
 
 
 def test_tensor_indicial_matrix_frozen():
