@@ -836,11 +836,11 @@ class AngleDeformation:
         return _piecewise(self.series.profile(name),
                           self.continuation.profile(name), self.handoff)
 
-    @property
+    @functools.cached_property
     def f_profile(self) -> RadialProfile:
         return self._profile("f")
 
-    @property
+    @functools.cached_property
     def g_profile(self) -> RadialProfile:
         return self._profile("g")
 

@@ -47,6 +47,7 @@ __all__ = [
     "RADIAL_FUNCTIONS",
     "radial_series",
     "RadialProfile",
+    "leibniz",
     "cubic_hermite",
     "sinh_cosh_values",
     "sinh_cosh_series",
@@ -343,6 +344,8 @@ class RadialProfile:
         """Levels 0..m <= depth at the radii, shape (m+1,) + r.shape, kept in `memo`."""
         have = memo.get(id(self), ())
         if len(have) <= m:
+            if m > self.depth:
+                raise ValueError(f"jet level {m} is past the profile's depth {self.depth}")
             if self._node is not None:
                 have = self._node(r, m, memo)
             else:  # a leaf computes only the levels not yet in the memo
@@ -405,12 +408,9 @@ class RadialProfile:
         if self.is_zero or other.is_zero:
             return RadialProfile.zero(min(self.depth, other.depth))
 
-        def leibniz(r, m, memo):  # the order j = 0..k fixes the rounding
-            a, b = self.jet(r, m, memo), other.jet(r, m, memo)
-            return np.array([sum(math.comb(k, j) * a[j] * b[k - j] for j in range(k + 1))
-                             for k in range(m + 1)])
-
-        return RadialProfile(node=leibniz, depth=min(self.depth, other.depth))
+        return RadialProfile(node=lambda r, m, memo: leibniz(self.jet(r, m, memo),
+                                                             other.jet(r, m, memo)),
+                             depth=min(self.depth, other.depth))
 
     @classmethod
     def zero(cls, depth: int = _DEPTH) -> "RadialProfile":
@@ -483,6 +483,26 @@ class RadialProfile:
         return float(np.max(np.abs(fd - d1[1:-1])) / scale)
 
 
+def leibniz(a, b) -> np.ndarray:
+    """Jet of a product from its factors' jets (level axis first, the rest
+    broadcast): level k is sum_j C(k, j) a_j b_(k-j) summed over j = 0..k in
+    order, bit for bit, signs of zero too, as the plain `sum` of those terms."""
+    n = min(len(a), len(b))
+    if a.ndim == b.ndim == 1:  # numpy scalar arithmetic rounds apart from arrays'
+        return np.array([sum(math.comb(k, j) * a[j] * b[k - j] for j in range(k + 1))
+                         for k in range(n)])
+    out = np.empty((n,) + np.broadcast_shapes(a.shape[1:], b.shape[1:]),
+                   dtype=np.result_type(a, b))
+    term = np.empty_like(out[0])
+    for k in range(n):
+        level = np.multiply(a[0], b[k], out=out[k])
+        level += 0
+        for j in range(1, k + 1):
+            c = math.comb(k, j)
+            level += np.multiply(c * a[j] if c != 1 else a[j], b[k - j], out=term)
+    return out
+
+
 @lru_cache(maxsize=None)
 def _zero_profile(depth: int) -> RadialProfile:
     return RadialProfile(*([_zero_fn] * (depth + 1)), is_zero=True)
@@ -492,20 +512,15 @@ def cubic_hermite(r_grid, values, slopes, derivative: int = 0) -> Callable:
     """The piecewise cubic through (r_grid, values) with the given slopes at
     the increasing nodes, or its first or second derivative, as a vectorized
     callable.  A point on an interior node takes the piece to its right, and
-    outside the grid the end pieces extend."""
+    outside the grid the end pieces extend.  The piece coefficients are set
+    up on the first evaluation, so an interpolant never read costs nothing."""
     x = np.asarray(r_grid, dtype=float)
-    y, m = np.asarray(values, dtype=complex), np.asarray(slopes, dtype=complex)
-    dx = np.diff(x)
-    secant = np.diff(y) / dx
-    bend = (m[:-1] + m[1:] - 2.0 * secant) / dx
-    # ascending power coefficients in u = r - x[i] on piece i
-    coef = [y[:-1], m[:-1], (secant - m[:-1]) / dx - bend, bend / dx]
-    for _ in range(derivative):
-        coef = [j * cj for j, cj in enumerate(coef[1:], 1)]
+    setup = lru_cache(1)(partial(_hermite_coefficients, x, values, slopes, derivative))
 
     def call(r):
+        coef = setup()
         r = np.asarray(r, dtype=float)
-        i = np.clip(np.searchsorted(x, r, side="right") - 1, 0, dx.size - 1)
+        i = np.clip(np.searchsorted(x, r, side="right") - 1, 0, x.size - 2)
         u = r - x[i]
         acc = coef[-1][i]
         for cj in coef[-2::-1]:
@@ -513,6 +528,18 @@ def cubic_hermite(r_grid, values, slopes, derivative: int = 0) -> Callable:
         return acc
 
     return call
+
+
+def _hermite_coefficients(x, values, slopes, derivative: int) -> list:
+    """Ascending power coefficients in u = r - x[i] on each piece i."""
+    y, m = np.asarray(values, dtype=complex), np.asarray(slopes, dtype=complex)
+    dx = np.diff(x)
+    secant = np.diff(y) / dx
+    bend = (m[:-1] + m[1:] - 2.0 * secant) / dx
+    coef = [y[:-1], m[:-1], (secant - m[:-1]) / dx - bend, bend / dx]
+    for _ in range(derivative):
+        coef = [j * cj for j, cj in enumerate(coef[1:], 1)]
+    return coef
 
 
 # ---------------------------------------------------------------------------

@@ -443,6 +443,38 @@ class TestDeformAngle:
         assert set(reduction._BASIS) <= set(built)
         assert set(built.values()) == {1}, built
 
+    def test_interpolants_set_up_only_when_read(self, tmp_path, monkeypatch):
+        # the per-mode solves read only endpoints and axis values, so of the
+        # continuation interpolants a deform-angle run builds, only the
+        # levels 0..2 of the potential's f and g, which its residual reads,
+        # are ever set up; the potential's profiles are built once
+        from conemodes import frobenius, geometry
+
+        built, set_up = [], []
+        build, setup = geometry.cubic_hermite, geometry._hermite_coefficients
+
+        def counted_build(*args, **kwargs):
+            built.append(args)
+            return build(*args, **kwargs)
+
+        def counted_setup(*args):
+            set_up.append(args)
+            return setup(*args)
+
+        monkeypatch.setattr(frobenius, "cubic_hermite", counted_build)
+        monkeypatch.setattr(geometry, "_hermite_coefficients", counted_setup)
+        model_path = write_model(tmp_path, angle=1.0, length=1.0)
+        modes_path = write_modes(tmp_path, scalar=[(0.0, 0), (0.0, -1)],
+                                 coclosed=[(0.0, 2)])
+        result = invoke(["--model", model_path, "--modes", modes_path,
+                         "--out", str(tmp_path / "out"), "--tol-nodes", "60",
+                         "deform-angle"])
+        assert result.exit_code == 0
+        assert len(set_up) == 6, len(set_up)
+        # four levels per component: the potential's two, once each, and
+        # every solve column's
+        assert len(built) > 8 and len(built) % 4 == 0
+
 
 class TestInducedMetric:
     def test_reports_axis_values(self, tmp_path):

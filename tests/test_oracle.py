@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from conemodes.geometry import ConeModel, CrossSection, DomainError
+from conemodes.geometry import ConeModel, CrossSection, DomainError, leibniz
 from conemodes.modes import CoclosedMode, ScalarMode
 from conemodes.oracle import (
     _CH,
@@ -118,6 +118,51 @@ def test_chain_depth_exhaustion():
         c.derivative()
 
 
+def test_jet_past_depth_names_level_and_depth():
+    r = np.linspace(0.2, 0.8, 3)
+    leaf = poly_chain([1.0, 2.0, 3.0], depth=2)
+    fd = fd_chain(poly_chain([0.0, 1.0]), 1e-3)
+    for prof, m in ((leaf, 5), (fd, 4), (leaf.derivative(), 2),
+                    (leaf * poly_chain([1.0, 1.0]), 3)):
+        with pytest.raises(ValueError, match=f"level {m} .*depth {prof.depth}"):
+            prof.jet(r, m, {})
+    memo = {}
+    leaf.jet(r, 2, memo)  # a filled memo does not hide the limit
+    with pytest.raises(ValueError, match="level 3 .*depth 2"):
+        leaf.jet(r, 3, memo)
+
+
+def _signed_zero_jet(rng, shape, levels=5):
+    x = rng.normal(size=(levels,) + shape) + 1j * rng.normal(size=(levels,) + shape)
+    for part in (x.real, x.imag):
+        mask = rng.random(part.shape) < 0.3
+        part[mask] = np.where(rng.random(mask.sum()) < 0.5, 0.0, -0.0)
+    return x
+
+
+def _textbook_product(a, b):
+    return np.array([sum(math.comb(k, j) * a[j] * b[k - j] for j in range(k + 1))
+                     for k in range(min(len(a), len(b)))])
+
+
+def test_leibniz_matches_textbook_sum_bit_for_bit():
+    # through level 4, signs of zero included, with the broadcast shapes the
+    # dense operators use
+    rng = np.random.default_rng(13)
+    for sa, sb in (((), ()), ((7,), (7,)), ((3, 1, 7), (1, 3, 7)),
+                   ((3, 3, 1, 7), (3, 1, 1, 7))):
+        a, b = _signed_zero_jet(rng, sa), _signed_zero_jet(rng, sb)
+        got, want = leibniz(a, b), _textbook_product(a, b)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    # profile products are the same helper on the factors' jets
+    r = np.linspace(0.05, 1.0, 11)
+    bump = bump_chain(0.3, 0.7) * poly_chain([-0.5, 1.0, 0.25j])
+    for p, q in ((bump, _SH * _CH), (poly_chain([1.0, -2.0, 0.5]), bump)):
+        jet = (p * q).jet(r, 4, {})
+        assert jet.tobytes() == _textbook_product(p.jet(r, 4, {}), q.jet(r, 4, {})).tobytes()
+
+
 def test_bump_chain_support_and_smoothness():
     b = bump_chain(0.2, 0.8, order=4)
     r_out = np.array([0.05, 0.15, 0.2, 0.8, 0.95])
@@ -207,6 +252,55 @@ def test_values_evaluates_each_leaf_once():
     assert np.all(np.isfinite(vals))
     assert {k for _, k in calls} == {0, 1, 2}
     assert max(calls.values()) == 1, {k: n for k, n in calls.items() if n > 1}
+
+
+def test_values_evaluates_each_operator_node_once(monkeypatch):
+    counts = []
+    post_init = OracleField.__post_init__
+
+    def counting(self):
+        post_init(self)
+        if self.node is not None:
+            inner, count = self.node, [0]
+
+            def node(r, m, memo):
+                count[0] += 1
+                return inner(r, m, memo)
+            self.node = node
+            counts.append(count)
+
+    monkeypatch.setattr(OracleField, "__post_init__", counting)
+    rng = np.random.default_rng(19)
+    cs = rand_chains(rng, 6)
+    comps = {}
+    for k, (a, b) in enumerate(itertools.combinations_with_replacement(range(3), 2)):
+        comps[(a, b)] = comps[(b, a)] = cs[k]
+    h = OracleField(chart(), 2, comps, angular=2 * chart().gamma,
+                    axial=2 * math.pi / CS.length)
+    # `lap` and the linearized operator each feed two nodes
+    lap = rough_laplacian(h)
+    total = (lap - 0.5 * lap + apply_P_coords(h)
+             + delta_star(bianchi_beta(linearized_einstein(h)))
+             + delta_nabla(d_nabla(h)) + d_nabla(delta_nabla(h))
+             - trace(h) * metric_field(chart())
+             + delta_star(codifferential(exterior_d(delta_nabla(h)))))
+    assert np.all(np.isfinite(total.values(np.linspace(0.2, 0.9, 7))))
+    assert len(counts) > 30
+    assert {c[0] for c in counts} == {1}, [c[0] for c in counts]
+
+
+def test_derivatives_past_field_depth_raise_at_build():
+    ch = TubeChart(MODEL, fd_step=1e-3)
+    rng = np.random.default_rng(23)
+    w = OracleField(ch, 1, {(a,): fd_chain(c, 1e-3)
+                            for a, c in enumerate(rand_chains(rng, 3))},
+                    angular=2.0, axial=math.pi)
+    lap = rough_laplacian(w)
+    assert (w.depth, lap.depth) == (3, 1)
+    with pytest.raises(ValueError):
+        rough_laplacian(lap)
+    with pytest.raises(ValueError, match="level 2 .*depth 1"):
+        lap.dense(np.array([0.5]), 2, {})
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +424,10 @@ def test_field_addition_requires_matching_mode():
 def test_angular_derivatives_are_exact_multiplications():
     u = scalar_field(chart(), poly_chain([0.0, 1.0]), angular=6.0, axial=math.pi)
     r = np.array([0.4])
-    assert u.partial(1, ())(r) == pytest.approx(6.0j * 0.4)
-    assert u.partial(2, ())(r) == pytest.approx(1j * math.pi * 0.4)
+    # the gradient of a scalar is its coordinate partials
+    grad = covariant_derivative(u).values(r)
+    assert grad[1, 0] == pytest.approx(6.0j * 0.4)
+    assert grad[2, 0] == pytest.approx(1j * math.pi * 0.4)
 
 
 def test_scalar_multiplication_adds_frequencies():
@@ -703,7 +799,8 @@ def test_tensor_operator_matches_coordinates(kind, names):
 def test_distinct_modes_are_orthogonal():
     u = scalar_field(chart(), poly_chain([1.0]), angular=2.0)
     v = scalar_field(chart(), poly_chain([1.0]), angular=4.0)
-    assert tube_inner_product(u, v) == 0
+    zero = tube_inner_product(u, v)
+    assert type(zero) is complex and zero == 0
 
 
 def test_constant_scalar_norm_matches_volume():
