@@ -485,22 +485,10 @@ class RadialProfile:
 
 def leibniz(a, b) -> np.ndarray:
     """Jet of a product from its factors' jets (level axis first, the rest
-    broadcast): level k is sum_j C(k, j) a_j b_(k-j) summed over j = 0..k in
-    order, bit for bit, signs of zero too, as the plain `sum` of those terms."""
-    n = min(len(a), len(b))
-    if a.ndim == b.ndim == 1:  # numpy scalar arithmetic rounds apart from arrays'
-        return np.array([sum(math.comb(k, j) * a[j] * b[k - j] for j in range(k + 1))
-                         for k in range(n)])
-    out = np.empty((n,) + np.broadcast_shapes(a.shape[1:], b.shape[1:]),
-                   dtype=np.result_type(a, b))
-    term = np.empty_like(out[0])
-    for k in range(n):
-        level = np.multiply(a[0], b[k], out=out[k])
-        level += 0
-        for j in range(1, k + 1):
-            c = math.comb(k, j)
-            level += np.multiply(c * a[j] if c != 1 else a[j], b[k - j], out=term)
-    return out
+    broadcast): level k is sum_j C(k, j) a_j b_(k-j), summed over j = 0..k in
+    order, which fixes the rounding."""
+    return np.array([sum(math.comb(k, j) * a[j] * b[k - j] for j in range(k + 1))
+                     for k in range(min(len(a), len(b)))])
 
 
 @lru_cache(maxsize=None)

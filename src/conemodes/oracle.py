@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
 import numpy as np
@@ -189,11 +189,18 @@ def _chart_tables():
 
 @functools.lru_cache(maxsize=8)
 def _fd_tables(step: float):
+    base = _chart_tables()
+
     def wrap(ch):
         return ch if ch.is_zero else fd_chain(ch, step)
 
-    return {name: ({k: wrap(c) for k, c in tab.items()} if isinstance(tab, dict)
-                   else [wrap(c) for c in tab]) for name, tab in _chart_tables().items()}
+    return {
+        "g": [wrap(c) for c in base["g"]],
+        "ginv": [wrap(c) for c in base["ginv"]],
+        "gam": {k: wrap(c) for k, c in base["gam"].items()},
+        "riem_low": {k: wrap(c) for k, c in base["riem_low"].items()},
+        "ricci": [wrap(c) for c in base["ricci"]],
+    }
 
 
 @dataclass(frozen=True)
@@ -260,12 +267,6 @@ class TubeChart:
     def metric_profile(self, a: int) -> RadialProfile:
         return self._table()["g"][a]
 
-    def gamma_profile(self, a: int, b: int, c: int) -> RadialProfile:
-        return self._table()["gam"].get((a, b, c), RadialProfile.zero())
-
-    def riemann_profile(self, a: int, b: int, c: int, d: int) -> RadialProfile:
-        return self._table()["riem_low"].get((a, b, c, d), RadialProfile.zero())
-
     def ricci(self, r):
         return self._diagonal("ricci", r)
 
@@ -321,7 +322,7 @@ class OracleField:
     angular: float = 0.0
     axial: float = 0.0
     node: Optional[Callable] = None
-    depth: Optional[int] = None
+    depth: Optional[int] = field(init=False, default=None)
 
     def __post_init__(self):
         for idx in self.components:
@@ -355,16 +356,22 @@ class OracleField:
         phase = np.exp(1j * (self.angular * theta + self.axial * s))
         return self.values(r) * phase
 
-    def _node(self, node, depth: int, rank: Optional[int] = None) -> "OracleField":
-        return OracleField(self.chart, self.rank if rank is None else rank,
-                           angular=self.angular, axial=self.axial, node=node,
-                           depth=min(depth, self.chart.depth))
+    def _node(self, node, depth: int, rank: Optional[int] = None,
+              angular: Optional[float] = None,
+              axial: Optional[float] = None) -> "OracleField":
+        """A node of this field's rank and mode unless given, capped at the chart's depth."""
+        out = OracleField(self.chart, self.rank if rank is None else rank,
+                          angular=self.angular if angular is None else angular,
+                          axial=self.axial if axial is None else axial, node=node)
+        out.depth = min(depth, self.chart.depth)
+        return out
 
-    def _map(self, fn, *others) -> "OracleField":
-        """The same-rank node fn(jet of self, jets of others), level by level."""
+    def _map(self, fn, *others, **overrides) -> "OracleField":
+        """The node fn(jet of self, jets of others), level by level; the
+        `overrides` (rank, angular, axial) go on to `_node`."""
         fields = (self,) + others
         return self._node(lambda r, m, memo: fn(*[f.dense(r, m, memo) for f in fields]),
-                          min(f.depth for f in fields))
+                          min(f.depth for f in fields), **overrides)
 
     def __neg__(self):
         return self._map(np.negative)
@@ -384,10 +391,10 @@ class OracleField:
     def __mul__(self, other: "OracleField"):
         if self.rank != 0:
             raise ValueError("only rank-0 fields multiply other fields")
-        prod = self._map(lambda s, t: leibniz(
-            s.reshape(s.shape[:1] + (1,) * other.rank + s.shape[1:]), t), other)
-        return replace(prod, rank=other.rank, angular=self.angular + other.angular,
-                       axial=self.axial + other.axial)
+        return self._map(lambda s, t: leibniz(
+            s.reshape(s.shape[:1] + (1,) * other.rank + s.shape[1:]), t), other,
+            rank=other.rank, angular=self.angular + other.angular,
+            axial=self.axial + other.axial)
 
 
 def scalar_field(chart: TubeChart, profile: RadialProfile,
@@ -732,21 +739,25 @@ def _rel_residual(x: OracleField, y: OracleField, r) -> float:
     return float(np.max(np.abs(xv - yv)) / scale)
 
 
-def _random_mode(chart, rng) -> dict:
-    return {"angular": float(rng.integers(0, 4)) * chart.gamma,
-            "axial": 2 * math.pi * float(rng.integers(-2, 3)) / chart.length}
-
-
 def _random_oneform(chart, rng, chains):
     return OracleField(chart, 1, {(a,): chains[a] for a in range(_DIM)},
-                       **_random_mode(chart, rng))
+                       angular=float(rng.integers(0, 4)) * chart.gamma,
+                       axial=2 * math.pi * float(rng.integers(-2, 3)) / chart.length)
 
 
 def _random_tensor(chart, rng, chains):
     comps = {}
-    for k, (a, b) in enumerate(itertools.combinations_with_replacement(range(_DIM), 2)):
-        comps[(a, b)] = comps[(b, a)] = chains[k % len(chains)]
-    return OracleField(chart, 2, comps, **_random_mode(chart, rng))
+    k = 0
+    for a in range(_DIM):
+        for b in range(a, _DIM):
+            c = chains[k % len(chains)]
+            comps[(a, b)] = c
+            if a != b:
+                comps[(b, a)] = c
+            k += 1
+    return OracleField(chart, 2, comps,
+                       angular=float(rng.integers(0, 4)) * chart.gamma,
+                       axial=2 * math.pi * float(rng.integers(-2, 3)) / chart.length)
 
 
 def _random_twoform(chart, rng, chains):
@@ -755,7 +766,9 @@ def _random_twoform(chart, rng, chains):
         c = chains[k % len(chains)]
         comps[(a, b)] = c
         comps[(b, a)] = -c
-    return OracleField(chart, 2, comps, **_random_mode(chart, rng))
+    return OracleField(chart, 2, comps,
+                       angular=float(rng.integers(0, 4)) * chart.gamma,
+                       axial=2 * math.pi * float(rng.integers(-2, 3)) / chart.length)
 
 
 def _suite_chains(rng, fd_step, count: int = 3):
@@ -772,9 +785,12 @@ def _bump_case(rng, model, fd_step, count: int = 3):
     lo = rng.uniform(0.1, 0.35) * a
     hi = rng.uniform(0.6, 0.9) * a
     bump = bump_chain(lo, hi, order=4)
-    chains = [bump * poly_chain(rng.normal(size=3) + 1j * rng.normal(size=3))
-              for _ in range(count)]
-    return [c if fd_step is None else fd_chain(c, fd_step) for c in chains], lo, hi
+    chains = []
+    for _ in range(count):
+        coeffs = rng.normal(size=3) + 1j * rng.normal(size=3)
+        c = bump * poly_chain(coeffs)
+        chains.append(c if fd_step is None else fd_chain(c, fd_step))
+    return chains, lo, hi
 
 
 def energy_ratios(chart: TubeChart, rng, n_cases: int) -> list:
@@ -814,24 +830,29 @@ def identity_suite(model: ConeModel, n_cases: int = 50, seed: int = 0,
                        "max_rel_residual": float(residual),
                        "pass": bool(residual <= tol)})
 
-    def tensor():
-        return _random_tensor(chart, rng, _suite_chains(rng, fd_step, 6))
+    res = 0.0
+    for _ in range(n_cases):
+        h = _random_tensor(chart, rng, _suite_chains(rng, fd_step, 6))
+        lhs = ricci_action(h)
+        rhs = h - trace(h) * metric_field(chart)
+        res = max(res, _rel_residual(lhs, rhs, r_grid))
+    add("curvature_action_hyperbolic", n_cases, res)
 
-    def oneform():
-        return _random_oneform(chart, rng, _suite_chains(rng, fd_step))
+    res = 0.0
+    for _ in range(n_cases):
+        w = _random_oneform(chart, rng, _suite_chains(rng, fd_step))
+        lhs = exterior_d(codifferential(w)) + codifferential(exterior_d(w))
+        rhs = rough_laplacian(w) - float(n - 1) * w
+        res = max(res, _rel_residual(lhs, rhs, r_grid))
+    add("weitzenboeck_oneform", n_cases, res)
 
-    def pointwise(name, draw, sides):  # sides(field) -> (lhs, rhs), per case
-        add(name, n_cases, max([0.0] + [_rel_residual(*sides(draw()), r_grid)
-                                        for _ in range(n_cases)]))
-
-    pointwise("curvature_action_hyperbolic", tensor,
-              lambda h: (ricci_action(h), h - trace(h) * metric_field(chart)))
-    pointwise("weitzenboeck_oneform", oneform,
-              lambda w: (exterior_d(codifferential(w)) + codifferential(exterior_d(w)),
-                         rough_laplacian(w) - float(n - 1) * w))
-    pointwise("gauge_composition_oneform", oneform,
-              lambda w: (2.0 * bianchi_beta(delta_star(w)),
-                         rough_laplacian(w) + float(n - 1) * w))
+    res = 0.0
+    for _ in range(n_cases):
+        w = _random_oneform(chart, rng, _suite_chains(rng, fd_step))
+        lhs = 2.0 * bianchi_beta(delta_star(w))
+        rhs = rough_laplacian(w) + float(n - 1) * w
+        res = max(res, _rel_residual(lhs, rhs, r_grid))
+    add("gauge_composition_oneform", n_cases, res)
 
     res = 0.0
     cases = max(4, n_cases // 10)
@@ -847,38 +868,57 @@ def identity_suite(model: ConeModel, n_cases: int = 50, seed: int = 0,
         res = max(res, abs(lhs - rhs) / (abs(lhs) + abs(rhs)))
     add("symmetrized_gradient_energy", cases, res)
 
-    pointwise("weitzenboeck_twoform",
-              lambda: _random_twoform(chart, rng, _suite_chains(rng, fd_step)),
-              lambda w2: (rough_laplacian(w2),
-                           exterior_d(codifferential(w2)) + codifferential(exterior_d(w2))
-                           + float(2 * (n - 2)) * w2))
-    pointwise("laplacian_gauge_commutation", oneform,
-              lambda w: (rough_laplacian(delta_star(w)),
-                         2.0 * delta_star(w)
-                         + 2.0 * (codifferential(w) * metric_field(chart))
-                         + delta_star(rough_laplacian(w) + float(n - 1) * w)))
-    pointwise("weitzenboeck_tensor_hyperbolic", tensor,
-              lambda h: (rough_laplacian(h),
-                         delta_nabla(d_nabla(h)) + d_nabla(delta_nabla(h))
-                         + float(n) * h - trace(h) * metric_field(chart)))
+    res = 0.0
+    for _ in range(n_cases):
+        w2 = _random_twoform(chart, rng, _suite_chains(rng, fd_step))
+        lhs = rough_laplacian(w2)
+        rhs = (exterior_d(codifferential(w2)) + codifferential(exterior_d(w2))
+               + float(2 * (n - 2)) * w2)
+        res = max(res, _rel_residual(lhs, rhs, r_grid))
+    add("weitzenboeck_twoform", n_cases, res)
 
     res = 0.0
     for _ in range(n_cases):
-        h = tensor()
+        w = _random_oneform(chart, rng, _suite_chains(rng, fd_step))
+        lhs = rough_laplacian(delta_star(w))
+        rhs = (2.0 * delta_star(w)
+               + 2.0 * (codifferential(w) * metric_field(chart))
+               + delta_star(rough_laplacian(w) + float(n - 1) * w))
+        res = max(res, _rel_residual(lhs, rhs, r_grid))
+    add("laplacian_gauge_commutation", n_cases, res)
+
+    res = 0.0
+    for _ in range(n_cases):
+        h = _random_tensor(chart, rng, _suite_chains(rng, fd_step, 6))
+        lhs = rough_laplacian(h)
+        rhs = (delta_nabla(d_nabla(h)) + d_nabla(delta_nabla(h))
+               + float(n) * h - trace(h) * metric_field(chart))
+        res = max(res, _rel_residual(lhs, rhs, r_grid))
+    add("weitzenboeck_tensor_hyperbolic", n_cases, res)
+
+    res = 0.0
+    for _ in range(n_cases):
+        h = _random_tensor(chart, rng, _suite_chains(rng, fd_step, 6))
         out = bianchi_beta(linearized_einstein(h))
         scale = np.max(np.abs(bianchi_beta(rough_laplacian(h)).values(r_grid)))
         res = max(res, float(np.max(np.abs(out.values(r_grid))) / scale))
     add("linearized_bianchi", n_cases, res)
 
-    pointwise("trace_intertwine", oneform,
-              lambda w: (trace(delta_star(w)), -1.0 * codifferential(w)))
+    res = 0.0
+    for _ in range(n_cases):
+        w = _random_oneform(chart, rng, _suite_chains(rng, fd_step))
+        lhs = trace(delta_star(w))
+        rhs = -1.0 * codifferential(w)
+        res = max(res, _rel_residual(lhs, rhs, r_grid))
+    add("trace_intertwine", n_cases, res)
 
     res = 0.0
     for _ in range(cases):
         chains, lo, hi = _bump_case(rng, model, fd_step, 6)
         w = _random_oneform(chart, rng, chains[:3])
-        v = covariant_derivative(OracleField(
-            chart, 1, {(a,): c for a, c in enumerate(chains[3:])}, w.angular, w.axial))
+        v0 = OracleField(chart, 1, {(a,): c for a, c in enumerate(chains[3:])},
+                         w.angular, w.axial)
+        v = covariant_derivative(v0)
         lhs = tube_inner_product(w, adjoint_divergence(v), lo, hi)
         rhs = tube_inner_product(covariant_derivative(w), v, lo, hi)
         res = max(res, abs(lhs - rhs) / (abs(lhs) + abs(rhs)))

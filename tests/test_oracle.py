@@ -145,22 +145,27 @@ def _textbook_product(a, b):
                      for k in range(min(len(a), len(b)))])
 
 
-def test_leibniz_matches_textbook_sum_bit_for_bit():
-    # through level 4, signs of zero included, with the broadcast shapes the
-    # dense operators use
+def test_dense_products_match_profile_products_bit_for_bit():
+    # through level 4, signs of zero included: a product of broadcast dense
+    # jets equals, slice by slice, the textbook sum that profile products
+    # evaluate on one component's jets
     rng = np.random.default_rng(13)
-    for sa, sb in (((), ()), ((7,), (7,)), ((3, 1, 7), (1, 3, 7)),
-                   ((3, 3, 1, 7), (3, 1, 1, 7))):
+    for sa, sb in (((7,), (7,)), ((3, 1, 7), (1, 3, 7)), ((3, 3, 1, 7), (3, 1, 1, 7))):
         a, b = _signed_zero_jet(rng, sa), _signed_zero_jet(rng, sb)
-        got, want = leibniz(a, b), _textbook_product(a, b)
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-    # profile products are the same helper on the factors' jets
+        got = leibniz(a, b)
+        a, b = np.broadcast_arrays(a, b)
+        for idx in np.ndindex(got.shape[1:-1]):
+            sl = (slice(None),) + idx
+            assert got[sl].tobytes() == _textbook_product(a[sl], b[sl]).tobytes()
+    # the dense scalar-field product equals each component's profile product
     r = np.linspace(0.05, 1.0, 11)
-    bump = bump_chain(0.3, 0.7) * poly_chain([-0.5, 1.0, 0.25j])
-    for p, q in ((bump, _SH * _CH), (poly_chain([1.0, -2.0, 0.5]), bump)):
-        jet = (p * q).jet(r, 4, {})
-        assert jet.tobytes() == _textbook_product(p.jet(r, 4, {}), q.jet(r, 4, {})).tobytes()
+    u = scalar_field(chart(), -bump_chain(0.3, 0.7), angular=2.0)
+    h = OracleField(chart(), 2, {(0, 1): poly_chain([-0.5, 1.0, 0.25j]),
+                                 (2, 2): _SH * _CH * bump_chain(0.2, 0.6)})
+    got = (u * h).dense(r, 4, {})
+    for idx, prof in h.components.items():
+        want = (u.components[()] * prof).jet(r, 4, {})
+        assert got[(slice(None),) + idx].tobytes() == want.tobytes()
 
 
 def test_bump_chain_support_and_smoothness():
@@ -332,7 +337,7 @@ def test_chart_table_keys_and_constant_curvature():
     r = np.array([0.05, 0.3, 0.7, 1.0])
     for a, b, c, d in itertools.product(range(3), repeat=4):
         expected = -(g(a, c) * g(b, d) - g(a, d) * g(b, c))
-        got = ch.riemann_profile(a, b, c, d)
+        got = tab["riem_low"].get((a, b, c, d), RadialProfile.zero())
         for k in range(3):
             want = expected.fns[k](r)
             assert np.allclose(got.fns[k](r), want, rtol=1e-12, atol=1e-12), \
@@ -357,7 +362,7 @@ def test_chart_tables_match_closed_forms():
               (0, 1, 1): lambda x: -mp.sinh(x) * mp.cosh(x),
               (0, 2, 2): lambda x: -mp.sinh(x) * mp.cosh(x)}
     for key, fn in closed.items():
-        assert_close(chart().gamma_profile(*key).jet(r, 4, {}), _exact_levels(fn, r, 4))
+        assert_close(chart()._table()["gam"][key].jet(r, 4, {}), _exact_levels(fn, r, 4))
     assert_close((_SH * _SH).reciprocal().jet(r, 4, {}),
                  _exact_levels(lambda x: 1 / mp.sinh(x) ** 2, r, 4))
     assert RadialProfile.constant(1.0).derivative().is_zero
@@ -368,7 +373,7 @@ def test_chart_tables_match_closed_forms():
 def test_chart_curvature_keeps_digits_near_axis():
     # R_0101 = -sinh^2 r is a difference of terms of size cosh^2 r
     r = np.array([0.05])
-    got = chart().riemann_profile(0, 1, 0, 1)(r)[0]
+    got = chart()._table()["riem_low"][(0, 1, 0, 1)](r)[0]
     want = -float(mp.sinh(mp.mpf(0.05)) ** 2)
     assert abs(got - want) <= 1e-15 * abs(want)
 
