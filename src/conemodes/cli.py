@@ -609,6 +609,7 @@ def _equivalence_suite(model, chart, n_cases, seed, tol):
     length = model.cross_section.length
     rows = []
     r = np.linspace(0.1, model.tube_radius, 16)
+    grid = chart.at(r)  # the coordinate side of every case
     specs = [("oneform", "A"), ("oneform", "B"), ("oneform", "C"),
              ("tensor", "A"), ("tensor", "B"), ("tensor", "C")]
     for family, kind in specs:
@@ -627,12 +628,12 @@ def _equivalence_suite(model, chart, n_cases, seed, tol):
             if family == "oneform":
                 blk = OneFormModeBlock(kind, mode, profiles)
                 got = oneform_components(
-                    chart, apply_L_coords(oneform_field(chart, blk)), kind, r)
+                    chart, apply_L_coords(oneform_field(chart, blk)), kind, grid)
                 ref = apply_L_oneform(model, blk, r)
             else:
                 blk = TensorModeBlock(kind, mode, profiles)
                 got = tensor_components(
-                    chart, apply_P_coords(tensor_field(chart, blk)), kind, r)
+                    chart, apply_P_coords(tensor_field(chart, blk)), kind, grid)
                 ref = apply_P_tensor(model, blk, r)
             scale = max(np.max(np.abs(v)) for v in ref.values())
             err = max(np.max(np.abs(got[nm] - ref[nm])) for nm in ref) / scale

@@ -7,8 +7,7 @@ The tube around the singular locus carries the metric
 with theta periodic of period alpha (the cone angle) and g_S the metric of
 the (n-2)-dimensional cross-section.  Everything downstream (mode reduction,
 indicial systems, series solvers) consumes two things from this module: the
-radial coefficient functions, and the connection coefficients of the
-orthonormal tube frame.
+radial coefficient functions and the `RadialProfile` jets built on them.
 
 Every radial coefficient is a monomial sh(r)^a ch(r)^b with small integer
 exponents, so the exponent pair (a, b) is its whole representation.  One
@@ -20,8 +19,8 @@ pair.  `RADIAL_FUNCTIONS` names nine pairs for the operator formulas.
 
 Every field the package handles is a radial function with a few of its
 derivatives, and `RadialProfile` is the one type for it: the reduced blocks,
-the Frobenius and continued solutions and the coordinate oracle's chart
-tables and fields are all built from it.  A profile is evaluated as a jet:
+the Frobenius and continued solutions and the coordinate oracle's fields
+are all built from it.  A profile is evaluated as a jet:
 `profile.jet(r, m, memo)` is levels 0..m at the radii as one array, read
 once per operand and kept in `memo` under id(profile), so one evaluation
 computes every shared node and leaf level once.  A memo serves one radius
@@ -48,15 +47,13 @@ __all__ = [
     "radial_series",
     "RadialProfile",
     "leibniz",
+    "jet_reciprocal",
     "cubic_hermite",
     "sinh_cosh_values",
     "sinh_cosh_series",
     "CrossSection",
     "ConeModel",
-    "FrameConnection",
-    "frame_connection_table",
     "gauss_legendre",
-    "SIGMA_TOKEN",
 ]
 
 
@@ -311,9 +308,9 @@ class RadialProfile:
 
     A leaf holds one closure per level. A node holds node(r, m, memo), its
     jet of levels 0..m computed from its operands' jets: sums, negations,
-    scalar multiples, Leibniz products, reciprocals and derivatives (the
-    shifted jet).  Calling a profile, `d1` and `d2` each read one level
-    through a fresh memo.
+    scalar multiples, Leibniz products and derivatives (the shifted jet).
+    Calling a profile, `d1` and `d2` each read one level through a fresh
+    memo.
     """
 
     __slots__ = ("_leaf", "_node", "depth", "is_zero", "_grid")
@@ -363,18 +360,6 @@ class RadialProfile:
             return RadialProfile.zero(self.depth - 1)
         return RadialProfile(node=lambda r, m, memo: self.jet(r, m + 1, memo)[1:],
                              depth=self.depth - 1)
-
-    def reciprocal(self) -> "RadialProfile":
-        """1 / self, level by level: q_k = -q_0 sum_{j>=1} C(k, j) f_j q_{k-j}."""
-        def recip(r, m, memo):
-            f = self.jet(r, m, memo)
-            q = [1 / f[0]]
-            for k in range(1, m + 1):
-                q.append(-q[0] * sum(math.comb(k, j) * f[j] * q[k - j]
-                                     for j in range(1, k + 1)))
-            return np.array(q)
-
-        return RadialProfile(node=recip, depth=self.depth)
 
     def __neg__(self):
         if self.is_zero:
@@ -489,6 +474,15 @@ def leibniz(a, b) -> np.ndarray:
     order, which fixes the rounding."""
     return np.array([sum(math.comb(k, j) * a[j] * b[k - j] for j in range(k + 1))
                      for k in range(min(len(a), len(b)))])
+
+
+def jet_reciprocal(f) -> np.ndarray:
+    """Jet of 1 / f from the jet of f (level axis first), level by level:
+    q_k = -q_0 sum_{j>=1} C(k, j) f_j q_(k-j), summed over j in order."""
+    q = [1 / f[0]]
+    for k in range(1, len(f)):
+        q.append(-q[0] * sum(math.comb(k, j) * f[j] * q[k - j] for j in range(1, k + 1)))
+    return np.array(q)
 
 
 @lru_cache(maxsize=None)
@@ -628,50 +622,7 @@ class ConeModel:
 
 
 # ---------------------------------------------------------------------------
-# frame connection
-
-SIGMA_TOKEN = "nabla_S"  # opaque stand-in for the intrinsic cross-section part
-
-
-@dataclass(frozen=True)
-class FrameConnection:
-    """Covariant derivatives of the coframe (e^r, e^th, e^j) along the frame.
-
-    entries[(x, y)] is the list of terms of the derivative of covector y in
-    the direction of frame vector x; a term is ("e^r"|"e^th"|"e^j", value) or
-    (SIGMA_TOKEN, None) for the intrinsic cross-section contribution.  Pairs
-    with no entry are zero.
-    """
-
-    r: float
-    entries: dict
-
-    def coefficient(self, x: str, y: str, z: str) -> float:
-        for name, value in self.entries.get((x, y), ()):
-            if name == z:
-                return value
-        return 0.0
-
-    def has_sigma_part(self, x: str, y: str) -> bool:
-        return any(name == SIGMA_TOKEN for name, _ in self.entries.get((x, y), ()))
-
-
-def frame_connection_table(model: ConeModel, r: float) -> FrameConnection:
-    """All nonzero frame connection coefficients of the tube metric at radius r."""
-    rr = float(r)
-    if rr <= 0.0:
-        raise DomainError("frame connection needs r > 0")
-    if rr > model.tube_radius:
-        raise DomainError("radius outside the tube")
-    cth = 1.0 / math.tanh(rr)
-    th = math.tanh(rr)
-    entries = {
-        ("e_th", "e^r"): (("e^th", cth),),
-        ("e_th", "e^th"): (("e^r", -cth),),
-        ("e_j", "e^r"): (("e^j", th),),
-        ("e_j", "e^j"): (("e^r", -th), (SIGMA_TOKEN, None)),
-    }
-    return FrameConnection(rr, entries)
+# quadrature
 
 
 @lru_cache(maxsize=None)

@@ -2,23 +2,22 @@
 
 Everything here lives in the chart (r, theta, s) with metric
 diag(1, sinh^2 r, cosh^2 r): Christoffel symbols, curvature and all
-operators come from that metric by the textbook Levi-Civita sums, taken
-on the same radial chains as the fields, never from the mode-reduced
-radial systems. Agreement between the two routes is established by the
-test suite, not assumed.
+operators come from that metric by the textbook Levi-Civita sums, never
+from the mode-reduced radial systems. Agreement between the two routes is
+established by the test suite, not assumed.
 
 Fields keep the single-mode structure profile(r) * exp(i(p*gamma*theta + k*s)),
 so angular derivatives are exact multiplications. A field is one dense jet
-tensor (levels x components x radii): a leaf reads its components'
-`geometry.RadialProfile` jets, so a reduced block's profiles enter as they
-are, and each operator is one node over the dense jets of its operands and
-of the chart. The chart tables stay `RadialProfile`s built from the metric
-alone, so the oracle stays independent of the reduced systems.
+tensor (levels x chart.dim^rank components x radii): a leaf reads its
+components' `geometry.RadialProfile` jets, so a reduced block's profiles
+enter as they are, and each operator is one node over the dense jets of its
+operands and of the chart. `TubeChart.at(r)`, the chart on one radius grid,
+holds its dense metric, connection and curvature arrays; a suite or a
+quadrature builds one per grid and evaluates all its fields on it.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -28,10 +27,11 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from conemodes.geometry import (ConeModel, DomainError, RadialProfile, gauss_legendre,
-                                leibniz)
+                                jet_reciprocal, leibniz)
 
 __all__ = [
     "TubeChart",
+    "ChartGrid",
     "OracleField",
     "christoffel_coords",
     "covariant_derivative",
@@ -64,14 +64,11 @@ __all__ = [
     "identity_suite",
 ]
 
-_DIM = 3
 
-
-def _trig_chain(start: int, dtype=float, depth: int = 8) -> RadialProfile:
+def _trig_chain(start: int, depth: int = 8) -> RadialProfile:
     # start 0 -> sinh, 1 -> cosh; the chain alternates
     fns = [(np.sinh if (start + k) % 2 == 0 else np.cosh) for k in range(depth + 1)]
-    out = np.result_type(complex, dtype)
-    return RadialProfile(*[lambda r, f=f: f(np.asarray(r, dtype=dtype)).astype(out)
+    return RadialProfile(*[lambda r, f=f: f(np.asarray(r, dtype=float)).astype(complex)
                           for f in fns])
 
 
@@ -109,108 +106,141 @@ def bump_chain(inner: float, outer: float, order: int = 4,
     return RadialProfile(*fns)
 
 
+def _central_differences(values: Callable, r, step: float, m: int) -> np.ndarray:
+    """Levels 0..m <= 3 at the radii r by O(step^2) central differences of one
+    `values` call on r + i*step stacked first: i = 0, then 1, -1, then 2, -2."""
+    h, n = step, 1 if m == 0 else 3 if m < 3 else 5
+    f = values(r + h * np.array([0.0, 1.0, -1.0, 2.0, -2.0][:n]).reshape((n,) + (1,) * r.ndim))
+    levels = [f[0]]
+    if m >= 1:
+        levels.append((f[1] - f[2]) / (2 * h))
+    if m >= 2:
+        levels.append((f[1] - 2 * f[0] + f[2]) / h ** 2)
+    if m >= 3:
+        levels.append((f[3] - 2 * f[1] + 2 * f[2] - f[4]) / (2 * h ** 3))
+    return np.array(levels)
+
+
 def fd_chain(fn: Callable, step: float, depth: int = 3) -> RadialProfile:
     """Derivative chain built by central differences of a value closure.
 
     The secondary verification path: all radial derivatives are O(step^2)
-    finite differences, so identity residuals shrink at second order.  A
-    jet calls `fn` once, on the shifted grids it needs stacked into one array.
-    When `fn` is itself a chain, its value is read from a sub-memo of the
+    finite differences, so identity residuals shrink at second order.  A jet
+    calls `fn` once, through the stencil the finite-difference chart uses too
+    (`_central_differences`); a chain's value is read from a sub-memo of the
     jet's memo, so fd chains of one graph evaluated together share it.
     """
     if depth > 3:
         raise ValueError("finite-difference chain supports depth <= 3")
-    h = step
-    shifts = np.array([0.0, h, -h, 2 * h, -2 * h])
+    prof = fn if isinstance(fn, RadialProfile) else RadialProfile(fn)
 
     def node(r, m, memo):
-        r = np.asarray(r, dtype=float)
-        n = 1 if m == 0 else 3 if m < 3 else 5
-        rs = r + shifts[:n].reshape((n,) + (1,) * r.ndim)
-        if isinstance(fn, RadialProfile):
-            f = fn.jet(rs, 0, memo.setdefault(("fd", h, n), {}))[0].astype(complex)
-        else:
-            f = np.asarray(fn(rs), dtype=complex)
-        levels = [f[0]]
-        if m >= 1:
-            levels.append((f[1] - f[2]) / (2 * h))
-        if m >= 2:
-            levels.append((f[1] - 2 * f[0] + f[2]) / h ** 2)
-        if m >= 3:
-            levels.append((f[3] - 2 * f[1] + 2 * f[2] - f[4]) / (2 * h ** 3))
-        return np.array(levels)
+        def values(rs):
+            return prof.jet(rs, 0, memo.setdefault(("fd", step, len(rs)), {}))[0].astype(complex)
+        return _central_differences(values, np.asarray(r, dtype=float), step, m)
 
     return RadialProfile(node=node, depth=depth)
 
 
 # ---------------------------------------------------------------------------
-# chart tables, built once from the metric by the Levi-Civita sums on chains
+# the chart: metric, connection and curvature by the Levi-Civita sums
 
 
-@functools.lru_cache(maxsize=1)
-def _chart_tables():
-    # long double leaves: near the axis R^1_010 = csch^2 - coth^2 cancels terms
-    # of size 1/r^2, which in float64 costs verify up to 0.7 accuracy digits
-    sh, ch = _trig_chain(0, np.longdouble), _trig_chain(1, np.longdouble)
-    zero, idx = RadialProfile.zero(), range(_DIM)
-    diag = [RadialProfile.constant(1.0), sh * sh, ch * ch]
-    g = [[diag[a] if a == b else zero for b in idx] for a in idx]
-    ginv = [[diag[a].reciprocal() if a == b else zero for b in idx] for a in idx]
-
-    def dx(chain, b):  # the metric depends on r alone
-        return chain.derivative() if b == 0 else zero
-
-    gam = {(a, b, c): 0.5 * sum((ginv[a][d] * (dx(g[d][c], b) + dx(g[d][b], c)
-                                               - dx(g[b][c], d)) for d in idx), zero)
-           for a, b, c in itertools.product(idx, repeat=3)}
-    riem = {(a, b, c, c): zero for a, b, c in itertools.product(idx, repeat=3)}
-    for a, b, c, d in itertools.product(idx, repeat=4):
-        if c < d:  # antisymmetric in (c, d), so R^a_bcc is exactly zero
-            quad = sum((gam[(a, c, k)] * gam[(k, d, b)] - gam[(a, d, k)] * gam[(k, c, b)]
-                        for k in idx), zero)
-            riem[(a, b, c, d)] = dx(gam[(a, d, b)], c) - dx(gam[(a, c, b)], d) + quad
-            riem[(a, b, d, c)] = -riem[(a, b, c, d)]
-    riem_low = {(a, b, c, d): sum((g[a][e] * riem[(e, b, c, d)] for e in idx), zero)
-                for a, b, c, d in riem}
-    ricci = [sum((riem[(a, b, a, b)] for a in idx), zero) for b in idx]
-
-    def entry(e):  # cast back to complex128 for the field arithmetic
-        return e if e.is_zero else RadialProfile(
-            node=lambda r, m, memo: e.jet(r, m, memo).astype(complex), depth=e.depth)
-
-    return {
-        "g": [entry(g[a][a]) for a in idx],
-        "ginv": [entry(ginv[a][a]) for a in idx],
-        "gam": {k: entry(e) for k, e in gam.items() if not e.is_zero},
-        "riem_low": {k: entry(e) for k, e in riem_low.items() if not e.is_zero},
-        "ricci": [entry(e) for e in ricci],
-    }
+def _diagonal_matrix(d) -> np.ndarray:
+    """The jet [:, a, b] of a diagonal matrix from its diagonal [:, a]."""
+    out = np.zeros(d.shape[:2] + d.shape[1:], d.dtype)
+    out[:, range(d.shape[1]), range(d.shape[1])] = d
+    return out
 
 
-@functools.lru_cache(maxsize=8)
-def _fd_tables(step: float):
-    base = _chart_tables()
+def _gradient(t) -> np.ndarray:
+    """d_e of a chart jet at [:, e]: the shifted jet at e = r, else 0."""
+    out = np.zeros((len(t) - 1, t.shape[1]) + t.shape[1:], t.dtype)
+    out[:, 0] = t[1:]
+    return out
 
-    def wrap(ch):
-        return ch if ch.is_zero else fd_chain(ch, step)
 
-    return {
-        "g": [wrap(c) for c in base["g"]],
-        "ginv": [wrap(c) for c in base["ginv"]],
-        "gam": {k: wrap(c) for k, c in base["gam"].items()},
-        "riem_low": {k: wrap(c) for k, c in base["riem_low"].items()},
-        "ricci": [wrap(c) for c in base["ricci"]],
-    }
+def _permuted(t, *perm):
+    """A dense jet with index s of the result read from slot perm[s] of t."""
+    n = len(perm)
+    return t.transpose((0,) + tuple(1 + p for p in perm) + tuple(range(1 + n, t.ndim)))
+
+
+def _levi_civita(r, m: int, name: str) -> np.ndarray:
+    """Levels 0..m of the chart table `name` (see `ChartGrid`) in long double:
+    near the axis R_0101 = -sinh^2 r cancels terms of size cosh^2 r, which in
+    float64 costs verify up to 0.7 accuracy digits.  g is diagonal, so a sum
+    over an index of g or g^-1 keeps one term; the k sum runs in order."""
+    x = np.asarray(r, dtype=np.longdouble)
+    levels = m + 1 + {"gam": 1, "riem_low": 2}.get(name, 0)  # Gamma, R take derivatives
+    s, c = np.sinh(x), np.cosh(x)
+    sh = np.array([(s, c)[k % 2] for k in range(levels)])
+    ch = np.array([(c, s)[k % 2] for k in range(levels)])
+    one = np.array([np.full_like(s, k == 0) for k in range(levels)])
+    g = np.stack([one, leibniz(sh, sh), leibniz(ch, ch)], axis=1)
+    ginv = jet_reciprocal(g)
+    if name in ("g", "ginv"):
+        return g if name == "g" else ginv
+    # Gamma^a_bc = 1/2 g^aa (d_b g_ac + d_c g_ab - d_a g_bc)
+    dg = _gradient(_diagonal_matrix(g))
+    gam = 0.5 * leibniz(ginv[:, :, None, None],
+                        _permuted(dg, 1, 0, 2) + _permuted(dg, 1, 2, 0) - dg)
+    if name == "gam":
+        return gam
+    # R^a_bcd = d_c Gamma^a_db + sum_k Gamma^a_ck Gamma^k_db, less each term with c
+    # and d swapped; one a at a time, which bounds the memory
+    dgam, gam, dim = _gradient(gam), gam[:-1], len(g[0])
+    low = []
+    for a in range(dim):
+        d = _permuted(dgam[:, :, a], 2, 0, 1)  # [:, b, c, d]
+        quad = (leibniz(gam[:, a, None, :, None, k], gam[:, k].swapaxes(1, 2)[:, :, None])
+                for k in range(dim))
+        riem = d - d.swapaxes(2, 3) + sum(q - q.swapaxes(2, 3) for q in quad)
+        low.append(leibniz(g[:, a, None, None, None], riem))  # R_abcd = g_aa R^a_bcd
+    return np.stack(low, axis=1)
+
+
+class ChartGrid:
+    """The chart's dense jet tables on one radius grid.
+
+    `jet(name, m)` is levels 0..m of a table, shape (m+1,) + indices + r.shape:
+    "g" and "ginv" are the diagonals g_aa and g^aa [:, a], "gam" is Gamma^c_ab
+    [:, c, a, b], "riem_low" R_abcd and "curv" [:, a, c, b, d] R_acbd g^cc g^dd.
+    A table is computed when first read and again only for a deeper level.
+    """
+
+    def __init__(self, chart: "TubeChart", r):
+        self.chart, self.r, self._tables = chart, r, {}
+
+    def jet(self, name: str, m: int) -> np.ndarray:
+        have = self._tables.get(name)
+        if have is None or len(have) <= m:
+            if m > self.chart.depth:
+                raise ValueError(f"jet level {m} is past the chart's depth {self.chart.depth}")
+            have = self._tables[name] = self._build(name, m)
+        return have[:m + 1]
+
+    def _build(self, name: str, m: int) -> np.ndarray:
+        if name == "curv":
+            ginv = self.jet("ginv", m)
+            return leibniz(leibniz(self._build("riem_low", m), ginv[:, None, :, None, None]),
+                           ginv[:, None, None, None, :])
+        if self.chart.fd_step is None:
+            return _levi_civita(self.r, m, name).astype(complex)
+        # the level-0 table on the stacked shifted radii, differenced
+        return _central_differences(
+            lambda rs: np.moveaxis(_levi_civita(rs, 0, name)[0].astype(complex),
+                                   -1 - self.r.ndim, 0), self.r, self.chart.fd_step, m)
 
 
 @dataclass(frozen=True)
 class TubeChart:
     """Coordinate chart (r, theta, s) on the tube of an n = 3 model.
 
-    With `fd_step` set, every radial derivative of the chart tables is
-    replaced by an O(step^2) central difference; mode fields built for
-    such a chart should use `fd_chain` profiles so the whole pipeline
-    sits on the finite-difference verification path.
+    `at(r)` is the chart on one radius grid.  Fields on it carry at most
+    `depth` levels: 6, or 3 with `fd_step` set, when every radial derivative
+    of the chart tables is an O(step^2) central difference and mode fields
+    should use `fd_chain` profiles, so the whole pipeline sits on that path.
     """
 
     model: ConeModel
@@ -224,6 +254,10 @@ class TubeChart:
             raise ValueError("the coordinate chart needs a circle cross-section")
 
     @property
+    def dim(self) -> int:
+        return self.model.n
+
+    @property
     def gamma(self) -> float:
         return self.model.gamma
 
@@ -235,73 +269,42 @@ class TubeChart:
     def length(self) -> float:
         return self.model.cross_section.length
 
-    def _check(self, r):
+    @property
+    def depth(self) -> int:
+        """Deepest jet level that the chart serves and fields on it carry."""
+        return 6 if self.fd_step is None else 3
+
+    def at(self, r) -> ChartGrid:
+        """The chart on the radii r, of any shape."""
         r = np.asarray(r, dtype=float)
         if not np.all(r > 0):
             raise DomainError("coordinate radius must be positive")
-        return r
-
-    def _table(self):
-        return _chart_tables() if self.fd_step is None else _fd_tables(self.fd_step)
-
-    @property
-    def depth(self) -> int:
-        """Deepest jet level that every chart table carries."""
-        tab = self._table()
-        return min(p.depth for p in (*tab["ginv"], *tab["gam"].values(),
-                                     *tab["riem_low"].values()))
-
-    def _diagonal(self, name: str, r):
-        r = self._check(r)
-        out = np.zeros((_DIM, _DIM) + r.shape, dtype=complex)
-        for a, prof in enumerate(self._table()[name]):
-            out[a, a] = prof(r)
-        return out
+        return ChartGrid(self, r)
 
     def metric(self, r):
-        return self._diagonal("g", r)
+        return _diagonal_matrix(self.at(r).jet("g", 0))[0]
 
     def inverse_metric(self, r):
-        return self._diagonal("ginv", r)
-
-    def metric_profile(self, a: int) -> RadialProfile:
-        return self._table()["g"][a]
+        return _diagonal_matrix(self.at(r).jet("ginv", 0))[0]
 
     def ricci(self, r):
-        return self._diagonal("ricci", r)
+        """Ric_bd = g^aa R_abad, summed over a in order."""
+        grid = self.at(r)
+        low, ginv = grid.jet("riem_low", 0)[0], grid.jet("ginv", 0)[0]
+        return sum(ginv[a] * low[a, :, a] for a in range(self.dim))
+
+
+def _on_grid(chart: TubeChart, r) -> ChartGrid:  # r itself, or the chart on radii r
+    return r if isinstance(r, ChartGrid) else chart.at(np.atleast_1d(r))
 
 
 def christoffel_coords(chart: TubeChart, r):
-    """All Christoffel symbols, Gamma^c_ab at [c, a, b], shape (3, 3, 3) + r.shape."""
-    return _chart_jet(chart, "gam", chart._check(r), 0, {})[0]
+    """All Christoffel symbols, Gamma^c_ab at [c, a, b], shape (dim,)*3 + r.shape."""
+    return chart.at(r).jet("gam", 0)[0]
 
 
 # ---------------------------------------------------------------------------
 # mode fields
-
-
-def _chart_jet(chart: TubeChart, name: str, r, m: int, memo: dict) -> np.ndarray:
-    """Levels 0..m of a dense chart table, built once per memo from the chart
-    profiles: "ginv" [:, a] is g^aa, "gam" [:, c, a, b] is Gamma^c_ab,
-    "riem_low" is R_abcd and "curv" [:, a, c, b, d] is R_acbd g^cc g^dd."""
-    key = ("chart", name, chart.fd_step)
-    have = memo.get(key)
-    if have is None or len(have) <= m:
-        tab = chart._table()
-        if name == "curv":
-            ginv = _chart_jet(chart, "ginv", r, m, memo)
-            have = leibniz(leibniz(_chart_jet(chart, "riem_low", r, m, memo),
-                                   ginv[:, None, :, None, None]),
-                           ginv[:, None, None, None, :])
-        elif name == "ginv":
-            have = np.stack([p.jet(r, m, memo) for p in tab["ginv"]], axis=1)
-        else:
-            rank = 3 if name == "gam" else 4  # "riem_low"
-            have = np.zeros((m + 1,) + (_DIM,) * rank + r.shape, dtype=complex)
-            for idx, prof in tab[name].items():
-                have[(slice(None),) + idx] = prof.jet(r, m, memo)
-        memo[key] = have
-    return have[:m + 1]
 
 
 @dataclass
@@ -309,11 +312,12 @@ class OracleField:
     """Single-mode tensor field: a dense radial jet times a fixed phase.
 
     A leaf maps index tuples to radial profiles; an operator node holds
-    node(r, m, memo), the field's jet from its operands' jets and the chart
-    tables.  `dense(r, m, memo)` gives levels 0..m <= depth of every component
-    as one array of shape (m+1,) + (3,)*rank + r.shape, kept in the memo under
-    the field.  The phase exp(i(angular*theta + axial*s)) is common to every
-    component, so theta and s derivatives are exact multiplications.
+    node(grid, m, memo), the field's jet from its operands' jets and the
+    `ChartGrid` tables.  `dense(grid, m, memo)` gives levels 0..m <= depth of
+    every component as one array of shape (m+1,) + (dim,)*rank + grid.r.shape,
+    kept in the memo (one per grid) under the field.  The phase
+    exp(i(angular*theta + axial*s)) is common to every component, so theta
+    and s derivatives are exact multiplications.
     """
 
     chart: TubeChart
@@ -326,31 +330,30 @@ class OracleField:
 
     def __post_init__(self):
         for idx in self.components:
-            if len(idx) != self.rank or not all(0 <= i < _DIM for i in idx):
+            if len(idx) != self.rank or not all(0 <= i < self.chart.dim for i in idx):
                 raise ValueError(f"bad component index {idx} for rank {self.rank}")
-        if self.node is None:
-            self.depth = min((p.depth for p in self.components.values()
-                              if not p.is_zero), default=self.chart.depth)
+        self.depth = min((p.depth for p in self.components.values()
+                          if not p.is_zero), default=self.chart.depth)
 
-    def dense(self, r, m: int, memo: dict) -> np.ndarray:
+    def dense(self, grid: ChartGrid, m: int, memo: dict) -> np.ndarray:
         have = memo.get(id(self))
         if have is None or len(have) <= m:
             if m > self.depth:
                 raise ValueError(f"jet level {m} is past the field's depth {self.depth}")
             if self.node is not None:
-                have = self.node(r, m, memo)
+                have = self.node(grid, m, memo)
             else:
-                have = np.zeros((m + 1,) + (_DIM,) * self.rank + r.shape, dtype=complex)
+                have = np.zeros((m + 1,) + (grid.chart.dim,) * self.rank + grid.r.shape,
+                                dtype=complex)
                 for idx, prof in self.components.items():
                     if not prof.is_zero:
-                        have[(slice(None),) + idx] = prof.jet(r, m, memo)
+                        have[(slice(None),) + idx] = prof.jet(grid.r, m, memo)
             memo[id(self)] = have
         return have[:m + 1]
 
     def values(self, r, memo: Optional[dict] = None):
-        """Radial coefficient array, shape (3,)*rank + r.shape; phase excluded."""
-        r = self.chart._check(np.atleast_1d(r))
-        return self.dense(r, 0, {} if memo is None else memo)[0].copy()
+        """Radial coefficients at the radii or `ChartGrid` r; phase excluded."""
+        return self.dense(_on_grid(self.chart, r), 0, {} if memo is None else memo)[0].copy()
 
     def evaluate(self, r, theta: float = 0.0, s: float = 0.0):
         phase = np.exp(1j * (self.angular * theta + self.axial * s))
@@ -370,7 +373,7 @@ class OracleField:
         """The node fn(jet of self, jets of others), level by level; the
         `overrides` (rank, angular, axial) go on to `_node`."""
         fields = (self,) + others
-        return self._node(lambda r, m, memo: fn(*[f.dense(r, m, memo) for f in fields]),
+        return self._node(lambda grid, m, memo: fn(*[f.dense(grid, m, memo) for f in fields]),
                           min(f.depth for f in fields), **overrides)
 
     def __neg__(self):
@@ -404,7 +407,7 @@ def scalar_field(chart: TubeChart, profile: RadialProfile,
 
 def metric_field(chart: TubeChart) -> OracleField:
     return OracleField(chart, 2,
-                       {(a, a): chart.metric_profile(a) for a in range(_DIM)})
+                       node=lambda grid, m, memo: _diagonal_matrix(grid.jet("g", m)))
 
 
 # ---------------------------------------------------------------------------
@@ -418,17 +421,17 @@ def covariant_derivative(fld: OracleField) -> OracleField:
     if fld.depth < 1:
         raise ValueError("derivative chain exhausted")
 
-    def node(r, m, memo):
-        t = fld.dense(r, m + 1, memo)
-        gam = _chart_jet(fld.chart, "gam", r, m, memo)
+    def node(grid, m, memo):
+        t = fld.dense(grid, m + 1, memo)
+        gam, dim = grid.jet("gam", m), grid.chart.dim
         out = np.stack([t[1:], (1j * fld.angular) * t[:-1], (1j * fld.axial) * t[:-1]],
                        axis=1)
         # subtract Gamma^c_(a, idx_i) T(idx with c in slot i), in the order (i, c)
         for i in range(fld.rank):
-            g = gam.reshape((m + 1, _DIM, _DIM) + (1,) * i + (_DIM,)
-                            + (1,) * (fld.rank - 1 - i) + r.shape)
+            g = gam.reshape((m + 1, dim, dim) + (1,) * i + (dim,)
+                            + (1,) * (fld.rank - 1 - i) + grid.r.shape)
             src = np.moveaxis(t[:-1], 1 + i, 1)
-            for c in range(_DIM):
+            for c in range(dim):
                 out -= leibniz(g[:, c], np.expand_dims(src[:, c], (1, 2 + i)))
         return out
 
@@ -436,14 +439,14 @@ def covariant_derivative(fld: OracleField) -> OracleField:
 
 
 def _contract(fld: OracleField, sign: int) -> OracleField:
-    """sign * g^aa fld_aa..., summed over a = 0..2 in order."""
-    def node(r, m, memo):
-        t = fld.dense(r, m, memo)
-        ginv = _chart_jet(fld.chart, "ginv", r, m, memo)
+    """sign * g^aa fld_aa..., summed over a in order."""
+    def node(grid, m, memo):
+        t = fld.dense(grid, m, memo)
+        ginv = grid.jet("ginv", m)
         out = np.zeros_like(t[:, 0, 0])
-        for a in range(_DIM):
+        for a in range(grid.chart.dim):
             term = leibniz(ginv[:, a].reshape(out.shape[:1] + (1,) * (fld.rank - 2)
-                                              + r.shape), t[:, a, a])
+                                              + grid.r.shape), t[:, a, a])
             out += term if sign > 0 else -term
         return out
 
@@ -464,12 +467,6 @@ def rough_laplacian(fld: OracleField) -> OracleField:
 def codifferential(fld: OracleField) -> OracleField:
     """Divergence-type codifferential on forms and symmetric tensors."""
     return adjoint_divergence(fld)
-
-
-def _permuted(t, *perm):
-    """A dense jet with index s of the result read from slot perm[s] of t."""
-    n = len(perm)
-    return t.transpose((0,) + tuple(1 + p for p in perm) + tuple(range(1 + n, t.ndim)))
 
 
 def exterior_d(fld: OracleField) -> OracleField:
@@ -508,11 +505,11 @@ def ricci_action(h: OracleField) -> OracleField:
     if h.rank != 2:
         raise ValueError("needs a rank-2 field")
 
-    def node(r, m, memo):
-        t = h.dense(r, m, memo)
-        terms = leibniz(_chart_jet(h.chart, "curv", r, m, memo), t[:, None, :, None, :])
+    def node(grid, m, memo):
+        t = h.dense(grid, m, memo)
+        terms = leibniz(grid.jet("curv", m), t[:, None, :, None, :])
         out = np.zeros_like(t)
-        for c, d in itertools.product(range(_DIM), repeat=2):
+        for c, d in itertools.product(range(grid.chart.dim), repeat=2):
             out += terms[:, :, c, :, d]
         return out
 
@@ -542,7 +539,7 @@ def delta_nabla(fld: OracleField) -> OracleField:
 
 def apply_L_coords(oneform: OracleField) -> OracleField:
     """Rough Laplacian plus (n - 1) on one-forms, in coordinates."""
-    return rough_laplacian(oneform) + float(_DIM - 1) * oneform
+    return rough_laplacian(oneform) + float(oneform.chart.dim - 1) * oneform
 
 
 def apply_P_coords(h: OracleField) -> OracleField:
@@ -649,10 +646,11 @@ def tensor_field(chart: TubeChart, block, axial_sign: int = 1) -> OracleField:
 
 def oneform_components(chart: TubeChart, fld: OracleField, kind: str, r,
                        axial_sign: int = 1):
-    """Frame block components of a coordinate one-form, sampled at radii."""
-    r = chart._check(np.atleast_1d(r))
-    vals = fld.values(r)
-    sh, ch = np.sinh(r), np.cosh(r)
+    """Frame block components of a coordinate one-form, sampled at radii
+    (or on a `ChartGrid` of the chart)."""
+    grid = _on_grid(chart, r)
+    vals = fld.values(grid)
+    sh, ch = np.sinh(grid.r), np.cosh(grid.r)
     if kind in ("A", "B"):
         out = {"f": vals[0], "g": vals[1] / sh}
         if kind == "A":
@@ -663,10 +661,11 @@ def oneform_components(chart: TubeChart, fld: OracleField, kind: str, r,
 
 def tensor_components(chart: TubeChart, fld: OracleField, kind: str, r,
                       axial_sign: int = 1):
-    """Frame block components of a coordinate 2-tensor, sampled at radii."""
-    r = chart._check(np.atleast_1d(r))
-    vals = fld.values(r)
-    sh, ch = np.sinh(r), np.cosh(r)
+    """Frame block components of a coordinate 2-tensor, sampled at radii
+    (or on a `ChartGrid` of the chart)."""
+    grid = _on_grid(chart, r)
+    vals = fld.values(grid)
+    sh, ch = np.sinh(grid.r), np.cosh(grid.r)
     if kind in ("A", "B"):
         out = {"f": vals[0, 0], "g": vals[1, 1] / sh ** 2,
                "h": 2.0 * vals[0, 1] / sh, "k1": vals[2, 2] / ch ** 2}
@@ -699,13 +698,13 @@ def tube_inner_product(u: OracleField, v: OracleField, inner: float = 0.0,
     chart = u.chart
     a = chart.model.tube_radius if outer is None else outer
     x, w = gauss_legendre(num)
-    r = chart._check(0.5 * (a + inner) + 0.5 * (a - inner) * x)
-    w = 0.5 * (a - inner) * w
+    grid = chart.at(0.5 * (a + inner) + 0.5 * (a - inner) * x)
+    r, w = grid.r, 0.5 * (a - inner) * w
     memo = {}  # shared, so tube_norm(u) evaluates u once
-    uv, vv = u.dense(r, 0, memo)[0], v.dense(r, 0, memo)[0]
-    ginv = _chart_jet(chart, "ginv", r, 0, memo)[0]
+    uv, vv = u.dense(grid, 0, memo)[0], v.dense(grid, 0, memo)[0]
+    ginv = grid.jet("ginv", 0)[0]
     dens = np.zeros_like(r, dtype=complex)
-    for idx in itertools.product(range(_DIM), repeat=u.rank):
+    for idx in itertools.product(range(chart.dim), repeat=u.rank):
         fac = np.ones_like(r, dtype=complex)
         for i in idx:
             fac = fac * ginv[i]
@@ -730,9 +729,9 @@ def cross_section_normalizer(model: ConeModel) -> float:
 # identity suite
 
 
-def _rel_residual(x: OracleField, y: OracleField, r) -> float:
+def _rel_residual(x: OracleField, y: OracleField, grid: ChartGrid) -> float:
     memo = {}
-    xv, yv = x.dense(r, 0, memo)[0], y.dense(r, 0, memo)[0]
+    xv, yv = x.dense(grid, 0, memo)[0], y.dense(grid, 0, memo)[0]
     scale = np.max(np.abs(xv)) + np.max(np.abs(yv))
     if scale == 0:
         return 0.0
@@ -740,7 +739,7 @@ def _rel_residual(x: OracleField, y: OracleField, r) -> float:
 
 
 def _random_oneform(chart, rng, chains):
-    return OracleField(chart, 1, {(a,): chains[a] for a in range(_DIM)},
+    return OracleField(chart, 1, {(a,): chains[a] for a in range(chart.dim)},
                        angular=float(rng.integers(0, 4)) * chart.gamma,
                        axial=2 * math.pi * float(rng.integers(-2, 3)) / chart.length)
 
@@ -748,8 +747,8 @@ def _random_oneform(chart, rng, chains):
 def _random_tensor(chart, rng, chains):
     comps = {}
     k = 0
-    for a in range(_DIM):
-        for b in range(a, _DIM):
+    for a in range(chart.dim):
+        for b in range(a, chart.dim):
             c = chains[k % len(chains)]
             comps[(a, b)] = c
             if a != b:
@@ -814,15 +813,15 @@ def identity_suite(model: ConeModel, n_cases: int = 50, seed: int = 0,
     """Residual report for the operator identities of the hyperbolic tube.
 
     Differential identities are checked pointwise on random polynomial
-    mode fields; integral identities use compact bump fields and the tube
-    quadrature. Passing `fd_step` swaps every radial derivative for an
-    O(step^2) central difference, the secondary verification path.
+    mode fields, all on one chart grid; integral identities use compact bump
+    fields and the tube quadrature. Passing `fd_step` swaps every radial
+    derivative for an O(step^2) central difference, the secondary path.
     """
     chart = TubeChart(model, fd_step=fd_step)
     rng = np.random.default_rng(seed)
-    n = _DIM
+    n = chart.dim
     a = model.tube_radius
-    r_grid = np.linspace(0.15 * a, 0.9 * a, 40)
+    grid = chart.at(np.linspace(0.15 * a, 0.9 * a, 40))
     report = []
 
     def add(name, cases, residual):
@@ -835,7 +834,7 @@ def identity_suite(model: ConeModel, n_cases: int = 50, seed: int = 0,
         h = _random_tensor(chart, rng, _suite_chains(rng, fd_step, 6))
         lhs = ricci_action(h)
         rhs = h - trace(h) * metric_field(chart)
-        res = max(res, _rel_residual(lhs, rhs, r_grid))
+        res = max(res, _rel_residual(lhs, rhs, grid))
     add("curvature_action_hyperbolic", n_cases, res)
 
     res = 0.0
@@ -843,7 +842,7 @@ def identity_suite(model: ConeModel, n_cases: int = 50, seed: int = 0,
         w = _random_oneform(chart, rng, _suite_chains(rng, fd_step))
         lhs = exterior_d(codifferential(w)) + codifferential(exterior_d(w))
         rhs = rough_laplacian(w) - float(n - 1) * w
-        res = max(res, _rel_residual(lhs, rhs, r_grid))
+        res = max(res, _rel_residual(lhs, rhs, grid))
     add("weitzenboeck_oneform", n_cases, res)
 
     res = 0.0
@@ -851,7 +850,7 @@ def identity_suite(model: ConeModel, n_cases: int = 50, seed: int = 0,
         w = _random_oneform(chart, rng, _suite_chains(rng, fd_step))
         lhs = 2.0 * bianchi_beta(delta_star(w))
         rhs = rough_laplacian(w) + float(n - 1) * w
-        res = max(res, _rel_residual(lhs, rhs, r_grid))
+        res = max(res, _rel_residual(lhs, rhs, grid))
     add("gauge_composition_oneform", n_cases, res)
 
     res = 0.0
@@ -874,7 +873,7 @@ def identity_suite(model: ConeModel, n_cases: int = 50, seed: int = 0,
         lhs = rough_laplacian(w2)
         rhs = (exterior_d(codifferential(w2)) + codifferential(exterior_d(w2))
                + float(2 * (n - 2)) * w2)
-        res = max(res, _rel_residual(lhs, rhs, r_grid))
+        res = max(res, _rel_residual(lhs, rhs, grid))
     add("weitzenboeck_twoform", n_cases, res)
 
     res = 0.0
@@ -884,7 +883,7 @@ def identity_suite(model: ConeModel, n_cases: int = 50, seed: int = 0,
         rhs = (2.0 * delta_star(w)
                + 2.0 * (codifferential(w) * metric_field(chart))
                + delta_star(rough_laplacian(w) + float(n - 1) * w))
-        res = max(res, _rel_residual(lhs, rhs, r_grid))
+        res = max(res, _rel_residual(lhs, rhs, grid))
     add("laplacian_gauge_commutation", n_cases, res)
 
     res = 0.0
@@ -893,15 +892,15 @@ def identity_suite(model: ConeModel, n_cases: int = 50, seed: int = 0,
         lhs = rough_laplacian(h)
         rhs = (delta_nabla(d_nabla(h)) + d_nabla(delta_nabla(h))
                + float(n) * h - trace(h) * metric_field(chart))
-        res = max(res, _rel_residual(lhs, rhs, r_grid))
+        res = max(res, _rel_residual(lhs, rhs, grid))
     add("weitzenboeck_tensor_hyperbolic", n_cases, res)
 
     res = 0.0
     for _ in range(n_cases):
         h = _random_tensor(chart, rng, _suite_chains(rng, fd_step, 6))
         out = bianchi_beta(linearized_einstein(h))
-        scale = np.max(np.abs(bianchi_beta(rough_laplacian(h)).values(r_grid)))
-        res = max(res, float(np.max(np.abs(out.values(r_grid))) / scale))
+        scale = np.max(np.abs(bianchi_beta(rough_laplacian(h)).values(grid)))
+        res = max(res, float(np.max(np.abs(out.values(grid))) / scale))
     add("linearized_bianchi", n_cases, res)
 
     res = 0.0
@@ -909,7 +908,7 @@ def identity_suite(model: ConeModel, n_cases: int = 50, seed: int = 0,
         w = _random_oneform(chart, rng, _suite_chains(rng, fd_step))
         lhs = trace(delta_star(w))
         rhs = -1.0 * codifferential(w)
-        res = max(res, _rel_residual(lhs, rhs, r_grid))
+        res = max(res, _rel_residual(lhs, rhs, grid))
     add("trace_intertwine", n_cases, res)
 
     res = 0.0

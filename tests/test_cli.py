@@ -16,7 +16,7 @@ from conemodes.cli import main
 from conemodes.geometry import ConeModel, CrossSection
 from conemodes.indicial import root_table_rows
 from conemodes.modes import ModeList, ScalarMode, mode_from_dict, mode_to_dict
-from conemodes.oracle import TubeChart
+from conemodes.oracle import ChartGrid, TubeChart
 
 
 runner = CliRunner()
@@ -615,14 +615,18 @@ class TestVerify:
             [305.499843787, 643.218595068, 548.503000872], rel=1e-9)
 
     def test_fault_injection_fails_with_exit_one(self, tmp_path, monkeypatch):
-        class FaultChart(TubeChart):
-            """Chart with one connection table entry scaled by 1 + 1e-4."""
+        class FaultGrid(ChartGrid):
+            """Chart grid with the connection entry Gamma^1_01 scaled by 1 + 1e-4."""
 
-            def _table(self):
-                tab = super()._table()
-                gam = dict(tab["gam"])
-                gam[(1, 0, 1)] = (1.0 + 1e-4) * gam[(1, 0, 1)]
-                return {**tab, "gam": gam}
+            def _build(self, name, m):
+                table = super()._build(name, m)
+                if name == "gam":
+                    table[:, 1, 0, 1] *= 1.0 + 1e-4
+                return table
+
+        class FaultChart(TubeChart):
+            def at(self, r):
+                return FaultGrid(self, super().at(r).r)
 
         monkeypatch.setattr(cli, "TubeChart", FaultChart)
         model_path = write_model(tmp_path)

@@ -15,7 +15,6 @@ from conemodes.geometry import (
     ConeModel,
     CrossSection,
     DomainError,
-    frame_connection_table,
     gauss_legendre,
     radial_series,
 )
@@ -212,55 +211,6 @@ def test_model_dict_reads_either_angle_key():
         ConeModel.from_dict({"n": 3, "alpha": 1.25, "angle": 1.0, "tube_radius": 0.8})
     with pytest.raises(ValueError):
         ConeModel.from_dict([3, 1.25, 0.8])
-
-
-# --- frame connection -------------------------------------------------------
-
-
-def _model(n=3, a=2.0):
-    return ConeModel(n=n, alpha=math.pi, tube_radius=a,
-                     cross_section=CrossSection("explicit"))
-
-
-def test_connection_table_examples_at_r1():
-    tab = frame_connection_table(_model(), 1.0)
-    assert tab.coefficient("e_th", "e^th", "e^r") == pytest.approx(
-        -1.3130352854993313, rel=1e-12)
-    assert tab.coefficient("e_r", "e^r", "e^r") == 0.0
-    assert tab.entries.get(("e_r", "e^r")) is None
-    assert tab.coefficient("e_j", "e^r", "e^j") == pytest.approx(
-        0.7615941559557649, rel=1e-12)
-
-
-def test_connection_table_sigma_token_only_on_cross_section_pair():
-    tab = frame_connection_table(_model(n=5), 0.5)
-    assert tab.has_sigma_part("e_j", "e^j")
-    assert not tab.has_sigma_part("e_th", "e^th")
-    assert not tab.has_sigma_part("e_j", "e^r")
-
-
-def test_connection_table_rejects_bad_radius():
-    with pytest.raises(DomainError):
-        frame_connection_table(_model(), 0.0)
-    with pytest.raises(DomainError):
-        frame_connection_table(_model(), -0.3)
-    with pytest.raises(DomainError):
-        frame_connection_table(_model(a=1.0), 1.5)
-
-
-@given(st.floats(min_value=1e-3, max_value=2.0))
-@settings(max_examples=40, deadline=None)
-def test_connection_metric_compatibility(r):
-    # the coefficient matrix omega[y][z] in each frame direction must be
-    # antisymmetric for a metric connection on an orthonormal coframe
-    tab = frame_connection_table(_model(), r)
-    basis = ("e^r", "e^th", "e^j")
-    for x in ("e_r", "e_th", "e_j"):
-        omega = np.zeros((3, 3))
-        for i, y in enumerate(basis):
-            for j, z in enumerate(basis):
-                omega[i, j] = tab.coefficient(x, y, z)
-        np.testing.assert_allclose(omega, -omega.T, atol=1e-12)
 
 
 def test_gauss_legendre_nodes_are_cached_and_read_only():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
+from conemodes import oracle
 from conemodes.geometry import ConeModel, CrossSection, DomainError, leibniz
 from conemodes.modes import CoclosedMode, ScalarMode
 from conemodes.oracle import (
@@ -162,7 +163,7 @@ def test_dense_products_match_profile_products_bit_for_bit():
     u = scalar_field(chart(), -bump_chain(0.3, 0.7), angular=2.0)
     h = OracleField(chart(), 2, {(0, 1): poly_chain([-0.5, 1.0, 0.25j]),
                                  (2, 2): _SH * _CH * bump_chain(0.2, 0.6)})
-    got = (u * h).dense(r, 4, {})
+    got = (u * h).dense(chart().at(r), 4, {})
     for idx, prof in h.components.items():
         want = (u.components[()] * prof).jet(r, 4, {})
         assert got[(slice(None),) + idx].tobytes() == want.tobytes()
@@ -305,7 +306,7 @@ def test_derivatives_past_field_depth_raise_at_build():
     with pytest.raises(ValueError):
         rough_laplacian(lap)
     with pytest.raises(ValueError, match="level 2 .*depth 1"):
-        lap.dense(np.array([0.5]), 2, {})
+        lap.dense(ch.at(np.array([0.5])), 2, {})
 
 
 # ---------------------------------------------------------------------------
@@ -321,27 +322,27 @@ def test_frozen_christoffel_values():
 
 
 def test_chart_table_keys_and_constant_curvature():
-    ch = chart()
-    tab = ch._table()
-    assert set(tab["gam"]) == {(0, 1, 1), (0, 2, 2), (1, 0, 1), (1, 1, 0),
+    r = np.array([0.05, 0.3, 0.7, 1.0])
+    grid = chart().at(r)
+
+    def nonzero(table, rank):
+        return {idx for idx in itertools.product(range(3), repeat=rank)
+                if np.any(table[(slice(None),) + idx])}
+
+    gam, low = grid.jet("gam", 2), grid.jet("riem_low", 2)
+    assert nonzero(gam, 3) == {(0, 1, 1), (0, 2, 2), (1, 0, 1), (1, 1, 0),
                                (2, 0, 2), (2, 2, 0)}
-    assert set(tab["riem_low"]) == {key for a in range(3) for b in range(3)
-                                    if a != b
-                                    for key in ((a, b, a, b), (a, b, b, a))}
-
-    def g(a, b):
-        return ch.metric_profile(a) if a == b else RadialProfile.zero()
-
+    assert nonzero(low, 4) == {key for a in range(3) for b in range(3) if a != b
+                               for key in ((a, b, a, b), (a, b, b, a))}
     # hyperbolic space form: R_abcd = -(g_ac g_bd - g_ad g_bc), down to the
     # second radial derivative of both sides
-    r = np.array([0.05, 0.3, 0.7, 1.0])
-    for a, b, c, d in itertools.product(range(3), repeat=4):
-        expected = -(g(a, c) * g(b, d) - g(a, d) * g(b, c))
-        got = tab["riem_low"].get((a, b, c, d), RadialProfile.zero())
-        for k in range(3):
-            want = expected.fns[k](r)
-            assert np.allclose(got.fns[k](r), want, rtol=1e-12, atol=1e-12), \
-                ((a, b, c, d), k)
+    g = metric_field(chart()).dense(grid, 2, {})
+    expected = -(leibniz(g[:, :, None, :, None], g[:, None, :, None, :])
+                 - leibniz(g[:, :, None, None, :], g[:, None, :, :, None]))
+    for k in range(3):
+        for idx in itertools.product(range(3), repeat=4):
+            assert np.allclose(low[(k,) + idx], expected[(k,) + idx],
+                               rtol=1e-12, atol=1e-12), (idx, k)
 
 
 def _exact_levels(fn, r, depth):
@@ -361,9 +362,11 @@ def test_chart_tables_match_closed_forms():
     closed = {(1, 0, 1): mp.coth, (2, 0, 2): mp.tanh,
               (0, 1, 1): lambda x: -mp.sinh(x) * mp.cosh(x),
               (0, 2, 2): lambda x: -mp.sinh(x) * mp.cosh(x)}
+    grid = chart().at(r)
+    gam = grid.jet("gam", 4)
     for key, fn in closed.items():
-        assert_close(chart()._table()["gam"][key].jet(r, 4, {}), _exact_levels(fn, r, 4))
-    assert_close((_SH * _SH).reciprocal().jet(r, 4, {}),
+        assert_close(gam[(slice(None),) + key], _exact_levels(fn, r, 4))
+    assert_close(grid.jet("ginv", 4)[:, 1],
                  _exact_levels(lambda x: 1 / mp.sinh(x) ** 2, r, 4))
     assert RadialProfile.constant(1.0).derivative().is_zero
 
@@ -372,8 +375,7 @@ def test_chart_tables_match_closed_forms():
                     reason="long double is float64 on this platform")
 def test_chart_curvature_keeps_digits_near_axis():
     # R_0101 = -sinh^2 r is a difference of terms of size cosh^2 r
-    r = np.array([0.05])
-    got = chart()._table()["riem_low"][(0, 1, 0, 1)](r)[0]
+    got = chart().at(np.array([0.05])).jet("riem_low", 0)[0, 0, 1, 0, 1, 0]
     want = -float(mp.sinh(mp.mpf(0.05)) ** 2)
     assert abs(got - want) <= 1e-15 * abs(want)
 
@@ -876,6 +878,30 @@ def test_identity_suite_fd_path_second_order():
             # derivative-free rows stay exact on the difference path
             assert b["max_rel_residual"] <= 1e-8
     assert len(measured) >= 6
+
+
+def test_identity_suite_builds_one_chart_per_grid(monkeypatch):
+    # one chart value for the pointwise grid, one per quadrature call
+    counts = {"at": 0, "quadrature": 0}
+    at, quadrature = TubeChart.at, oracle.tube_inner_product
+
+    def counting_at(self, r):
+        counts["at"] += 1
+        return at(self, r)
+
+    def counting_quadrature(*args, **kwargs):
+        counts["quadrature"] += 1
+        return quadrature(*args, **kwargs)
+
+    monkeypatch.setattr(TubeChart, "at", counting_at)
+    monkeypatch.setattr(oracle, "tube_inner_product", counting_quadrature)
+    identity_suite(MODEL, n_cases=2)
+    assert counts["quadrature"] > 0
+    assert counts["at"] == 1 + counts["quadrature"]
+    # the benchmark's set-up call: one Python float radius
+    g = TubeChart(MODEL).metric(0.5)
+    assert g.shape == (3, 3)
+    assert g[1, 1] == pytest.approx(math.sinh(0.5) ** 2, rel=1e-15)
 
 
 def test_positivity_margin_on_bump_tensors():
