@@ -128,7 +128,7 @@ class RunConfig:
                 return ModeList.from_json(fh.read())
         except OSError as exc:
             raise InputError(f"cannot read modes file: {exc}") from exc
-        except (ValueError, KeyError, TypeError) as exc:
+        except ValueError as exc:
             raise InputError(f"bad modes file: {exc}") from exc
 
     def path(self, name: str) -> str:

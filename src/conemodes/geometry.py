@@ -428,6 +428,10 @@ class RadialProfile:
 
     @classmethod
     def from_sympy(cls, expr_text: str) -> "RadialProfile":
+        """Profile of a sympy expression in r, levels 0-2 by symbolic
+        differentiation.  sympy is not a runtime dependency: this needs the
+        `test` extra.  Nothing in the package calls it; it stays as the tests'
+        symbolic reference for profiles, and bench/spans.py times it by name."""
         import sympy as sp
 
         r = sp.symbols("r", positive=True)

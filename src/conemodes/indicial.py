@@ -14,12 +14,16 @@ A repeated exponent whose eigenspace is smaller than its multiplicity forces
 ln(r) factors in the local solution basis; that deficiency is computed here
 both in floating point (from `ModeSystem.w0`, read off the pencil with no
 series table) and exactly over the rationals when t is rational, which is
-how the log locus is certified on a parameter grid.
+how the log locus is certified on a parameter grid.  The exact rank over
+Q(i) of A + iB (A, B rational) is half the rank over Q of the real matrix
+[[A, -B], [B, A]], a Fraction elimination.  Roots can meet only at a
+half-integer t, so both paths take a t within the merge tolerance
+1e-9 (|t| + 3) of a half-integer at that half-integer.
 """
 
 from __future__ import annotations
 
-import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -161,36 +165,31 @@ def null_space(matrix: np.ndarray, rtol: float = 1e-10):
     return tuple(vecs)
 
 
+def _snap(t):
+    """t, or the half-integer within the merge tolerance 1e-9 (|t| + 3) of it.
+
+    Roots are +-(t + integer), so distinct roots meet only at a half-integer
+    t, and the classification thresholds are integers: snapping there means
+    an ulp change of the angle cannot split a root or move it across one.
+    """
+    half = type(t)(round(2 * t)) / 2
+    return half if abs(t - half) <= 1e-9 * (abs(t) + 3.0) else t
+
+
+def _root_clusters(family: str, kind: str, names, t):
+    """Distinct exponents at a snapped t, descending, with multiplicities."""
+    counts = Counter(closed_root_multiset(family, kind, tuple(names), t))
+    return sorted(counts.items(), reverse=True)
+
+
 def indicial_report(system: ModeSystem, rtol: float = 1e-10) -> IndicialReport:
     """Cluster the closed-form exponent multiset and attach eigenvectors."""
     t = system.mode.p * system.gamma
-    multiset = closed_root_multiset(system.family, system.kind, system.names, t)
-    tol = 1e-9 * (abs(t) + 3.0)
-    clusters = []
-    for value in multiset:
-        if clusters and abs(value - clusters[-1][0]) <= tol:
-            clusters[-1][1] += 1
-        else:
-            clusters.append([value, 1])
     w0 = system.w0
     roots = []
-    for value, mult in clusters:
-        # roots are +-(t + integer), so distinct roots meet only at a
-        # half-integer, and the classification thresholds are integers: a
-        # label within the merge tolerance of a half-integer takes that
-        # value, so an ulp change of the angle cannot move it across one
-        half = round(2 * value) / 2
-        if abs(value - half) <= tol:
-            value = half
-        m = w0 - (value ** 2) * np.eye(system.arity)
-        vecs = null_space(m, rtol)
-        roots.append(IndicialRoot(
-            value=float(value),
-            multiplicity=mult,
-            vectors=vecs,
-            log_required=len(vecs) < mult,
-        ))
-    roots.sort(key=lambda root: -root.value)
+    for value, mult in _root_clusters(system.family, system.kind, system.names, _snap(t)):
+        vecs = null_space(w0 - (value ** 2) * np.eye(system.arity), rtol)
+        roots.append(IndicialRoot(float(value), mult, vecs, len(vecs) < mult))
     return IndicialReport(system.family, system.kind, system.names, t, tuple(roots))
 
 
@@ -198,56 +197,52 @@ def indicial_report(system: ModeSystem, rtol: float = 1e-10) -> IndicialReport:
 # exact rational certification
 
 
-def _exact_w0(family: str, kind: str, names, t):
-    import sympy as sp
+def _exact_w0(family: str, kind: str, names, t: Fraction):
+    """W0 = A + iB at rational t as the Fraction matrices (A, B).
 
-    tt = sp.Rational(t.numerator, t.denominator)
-    I = sp.I
+    Typed by hand from the block formulas, not read off the pencil: W0 is a
+    direct sum of the scalar block t^2, the pair block [[1 + t^2, 2it],
+    [-2it, 1 + t^2]] and, for tensor kinds A and B, the 3x3 block of
+    (f, g, h).
+    """
+    s = t * t
+    scalar = ([[s]], [[0]])
+    pair = ([[1 + s, 0], [0, 1 + s]], [[0, 2 * t], [-2 * t, 0]])
+    triple = ([[s + 2, -2, 0], [-2, s + 2, 0], [0, 0, s + 4]],
+              [[0, 0, 2 * t], [0, 0, -2 * t], [-4 * t, 4 * t, 0]])
     if family == "oneform":
-        if kind == "A":
-            return sp.Matrix([
-                [1 + tt**2, 2 * I * tt, 0],
-                [-2 * I * tt, 1 + tt**2, 0],
-                [0, 0, tt**2],
-            ])
-        if kind == "B":
-            return sp.Matrix([
-                [1 + tt**2, 2 * I * tt],
-                [-2 * I * tt, 1 + tt**2],
-            ])
-        return sp.Matrix([[tt**2]])
-    if kind in ("A", "B"):
-        rows = [
-            [tt**2 + 2, -2, 2 * I * tt],
-            [-2, tt**2 + 2, -2 * I * tt],
-            [-4 * I * tt, 4 * I * tt, tt**2 + 4],
-        ]
-        if kind == "A":
-            block = sp.zeros(len(names), len(names))
-            block[0:3, 0:3] = sp.Matrix(rows)
-            block[3, 3] = tt**2 + 1
-            block[3, 4] = 2 * I * tt
-            block[4, 3] = -2 * I * tt
-            block[4, 4] = tt**2 + 1
-            block[5, 5] = tt**2
-            if "k2" in names:
-                block[6, 6] = tt**2
-            return block
-        block = sp.zeros(4, 4)
-        block[0:3, 0:3] = sp.Matrix(rows)
-        block[3, 3] = tt**2
-        return block
-    if kind == "C":
-        k = len(names)
-        block = sp.zeros(k, k)
-        block[0, 0] = tt**2 + 1
-        block[0, 1] = 2 * I * tt
-        block[1, 0] = -2 * I * tt
-        block[1, 1] = tt**2 + 1
-        if "k3" in names:
-            block[2, 2] = tt**2
-        return block
-    return sp.Matrix([[tt**2]])
+        blocks = {"A": [pair, scalar], "B": [pair], "C": [scalar]}[kind]
+    else:
+        blocks = {"A": [triple, pair, scalar] + [scalar] * ("k2" in names),
+                  "B": [triple, scalar],
+                  "C": [pair] + [scalar] * ("k3" in names),
+                  "D": [scalar]}[kind]
+    k = len(names)
+    a, b = ([[Fraction(0)] * k for _ in range(k)] for _ in range(2))
+    at = 0
+    for block in blocks:
+        for out, part in ((a, block[0]), (b, block[1])):
+            for i, row in enumerate(part):
+                out[at + i][at:at + len(row)] = map(Fraction, row)
+        at += len(block[0])
+    return a, b
+
+
+def _rank(rows) -> int:
+    """Rank over Q of a list of Fraction rows, by elimination in place."""
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / top[col]
+            if f:
+                rows[i] = [x - f * y if y else x for x, y in zip(rows[i], top)]
+        rank += 1
+    return rank
 
 
 def exact_indicial_analysis(family: str, kind: str, names, t: Fraction):
@@ -256,20 +251,22 @@ def exact_indicial_analysis(family: str, kind: str, names, t: Fraction):
     Returns a list of (kappa: Fraction, multiplicity, nullity, log_required)
     sorted by descending exponent.  All arithmetic is exact, so the log locus
     this reports is a certificate, not a numerical observation.
-    """
-    import sympy as sp
 
-    t = Fraction(t)
-    multiset = closed_root_multiset(family, kind, tuple(names), t)
-    clusters: dict[Fraction, int] = {}
-    for val in multiset:
-        clusters[val] = clusters.get(val, 0) + 1
-    w0 = _exact_w0(family, kind, tuple(names), t)
+    The rank over Q(i) of M = W0 - kappa^2 I = A + iB is half the rank over
+    Q of the real matrix [[A, -B], [B, A]], which is similar to M (+) conj(M).
+    A t within the merge tolerance of a half-integer is certified at that
+    half-integer, as `indicial_report` clusters it.
+    """
+    t = _snap(Fraction(t))
+    a, b = _exact_w0(family, kind, tuple(names), t)
+    k = len(a)
     out = []
-    for kappa, mult in sorted(clusters.items(), reverse=True):
-        kk = sp.Rational(kappa.numerator, kappa.denominator)
-        m = w0 - kk**2 * sp.eye(w0.shape[0])
-        nullity = w0.shape[0] - m.rank()
+    for kappa, mult in _root_clusters(family, kind, names, t):
+        shifted = [[x - kappa * kappa if i == j else x for j, x in enumerate(row)]
+                   for i, row in enumerate(a)]
+        realified = ([ra + [-x for x in rb] for ra, rb in zip(shifted, b)]
+                     + [rb + ra for ra, rb in zip(shifted, b)])
+        nullity = k - _rank(realified) // 2
         out.append((kappa, mult, nullity, nullity < mult))
     return out
 

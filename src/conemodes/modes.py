@@ -112,17 +112,19 @@ def mode_from_dict(d) -> Mode:
     """Mode from its typed JSON form; a malformed entry raises ValueError."""
     try:
         kind, p = d["type"], d["p"]
+        types = {"scalar": ("lambda", ScalarMode), "coclosed": ("mu", CoclosedMode),
+                 "tt": ("nu", TTMode)}
+        if kind not in types:
+            raise ValueError(f"unknown mode type {kind!r}")
+        key, cls = types[kind]
+        eig = d[key]
         if isinstance(p, bool) or int(p) != p:
             raise ValueError(f"theta-frequency must be an integer, got {p!r}")
-        if kind == "scalar":
-            return ScalarMode(float(d["lambda"]), int(p))
-        if kind == "coclosed":
-            return CoclosedMode(float(d["mu"]), int(p))
-        if kind == "tt":
-            return TTMode(float(d["nu"]), int(p))
+        if isinstance(eig, bool) or not math.isfinite(eig):
+            raise ValueError(f"{key} must be a finite number, got {eig!r}")
+        return cls(float(eig), int(p))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"bad mode entry {d!r}: {exc!r}") from exc
-    raise ValueError(f"unknown mode type {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -137,30 +139,19 @@ class ModeList:
         yield from self.tt
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "scalar": [{"lambda": m.lam, "p": m.p} for m in self.scalar],
-                "coclosed": [{"mu": m.mu, "p": m.p} for m in self.coclosed],
-                "tt": [{"nu": m.nu, "p": m.p} for m in self.tt],
-            },
-            indent=2,
-        )
+        """One list per mode group, its entries the typed form less "type"."""
+        return json.dumps({group: [{k: v for k, v in mode_to_dict(m).items() if k != "type"}
+                                   for m in getattr(self, group)]
+                           for group in ("scalar", "coclosed", "tt")}, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "ModeList":
         d = json.loads(text)
         if not isinstance(d, dict):
             raise ValueError("mode JSON must be an object")
-        try:
-            return cls(
-                scalar=tuple(ScalarMode(m["lambda"], m["p"])
-                             for m in d.get("scalar", ())),
-                coclosed=tuple(CoclosedMode(m["mu"], m["p"])
-                               for m in d.get("coclosed", ())),
-                tt=tuple(TTMode(m["nu"], m["p"]) for m in d.get("tt", ())),
-            )
-        except KeyError as exc:
-            raise ValueError(f"mode JSON missing field {exc}") from exc
+        return cls(**{group: tuple(mode_from_dict(dict(m, type=group) if isinstance(m, dict) else m)
+                                   for m in d.get(group, ()))
+                      for group in ("scalar", "coclosed", "tt")})
 
 
 def circle_spectrum(model, m_max: int, p_max: int) -> ModeList:

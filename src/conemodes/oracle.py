@@ -275,10 +275,13 @@ class TubeChart:
         return 6 if self.fd_step is None else 3
 
     def at(self, r) -> ChartGrid:
-        """The chart on the radii r, of any shape."""
+        """The chart on the radii r, of any shape.  With `fd_step` set the
+        stencil reads r - 2 fd_step, so every r must exceed 2 fd_step."""
         r = np.asarray(r, dtype=float)
         if not np.all(r > 0):
             raise DomainError("coordinate radius must be positive")
+        if self.fd_step is not None and not np.all(r > 2 * self.fd_step):
+            raise DomainError("finite-difference stencil needs radii above 2 * fd_step")
         return ChartGrid(self, r)
 
     def metric(self, r):

@@ -44,6 +44,16 @@ def invoke(args):
     return result
 
 
+def run_python(script, timeout=120):
+    """Run a script in a fresh interpreter that imports this source tree."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -208,12 +218,7 @@ class TestReduce:
             "result = CliRunner().invoke(main, args)\n"
             "assert result.exit_code == 0, result.output\n"
             "print('sympy' in sys.modules)\n")
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
+        proc = run_python(script)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
         assert (out / "block_image.json").exists()
@@ -559,12 +564,7 @@ class TestVerify:
             "result = CliRunner().invoke(main, args)\n"
             "assert result.exit_code == 0, result.output\n"
             "print(after_import, 'sympy' in sys.modules)\n")
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
+        proc = run_python(script)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False False"
         assert json.loads((out / "verify.json").read_text())["pass"] is True
@@ -673,10 +673,12 @@ class TestInputValidation:
     def test_invalid_modes_file(self, tmp_path):
         model_path = write_model(tmp_path)
         bad = tmp_path / "modes.json"
-        bad.write_text(json.dumps({"scalar": [{"p": 1}]}))
-        result = invoke(["--model", model_path, "--modes", str(bad),
-                         "--out", str(tmp_path / "o"), "indicial"])
-        assert result.exit_code == 2
+        for entry in ({"p": 1}, {"lambda": 1.0, "p": True}, {"lambda": "1.0", "p": 1},
+                      {"lambda": math.nan, "p": 1}):
+            bad.write_text(json.dumps({"scalar": [entry]}))
+            result = invoke(["--model", model_path, "--modes", str(bad),
+                             "--out", str(tmp_path / "o"), "indicial"])
+            assert result.exit_code == 2, entry
 
     def test_list_modes_file_rejected_without_output(self, tmp_path):
         model_path = write_model(tmp_path)
@@ -777,11 +779,26 @@ class TestRuntimeImports:
             "    if 'scipy' in sys.modules and not loaded:\n"
             "        loaded.append(args[-1])\n"
             "print(loaded)\n")
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=300)
+        proc = run_python(script, timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_exact_certificate_and_sweep_run_without_sympy(self, tmp_path):
+        model_path = write_model(tmp_path)
+        out = tmp_path / "out"
+        script = (
+            "import sys\n"
+            "sys.modules['sympy'] = None  # any sympy import now fails\n"
+            "from fractions import Fraction\n"
+            "from click.testing import CliRunner\n"
+            "from conemodes.cli import main\n"
+            "from conemodes.indicial import exact_indicial_analysis\n"
+            "rows = exact_indicial_analysis('tensor', 'C', ('sigma_bar', 'eta_bar'), Fraction(1))\n"
+            "assert [log for *_, log in rows] == [False, True, False], rows\n"
+            f"args = ['--model', {model_path!r}, '--out', {str(out)!r},\n"
+            "        'indicial', '--angle-sweep', '0.5', '6', '2']\n"
+            "result = CliRunner().invoke(main, args)\n"
+            "assert result.exit_code == 0, (result.output, result.exception)\n")
+        proc = run_python(script)
+        assert proc.returncode == 0, proc.stderr
+        assert (out / "angle_sweep.csv").exists()

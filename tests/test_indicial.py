@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -285,9 +286,45 @@ def test_exact_w0_matches_series_w0(family, kind, names):
             system = system_for_mode(model, mode, family)
             assert system.names == names
             w0 = system.laurent_potential(1)[0]
-            exact = _exact_w0(family, kind, system.names, p * gamma)
-            exact_np = np.array(exact.evalf(20)).astype(complex)
+            a, b = _exact_w0(family, kind, system.names, p * gamma)
+            exact_np = np.array(a, dtype=float) + 1j * np.array(b, dtype=float)
             assert np.max(np.abs(w0 - exact_np)) < 1e-12, (gamma, p)
+
+
+@pytest.mark.parametrize("family,kind,names", EXACT_BLOCKS)
+def test_exact_rank_matches_sympy(family, kind, names):
+    """The Fraction elimination against sympy's rank of W0 - kappa^2 I over
+    Q(i), at every t in [-2, 2] with denominator 1, 2 or 6: roots meet only
+    at half-integers |t| <= 2, the offsets being at most 2."""
+    import sympy as sp
+
+    from conemodes.indicial import _exact_w0
+    for t in sorted({Fraction(num, den) for den in (1, 2, 6)
+                     for num in range(-2 * den, 2 * den + 1)}):
+        a, b = _exact_w0(family, kind, names, t)
+        w0, k = sp.Matrix(a) + sp.I * sp.Matrix(b), len(names)
+        want = []
+        for kappa, mult in sorted(Counter(closed_root_multiset(family, kind, names, t)).items(),
+                                  reverse=True):
+            nullity = k - (w0 - sp.Rational(kappa.numerator, kappa.denominator) ** 2
+                           * sp.eye(k)).rank()
+            want.append((kappa, mult, nullity, nullity < mult))
+        assert exact_indicial_analysis(family, kind, names, t) == want, t
+
+
+@pytest.mark.parametrize("alpha", [2 * math.pi * (1 - 1e-15), 2 * math.pi * (1 + 1e-15),
+                                   math.pi * (1 - 1e-15)])
+def test_float_and_exact_tables_agree_near_half_integer_t(alpha):
+    """A few ulps off a half-integer t, the float report merges roots that
+    are distinct at the binary t; the certificate snaps t as the report does."""
+    model = ConeModel(3, alpha, 1.0, CrossSection("circle", 1.0))
+    for family in ("oneform", "tensor"):
+        for mode in circle_spectrum(model, 1, 2):
+            system = system_for_mode(model, mode, family)
+            got = [(r.multiplicity, r.log_required) for r in indicial_report(system).roots]
+            exact = exact_indicial_analysis(family, system.kind, system.names,
+                                            Fraction(mode.p * system.gamma))
+            assert got == [(mult, log) for _, mult, _, log in exact], (family, mode)
 
 
 # ---------------------------------------------------------------------------

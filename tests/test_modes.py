@@ -100,8 +100,12 @@ def test_mode_list_json_round_trip():
 
 
 def test_mode_list_json_missing_field():
-    with pytest.raises(ValueError):
-        ModeList.from_json('{"scalar": [{"p": 0}]}')
+    # entries are read by mode_from_dict: a boolean frequency and a string
+    # eigenvalue are malformed, not coerced
+    for bad in ('{"scalar": [{"p": 0}]}', '{"scalar": [{"lambda": 1.0, "p": true}]}',
+                '{"coclosed": [{"mu": "1.5", "p": 0}]}', '{"tt": [[3.0, 0]]}'):
+        with pytest.raises(ValueError):
+            ModeList.from_json(bad)
 
 
 def test_mode_dict_round_trip_and_errors():
@@ -110,7 +114,7 @@ def test_mode_dict_round_trip_and_errors():
     assert mode_to_dict(ScalarMode(4.0, -2)) == {"type": "scalar", "lambda": 4.0, "p": -2}
     for bad in ({"type": "scalar", "p": 0}, {"type": "cone", "mu": 1.0, "p": 0},
                 {"type": "tt", "nu": 1.0, "p": 0.5}, {"type": "scalar", "lambda": -1.0, "p": 0},
-                ["scalar", 0]):
+                {"type": "coclosed", "mu": float("inf"), "p": 0}, ["scalar", 0]):
         with pytest.raises(ValueError):
             mode_from_dict(bad)
 

@@ -387,6 +387,13 @@ def test_chart_rejects_nonpositive_radius():
         chart().metric(np.array([0.5, -0.1]))
     with pytest.raises(DomainError):
         chart().metric(np.array([np.nan, 0.5]))
+    # the finite-difference stencil reads r - 2 step: r = 2.5 step is the edge
+    fd = TubeChart(MODEL, fd_step=1e-3)
+    with pytest.raises(DomainError):
+        fd.at(np.array([1e-3, 0.5]))
+    grid = fd.at(np.array([2.5e-3]))
+    for name in ("g", "ginv", "gam", "riem_low", "curv"):
+        assert np.all(np.isfinite(grid.jet(name, 3))), name
 
 
 def test_chart_requires_circle_model():
