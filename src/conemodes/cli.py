@@ -30,7 +30,7 @@ from conemodes.frobenius import (
     induced_singular_deformation,
     solve_mode_bvp,
 )
-from conemodes.geometry import RADIAL_FUNCTIONS, ConeModel, DomainError, RadialProfile
+from conemodes.geometry import ConeModel, DomainError, RadialProfile
 from conemodes.indicial import root_table_rows, system_for_mode
 from conemodes.modes import (
     CoclosedMode,
@@ -51,9 +51,8 @@ from conemodes.oracle import (
     tensor_field,
 )
 from conemodes.reduction import (
-    OneFormModeBlock,
+    ModeBlock,
     RadialExpr,
-    TensorModeBlock,
     apply_L_oneform,
     apply_P_tensor,
     block_csv_rows,
@@ -61,6 +60,7 @@ from conemodes.reduction import (
     block_to_dict,
     log_grid,
     standard_deformation_block,
+    _exponents,
 )
 
 
@@ -422,14 +422,12 @@ def solve(cfg: RunConfig, family, mode_type, mode_p, mode_eig, boundary,
         source_map = {}
         for name, terms in sdata.items():
             try:
-                terms = tuple((complex(c), tuple(factors)) for c, factors in terms)
-                unknown = [f for _, factors in terms for f in factors
-                           if f not in RADIAL_FUNCTIONS]
+                terms = tuple((complex(c), _exponents(factors)) for c, factors in terms)
+            except KeyError as exc:
+                raise InputError(f"bad source term for {name}: unknown radial "
+                                 f"factor {exc.args[0]!r}") from exc
             except (TypeError, ValueError, OverflowError) as exc:
                 raise InputError(f"bad source term for {name}: {exc}") from exc
-            if unknown:
-                raise InputError(f"bad source term for {name}: unknown radial "
-                                 f"factor {unknown[0]!r}")
             if not all(np.isfinite(c) for c, _ in terms):
                 raise InputError(f"bad source term for {name}: coefficients "
                                  "must be finite")
@@ -625,13 +623,12 @@ def _equivalence_suite(model, chart, n_cases, seed, tol):
                 mode = CoclosedMode(0.0, p)
             system = system_for_mode(model, mode, family)
             profiles = _random_polynomial_profiles(rng, system.names)
+            blk = ModeBlock(family, kind, mode, profiles)
             if family == "oneform":
-                blk = OneFormModeBlock(kind, mode, profiles)
                 got = oneform_components(
                     chart, apply_L_coords(oneform_field(chart, blk)), kind, grid)
                 ref = apply_L_oneform(model, blk, r)
             else:
-                blk = TensorModeBlock(kind, mode, profiles)
                 got = tensor_components(
                     chart, apply_P_coords(tensor_field(chart, blk)), kind, grid)
                 ref = apply_P_tensor(model, blk, r)

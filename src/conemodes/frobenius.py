@@ -36,10 +36,9 @@ from .geometry import ConeModel, DomainError, RadialProfile, cubic_hermite, gaus
 from .indicial import classify_exponent, indicial_report, system_for_mode
 from .modes import Mode, ScalarMode
 from .reduction import (
+    ModeBlock,
     ModeSystem,
-    OneFormModeBlock,
     RadialExpr,
-    TensorModeBlock,
     component_weights,
     oneform_system,
     _ex,
@@ -196,8 +195,7 @@ def _coefficient_data(system: ModeSystem, order: int):
     return q, W
 
 
-def _series_engine(system, s0, order, seed=None, log_seed=None, source=None,
-                   allow_log=True):
+def _series_engine(system, s0, order, seed=None, log_seed=None, source=None):
     """Run the coefficient recursion; returns (v, u) lists, u possibly None.
 
     Multiplying the system by r^2 gives coefficient equations
@@ -255,9 +253,6 @@ def _series_engine(system, s0, order, seed=None, log_seed=None, source=None,
             if np.linalg.norm(beta) <= _SOLVE_TOL * (np.linalg.norm(rhs) + 1.0):
                 v_m = _min_norm(A, rhs)
             else:
-                if not allow_log:
-                    raise FrobeniusError(
-                        f"obstruction at order {m}: logarithmic branch required")
                 if abs(s) < 1e-12:
                     raise FrobeniusError(
                         f"obstruction at order {m} with exponent 0: "
@@ -354,8 +349,7 @@ def inhomogeneous_series(system: ModeSystem, source: Mapping[str, RadialExpr],
 
 def series_block(system: ModeSystem, series: FrobeniusSeries):
     """Wrap series profiles as the matching mode block."""
-    cls = OneFormModeBlock if system.family == "oneform" else TensorModeBlock
-    return cls(system.kind, system.mode, series.profiles())
+    return ModeBlock(system.family, system.kind, system.mode, series.profiles())
 
 
 # ---------------------------------------------------------------------------
@@ -617,8 +611,8 @@ class ModeBVPResult:
     handoff: float
 
     def block(self):
-        cls = OneFormModeBlock if self.system.family == "oneform" else TensorModeBlock
-        return cls(self.system.kind, self.system.mode, dict(self.profiles))
+        return ModeBlock(self.system.family, self.system.kind, self.system.mode,
+                         dict(self.profiles))
 
     def summary(self) -> dict:
         return {
@@ -847,14 +841,14 @@ class AngleDeformation:
     def residual(self, radii) -> np.ndarray:
         """Max componentwise defect of O X = (2/tanh r, 0) at the radii."""
         radii = np.asarray(radii, dtype=float)
-        block = OneFormModeBlock(self.system.kind, self.system.mode,
-                                 {"f": self.f_profile, "g": self.g_profile})
+        block = ModeBlock("oneform", self.system.kind, self.system.mode,
+                          {"f": self.f_profile, "g": self.g_profile})
         out = self.system.apply(block, radii)
         res_f = np.abs(out["f"] - 2.0 / np.tanh(radii))
         res_g = np.abs(out["g"])
         return np.maximum(res_f, res_g)
 
-    def correction_block(self, cutoff=None) -> TensorModeBlock:
+    def correction_block(self, cutoff=None) -> ModeBlock:
         """Deformation tensor h0 - delta*(chi f e^r) in cross-section slots.
 
         ``cutoff=(c0, c1)`` multiplies the gauge potential by a C^3 bump that
@@ -871,7 +865,7 @@ class AngleDeformation:
             "g": RadialProfile.constant(1.0) - f * inv_th,
             "k1": -np.sqrt(n - 2) * (f * th),
         }
-        return TensorModeBlock("B", ScalarMode(0.0, 0), profiles)
+        return ModeBlock("tensor", "B", ScalarMode(0.0, 0), profiles)
 
     def boundary_values(self, cutoff=None) -> dict:
         """Component trace of the deformation tensor at the tube edge."""

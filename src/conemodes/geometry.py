@@ -10,12 +10,14 @@ indicial systems, series solvers) consumes two things from this module: the
 radial coefficient functions and the `RadialProfile` jets built on them.
 
 Every radial coefficient is a monomial sh(r)^a ch(r)^b with small integer
-exponents, so the exponent pair (a, b) is its whole representation.  One
-evaluator, `sinh_cosh_values`, gives values and derivatives of any pairs:
-by ch^2 = 1 + sh^2 each derivative is again a sum of monomials.  One builder,
-`sinh_cosh_series`, gives the exact Laurent series over `fractions.Fraction`
-as r^a (sh/r)^a ch^b from the sinh/cosh Maclaurin coefficients, cached per
-pair.  `RADIAL_FUNCTIONS` names nine pairs for the operator formulas.
+exponents, so the exponent pair (a, b) is its whole representation:
+`RADIAL_FUNCTIONS` maps each of the nine names the operator formulas use to
+its pair.  One evaluator, `sinh_cosh_values`, gives values and derivatives of
+any pairs: by ch^2 = 1 + sh^2 each derivative is again a sum of monomials.
+One builder, `sinh_cosh_series`, gives the exact Laurent series over
+`fractions.Fraction` as r^a (sh/r)^a ch^b, the two powers from J.C.P.
+Miller's recurrence; one table is kept per pair and a longer request only
+extends it.
 
 Every field the package handles is a radial function with a few of its
 derivatives, and `RadialProfile` is the one type for it: the reduced blocks,
@@ -42,9 +44,7 @@ from numpy.polynomial.legendre import leggauss
 __all__ = [
     "DomainError",
     "LaurentSeries",
-    "RadialFunction",
     "RADIAL_FUNCTIONS",
-    "radial_series",
     "RadialProfile",
     "leibniz",
     "jet_reciprocal",
@@ -81,16 +81,6 @@ class LaurentSeries:
         if not self.coeffs:
             raise ValueError("empty series")
 
-    @property
-    def order(self) -> int:
-        return len(self.coeffs)
-
-    def trimmed(self) -> "LaurentSeries":
-        k = 0
-        while k < len(self.coeffs) - 1 and self.coeffs[k] == 0:
-            k += 1
-        return LaurentSeries(self.leading + k, self.coeffs[k:])
-
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
         # both factors are truncations; the product keeps the shorter length
         out = [Fraction(0)] * min(len(self.coeffs), len(other.coeffs))
@@ -101,19 +91,6 @@ class LaurentSeries:
                 if i + j < len(out):
                     out[i + j] = out[i + j] + a * b
         return LaurentSeries(self.leading + other.leading, tuple(out))
-
-    def reciprocal(self) -> "LaurentSeries":
-        s = self.trimmed()
-        c0 = s.coeffs[0]
-        if c0 == 0:
-            raise ZeroDivisionError("series has no invertible leading coefficient")
-        m = len(s.coeffs)
-        inv = [Fraction(0)] * m
-        inv[0] = Fraction(1) / c0 if isinstance(c0, Fraction) else 1 / c0
-        for k in range(1, m):
-            acc = sum(s.coeffs[j] * inv[k - j] for j in range(1, k + 1))
-            inv[k] = -inv[0] * acc
-        return LaurentSeries(-s.leading, tuple(inv))
 
     def derivative(self) -> "LaurentSeries":
         out = [ (self.leading + k) * c for k, c in enumerate(self.coeffs) ]
@@ -196,22 +173,35 @@ def sinh_cosh_values(pairs, r, derivative: int = 0) -> np.ndarray:
     return out
 
 
-def _unit_power(series: LaurentSeries, e: int) -> LaurentSeries:
-    # series starts with 1 at r^0, so every power keeps its length
-    base = series if e >= 0 else series.reciprocal()
-    out = LaurentSeries(0, (Fraction(1),) + (Fraction(0),) * (series.order - 1))
-    for _ in range(abs(e)):
-        out = out * base
-    return out
+# exact Maclaurin coefficients of sh(r)/r and ch(r) in t = r^2
+_UNITS = (lambda j: Fraction(1, math.factorial(2 * j + 1)),
+          lambda j: Fraction(1, math.factorial(2 * j)))
+_POWER_TABLES: dict = {}
 
 
-def _series_table(a: int, b: int, order: int) -> LaurentSeries:
-    sh_r = tuple(Fraction(1, math.factorial(k + 1)) if k % 2 == 0 else Fraction(0)
-                 for k in range(order))
-    ch = tuple(Fraction(1, math.factorial(k)) if k % 2 == 0 else Fraction(0)
-               for k in range(order))
-    unit = _unit_power(LaurentSeries(0, sh_r), a) * _unit_power(LaurentSeries(0, ch), b)
-    return LaurentSeries(a, unit.coeffs)
+def _power_table(unit: int, e: int, terms: int) -> tuple:
+    """At least `terms` coefficients in t = r^2 of the e-th power of sh/r
+    (unit 0) or ch (unit 1).
+
+    J.C.P. Miller's recurrence: for f = sum_j f_j t^j with f_0 = 1, the power
+    g = f^e has g_0 = 1 and k g_k = sum_{j=1..k} ((e + 1) j - k) f_j g_(k-j),
+    so a longer table computes only its new coefficients.
+    """
+    g = _POWER_TABLES.get((unit, e), (Fraction(1),))
+    if len(g) < terms:
+        g, f = list(g), _UNITS[unit]
+        for k in range(len(g), terms):
+            g.append(sum(((e + 1) * j - k) * f(j) * g[k - j] for j in range(1, k + 1)) / k)
+        g = _POWER_TABLES[(unit, e)] = tuple(g)
+    return g
+
+
+def _series_terms(a: int, b: int, start: int, stop: int) -> tuple:
+    """Exact coefficients start..stop-1 of (sh/r)^a ch^b in powers of r; the
+    odd ones vanish, since both factors are even."""
+    p, q = _power_table(0, a, (stop + 1) // 2), _power_table(1, b, (stop + 1) // 2)
+    return tuple(Fraction(0) if k % 2 else sum(p[i] * q[k // 2 - i] for i in range(k // 2 + 1))
+                 for k in range(start, stop))
 
 
 _SERIES_TABLES: dict = {}
@@ -221,75 +211,31 @@ def sinh_cosh_series(a: int, b: int, order: int) -> LaurentSeries:
     """The first `order` exact Laurent coefficients of sh^a ch^b, from r^a.
 
     sh^a ch^b = r^a (sh/r)^a ch^b, and (sh/r) and ch are power series that
-    start with 1, so products and reciprocals of `order`-term truncations
-    are exact to `order` terms.  One table is kept per pair; it is rebuilt
-    only when a longer one is asked for.
+    start with 1, so every coefficient is a finite sum of exact products.
+    One table is kept per pair; a longer request computes only the missing
+    coefficients.  Tables are replaced whole, never appended to, so threads
+    that share them never read a half-extended one.
     """
-    table = _SERIES_TABLES.get((a, b))
-    if table is None or table.order < order:
-        table = _SERIES_TABLES[(a, b)] = _series_table(a, b, order)
-    return table if table.order == order else LaurentSeries(a, table.coeffs[:order])
+    if order < 1:
+        raise ValueError("series order must be positive")
+    table = _SERIES_TABLES.get((a, b), ())
+    if len(table) < order:
+        table = _SERIES_TABLES[(a, b)] = table + _series_terms(a, b, len(table), order)
+    return LaurentSeries(a, table[:order])
 
 
-# ---------------------------------------------------------------------------
-# named radial coefficient functions
-
-
-@dataclass(frozen=True)
-class RadialFunction:
-    """A named radial coefficient sh(r)^a ch(r)^b."""
-
-    name: str
-    a: int
-    b: int
-
-    @property
-    def leading(self) -> int:
-        return self.a
-
-    @property
-    def parity(self) -> int:
-        return -1 if self.a % 2 else 1
-
-    @property
-    def singular(self) -> bool:
-        return self.a < 0
-
-    def __call__(self, r):
-        return sinh_cosh_values(((self.a, self.b),), r)[0]
-
-    def d1(self, r):
-        return sinh_cosh_values(((self.a, self.b),), r, 1)[0]
-
-    def d2(self, r):
-        return sinh_cosh_values(((self.a, self.b),), r, 2)[0]
-
-    def series(self, order: int) -> LaurentSeries:
-        if order < 2:
-            raise ValueError("need order >= 2")
-        return sinh_cosh_series(self.a, self.b, order)
-
-
-RADIAL_FUNCTIONS: dict[str, RadialFunction] = {
-    fn.name: fn for fn in (
-        RadialFunction("sh", 1, 0),
-        RadialFunction("ch", 0, 1),
-        RadialFunction("th", 1, -1),
-        RadialFunction("inv_th", -1, 1),
-        RadialFunction("inv_sh", -1, 0),
-        RadialFunction("inv_sh_sq", -2, 0),
-        RadialFunction("inv_ch", 0, -1),
-        RadialFunction("inv_ch_sq", 0, -2),
-        RadialFunction("sh_th_inv", -2, 1),
-    )
+# The exponent pair (a, b) of each named radial coefficient sh^a ch^b.
+RADIAL_FUNCTIONS: dict[str, tuple] = {
+    "sh": (1, 0),
+    "ch": (0, 1),
+    "th": (1, -1),
+    "inv_th": (-1, 1),
+    "inv_sh": (-1, 0),
+    "inv_sh_sq": (-2, 0),
+    "inv_ch": (0, -1),
+    "inv_ch_sq": (0, -2),
+    "sh_th_inv": (-2, 1),
 }
-
-
-def radial_series(name: str, order: int) -> LaurentSeries:
-    """First `order` Laurent coefficients of the named radial function."""
-    if name not in RADIAL_FUNCTIONS:
-        raise KeyError(f"unknown radial function {name!r}")
-    return RADIAL_FUNCTIONS[name].series(order)
 
 
 # ---------------------------------------------------------------------------

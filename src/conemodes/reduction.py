@@ -15,9 +15,10 @@ with every potential a constant pencil over seven fixed radial products,
 Each phi_b, like every radial coefficient, is a monomial sh^a ch^b, so the
 basis is the seven exponent pairs (0, 0), (-2, 2), (2, -2), (-2, 0), (0, -2),
 (-2, 1), (1, -2), and q is the pair (-1, 1) plus n - 2 times (1, -1).  The
-operator formulas are written entry by entry as radial expressions, products
-of named functions that are read as the sums of their exponents, and
-compiled into the matrices C_b once, when a system is built.  Pointwise
+operator formulas are written entry by entry as radial expressions, whose
+terms are coefficients times exponent pairs; a product of named functions is
+resolved to its summed pair once, where it is spelled, and the expressions
+are compiled into the matrices C_b once, when a system is built.  Pointwise
 values and both radial derivatives of V and q come from the one monomial
 evaluator of :mod:`conemodes.geometry`, and their exact Laurent data from its
 one series table per pair.
@@ -26,11 +27,14 @@ This module owns those systems: it applies them pointwise, forms the
 first-order gradient/exterior-derivative displays for one-form blocks,
 computes weighted tube norms by Gauss-Legendre quadrature, and produces the
 standard singular deformation blocks (cone angle, locus metric, gluing).
-Block components are :class:`conemodes.geometry.RadialProfile` jets, and
-`ModeSystem.apply` reads levels 0..2 of every component through one shared
-memo, so components built from a common profile evaluate it once.  The
-indicial matrix W0 = lim r^2 V is read off the pencil (`ModeSystem.w0`)
-without any series table.
+Every unknown is a :class:`ModeBlock`: a family ("oneform" or "tensor"), a
+kind, a mode and component profiles, with the component names read from one
+table per family.  The components are
+:class:`conemodes.geometry.RadialProfile` jets, and `ModeSystem.apply` reads
+levels 0..2 of every component through one shared memo, so components built
+from a common profile evaluate it once.  The indicial matrix
+W0 = lim r^2 V is read off the pencil (`ModeSystem.w0`) without any series
+table.
 
 One-form block kinds: A (scalar mode with gradient part: f, g, omega),
 B (scalar mode, eigenvalue 0: f, g), C (co-closed mode: varpi).
@@ -71,8 +75,7 @@ from conemodes.modes import (
 
 __all__ = [
     "RadialExpr",
-    "OneFormModeBlock",
-    "TensorModeBlock",
+    "ModeBlock",
     "ModeSystem",
     "oneform_system",
     "tensor_system",
@@ -99,25 +102,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RadialExpr:
-    """Linear combination of products of registered radial functions.
+    """Linear combination of radial monomials sh^a ch^b.
 
-    terms[k] = (coefficient, tuple of function names); the empty tuple is the
-    constant function 1, and a product of names is the monomial sh^a ch^b
-    with the summed exponents.  Radial expressions spell out the operator
-    formulas (compiled into a `ModeSystem`'s basis pencil) and the source
-    terms of inhomogeneous problems.
+    terms[k] = (coefficient, (a, b)); the pair (0, 0) is the constant
+    function 1.  Radial expressions spell out the operator formulas
+    (compiled into a `ModeSystem`'s basis pencil) and the source terms of
+    inhomogeneous problems.
     """
 
     terms: tuple
-
-    def _monomials(self):
-        return [(c, _pair(names)) for c, names in self.terms if c != 0]
 
     def __call__(self, r, derivative: int = 0):
         """Value, or the radial derivative of the given order, at radii r."""
         r = np.asarray(r, dtype=float)
         acc = np.zeros(r.shape, dtype=complex)
-        terms = self._monomials()
+        terms = [(c, pair) for c, pair in self.terms if c != 0]
         if terms:
             values = sinh_cosh_values([pair for _, pair in terms], r, derivative)
             for (c, _), v in zip(terms, values):
@@ -128,35 +127,35 @@ class RadialExpr:
         return RadialExpr(self.terms + other.terms)
 
     def __mul__(self, scalar) -> "RadialExpr":
-        return RadialExpr(tuple((c * scalar, names) for c, names in self.terms))
+        return RadialExpr(tuple((c * scalar, pair) for c, pair in self.terms))
 
     __rmul__ = __mul__
 
     def laurent(self, order: int) -> LaurentSeries:
         """Complex Laurent series with `order` coefficients from the lowest
         power of any term; each term is rounded once from its exact table."""
-        lead = min((_pair(names)[0] for _, names in self.terms), default=0)
+        lead = min((a for _, (a, _) in self.terms), default=0)
         acc = np.zeros(order, dtype=complex)
-        for c, (a, b) in self._monomials():
-            if a - lead < order:
+        for c, (a, b) in self.terms:
+            if c != 0 and a - lead < order:
                 exact = sinh_cosh_series(a, b, order - (a - lead)).coeffs
                 acc[a - lead:] += [complex(x) * c for x in exact]
         return LaurentSeries(lead, tuple(complex(x) for x in acc))
 
 
-@functools.lru_cache(maxsize=None)
-def _pair(names: tuple) -> tuple:
-    """Exponent pair (a, b) of a product of named radial functions."""
-    fns = [RADIAL_FUNCTIONS[name] for name in names]
-    return sum(f.a for f in fns), sum(f.b for f in fns)
+def _exponents(names) -> tuple:
+    """Exponent pair (a, b) of a product of named radial functions; an
+    unknown name raises KeyError."""
+    pairs = [RADIAL_FUNCTIONS[name] for name in names]
+    return sum(a for a, _ in pairs), sum(b for _, b in pairs)
 
 
 def _ex(*names) -> RadialExpr:
-    return RadialExpr(((1.0 + 0j, tuple(names)),))
+    return RadialExpr(((1.0 + 0j, _exponents(names)),))
 
 
 def _const(c) -> RadialExpr:
-    return RadialExpr(((complex(c), ()),))
+    return RadialExpr(((complex(c), (0, 0)),))
 
 
 _ZERO = RadialExpr(())
@@ -176,18 +175,19 @@ def log_grid(model: ConeModel, num: int = 200, inner: float = 1e-6) -> np.ndarra
 # ---------------------------------------------------------------------------
 # mode blocks
 
-_ONEFORM_COMPONENTS = {"A": ("f", "g", "omega"), "B": ("f", "g"), "C": ("varpi",)}
-_TENSOR_COMPONENTS = {
-    "A": ("f", "g", "h", "sigma", "eta", "k1", "k2"),
-    "B": ("f", "g", "h", "k1"),
-    "C": ("sigma_bar", "eta_bar", "k3"),
-    "D": ("k4",),
+_COMPONENTS = {
+    "oneform": {"A": ("f", "g", "omega"), "B": ("f", "g"), "C": ("varpi",)},
+    "tensor": {
+        "A": ("f", "g", "h", "sigma", "eta", "k1", "k2"),
+        "B": ("f", "g", "h", "k1"),
+        "C": ("sigma_bar", "eta_bar", "k3"),
+        "D": ("k4",),
+    },
 }
 
 
 def _check_kind_mode(family: str, kind: str, mode: Mode) -> None:
-    table = _ONEFORM_COMPONENTS if family == "oneform" else _TENSOR_COMPONENTS
-    if kind not in table:
+    if kind not in _COMPONENTS[family]:
         raise ValueError(f"unknown {family} block kind {kind!r}")
     if kind in ("A", "B"):
         if not isinstance(mode, ScalarMode):
@@ -205,40 +205,27 @@ def _check_kind_mode(family: str, kind: str, mode: Mode) -> None:
 
 
 @dataclass(frozen=True)
-class OneFormModeBlock:
+class ModeBlock:
+    """The radial profiles of one mode of a one-form ("oneform") or
+    symmetric 2-tensor ("tensor") field; a missing component is zero."""
+
+    family: str
     kind: str
     mode: Mode
     profiles: Mapping[str, RadialProfile] = field(default_factory=dict)
 
     def __post_init__(self):
-        _check_kind_mode("oneform", self.kind, self.mode)
-        extra = set(self.profiles) - set(_ONEFORM_COMPONENTS[self.kind])
+        if self.family not in _COMPONENTS:
+            raise ValueError(f"unknown block family {self.family!r}")
+        _check_kind_mode(self.family, self.kind, self.mode)
+        extra = set(self.profiles) - set(self.names)
         if extra:
             raise ValueError(f"components {sorted(extra)} not in kind {self.kind}")
 
     @property
-    def family(self) -> str:
-        return "oneform"
-
-    def component(self, name: str) -> RadialProfile:
-        return self.profiles.get(name, RadialProfile.zero())
-
-
-@dataclass(frozen=True)
-class TensorModeBlock:
-    kind: str
-    mode: Mode
-    profiles: Mapping[str, RadialProfile] = field(default_factory=dict)
-
-    def __post_init__(self):
-        _check_kind_mode("tensor", self.kind, self.mode)
-        extra = set(self.profiles) - set(_TENSOR_COMPONENTS[self.kind])
-        if extra:
-            raise ValueError(f"components {sorted(extra)} not in kind {self.kind}")
-
-    @property
-    def family(self) -> str:
-        return "tensor"
+    def names(self) -> tuple:
+        """Every component name of the block's family and kind, in order."""
+        return _COMPONENTS[self.family][self.kind]
 
     def component(self, name: str) -> RadialProfile:
         return self.profiles.get(name, RadialProfile.zero())
@@ -287,11 +274,12 @@ def _compile_pencil(table) -> np.ndarray:
     pencil = np.zeros((len(_BASIS), k, k), dtype=complex)
     for i, row in enumerate(table):
         for j, expr in enumerate(row):
-            for c, names in expr.terms:
-                b = _BASIS_INDEX.get(_pair(names))
+            for c, pair in expr.terms:
+                b = _BASIS_INDEX.get(pair)
                 if b is None:
                     raise ValueError(
-                        f"radial product {names} is outside the potential basis")
+                        f"radial product sh^{pair[0]} ch^{pair[1]} is outside "
+                        "the potential basis")
                 pencil[b, i, j] += c
     pencil.flags.writeable = False
     return pencil
@@ -392,7 +380,7 @@ def oneform_system(model: ConeModel, mode: Mode, kind: str) -> ModeSystem:
     _check_kind_mode("oneform", kind, mode)
     n, g = model.n, model.gamma
     pg = mode.p * g
-    names = _ONEFORM_COMPONENTS[kind]
+    names = _COMPONENTS["oneform"][kind]
     k = len(names)
     V = _grid_table(k)
     if kind in ("A", "B"):
@@ -499,14 +487,18 @@ def tensor_system(model: ConeModel, mode: Mode, kind: str) -> ModeSystem:
                       _compile_pencil(V))
 
 
-def apply_L_oneform(model: ConeModel, block: OneFormModeBlock, r):
+def apply_L_oneform(model: ConeModel, block: ModeBlock, r):
     """Pointwise value of the one-form operator on the block at radii r."""
+    if block.family != "oneform":
+        raise ValueError(f"the one-form operator needs a oneform block, not {block.family}")
     r = _check_radii(model, r)
     return oneform_system(model, block.mode, block.kind).apply(block, r)
 
 
-def apply_P_tensor(model: ConeModel, block: TensorModeBlock, r):
+def apply_P_tensor(model: ConeModel, block: ModeBlock, r):
     """Pointwise value of the tensor operator on the block at radii r."""
+    if block.family != "tensor":
+        raise ValueError(f"the tensor operator needs a tensor block, not {block.family}")
     r = _check_radii(model, r)
     return tensor_system(model, block.mode, block.kind).apply(block, r)
 
@@ -524,7 +516,7 @@ def _check_radii(model, r):
 # first-order displays on one-form blocks
 
 
-def grad_oneform(model: ConeModel, block: OneFormModeBlock, r):
+def grad_oneform(model: ConeModel, block: ModeBlock, r):
     """Frame components of the covariant derivative of a one-form block.
 
     Keys name the output slot: "er_eth" is the e^r (x) e^theta component's
@@ -566,7 +558,7 @@ def grad_oneform(model: ConeModel, block: OneFormModeBlock, r):
     return out
 
 
-def ext_d_oneform(model: ConeModel, block: OneFormModeBlock, r):
+def ext_d_oneform(model: ConeModel, block: ModeBlock, r):
     """Frame components of the exterior derivative of a one-form block."""
     r = _check_radii(model, r)
     ish = 1.0 / np.sinh(r)
@@ -598,7 +590,7 @@ def ext_d_oneform(model: ConeModel, block: OneFormModeBlock, r):
 # traces
 
 
-def trace_tensor_mode(model: ConeModel, block: TensorModeBlock) -> RadialProfile:
+def trace_tensor_mode(model: ConeModel, block: ModeBlock) -> RadialProfile:
     """Scalar mode profile of the metric trace of a tensor block."""
     if block.kind in ("C", "D"):
         return RadialProfile.zero()
@@ -652,9 +644,8 @@ def l2_norm_tube(model: ConeModel, block_or_profiles, inner_cutoff: float = 0.0,
     to use the symmetrized-slot convention.  Non-convergence between the
     requested node count and a finer rule raises, never returns silently.
     """
-    if isinstance(block_or_profiles, (OneFormModeBlock, TensorModeBlock)):
-        names = (_ONEFORM_COMPONENTS if block_or_profiles.family == "oneform"
-                 else _TENSOR_COMPONENTS)[block_or_profiles.kind]
+    if isinstance(block_or_profiles, ModeBlock):
+        names = block_or_profiles.names
         profiles = [block_or_profiles.component(nm) for nm in names]
         if isinstance(weights, str):
             if weights != "symmetrized":
@@ -702,14 +693,14 @@ def standard_deformation_block(model: ConeModel, kind: str):
     one-form, profile r^2/(sh ch) on the theta-cross slot.
     """
     if kind == "angle":
-        return TensorModeBlock("B", ScalarMode(0.0, 0),
-                               {"g": RadialProfile.constant(1.0)})
+        return ModeBlock("tensor", "B", ScalarMode(0.0, 0),
+                         {"g": RadialProfile.constant(1.0)})
     if kind == "locus_metric":
-        return TensorModeBlock("B", ScalarMode(0.0, 0),
-                               {"k1": RadialProfile.constant(1.0)})
+        return ModeBlock("tensor", "B", ScalarMode(0.0, 0),
+                         {"k1": RadialProfile.constant(1.0)})
     if kind == "angle_gluing":
         prof = RadialProfile.monomial(2) * RadialProfile.from_expr(_ex("inv_sh", "inv_ch"))
-        return TensorModeBlock("C", CoclosedMode(0.0, 0), {"eta_bar": prof})
+        return ModeBlock("tensor", "C", CoclosedMode(0.0, 0), {"eta_bar": prof})
     raise ValueError(f"unknown standard deformation {kind!r}")
 
 
@@ -723,8 +714,7 @@ def block_to_dict(model: ConeModel, block, grid=None) -> dict:
         grid = log_grid(model)
     grid = np.asarray(grid, dtype=float)
     comps = {}
-    for name in (_ONEFORM_COMPONENTS if block.family == "oneform"
-                 else _TENSOR_COMPONENTS)[block.kind]:
+    for name in block.names:
         if name not in block.profiles:
             continue
         value, d1 = block.profiles[name].jet(grid, 1, {})
@@ -754,8 +744,7 @@ def block_from_dict(d: dict):
         vals = np.asarray(c["value_re"]) + 1j * np.asarray(c["value_im"])
         d1 = np.asarray(c["d1_re"]) + 1j * np.asarray(c["d1_im"])
         profiles[name] = RadialProfile.from_grid(grid, vals, d1)
-    cls = OneFormModeBlock if d["family"] == "oneform" else TensorModeBlock
-    return cls(d["kind"], mode, profiles)
+    return ModeBlock(d["family"], d["kind"], mode, profiles)
 
 
 def block_csv_rows(model: ConeModel, block, grid=None):
@@ -763,9 +752,7 @@ def block_csv_rows(model: ConeModel, block, grid=None):
     if grid is None:
         grid = log_grid(model)
     grid = np.asarray(grid, dtype=float)
-    names = [nm for nm in (_ONEFORM_COMPONENTS if block.family == "oneform"
-                           else _TENSOR_COMPONENTS)[block.kind]
-             if nm in block.profiles]
+    names = [nm for nm in block.names if nm in block.profiles]
     header = ["r"]
     for nm in names:
         header += [f"{nm}_re", f"{nm}_im"]

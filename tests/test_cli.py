@@ -172,11 +172,10 @@ class TestReduce:
             nm for nm in ("f", "g", "h", "k1"))
 
     def test_block_file_round_trip(self, tmp_path):
-        from conemodes.reduction import (RadialProfile, TensorModeBlock,
-                                         block_to_dict)
+        from conemodes.reduction import ModeBlock, RadialProfile, block_to_dict
         model = ConeModel(n=3, alpha=math.pi / 2, tube_radius=1.0,
                           cross_section=CrossSection("circle", 2.0))
-        block = TensorModeBlock("A", ScalarMode(math.pi ** 2, 1), {
+        block = ModeBlock("tensor", "A", ScalarMode(math.pi ** 2, 1), {
             name: RadialProfile.from_sympy(expr)
             for name, expr in [("f", "r**2"), ("g", "r"), ("h", "0"),
                                ("sigma", "r**3"), ("eta", "0"), ("k1", "1")]})
@@ -193,18 +192,23 @@ class TestReduce:
         assert payload["mode"]["p"] == 1
 
     def test_list_profiles_rejected_without_output(self, tmp_path):
-        block_path = tmp_path / "block.json"
-        block_path.write_text(json.dumps({
-            "family": "tensor", "kind": "B",
-            "mode": {"type": "scalar", "lambda": 0.0, "p": 0},
-            "grid": [0.5, 1.0], "profiles": [0.3, 0.5]}))
+        # a list of profiles, and a family that is neither oneform nor tensor
         model_path = write_model(tmp_path)
-        out = tmp_path / "out"
-        result = invoke(["--model", model_path, "--out", str(out),
-                         "reduce", "--block-file", str(block_path)])
-        assert result.exit_code == 2
-        assert "profiles must be a JSON object" in result.output
-        assert not out.exists() or os.listdir(out) == []
+        block = {"family": "tensor", "kind": "B",
+                 "mode": {"type": "scalar", "lambda": 0.0, "p": 0},
+                 "grid": [0.5, 1.0], "profiles": [0.3, 0.5]}
+        bogus = dict(block, family="bogus", profiles={})
+        for i, (data, message) in enumerate([
+                (block, "profiles must be a JSON object"),
+                (bogus, "unknown block family 'bogus'")]):
+            block_path = tmp_path / f"block{i}.json"
+            block_path.write_text(json.dumps(data))
+            out = tmp_path / f"out{i}"
+            result = invoke(["--model", model_path, "--out", str(out),
+                             "reduce", "--block-file", str(block_path)])
+            assert result.exit_code == 2
+            assert message in result.output
+            assert not out.exists() or os.listdir(out) == []
 
     def test_angle_gluing_loads_no_sympy(self, tmp_path):
         model_path = write_model(tmp_path)
@@ -412,22 +416,25 @@ class TestDeformAngle:
         assert result.exit_code == 2
         assert os.listdir(out) == []
 
-    def test_exact_tables_built_once_across_commands(self, tmp_path, monkeypatch):
-        # deform-angle asks for longer Laurent data than induced-metric; the
-        # shorter request must be read from the tables already built
-        from collections import Counter
+    @pytest.mark.parametrize("first", ["deform-angle", "induced-metric"])
+    def test_exact_tables_built_once_across_commands(self, tmp_path, monkeypatch,
+                                                     first):
+        # deform-angle asks for longer Laurent data than induced-metric; in
+        # either order every exact coefficient is computed once: a shorter
+        # request reads the table, and a longer one only extends it
+        from collections import defaultdict
 
         from conemodes import frobenius, geometry, reduction
 
-        built = Counter()
-        build = geometry._series_table
+        computed = defaultdict(list)
+        terms = geometry._series_terms
 
-        def counted(a, b, order):
-            built[(a, b)] += 1
-            return build(a, b, order)
+        def counted(a, b, start, stop):
+            computed[(a, b)].append((start, stop))
+            return terms(a, b, start, stop)
 
         monkeypatch.setattr(geometry, "_SERIES_TABLES", {})
-        monkeypatch.setattr(geometry, "_series_table", counted)
+        monkeypatch.setattr(geometry, "_series_terms", counted)
         frobenius._coefficient_data.cache_clear()
         reduction._basis_series.cache_clear()
         model_path = write_model(tmp_path, angle=1.0, length=1.0)
@@ -439,14 +446,20 @@ class TestDeformAngle:
             {"mode": {"type": "coclosed", "mu": 0.0, "p": 2},
              "values": {"sigma_bar": 0.1, "eta_bar": 0.4}}]))
         out = str(tmp_path / "out")
-        result = invoke(["--model", model_path, "--modes", modes_path,
-                         "--out", out, "--tol-nodes", "60", "deform-angle"])
-        assert result.exit_code == 0
-        result = invoke(["--model", model_path, "--out", out,
-                         "induced-metric", "--boundary-file", str(bpath)])
-        assert result.exit_code == 0
-        assert set(reduction._BASIS) <= set(built)
-        assert set(built.values()) == {1}, built
+        commands = {
+            "deform-angle": ["--model", model_path, "--modes", modes_path,
+                             "--out", out, "--tol-nodes", "60", "deform-angle"],
+            "induced-metric": ["--model", model_path, "--out", out,
+                               "induced-metric", "--boundary-file", str(bpath)]}
+        for name in sorted(commands, key=lambda c: c != first):
+            assert invoke(commands[name]).exit_code == 0
+        assert set(reduction._BASIS) <= set(computed)
+        for pair, spans in computed.items():
+            stops = [0] + [stop for _, stop in spans]
+            assert [start for start, _ in spans] == stops[:-1], (pair, spans)
+            assert len(geometry._SERIES_TABLES[pair]) == stops[-1]
+        if first == "induced-metric":  # the longer request extended the tables
+            assert any(len(spans) == 2 for spans in computed.values()), computed
 
     def test_interpolants_set_up_only_when_read(self, tmp_path, monkeypatch):
         # the per-mode solves read only endpoints and axis values, so of the

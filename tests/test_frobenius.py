@@ -19,6 +19,7 @@ from conemodes.geometry import ConeModel, CrossSection, DomainError
 from conemodes.indicial import indicial_report
 from conemodes.modes import CoclosedMode, ScalarMode
 from conemodes.reduction import (
+    ModeBlock,
     RadialProfile,
     apply_L_oneform,
     apply_P_tensor,
@@ -233,7 +234,7 @@ def test_continuation_profile_solves_ode_between_nodes():
     ser = frobenius_series(system, 5.0, order=14)
     cont = integrate_mode_ode(system, ser, 0.1, 1.0)
     blk = series_block(system, ser)
-    combined = type(blk)(system.kind, system.mode, cont.profiles())
+    combined = ModeBlock(blk.family, system.kind, system.mode, cont.profiles())
     rr = np.linspace(0.13, 0.97, 23)  # avoids grid nodes
     out = apply_L_oneform(M_HALF, combined, rr)
     assert max(np.max(np.abs(v)) for v in out.values()) < 1e-8

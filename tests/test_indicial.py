@@ -423,14 +423,14 @@ def test_root_tables_build_no_laurent_tables(monkeypatch):
     from conemodes import geometry, reduction
 
     built = []
-    build = geometry._series_table
+    terms = geometry._series_terms
 
-    def counted(a, b, order):
-        built.append((a, b, order))
-        return build(a, b, order)
+    def counted(a, b, start, stop):
+        built.append((a, b, start, stop))
+        return terms(a, b, start, stop)
 
     monkeypatch.setattr(geometry, "_SERIES_TABLES", {})
-    monkeypatch.setattr(geometry, "_series_table", counted)
+    monkeypatch.setattr(geometry, "_series_terms", counted)
     reduction._basis_series.cache_clear()
     modes = [ScalarMode(0.0, 0), ScalarMode(2.0, 1), CoclosedMode(1.0, -1),
              TTMode(1.0, 2)]

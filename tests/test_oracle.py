@@ -45,9 +45,8 @@ from conemodes.oracle import (
     tube_norm,
 )
 from conemodes.reduction import (
-    OneFormModeBlock,
+    ModeBlock,
     RadialProfile,
-    TensorModeBlock,
     apply_L_oneform,
     apply_P_tensor,
     ext_d_oneform,
@@ -446,8 +445,8 @@ def test_angular_derivatives_are_exact_multiplications():
 
 def test_scalar_multiplication_adds_frequencies():
     u = scalar_field(chart(), poly_chain([1.0]), angular=2.0, axial=1.0)
-    w = oneform_field(chart(), OneFormModeBlock("B", ScalarMode(0.0, 1),
-                                                {"f": poly_profile("r")}))
+    w = oneform_field(chart(), ModeBlock("oneform", "B", ScalarMode(0.0, 1),
+                                         {"f": poly_profile("r")}))
     prod = u * w
     assert prod.angular == 2.0 + w.angular
     assert prod.axial == 1.0
@@ -484,7 +483,7 @@ def test_rank_limit_on_covariant_derivative():
 # ---------------------------------------------------------------------------
 # gradient display agreement
 
-ONEFORM_A_BLOCK = OneFormModeBlock("A", scalar_mode(2), {
+ONEFORM_A_BLOCK = ModeBlock("oneform", "A", scalar_mode(2), {
     "f": poly_profile("0.3 + 0.2*r**2"),
     "g": poly_profile("0.1*r - 0.05*r**3"),
     "omega": poly_profile("0.4 - 0.1*r**2"),
@@ -517,8 +516,8 @@ def test_gradient_display_matches_coordinates_coclosed_family():
     ch = chart()
     r = np.linspace(0.2, 0.95, 6)
     sh, co = np.sinh(r), np.cosh(r)
-    blk = OneFormModeBlock("C", CoclosedMode(0.0, 3),
-                           {"varpi": poly_profile("0.25 + 0.1*r**2")})
+    blk = ModeBlock("oneform", "C", CoclosedMode(0.0, 3),
+                    {"varpi": poly_profile("0.25 + 0.1*r**2")})
     D = covariant_derivative(oneform_field(ch, blk)).values(r)
     G = grad_oneform(MODEL, blk, r)
     assert np.max(np.abs(D[0, 2] - G["er_varphi"] * co)) < 1e-8
@@ -662,12 +661,12 @@ def test_oneform_round_trip_all_kinds():
     r = np.linspace(0.15, 1.0, 8)
     blocks = [
         ONEFORM_A_BLOCK,
-        OneFormModeBlock("B", ScalarMode(0.0, 2), {
+        ModeBlock("oneform", "B", ScalarMode(0.0, 2), {
             "f": poly_profile("0.2 + 0.5*r"),
             "g": poly_profile("0.3*r**2"),
         }),
-        OneFormModeBlock("C", CoclosedMode(0.0, 1),
-                         {"varpi": poly_profile("0.7 - 0.2*r")}),
+        ModeBlock("oneform", "C", CoclosedMode(0.0, 1),
+                  {"varpi": poly_profile("0.7 - 0.2*r")}),
     ]
     for blk in blocks:
         fld = oneform_field(ch, blk)
@@ -680,7 +679,7 @@ def test_tensor_round_trip_all_kinds():
     ch = chart()
     r = np.linspace(0.15, 1.0, 8)
     blocks = [
-        TensorModeBlock("A", scalar_mode(1), {
+        ModeBlock("tensor", "A", scalar_mode(1), {
             "f": poly_profile("0.3 + 0.2*r**2"),
             "g": poly_profile("0.1 + 0.05*r**3"),
             "h": poly_profile("0.2*r"),
@@ -688,13 +687,13 @@ def test_tensor_round_trip_all_kinds():
             "eta": poly_profile("0.1*r**2"),
             "k1": poly_profile("0.25 + 0.1*r"),
         }),
-        TensorModeBlock("B", ScalarMode(0.0, 3), {
+        ModeBlock("tensor", "B", ScalarMode(0.0, 3), {
             "f": poly_profile("0.4"),
             "g": poly_profile("0.2*r"),
             "h": poly_profile("0.1*r**2"),
             "k1": poly_profile("0.3 - 0.1*r"),
         }),
-        TensorModeBlock("C", CoclosedMode(0.0, 2), {
+        ModeBlock("tensor", "C", CoclosedMode(0.0, 2), {
             "sigma_bar": poly_profile("0.3 - 0.1*r**2"),
             "eta_bar": poly_profile("0.2*r"),
         }),
@@ -707,7 +706,7 @@ def test_tensor_round_trip_all_kinds():
 
 
 def test_tensor_field_symmetry():
-    blk = TensorModeBlock("A", scalar_mode(1), {
+    blk = ModeBlock("tensor", "A", scalar_mode(1), {
         "h": poly_profile("0.2*r"),
         "sigma": poly_profile("0.1"),
         "eta": poly_profile("0.3*r"),
@@ -719,9 +718,9 @@ def test_tensor_field_symmetry():
 def test_unrealizable_components_are_rejected():
     from conemodes.modes import TTMode
     with pytest.raises(ValueError):
-        tensor_field(chart(), TensorModeBlock("D", TTMode(0.0, 1),
-                                              {"k4": poly_profile("r")}))
-    blk = TensorModeBlock("C", CoclosedMode(0.0, 2), {
+        tensor_field(chart(), ModeBlock("tensor", "D", TTMode(0.0, 1),
+                                        {"k4": poly_profile("r")}))
+    blk = ModeBlock("tensor", "C", CoclosedMode(0.0, 2), {
         "sigma_bar": poly_profile("0.3"),
         "k3": poly_profile("0.1*r"),
     })
@@ -772,7 +771,7 @@ def test_oneform_operator_matches_coordinates(kind, names):
             mode = ScalarMode(0.0, int(rng.integers(0, 4)))
         else:
             mode = CoclosedMode(0.0, int(rng.integers(0, 4)))
-        blk = OneFormModeBlock(kind, mode, random_profiles(rng, names))
+        blk = ModeBlock("oneform", kind, mode, random_profiles(rng, names))
         out = apply_L_coords(oneform_field(ch, blk))
         comps = oneform_components(ch, out, kind, r)
         ref = apply_L_oneform(MODEL, blk, r)
@@ -797,7 +796,7 @@ def test_tensor_operator_matches_coordinates(kind, names):
             mode = ScalarMode(0.0, int(rng.integers(0, 4)))
         else:
             mode = CoclosedMode(0.0, int(rng.integers(0, 4)))
-        blk = TensorModeBlock(kind, mode, random_profiles(rng, names))
+        blk = ModeBlock("tensor", kind, mode, random_profiles(rng, names))
         out = apply_P_coords(tensor_field(ch, blk))
         comps = tensor_components(ch, out, kind, r)
         ref = apply_P_tensor(MODEL, blk, r)

@@ -10,11 +10,11 @@ from scipy.interpolate import CubicHermiteSpline
 from conemodes.geometry import ConeModel, CrossSection, DomainError, cubic_hermite
 from conemodes.modes import CoclosedMode, ScalarMode, TTMode
 from conemodes.reduction import (
-    OneFormModeBlock,
+    ModeBlock,
     QuadratureConvergenceError,
     RadialExpr,
     RadialProfile,
-    TensorModeBlock,
+    _exponents,
     apply_L_oneform,
     apply_P_tensor,
     block_csv_rows,
@@ -40,8 +40,13 @@ SINH1 = 1.1752011936438014
 COTH1 = 1.3130352854993313
 
 
+def spelled(*terms):
+    # radial expression from (coefficient, names of the factors) terms
+    return RadialExpr(tuple((c, _exponents(names)) for c, names in terms))
+
+
 def expr_profile(*terms):
-    return RadialProfile.from_expr(RadialExpr(tuple(terms)))
+    return RadialProfile.from_expr(spelled(*terms))
 
 
 # ---------------------------------------------------------------------------
@@ -122,21 +127,32 @@ def test_cubic_hermite_matches_scipy():
 
 def test_block_kind_validation():
     with pytest.raises(ValueError):
-        OneFormModeBlock("A", ScalarMode(0.0, 0))
+        ModeBlock("oneform", "A", ScalarMode(0.0, 0))
     with pytest.raises(ValueError):
-        OneFormModeBlock("B", ScalarMode(2.0, 0))
+        ModeBlock("oneform", "B", ScalarMode(2.0, 0))
     with pytest.raises(ValueError):
-        TensorModeBlock("C", ScalarMode(1.0, 0))
+        ModeBlock("tensor", "C", ScalarMode(1.0, 0))
     with pytest.raises(ValueError):
-        TensorModeBlock("D", CoclosedMode(0.0, 0))
+        ModeBlock("tensor", "D", CoclosedMode(0.0, 0))
     with pytest.raises(ValueError):
-        OneFormModeBlock("B", ScalarMode(0.0, 0),
-                         {"omega": RadialProfile.constant(1.0)})
+        ModeBlock("oneform", "B", ScalarMode(0.0, 0),
+                  {"omega": RadialProfile.constant(1.0)})
+    with pytest.raises(ValueError, match="family"):
+        ModeBlock("bogus", "B", ScalarMode(0.0, 0))
+    # each operator takes only blocks of its own family
+    tensor_b = ModeBlock("tensor", "B", ScalarMode(0.0, 0),
+                         {"f": RadialProfile.constant(1.0)})
+    oneform_b = ModeBlock("oneform", "B", ScalarMode(0.0, 0),
+                          {"f": RadialProfile.constant(1.0)})
+    with pytest.raises(ValueError, match="oneform block"):
+        apply_L_oneform(MODEL3, tensor_b, 0.5)
+    with pytest.raises(ValueError, match="tensor block"):
+        apply_P_tensor(MODEL3, oneform_b, 0.5)
 
 
 def test_missing_components_read_as_zero():
-    b = TensorModeBlock("B", ScalarMode(0.0, 0),
-                        {"g": RadialProfile.constant(1.0)})
+    b = ModeBlock("tensor", "B", ScalarMode(0.0, 0),
+                  {"g": RadialProfile.constant(1.0)})
     assert np.allclose(b.component("f")(np.array([0.5])), 0.0)
 
 
@@ -146,15 +162,15 @@ def test_missing_components_read_as_zero():
 
 def test_oneform_coclosed_constant_value():
     # flat co-closed profile: potential th^2 + (n-1) at mu = 0, p = 0
-    block = OneFormModeBlock("C", CoclosedMode(0.0, 0),
-                             {"varpi": RadialProfile.constant(1.0)})
+    block = ModeBlock("oneform", "C", CoclosedMode(0.0, 0),
+                      {"varpi": RadialProfile.constant(1.0)})
     out = apply_L_oneform(MODEL3, block, 1.0)
     assert out["varpi"] == pytest.approx(2.5800256583859739, abs=1e-12)
 
 
 def test_tensor_tt_constant_value():
-    block = TensorModeBlock("D", TTMode(0.0, 0),
-                            {"k4": RadialProfile.constant(1.0)})
+    block = ModeBlock("tensor", "D", TTMode(0.0, 0),
+                      {"k4": RadialProfile.constant(1.0)})
     out = apply_P_tensor(MODEL3, block, 1.0)
     assert out["k4"] == pytest.approx(-0.8399486832280521, abs=1e-12)
 
@@ -164,7 +180,7 @@ def test_tensor_indicial_vector_cancellation():
     term; the image decays two orders faster than a generic profile."""
     mode = ScalarMode(2.0, 1)
     kappa = MODEL3.gamma * mode.p + 2  # = 6
-    block = TensorModeBlock("A", mode, {
+    block = ModeBlock("tensor", "A", mode, {
         "f": RadialProfile.monomial(kappa, -1.0),
         "g": RadialProfile.monomial(kappa, 1.0),
         "h": RadialProfile.monomial(kappa, 2j),
@@ -179,8 +195,8 @@ def test_tensor_indicial_vector_cancellation():
 
 
 def test_apply_domain_checks():
-    block = OneFormModeBlock("C", CoclosedMode(0.0, 0),
-                             {"varpi": RadialProfile.constant(1.0)})
+    block = ModeBlock("oneform", "C", CoclosedMode(0.0, 0),
+                      {"varpi": RadialProfile.constant(1.0)})
     with pytest.raises(DomainError):
         apply_L_oneform(MODEL3, block, 0.0)
     with pytest.raises(DomainError):
@@ -195,16 +211,16 @@ def test_apply_linearity():
     a, b = 2.0 - 1j, 0.5j
     combo = {k: a * u.get(k, RadialProfile.zero()) + b * v.get(k, RadialProfile.zero())
              for k in ("f", "g", "omega")}
-    out_u = apply_L_oneform(MODEL3, OneFormModeBlock("A", mode, u), r)
-    out_v = apply_L_oneform(MODEL3, OneFormModeBlock("A", mode, v), r)
-    out_c = apply_L_oneform(MODEL3, OneFormModeBlock("A", mode, combo), r)
+    out_u = apply_L_oneform(MODEL3, ModeBlock("oneform", "A", mode, u), r)
+    out_v = apply_L_oneform(MODEL3, ModeBlock("oneform", "A", mode, v), r)
+    out_c = apply_L_oneform(MODEL3, ModeBlock("oneform", "A", mode, combo), r)
     for k in out_c:
         assert np.max(np.abs(out_c[k] - a * out_u[k] - b * out_v[k])) < 1e-12
 
 
 def test_apply_evaluates_each_leaf_level_once():
     # f, g and k1 built from one profile, as the angle correction block is
-    expr = RadialExpr(((0.5, ("sh", "ch")), (0.25j, ("sh",))))
+    expr = spelled((0.5, ("sh", "ch")), (0.25j, ("sh",)))
     calls = {}
 
     def level(k):
@@ -214,7 +230,7 @@ def test_apply_evaluates_each_leaf_level_once():
         return call
 
     leaf = RadialProfile(*[level(k) for k in range(4)])
-    block = TensorModeBlock("B", ScalarMode(0.0, 0), {
+    block = ModeBlock("tensor", "B", ScalarMode(0.0, 0), {
         "f": -1.0 * leaf.derivative(),
         "g": RadialProfile.constant(1.0) - leaf * expr_profile((1.0, ("inv_th",))),
         "k1": -math.sqrt(MODEL4.n - 2) * (leaf * expr_profile((1.0, ("th",)))),
@@ -237,9 +253,9 @@ def test_conjugation_intertwines_sign_of_p():
         lambda r, p=p: np.conj(p.d1(r)),
         lambda r, p=p: np.conj(p.d2(r))) for k, p in profs.items()}
     r = np.linspace(0.2, 1.0, 5)
-    out = apply_L_oneform(MODEL3, OneFormModeBlock("A", mode, profs), r)
+    out = apply_L_oneform(MODEL3, ModeBlock("oneform", "A", mode, profs), r)
     out_conj = apply_L_oneform(
-        MODEL3, OneFormModeBlock("A", mode.conjugate(), conj_profs), r)
+        MODEL3, ModeBlock("oneform", "A", mode.conjugate(), conj_profs), r)
     for k in out:
         assert np.max(np.abs(np.conj(out[k]) - out_conj[k])) < 1e-11
 
@@ -287,7 +303,7 @@ def test_trace_intertwines_scalar_operator():
         "k1": expr_profile((0.7, ("ch", "ch"))),
         "k2": expr_profile((1.3, ("sh", "ch"))),
     }
-    block = TensorModeBlock("A", mode, profs)
+    block = ModeBlock("tensor", "A", mode, profs)
     r = np.linspace(0.1, 1.0, 12)
     out = apply_P_tensor(MODEL4, block, r)
     rn2 = math.sqrt(MODEL4.n - 2)
@@ -300,12 +316,12 @@ def test_trace_intertwines_scalar_operator():
 
 
 def test_trace_vanishes_on_coclosed_and_tt():
-    b = TensorModeBlock("C", CoclosedMode(0.0, 0),
-                        {"eta_bar": RadialProfile.constant(1.0)})
+    b = ModeBlock("tensor", "C", CoclosedMode(0.0, 0),
+                  {"eta_bar": RadialProfile.constant(1.0)})
     assert np.allclose(trace_tensor_mode(MODEL3, b)(np.array([0.5])), 0.0)
     assert trace_tensor_mode(
-        MODEL4, TensorModeBlock("D", TTMode(1.0, 0),
-                                {"k4": RadialProfile.constant(1.0)}))(0.7) == 0
+        MODEL4, ModeBlock("tensor", "D", TTMode(1.0, 0),
+                          {"k4": RadialProfile.constant(1.0)}))(0.7) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +329,8 @@ def test_trace_vanishes_on_coclosed_and_tt():
 
 
 def test_grad_oneform_radial_example():
-    block = OneFormModeBlock("B", ScalarMode(0.0, 0),
-                             {"f": RadialProfile.constant(1.0)})
+    block = ModeBlock("oneform", "B", ScalarMode(0.0, 0),
+                      {"f": RadialProfile.constant(1.0)})
     out = grad_oneform(MODEL3, block, 1.0)
     assert out["eth_eth"] == pytest.approx(COTH1, abs=1e-12)
     assert out["er_er"] == pytest.approx(0.0, abs=1e-15)
@@ -323,8 +339,8 @@ def test_grad_oneform_radial_example():
 
 def test_ext_d_oneform_frozen_value():
     model = ConeModel(n=3, alpha=math.pi, tube_radius=1.0)  # gamma = 2
-    block = OneFormModeBlock("B", ScalarMode(0.0, 1),
-                             {"f": RadialProfile.constant(1.0)})
+    block = ModeBlock("oneform", "B", ScalarMode(0.0, 1),
+                      {"f": RadialProfile.constant(1.0)})
     out = ext_d_oneform(model, block, 1.0)
     assert out["er_eth"] == pytest.approx(-2j / SINH1, abs=1e-12)
 
@@ -336,8 +352,8 @@ def test_ext_d_kills_gradients():
     u_f = expr_profile((2.0, ("sh", "ch")))
     u_g = expr_profile((1j * p * model.gamma, ("sh",)))
     u_w = expr_profile((math.sqrt(lam), ("sh", "sh", "inv_ch")))
-    block = OneFormModeBlock("A", ScalarMode(lam, p),
-                             {"f": u_f, "g": u_g, "omega": u_w})
+    block = ModeBlock("oneform", "A", ScalarMode(lam, p),
+                      {"f": u_f, "g": u_g, "omega": u_w})
     r = np.linspace(0.05, 1.0, 20)
     out = ext_d_oneform(model, block, r)
     for key, vals in out.items():
@@ -346,7 +362,7 @@ def test_ext_d_kills_gradients():
 
 def test_antisymmetrized_grad_is_half_ext_d():
     model = ConeModel(n=3, alpha=3 * math.pi / 2, tube_radius=1.0)
-    block = OneFormModeBlock("A", ScalarMode(2.0, 1), {
+    block = ModeBlock("oneform", "A", ScalarMode(2.0, 1), {
         "f": expr_profile((1.0, ("sh", "ch"))),
         "g": expr_profile((1j, ("sh", "sh"))),
         "omega": expr_profile((0.5, ("sh", "inv_ch"))),
@@ -362,8 +378,8 @@ def test_antisymmetrized_grad_is_half_ext_d():
 
 
 def test_grad_coclosed_slots():
-    block = OneFormModeBlock("C", CoclosedMode(0.0, 1),
-                             {"varpi": RadialProfile.constant(2.0)})
+    block = ModeBlock("oneform", "C", CoclosedMode(0.0, 1),
+                      {"varpi": RadialProfile.constant(2.0)})
     out = grad_oneform(MODEL3, block, 1.0)
     assert out["varphi_er"] == pytest.approx(-2.0 * TANH1, abs=1e-12)
     assert out["eth_varphi"] == pytest.approx(2j * MODEL3.gamma / SINH1, abs=1e-12)
@@ -380,8 +396,8 @@ def test_norm_constant_profile_frozen():
 
 
 def test_norm_block_with_symmetrized_weights():
-    b = TensorModeBlock("C", CoclosedMode(0.0, 0),
-                        {"eta_bar": RadialProfile.constant(1.0)})
+    b = ModeBlock("tensor", "C", CoclosedMode(0.0, 0),
+                  {"eta_bar": RadialProfile.constant(1.0)})
     full = l2_norm_tube(MODEL3, b)
     half = l2_norm_tube(MODEL3, b, weights="symmetrized")
     assert half == pytest.approx(0.5 * full, rel=1e-12)
@@ -518,10 +534,10 @@ def test_laurent_partial_sums_track_potential():
 
 def test_pencil_rejects_product_outside_basis():
     from conemodes.reduction import _compile_pencil
-    pencil = _compile_pencil([[RadialExpr(((2.0, ("inv_ch", "th")),))]])
+    pencil = _compile_pencil([[spelled((2.0, ("inv_ch", "th")))]])
     assert pencil.shape == (7, 1, 1) and pencil[6, 0, 0] == 2.0
     with pytest.raises(ValueError):
-        _compile_pencil([[RadialExpr(((1.0, ("sh", "ch")),))]])
+        _compile_pencil([[spelled((1.0, ("sh", "ch")))]])
 
 
 def test_monomial_derivatives_match_mpmath():
@@ -553,8 +569,7 @@ def test_monomial_derivatives_match_mpmath():
 
     for d in range(3):
         for name, fn in named.items():
-            f = RADIAL_FUNCTIONS[name]
-            close((f, f.d1, f.d2)[d](grid), fn, d, grid)
+            close(sinh_cosh_values([RADIAL_FUNCTIONS[name]], grid, d)[0], fn, d, grid)
         phi = sinh_cosh_values(_BASIS, grid, d)
         assert phi.shape == (7, grid.size)
         assert sinh_cosh_values(_BASIS, 0.5, d).shape == (7,)
@@ -605,14 +620,14 @@ def test_expr_laurent_matches_evaluation(p, lam):
 
 def test_block_json_round_trip():
     grid = np.linspace(0.1, 1.0, 400)
-    block = OneFormModeBlock("A", ScalarMode(2.0, -1), {
+    block = ModeBlock("oneform", "A", ScalarMode(2.0, -1), {
         "f": expr_profile((1.0, ("sh", "ch"))),
         "g": expr_profile((1j, ("sh", "sh"))),
     })
     d = block_to_dict(MODEL3, block, grid)
     assert d["mode"] == {"type": "scalar", "lambda": 2.0, "p": -1}
     back = block_from_dict(d)
-    assert isinstance(back, OneFormModeBlock) and back.kind == "A"
+    assert back.family == "oneform" and back.kind == "A"
     mids = 0.5 * (grid[:-1] + grid[1:])
     for name in ("f", "g"):
         orig = block.component(name)(mids)
@@ -621,8 +636,8 @@ def test_block_json_round_trip():
 
 
 def test_block_csv_rows():
-    block = TensorModeBlock("B", ScalarMode(0.0, 0),
-                            {"g": RadialProfile.constant(1.0),
+    block = ModeBlock("tensor", "B", ScalarMode(0.0, 0),
+                      {"g": RadialProfile.constant(1.0),
                              "f": RadialProfile.constant(2j)})
     header, rows = block_csv_rows(MODEL3, block, np.array([0.5, 1.0]))
     assert header == ["r", "f_re", "f_im", "g_re", "g_im"]
