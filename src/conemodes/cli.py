@@ -45,10 +45,8 @@ from conemodes.oracle import (
     TubeChart,
     apply_L_coords,
     apply_P_coords,
-    oneform_components,
-    oneform_field,
-    tensor_components,
-    tensor_field,
+    block_components,
+    block_field,
 )
 from conemodes.reduction import (
     ModeBlock,
@@ -304,10 +302,11 @@ def reduce(cfg: RunConfig, block_file, standard):
             raise InputError(f"bad block file: {exc}") from exc
 
     grid = log_grid(model, num=cfg.nodes)
-    if block.family == "oneform":
-        image = apply_L_oneform(model, block, grid)
-    else:
-        image = apply_P_tensor(model, block, grid)
+    apply = apply_L_oneform if block.family == "oneform" else apply_P_tensor
+    try:
+        image = apply(model, block, grid)
+    except (ValueError, DomainError) as exc:
+        raise InputError(str(exc)) from exc
 
     head, rows = block_csv_rows(model, block, grid)
     names = sorted(image)
@@ -463,6 +462,12 @@ def solve(cfg: RunConfig, family, mode_type, mode_p, mode_eig, boundary,
 # deform-angle
 
 
+def _axis_coefficients(res) -> dict:
+    """A solve's induced axis coefficients as [re, im] pairs, those of
+    modulus at most 1e-12 left out."""
+    return {nm: [v.real, v.imag] for nm, v in res.axis_values.items() if abs(v) > 1e-12}
+
+
 @main.command("deform-angle")
 @click.option("--cutoff", nargs=2, type=float, default=None,
               help="C0 C1: gauge cutoff radii (defaults to 0.25a 0.5a)")
@@ -509,10 +514,9 @@ def deform_angle(cfg: RunConfig, cutoff, order):
     solves = induced_singular_deformation(model, boundary_data, order=order)
     induced = []
     for mode, res in solves.items():
-        coeffs = {nm: [v.real, v.imag] for nm, v in res.axis_values.items()
-                  if abs(v) > 1e-12}
         induced.append({"mode": mode_to_dict(mode), "status": res.status,
-                        "axis_regular": res.axis_regular, "induced": coeffs})
+                        "axis_regular": res.axis_regular,
+                        "induced": _axis_coefficients(res)})
 
     profile_rows = [[f"{r:.12g}", f"{fv.real:.12g}", f"{gv.real:.12g}",
                      f"{dv.real:.12g}"]
@@ -579,9 +583,7 @@ def induced_metric(cfg: RunConfig, boundary_file, solution_class):
             "status": res.status,
             "axis_regular": res.axis_regular,
             "boundary_residual": res.boundary_residual,
-            "induced": {nm: [v.real, v.imag]
-                        for nm, v in res.axis_values.items()
-                        if abs(v) > 1e-12},
+            "induced": _axis_coefficients(res),
         })
     out = cfg.write_json("induced_metric.json", payload)
     regular = sum(1 for e in payload if e["axis_regular"])
@@ -610,6 +612,9 @@ def _equivalence_suite(model, chart, n_cases, seed, tol):
     grid = chart.at(r)  # the coordinate side of every case
     specs = [("oneform", "A"), ("oneform", "B"), ("oneform", "C"),
              ("tensor", "A"), ("tensor", "B"), ("tensor", "C")]
+    # bound per call: bench/spans.py rebinds these names in this module
+    operators = {"oneform": (apply_L_coords, apply_L_oneform),
+                 "tensor": (apply_P_coords, apply_P_tensor)}
     for family, kind in specs:
         worst = 0.0
         for _ in range(n_cases):
@@ -624,14 +629,9 @@ def _equivalence_suite(model, chart, n_cases, seed, tol):
             system = system_for_mode(model, mode, family)
             profiles = _random_polynomial_profiles(rng, system.names)
             blk = ModeBlock(family, kind, mode, profiles)
-            if family == "oneform":
-                got = oneform_components(
-                    chart, apply_L_coords(oneform_field(chart, blk)), kind, grid)
-                ref = apply_L_oneform(model, blk, r)
-            else:
-                got = tensor_components(
-                    chart, apply_P_coords(tensor_field(chart, blk)), kind, grid)
-                ref = apply_P_tensor(model, blk, r)
+            coords, reduced = operators[family]
+            got = block_components(coords(block_field(chart, blk)), kind, grid)
+            ref = reduced(model, blk, r)
             scale = max(np.max(np.abs(v)) for v in ref.values())
             err = max(np.max(np.abs(got[nm] - ref[nm])) for nm in ref) / scale
             worst = max(worst, err)

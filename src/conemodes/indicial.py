@@ -156,11 +156,15 @@ class IndicialReport:
         return any(r.log_required for r in self.roots)
 
 
-def null_space(matrix: np.ndarray, rtol: float = 1e-10):
+# rank cut of `null_space`: singular values below max(1e-10 s_max, 1e-12) are null
+_NULL_RTOL = 1e-10
+
+
+def null_space(matrix: np.ndarray):
     u, s, vh = np.linalg.svd(matrix)
     if s.size == 0:
         return ()
-    tol = max(s[0] * rtol, 1e-12)
+    tol = max(s[0] * _NULL_RTOL, 1e-12)
     vecs = [tuple(np.conj(vh[i])) for i in range(len(s)) if s[i] < tol]
     return tuple(vecs)
 
@@ -182,13 +186,13 @@ def _root_clusters(family: str, kind: str, names, t):
     return sorted(counts.items(), reverse=True)
 
 
-def indicial_report(system: ModeSystem, rtol: float = 1e-10) -> IndicialReport:
+def indicial_report(system: ModeSystem) -> IndicialReport:
     """Cluster the closed-form exponent multiset and attach eigenvectors."""
     t = system.mode.p * system.gamma
     w0 = system.w0
     roots = []
     for value, mult in _root_clusters(system.family, system.kind, system.names, _snap(t)):
-        vecs = null_space(w0 - (value ** 2) * np.eye(system.arity), rtol)
+        vecs = null_space(w0 - (value ** 2) * np.eye(system.arity))
         roots.append(IndicialRoot(float(value), mult, vecs, len(vecs) < mult))
     return IndicialReport(system.family, system.kind, system.names, t, tuple(roots))
 

@@ -14,6 +14,10 @@ enter as they are, and each operator is one node over the dense jets of its
 operands and of the chart. `TubeChart.at(r)`, the chart on one radius grid,
 holds its dense metric, connection and curvature arrays; a suite or a
 quadrature builds one per grid and evaluates all its fields on it.
+
+A reduced one-form or tensor mode block enters as `block_field` and comes
+back as `block_components`; both read one table, `_SLOTS`, which names the
+coordinate slot and the constant times sh^a ch^b that carry each component.
 """
 
 from __future__ import annotations
@@ -50,10 +54,8 @@ __all__ = [
     "linearized_einstein",
     "metric_field",
     "scalar_field",
-    "oneform_field",
-    "tensor_field",
-    "oneform_components",
-    "tensor_components",
+    "block_field",
+    "block_components",
     "tube_inner_product",
     "tube_norm",
     "cross_section_normalizer",
@@ -557,129 +559,62 @@ def linearized_einstein(h: OracleField) -> OracleField:
 
 
 # ---------------------------------------------------------------------------
-# frame block conversions
+# frame block conversions: one slot table, read both ways
+#
+# _SLOTS[family, kind] has one row (name, idx, c, a, b) per component: slot idx
+# holds c sh^a ch^b times the profile, so the cross-section slots are the
+# per-radius orthonormal ones of the radial systems.  A mixed tensor slot is
+# the coefficient of a symmetrized product of slot covectors, so it holds 1/2
+# of it in each index order; the scalar-gradient slots (omega, sigma, eta)
+# carry the i of the axial phase, whose wavenumber is +sqrt(lam).  k2, k3 and
+# kind D have no realization on a circle.
 
-_I = 1j
-
-
-def _axial_wavenumber(mode, sign: int) -> float:
-    lam = getattr(mode, "lam", 0.0)
-    return sign * math.sqrt(lam) if lam > 0 else 0.0
-
-
-def oneform_field(chart: TubeChart, block, axial_sign: int = 1) -> OracleField:
-    """Coordinate realization of a one-form mode block.
-
-    Cross-section slots are the per-radius orthonormal ones, matching the
-    radial systems: the scalar-gradient slot realizes as i*sign*cosh(r)*ds
-    and the co-closed slot as cosh(r)*ds.
-    """
-    mode = block.mode
-    angular = mode.p * chart.gamma
-    comps = {}
-    if block.kind in ("A", "B"):
-        axial = _axial_wavenumber(mode, axial_sign)
-        f = block.component("f")
-        g = block.component("g")
-        if not f.is_zero:
-            comps[(0,)] = f
-        if not g.is_zero:
-            comps[(1,)] = _SH * g
-        if block.kind == "A":
-            w = block.component("omega")
-            if not w.is_zero:
-                comps[(2,)] = (_I * axial_sign) * (_CH * w)
-    else:
-        axial = 0.0
-        vp = block.component("varpi")
-        if not vp.is_zero:
-            comps[(2,)] = _CH * vp
-    return OracleField(chart, 1, comps, angular, axial)
+_ONEFORM_B = (("f", (0,), 1, 0, 0), ("g", (1,), 1, 1, 0))
+_TENSOR_B = (("f", (0, 0), 1, 0, 0), ("g", (1, 1), 1, 2, 0), ("k1", (2, 2), 1, 0, 2),
+             ("h", (0, 1), 0.5, 1, 0))
+_SLOTS = {
+    ("oneform", "A"): _ONEFORM_B + (("omega", (2,), 1j, 0, 1),),
+    ("oneform", "B"): _ONEFORM_B,
+    ("oneform", "C"): (("varpi", (2,), 1, 0, 1),),
+    ("tensor", "A"): _TENSOR_B + (("sigma", (0, 2), 0.5j, 0, 1), ("eta", (1, 2), 0.5j, 1, 1)),
+    ("tensor", "B"): _TENSOR_B,
+    ("tensor", "C"): (("sigma_bar", (0, 2), 0.5, 0, 1), ("eta_bar", (1, 2), 0.5, 1, 1)),
+}
 
 
-def tensor_field(chart: TubeChart, block, axial_sign: int = 1) -> OracleField:
-    """Coordinate realization of a symmetric 2-tensor mode block.
+def _slots(family, kind) -> tuple:
+    if (family, kind) not in _SLOTS:
+        raise ValueError(f"no n = 3 realization for {family} blocks of kind {kind}")
+    return _SLOTS[family, kind]
 
-    Mixed components are coefficients of symmetrized products of the
-    orthonormal slot covectors, hence the factor 1/2 on each index order.
-    Slots whose cross-section normalizer vanishes on a one-dimensional
-    cross-section (k2, k3) must be absent or zero; kind D has no
-    realization at all.
-    """
-    mode = block.mode
-    if block.kind == "D":
-        raise ValueError("trace-free transverse blocks have no n = 3 realization")
+
+def block_field(chart: TubeChart, block) -> OracleField:
+    """Coordinate realization of a one-form or symmetric 2-tensor mode block;
+    the components k2 and k3 must be absent or zero."""
+    rows = _slots(block.family, block.kind)
     probe = chart.model.tube_radius * np.array([0.2, 0.5, 0.9])
     for dead in ("k2", "k3"):
         prof = block.profiles.get(dead)
         if prof is not None and np.max(np.abs(prof(probe))) > 0:
             raise ValueError(f"component {dead} has no realization on a circle")
-    angular = mode.p * chart.gamma
-    comps: dict = {}
-
-    def put(idx, chain):
-        if not chain.is_zero:
-            comps[idx] = comps[idx] + chain if idx in comps else chain
-
-    if block.kind in ("A", "B"):
-        axial = _axial_wavenumber(mode, axial_sign)
-        put((0, 0), block.component("f"))
-        put((1, 1), _SH * _SH * block.component("g"))
-        put((2, 2), _CH * _CH * block.component("k1"))
-        h = 0.5 * (_SH * block.component("h"))
-        put((0, 1), h)
-        put((1, 0), h)
-        if block.kind == "A":
-            sig = (0.5j * axial_sign) * (_CH * block.component("sigma"))
-            eta = (0.5j * axial_sign) * (_SH * _CH * block.component("eta"))
-            put((0, 2), sig)
-            put((2, 0), sig)
-            put((1, 2), eta)
-            put((2, 1), eta)
-    else:
-        axial = 0.0
-        sig = 0.5 * (_CH * block.component("sigma_bar"))
-        eta = 0.5 * (_SH * _CH * block.component("eta_bar"))
-        put((0, 2), sig)
-        put((2, 0), sig)
-        put((1, 2), eta)
-        put((2, 1), eta)
-    return OracleField(chart, 2, comps, angular, axial)
+    comps = {}
+    for name, idx, c, a, b in rows:
+        prof = block.component(name)
+        if not prof.is_zero:
+            comps[idx] = comps[idx[::-1]] = c * (math.prod([_SH] * a + [_CH] * b) * prof)
+    axial = math.sqrt(block.mode.lam) if block.kind == "A" else 0.0
+    rank = 1 if block.family == "oneform" else 2
+    return OracleField(chart, rank, comps, block.mode.p * chart.gamma, axial)
 
 
-def oneform_components(chart: TubeChart, fld: OracleField, kind: str, r,
-                       axial_sign: int = 1):
-    """Frame block components of a coordinate one-form, sampled at radii
-    (or on a `ChartGrid` of the chart)."""
-    grid = _on_grid(chart, r)
+def block_components(fld: OracleField, kind: str, r) -> dict:
+    """Frame block components of a coordinate one-form or 2-tensor of the
+    given kind, sampled at radii (or on a `ChartGrid` of the field's chart)."""
+    rows = _slots({1: "oneform", 2: "tensor"}.get(fld.rank), kind)
+    grid = _on_grid(fld.chart, r)
     vals = fld.values(grid)
     sh, ch = np.sinh(grid.r), np.cosh(grid.r)
-    if kind in ("A", "B"):
-        out = {"f": vals[0], "g": vals[1] / sh}
-        if kind == "A":
-            out["omega"] = vals[2] / (_I * axial_sign * ch)
-        return out
-    return {"varpi": vals[2] / ch}
-
-
-def tensor_components(chart: TubeChart, fld: OracleField, kind: str, r,
-                      axial_sign: int = 1):
-    """Frame block components of a coordinate 2-tensor, sampled at radii
-    (or on a `ChartGrid` of the chart)."""
-    grid = _on_grid(chart, r)
-    vals = fld.values(grid)
-    sh, ch = np.sinh(grid.r), np.cosh(grid.r)
-    if kind in ("A", "B"):
-        out = {"f": vals[0, 0], "g": vals[1, 1] / sh ** 2,
-               "h": 2.0 * vals[0, 1] / sh, "k1": vals[2, 2] / ch ** 2}
-        if kind == "A":
-            out["sigma"] = 2.0 * vals[0, 2] / (_I * axial_sign * ch)
-            out["eta"] = 2.0 * vals[1, 2] / (_I * axial_sign * sh * ch)
-        return out
-    if kind == "C":
-        return {"sigma_bar": 2.0 * vals[0, 2] / ch,
-                "eta_bar": 2.0 * vals[1, 2] / (sh * ch)}
-    raise ValueError("no n = 3 realization for this kind")
+    return {name: vals[idx] / (c * sh ** a * ch ** b) for name, idx, c, a, b in rows}
 
 
 # ---------------------------------------------------------------------------

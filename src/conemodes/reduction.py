@@ -323,10 +323,16 @@ class ModeSystem:
         return V.reshape((k, k) + phi.shape[1:])
 
     def apply(self, block, r):
-        """Pointwise operator value on the block's profiles at radii r."""
+        """Pointwise operator value on the block's profiles at radii r; a
+        non-zero profile of a component the system lacks raises ValueError."""
         r = np.asarray(r, dtype=float)
         if np.any(r <= 0):
             raise DomainError("operator application needs r > 0")
+        inactive = [nm for nm, prof in block.profiles.items()
+                    if nm not in self.names and not prof.is_zero]
+        if inactive:
+            raise ValueError(f"components {sorted(inactive)} are not active in "
+                             f"this mode's system at n = {self.n}")
         memo = {}  # shared, so components built from one profile read it once
         jets = [block.component(name).jet(r, 2, memo) for name in self.names]
         q = self.drift_at(r)

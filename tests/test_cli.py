@@ -192,15 +192,22 @@ class TestReduce:
         assert payload["mode"]["p"] == 1
 
     def test_list_profiles_rejected_without_output(self, tmp_path):
-        # a list of profiles, and a family that is neither oneform nor tensor
+        # a list of profiles, a family that is neither oneform nor tensor, and
+        # a k2 profile, which no n = 3 system carries
+        from conemodes.reduction import ModeBlock, RadialProfile, block_to_dict
         model_path = write_model(tmp_path)
         block = {"family": "tensor", "kind": "B",
                  "mode": {"type": "scalar", "lambda": 0.0, "p": 0},
                  "grid": [0.5, 1.0], "profiles": [0.3, 0.5]}
         bogus = dict(block, family="bogus", profiles={})
+        model = ConeModel(n=3, alpha=math.pi / 2, tube_radius=1.0,
+                          cross_section=CrossSection("circle", 2.0))
+        k2 = block_to_dict(model, ModeBlock("tensor", "A", ScalarMode(math.pi ** 2, 1),
+                                            {"k2": RadialProfile.monomial(1)}))
         for i, (data, message) in enumerate([
                 (block, "profiles must be a JSON object"),
-                (bogus, "unknown block family 'bogus'")]):
+                (bogus, "unknown block family 'bogus'"),
+                (k2, "components ['k2'] are not active")]):
             block_path = tmp_path / f"block{i}.json"
             block_path.write_text(json.dumps(data))
             out = tmp_path / f"out{i}"

@@ -19,6 +19,8 @@ from conemodes.oracle import (
     apply_L_coords,
     apply_P_coords,
     bianchi_beta,
+    block_components,
+    block_field,
     bump_chain,
     christoffel_coords,
     codifferential,
@@ -32,14 +34,10 @@ from conemodes.oracle import (
     identity_suite,
     linearized_einstein,
     metric_field,
-    oneform_components,
-    oneform_field,
     poly_chain,
     ricci_action,
     rough_laplacian,
     scalar_field,
-    tensor_components,
-    tensor_field,
     trace,
     tube_inner_product,
     tube_norm,
@@ -445,8 +443,8 @@ def test_angular_derivatives_are_exact_multiplications():
 
 def test_scalar_multiplication_adds_frequencies():
     u = scalar_field(chart(), poly_chain([1.0]), angular=2.0, axial=1.0)
-    w = oneform_field(chart(), ModeBlock("oneform", "B", ScalarMode(0.0, 1),
-                                         {"f": poly_profile("r")}))
+    w = block_field(chart(), ModeBlock("oneform", "B", ScalarMode(0.0, 1),
+                                       {"f": poly_profile("r")}))
     prod = u * w
     assert prod.angular == 2.0 + w.angular
     assert prod.axial == 1.0
@@ -495,7 +493,7 @@ def test_gradient_display_matches_coordinates_scalar_family():
     r = np.linspace(0.2, 0.95, 6)
     sh, co = np.sinh(r), np.cosh(r)
     lam = math.sqrt(AXIAL_LAM)
-    D = covariant_derivative(oneform_field(ch, ONEFORM_A_BLOCK)).values(r)
+    D = covariant_derivative(block_field(ch, ONEFORM_A_BLOCK)).values(r)
     G = grad_oneform(MODEL, ONEFORM_A_BLOCK, r)
     pairs = {
         (0, 0): G["er_er"],
@@ -518,7 +516,7 @@ def test_gradient_display_matches_coordinates_coclosed_family():
     sh, co = np.sinh(r), np.cosh(r)
     blk = ModeBlock("oneform", "C", CoclosedMode(0.0, 3),
                     {"varpi": poly_profile("0.25 + 0.1*r**2")})
-    D = covariant_derivative(oneform_field(ch, blk)).values(r)
+    D = covariant_derivative(block_field(ch, blk)).values(r)
     G = grad_oneform(MODEL, blk, r)
     assert np.max(np.abs(D[0, 2] - G["er_varphi"] * co)) < 1e-8
     assert np.max(np.abs(D[2, 0] - G["varphi_er"] * co)) < 1e-8
@@ -532,7 +530,7 @@ def test_curl_display_matches_coordinates():
     ch = chart()
     r = np.linspace(0.2, 0.95, 6)
     sh, co = np.sinh(r), np.cosh(r)
-    dv = exterior_d(oneform_field(ch, ONEFORM_A_BLOCK)).values(r)
+    dv = exterior_d(block_field(ch, ONEFORM_A_BLOCK)).values(r)
     E = ext_d_oneform(MODEL, ONEFORM_A_BLOCK, r)
     assert np.max(np.abs(dv[0, 1] - E["er_eth"] * sh)) < 1e-8
     assert np.max(np.abs(dv[0, 2] - E["er_phi"] * 1j * co)) < 1e-8
@@ -599,7 +597,7 @@ def _ch_d(k, r):
 
 
 def test_vector_laplacian_shift_matches_rough_laplacian():
-    w = oneform_field(chart(), ONEFORM_A_BLOCK)
+    w = block_field(chart(), ONEFORM_A_BLOCK)
     lhs = apply_L_coords(w) - 2.0 * w
     rhs = rough_laplacian(w)
     r = np.linspace(0.2, 1.0, 6)
@@ -607,7 +605,7 @@ def test_vector_laplacian_shift_matches_rough_laplacian():
 
 
 def test_operator_rank_guards():
-    w = oneform_field(chart(), ONEFORM_A_BLOCK)
+    w = block_field(chart(), ONEFORM_A_BLOCK)
     h = metric_field(chart())
     with pytest.raises(ValueError):
         trace(w)
@@ -626,7 +624,7 @@ def test_operator_rank_guards():
 
 
 def test_gauge_composition_on_single_mode():
-    w = oneform_field(chart(), ONEFORM_A_BLOCK)
+    w = block_field(chart(), ONEFORM_A_BLOCK)
     lhs = 2.0 * bianchi_beta(delta_star(w))
     rhs = apply_L_coords(w)
     r = np.linspace(0.2, 1.0, 6)
@@ -669,8 +667,8 @@ def test_oneform_round_trip_all_kinds():
                   {"varpi": poly_profile("0.7 - 0.2*r")}),
     ]
     for blk in blocks:
-        fld = oneform_field(ch, blk)
-        comps = oneform_components(ch, fld, blk.kind, r)
+        fld = block_field(ch, blk)
+        comps = block_components(fld, blk.kind, r)
         for name, vals in comps.items():
             assert np.max(np.abs(vals - blk.component(name)(r))) < 1e-12
 
@@ -699,43 +697,37 @@ def test_tensor_round_trip_all_kinds():
         }),
     ]
     for blk in blocks:
-        fld = tensor_field(ch, blk)
-        comps = tensor_components(ch, fld, blk.kind, r)
+        fld = block_field(ch, blk)
+        comps = block_components(fld, blk.kind, r)
         for name, vals in comps.items():
             assert np.max(np.abs(vals - blk.component(name)(r))) < 1e-12
 
 
-def test_tensor_field_symmetry():
+def test_block_field_tensor_symmetry():
     blk = ModeBlock("tensor", "A", scalar_mode(1), {
         "h": poly_profile("0.2*r"),
         "sigma": poly_profile("0.1"),
         "eta": poly_profile("0.3*r"),
     })
-    vals = tensor_field(chart(), blk).values(np.linspace(0.2, 1.0, 5))
+    vals = block_field(chart(), blk).values(np.linspace(0.2, 1.0, 5))
     assert np.max(np.abs(vals - np.swapaxes(vals, 0, 1))) == 0
 
 
 def test_unrealizable_components_are_rejected():
     from conemodes.modes import TTMode
     with pytest.raises(ValueError):
-        tensor_field(chart(), ModeBlock("tensor", "D", TTMode(0.0, 1),
-                                        {"k4": poly_profile("r")}))
+        block_field(chart(), ModeBlock("tensor", "D", TTMode(0.0, 1),
+                                       {"k4": poly_profile("r")}))
     blk = ModeBlock("tensor", "C", CoclosedMode(0.0, 2), {
         "sigma_bar": poly_profile("0.3"),
         "k3": poly_profile("0.1*r"),
     })
     with pytest.raises(ValueError):
-        tensor_field(chart(), blk)
-
-
-def test_axial_sign_round_trip():
-    ch = chart()
-    r = np.linspace(0.2, 1.0, 5)
-    fld = oneform_field(ch, ONEFORM_A_BLOCK, axial_sign=-1)
-    assert fld.axial == pytest.approx(-math.sqrt(AXIAL_LAM))
-    comps = oneform_components(ch, fld, "A", r, axial_sign=-1)
-    assert np.max(np.abs(comps["omega"]
-                         - ONEFORM_A_BLOCK.component("omega")(r))) < 1e-12
+        block_field(chart(), blk)
+    h = block_field(chart(), ModeBlock("tensor", "B", ScalarMode(0.0, 1),
+                                       {"f": poly_profile("r")}))
+    with pytest.raises(ValueError):
+        block_components(h, "D", np.linspace(0.2, 1.0, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -772,8 +764,8 @@ def test_oneform_operator_matches_coordinates(kind, names):
         else:
             mode = CoclosedMode(0.0, int(rng.integers(0, 4)))
         blk = ModeBlock("oneform", kind, mode, random_profiles(rng, names))
-        out = apply_L_coords(oneform_field(ch, blk))
-        comps = oneform_components(ch, out, kind, r)
+        out = apply_L_coords(block_field(ch, blk))
+        comps = block_components(out, kind, r)
         ref = apply_L_oneform(MODEL, blk, r)
         scale = max(np.max(np.abs(v)) for v in ref.values())
         for name in names:
@@ -797,8 +789,8 @@ def test_tensor_operator_matches_coordinates(kind, names):
         else:
             mode = CoclosedMode(0.0, int(rng.integers(0, 4)))
         blk = ModeBlock("tensor", kind, mode, random_profiles(rng, names))
-        out = apply_P_coords(tensor_field(ch, blk))
-        comps = tensor_components(ch, out, kind, r)
+        out = apply_P_coords(block_field(ch, blk))
+        comps = block_components(out, kind, r)
         ref = apply_P_tensor(MODEL, blk, r)
         scale = max(np.max(np.abs(v)) for v in ref.values())
         for name in names:

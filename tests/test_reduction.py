@@ -148,6 +148,13 @@ def test_block_kind_validation():
         apply_L_oneform(MODEL3, tensor_b, 0.5)
     with pytest.raises(ValueError, match="tensor block"):
         apply_P_tensor(MODEL3, oneform_b, 0.5)
+    # a component the n = 3 system lacks is rejected, not read as zero
+    with pytest.raises(ValueError, match="k2"):
+        apply_P_tensor(MODEL3, ModeBlock("tensor", "A", ScalarMode(1.0, 0),
+                                         {"k2": RadialProfile.constant(1.0)}), 0.5)
+    with pytest.raises(ValueError, match="k3"):
+        apply_P_tensor(MODEL3, ModeBlock("tensor", "C", CoclosedMode(0.0, 0),
+                                         {"k3": RadialProfile.constant(1.0)}), 0.5)
 
 
 def test_missing_components_read_as_zero():
