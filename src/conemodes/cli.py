@@ -15,7 +15,6 @@ import json
 import math
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import click
@@ -89,12 +88,11 @@ class RunConfig:
     rtol: float
     nodes: int
     residual_tol: float
-    jobs: int
     gnuplot: bool
 
     def __post_init__(self):
-        if self.series_order < 1 or self.nodes < 4 or self.jobs < 1:
-            raise InputError("series order, node count and jobs must be positive")
+        if self.series_order < 1 or self.nodes < 4:
+            raise InputError("series order must be positive and node count at least 4")
         if not (self.rtol > 0 and self.residual_tol > 0):
             raise InputError("tolerances must be positive")
         if self.rtol < np.finfo(float).eps:
@@ -211,8 +209,8 @@ def _gnuplot_script(csv_name: str, title: str, columns, logx: bool) -> str:
               show_default=True, help="quadrature / sampling node count")
 @click.option("--tol-residual", "residual_tol", type=float, default=1e-8,
               show_default=True, help="verification residual threshold")
-@click.option("--jobs", type=int, default=1, show_default=True,
-              help="parallelism over modes (file writes stay single-writer)")
+# accepts only the `--jobs 1` that bench/workloads.py passes, its one caller
+@click.option("--jobs", type=click.IntRange(1, 1), hidden=True, expose_value=False)
 @click.option("--gnuplot", is_flag=True, help="also write gnuplot scripts")
 @click.pass_context
 def main(ctx, **kwargs):
@@ -253,19 +251,11 @@ def indicial(cfg: RunConfig, family: str, angle_sweep):
              cfg.write_json("roots.json", payload)]
 
     if angle_sweep is not None:
-        angles = np.linspace(start, stop, int(count))
-
-        def sweep_one(alpha):
-            sub = replace(model, alpha=float(alpha))
-            out = []
-            for fam in families:
-                _, part = root_table_rows(sub, modes, fam)
-                out.extend([f"{alpha:.12g}"] + row[:7] for row in part)
-            return out
-
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            swept = list(pool.map(sweep_one, angles))
-        sweep_rows = [row for chunk in swept for row in chunk]
+        sweep_rows = [[f"{alpha:.12g}"] + row[:7]
+                      for alpha in np.linspace(start, stop, int(count))
+                      for fam in families
+                      for row in root_table_rows(replace(model, alpha=float(alpha)),
+                                                 modes, fam)[1]]
         files.append(cfg.write_csv("angle_sweep.csv",
                                    ["angle"] + header[:7], sweep_rows))
 
@@ -293,15 +283,20 @@ def reduce(cfg: RunConfig, block_file, standard):
     model = cfg.load_model()
     if (block_file is None) == (standard is None):
         raise InputError("pass exactly one of --block-file / --standard")
+    grid = log_grid(model, num=cfg.nodes)
     if standard is not None:
         block = standard_deformation_block(model, standard)
     else:
+        data = _read_json(block_file)
         try:
-            block = block_from_dict(_read_json(block_file))
+            block = block_from_dict(data)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad block file: {exc}") from exc
+        lo, hi = data["grid"][0], data["grid"][-1]
+        if not lo <= grid.min() <= grid.max() <= hi:
+            raise InputError(f"bad block file: its grid [{lo:.6g}, {hi:.6g}] does not "
+                             f"cover the sample grid [{grid.min():.6g}, {grid.max():.6g}]")
 
-    grid = log_grid(model, num=cfg.nodes)
     apply = apply_L_oneform if block.family == "oneform" else apply_P_tensor
     try:
         image = apply(model, block, grid)
@@ -368,8 +363,7 @@ def frobenius_cmd(cfg: RunConfig, family, solution_class, order):
                                       "series": ser.to_dict()})
         return entry
 
-    with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-        payload = [e for e in pool.map(expand, list(modes)) if e is not None]
+    payload = [e for e in map(expand, modes) if e is not None]
     out = cfg.write_json("frobenius.json", payload)
     total = sum(len(e["branches"]) for e in payload)
     click.echo(f"frobenius: {total} branches over {len(payload)} systems -> {out}")

@@ -160,13 +160,12 @@ class IndicialReport:
 _NULL_RTOL = 1e-10
 
 
-def null_space(matrix: np.ndarray):
-    u, s, vh = np.linalg.svd(matrix)
-    if s.size == 0:
-        return ()
-    tol = max(s[0] * _NULL_RTOL, 1e-12)
-    vecs = [tuple(np.conj(vh[i])) for i in range(len(s)) if s[i] < tol]
-    return tuple(vecs)
+def null_space(matrices: np.ndarray):
+    """Null vectors of each matrix of an (N, k, k) stack, from one SVD call."""
+    _, s, vh = np.linalg.svd(matrices)
+    null = s < np.maximum(s[:, :1] * _NULL_RTOL, 1e-12)
+    return tuple(tuple(tuple(np.conj(v)) for v, z in zip(rows, mask) if z)
+                 for rows, mask in zip(vh, null))
 
 
 def _snap(t):
@@ -189,12 +188,12 @@ def _root_clusters(family: str, kind: str, names, t):
 def indicial_report(system: ModeSystem) -> IndicialReport:
     """Cluster the closed-form exponent multiset and attach eigenvectors."""
     t = system.mode.p * system.gamma
-    w0 = system.w0
-    roots = []
-    for value, mult in _root_clusters(system.family, system.kind, system.names, _snap(t)):
-        vecs = null_space(w0 - (value ** 2) * np.eye(system.arity))
-        roots.append(IndicialRoot(float(value), mult, vecs, len(vecs) < mult))
-    return IndicialReport(system.family, system.kind, system.names, t, tuple(roots))
+    clusters = _root_clusters(system.family, system.kind, system.names, _snap(t))
+    squares = np.array([value ** 2 for value, _ in clusters])[:, None, None]
+    nulls = null_space(system.w0 - squares * np.eye(system.arity))
+    roots = tuple(IndicialRoot(float(value), mult, vecs, len(vecs) < mult)
+                  for (value, mult), vecs in zip(clusters, nulls))
+    return IndicialReport(system.family, system.kind, system.names, t, roots)
 
 
 # ---------------------------------------------------------------------------

@@ -743,13 +743,19 @@ def block_from_dict(d: dict):
     """Rebuild a block from its sampled JSON form (grid-interpolated)."""
     mode = mode_from_dict(d["mode"])
     grid = np.asarray(d["grid"], dtype=float)
+    if not (grid.ndim == 1 and grid.size >= 2 and np.isfinite(grid).all()
+            and (np.diff(grid) > 0).all()):
+        raise ValueError("block grid must be finite and strictly increasing, "
+                         "with at least 2 points")
     if not isinstance(d["profiles"], dict):
         raise ValueError("block profiles must be a JSON object")
     profiles = {}
     for name, c in d["profiles"].items():
-        vals = np.asarray(c["value_re"]) + 1j * np.asarray(c["value_im"])
-        d1 = np.asarray(c["d1_re"]) + 1j * np.asarray(c["d1_im"])
-        profiles[name] = RadialProfile.from_grid(grid, vals, d1)
+        parts = [np.asarray(c[k]) for k in ("value_re", "value_im", "d1_re", "d1_im")]
+        if any(x.shape != grid.shape for x in parts):
+            raise ValueError(f"profile {name} arrays must have the grid's length")
+        profiles[name] = RadialProfile.from_grid(grid, parts[0] + 1j * parts[1],
+                                                 parts[2] + 1j * parts[3])
     return ModeBlock(d["family"], d["kind"], mode, profiles)
 
 

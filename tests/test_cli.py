@@ -130,7 +130,7 @@ class TestIndicial:
         modes = write_modes(tmp_path, scalar=[(0.0, 1)])
         out = tmp_path / "out"
         result = invoke(["--model", model_path, "--modes", modes,
-                         "--out", str(out), "--jobs", "2", "--gnuplot",
+                         "--out", str(out), "--gnuplot",
                          "indicial", "--family", "oneform",
                          "--angle-sweep", "1.0", "3.0", "4"])
         assert result.exit_code == 0
@@ -144,6 +144,17 @@ class TestIndicial:
         assert kappa_at[1.0] > kappa_at[3.0]
         script = (out / "roots.gp").read_text()
         assert "plot" in script and "angle_sweep.csv" in script
+
+    def test_jobs_accepts_only_one(self, tmp_path):
+        model_path = write_model(tmp_path)
+        modes = write_modes(tmp_path, scalar=[(0.0, 1)])
+        out = tmp_path / "out"
+        args = ["--model", model_path, "--modes", modes, "--out", str(out)]
+        result = invoke(args + ["--jobs", "2", "indicial"])
+        assert result.exit_code == 2
+        assert not out.exists() or os.listdir(out) == []
+        assert invoke(args + ["--jobs", "1", "indicial"]).exit_code == 0
+        assert "--jobs" not in invoke(["--help"]).output
 
     def test_bad_sweep_rejected(self, tmp_path):
         model_path = write_model(tmp_path)
@@ -192,8 +203,8 @@ class TestReduce:
         assert payload["mode"]["p"] == 1
 
     def test_list_profiles_rejected_without_output(self, tmp_path):
-        # a list of profiles, a family that is neither oneform nor tensor, and
-        # a k2 profile, which no n = 3 system carries
+        # a list of profiles, a family that is neither oneform nor tensor, a
+        # k2 profile, which no n = 3 system carries, and two bad grids
         from conemodes.reduction import ModeBlock, RadialProfile, block_to_dict
         model_path = write_model(tmp_path)
         block = {"family": "tensor", "kind": "B",
@@ -204,10 +215,18 @@ class TestReduce:
                           cross_section=CrossSection("circle", 2.0))
         k2 = block_to_dict(model, ModeBlock("tensor", "A", ScalarMode(math.pi ** 2, 1),
                                             {"k2": RadialProfile.monomial(1)}))
+        # samples at r = 0.5 and 1 only, which the 1e-6 end of the grid is far from
+        short = dict(block, profiles={"f": {"value_re": [1.0, 2.0], "value_im": [0.0, 0.0],
+                                            "d1_re": [1.0, 1.0], "d1_im": [0.0, 0.0]}})
+        arrays = {"value_re": [1.0] * 4, "value_im": [0.0] * 4,
+                  "d1_re": [0.0] * 4, "d1_im": [0.0] * 4}
+        unsorted = dict(block, grid=[1e-6, 0.7, 0.5, 1.0], profiles={"f": arrays})
         for i, (data, message) in enumerate([
                 (block, "profiles must be a JSON object"),
                 (bogus, "unknown block family 'bogus'"),
-                (k2, "components ['k2'] are not active")]):
+                (k2, "components ['k2'] are not active"),
+                (short, "does not cover the sample grid"),
+                (unsorted, "strictly increasing")]):
             block_path = tmp_path / f"block{i}.json"
             block_path.write_text(json.dumps(data))
             out = tmp_path / f"out{i}"

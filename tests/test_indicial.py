@@ -17,6 +17,7 @@ from conemodes.indicial import (
     exact_indicial_analysis,
     indicial_matrix,
     indicial_report,
+    null_space,
     root_table_rows,
     system_for_mode,
 )
@@ -440,6 +441,15 @@ def test_root_tables_build_no_laurent_tables(monkeypatch):
             _, rows = root_table_rows(model, modes, family)
             assert rows
     assert built == []
+
+
+def test_null_space_of_a_stack_matches_each_matrix():
+    full = np.array([[2.0, 1j], [-1j, 3.0]])
+    rank_one = np.array([[1.0, 1j], [-1j, 1.0]])
+    stack = np.array([full, rank_one, np.zeros((2, 2))])
+    alone = [null_space(m[None])[0] for m in stack]
+    assert [len(v) for v in alone] == [0, 1, 2]
+    assert null_space(stack) == tuple(alone)
 
 
 def test_root_table_rows_structure():

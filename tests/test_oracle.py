@@ -724,6 +724,13 @@ def test_unrealizable_components_are_rejected():
     })
     with pytest.raises(ValueError):
         block_field(chart(), blk)
+    # a k3 that vanishes at 0.2a, 0.5a and 0.9a but not in between
+    roots = ModeBlock("tensor", "C", CoclosedMode(0.0, 2), {
+        "sigma_bar": poly_profile("0.3"),
+        "k3": poly_profile("(r - 0.2)*(r - 0.5)*(r - 0.9)"),
+    })
+    with pytest.raises(ValueError):
+        block_field(chart(), roots)
     h = block_field(chart(), ModeBlock("tensor", "B", ScalarMode(0.0, 1),
                                        {"f": poly_profile("r")}))
     with pytest.raises(ValueError):
