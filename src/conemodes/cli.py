@@ -15,7 +15,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import click
 import numpy as np
@@ -30,7 +30,7 @@ from conemodes.frobenius import (
     solve_mode_bvp,
 )
 from conemodes.geometry import ConeModel, DomainError, RadialProfile
-from conemodes.indicial import root_table_rows, system_for_mode
+from conemodes.indicial import angle_sweep_rows, root_table_rows, system_for_mode
 from conemodes.modes import (
     CoclosedMode,
     ModeList,
@@ -229,7 +229,15 @@ def main(ctx, **kwargs):
               help="START STOP COUNT: exponent curves over the cone angle")
 @click.pass_obj
 def indicial(cfg: RunConfig, family: str, angle_sweep):
-    """Indicial root tables (CSV + JSON), optionally swept over the angle."""
+    """Indicial root tables (CSV + JSON), optionally swept over the angle.
+
+    roots.csv/json list every root with its eigenvectors at the model's
+    angle.  --angle-sweep adds angle_sweep.csv: the angle and the first
+    seven columns of each root row at COUNT angles from START to STOP,
+    without branch classes or vectors.  Its exponents depend on the angle
+    only through t = p * 2 pi / angle, so every distinct (family, kind,
+    components, t) is reported once per run.
+    """
     if angle_sweep is not None:
         start, stop, count = angle_sweep
         if not (all(math.isfinite(x) for x in angle_sweep) and 0 < start <= stop
@@ -251,13 +259,8 @@ def indicial(cfg: RunConfig, family: str, angle_sweep):
              cfg.write_json("roots.json", payload)]
 
     if angle_sweep is not None:
-        sweep_rows = [[f"{alpha:.12g}"] + row[:7]
-                      for alpha in np.linspace(start, stop, int(count))
-                      for fam in families
-                      for row in root_table_rows(replace(model, alpha=float(alpha)),
-                                                 modes, fam)[1]]
-        files.append(cfg.write_csv("angle_sweep.csv",
-                                   ["angle"] + header[:7], sweep_rows))
+        files.append(cfg.write_csv("angle_sweep.csv", *angle_sweep_rows(
+            model, modes, families, np.linspace(start, stop, int(count)))))
 
     if cfg.gnuplot:
         files.append(cfg.write_text("roots.gp", _gnuplot_script(

@@ -19,19 +19,33 @@ Q(i) of A + iB (A, B rational) is half the rank over Q of the real matrix
 [[A, -B], [B, A]], a Fraction elimination.  Roots can meet only at a
 half-integer t, so both paths take a t within the merge tolerance
 1e-9 (|t| + 3) of a half-integer at that half-integer.
+
+The float path is batched: `indicial_reports` stacks the shifted matrices
+W0 - kappa^2 I of any number of systems and takes the null vectors of each
+arity from one SVD.  A matrix built at a snapped t stands for the one at
+the snapped t, so its rank cut is widened by how far the two can differ.
+W0 depends on the mode only through (family, kind, component names,
+t = p gamma), the key of a report: not on the cross-section eigenvalue and
+not on n.  `angle_sweep_rows` reports each key once per sweep.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
 from conemodes.geometry import ConeModel
 from conemodes.modes import CoclosedMode, Mode, ScalarMode, TTMode
-from conemodes.reduction import ModeSystem, oneform_system, tensor_system
+from conemodes.reduction import (
+    ModeSystem,
+    mode_kind,
+    oneform_system,
+    system_names,
+    tensor_system,
+)
 
 __all__ = [
     "SOLUTION_CLASSES",
@@ -41,10 +55,12 @@ __all__ = [
     "indicial_matrix",
     "closed_root_multiset",
     "indicial_report",
+    "indicial_reports",
     "exact_indicial_analysis",
     "angle_admissibility",
     "system_for_mode",
     "root_table_rows",
+    "angle_sweep_rows",
 ]
 
 SOLUTION_CLASSES = ("l2", "l12", "strong")
@@ -156,14 +172,20 @@ class IndicialReport:
         return any(r.log_required for r in self.roots)
 
 
-# rank cut of `null_space`: singular values below max(1e-10 s_max, 1e-12) are null
+# rank cut of `null_space`: singular values below max(1e-10 s_max, 1e-12),
+# plus the matrix's own slack, are null
 _NULL_RTOL = 1e-10
 
 
-def null_space(matrices: np.ndarray):
-    """Null vectors of each matrix of an (N, k, k) stack, from one SVD call."""
+def null_space(matrices: np.ndarray, slack=0.0):
+    """Null vectors of each matrix of an (N, k, k) stack, from one SVD call.
+
+    ``slack``, a scalar or one value per matrix, is how far in norm a matrix
+    may lie from the exactly singular one it stands for; it widens the cut.
+    """
     _, s, vh = np.linalg.svd(matrices)
-    null = s < np.maximum(s[:, :1] * _NULL_RTOL, 1e-12)
+    cut = np.maximum(s[:, :1] * _NULL_RTOL, 1e-12) + np.reshape(slack, (-1, 1))
+    null = s < cut
     return tuple(tuple(tuple(np.conj(v)) for v, z in zip(rows, mask) if z)
                  for rows, mask in zip(vh, null))
 
@@ -185,15 +207,45 @@ def _root_clusters(family: str, kind: str, names, t):
     return sorted(counts.items(), reverse=True)
 
 
+def indicial_reports(systems) -> list:
+    """One report per system, in order: the closed-form exponent multiset
+    clustered at the snapped t, with eigenvectors attached.
+
+    The matrices W0 - kappa^2 I of all systems of one arity go through one
+    `null_space` call.  Each is built at the system's t but stands for the
+    snapped t, where the clustered roots are exact.  W0 is t^2 on the
+    diagonal plus t times a constant matrix of norm at most 4 sqrt(2) (see
+    `_exact_w0`), so W0 at t and at the snapped t differ by at most
+    (2 |t| + 6) |t - snapped t| in norm; twice that is the slack of the
+    rank cut.  A t that is not snapped gets no slack: its matrices are exact.
+    """
+    systems = list(systems)
+    ts = [s.mode.p * s.gamma for s in systems]
+    snapped = [_snap(t) for t in ts]
+    clusters = [_root_clusters(s.family, s.kind, s.names, u)
+                for s, u in zip(systems, snapped)]
+    by_arity = {}
+    for i, system in enumerate(systems):
+        by_arity.setdefault(system.arity, []).append(i)
+    nulls = [None] * len(systems)
+    for k, members in by_arity.items():
+        stack, slack = [], []
+        for i in members:
+            squares = np.array([value ** 2 for value, _ in clusters[i]])
+            stack.append(systems[i].w0 - squares[:, None, None] * np.eye(k))
+            slack += [4.0 * (abs(ts[i]) + 3.0) * abs(ts[i] - snapped[i])] * len(squares)
+        found = iter(null_space(np.concatenate(stack), slack))
+        for i in members:
+            nulls[i] = [next(found) for _ in clusters[i]]
+    return [IndicialReport(s.family, s.kind, s.names, t,
+                           tuple(IndicialRoot(float(value), mult, vecs, len(vecs) < mult)
+                                 for (value, mult), vecs in zip(cluster, null)))
+            for s, t, cluster, null in zip(systems, ts, clusters, nulls)]
+
+
 def indicial_report(system: ModeSystem) -> IndicialReport:
-    """Cluster the closed-form exponent multiset and attach eigenvectors."""
-    t = system.mode.p * system.gamma
-    clusters = _root_clusters(system.family, system.kind, system.names, _snap(t))
-    squares = np.array([value ** 2 for value, _ in clusters])[:, None, None]
-    nulls = null_space(system.w0 - squares * np.eye(system.arity))
-    roots = tuple(IndicialRoot(float(value), mult, vecs, len(vecs) < mult)
-                  for (value, mult), vecs in zip(clusters, nulls))
-    return IndicialReport(system.family, system.kind, system.names, t, roots)
+    """The report of one system (see `indicial_reports`)."""
+    return indicial_reports([system])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -280,21 +332,10 @@ def exact_indicial_analysis(family: str, kind: str, names, t: Fraction):
 
 def system_for_mode(model: ConeModel, mode: Mode, family: str) -> ModeSystem:
     """The reduced system a mode generates, block kind inferred."""
-    if isinstance(mode, ScalarMode):
-        kind = "A" if mode.lam > 0 else "B"
-    elif isinstance(mode, CoclosedMode):
-        kind = "C"
-    elif isinstance(mode, TTMode):
-        if family == "oneform":
-            raise ValueError("one-form blocks carry scalar or co-closed modes only")
-        kind = "D"
-    else:
-        raise TypeError(f"unsupported mode {mode!r}")
+    kind = mode_kind(mode, family)
     if family == "oneform":
         return oneform_system(model, mode, kind)
-    if family == "tensor":
-        return tensor_system(model, mode, kind)
-    raise ValueError(f"unknown family {family!r}")
+    return tensor_system(model, mode, kind)
 
 
 def angle_admissibility(model: ConeModel, mode: Mode, family: str = "tensor",
@@ -349,25 +390,67 @@ def _format_vector(v) -> str:
     return "|".join(f"{c.real:.12g}{c.imag:+.12g}j" for c in v)
 
 
+def _table_modes(modes, family: str):
+    """The modes a family's table covers: one-forms carry no TT mode."""
+    return [mode for mode in modes
+            if not (family == "oneform" and isinstance(mode, TTMode))]
+
+
+def _mode_cells(family: str, kind: str, mode: Mode) -> list:
+    """The leading table columns, family to lambda_like."""
+    return [family, kind, str(mode.p), f"{_mode_eigdata(mode):.12g}"]
+
+
+def _root_cells(report: IndicialReport, vectors: bool = True) -> list:
+    """Per root, the table columns kappa to in_l12, then the vectors when
+    asked: every column that depends on the report alone."""
+    return [[f"{root.value:.12g}",
+             str(root.multiplicity),
+             str(root.log_required).lower(),
+             str(root.in_l2).lower(),
+             str(root.in_l12).lower()]
+            + ([";".join(_format_vector(v) for v in root.vectors)] if vectors else [])
+            for root in report.roots]
+
+
 def root_table_rows(model: ConeModel, modes, family: str):
     """Header and rows of the indicial root table over a mode list."""
-    rows = []
-    for mode in modes:
-        if family == "oneform" and isinstance(mode, TTMode):
-            continue
-        system = system_for_mode(model, mode, family)
-        report = indicial_report(system)
-        for root in report.roots:
-            rows.append([
-                family,
-                system.kind,
-                str(mode.p),
-                f"{_mode_eigdata(mode):.12g}",
-                f"{root.value:.12g}",
-                str(root.multiplicity),
-                str(root.log_required).lower(),
-                str(root.in_l2).lower(),
-                str(root.in_l12).lower(),
-                ";".join(_format_vector(v) for v in root.vectors),
-            ])
+    systems = [system_for_mode(model, mode, family)
+               for mode in _table_modes(modes, family)]
+    rows = [_mode_cells(family, system.kind, system.mode) + cells
+            for system, report in zip(systems, indicial_reports(systems))
+            for cells in _root_cells(report)]
     return list(_TABLE_HEADER), rows
+
+
+def angle_sweep_rows(model: ConeModel, modes, families, angles):
+    """Header and rows of the root table swept over cone angles.
+
+    Each row is the angle, then the first seven columns of the
+    `root_table_rows` row at that angle: no branch classes, no vectors.  A
+    report depends only on (family, kind, names, t = p gamma), so each
+    distinct key is reported once per call, however many modes and angles
+    share it; the keys first met at one angle are reported together.
+    """
+    entries = []
+    for family in families:
+        for mode in _table_modes(modes, family):
+            kind = mode_kind(mode, family)
+            entries.append((family, mode, kind, system_names(family, kind, model.n, mode),
+                            _mode_cells(family, kind, mode)))
+    cells = {}  # key -> root columns, for this call only
+    rows = []
+    for alpha in angles:
+        at = replace(model, alpha=float(alpha))
+        keys = [(family, kind, names, mode.p * at.gamma)
+                for family, mode, kind, names, _ in entries]
+        fresh = {}
+        for key, (family, mode, *_) in zip(keys, entries):
+            if key not in cells and key not in fresh:
+                fresh[key] = system_for_mode(at, mode, family)
+        for key, report in zip(fresh, indicial_reports(fresh.values())):
+            cells[key] = _root_cells(report, vectors=False)
+        label = f"{alpha:.12g}"
+        rows.extend([label] + lead + root[:3]
+                    for key, (*_, lead) in zip(keys, entries) for root in cells[key])
+    return ["angle"] + _TABLE_HEADER[:7], rows

@@ -77,6 +77,8 @@ __all__ = [
     "RadialExpr",
     "ModeBlock",
     "ModeSystem",
+    "mode_kind",
+    "system_names",
     "oneform_system",
     "tensor_system",
     "apply_L_oneform",
@@ -202,6 +204,37 @@ def _check_kind_mode(family: str, kind: str, mode: Mode) -> None:
     elif kind == "D":
         if not isinstance(mode, TTMode):
             raise ValueError("kind D blocks carry a trace-free transverse mode")
+
+
+def mode_kind(mode: Mode, family: str) -> str:
+    """The block kind a mode generates in a family."""
+    if family not in _COMPONENTS:
+        raise ValueError(f"unknown family {family!r}")
+    if isinstance(mode, ScalarMode):
+        return "A" if mode.lam > 0 else "B"
+    if isinstance(mode, CoclosedMode):
+        return "C"
+    if isinstance(mode, TTMode):
+        if family == "oneform":
+            raise ValueError("one-form blocks carry scalar or co-closed modes only")
+        return "D"
+    raise TypeError(f"unsupported mode {mode!r}")
+
+
+# optional tensor components and the cross-section family each needs
+_OPTIONAL = {"k2": "b", "k3": "c"}
+
+
+def system_names(family: str, kind: str, n: int, mode: Mode) -> tuple:
+    """The components of a mode's reduced system: the kind's names, less the
+    tensor ones whose cross-section family is inactive at this n and mode.
+    A kind the mode does not generate raises ValueError."""
+    _check_kind_mode(family, kind, mode)
+    names = _COMPONENTS[family][kind]
+    if family == "oneform":
+        return names
+    fams = active_tensor_families(n, mode)
+    return tuple(nm for nm in names if nm not in _OPTIONAL or _OPTIONAL[nm] in fams)
 
 
 @dataclass(frozen=True)
@@ -383,10 +416,9 @@ def _grid_table(k: int):
 
 def oneform_system(model: ConeModel, mode: Mode, kind: str) -> ModeSystem:
     """Reduced system of the one-form operator (connection Laplacian + (n-1))."""
-    _check_kind_mode("oneform", kind, mode)
     n, g = model.n, model.gamma
     pg = mode.p * g
-    names = _COMPONENTS["oneform"][kind]
+    names = system_names("oneform", kind, n, mode)
     k = len(names)
     V = _grid_table(k)
     if kind in ("A", "B"):
@@ -412,18 +444,9 @@ def oneform_system(model: ConeModel, mode: Mode, kind: str) -> ModeSystem:
 def tensor_system(model: ConeModel, mode: Mode, kind: str) -> ModeSystem:
     """Reduced system of the trace-coupled tensor operator (connection
     Laplacian minus twice the curvature action)."""
-    _check_kind_mode("tensor", kind, mode)
     n, g = model.n, model.gamma
     pg = mode.p * g
-    fams = active_tensor_families(n, mode)
-    if kind == "A":
-        names = ("f", "g", "h", "sigma", "eta", "k1") + (("k2",) if "b" in fams else ())
-    elif kind == "B":
-        names = ("f", "g", "h", "k1")
-    elif kind == "C":
-        names = ("sigma_bar", "eta_bar") + (("k3",) if "c" in fams else ())
-    else:
-        names = ("k4",)
+    names = system_names("tensor", kind, n, mode)
     idx = {nm: i for i, nm in enumerate(names)}
     k = len(names)
     V = _grid_table(k)

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -144,6 +145,36 @@ class TestIndicial:
         assert kappa_at[1.0] > kappa_at[3.0]
         script = (out / "roots.gp").read_text()
         assert "plot" in script and "angle_sweep.csv" in script
+
+    def test_angle_sweep_rows_match_per_angle_tables(self, tmp_path):
+        # pi/2 .. 2 pi in steps of pi/2 hits the critical angles 2 pi q / m;
+        # the TT mode has no one-form rows, and lambda = 4 pi^2 comes twice
+        lam = 4 * math.pi ** 2
+        model_path = write_model(tmp_path)
+        modes = write_modes(tmp_path, scalar=[(lam, 1), (lam, 1), (0.0, 0), (0.0, 2)],
+                            coclosed=[(0.0, -1), (1.0, 0)], tt=[(2.0, 1)])
+        out = tmp_path / "out"
+        result = invoke(["--model", model_path, "--modes", modes, "--out", str(out),
+                         "indicial", "--angle-sweep", repr(math.pi / 2),
+                         repr(2 * math.pi), "4"])
+        assert result.exit_code == 0
+        header, rows = read_csv(out / "angle_sweep.csv")
+        model = ConeModel(n=3, alpha=math.pi / 2, tube_radius=1.0,
+                          cross_section=CrossSection("circle", 2.0))
+        with open(modes) as fh:
+            mode_list = ModeList.from_json(fh.read())
+        table_header, want = None, []
+        for alpha in np.linspace(math.pi / 2, 2 * math.pi, 4):
+            for family in ("oneform", "tensor"):
+                table_header, part = root_table_rows(
+                    replace(model, alpha=float(alpha)), mode_list, family)
+                want.extend([f"{alpha:.12g}"] + row[:7] for row in part)
+        assert header == ["angle"] + table_header[:7]
+        assert rows == want
+        assert {r[3] for r in rows} == {"-1", "0", "1", "2"}
+        assert any(r[7] == "true" for r in rows)
+        assert {r[2] for r in rows if r[1] == "oneform"} == {"A", "B", "C"}
+        assert "D" in {r[2] for r in rows if r[1] == "tensor"}
 
     def test_jobs_accepts_only_one(self, tmp_path):
         model_path = write_model(tmp_path)
@@ -347,6 +378,20 @@ class TestSolve:
         assert report["status"] != "unique"
         assert "warning" in result.output
         assert report["status"] in result.output
+
+    def test_coclosed_mode_just_off_critical_angle_is_unique(self, tmp_path):
+        # t = 4 up to 4e-12: the roots +-4 snap to t = 4, and their null
+        # vectors must survive the matrix being built at the unsnapped t
+        model_path = write_model(tmp_path, angle=math.pi / 2 * (1 + 1e-12))
+        out = tmp_path / "out"
+        result = invoke(["--model", model_path, "--out", str(out),
+                         "solve", "--family", "oneform", "--mode-type", "coclosed",
+                         "--mode-p", "1", "--solution-class", "l2",
+                         "--boundary", '{"varpi": 1.0}'])
+        assert result.exit_code == 0
+        report = json.loads((out / "solve_report.json").read_text())
+        assert report["status"] == "unique"
+        assert report["boundary_residual"] < 1e-12
 
     def test_unknown_boundary_name_rejected(self, tmp_path):
         model_path = write_model(tmp_path)

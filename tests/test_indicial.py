@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conemodes.frobenius import admissible_branches
@@ -17,13 +17,14 @@ from conemodes.indicial import (
     exact_indicial_analysis,
     indicial_matrix,
     indicial_report,
+    indicial_reports,
     null_space,
     root_table_rows,
     system_for_mode,
 )
 from conemodes.modes import CoclosedMode, ScalarMode, TTMode, circle_spectrum
 from conemodes.geometry import CrossSection
-from conemodes.reduction import oneform_system, tensor_system
+from conemodes.reduction import mode_kind, oneform_system, system_names, tensor_system
 
 
 def model_with_gamma(gamma, n=3, a=1.0):
@@ -326,6 +327,94 @@ def test_float_and_exact_tables_agree_near_half_integer_t(alpha):
             exact = exact_indicial_analysis(family, system.kind, system.names,
                                             Fraction(mode.p * system.gamma))
             assert got == [(mult, log) for _, mult, _, log in exact], (family, mode)
+
+
+def test_w0_depends_only_on_the_report_key():
+    """Equal (family, kind, names, t) give bitwise equal W0 whatever the
+    eigenvalue and n: the premise on which a sweep shares one report per key."""
+    by_key = {}
+    for n in (3, 4, 5):
+        for gamma in (0.7, 1.0, 4.0 / 3.0, 2.5):
+            model = model_with_gamma(gamma, n=n)
+            for p in range(-3, 4):
+                for eig in (0.0, 1.0, 2.5, 4 * math.pi ** 2):
+                    for mode in (ScalarMode(eig, p), CoclosedMode(eig, p), TTMode(eig, p)):
+                        for family in ("oneform", "tensor"):
+                            if family == "oneform" and isinstance(mode, TTMode):
+                                continue
+                            system = system_for_mode(model, mode, family)
+                            kind = mode_kind(mode, family)
+                            assert (kind, system_names(family, kind, n, mode)) == \
+                                (system.kind, system.names)
+                            key = (family, kind, system.names, p * model.gamma)
+                            by_key.setdefault(key, []).append(system.w0)
+    shared = [w0s for w0s in by_key.values() if len(w0s) > 1]
+    assert len(shared) > 100
+    for w0s in shared:
+        assert all(np.array_equal(w0, w0s[0]) and
+                   np.array_equal(np.signbit(w0.imag), np.signbit(w0s[0].imag))
+                   for w0 in w0s)
+
+
+def test_batched_reports_equal_single_reports():
+    model = ConeModel(n=4, alpha=2 * math.pi / 3, tube_radius=1.0)
+    systems = [system_for_mode(model, mode, family)
+               for mode in (ScalarMode(2.0, 1), ScalarMode(0.0, 0), CoclosedMode(0.0, 3),
+                            CoclosedMode(1.0, -1), TTMode(1.0, 2), ScalarMode(3.0, -2))
+               for family in ("oneform", "tensor")
+               if not (family == "oneform" and isinstance(mode, TTMode))]
+    assert len({s.arity for s in systems}) >= 4
+    assert indicial_reports(systems) == [indicial_report(s) for s in systems]
+    assert indicial_reports([]) == []
+
+
+CRITICAL = sorted({Fraction(q, m) for m in range(1, 7) for q in range(1, 3 * m + 1)})
+
+
+@given(st.sampled_from(CRITICAL), st.integers(min_value=-4, max_value=4),
+       st.floats(min_value=-1e-9, max_value=1e-9),
+       st.sampled_from([(ScalarMode, 0.0), (ScalarMode, 2.0), (CoclosedMode, 0.0),
+                        (CoclosedMode, 1.0), (TTMode, 1.0)]),
+       st.sampled_from(["oneform", "tensor"]), st.sampled_from([3, 4]))
+@settings(max_examples=200, deadline=None)
+def test_reports_near_critical_angles_match_certificate(turns, p, eps, shape, family, n):
+    """Within a relative 1e-9 of a critical angle 2 pi q / m, every root keeps
+    a null vector, the float report agrees with the exact certificate, and
+    the branch count agrees with the branches the solver is handed."""
+    mode_type, eig = shape
+    assume(not (family == "oneform" and mode_type is TTMode))
+    mode = mode_type(eig, p)
+    model = ConeModel(n=n, alpha=2 * math.pi * float(turns) * (1 + eps), tube_radius=1.0)
+    system = system_for_mode(model, mode, family)
+    report = indicial_report(system)
+    assert all(root.nullity >= 1 for root in report.roots)
+    exact = exact_indicial_analysis(family, system.kind, system.names,
+                                    Fraction(p * system.gamma))
+    assert [(mult, nullity, log) for _, mult, nullity, log in exact] == \
+        [(r.multiplicity, r.nullity, r.log_required) for r in report.roots]
+    assert [float(k) for k, *_ in exact] == pytest.approx([r.value for r in report.roots])
+    for cls in SOLUTION_CLASSES:
+        assert angle_admissibility(model, mode, family, cls)["count"] == \
+            len(admissible_branches(system, cls))
+
+
+@pytest.mark.parametrize("eps", [3e-9, 5e-9, 8e-9, 1e-8, 2e-8, 5e-8])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_reports_at_the_edge_of_the_merge_window(eps, sign):
+    """On both sides of the merge tolerance near t = 1/2, 1 and 3/2, the
+    null spaces match the certificate: merged roots keep their vectors, and
+    roots just too far apart to merge get one vector each, not their
+    neighbour's as well."""
+    for alpha, p in ((4 * math.pi, 1), (2 * math.pi, 1), (4 * math.pi / 3, 1)):
+        model = ConeModel(n=3, alpha=alpha * (1 + sign * eps), tube_radius=1.0)
+        for mode in (ScalarMode(2.0, p), ScalarMode(0.0, p), CoclosedMode(0.0, p)):
+            for family in ("oneform", "tensor"):
+                system = system_for_mode(model, mode, family)
+                exact = exact_indicial_analysis(family, system.kind, system.names,
+                                                Fraction(p * system.gamma))
+                got = [(r.multiplicity, r.nullity) for r in indicial_report(system).roots]
+                assert got == [(mult, nullity) for _, mult, nullity, _ in exact], \
+                    (alpha, family, mode)
 
 
 # ---------------------------------------------------------------------------
