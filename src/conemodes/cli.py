@@ -648,13 +648,14 @@ def verify(ctx, suites, cases):
     """Run verification suites; nonzero exit when any residual is above tol."""
     cfg: RunConfig = ctx.obj
     model = cfg.load_model()
-    if model.n != 3 or model.cross_section.kind != "circle":
-        raise InputError("verification suites need the explicit n = 3 model")
+    try:
+        chart = TubeChart(model)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     if cases < 1:
         raise InputError("--cases must be positive")
     suites = tuple(suites) or ("identities", "oracle", "energy")
     tol = cfg.residual_tol
-    chart = TubeChart(model)
 
     rows = []
     files = []

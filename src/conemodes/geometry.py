@@ -213,8 +213,7 @@ def sinh_cosh_series(a: int, b: int, order: int) -> LaurentSeries:
     sh^a ch^b = r^a (sh/r)^a ch^b, and (sh/r) and ch are power series that
     start with 1, so every coefficient is a finite sum of exact products.
     One table is kept per pair; a longer request computes only the missing
-    coefficients.  Tables are replaced whole, never appended to, so threads
-    that share them never read a half-extended one.
+    coefficients.
     """
     if order < 1:
         raise ValueError("series order must be positive")

@@ -722,6 +722,17 @@ class TestVerify:
         assert payload["pass"] is False
         assert "FAIL" in result.output
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_explicit_cross_section_rejected_without_output(self, tmp_path, n):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"n": n, "angle": 1.0, "tube_radius": 1.0,
+                                    "cross_section": {"kind": "explicit"}}))
+        out = tmp_path / "out"
+        result = invoke(["--model", str(path), "--out", str(out), "verify"])
+        assert result.exit_code == 2
+        assert "coordinate chart" in result.output
+        assert os.listdir(out) == []
+
     def test_seeded_runs_are_deterministic(self, tmp_path):
         model_path = write_model(tmp_path)
         outs = []

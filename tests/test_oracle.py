@@ -29,6 +29,7 @@ from conemodes.oracle import (
     delta_nabla,
     delta_star,
     d_nabla,
+    energy_ratios,
     exterior_d,
     fd_chain,
     identity_suite,
@@ -854,8 +855,7 @@ def test_identity_suite_analytic_path():
             "gauge_composition_oneform", "symmetrized_gradient_energy",
             "weitzenboeck_twoform", "laplacian_gauge_commutation",
             "weitzenboeck_tensor_hyperbolic", "linearized_bianchi",
-            "trace_intertwine", "adjoint_pairing",
-            "einstein_operator_positivity"} <= names
+            "trace_intertwine", "adjoint_pairing"} <= names
     for row in report:
         assert row["pass"], row
         assert row["max_rel_residual"] <= 1e-8, row
@@ -910,7 +910,6 @@ def test_identity_suite_builds_one_chart_per_grid(monkeypatch):
 
 
 def test_positivity_margin_on_bump_tensors():
-    report = identity_suite(MODEL, n_cases=10, seed=2)
-    row = next(r for r in report
-               if r["identity"] == "einstein_operator_positivity")
-    assert row["pass"] and row["max_rel_residual"] == 0.0
+    ratios = energy_ratios(TubeChart(MODEL), np.random.default_rng(2), 10)
+    assert len(ratios) == 10
+    assert min(ratios) >= MODEL.n - 2
