@@ -12,8 +12,10 @@ tensor (levels x chart.dim^rank components x radii): a leaf reads its
 components' `geometry.RadialProfile` jets, so a reduced block's profiles
 enter as they are, and each operator is one node over the dense jets of its
 operands and of the chart. `TubeChart.at(r)`, the chart on one radius grid,
-holds its dense metric, connection and curvature arrays; a suite or a
-quadrature builds one per grid and evaluates all its fields on it.
+holds its dense metric, connection and curvature arrays, read off one
+Levi-Civita chain g -> g^-1 -> Gamma -> R.  A suite evaluates its pointwise
+fields on one grid, and consecutive quadratures on one support share the
+chart's last grid.
 
 A reduced one-form or tensor mode block enters as `block_field` and comes
 back as `block_components`; both read one table, `_SLOTS`, which names the
@@ -79,14 +81,28 @@ _SH = _trig_chain(0)
 _CH = _trig_chain(1)
 
 
+def _horner(x, c):
+    """npoly.polyval(x, c) for one coefficient vector, in its operation order."""
+    acc = c[-1] + x * 0
+    for ck in c[-2::-1]:
+        acc = ck + acc * x
+    return acc
+
+
+def _derivatives(c, depth: int) -> list:
+    """Ascending coefficients of c and its first `depth` derivatives, rounded
+    as npoly.polyder rounds them."""
+    out = [c]
+    for _ in range(depth):
+        c = c[1:] * np.arange(1, len(c)) if len(c) > 1 else np.zeros(1, c.dtype)
+        out.append(c)
+    return out
+
+
 def poly_chain(coeffs, depth: int = 5) -> RadialProfile:
     """Polynomial radial profile from ascending coefficients."""
-    c = np.asarray(coeffs, dtype=complex)
-    fns = []
-    for _ in range(depth + 1):
-        fns.append(lambda r, c=c.copy(): npoly.polyval(np.asarray(r, dtype=float), c))
-        c = npoly.polyder(c) if len(c) > 1 else np.zeros(1, dtype=complex)
-    return RadialProfile(*fns)
+    return RadialProfile(*[lambda r, c=c: _horner(np.asarray(r, dtype=float), c)
+                           for c in _derivatives(np.array(coeffs, dtype=complex), depth)])
 
 
 def bump_chain(inner: float, outer: float, order: int = 4,
@@ -97,23 +113,24 @@ def bump_chain(inner: float, outer: float, order: int = 4,
     x = npoly.polyfromroots([0.0] * order + [1.0] * order)  # x^k (x-1)^k
     c = x * amplitude * (-1) ** order * 4.0 ** order  # peak height |amplitude|
     scale = 1.0 / (outer - inner)
-    fns = []
-    for k in range(depth + 1):
-        def call(r, c=c.copy(), k=k):
-            r = np.asarray(r, dtype=float)
-            u = (r - inner) * scale
-            vals = npoly.polyval(u, c) * scale ** k
-            return np.where((u > 0) & (u < 1), vals, 0.0).astype(complex)
-        fns.append(call)
-        c = npoly.polyder(c)
-    return RadialProfile(*fns)
+
+    def call(r, c, k):
+        u = (np.asarray(r, dtype=float) - inner) * scale
+        return np.where((u > 0) & (u < 1), _horner(u, c) * scale ** k, 0.0).astype(complex)
+    return RadialProfile(*[functools.partial(call, c=c, k=k)
+                           for k, c in enumerate(_derivatives(c, depth))])
+
+
+def _stencil(r, step: float, m: int) -> np.ndarray:
+    """r + i*step stacked first for levels 0..m <= 3: i = 0, then 1, -1, then 2, -2."""
+    n = 1 if m == 0 else 3 if m < 3 else 5
+    return r + step * np.array([0.0, 1.0, -1.0, 2.0, -2.0][:n]).reshape((n,) + (1,) * r.ndim)
 
 
 def _central_differences(values: Callable, r, step: float, m: int) -> np.ndarray:
     """Levels 0..m <= 3 at the radii r by O(step^2) central differences of one
-    `values` call on r + i*step stacked first: i = 0, then 1, -1, then 2, -2."""
-    h, n = step, 1 if m == 0 else 3 if m < 3 else 5
-    f = values(r + h * np.array([0.0, 1.0, -1.0, 2.0, -2.0][:n]).reshape((n,) + (1,) * r.ndim))
+    `values` call on their `_stencil`."""
+    h, f = step, values(_stencil(r, step, m))
     levels = [f[0]]
     if m >= 1:
         levels.append((f[1] - f[2]) / (2 * h))
@@ -179,39 +196,40 @@ def _permuted(t, *perm):
     return t.transpose((0,) + tuple(1 + p for p in perm) + tuple(range(1 + n, t.ndim)))
 
 
-def _levi_civita(r, m: int, name: str) -> np.ndarray:
-    """Levels 0..m of the chart table `name` (see `ChartGrid`) in long double:
-    near the axis R_0101 = -sinh^2 r cancels terms of size cosh^2 r, which in
-    float64 costs verify up to 0.7 accuracy digits.  g is diagonal, so a sum
-    over an index of g or g^-1 keeps one term; the k sum runs in order."""
-    x = np.asarray(r, dtype=np.longdouble)
-    levels = m + 1 + {"gam": 1, "riem_low": 2}.get(name, 0)  # Gamma, R take derivatives
-    s, c = np.sinh(x), np.cosh(x)
-    sh = np.array([(s, c)[k % 2] for k in range(levels)])
-    ch = np.array([(c, s)[k % 2] for k in range(levels)])
-    one = np.array([np.full_like(s, k == 0) for k in range(levels)])
-    g = np.stack([functools.reduce(leibniz, [sh] * a + [ch] * b, one) for a, b in _METRIC],
-                 axis=1)
-    ginv, no_phase = jet_reciprocal(g), (0,) * (len(_METRIC) - 1)
-    if name in ("g", "ginv"):
-        return g if name == "g" else ginv
-    # Gamma^a_bc = 1/2 g^aa (d_b g_ac + d_c g_ab - d_a g_bc)
-    dg = _derivative(_diagonal_matrix(g), no_phase)
-    gam = 0.5 * leibniz(ginv[:, :, None, None],
-                        _permuted(dg, 1, 0, 2) + _permuted(dg, 1, 2, 0) - dg)
-    if name == "gam":
-        return gam
-    # R^a_bcd = d_c Gamma^a_db + sum_k Gamma^a_ck Gamma^k_db, less each term with c
-    # and d swapped; one a at a time, which bounds the memory
-    dgam, gam, dim = _derivative(gam, no_phase), gam[:-1], len(g[0])
-    low = []
-    for a in range(dim):
-        d = _permuted(dgam[:, :, a], 2, 0, 1)  # [:, b, c, d]
-        quad = (leibniz(gam[:, a, None, :, None, k], gam[:, k].swapaxes(1, 2)[:, :, None])
-                for k in range(dim))
-        riem = d - d.swapaxes(2, 3) + sum(q - q.swapaxes(2, 3) for q in quad)
-        low.append(leibniz(g[:, a, None, None, None], riem))  # R_abcd = g_aa R^a_bcd
-    return np.stack(low, axis=1)
+def _levi_civita(r, levels: int, name: str, chain: Optional[dict] = None) -> dict:
+    """Chart tables g, ginv, gam, riem_low (see `ChartGrid`) in long double, through
+    `name`, from `levels` levels of g; a `chain` with as many is continued.  Near
+    the axis R_0101 = -sinh^2 r cancels terms of size cosh^2 r, which in float64
+    costs verify up to 0.7 accuracy digits.  g is diagonal, so a sum over an index
+    of g or g^-1 keeps one term; the k sum runs in order."""
+    if chain is None or len(chain["g"]) < levels:
+        x = np.asarray(r, dtype=np.longdouble)
+        s, c = np.sinh(x), np.cosh(x)
+        sh = np.array([(s, c)[k % 2] for k in range(levels)])
+        ch = np.array([(c, s)[k % 2] for k in range(levels)])
+        one = np.array([np.full_like(s, k == 0) for k in range(levels)])
+        g = np.stack([functools.reduce(leibniz, [sh] * a + [ch] * b, one) for a, b in _METRIC],
+                     axis=1)
+        chain = {"g": g, "ginv": jet_reciprocal(g)}
+    g, ginv, no_phase = chain["g"], chain["ginv"], (0,) * (len(_METRIC) - 1)
+    if name in ("gam", "riem_low") and "gam" not in chain:
+        # Gamma^a_bc = 1/2 g^aa (d_b g_ac + d_c g_ab - d_a g_bc)
+        dg = _derivative(_diagonal_matrix(g), no_phase)
+        chain["gam"] = 0.5 * leibniz(ginv[:, :, None, None],
+                                     _permuted(dg, 1, 0, 2) + _permuted(dg, 1, 2, 0) - dg)
+    if name == "riem_low" and name not in chain:
+        # R^a_bcd = d_c Gamma^a_db + sum_k Gamma^a_ck Gamma^k_db, less each term with
+        # c and d swapped; one a at a time, which bounds the memory
+        dgam, gam, dim = _derivative(chain["gam"], no_phase), chain["gam"][:-1], len(g[0])
+        low = []
+        for a in range(dim):
+            d = _permuted(dgam[:, :, a], 2, 0, 1)  # [:, b, c, d]
+            quad = (leibniz(gam[:, a, None, :, None, k], gam[:, k].swapaxes(1, 2)[:, :, None])
+                    for k in range(dim))
+            riem = d - d.swapaxes(2, 3) + sum(q - q.swapaxes(2, 3) for q in quad)
+            low.append(leibniz(g[:, a, None, None, None], riem))  # R_abcd = g_aa R^a_bcd
+        chain[name] = np.stack(low, axis=1)
+    return chain
 
 
 class ChartGrid:
@@ -220,11 +238,13 @@ class ChartGrid:
     `jet(name, m)` is levels 0..m of a table, shape (m+1,) + indices + r.shape:
     "g" and "ginv" are the diagonals g_aa and g^aa [:, a], "gam" is Gamma^c_ab
     [:, c, a, b], "riem_low" R_abcd and "curv" [:, a, c, b, d] R_acbd g^cc g^dd.
-    A table is computed when first read and again only for a deeper level.
+    `_build` makes a table when first read and again only for a deeper level,
+    off the grid's one `_levi_civita` chain (on the depth-3 stencil with
+    `fd_step` set): a later table continues it, a deeper level starts it over.
     """
 
     def __init__(self, chart: "TubeChart", r):
-        self.chart, self.r, self._tables = chart, r, {}
+        self.chart, self.r, self._tables, self._chain = chart, r, {}, None
 
     def jet(self, name: str, m: int) -> np.ndarray:
         have = self._tables.get(name)
@@ -236,15 +256,23 @@ class ChartGrid:
 
     def _build(self, name: str, m: int) -> np.ndarray:
         if name == "curv":
-            ginv = self.jet("ginv", m)
-            return leibniz(leibniz(self._build("riem_low", m), ginv[:, None, :, None, None]),
+            low, ginv = self.jet("riem_low", m), self.jet("ginv", m)
+            return leibniz(leibniz(low, ginv[:, None, :, None, None]),
                            ginv[:, None, None, None, :])
-        if self.chart.fd_step is None:
-            return _levi_civita(self.r, m, name).astype(complex)
+        step = self.chart.fd_step
+        if step is None:
+            return self._long_double(name, m + 1)[:m + 1].astype(complex)
         # the level-0 table on the stacked shifted radii, differenced
-        return _central_differences(
-            lambda rs: np.moveaxis(_levi_civita(rs, 0, name)[0].astype(complex),
-                                   -1 - self.r.ndim, 0), self.r, self.chart.fd_step, m)
+        stack = np.moveaxis(self._long_double(name, 1)[0].astype(complex), -1 - self.r.ndim, 0)
+        return _central_differences(lambda rs: stack[:len(rs)], self.r, step, m)
+
+    def _long_double(self, name: str, levels: int) -> np.ndarray:
+        """Table `name` of the chain, with levels of g to spare for its derivatives."""
+        need, step = levels + {"gam": 1, "riem_low": 2}.get(name, 0), self.chart.fd_step
+        if self._chain is None or len(self._chain["g"]) < need or name not in self._chain:
+            x = self.r if step is None else _stencil(self.r, step, 3)
+            self._chain = _levi_civita(x, need, name, self._chain)
+        return self._chain[name]
 
 
 @dataclass(frozen=True)
@@ -260,6 +288,7 @@ class TubeChart:
 
     model: ConeModel
     fd_step: Optional[float] = None
+    _last: Optional[ChartGrid] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.model.n != len(_METRIC):
@@ -290,14 +319,18 @@ class TubeChart:
         return 6 if self.fd_step is None else 3
 
     def at(self, r) -> ChartGrid:
-        """The chart on the radii r, of any shape.  With `fd_step` set the
-        stencil reads r - 2 fd_step, so every r must exceed 2 fd_step."""
-        r = np.asarray(r, dtype=float)
+        """The chart on the radii r, of any shape; the last grid is kept and
+        returned again for equal radii.  With `fd_step` set the stencil reads
+        r - 2 fd_step, so every r must exceed 2 fd_step."""
+        r, last = np.array(r, dtype=float), self._last
+        if last is not None and np.array_equal(last.r, r):
+            return last
         if not np.all(r > 0):
             raise DomainError("coordinate radius must be positive")
         if self.fd_step is not None and not np.all(r > 2 * self.fd_step):
             raise DomainError("finite-difference stencil needs radii above 2 * fd_step")
-        return ChartGrid(self, r)
+        object.__setattr__(self, "_last", ChartGrid(self, r))
+        return self._last
 
     def metric(self, r):
         return _diagonal_matrix(self.at(r).jet("g", 0))[0]
@@ -447,9 +480,9 @@ def covariant_derivative(fld: OracleField) -> OracleField:
         for i in range(fld.rank):
             g = gam.reshape((m + 1, dim, dim) + (1,) * i + (dim,)
                             + (1,) * (fld.rank - 1 - i) + grid.r.shape)
-            src = np.moveaxis(t[:-1], 1 + i, 1)
+            terms = leibniz(g, np.expand_dims(np.moveaxis(t[:-1], 1 + i, 1), (2, 3 + i)))
             for c in range(dim):
-                out -= leibniz(g[:, c], np.expand_dims(src[:, c], (1, 2 + i)))
+                out -= terms[:, c]
         return out
 
     return fld._node(node, fld.depth - 1, fld.rank + 1)
@@ -632,7 +665,8 @@ def block_components(fld: OracleField, kind: str, r) -> dict:
 
 def tube_inner_product(u: OracleField, v: OracleField, inner: float = 0.0,
                        outer: Optional[float] = None, num: int = 160) -> complex:
-    """Hermitian tube inner product of two single-mode fields.
+    """Hermitian tube inner product of two single-mode fields over the radii
+    0 <= inner < outer <= tube radius (the default).
 
     Distinct modes are orthogonal by the exact phase integrals; matching
     modes reduce to a radial Gauss-Legendre quadrature with the volume
@@ -640,10 +674,12 @@ def tube_inner_product(u: OracleField, v: OracleField, inner: float = 0.0,
     """
     if u.rank != v.rank:
         raise ValueError("rank mismatch")
+    chart, tube = u.chart, u.chart.model.tube_radius
+    a = tube if outer is None else outer
+    if not 0 <= inner < a <= tube:
+        raise DomainError(f"support ({inner}, {a}) is not in the tube of radius {tube}")
     if u.angular != v.angular or u.axial != v.axial:
         return 0j
-    chart = u.chart
-    a = chart.model.tube_radius if outer is None else outer
     x, w = gauss_legendre(num)
     grid = chart.at(0.5 * (a + inner) + 0.5 * (a - inner) * x)
     r, w = grid.r, 0.5 * (a - inner) * w
@@ -738,6 +774,8 @@ def energy_ratios(chart: TubeChart, rng, n_cases: int) -> list:
     symmetric tensors of the hyperbolic tube; each case draws its support,
     six component chains and the mode phases from `rng`.
     """
+    if n_cases < 1:
+        raise ValueError("n_cases must be positive")
     ratios = []
     for _ in range(n_cases):
         chains, lo, hi = _bump_case(rng, chart.model, chart.fd_step, 6)
@@ -756,6 +794,8 @@ def identity_suite(model: ConeModel, n_cases: int = 50, seed: int = 0,
     fields and the tube quadrature. Passing `fd_step` swaps every radial
     derivative for an O(step^2) central difference, the secondary path.
     """
+    if n_cases < 1:
+        raise ValueError("n_cases must be positive")
     chart = TubeChart(model, fd_step=fd_step)
     rng = np.random.default_rng(seed)
     n = chart.dim

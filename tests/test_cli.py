@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from conemodes import cli
+from conemodes import cli, oracle
 from conemodes.cli import main
 from conemodes.geometry import ConeModel, CrossSection
 from conemodes.indicial import root_table_rows
@@ -697,6 +697,23 @@ class TestVerify:
         _, rows = read_csv(out / "energy_ratios.csv")
         assert [float(r[1]) for r in rows] == pytest.approx(
             [305.499843787, 643.218595068, 548.503000872], rel=1e-9)
+
+    def test_verify_pass_builds_one_chart_chain_per_grid(self, tmp_path, monkeypatch):
+        # the benchmark's verify pass: 13 radius grids, each with one long-double
+        # chain that later tables continue (the pointwise grid restarts it once)
+        calls = []
+        levi_civita = oracle._levi_civita
+
+        def counting(*args):
+            calls.append(args[2])
+            return levi_civita(*args)
+
+        monkeypatch.setattr(oracle, "_levi_civita", counting)
+        model_path = write_model(tmp_path, angle=1.0, length=1.0)
+        result = invoke(["--model", model_path, "--out", str(tmp_path / "out"),
+                         "--seed", "1", "verify", "--cases", "3"])
+        assert result.exit_code == 0
+        assert len(calls) <= 21
 
     def test_fault_injection_fails_with_exit_one(self, tmp_path, monkeypatch):
         class FaultGrid(ChartGrid):

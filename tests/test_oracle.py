@@ -167,6 +167,27 @@ def test_dense_products_match_profile_products_bit_for_bit():
         assert got[(slice(None),) + idx].tobytes() == want.tobytes()
 
 
+def test_connection_term_matches_one_product_per_index_bit_for_bit():
+    # reference: one Leibniz product per index slot i and index c, each
+    # subtracted in the order (i, c)
+    rng = np.random.default_rng(17)
+    r = np.linspace(0.05, 1.0, 7)
+    grid, m = chart().at(r), 2
+    for rank in (1, 2, 3):
+        idxs = list(itertools.product(range(3), repeat=rank))
+        fld = OracleField(chart(), rank, dict(zip(idxs, rand_chains(rng, len(idxs)))),
+                          angular=2.0, axial=math.pi)
+        t, gam = fld.dense(grid, m + 1, {}), grid.jet("gam", m)
+        want = oracle._derivative(t, (2.0j, 1j * math.pi))
+        for i in range(rank):
+            g = gam.reshape((m + 1, 3, 3) + (1,) * i + (3,) + (1,) * (rank - 1 - i) + r.shape)
+            src = np.moveaxis(t[:-1], 1 + i, 1)
+            for c in range(3):
+                want -= leibniz(g[:, c], np.expand_dims(src[:, c], (1, 2 + i)))
+        got = covariant_derivative(fld).dense(grid, m, {})
+        assert got.tobytes() == want.tobytes(), rank
+
+
 def test_bump_chain_support_and_smoothness():
     b = bump_chain(0.2, 0.8, order=4)
     r_out = np.array([0.05, 0.15, 0.2, 0.8, 0.95])
@@ -183,6 +204,28 @@ def test_bump_chain_support_and_smoothness():
 def test_bump_chain_rejects_bad_support():
     with pytest.raises(ValueError):
         bump_chain(0.5, 0.4)
+
+
+def test_polynomial_chains_round_like_numpy():
+    # each level is numpy's polyval of numpy's polyder, bit for bit
+    rng = np.random.default_rng(11)
+    r = np.linspace(0.05, 1.2, 13)
+    for terms in (1, 2, 4, 7):
+        c = rng.normal(size=terms) + 1j * rng.normal(size=terms)
+        chain = poly_chain(c)
+        for k in range(6):
+            want = npoly.polyval(r, npoly.polyder(c, k))
+            assert chain.fns[k](r).tobytes() == want.tobytes(), (terms, k)
+    lo, hi = 0.2, 0.9
+    scale = 1.0 / (hi - lo)
+    u = (r - lo) * scale
+    for amplitude in (1.0, complex(rng.normal(), rng.normal())):
+        chain = bump_chain(lo, hi, amplitude=amplitude)
+        c = npoly.polyfromroots([0.0] * 4 + [1.0] * 4) * amplitude * (-1) ** 4 * 4.0 ** 4
+        for k in range(6):
+            want = npoly.polyval(u, npoly.polyder(c, k)) * scale ** k
+            want = np.where((u > 0) & (u < 1), want, 0.0).astype(complex)
+            assert chain.fns[k](r).tobytes() == want.tobytes(), (amplitude, k)
 
 
 def test_fd_chain_second_order():
@@ -392,6 +435,57 @@ def test_chart_rejects_nonpositive_radius():
     grid = fd.at(np.array([2.5e-3]))
     for name in ("g", "ginv", "gam", "riem_low", "curv"):
         assert np.all(np.isfinite(grid.jet(name, 3))), name
+
+
+@pytest.mark.parametrize("fd_step", [None, 1e-3])
+def test_chart_tables_do_not_depend_on_read_order(fd_step):
+    # a table read after a deeper or later-chain one continues the grid's
+    # chain; it must equal the table of a grid that built only it, bit for bit
+    r = np.array([0.05, 0.4, 1.0])
+    names = ("g", "ginv", "gam", "riem_low", "curv")
+    for first, then in itertools.product(names, repeat=2):
+        grid = TubeChart(MODEL, fd_step).at(r)
+        grid.jet(first, 1)
+        for m in (0, 3):
+            want = TubeChart(MODEL, fd_step).at(r).jet(then, m)
+            assert grid.jet(then, m).tobytes() == want.tobytes(), (first, then, m)
+
+
+def test_chart_keeps_its_last_grid():
+    ch = chart()
+    r = np.linspace(0.2, 0.8, 5)
+    grid = ch.at(r)
+    assert ch.at(r.copy()) is grid and ch.at(list(r)) is grid
+    assert ch.at(r[:4]) is not grid
+    # the grid holds its own radii, so changing the caller's array is harmless
+    r[0] = 0.3
+    assert ch.at(r) is not grid and grid.r[0] == 0.2
+    # equal charts stay equal whatever grids they keep
+    assert ch == chart() and hash(ch) == hash(chart())
+
+
+def test_quadratures_on_one_support_share_one_chain(monkeypatch):
+    calls = []
+    levi_civita = oracle._levi_civita
+
+    def counting(*args):
+        calls.append(args[2])
+        return levi_civita(*args)
+
+    rng = np.random.default_rng(4)
+    w = OracleField(chart(), 1, {(a,): c for a, c in enumerate(rand_chains(rng, 3))},
+                    angular=2.0, axial=0.0)
+    want = tube_norm(covariant_derivative(w), 0.2, 0.8)  # on its own chart
+    ch = chart()
+    w = OracleField(ch, 1, w.components, angular=2.0, axial=0.0)
+    monkeypatch.setattr(oracle, "_levi_civita", counting)
+    first = tube_norm(covariant_derivative(w), 0.2, 0.8)
+    assert calls == ["gam"]
+    second = tube_norm(covariant_derivative(w), 0.2, 0.8)
+    assert calls == ["gam"]
+    assert first == second == want
+    tube_norm(covariant_derivative(w), 0.3, 0.8)
+    assert calls == ["gam", "gam"]
 
 
 def test_chart_requires_circle_model():
@@ -839,6 +933,20 @@ def test_rank_mismatch_in_pairing():
         tube_inner_product(u, metric_field(chart()))
 
 
+def test_quadrature_rejects_supports_outside_the_tube():
+    u = scalar_field(chart(), poly_chain([1.0, 0.5]))
+    v = scalar_field(chart(), poly_chain([1.0]), angular=2.0)
+    for inner, outer in ((0.8, 0.2), (0.5, 0.5), (0.2, 3.0), (-0.1, 0.5),
+                         (math.nan, 0.5), (1.5, None)):
+        with pytest.raises(DomainError):
+            tube_inner_product(u, u, inner, outer)
+        with pytest.raises(DomainError):
+            tube_norm(u, inner, outer)
+        with pytest.raises(DomainError):  # also when the modes are orthogonal
+            tube_inner_product(u, v, inner, outer)
+    assert tube_norm(u, 0.0, 1.0) == tube_norm(u)
+
+
 def test_cross_section_normalizer_value():
     expected = 1.0 / math.sqrt(math.sinh(1.0) * math.cosh(1.0) * math.pi)
     assert cross_section_normalizer(MODEL) == pytest.approx(expected, rel=1e-12)
@@ -859,6 +967,13 @@ def test_identity_suite_analytic_path():
     for row in report:
         assert row["pass"], row
         assert row["max_rel_residual"] <= 1e-8, row
+
+
+def test_suites_need_at_least_one_case():
+    with pytest.raises(ValueError, match="n_cases"):
+        identity_suite(MODEL, n_cases=0)
+    with pytest.raises(ValueError, match="n_cases"):
+        energy_ratios(chart(), np.random.default_rng(0), 0)
 
 
 def test_identity_suite_report_serializes():
