@@ -93,8 +93,8 @@ class RunConfig:
     def __post_init__(self):
         if self.series_order < 1 or self.nodes < 4:
             raise InputError("series order must be positive and node count at least 4")
-        if not (self.rtol > 0 and self.residual_tol > 0):
-            raise InputError("tolerances must be positive")
+        if not (0 < self.rtol < np.inf and self.residual_tol > 0):
+            raise InputError("tolerances must be positive, and --tol-rtol finite")
         if self.rtol < np.finfo(float).eps:
             raise InputError("--tol-rtol below float64 resolution (2.2e-16) "
                              "cannot be met")
@@ -482,7 +482,7 @@ def deform_angle(cfg: RunConfig, cutoff, order):
         raise InputError("cutoff needs 0 < C0 < C1 <= tube radius")
     cut = tuple(cutoff) if cutoff is not None else (0.25 * a, 0.5 * a)
 
-    deform = angle_deformation_profile(model, order=order)
+    deform = angle_deformation_profile(model, order=order, rtol=cfg.rtol)
     grid = np.geomspace(1e-6, a, cfg.nodes)
     f = deform.f_profile(grid)
     g = deform.g_profile(grid)
@@ -508,7 +508,8 @@ def deform_angle(cfg: RunConfig, cutoff, order):
             boundary_data[mode] = dict(bvals)
         else:
             boundary_data[mode] = {nm: 0.0 for nm in system.names}
-    solves = induced_singular_deformation(model, boundary_data, order=order)
+    solves = induced_singular_deformation(model, boundary_data, order=order,
+                                          rtol=cfg.rtol)
     induced = []
     for mode, res in solves.items():
         induced.append({"mode": mode_to_dict(mode), "status": res.status,
@@ -570,7 +571,8 @@ def induced_metric(cfg: RunConfig, boundary_file, solution_class):
     try:
         solves = induced_singular_deformation(model, boundary_data,
                                               solution_class=solution_class,
-                                              order=cfg.series_order)
+                                              order=cfg.series_order,
+                                              rtol=cfg.rtol)
     except (ValueError, DomainError) as exc:
         raise InputError(str(exc)) from exc
     payload = []

@@ -416,33 +416,35 @@ def _step_maps(system: ModeSystem, t, source) -> np.ndarray:
     """One Gauss-Legendre step per interval of ``t`` as augmented affine maps.
 
     Map n sends (X, X', 1) at t[n] to (X, X', 1) at t[n+1], shape
-    (len(t) - 1, 2k + 1, 2k + 1).  The unknowns are the stage values Z_i of
-    X''; the stages of X' and X are X' + h (A Z)_i and
-    X + h c_i X' + h^2 (A^2 Z)_i, so the collocation conditions
-    Z_i = V_i X_i - q_i X'_i - S_i are one sk x sk linear system per step,
-    solved for all steps at once.  ``source(r)`` gives S at radii of any
-    shape as (k,) + r.shape, or is None.
+    (len(t) - 1, 2k + 1, 2k + 1), in the real frame of `ModeSystem`: X and V
+    stand for D X and D V D^-1, d_j = +i on the theta-odd components.  The
+    unknowns are the stage values Z_i of X''; the stages of X' and X are
+    X' + h (A Z)_i and X + h c_i X' + h^2 (A^2 Z)_i, so the collocation
+    conditions Z_i = V_i X_i - q_i X'_i - S_i are one sk x sk linear system
+    per step, solved for all steps at once.  ``source(r)`` gives D S at radii
+    of any shape as (k,) + r.shape, or is None; the maps are float64 unless
+    it is complex.
     """
     c, b, A = _gauss_tableau(_STAGES)
     k, s = system.arity, _STAGES
     h = np.diff(t)
     r = t[:-1, None] + h[:, None] * c
-    V = np.moveaxis(system.potential_at(r), (0, 1), (2, 3))  # (N, s, k, k)
+    V = np.moveaxis(system.frame_potential_at(r), (0, 1), (2, 3))  # (N, s, k, k)
     q = system.drift_at(r)
+    S = 0.0 if source is None else -np.moveaxis(source(r), 0, -1)
     eye = np.eye(k)
     # block (i, l) of M is (delta_il + h A_il q_i) I - h^2 (A^2)_il V_i
     M = np.einsum("il,niab->nialb", -(A @ A), (h * h)[:, None, None, None] * V)
     diag = h[:, None, None] * A * q[:, :, None] + np.eye(s)
     for a in range(k):
         M[:, :, a, :, a] += diag
-    R = np.zeros((h.size, s, k, 2 * k + 1), dtype=complex)
+    R = np.zeros((h.size, s, k, 2 * k + 1), dtype=np.result_type(V, S))
     R[..., :k] = V
     R[..., k:2 * k] = (h[:, None] * c)[..., None, None] * V - q[..., None, None] * eye
-    if source is not None:
-        R[..., -1] = -np.moveaxis(source(r), 0, -1)
+    R[..., -1] = S
     Z = np.linalg.solve(M.reshape(h.size, s * k, s * k),
                         R.reshape(h.size, s * k, 2 * k + 1)).reshape(R.shape)
-    P = np.zeros((h.size, 2 * k + 1, 2 * k + 1), dtype=complex)
+    P = np.zeros((h.size, 2 * k + 1, 2 * k + 1), dtype=R.dtype)
     P[:, :k, :k] = P[:, k:2 * k, k:2 * k] = eye
     P[:, :k, k:2 * k] = h[:, None, None] * eye
     P[:, -1, -1] = 1.0
@@ -465,7 +467,7 @@ def _compose_pairs(P, times: int):
 
 
 def _propagate(P, y0):
-    Y = np.empty((P.shape[0] + 1,) + y0.shape, dtype=complex)
+    Y = np.empty((P.shape[0] + 1,) + y0.shape, dtype=np.result_type(P, y0))
     Y[0] = y = y0
     for n, Pn in enumerate(P, 1):
         Y[n] = y = Pn @ y
@@ -473,23 +475,26 @@ def _propagate(P, y0):
 
 
 def _continue(system: ModeSystem, grid, y0, source, rtol: float):
-    """Augmented states at the grid nodes, shape (len(grid), 2k + 1, nb).
+    """Augmented states at the grid nodes, shape (len(grid), 2k + 1, nb), in
+    the real frame of `_step_maps`; the complex columns of ``y0`` go through
+    its maps as real and imaginary pairs, recombined for the check.
 
     Every interval takes m Gauss-Legendre substeps, m = 1, 2, 4, 8.  The
     check builds the same maps over pairs of intervals: a step of order 8
     has local error ~ h^9, so |coarse - fine| / (2^8 - 1) estimates the
     local error of the fine maps over each pair.  Relative to each column's
     largest value, plus one unit of rounding (no state is closer than that),
-    it must not exceed ``rtol``; m doubles while it does.
+    it must not exceed ``rtol`` (|D x| = |x|); m doubles while it does.
     """
-    k, npairs = system.arity, (grid.size - 1) // 2
+    k, nb, npairs = system.arity, y0.shape[1], (grid.size - 1) // 2
     for log_m in range(_MAX_SUBSTEPS.bit_length()):
         fine = _compose_pairs(_step_maps(system, _subdivide(grid, 2 ** log_m),
                                          source), log_m)
-        Y = _propagate(fine, y0)
+        Y = _propagate(fine, np.concatenate([y0.real, y0.imag], axis=1))
         coarse = _compose_pairs(_step_maps(
             system, _subdivide(grid[:2 * npairs + 1:2], 2 ** log_m), source), log_m)
         diff = (coarse - fine[1::2][:npairs] @ fine[0::2][:npairs]) @ Y[:-1:2][:npairs]
+        Y, diff = (a[..., :nb] + 1j * a[..., nb:] for a in (Y, diff))
         size = np.max(np.abs(Y[:, :2 * k]), axis=(0, 1))
         est = np.max(np.abs(diff[:, :2 * k]), axis=1) / (size * 255.0) + _EPS
         worst = np.unravel_index(np.argmax(est), est.shape)
@@ -517,9 +522,13 @@ def integrate_mode_ode(system: ModeSystem, series, handoff: float, r_end: float,
     more 4-stage Gauss-Legendre steps (order 8), refined until the
     step-doubling estimate of the local error is at most ``rtol`` relative
     to each column's largest value (FrobeniusError when 8 substeps per
-    interval do not reach it).  Each column is divided by its largest value
-    at the handoff and scaled back afterwards (its source by the same
-    factor), so a branch r^kappa with large kappa starts at size one.
+    interval do not reach it; ``rtol`` must be finite and > 0).  The steps
+    run in the real frame of `ModeSystem`, d_j = +i on the theta-odd
+    components: series data and source enter as D X and D S, and D^-1 maps
+    the nodal states back before d2..d4 are read off the ODE.  Each column is
+    divided by its largest value at the handoff and scaled back afterwards
+    (its source by the same factor), so a branch r^kappa with large kappa
+    starts at size one.
 
     Handing off deep inside the singular region loses accuracy: error at
     radius r0 feeds the steepest homogeneous mode with weight
@@ -533,9 +542,11 @@ def integrate_mode_ode(system: ModeSystem, series, handoff: float, r_end: float,
             "handoff radius below 1e-8; evaluate the series directly there instead")
     if num < 3:
         raise ValueError("the step-doubling check needs num >= 3")
+    if not (np.isfinite(rtol) and rtol > 0):
+        raise ValueError(f"rtol must be a finite number > 0, not {rtol!r}")
     single = isinstance(series, FrobeniusSeries)
     columns = [series] if single else list(series)
-    k, nb = system.arity, len(columns)
+    k, nb, frame = system.arity, len(columns), np.tile(system.frame, 2)[:, None]
     y0 = np.stack([np.concatenate([ser.evaluate(handoff), ser.evaluate(handoff, 1)])
                    for ser in columns], axis=1)
     scale = np.max(np.abs(y0), axis=0)
@@ -547,15 +558,15 @@ def integrate_mode_ode(system: ModeSystem, series, handoff: float, r_end: float,
         def src(r):
             out = np.zeros((k,) + r.shape, dtype=complex)
             for i, prof in src_rows:
-                out[i] = prof(r) / scale[-1]
-            return out
+                out[i] = frame[i] * prof(r) / scale[-1]
+            return out if out.imag.any() else out.real
 
     grid = np.geomspace(handoff, r_end, num)
     grid[0], grid[-1] = handoff, r_end
     start = np.zeros((2 * k + 1, nb), dtype=complex)
-    start[:2 * k] = y0 / scale
+    start[:2 * k] = y0 / scale * frame
     start[-1, -1] = 1.0 if src_rows else 0.0
-    Y = _continue(system, grid, start, src, rtol)[:, :2 * k] * scale
+    Y = _continue(system, grid, start, src, rtol)[:, :2 * k] * frame.conj() * scale
     X, dX = Y[:, :k], Y[:, k:]  # (N, k, nb)
     q, qp, qpp = (system.drift_at(grid, d)[:, None, None] for d in range(3))
     V, Vp, Vpp = (np.moveaxis(system.potential_at(grid, d), -1, 0) for d in range(3))
@@ -759,7 +770,7 @@ def solve_mode_bvp(model: ConeModel, mode: Mode, family: str,
 def induced_singular_deformation(model: ConeModel, boundary_data: Mapping,
                                  solution_class: str = "strong",
                                  order: int = 14, handoff: Optional[float] = None,
-                                 num: int = 400) -> dict:
+                                 num: int = 400, rtol: float = 1e-11) -> dict:
     """Per-mode Dirichlet solves extracting the axis limits of the components.
 
     ``boundary_data`` maps tensor modes to component values at the tube edge.
@@ -771,7 +782,7 @@ def induced_singular_deformation(model: ConeModel, boundary_data: Mapping,
     for mode, bvals in boundary_data.items():
         results[mode] = solve_mode_bvp(
             model, mode, "tensor", bvals, solution_class=solution_class,
-            order=order, handoff=handoff, num=num)
+            order=order, handoff=handoff, num=num, rtol=rtol)
     return results
 
 
@@ -879,7 +890,7 @@ class AngleDeformation:
 
 def angle_deformation_profile(model: ConeModel, order: int = 16,
                               handoff: Optional[float] = None,
-                              num: int = 600) -> AngleDeformation:
+                              num: int = 600, rtol: float = 1e-11) -> AngleDeformation:
     """Solve the gauge potential ODE for the cone-angle deformation."""
     system = oneform_system(model, ScalarMode(0.0, 0), "B")
     if handoff is None:
@@ -889,6 +900,6 @@ def angle_deformation_profile(model: ConeModel, order: int = 16,
     cont = integrate_mode_ode(
         system, series, handoff, model.tube_radius,
         source_profiles={"f": RadialProfile.from_expr(source["f"])},
-        num=num)
+        num=num, rtol=rtol)
     return AngleDeformation(model=model, system=system, series=series,
                             continuation=cont, handoff=handoff)

@@ -186,6 +186,16 @@ _COMPONENTS = {
         "D": ("k4",),
     },
 }
+# theta-odd: d/dtheta = i p gamma couples them to the rest by imaginary entries
+_THETA_ODD = {"oneform": ("g",), "tensor": ("h", "eta", "eta_bar")}
+
+
+@functools.lru_cache(maxsize=None)
+def _frame(family: str, names: tuple):
+    """d of the real frame, and d_i conj(d_j), the factor D puts on entry (i, j)."""
+    d = np.array([1j if nm in _THETA_ODD[family] else 1.0 for nm in names])
+    d.flags.writeable = False
+    return d, np.array([[a * b.conjugate() for b in d] for a in d])
 
 
 def _check_kind_mode(family: str, kind: str, mode: Mode) -> None:
@@ -324,7 +334,10 @@ class ModeSystem:
 
     ``pencil`` holds the constant matrices C_b, shape (7, k, k), of
     V(r) = sum_b C_b phi_b(r) over the fixed basis products.  It is fixed by
-    the other fields, so it takes no part in equality or hashing.
+    the other fields, so it takes no part in equality or hashing.  In the
+    real frame D = diag(d), d_j = +i on the theta-odd components and 1 on the
+    others, every D C_b D^-1 (+i times an odd-row, even-column entry, -i
+    times its transpose) is real, or the build raises ValueError.
     """
 
     family: str
@@ -335,9 +348,18 @@ class ModeSystem:
     names: tuple
     pencil: np.ndarray = field(compare=False, repr=False)
 
+    def __post_init__(self):
+        if np.abs((self.pencil * _frame(self.family, self.names)[1]).imag).sum():
+            raise ValueError(f"{self.family} {self.kind} pencil not real in its frame")
+
     @property
     def arity(self) -> int:
         return len(self.names)
+
+    @property
+    def frame(self) -> np.ndarray:
+        """d: i on the theta-odd components, 1 on the others."""
+        return _frame(self.family, self.names)[0]
 
     @property
     def drift(self) -> RadialExpr:
@@ -354,6 +376,11 @@ class ModeSystem:
         k = self.arity
         V = self.pencil.reshape(len(_BASIS), k * k).T @ phi.reshape(len(_BASIS), -1)
         return V.reshape((k, k) + phi.shape[1:])
+
+    def frame_potential_at(self, r):
+        """D V(r) D^-1, real, shape (k, k) + r.shape."""
+        framed = (self.pencil * _frame(self.family, self.names)[1]).real
+        return np.einsum("bij,b...->ij...", framed, sinh_cosh_values(_BASIS, r))
 
     def apply(self, block, r):
         """Pointwise operator value on the block's profiles at radii r; a

@@ -564,6 +564,39 @@ class TestDeformAngle:
         # every solve column's
         assert len(built) > 8 and len(built) % 4 == 0
 
+    def test_tol_rtol_reaches_every_continuation(self, tmp_path, monkeypatch):
+        # deform-angle and induced-metric hand --tol-rtol to the potential's
+        # continuation and to every per-mode solve's
+        from conemodes import frobenius
+
+        seen = []
+        integrate = frobenius.integrate_mode_ode
+
+        def recorded(*args, **kwargs):
+            seen.append((command, kwargs.get("rtol")))
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(frobenius, "integrate_mode_ode", recorded)
+        model_path = write_model(tmp_path, angle=1.0, length=1.0)
+        modes_path = write_modes(tmp_path, scalar=[(0.0, 0)], coclosed=[(0.0, 2)])
+        bpath = tmp_path / "bvals.json"
+        bpath.write_text(json.dumps([
+            {"mode": {"type": "scalar", "lambda": 0.0, "p": 0},
+             "values": {"f": 0.3, "g": 0.5, "h": 0.0, "k1": 0.2}},
+            {"mode": {"type": "coclosed", "mu": 0.0, "p": 2},
+             "values": {"sigma_bar": 0.1, "eta_bar": 0.4}}]))
+        out = str(tmp_path / "out")
+        for command, args in (
+                ("deform-angle", ["--modes", modes_path, "--tol-nodes", "60",
+                                  "deform-angle"]),
+                ("induced-metric", ["induced-metric", "--boundary-file", str(bpath)])):
+            result = invoke(["--model", model_path, "--out", out,
+                             "--tol-rtol", "1e-9"] + args)
+            assert result.exit_code == 0, result.output
+        # the potential and two solves, then two solves
+        assert [c for c, _ in seen] == ["deform-angle"] * 3 + ["induced-metric"] * 2
+        assert all(rtol == 1e-9 for _, rtol in seen), seen
+
 
 class TestInducedMetric:
     def test_reports_axis_values(self, tmp_path):
@@ -839,6 +872,16 @@ class TestInputValidation:
         result = invoke(["--model", model_path, "--out", str(tmp_path / "o"),
                          "--tol-rtol", "-1e-9", "indicial"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("rtol", ["inf", "nan"])
+    def test_nonfinite_rtol_rejected_without_output(self, tmp_path, rtol):
+        model_path = write_model(tmp_path)
+        out = tmp_path / "o"
+        result = invoke(["--model", model_path, "--out", str(out),
+                         "--tol-rtol", rtol, "deform-angle"])
+        assert result.exit_code == 2
+        assert "--tol-rtol" in result.output
+        assert not out.exists() or os.listdir(out) == []
 
     def test_rtol_below_float_resolution_rejected(self, tmp_path):
         model_path = write_model(tmp_path)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conemodes import frobenius
 from conemodes.frobenius import (
     AngleDeformation,
     FrobeniusError,
@@ -20,6 +21,7 @@ from conemodes.indicial import indicial_report
 from conemodes.modes import CoclosedMode, ScalarMode
 from conemodes.reduction import (
     ModeBlock,
+    ModeSystem,
     RadialProfile,
     apply_L_oneform,
     apply_P_tensor,
@@ -275,13 +277,100 @@ def test_matrix_continuation_matches_single_columns(model, mode, solution_class,
             assert np.max(np.abs(got - want)) < 1e-9 * np.max(np.abs(want))
 
 
-def test_continuation_guards():
+def test_continuation_guards(monkeypatch):
     system = oneform_system(M_HALF, ScalarMode(4.0, 1), "A")
     ser = frobenius_series(system, 5.0, order=6)
     with pytest.raises(DomainError):
         integrate_mode_ode(system, ser, 1e-9, 1.0)
     with pytest.raises(DomainError):
         integrate_mode_ode(system, ser, 0.5, 0.5)
+
+    def unbuilt(*args):
+        raise AssertionError("a step map was built")
+
+    # a bad rtol is refused before any step map is built
+    monkeypatch.setattr(frobenius, "_step_maps", unbuilt)
+    for rtol in (float("nan"), 0.0, -1.0, float("inf")):
+        with pytest.raises(ValueError, match="rtol"):
+            integrate_mode_ode(system, ser, 0.1, 1.0, rtol=rtol)
+
+
+def _complex_step_maps(system, t, source):
+    # the step maps as built before the real frame, kept as the reference:
+    # complex arithmetic on V itself, with the state (X, X', 1) and the
+    # source S as they are
+    c, b, A = frobenius._gauss_tableau(frobenius._STAGES)
+    k, s = system.arity, frobenius._STAGES
+    h = np.diff(t)
+    r = t[:-1, None] + h[:, None] * c
+    V = np.moveaxis(system.potential_at(r), (0, 1), (2, 3))  # (N, s, k, k)
+    q = system.drift_at(r)
+    eye = np.eye(k)
+    M = np.einsum("il,niab->nialb", -(A @ A), (h * h)[:, None, None, None] * V)
+    diag = h[:, None, None] * A * q[:, :, None] + np.eye(s)
+    for a in range(k):
+        M[:, :, a, :, a] += diag
+    R = np.zeros((h.size, s, k, 2 * k + 1), dtype=complex)
+    R[..., :k] = V
+    R[..., k:2 * k] = (h[:, None] * c)[..., None, None] * V - q[..., None, None] * eye
+    if source is not None:
+        R[..., -1] = -np.moveaxis(source(r), 0, -1)
+    Z = np.linalg.solve(M.reshape(h.size, s * k, s * k),
+                        R.reshape(h.size, s * k, 2 * k + 1)).reshape(R.shape)
+    P = np.zeros((h.size, 2 * k + 1, 2 * k + 1), dtype=complex)
+    P[:, :k, :k] = P[:, k:2 * k, k:2 * k] = eye
+    P[:, :k, k:2 * k] = h[:, None, None] * eye
+    P[:, -1, -1] = 1.0
+    P[:, :k] += (h * h)[:, None, None] * np.tensordot(b @ A, Z, axes=(0, 1))
+    P[:, k:2 * k] += h[:, None, None] * np.tensordot(b, Z, axes=(0, 1))
+    return P
+
+
+def _angle_potential_case():
+    system = oneform_system(M_HALF, ScalarMode(0.0, 0), "B")
+    source = {"f": 2.0 * _ex("inv_th")}
+    return system, [inhomogeneous_series(system, source, order=16)], source
+
+
+def _odd_source_case():
+    # p != 0 kind A (k = 6): every strong branch and a particular solution
+    # fed on the theta-odd h, a source that is complex in the frame.  At
+    # 3 pi / 2 the branches span r^(4/3)..r^(10/3); at pi / 2 they span
+    # r^2..r^6, and rounding alone (the reference's maps conjugated by a
+    # unitary diagonal and back) moves the r^2 column's values by 1.6e-11
+    system = tensor_system(M_3HALF, ScalarMode(4.0, 1), "A")
+    source = {"h": 3.0 * _ex("th")}
+    branches = [frobenius_series(system, kappa, vector=vec, order=12)
+                for _, kappa, vec in admissible_branches(system, "strong")]
+    return system, branches + [inhomogeneous_series(system, source, order=12)], source
+
+
+@pytest.mark.parametrize("case,dtype", [(_angle_potential_case, np.float64),
+                                        (_odd_source_case, np.complex128)])
+def test_real_frame_continuation_matches_complex_maps(case, dtype, monkeypatch):
+    system, columns, source = case()
+    profiles = {name: RadialProfile.from_expr(ex) for name, ex in source.items()}
+    dtypes, build = [], frobenius._step_maps
+
+    def recorded(*args):
+        P = build(*args)
+        dtypes.append(P.dtype)
+        return P
+
+    monkeypatch.setattr(frobenius, "_step_maps", recorded)
+    got = integrate_mode_ode(system, columns, 0.1, 1.0, source_profiles=profiles)
+    # float64 maps unless the frame source is complex
+    assert dtypes and set(dtypes) == {np.dtype(dtype)}
+    # the reference continues X itself: complex maps and the identity frame
+    monkeypatch.setattr(frobenius, "_step_maps", _complex_step_maps)
+    monkeypatch.setattr(ModeSystem, "frame",
+                        property(lambda self: np.ones(self.arity)))
+    want = integrate_mode_ode(system, columns, 0.1, 1.0, source_profiles=profiles)
+    assert len(got) == len(want) == len(columns)
+    for g, w in zip(got, want):
+        for level in ("values", "d1", "d2", "d3", "d4"):
+            a, b = getattr(g, level), getattr(w, level)
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), level
 
 
 # ---------------------------------------------------------------------------

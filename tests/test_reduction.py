@@ -11,6 +11,7 @@ from conemodes.geometry import ConeModel, CrossSection, DomainError, cubic_hermi
 from conemodes.modes import CoclosedMode, ScalarMode, TTMode
 from conemodes.reduction import (
     ModeBlock,
+    ModeSystem,
     QuadratureConvergenceError,
     RadialExpr,
     RadialProfile,
@@ -25,6 +26,7 @@ from conemodes.reduction import (
     grad_oneform,
     l2_norm_tube,
     log_grid,
+    mode_kind,
     oneform_system,
     scalar_mode_operator,
     standard_deformation_block,
@@ -545,6 +547,41 @@ def test_pencil_rejects_product_outside_basis():
     assert pencil.shape == (7, 1, 1) and pencil[6, 0, 0] == 2.0
     with pytest.raises(ValueError):
         _compile_pencil([[spelled((1.0, ("sh", "ch")))]])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_every_system_is_real_in_its_frame(n):
+    # both families, kinds A-D, p = -2..3 and eigenvalues including 0, so
+    # k2 (n >= 4) and k3 (mu + n - 3 > 0) occur; d/dtheta = i p gamma is the
+    # only imaginary entry, and d_j = i on the theta-odd components absorbs it
+    model = ConeModel(n=n, alpha=1.3, tube_radius=1.0)
+    modes = [mode for p in range(-2, 4)
+             for mode in (ScalarMode(0.0, p), ScalarMode(2.5, p), CoclosedMode(0.0, p),
+                          CoclosedMode(3.0, p), TTMode(0.0, p), TTMode(4.0, p))]
+    builders = (("oneform", oneform_system), ("tensor", tensor_system))
+    systems = [build(model, mode, mode_kind(mode, family))
+               for mode in modes for family, build in builders
+               if not (family == "oneform" and isinstance(mode, TTMode))]
+    r = np.array([0.05, 0.3, 0.9])
+    for system in systems:
+        d = system.frame
+        assert set(d) <= {1.0, 1j}
+        framed = system.pencil * np.outer(d, d.conj())
+        assert not framed.imag.any(), (system.family, system.kind, system.mode)
+        V = system.frame_potential_at(r)
+        want = d[:, None, None] * system.potential_at(r) * d.conj()[None, :, None]
+        assert V.dtype == np.float64
+        np.testing.assert_allclose(V, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+    assert {s.kind for s in systems} == {"A", "B", "C", "D"}
+    names = {name for s in systems for name in s.names}
+    assert "k3" in names and ("k2" in names) == (n >= 4)
+    assert any(s.pencil.imag.any() for s in systems)
+
+
+def test_pencil_not_real_in_its_frame_is_rejected():
+    s = tensor_system(MODEL3, CoclosedMode(1.0, 2), "C")
+    with pytest.raises(ValueError, match="frame"):
+        ModeSystem(s.family, s.kind, s.mode, s.n, s.gamma, s.names, 1j * s.pencil)
 
 
 def test_monomial_derivatives_match_mpmath():
