@@ -4,7 +4,8 @@ The radial systems produced by :mod:`conemodes.reduction` have a regular
 singular point at the cone axis.  This module constructs Frobenius series
 (with logarithmic branches where the indicial structure forces them),
 continues them outward to the tube boundary, and solves Dirichlet problems
-there within a prescribed solution class.
+there within a prescribed solution class.  One series recursion factors the
+indicial matrices of all its orders in one batched SVD.
 
 The continuation ODE y' = M(r) y + f(r), y = (X, X'), is linear, so it is
 propagated by 4-stage Gauss-Legendre collocation (A-stable, order 8; Hairer
@@ -21,13 +22,15 @@ Series and continued solutions hand out each component as a
 solution on the whole tube is one jet node that reads the series below the
 handoff and the continuation above it, so derivatives of a solution (and of
 its products, as in the cone-angle correction block) come from the profile
-algebra rather than from hand-written product rules.
+algebra rather than from hand-written product rules.  A continued
+solution reads its nodal d2..d4 off the ODE only when a profile level that
+needs them is first evaluated.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -189,69 +192,75 @@ def _power_sum(C, r):
 
 @functools.lru_cache(maxsize=128)
 def _coefficient_data(system: ModeSystem, order: int):
+    """Read-only q_j of r q(r), shape (order+1,), and W_j of r^2 V(r)."""
     drift = system.laurent_drift(order + 1)
-    q = tuple(complex(drift.coefficient(j)) for j in range(order + 1))
-    W = tuple(system.laurent_potential(order + 1))
+    q = np.array([complex(drift.coefficient(j)) for j in range(order + 1)])
+    W = np.asarray(system.laurent_potential(order + 1), dtype=complex)
+    q.flags.writeable = W.flags.writeable = False
     return q, W
 
 
 def _series_engine(system, s0, order, seed=None, log_seed=None, source=None):
-    """Run the coefficient recursion; returns (v, u) lists, u possibly None.
+    """Run the coefficient recursion; returns arrays (v, u), u None without logs.
 
-    Multiplying the system by r^2 gives coefficient equations
-    M(s0+m) v_m = sum_{j>=1} [q_j (s0+m-j) I - W_j] v_{m-j} + source_m, with
-    M(s) = W_0 - s^2 I.  At resonant orders obstructions are absorbed into a
-    log-companion series, seeded inside the null space so that the shifted
-    right-hand side lands in the range.
+    Multiplying the system by r^2 gives coefficient equations A_m v_m =
+    sum_{j=1..m} K[m, j] v_{m-j} + source_m, A_m = W_0 - (s0+m)^2 I, K[m, j] =
+    q_j (s0+m-j) I - W_j.  One batched SVD of every A_m gives each order's
+    rank under the `_RANK_TOL` cut and, at full rank, x = Vh^H (U^H b / sigma).
+    At resonant orders obstructions are absorbed into a log-companion series,
+    seeded inside the null space so that the shifted right-hand side lands in
+    the range.
     """
     k = system.arity
     q, W = _coefficient_data(system, order)
     wdiag = np.asarray(component_weights(system.family, system.names), float)
     eye = np.eye(k)
+    m_all = np.arange(order + 1)
+    s_all = s0 + m_all
+    A = W[0] - (s_all * s_all)[:, None, None] * eye
+    left, sv, vh = np.linalg.svd(A)
+    ranks = np.sum(sv > _RANK_TOL * np.maximum(sv[:, :1], 1.0), axis=1)
+    K = (q * (s_all[:, None] - m_all))[..., None, None] * eye - W
+    v = np.zeros((order + 1, k), dtype=complex)
+    u = np.zeros((order + 1, k), dtype=complex)
 
-    def convolve(seq, m):
-        acc = np.zeros(k, dtype=complex)
-        for j in range(1, m + 1):
-            acc += q[j] * (s0 + m - j) * seq[m - j] - W[j] @ seq[m - j]
-        return acc
+    def history(seq, m):
+        return np.einsum("jab,jb->a", K[m, 1:m + 1], seq[:m][::-1])
 
-    v, u = [], []
+    def factor_solve(m, rhs):
+        return vh[m].conj().T @ ((left[m].conj().T @ rhs) / sv[m])
+
     log_active = log_seed is not None
     for m in range(order + 1):
-        s = s0 + m
-        A = W[0] - (s * s) * eye
-        _, sv, vh = np.linalg.svd(A)
-        rank = int(np.sum(sv > _RANK_TOL * max(sv[0], 1.0)))
+        s, rank = s_all[m], ranks[m]
         if log_active:
             if m == 0:
-                u_m = np.asarray(log_seed, dtype=complex)
-                if np.linalg.norm(A @ u_m) > 1e-8 * (np.linalg.norm(u_m) + 1.0):
+                u[0] = log_seed
+                if np.linalg.norm(A[0] @ u[0]) > 1e-8 * (np.linalg.norm(u[0]) + 1.0):
                     raise FrobeniusError(
                         "log seed must lie in the indicial null space")
+            elif rank == k:
+                u[m] = factor_solve(m, history(u, m))
             else:
-                rhs_u = convolve(u, m)
-                u_m = _resonant_solve(A, rhs_u, rank, m, "log companion")
-        else:
-            u_m = np.zeros(k, dtype=complex)
-        rhs = convolve(v, m)
+                u[m] = _resonant_solve(A[m], history(u, m), m, "log companion")
+        rhs = history(v, m)
         if source is not None:
             rhs = rhs + source(m)
-        rhs = rhs + 2.0 * s * u_m
-        for j in range(1, m + 1):
-            rhs = rhs + q[j] * u[m - j]
+        if log_active:
+            rhs = rhs + 2.0 * s * u[m] + q[1:m + 1] @ u[:m][::-1]
         if m == 0 and seed is not None:
-            v_m = np.asarray(seed, dtype=complex)
-            if np.linalg.norm(A @ v_m - rhs) > 1e-8 * (
-                    np.linalg.norm(v_m) + np.linalg.norm(rhs) + 1.0):
+            v[0] = seed
+            if np.linalg.norm(A[0] @ v[0] - rhs) > 1e-8 * (
+                    np.linalg.norm(v[0]) + np.linalg.norm(rhs) + 1.0):
                 raise FrobeniusError(
                     "seed vector does not satisfy the leading-order equation")
         elif rank == k:
-            v_m = np.linalg.solve(A, rhs)
+            v[m] = factor_solve(m, rhs)
         else:
-            null = vh[rank:].conj().T
+            null = vh[m, rank:].conj().T
             beta = (wdiag[:, None] * null).conj().T @ rhs
             if np.linalg.norm(beta) <= _SOLVE_TOL * (np.linalg.norm(rhs) + 1.0):
-                v_m = _min_norm(A, rhs)
+                v[m] = _min_norm(A[m], rhs)
             else:
                 if abs(s) < 1e-12:
                     raise FrobeniusError(
@@ -259,24 +268,17 @@ def _series_engine(system, s0, order, seed=None, log_seed=None, source=None):
                         "iterated logarithm not supported")
                 gram = (wdiag[:, None] * null).conj().T @ null
                 shift = null @ np.linalg.solve(gram, -beta / (2.0 * s))
-                u_m = u_m + shift
-                rhs = rhs + 2.0 * s * shift
-                v_m = _min_norm(A, rhs)
+                u[m] += shift
+                v[m] = _min_norm(A[m], rhs + 2.0 * s * shift)
                 log_active = True
-        u.append(u_m)
-        v.append(v_m)
-    if not any(np.any(x) for x in u):
-        u = None
-    return v, u
+    return v, (u if u.any() else None)
 
 
 def _min_norm(A, rhs):
     return np.linalg.lstsq(A, rhs, rcond=_RANK_TOL)[0]
 
 
-def _resonant_solve(A, rhs, rank, m, what):
-    if rank == A.shape[0]:
-        return np.linalg.solve(A, rhs)
+def _resonant_solve(A, rhs, m, what):
     x = _min_norm(A, rhs)
     if np.linalg.norm(A @ x - rhs) > _SOLVE_TOL * (np.linalg.norm(rhs) + 1.0):
         raise FrobeniusError(
@@ -358,15 +360,18 @@ def series_block(system: ModeSystem, series: FrobeniusSeries):
 
 @dataclass
 class ContinuedSolution:
-    """Grid solution on [handoff, r_end] with ODE-exact nodal derivatives."""
+    """Grid solution on [handoff, r_end] with ODE-exact nodal derivatives;
+    ``higher()`` gives d2..d4, shape (3, arity, N), computed on first use."""
 
     system: ModeSystem
     grid: np.ndarray
     values: np.ndarray  # (arity, N)
     d1: np.ndarray
-    d2: np.ndarray
-    d3: np.ndarray
-    d4: np.ndarray
+    higher: Callable = field(repr=False, compare=False)
+
+    d2 = property(lambda self: self.higher()[0])
+    d3 = property(lambda self: self.higher()[1])
+    d4 = property(lambda self: self.higher()[2])
 
     @property
     def endpoint(self):
@@ -375,19 +380,25 @@ class ContinuedSolution:
     def profile(self, name: str) -> RadialProfile:
         """One component as a profile with three derivatives.
 
-        Level k is the cubic Hermite interpolant of the nodal pair
-        (d_k, d_k+1), with d_0 the values, so each level keeps quartic-order
-        accuracy. Near the handoff the nodal d3 and d4 carry the
-        propagator's error times V' ~ r^-3 and V'' ~ r^-4: for the
+        Level k, built when first evaluated, is the cubic Hermite interpolant
+        of the nodal pair (d_k, d_k+1), with d_0 the values, so each level
+        keeps quartic-order accuracy. Near the handoff the nodal d3 and d4
+        carry the propagator's error times V' ~ r^-3 and V'' ~ r^-4: for the
         angle-potential system at the defaults, against a 6-stage reference
         with 4 substeps per interval, the nodal values are within 3e-15
         relative on r < 0.2, d3 within 2e-13 and d4 within 1e-11, so levels
         2 and 3, read from them, are that much less accurate than the values.
         """
-        i = self.system.names.index(name)
-        stack = (self.values, self.d1, self.d2, self.d3, self.d4)
-        return RadialProfile(*[cubic_hermite(self.grid, stack[k][i], stack[k + 1][i])
-                               for k in range(4)])
+        i, interpolants = self.system.names.index(name), {}
+        nodal = ("values", "d1", "d2", "d3", "d4")
+
+        def level(k, r):
+            if k not in interpolants:
+                interpolants[k] = cubic_hermite(self.grid, getattr(self, nodal[k])[i],
+                                                getattr(self, nodal[k + 1])[i])
+            return interpolants[k](r)
+
+        return RadialProfile(*[functools.partial(level, k) for k in range(4)])
 
     def profiles(self) -> dict:
         return {name: self.profile(name) for name in self.system.names}
@@ -525,10 +536,10 @@ def integrate_mode_ode(system: ModeSystem, series, handoff: float, r_end: float,
     interval do not reach it; ``rtol`` must be finite and > 0).  The steps
     run in the real frame of `ModeSystem`, d_j = +i on the theta-odd
     components: series data and source enter as D X and D S, and D^-1 maps
-    the nodal states back before d2..d4 are read off the ODE.  Each column is
-    divided by its largest value at the handoff and scaled back afterwards
-    (its source by the same factor), so a branch r^kappa with large kappa
-    starts at size one.
+    the nodal states back; d2..d4 are read off the ODE, for all columns at
+    once, when one column first asks.  Each column is divided by its largest
+    value at the handoff and scaled back afterwards (its source by the same
+    factor), so a branch r^kappa with large kappa starts at size one.
 
     Handing off deep inside the singular region loses accuracy: error at
     radius r0 feeds the steepest homogeneous mode with weight
@@ -568,6 +579,17 @@ def integrate_mode_ode(system: ModeSystem, series, handoff: float, r_end: float,
     start[-1, -1] = 1.0 if src_rows else 0.0
     Y = _continue(system, grid, start, src, rtol)[:, :2 * k] * frame.conj() * scale
     X, dX = Y[:, :k], Y[:, k:]  # (N, k, nb)
+    higher = functools.cache(functools.partial(_ode_derivatives, system, grid, X, dX,
+                                               src_rows))
+    out = [ContinuedSolution(system, grid, X[:, :, c].T, dX[:, :, c].T,
+                             lambda c=c: higher()[..., c].mT)
+           for c in range(nb)]
+    return out[0] if single else out
+
+
+def _ode_derivatives(system: ModeSystem, grid, X, dX, src_rows):
+    """d2, d3, d4 of every column at the nodes, shape (3, N, k, nb), from the
+    ODE X'' = -q X' + V X - S and its first two derivatives."""
     q, qp, qpp = (system.drift_at(grid, d)[:, None, None] for d in range(3))
     V, Vp, Vpp = (np.moveaxis(system.potential_at(grid, d), -1, 0) for d in range(3))
     S, Sp, Spp = np.zeros((3,) + X.shape, dtype=complex)
@@ -576,9 +598,7 @@ def integrate_mode_ode(system: ModeSystem, series, handoff: float, r_end: float,
     d2 = -q * dX + V @ X - S
     d3 = -qp * dX - q * d2 + Vp @ X + V @ dX - Sp
     d4 = -qpp * dX - 2 * qp * d2 - q * d3 + Vpp @ X + 2 * (Vp @ dX) + V @ d2 - Spp
-    out = [ContinuedSolution(system, grid, *(a[:, :, c].T for a in (X, dX, d2, d3, d4)))
-           for c in range(nb)]
-    return out[0] if single else out
+    return np.stack([d2, d3, d4])
 
 
 def _piecewise(inner: RadialProfile, outer: RadialProfile, cut: float) -> RadialProfile:

@@ -41,6 +41,7 @@ from conemodes.geometry import ConeModel
 from conemodes.modes import CoclosedMode, Mode, ScalarMode, TTMode
 from conemodes.reduction import (
     ModeSystem,
+    _snap,
     mode_kind,
     oneform_system,
     system_names,
@@ -172,33 +173,18 @@ class IndicialReport:
         return any(r.log_required for r in self.roots)
 
 
-# rank cut of `null_space`: singular values below max(1e-10 s_max, 1e-12),
-# plus the matrix's own slack, are null
+# rank cut of `null_space`: singular values below max(1e-10 s_max, 1e-12)
+# are null
 _NULL_RTOL = 1e-10
 
 
-def null_space(matrices: np.ndarray, slack=0.0):
-    """Null vectors of each matrix of an (N, k, k) stack, from one SVD call.
-
-    ``slack``, a scalar or one value per matrix, is how far in norm a matrix
-    may lie from the exactly singular one it stands for; it widens the cut.
-    """
+def null_space(matrices: np.ndarray):
+    """Null vectors of each matrix of an (N, k, k) stack, from one SVD call."""
     _, s, vh = np.linalg.svd(matrices)
-    cut = np.maximum(s[:, :1] * _NULL_RTOL, 1e-12) + np.reshape(slack, (-1, 1))
+    cut = np.maximum(s[:, :1] * _NULL_RTOL, 1e-12)
     null = s < cut
     return tuple(tuple(tuple(np.conj(v)) for v, z in zip(rows, mask) if z)
                  for rows, mask in zip(vh, null))
-
-
-def _snap(t):
-    """t, or the half-integer within the merge tolerance 1e-9 (|t| + 3) of it.
-
-    Roots are +-(t + integer), so distinct roots meet only at a half-integer
-    t, and the classification thresholds are integers: snapping there means
-    an ulp change of the angle cannot split a root or move it across one.
-    """
-    half = type(t)(round(2 * t)) / 2
-    return half if abs(t - half) <= 1e-9 * (abs(t) + 3.0) else t
 
 
 def _root_clusters(family: str, kind: str, names, t):
@@ -212,29 +198,23 @@ def indicial_reports(systems) -> list:
     clustered at the snapped t, with eigenvectors attached.
 
     The matrices W0 - kappa^2 I of all systems of one arity go through one
-    `null_space` call.  Each is built at the system's t but stands for the
-    snapped t, where the clustered roots are exact.  W0 is t^2 on the
-    diagonal plus t times a constant matrix of norm at most 4 sqrt(2) (see
-    `_exact_w0`), so W0 at t and at the snapped t differ by at most
-    (2 |t| + 6) |t - snapped t| in norm; twice that is the slack of the
-    rank cut.  A t that is not snapped gets no slack: its matrices are exact.
+    `null_space` call.  Each system's pencil is built at the snapped t (see
+    `oneform_system`), where the clustered roots are exact.
     """
     systems = list(systems)
     ts = [s.mode.p * s.gamma for s in systems]
-    snapped = [_snap(t) for t in ts]
-    clusters = [_root_clusters(s.family, s.kind, s.names, u)
-                for s, u in zip(systems, snapped)]
+    clusters = [_root_clusters(s.family, s.kind, s.names, _snap(t))
+                for s, t in zip(systems, ts)]
     by_arity = {}
     for i, system in enumerate(systems):
         by_arity.setdefault(system.arity, []).append(i)
     nulls = [None] * len(systems)
     for k, members in by_arity.items():
-        stack, slack = [], []
+        stack = []
         for i in members:
             squares = np.array([value ** 2 for value, _ in clusters[i]])
             stack.append(systems[i].w0 - squares[:, None, None] * np.eye(k))
-            slack += [4.0 * (abs(ts[i]) + 3.0) * abs(ts[i] - snapped[i])] * len(squares)
-        found = iter(null_space(np.concatenate(stack), slack))
+        found = iter(null_space(np.concatenate(stack)))
         for i in members:
             nulls[i] = [next(found) for _ in clusters[i]]
     return [IndicialReport(s.family, s.kind, s.names, t,

@@ -441,10 +441,21 @@ def _grid_table(k: int):
     return [[_ZERO for _ in range(k)] for _ in range(k)]
 
 
+def _snap(t):
+    """t, or the half-integer within the merge tolerance 1e-9 (|t| + 3) of it.
+
+    Roots are +-(t + integer), so distinct roots meet only at a half-integer
+    t, and the classification thresholds are integers: snapping there means
+    an ulp change of the angle cannot split a root or move it across one.
+    """
+    half = type(t)(round(2 * t)) / 2
+    return half if abs(t - half) <= 1e-9 * (abs(t) + 3.0) else t
+
+
 def oneform_system(model: ConeModel, mode: Mode, kind: str) -> ModeSystem:
     """Reduced system of the one-form operator (connection Laplacian + (n-1))."""
     n, g = model.n, model.gamma
-    pg = mode.p * g
+    pg = _snap(mode.p * g)  # the t whose roots `indicial_report` clusters
     names = system_names("oneform", kind, n, mode)
     k = len(names)
     V = _grid_table(k)
@@ -472,7 +483,7 @@ def tensor_system(model: ConeModel, mode: Mode, kind: str) -> ModeSystem:
     """Reduced system of the trace-coupled tensor operator (connection
     Laplacian minus twice the curvature action)."""
     n, g = model.n, model.gamma
-    pg = mode.p * g
+    pg = _snap(mode.p * g)  # the t whose roots `indicial_report` clusters
     names = system_names("tensor", kind, n, mode)
     idx = {nm: i for i, nm in enumerate(names)}
     k = len(names)

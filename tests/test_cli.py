@@ -425,6 +425,20 @@ class TestSolve:
         assert result.exit_code == 2
         assert os.listdir(out) == []
 
+    def test_solve_inside_the_snap_window(self, tmp_path):
+        # p * gamma = 3 (1 - 1e-9) lies inside the merge tolerance of 3: the
+        # system is built at 3, where its indicial roots are clustered
+        model_path = write_model(tmp_path, angle=(2 * math.pi / 3) * (1 + 1e-9),
+                                 length=1.0)
+        out = tmp_path / "out"
+        result = invoke(["--model", model_path, "--out", str(out), "solve",
+                         "--family", "tensor", "--mode-p", "1", "--mode-eig", "4",
+                         "--boundary", '{"f": 1}'])
+        assert result.exit_code == 0, result.output
+        report = json.loads((out / "solve_report.json").read_text())
+        assert report["status"] == "unique"
+        assert report["boundary_residual"] < 1e-12
+
 
 class TestDeformAngle:
     def test_profile_and_induced_outputs(self, tmp_path):
@@ -536,21 +550,22 @@ class TestDeformAngle:
         # the per-mode solves read only endpoints and axis values, so of the
         # continuation interpolants a deform-angle run builds, only the
         # levels 0..2 of the potential's f and g, which its residual reads,
-        # are ever set up; the potential's profiles are built once
+        # are ever set up, and the nodal d2..d4 behind them are computed
+        # once, for the potential alone
         from conemodes import frobenius, geometry
 
-        built, set_up = [], []
-        build, setup = geometry.cubic_hermite, geometry._hermite_coefficients
+        derived, set_up = [], []
+        derive, setup = frobenius._ode_derivatives, geometry._hermite_coefficients
 
-        def counted_build(*args, **kwargs):
-            built.append(args)
-            return build(*args, **kwargs)
+        def counted_derive(system, *args):
+            derived.append(system)
+            return derive(system, *args)
 
         def counted_setup(*args):
             set_up.append(args)
             return setup(*args)
 
-        monkeypatch.setattr(frobenius, "cubic_hermite", counted_build)
+        monkeypatch.setattr(frobenius, "_ode_derivatives", counted_derive)
         monkeypatch.setattr(geometry, "_hermite_coefficients", counted_setup)
         model_path = write_model(tmp_path, angle=1.0, length=1.0)
         modes_path = write_modes(tmp_path, scalar=[(0.0, 0), (0.0, -1)],
@@ -560,9 +575,8 @@ class TestDeformAngle:
                          "deform-angle"])
         assert result.exit_code == 0
         assert len(set_up) == 6, len(set_up)
-        # four levels per component: the potential's two, once each, and
-        # every solve column's
-        assert len(built) > 8 and len(built) % 4 == 0
+        assert [(s.family, s.kind, s.mode) for s in derived] == [
+            ("oneform", "B", ScalarMode(0.0, 0))]
 
     def test_tol_rtol_reaches_every_continuation(self, tmp_path, monkeypatch):
         # deform-angle and induced-metric hand --tol-rtol to the potential's

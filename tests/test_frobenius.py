@@ -152,6 +152,97 @@ def test_higher_order_tightens_truncation():
 
 
 # ---------------------------------------------------------------------------
+def _recursion_defects(system, ser, source=None):
+    """Relative defect of each order's coefficient equations, rebuilt from
+    the Laurent data with explicit sums over j:
+    (W0 - s^2) v_m - sum_j K[m, j] v_(m-j) - 2 s u_m - sum_j q_j u_(m-j)
+    - source_m, K[m, j] = q_j (s - j) I - W_j, s = kappa + m, and the log
+    companion's own equation (W0 - s^2) u_m - sum_j K[m, j] u_(m-j)."""
+    order, eye = ser.order, np.eye(system.arity)
+    drift = system.laurent_drift(order + 1)
+    q = [complex(drift.coefficient(j)) for j in range(order + 1)]
+    W = system.laurent_potential(order + 1)
+    V = np.asarray(ser.coefficients)
+    U = np.asarray(ser.log_coefficients) if ser.has_log else np.zeros_like(V)
+    norm = np.linalg.norm
+    out = []
+    for m in range(order + 1):
+        s = ser.kappa + m
+        A = W[0] - s * s * eye
+        power, log = [A @ V[m], -2.0 * s * U[m]], [A @ U[m]]
+        # each term counted at |operator| |vector|, so that an order whose
+        # terms all vanish by symmetry does not compare roundoff to roundoff
+        power_scale = norm(A, 2) * norm(V[m]) + 2.0 * abs(s) * norm(U[m])
+        log_scale = norm(A, 2) * norm(U[m])
+        for j in range(1, m + 1):
+            K = q[j] * (s - j) * eye - W[j]
+            power += [-K @ V[m - j], -q[j] * U[m - j]]
+            log.append(-K @ U[m - j])
+            power_scale += norm(K, 2) * norm(V[m - j]) + abs(q[j]) * norm(U[m - j])
+            log_scale += norm(K, 2) * norm(U[m - j])
+        if source is not None:
+            power.append(-source(m))
+            power_scale += norm(power[-1])
+        out += [norm(sum(power)) / power_scale if power_scale else 0.0,
+                norm(sum(log)) / log_scale if log_scale else 0.0]
+    return out
+
+
+def _all_branches(system, order):
+    out = []
+    for root in indicial_report(system).roots:
+        for vec in root.vectors:
+            out.append(frobenius_series(system, root.value, vector=vec, order=order))
+            if root.log_required:
+                out.append(frobenius_series(system, root.value, log_vector=vec,
+                                            order=order))
+    return out
+
+
+def test_recursion_equations_hold_at_every_order():
+    # checked term by term against the Laurent data, independently of how
+    # the engine factors and sums: resonant kappa = 0 branches (tensor
+    # scalar (0, 0) at angle 1), the angle potential's log companion, the
+    # obstructed log chain of one-form A at angle 2 pi, a co-closed block
+    cases = []
+    system = tensor_system(ConeModel(3, 1.0, 1.0, CS), ScalarMode(0.0, 0), "B")
+    series = _all_branches(system, 16)
+    assert any(ser.kappa == 0.0 for ser in series)
+    cases += [(system, ser, None) for ser in series]
+    system = oneform_system(M_2PI, ScalarMode(0.0, 0), "B")
+    inv_th = (2.0 * _ex("inv_th")).laurent(17)
+    ser = inhomogeneous_series(system, {"f": 2.0 * _ex("inv_th")}, order=16)
+    assert ser.has_log
+    cases.append((system, ser, lambda m: np.array(
+        [complex(inv_th.coefficient(int(ser.kappa) - 2 + m)), 0.0])))
+    system = oneform_system(M_2PI, ScalarMode(4.0, 1), "A")
+    ser = frobenius_series(system, -1.0, vector=(0, 0, 1), order=16)
+    assert ser.has_log
+    cases.append((system, ser, None))
+    system = tensor_system(M_HALF, CoclosedMode(4.0, 1), "C")
+    cases += [(system, ser, None) for ser in _all_branches(system, 16)]
+    for system, ser, source in cases:
+        assert max(_recursion_defects(system, ser, source)) <= 1e-12, (
+            system.kind, system.mode, ser.kappa)
+
+
+def test_recursion_factors_every_order_in_one_svd(monkeypatch):
+    # one batched SVD per recursion; full-rank orders solve from its
+    # factors, so a recursion without resonances calls no solve at all
+    calls = {"svd": 0, "solve": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    system = oneform_system(M_HALF, ScalarMode(4.0, 1), "A")
+    frobenius_series(system, 5.0, vector=(2 ** -0.5, -1j * 2 ** -0.5, 0.0), order=16)
+    assert calls == {"svd": 1, "solve": 0}
+    system = oneform_system(M_2PI, ScalarMode(4.0, 1), "A")
+    frobenius_series(system, -1.0, vector=(0, 0, 1), order=16)
+    assert calls["svd"] == 2
+
+
 # inhomogeneous series
 
 
@@ -386,6 +477,39 @@ def _manufactured(system, solution_class, seed, order=50):
     bvec = sum(c * s.evaluate(1.0) for c, s in zip(cstar, series))
     boundary = {nm: bvec[i] for i, nm in enumerate(system.names)}
     return cstar, boundary
+
+
+# modes whose p * gamma is a half-integer at some angle 2 pi q/m below
+_WINDOW_MODES = (("tensor", ScalarMode(0.0, 1)), ("tensor", ScalarMode(4.0, 1)),
+                 ("tensor", ScalarMode(4.0, 2)), ("tensor", CoclosedMode(4.0, 1)),
+                 ("oneform", ScalarMode(4.0, 1)), ("oneform", CoclosedMode(0.0, 1)))
+
+
+def _window_statuses(eps):
+    # num and rtol only as fine as the statuses need: the branch counts and
+    # boundary ranks do not depend on them
+    statuses = {}
+    for frac in (1 / 2, 1 / 3, 2 / 3, 1 / 4, 3 / 4):
+        model = ConeModel(3, 2 * np.pi * frac * (1 + eps), 1.0,
+                          CrossSection("circle", 1.0))
+        for family, mode in _WINDOW_MODES:
+            for solution_class in ("l2", "l12", "strong"):
+                res = solve_mode_bvp(model, mode, family, {},
+                                     solution_class=solution_class, num=10, rtol=1e-6)
+                statuses[frac, family, mode, solution_class] = res.status
+    return statuses
+
+
+@pytest.fixture(scope="module")
+def window_reference():
+    return _window_statuses(0.0)
+
+
+@pytest.mark.parametrize("eps", [5e-10, -5e-10, 1e-9, -1e-9, 2e-9, -2e-9])
+def test_bvp_statuses_hold_inside_the_snap_window(eps, window_reference):
+    # inside the merge tolerance of a half-integer p * gamma the systems are
+    # built at the snapped frequency, so every solve runs as at eps = 0
+    assert _window_statuses(eps) == window_reference
 
 
 def test_bvp_manufactured_roundtrip_tensor():
