@@ -21,12 +21,12 @@ half-integer t, so both paths take a t within the merge tolerance
 1e-9 (|t| + 3) of a half-integer at that half-integer.
 
 The float path is batched: `indicial_reports` stacks the shifted matrices
-W0 - kappa^2 I of any number of systems and takes the null vectors of each
-arity from one SVD.  A matrix built at a snapped t stands for the one at
-the snapped t, so its rank cut is widened by how far the two can differ.
-W0 depends on the mode only through (family, kind, component names,
-t = p gamma), the key of a report: not on the cross-section eigenvalue and
-not on n.  `angle_sweep_rows` reports each key once per sweep.
+W0 - kappa^2 I of any number of systems, one per distinct kappa^2, and takes
+the null vectors of each arity from one SVD call.  Every system is built at
+the snapped t, so its matrices need no wider rank cut.  W0 depends on the
+mode only through (family, kind, component names, t = p gamma), the key of a
+report: not on the cross-section eigenvalue and not on n.  `angle_sweep_rows`
+reports each key once per sweep.
 """
 
 from __future__ import annotations
@@ -197,9 +197,12 @@ def indicial_reports(systems) -> list:
     """One report per system, in order: the closed-form exponent multiset
     clustered at the snapped t, with eigenvectors attached.
 
-    The matrices W0 - kappa^2 I of all systems of one arity go through one
-    `null_space` call.  Each system's pencil is built at the snapped t (see
-    `oneform_system`), where the clustered roots are exact.
+    The matrix W0 - kappa^2 I depends on kappa only through kappa^2, so each
+    system stacks one matrix per distinct square, and +kappa and -kappa
+    share its null vectors; the matrices of all systems of one arity go
+    through one `null_space` call, one SVD per distinct kappa^2.  Each
+    system's pencil is built at the snapped t (see `oneform_system`), where
+    the clustered roots are exact.
     """
     systems = list(systems)
     ts = [s.mode.p * s.gamma for s in systems]
@@ -210,13 +213,14 @@ def indicial_reports(systems) -> list:
         by_arity.setdefault(system.arity, []).append(i)
     nulls = [None] * len(systems)
     for k, members in by_arity.items():
-        stack = []
-        for i in members:
-            squares = np.array([value ** 2 for value, _ in clusters[i]])
-            stack.append(systems[i].w0 - squares[:, None, None] * np.eye(k))
-        found = iter(null_space(np.concatenate(stack)))
-        for i in members:
-            nulls[i] = [next(found) for _ in clusters[i]]
+        squares = [list(dict.fromkeys(value ** 2 for value, _ in clusters[i]))
+                   for i in members]
+        found = iter(null_space(np.concatenate(
+            [systems[i].w0 - np.array(sq)[:, None, None] * np.eye(k)
+             for i, sq in zip(members, squares)])))
+        for i, sq in zip(members, squares):
+            by_square = dict(zip(sq, found))
+            nulls[i] = [by_square[value ** 2] for value, _ in clusters[i]]
     return [IndicialReport(s.family, s.kind, s.names, t,
                            tuple(IndicialRoot(float(value), mult, vecs, len(vecs) < mult)
                                  for (value, mult), vecs in zip(cluster, null)))
@@ -381,15 +385,16 @@ def _mode_cells(family: str, kind: str, mode: Mode) -> list:
     return [family, kind, str(mode.p), f"{_mode_eigdata(mode):.12g}"]
 
 
-def _root_cells(report: IndicialReport, vectors: bool = True) -> list:
-    """Per root, the table columns kappa to in_l12, then the vectors when
-    asked: every column that depends on the report alone."""
+def _root_cells(report: IndicialReport, full: bool = True) -> list:
+    """Per root, the table columns kappa, multiplicity and log_required,
+    then, when full, in_l2, in_l12 and the vectors: every column that
+    depends on the report alone."""
     return [[f"{root.value:.12g}",
              str(root.multiplicity),
-             str(root.log_required).lower(),
-             str(root.in_l2).lower(),
-             str(root.in_l12).lower()]
-            + ([";".join(_format_vector(v) for v in root.vectors)] if vectors else [])
+             str(root.log_required).lower()]
+            + ([str(root.in_l2).lower(),
+                str(root.in_l12).lower(),
+                ";".join(_format_vector(v) for v in root.vectors)] if full else [])
             for root in report.roots]
 
 
@@ -429,8 +434,8 @@ def angle_sweep_rows(model: ConeModel, modes, families, angles):
             if key not in cells and key not in fresh:
                 fresh[key] = system_for_mode(at, mode, family)
         for key, report in zip(fresh, indicial_reports(fresh.values())):
-            cells[key] = _root_cells(report, vectors=False)
+            cells[key] = _root_cells(report, full=False)
         label = f"{alpha:.12g}"
-        rows.extend([label] + lead + root[:3]
+        rows.extend([label] + lead + root
                     for key, (*_, lead) in zip(keys, entries) for root in cells[key])
     return ["angle"] + _TABLE_HEADER[:7], rows

@@ -15,13 +15,12 @@ with every potential a constant pencil over seven fixed radial products,
 Each phi_b, like every radial coefficient, is a monomial sh^a ch^b, so the
 basis is the seven exponent pairs (0, 0), (-2, 2), (2, -2), (-2, 0), (0, -2),
 (-2, 1), (1, -2), and q is the pair (-1, 1) plus n - 2 times (1, -1).  The
-operator formulas are written entry by entry as radial expressions, whose
-terms are coefficients times exponent pairs; a product of named functions is
-resolved to its summed pair once, where it is spelled, and the expressions
-are compiled into the matrices C_b once, when a system is built.  Pointwise
-values and both radial derivatives of V and q come from the one monomial
-evaluator of :mod:`conemodes.geometry`, and their exact Laurent data from its
-one series table per pair.
+builders write each operator entry straight into the matrices C_b, one
+coefficient per named basis slot (one, it2, th2, s2, c2, sti, thc in the
+order above), so the pencil is the only form of a system's potential.
+Pointwise values and both radial derivatives of V and q come from the one
+monomial evaluator of :mod:`conemodes.geometry`, and their exact Laurent data
+from its one series table per pair.
 
 This module owns those systems: it applies them pointwise, forms the
 first-order gradient/exterior-derivative displays for one-form blocks,
@@ -107,9 +106,8 @@ class RadialExpr:
     """Linear combination of radial monomials sh^a ch^b.
 
     terms[k] = (coefficient, (a, b)); the pair (0, 0) is the constant
-    function 1.  Radial expressions spell out the operator formulas
-    (compiled into a `ModeSystem`'s basis pencil) and the source terms of
-    inhomogeneous problems.
+    function 1.  Radial expressions spell out the drift q, the scalar mode
+    operator's potential and the source terms of inhomogeneous problems.
     """
 
     terms: tuple
@@ -154,19 +152,6 @@ def _exponents(names) -> tuple:
 
 def _ex(*names) -> RadialExpr:
     return RadialExpr(((1.0 + 0j, _exponents(names)),))
-
-
-def _const(c) -> RadialExpr:
-    return RadialExpr(((complex(c), (0, 0)),))
-
-
-_ZERO = RadialExpr(())
-_IT2 = _ex("inv_th", "inv_th")
-_TH2 = _ex("th", "th")
-_S2 = _ex("inv_sh_sq")
-_C2 = _ex("inv_ch_sq")
-_STI = _ex("sh_th_inv")
-_THC = _ex("th", "inv_ch")
 
 
 def log_grid(model: ConeModel, num: int = 200, inner: float = 1e-6) -> np.ndarray:
@@ -292,9 +277,10 @@ def component_weights(family: str, names) -> np.ndarray:
 
 # The exponent pairs (a, b) of the seven radial products sh^a ch^b every
 # potential entry is a combination of: 1, inv_th^2, th^2, inv_sh_sq,
-# inv_ch_sq, sh_th_inv and th*inv_ch.
+# inv_ch_sq, sh_th_inv and th*inv_ch, and the slot names the builders
+# write them by.
 _BASIS = ((0, 0), (-2, 2), (2, -2), (-2, 0), (0, -2), (-2, 1), (1, -2))
-_BASIS_INDEX = {pair: b for b, pair in enumerate(_BASIS)}
+_SLOTS = ("one", "it2", "th2", "s2", "c2", "sti", "thc")
 
 
 @functools.lru_cache(maxsize=32)
@@ -310,22 +296,20 @@ def _basis_series(order: int) -> np.ndarray:
     return out
 
 
-def _compile_pencil(table) -> np.ndarray:
-    """Constant matrices C_b with V = sum_b C_b phi_b from a k x k table of
-    radial expressions; a product outside the basis raises ValueError."""
-    k = len(table)
-    pencil = np.zeros((len(_BASIS), k, k), dtype=complex)
-    for i, row in enumerate(table):
-        for j, expr in enumerate(row):
-            for c, pair in expr.terms:
-                b = _BASIS_INDEX.get(pair)
-                if b is None:
-                    raise ValueError(
-                        f"radial product sh^{pair[0]} ch^{pair[1]} is outside "
-                        "the potential basis")
-                pencil[b, i, j] += c
-    pencil.flags.writeable = False
-    return pencil
+def _pencil_writer(names):
+    """A zero pencil over the components `names`, and put(row, col,
+    **slots), which adds each keyword's coefficient to the entry (row, col)
+    of the basis slot it names; a name outside `_SLOTS` raises ValueError."""
+    idx = {nm: i for i, nm in enumerate(names)}
+    pencil = np.zeros((len(_BASIS), len(names), len(names)), dtype=complex)
+
+    def put(row, col, **slots):
+        for slot, c in slots.items():
+            if slot not in _SLOTS:
+                raise ValueError(f"{slot!r} is not a potential basis slot")
+            pencil[_SLOTS.index(slot), idx[row], idx[col]] += c
+
+    return pencil, put
 
 
 @dataclass(frozen=True)
@@ -437,10 +421,6 @@ def _drift(n: int) -> RadialExpr:
     return _ex("inv_th") + float(n - 2) * _ex("th")
 
 
-def _grid_table(k: int):
-    return [[_ZERO for _ in range(k)] for _ in range(k)]
-
-
 def _snap(t):
     """t, or the half-integer within the merge tolerance 1e-9 (|t| + 3) of it.
 
@@ -456,27 +436,24 @@ def oneform_system(model: ConeModel, mode: Mode, kind: str) -> ModeSystem:
     """Reduced system of the one-form operator (connection Laplacian + (n-1))."""
     n, g = model.n, model.gamma
     pg = _snap(mode.p * g)  # the t whose roots `indicial_report` clusters
+    pg2 = pg * pg
     names = system_names("oneform", kind, n, mode)
-    k = len(names)
-    V = _grid_table(k)
+    pencil, put = _pencil_writer(names)
     if kind in ("A", "B"):
         lam = mode.lam
         rootl = math.sqrt(lam)
-        V[0][0] = (_IT2 + float(n - 2) * _TH2 + (pg * pg) * _S2
-                   + lam * _C2 + _const(n - 1))
-        V[0][1] = (2j * pg) * _STI
-        V[1][0] = (-2j * pg) * _STI
-        V[1][1] = _IT2 + (pg * pg) * _S2 + lam * _C2 + _const(n - 1)
+        put("f", "f", it2=1.0, th2=float(n - 2), s2=pg2, c2=lam, one=n - 1)
+        put("f", "g", sti=2j * pg)
+        put("g", "f", sti=-2j * pg)
+        put("g", "g", it2=1.0, s2=pg2, c2=lam, one=n - 1)
         if kind == "A":
-            V[0][2] = (-2.0 * rootl) * _THC
-            V[2][0] = (-2.0 * rootl) * _THC
-            V[2][2] = (_TH2 + (pg * pg) * _S2 + (lam + n - 3) * _C2
-                       + _const(n - 1))
+            put("f", "omega", thc=-2.0 * rootl)
+            put("omega", "f", thc=-2.0 * rootl)
+            put("omega", "omega", th2=1.0, s2=pg2, c2=lam + n - 3, one=n - 1)
     else:
-        mu = mode.mu
-        V[0][0] = _TH2 + (pg * pg) * _S2 + mu * _C2 + _const(n - 1)
-    return ModeSystem("oneform", kind, mode, n, g, names,
-                      _compile_pencil(V))
+        put("varpi", "varpi", th2=1.0, s2=pg2, c2=mode.mu, one=n - 1)
+    pencil.flags.writeable = False
+    return ModeSystem("oneform", kind, mode, n, g, names, pencil)
 
 
 def tensor_system(model: ConeModel, mode: Mode, kind: str) -> ModeSystem:
@@ -484,74 +461,62 @@ def tensor_system(model: ConeModel, mode: Mode, kind: str) -> ModeSystem:
     Laplacian minus twice the curvature action)."""
     n, g = model.n, model.gamma
     pg = _snap(mode.p * g)  # the t whose roots `indicial_report` clusters
+    pg2 = pg * pg
     names = system_names("tensor", kind, n, mode)
-    idx = {nm: i for i, nm in enumerate(names)}
-    k = len(names)
-    V = _grid_table(k)
-    G = (pg * pg) * _S2
+    pencil, put = _pencil_writer(names)
 
     if kind in ("A", "B"):
         lam = mode.lam
         rootl = math.sqrt(lam)
         rn2 = math.sqrt(n - 2)
-        lam_c2 = lam * _C2 if lam else _ZERO
-        V[idx["f"]][idx["f"]] = 2.0 * _IT2 + (2.0 * (n - 2)) * _TH2 + G + lam_c2
-        V[idx["f"]][idx["g"]] = _const(2.0) + (-2.0) * _IT2
-        V[idx["f"]][idx["h"]] = (2j * pg) * _STI
-        V[idx["f"]][idx["k1"]] = rn2 * (_const(2.0) + (-2.0) * _TH2)
-        V[idx["g"]][idx["f"]] = _const(2.0) + (-2.0) * _IT2
-        V[idx["g"]][idx["g"]] = 2.0 * _IT2 + G + lam_c2
-        V[idx["g"]][idx["h"]] = (-2j * pg) * _STI
-        V[idx["g"]][idx["k1"]] = _const(2.0 * rn2)
-        V[idx["h"]][idx["f"]] = (-4j * pg) * _STI
-        V[idx["h"]][idx["g"]] = (4j * pg) * _STI
-        V[idx["h"]][idx["h"]] = (4.0 * _IT2 + float(n - 2) * _TH2 + G + lam_c2
-                                 + _const(-2.0))
-        V[idx["k1"]][idx["f"]] = (2.0 * rn2) * (_const(1.0) + (-1.0) * _TH2)
-        V[idx["k1"]][idx["g"]] = _const(2.0 * rn2)
-        V[idx["k1"]][idx["k1"]] = (2.0 * _TH2 + G + lam_c2
-                                   + _const(-2.0 + 2.0 * (n - 2)))
+        put("f", "f", it2=2.0, th2=2.0 * (n - 2), s2=pg2, c2=lam)
+        put("f", "g", one=2.0, it2=-2.0)
+        put("f", "h", sti=2j * pg)
+        put("f", "k1", one=2.0 * rn2, th2=-2.0 * rn2)
+        put("g", "f", one=2.0, it2=-2.0)
+        put("g", "g", it2=2.0, s2=pg2, c2=lam)
+        put("g", "h", sti=-2j * pg)
+        put("g", "k1", one=2.0 * rn2)
+        put("h", "f", sti=-4j * pg)
+        put("h", "g", sti=4j * pg)
+        put("h", "h", it2=4.0, th2=float(n - 2), s2=pg2, c2=lam, one=-2.0)
+        put("k1", "f", one=2.0 * rn2, th2=-2.0 * rn2)
+        put("k1", "g", one=2.0 * rn2)
+        put("k1", "k1", th2=2.0, s2=pg2, c2=lam, one=-2.0 + 2.0 * (n - 2))
         if kind == "A":
             blam = math.sqrt(lam / (n - 2))
-            V[idx["f"]][idx["sigma"]] = (-2.0 * rootl) * _THC
-            V[idx["h"]][idx["eta"]] = (-2.0 * rootl) * _THC
-            V[idx["sigma"]][idx["sigma"]] = (_IT2 + float(n + 1) * _TH2 + G
-                                             + (lam + n - 3) * _C2 + _const(-2.0))
-            V[idx["sigma"]][idx["f"]] = (-4.0 * rootl) * _THC
-            V[idx["sigma"]][idx["eta"]] = (2j * pg) * _STI
-            V[idx["sigma"]][idx["k1"]] = (4.0 * blam) * _THC
-            V[idx["eta"]][idx["eta"]] = (_IT2 + _TH2 + G + (lam + n - 3) * _C2
-                                         + _const(-2.0))
-            V[idx["eta"]][idx["h"]] = (-2.0 * rootl) * _THC
-            V[idx["eta"]][idx["sigma"]] = (-2j * pg) * _STI
-            V[idx["k1"]][idx["sigma"]] = (2.0 * blam) * _THC
-            if "k2" in idx:
+            put("f", "sigma", thc=-2.0 * rootl)
+            put("h", "eta", thc=-2.0 * rootl)
+            put("sigma", "sigma", it2=1.0, th2=float(n + 1), s2=pg2,
+                c2=lam + n - 3, one=-2.0)
+            put("sigma", "f", thc=-4.0 * rootl)
+            put("sigma", "eta", sti=2j * pg)
+            put("sigma", "k1", thc=4.0 * blam)
+            put("eta", "eta", it2=1.0, th2=1.0, s2=pg2, c2=lam + n - 3, one=-2.0)
+            put("eta", "h", thc=-2.0 * rootl)
+            put("eta", "sigma", sti=-2j * pg)
+            put("k1", "sigma", thc=2.0 * blam)
+            if "k2" in names:
                 cb = math.sqrt(n - 3) * math.sqrt(lam / (n - 2) + 1.0)
-                V[idx["sigma"]][idx["k2"]] = (-4.0 * cb) * _THC
-                V[idx["k2"]][idx["sigma"]] = (-2.0 * cb) * _THC
-                V[idx["k2"]][idx["k2"]] = (2.0 * _TH2 + G
-                                           + (lam + 2.0 * (n - 2)) * _C2
-                                           + _const(-2.0))
+                put("sigma", "k2", thc=-4.0 * cb)
+                put("k2", "sigma", thc=-2.0 * cb)
+                put("k2", "k2", th2=2.0, s2=pg2, c2=lam + 2.0 * (n - 2), one=-2.0)
     elif kind == "C":
         mu = mode.mu
-        V[idx["sigma_bar"]][idx["sigma_bar"]] = (_IT2 + float(n + 1) * _TH2 + G
-                                                 + mu * _C2 + _const(-2.0))
-        V[idx["sigma_bar"]][idx["eta_bar"]] = (2j * pg) * _STI
-        V[idx["eta_bar"]][idx["sigma_bar"]] = (-2j * pg) * _STI
-        V[idx["eta_bar"]][idx["eta_bar"]] = (_IT2 + _TH2 + G + mu * _C2
-                                             + _const(-2.0))
-        if "k3" in idx:
+        put("sigma_bar", "sigma_bar", it2=1.0, th2=float(n + 1), s2=pg2, c2=mu,
+            one=-2.0)
+        put("sigma_bar", "eta_bar", sti=2j * pg)
+        put("eta_bar", "sigma_bar", sti=-2j * pg)
+        put("eta_bar", "eta_bar", it2=1.0, th2=1.0, s2=pg2, c2=mu, one=-2.0)
+        if "k3" in names:
             cc = math.sqrt((mu + n - 3) / 2.0)
-            V[idx["sigma_bar"]][idx["k3"]] = (-4.0 * cc) * _THC
-            V[idx["k3"]][idx["sigma_bar"]] = (-2.0 * cc) * _THC
-            V[idx["k3"]][idx["k3"]] = (2.0 * _TH2 + G + (mu + n - 1) * _C2
-                                       + _const(-2.0))
+            put("sigma_bar", "k3", thc=-4.0 * cc)
+            put("k3", "sigma_bar", thc=-2.0 * cc)
+            put("k3", "k3", th2=2.0, s2=pg2, c2=mu + n - 1, one=-2.0)
     else:
-        nu = mode.nu
-        V[idx["k4"]][idx["k4"]] = 2.0 * _TH2 + G + nu * _C2 + _const(-2.0)
-
-    return ModeSystem("tensor", kind, mode, n, g, names,
-                      _compile_pencil(V))
+        put("k4", "k4", th2=2.0, s2=pg2, c2=mode.nu, one=-2.0)
+    pencil.flags.writeable = False
+    return ModeSystem("tensor", kind, mode, n, g, names, pencil)
 
 
 def apply_L_oneform(model: ConeModel, block: ModeBlock, r):
@@ -677,7 +642,7 @@ def scalar_mode_operator(model: ConeModel, mode: ScalarMode,
     r = _check_radii(model, r)
     pg = mode.p * model.gamma
     q = np.real(_drift(model.n)(r))
-    pot = ((pg * pg) * _S2 + mode.lam * _C2)(r)
+    pot = ((pg * pg) * _ex("inv_sh_sq") + mode.lam * _ex("inv_ch_sq"))(r)
     t = profile.jet(r, 2, {})
     return -t[2] - q * t[1] + (pot + shift) * t[0]
 

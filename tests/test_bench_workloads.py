@@ -1,7 +1,10 @@
 """The benchmark's argument lists still run: every workload's commands, built
-by bench/workloads.py at their self-test size, exit 0 through the CLI; and
-the deform workload's axis values at seed 1 stay where they were."""
+by bench/workloads.py at their self-test size, exit 0 through the CLI; the
+deform workload's axis values and the sweep workload's output files at seed 1
+stay where they were; and a seed-1 sweep factors each indicial matrix once
+per distinct square of its roots."""
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -43,18 +46,57 @@ _DEFORM_AXIS_VALUES = {
 }
 
 
-def test_deform_axis_values_are_pinned(tmp_path):
-    spec = workloads.make_spec("deform", 1)
+def _run_full_size(workload, tmp_path):
+    """Run a workload's seed-1 commands at full size; the output directory."""
+    spec = workloads.make_spec(workload, 1)
     for name, text in spec["files"].items():
         (tmp_path / name).write_text(text)
     for command in spec["commands"]:
         args = [arg.replace("{dir}", str(tmp_path)) for arg in command]
         assert CliRunner().invoke(main, args, catch_exceptions=False).exit_code == 0
+    return tmp_path / "out"
+
+
+def test_deform_axis_values_are_pinned(tmp_path):
+    out = _run_full_size("deform", tmp_path)
     for name, want in _DEFORM_AXIS_VALUES.items():
-        entries = json.loads((tmp_path / "out" / name).read_text())
+        entries = json.loads((out / name).read_text())
         assert [e["induced"] for e in entries[1:]] == [{}, {}]
         got = entries[0]["induced"]
         assert entries[0]["mode"] == {"type": "scalar", "lambda": 0.0, "p": 0}
         assert set(got) == set(want)
         for comp, value in want.items():
             np.testing.assert_allclose(got[comp], value, rtol=1e-12, atol=1e-15)
+
+
+# sha256 of the sweep workload's output files at seed 1; a change that means
+# to move them updates these and says why
+_SWEEP_OUTPUT_SHA256 = {
+    "roots.csv": "1a330b82f416fda1b7981ab770b3d800f1606251831002fdb3030a1e8813b07d",
+    "roots.json": "910cceea8ccaca0faf80085e4643d74cd9be7626c52199f7ed73c0f78c75799a",
+    "angle_sweep.csv": "3999729897565e7e368af23aa1cc9ca6806d6791e446cb7d2ae09fc0497c43a4",
+}
+
+
+def test_sweep_outputs_are_pinned(tmp_path):
+    out = _run_full_size("sweep", tmp_path)
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in _SWEEP_OUTPUT_SHA256}
+    assert got == _SWEEP_OUTPUT_SHA256
+
+
+def test_sweep_factors_one_matrix_per_distinct_square(tmp_path, monkeypatch):
+    # the seed-1 sweep's reports hold 2,280 roots, 1,145 distinct squares;
+    # +kappa and -kappa share the one matrix of their square
+    from conemodes import indicial
+
+    sizes = []
+    null_space = indicial.null_space
+
+    def counted(matrices):
+        sizes.append(len(matrices))
+        return null_space(matrices)
+
+    monkeypatch.setattr(indicial, "null_space", counted)
+    _run_full_size("sweep", tmp_path)
+    assert sum(sizes) == 1145

@@ -368,6 +368,60 @@ def test_batched_reports_equal_single_reports():
     assert indicial_reports([]) == []
 
 
+def test_null_space_gets_one_matrix_per_distinct_square(monkeypatch):
+    # W0 - kappa^2 I depends on kappa only through kappa^2: one call per
+    # arity, carrying one matrix per distinct square of each system's roots,
+    # counted here from the closed-form multiset; angles include snapped
+    # ones (p gamma a half-integer) and p = 0, where +-kappa merge
+    from conemodes import indicial
+
+    calls = []
+
+    def counted(matrices):
+        calls.append(len(matrices))
+        return null_space(matrices)
+
+    monkeypatch.setattr(indicial, "null_space", counted)
+    modes = [mode for p in (-2, 0, 1, 3)
+             for mode in (ScalarMode(0.0, p), ScalarMode(2.0, p), CoclosedMode(1.0, p),
+                          TTMode(1.0, p))]
+    for alpha in (1.3, math.pi / 2, 2 * math.pi / 3, 2 * math.pi):
+        model = ConeModel(n=4, alpha=alpha, tube_radius=1.0)
+        systems = [system_for_mode(model, mode, family) for mode in modes
+                   for family in ("oneform", "tensor")
+                   if not (family == "oneform" and isinstance(mode, TTMode))]
+        calls.clear()
+        reports = indicial_reports(systems)
+        distinct = {}
+        for system in systems:
+            roots = closed_root_multiset(system.family, system.kind, system.names,
+                                         system.mode.p * system.gamma)
+            distinct[system.arity] = (distinct.get(system.arity, 0)
+                                      + len({round(abs(r), 6) for r in roots}))
+        assert sorted(calls) == sorted(distinct.values())
+        assert sum(calls) == sum(len({r.value ** 2 for r in rep.roots})
+                                 for rep in reports)
+        assert sum(calls) < sum(len(rep.roots) for rep in reports)
+
+
+def test_roots_of_equal_square_share_null_vectors():
+    # +kappa and -kappa build bitwise-equal matrices, so the one SVD of their
+    # square gives both roots the vectors each would get from its own matrix
+    model = ConeModel(n=4, alpha=1.3, tube_radius=1.0)
+    systems = [system_for_mode(model, ScalarMode(2.0, 1), "tensor"),
+               system_for_mode(model, CoclosedMode(0.0, 1), "oneform")]
+    for system, report in zip(systems, indicial_reports(systems)):
+        pairs = [(root, report.root(-root.value, tol=0.0))
+                 for root in report.roots if root.value > 0]
+        assert len(pairs) == len(report.roots) // 2 > 0
+        for plus, minus in pairs:
+            assert plus.value ** 2 == minus.value ** 2
+            assert plus.nullity > 0
+            assert minus.vectors == plus.vectors
+            alone = null_space(indicial_matrix(system, minus.value)[None])[0]
+            assert alone == minus.vectors
+
+
 CRITICAL = sorted({Fraction(q, m) for m in range(1, 7) for q in range(1, 3 * m + 1)})
 
 

@@ -16,6 +16,7 @@ from conemodes.reduction import (
     RadialExpr,
     RadialProfile,
     _exponents,
+    _snap,
     apply_L_oneform,
     apply_P_tensor,
     block_csv_rows,
@@ -30,6 +31,7 @@ from conemodes.reduction import (
     oneform_system,
     scalar_mode_operator,
     standard_deformation_block,
+    system_names,
     tensor_system,
     trace_tensor_mode,
 )
@@ -541,12 +543,166 @@ def test_laurent_partial_sums_track_potential():
     assert np.max(np.abs(approx - r**2 * V)) < 1e-12
 
 
-def test_pencil_rejects_product_outside_basis():
-    from conemodes.reduction import _compile_pencil
-    pencil = _compile_pencil([[spelled((2.0, ("inv_ch", "th")))]])
-    assert pencil.shape == (7, 1, 1) and pencil[6, 0, 0] == 2.0
-    with pytest.raises(ValueError):
-        _compile_pencil([[spelled((1.0, ("sh", "ch")))]])
+def test_pencil_rejects_slot_outside_basis():
+    from conemodes.reduction import _pencil_writer
+    pencil, put = _pencil_writer(("f", "g"))
+    put("g", "f", thc=2.0)
+    assert pencil.shape == (7, 2, 2) and pencil[6, 1, 0] == 2.0
+    assert np.count_nonzero(pencil) == 1
+    with pytest.raises(ValueError, match="basis slot"):
+        put("f", "f", sh_ch=1.0)
+
+
+# Reference for the slot pencils: the builders as they were spelled before,
+# one radial expression per entry, compiled into the basis matrices by
+# matching each term's exponent pair.
+
+def _ref_ex(*names):
+    return RadialExpr(((1.0 + 0j, _exponents(names)),))
+
+
+def _ref_const(c):
+    return RadialExpr(((complex(c), (0, 0)),))
+
+
+_REF_ZERO = RadialExpr(())
+_IT2 = _ref_ex("inv_th", "inv_th")
+_TH2 = _ref_ex("th", "th")
+_S2 = _ref_ex("inv_sh_sq")
+_C2 = _ref_ex("inv_ch_sq")
+_STI = _ref_ex("sh_th_inv")
+_THC = _ref_ex("th", "inv_ch")
+
+
+def _ref_compile(table):
+    from conemodes.reduction import _BASIS
+    k = len(table)
+    pencil = np.zeros((len(_BASIS), k, k), dtype=complex)
+    for i, row in enumerate(table):
+        for j, expr in enumerate(row):
+            for c, pair in expr.terms:
+                pencil[_BASIS.index(pair), i, j] += c
+    return pencil
+
+
+def _ref_oneform_pencil(model, mode, kind):
+    n = model.n
+    pg = _snap(mode.p * model.gamma)
+    k = len(system_names("oneform", kind, n, mode))
+    V = [[_REF_ZERO] * k for _ in range(k)]
+    if kind in ("A", "B"):
+        lam = mode.lam
+        rootl = math.sqrt(lam)
+        V[0][0] = (_IT2 + float(n - 2) * _TH2 + (pg * pg) * _S2
+                   + lam * _C2 + _ref_const(n - 1))
+        V[0][1] = (2j * pg) * _STI
+        V[1][0] = (-2j * pg) * _STI
+        V[1][1] = _IT2 + (pg * pg) * _S2 + lam * _C2 + _ref_const(n - 1)
+        if kind == "A":
+            V[0][2] = (-2.0 * rootl) * _THC
+            V[2][0] = (-2.0 * rootl) * _THC
+            V[2][2] = (_TH2 + (pg * pg) * _S2 + (lam + n - 3) * _C2
+                       + _ref_const(n - 1))
+    else:
+        V[0][0] = _TH2 + (pg * pg) * _S2 + mode.mu * _C2 + _ref_const(n - 1)
+    return _ref_compile(V)
+
+
+def _ref_tensor_pencil(model, mode, kind):
+    n = model.n
+    pg = _snap(mode.p * model.gamma)
+    names = system_names("tensor", kind, n, mode)
+    idx = {nm: i for i, nm in enumerate(names)}
+    V = [[_REF_ZERO] * len(names) for _ in names]
+    G = (pg * pg) * _S2
+
+    def put(a, b, expr):
+        V[idx[a]][idx[b]] = expr
+
+    if kind in ("A", "B"):
+        lam = mode.lam
+        rootl = math.sqrt(lam)
+        rn2 = math.sqrt(n - 2)
+        lam_c2 = lam * _C2 if lam else _REF_ZERO
+        put("f", "f", 2.0 * _IT2 + (2.0 * (n - 2)) * _TH2 + G + lam_c2)
+        put("f", "g", _ref_const(2.0) + (-2.0) * _IT2)
+        put("f", "h", (2j * pg) * _STI)
+        put("f", "k1", rn2 * (_ref_const(2.0) + (-2.0) * _TH2))
+        put("g", "f", _ref_const(2.0) + (-2.0) * _IT2)
+        put("g", "g", 2.0 * _IT2 + G + lam_c2)
+        put("g", "h", (-2j * pg) * _STI)
+        put("g", "k1", _ref_const(2.0 * rn2))
+        put("h", "f", (-4j * pg) * _STI)
+        put("h", "g", (4j * pg) * _STI)
+        put("h", "h", 4.0 * _IT2 + float(n - 2) * _TH2 + G + lam_c2 + _ref_const(-2.0))
+        put("k1", "f", (2.0 * rn2) * (_ref_const(1.0) + (-1.0) * _TH2))
+        put("k1", "g", _ref_const(2.0 * rn2))
+        put("k1", "k1", 2.0 * _TH2 + G + lam_c2 + _ref_const(-2.0 + 2.0 * (n - 2)))
+        if kind == "A":
+            blam = math.sqrt(lam / (n - 2))
+            put("f", "sigma", (-2.0 * rootl) * _THC)
+            put("h", "eta", (-2.0 * rootl) * _THC)
+            put("sigma", "sigma", _IT2 + float(n + 1) * _TH2 + G
+                + (lam + n - 3) * _C2 + _ref_const(-2.0))
+            put("sigma", "f", (-4.0 * rootl) * _THC)
+            put("sigma", "eta", (2j * pg) * _STI)
+            put("sigma", "k1", (4.0 * blam) * _THC)
+            put("eta", "eta", _IT2 + _TH2 + G + (lam + n - 3) * _C2 + _ref_const(-2.0))
+            put("eta", "h", (-2.0 * rootl) * _THC)
+            put("eta", "sigma", (-2j * pg) * _STI)
+            put("k1", "sigma", (2.0 * blam) * _THC)
+            if "k2" in idx:
+                cb = math.sqrt(n - 3) * math.sqrt(lam / (n - 2) + 1.0)
+                put("sigma", "k2", (-4.0 * cb) * _THC)
+                put("k2", "sigma", (-2.0 * cb) * _THC)
+                put("k2", "k2", 2.0 * _TH2 + G + (lam + 2.0 * (n - 2)) * _C2
+                    + _ref_const(-2.0))
+    elif kind == "C":
+        mu = mode.mu
+        put("sigma_bar", "sigma_bar", _IT2 + float(n + 1) * _TH2 + G + mu * _C2
+            + _ref_const(-2.0))
+        put("sigma_bar", "eta_bar", (2j * pg) * _STI)
+        put("eta_bar", "sigma_bar", (-2j * pg) * _STI)
+        put("eta_bar", "eta_bar", _IT2 + _TH2 + G + mu * _C2 + _ref_const(-2.0))
+        if "k3" in idx:
+            cc = math.sqrt((mu + n - 3) / 2.0)
+            put("sigma_bar", "k3", (-4.0 * cc) * _THC)
+            put("k3", "sigma_bar", (-2.0 * cc) * _THC)
+            put("k3", "k3", 2.0 * _TH2 + G + (mu + n - 1) * _C2 + _ref_const(-2.0))
+    else:
+        put("k4", "k4", 2.0 * _TH2 + G + mode.nu * _C2 + _ref_const(-2.0))
+    return _ref_compile(V)
+
+
+def test_slot_pencils_equal_the_spelled_reference_bitwise():
+    # n = 3..5, both families, kinds A-D, p = -3..3 and eigenvalues 0, 0.5,
+    # 4, 4 pi^2 and 2.3 (so k2 and k3 occur), at angles that put p gamma on
+    # and off the half-integers; the bit patterns include signs of zero
+    angles = (0.3, 1.0, math.pi / 2, 2 * math.pi / 3, math.pi, 2 * math.pi, 5.0)
+    eigs = (0.0, 0.5, 4.0, 4 * math.pi ** 2, 2.3)
+    builders = {"oneform": (oneform_system, _ref_oneform_pencil),
+                "tensor": (tensor_system, _ref_tensor_pencil)}
+    kinds, count = set(), 0
+    for n in (3, 4, 5):
+        for alpha in angles:
+            model = ConeModel(n=n, alpha=alpha, tube_radius=1.0)
+            for p in range(-3, 4):
+                for e in eigs:
+                    for mode in (ScalarMode(e, p), CoclosedMode(e, p), TTMode(e, p)):
+                        for family, (build, reference) in builders.items():
+                            if family == "oneform" and isinstance(mode, TTMode):
+                                continue
+                            kind = mode_kind(mode, family)
+                            got = build(model, mode, kind).pencil
+                            want = reference(model, mode, kind)
+                            assert got.shape == want.shape
+                            assert np.array_equal(got.view(np.uint64),
+                                                  want.view(np.uint64)), \
+                                (family, kind, n, alpha, mode)
+                            kinds.add((family, kind, got.shape[1]))
+                            count += 1
+    assert count == 3675
+    assert {("tensor", "A", 7), ("tensor", "C", 3), ("tensor", "C", 2)} <= kinds
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
