@@ -582,7 +582,7 @@ def integrate_mode_ode(system: ModeSystem, series, handoff: float, r_end: float,
     higher = functools.cache(functools.partial(_ode_derivatives, system, grid, X, dX,
                                                src_rows))
     out = [ContinuedSolution(system, grid, X[:, :, c].T, dX[:, :, c].T,
-                             lambda c=c: higher()[..., c].mT)
+                             lambda c=c: higher()[..., c].swapaxes(-1, -2))
            for c in range(nb)]
     return out[0] if single else out
 

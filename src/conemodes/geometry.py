@@ -24,9 +24,10 @@ derivatives, and `RadialProfile` is the one type for it: the reduced blocks,
 the Frobenius and continued solutions and the coordinate oracle's fields
 are all built from it.  A profile is evaluated as a jet:
 `profile.jet(r, m, memo)` is levels 0..m at the radii as one array, read
-once per operand and kept in `memo` under id(profile), so one evaluation
-computes every shared node and leaf level once.  A memo serves one radius
-grid and only while its trees are alive: make a fresh one per evaluation.
+once per operand and kept in `memo` under the profile itself, so one
+evaluation computes every shared node and leaf level once.  A memo serves one
+radius grid and keeps its keys alive, so a profile made after another has
+gone never reads the other's jet.
 """
 
 from __future__ import annotations
@@ -284,7 +285,7 @@ class RadialProfile:
 
     def jet(self, r, m: int, memo: dict) -> np.ndarray:
         """Levels 0..m <= depth at the radii, shape (m+1,) + r.shape, kept in `memo`."""
-        have = memo.get(id(self), ())
+        have = memo.get(self, ())
         if len(have) <= m:
             if m > self.depth:
                 raise ValueError(f"jet level {m} is past the profile's depth {self.depth}")
@@ -293,7 +294,7 @@ class RadialProfile:
             else:  # a leaf computes only the levels not yet in the memo
                 new = [f(r) for f in self._leaf[len(have):m + 1]]
                 have = np.array([*have, *new], dtype=np.result_type(complex, *new))
-            memo[id(self)] = have
+            memo[self] = have
         return have[:m + 1]
 
     def derivative(self) -> "RadialProfile":

@@ -13,9 +13,10 @@ components' `geometry.RadialProfile` jets, so a reduced block's profiles
 enter as they are, and each operator is one node over the dense jets of its
 operands and of the chart. `TubeChart.at(r)`, the chart on one radius grid,
 holds its dense metric, connection and curvature arrays, read off one
-Levi-Civita chain g -> g^-1 -> Gamma -> R.  A suite evaluates its pointwise
-fields on one grid, and consecutive quadratures on one support share the
-chart's last grid.
+Levi-Civita chain g -> g^-1 -> Gamma -> R; a contraction against one runs
+over its support, the entries that are not exact zeros.  A suite evaluates its
+pointwise fields on one grid, and consecutive quadratures on one support share
+the chart's last grid.
 
 A reduced one-form or tensor mode block enters as `block_field` and comes
 back as `block_components`; both read one table, `_SLOTS`, which names the
@@ -201,7 +202,8 @@ def _levi_civita(r, levels: int, name: str, chain: Optional[dict] = None) -> dic
     `name`, from `levels` levels of g; a `chain` with as many is continued.  Near
     the axis R_0101 = -sinh^2 r cancels terms of size cosh^2 r, which in float64
     costs verify up to 0.7 accuracy digits.  g is diagonal, so a sum over an index
-    of g or g^-1 keeps one term; the k sum runs in order."""
+    of g or g^-1 keeps one term; the k sum runs in order and skips each k whose
+    factor Gamma^a_.k or Gamma^k_.. vanishes at every level and radius."""
     if chain is None or len(chain["g"]) < levels:
         x = np.asarray(r, dtype=np.longdouble)
         s, c = np.sinh(x), np.cosh(x)
@@ -225,7 +227,7 @@ def _levi_civita(r, levels: int, name: str, chain: Optional[dict] = None) -> dic
         for a in range(dim):
             d = _permuted(dgam[:, :, a], 2, 0, 1)  # [:, b, c, d]
             quad = (leibniz(gam[:, a, None, :, None, k], gam[:, k].swapaxes(1, 2)[:, :, None])
-                    for k in range(dim))
+                    for k in range(dim) if gam[:, a, :, k].any() and gam[:, k].any())
             riem = d - d.swapaxes(2, 3) + sum(q - q.swapaxes(2, 3) for q in quad)
             low.append(leibniz(g[:, a, None, None, None], riem))  # R_abcd = g_aa R^a_bcd
         chain[name] = np.stack(low, axis=1)
@@ -241,10 +243,15 @@ class ChartGrid:
     `_build` makes a table when first read and again only for a deeper level,
     off the grid's one `_levi_civita` chain (on the depth-3 stencil with
     `fd_step` set): a later table continues it, a deeper level starts it over.
+
+    `support(name)` is a table's support, read off the table and kept until the
+    table is rebuilt: most entries of "gam", "riem_low" and "curv" are exact
+    zeros at every level, so the contractions against them run over the
+    support only.
     """
 
     def __init__(self, chart: "TubeChart", r):
-        self.chart, self.r, self._tables, self._chain = chart, r, {}, None
+        self.chart, self.r, self._tables, self._chain, self._supports = chart, r, {}, None, {}
 
     def jet(self, name: str, m: int) -> np.ndarray:
         have = self._tables.get(name)
@@ -252,13 +259,29 @@ class ChartGrid:
             if m > self.chart.depth:
                 raise ValueError(f"jet level {m} is past the chart's depth {self.chart.depth}")
             have = self._tables[name] = self._build(name, m)
+            self._supports.pop(name, None)
         return have[:m + 1]
+
+    def support(self, name: str) -> tuple:
+        """Index arrays, in C order, of the entries of table `name` that are
+        non-zero at some level and radius of the table as built (level 0 if it
+        is not built yet); read its jet first to cover that jet's levels."""
+        have = self._supports.get(name)
+        if have is None:
+            t = self._tables.get(name)
+            t = self.jet(name, 0) if t is None else t
+            radii = tuple(range(t.ndim - self.r.ndim, t.ndim))
+            have = self._supports[name] = np.nonzero(t.any(axis=(0,) + radii))
+        return have
 
     def _build(self, name: str, m: int) -> np.ndarray:
         if name == "curv":
+            # R_acbd g^cc g^dd on the support of R_abcd, exact zeros elsewhere
             low, ginv = self.jet("riem_low", m), self.jet("ginv", m)
-            return leibniz(leibniz(low, ginv[:, None, :, None, None]),
-                           ginv[:, None, None, None, :])
+            idx = (slice(None),) + self.support("riem_low")
+            out = np.zeros_like(low)
+            out[idx] = leibniz(leibniz(low[idx], ginv[:, idx[2]]), ginv[:, idx[4]])
+            return out
         step = self.chart.fd_step
         if step is None:
             return self._long_double(name, m + 1)[:m + 1].astype(complex)
@@ -358,7 +381,7 @@ def christoffel_coords(chart: TubeChart, r):
 # mode fields
 
 
-@dataclass
+@dataclass(eq=False)
 class OracleField:
     """Single-mode tensor field: a dense radial jet times a fixed phase.
 
@@ -366,7 +389,9 @@ class OracleField:
     node(grid, m, memo), the field's jet from its operands' jets and the
     `ChartGrid` tables.  `dense(grid, m, memo)` gives levels 0..m <= depth of
     every component as one array of shape (m+1,) + (dim,)*rank + grid.r.shape,
-    kept in the memo (one per grid) under the field.  The phase
+    kept in the memo under the field itself (fields hash by identity).  A memo
+    belongs to one grid and keeps its keys alive, so fields evaluated through
+    it one after another never read each other's jets.  The phase
     exp(i(angular*theta + axial*s)) is common to every component, so theta
     and s derivatives are exact multiplications.
     """
@@ -387,7 +412,7 @@ class OracleField:
                           if not p.is_zero), default=self.chart.depth)
 
     def dense(self, grid: ChartGrid, m: int, memo: dict) -> np.ndarray:
-        have = memo.get(id(self))
+        have = memo.get(self)
         if have is None or len(have) <= m:
             if m > self.depth:
                 raise ValueError(f"jet level {m} is past the field's depth {self.depth}")
@@ -399,7 +424,7 @@ class OracleField:
                 for idx, prof in self.components.items():
                     if not prof.is_zero:
                         have[(slice(None),) + idx] = prof.jet(grid.r, m, memo)
-            memo[id(self)] = have
+            memo[self] = have
         return have[:m + 1]
 
     def values(self, r, memo: Optional[dict] = None):
@@ -474,15 +499,16 @@ def covariant_derivative(fld: OracleField) -> OracleField:
 
     def node(grid, m, memo):
         t = fld.dense(grid, m + 1, memo)
-        gam, dim = grid.jet("gam", m), grid.chart.dim
+        gam = grid.jet("gam", m)
+        c, a, b = grid.support("gam")
+        g = gam[:, c, a, b].reshape((m + 1, len(c)) + (1,) * (fld.rank - 1) + grid.r.shape)
         out = _derivative(t, (1j * fld.angular, 1j * fld.axial))
-        # subtract Gamma^c_(a, idx_i) T(idx with c in slot i), in the order (i, c)
+        # subtract Gamma^c_(a, idx_i) T(idx with c in slot i), in the order (i, c), over
+        # the support (c, a, b) of Gamma: an entry off it would subtract only zeros.
+        # Slot i trades places with the first slot in t and in out alike.
         for i in range(fld.rank):
-            g = gam.reshape((m + 1, dim, dim) + (1,) * i + (dim,)
-                            + (1,) * (fld.rank - 1 - i) + grid.r.shape)
-            terms = leibniz(g, np.expand_dims(np.moveaxis(t[:-1], 1 + i, 1), (2, 3 + i)))
-            for c in range(dim):
-                out -= terms[:, c]
+            src = t[:-1].swapaxes(1, 1 + i)[:, c]
+            np.subtract.at(out.swapaxes(2, 2 + i), (slice(None), a, b), leibniz(g, src))
         return out
 
     return fld._node(node, fld.depth - 1, fld.rank + 1)
@@ -556,11 +582,12 @@ def ricci_action(h: OracleField) -> OracleField:
         raise ValueError("needs a rank-2 field")
 
     def node(grid, m, memo):
-        t = h.dense(grid, m, memo)
-        terms = leibniz(grid.jet("curv", m), t[:, None, :, None, :])
+        t, curv = h.dense(grid, m, memo), grid.jet("curv", m)
+        a, c, b, d = idx = grid.support("curv")
+        # each out_ab adds its terms in the order (c, d), over the support of the
+        # table: an entry off it would add only zeros
         out = np.zeros_like(t)
-        for c, d in itertools.product(range(grid.chart.dim), repeat=2):
-            out += terms[:, :, c, :, d]
+        np.add.at(out, (slice(None), a, b), leibniz(curv[(slice(None),) + idx], t[:, c, d]))
         return out
 
     return h._node(node, h.depth)
@@ -664,13 +691,18 @@ def block_components(fld: OracleField, kind: str, r) -> dict:
 
 
 def tube_inner_product(u: OracleField, v: OracleField, inner: float = 0.0,
-                       outer: Optional[float] = None, num: int = 160) -> complex:
+                       outer: Optional[float] = None, num: int = 160,
+                       memo: Optional[dict] = None) -> complex:
     """Hermitian tube inner product of two single-mode fields over the radii
     0 <= inner < outer <= tube radius (the default).
 
     Distinct modes are orthogonal by the exact phase integrals; matching
     modes reduce to a radial Gauss-Legendre quadrature with the volume
     weight sqrt(det g) and transverse measure angle * length.
+
+    Quadratures on one support that pass one `memo` evaluate each field they
+    share once.  A memo belongs to the chart grid of its first quadrature; on
+    another grid (other radii, or the chart's grid rebuilt) it raises ValueError.
     """
     if u.rank != v.rank:
         raise ValueError("rank mismatch")
@@ -683,7 +715,9 @@ def tube_inner_product(u: OracleField, v: OracleField, inner: float = 0.0,
     x, w = gauss_legendre(num)
     grid = chart.at(0.5 * (a + inner) + 0.5 * (a - inner) * x)
     r, w = grid.r, 0.5 * (a - inner) * w
-    memo = {}  # shared, so tube_norm(u) evaluates u once
+    memo = {} if memo is None else memo  # shared, so tube_norm(u) evaluates u once
+    if memo.setdefault("grid", grid) is not grid:
+        raise ValueError("a memo serves only the chart grid it was first used on")
     uv, vv = u.dense(grid, 0, memo)[0], v.dense(grid, 0, memo)[0]
     ginv = grid.jet("ginv", 0)[0]
     dens = np.zeros_like(r, dtype=complex)
@@ -698,8 +732,9 @@ def tube_inner_product(u: OracleField, v: OracleField, inner: float = 0.0,
 
 
 def tube_norm(u: OracleField, inner: float = 0.0, outer: Optional[float] = None,
-              num: int = 160) -> float:
-    return math.sqrt(max(tube_inner_product(u, u, inner, outer, num).real, 0.0))
+              num: int = 160, memo: Optional[dict] = None) -> float:
+    """sqrt(<u, u>) by `tube_inner_product`, whose `memo` it takes."""
+    return math.sqrt(max(tube_inner_product(u, u, inner, outer, num, memo).real, 0.0))
 
 
 def cross_section_normalizer(model: ConeModel) -> float:
@@ -779,9 +814,9 @@ def energy_ratios(chart: TubeChart, rng, n_cases: int) -> list:
     ratios = []
     for _ in range(n_cases):
         chains, lo, hi = _bump_case(rng, chart.model, chart.fd_step, 6)
-        h = _random_tensor(chart, rng, chains)
-        num = tube_inner_product(apply_P_coords(h), h, lo, hi).real
-        ratios.append(num / tube_norm(h, lo, hi) ** 2)
+        h, memo = _random_tensor(chart, rng, chains), {}
+        num = tube_inner_product(apply_P_coords(h), h, lo, hi, memo=memo).real
+        ratios.append(num / tube_norm(h, lo, hi, memo=memo) ** 2)
     return ratios
 
 
@@ -836,13 +871,13 @@ def identity_suite(model: ConeModel, n_cases: int = 50, seed: int = 0,
     cases = max(4, n_cases // 10)
     for _ in range(cases):
         chains, lo, hi = _bump_case(rng, model, fd_step)
-        w = _random_oneform(chart, rng, chains)
+        w, memo = _random_oneform(chart, rng, chains), {}
         # two-form norms here contract both index slots, so the
         # half-normalized form statement picks up another factor 1/2
-        lhs = tube_norm(delta_star(w), lo, hi) ** 2
-        rhs = (tube_norm(codifferential(w), lo, hi) ** 2
-               + 0.25 * tube_norm(exterior_d(w), lo, hi) ** 2
-               + (n - 1) * tube_norm(w, lo, hi) ** 2)
+        lhs = tube_norm(delta_star(w), lo, hi, memo=memo) ** 2
+        rhs = (tube_norm(codifferential(w), lo, hi, memo=memo) ** 2
+               + 0.25 * tube_norm(exterior_d(w), lo, hi, memo=memo) ** 2
+               + (n - 1) * tube_norm(w, lo, hi, memo=memo) ** 2)
         res = max(res, abs(lhs - rhs) / (abs(lhs) + abs(rhs)))
     add("symmetrized_gradient_energy", cases, res)
 
@@ -876,10 +911,10 @@ def identity_suite(model: ConeModel, n_cases: int = 50, seed: int = 0,
 
     res = 0.0
     for _ in range(n_cases):
-        h = _random_tensor(chart, rng, _suite_chains(rng, fd_step, 6))
+        h, memo = _random_tensor(chart, rng, _suite_chains(rng, fd_step, 6)), {}
         out = bianchi_beta(linearized_einstein(h))
-        scale = np.max(np.abs(bianchi_beta(rough_laplacian(h)).values(grid)))
-        res = max(res, float(np.max(np.abs(out.values(grid))) / scale))
+        scale = np.max(np.abs(bianchi_beta(rough_laplacian(h)).values(grid, memo)))
+        res = max(res, float(np.max(np.abs(out.values(grid, memo))) / scale))
     add("linearized_bianchi", n_cases, res)
 
     res = 0.0
@@ -896,9 +931,9 @@ def identity_suite(model: ConeModel, n_cases: int = 50, seed: int = 0,
         w = _random_oneform(chart, rng, chains[:3])
         v0 = OracleField(chart, 1, {(a,): c for a, c in enumerate(chains[3:])},
                          w.angular, w.axial)
-        v = covariant_derivative(v0)
-        lhs = tube_inner_product(w, adjoint_divergence(v), lo, hi)
-        rhs = tube_inner_product(covariant_derivative(w), v, lo, hi)
+        v, memo = covariant_derivative(v0), {}
+        lhs = tube_inner_product(w, adjoint_divergence(v), lo, hi, memo=memo)
+        rhs = tube_inner_product(covariant_derivative(w), v, lo, hi, memo=memo)
         res = max(res, abs(lhs - rhs) / (abs(lhs) + abs(rhs)))
     add("adjoint_pairing", cases, res)
 

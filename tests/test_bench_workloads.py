@@ -1,8 +1,8 @@
 """The benchmark's argument lists still run: every workload's commands, built
 by bench/workloads.py at their self-test size, exit 0 through the CLI; the
-deform workload's axis values and the sweep workload's output files at seed 1
-stay where they were; and a seed-1 sweep factors each indicial matrix once
-per distinct square of its roots."""
+deform workload's axis values and the sweep and verify workloads' output
+files at seed 1 stay where they were; and a seed-1 sweep factors each
+indicial matrix once per distinct square of its roots."""
 
 import hashlib
 import importlib.util
@@ -83,6 +83,20 @@ def test_sweep_outputs_are_pinned(tmp_path):
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
            for name in _SWEEP_OUTPUT_SHA256}
     assert got == _SWEEP_OUTPUT_SHA256
+
+
+# sha256 of the verify workload's output files at seed 1, as for the sweep
+_VERIFY_OUTPUT_SHA256 = {
+    "verify.json": "e99874fc9645e080d313eb23896dcabfc8c16d9243b522126bb561ff0a05d1b5",
+    "energy_ratios.csv": "9b042c8270bf8eca550e5a1e181059b12cd687e30207251f5e60240391f3e7bd",
+}
+
+
+def test_verify_outputs_are_pinned(tmp_path):
+    out = _run_full_size("verify", tmp_path)
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in _VERIFY_OUTPUT_SHA256}
+    assert got == _VERIFY_OUTPUT_SHA256
 
 
 def test_sweep_factors_one_matrix_per_distinct_square(tmp_path, monkeypatch):

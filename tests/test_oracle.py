@@ -188,6 +188,109 @@ def test_connection_term_matches_one_product_per_index_bit_for_bit():
         assert got.tobytes() == want.tobytes(), rank
 
 
+# The dense contractions that the restricted ones replace, kept as references:
+# every product of a full chart table, summed in the same order.  The skipped
+# products are of exact zeros, so only signs of zero may differ.
+
+
+def _same_but_zero_signs(got, want):
+    """Equal dtype, shape and values: finite floats compare equal only when
+    their bits agree or both are zeros.  (Bytes would also compare the
+    padding of a long double.)"""
+    return got.dtype == want.dtype and got.shape == want.shape and bool(np.all(got == want))
+
+
+def _dense_connection_term(fld, grid, m):
+    t, gam = fld.dense(grid, m + 1, {}), grid.jet("gam", m)
+    out = oracle._derivative(t, (1j * fld.angular, 1j * fld.axial))
+    for i in range(fld.rank):
+        g = gam.reshape((m + 1, 3, 3) + (1,) * i + (3,) + (1,) * (fld.rank - 1 - i)
+                        + grid.r.shape)
+        terms = leibniz(g, np.expand_dims(np.moveaxis(t[:-1], 1 + i, 1), (2, 3 + i)))
+        for c in range(3):
+            out -= terms[:, c]
+    return out
+
+
+def _dense_ricci_action(h, grid, m):
+    t = h.dense(grid, m, {})
+    terms = leibniz(grid.jet("curv", m), t[:, None, :, None, :])
+    out = np.zeros_like(t)
+    for c, d in itertools.product(range(3), repeat=2):
+        out += terms[:, :, c, :, d]
+    return out
+
+
+def _dense_riemann(chain):
+    g, dim = chain["g"], 3
+    dgam, gam = oracle._derivative(chain["gam"], (0, 0)), chain["gam"][:-1]
+    low = []
+    for a in range(dim):
+        d = oracle._permuted(dgam[:, :, a], 2, 0, 1)
+        quad = (leibniz(gam[:, a, None, :, None, k], gam[:, k].swapaxes(1, 2)[:, :, None])
+                for k in range(dim))
+        riem = d - d.swapaxes(2, 3) + sum(q - q.swapaxes(2, 3) for q in quad)
+        low.append(leibniz(g[:, a, None, None, None], riem))
+    return np.stack(low, axis=1)
+
+
+def _mode_field(ch, rng, rank, fd_step):
+    idxs = list(itertools.product(range(3), repeat=rank))
+    chains = rand_chains(rng, len(idxs))
+    if fd_step is not None:
+        chains = [fd_chain(c, fd_step) for c in chains]
+    return OracleField(ch, rank, dict(zip(idxs, chains)), angular=2.0, axial=math.pi)
+
+
+@pytest.mark.parametrize("fd_step", [None, 1e-3])
+def test_restricted_contractions_match_dense_ones_bit_for_bit(fd_step):
+    rng = np.random.default_rng(29)
+    r = np.linspace(0.05, 1.0, 7)
+    ch = TubeChart(MODEL, fd_step)
+    for m in range(4):
+        grid = ch.at(r + 0.01 * m)  # a fresh grid per level
+        if m < ch.depth:
+            for rank in (1, 2, 3):
+                fld = _mode_field(ch, rng, rank, fd_step)
+                got = covariant_derivative(fld).dense(grid, m, {})
+                assert _same_but_zero_signs(got, _dense_connection_term(fld, grid, m)), (m, rank)
+        h = _mode_field(ch, rng, 2, fd_step)
+        got = ricci_action(h).dense(grid, m, {})
+        assert _same_but_zero_signs(got, _dense_ricci_action(h, grid, m)), m
+
+
+@pytest.mark.parametrize("fd_step", [None, 1e-3])
+def test_restricted_curvature_tables_match_dense_ones_bit_for_bit(fd_step):
+    r = np.linspace(0.05, 1.0, 7)
+    for m in range(4):
+        grid = TubeChart(MODEL, fd_step).at(r)
+        low, ginv = grid.jet("riem_low", m), grid.jet("ginv", m)
+        want = leibniz(leibniz(low, ginv[:, None, :, None, None]),
+                       ginv[:, None, None, None, :])
+        assert _same_but_zero_signs(grid.jet("curv", m), want), m
+        # the long-double chain under the table: on the radii themselves, or on
+        # the stencil that the finite-difference path differences
+        x = r if fd_step is None else oracle._stencil(r, fd_step, 3)
+        levels = m + 3 if fd_step is None else 3
+        got = oracle._levi_civita(x, levels, "riem_low")
+        want = _dense_riemann(oracle._levi_civita(x, levels, "gam"))
+        assert _same_but_zero_signs(got["riem_low"], want), m
+
+
+@pytest.mark.parametrize("fd_step", [None, 1e-3])
+def test_chart_supports_are_read_off_the_tables(fd_step):
+    grid = TubeChart(MODEL, fd_step).at(np.array([0.05, 0.4, 1.0]))
+    assert len(grid.support("gam")[0]) == 6
+    assert len(grid.support("curv")[0]) == 12
+    for name in ("g", "ginv", "gam", "riem_low", "curv"):
+        table = grid.jet(name, 3)
+        support = grid.support(name)
+        assert support is grid.support(name)  # kept per grid
+        off = np.ones(table.shape[1:-1], dtype=bool)
+        off[support] = False
+        assert np.all(table[:, off] == 0) and np.all(table[:, ~off].any(axis=(0, -1)))
+
+
 def test_bump_chain_support_and_smoothness():
     b = bump_chain(0.2, 0.8, order=4)
     r_out = np.array([0.05, 0.15, 0.2, 0.8, 0.95])
@@ -945,6 +1048,29 @@ def test_quadrature_rejects_supports_outside_the_tube():
         with pytest.raises(DomainError):  # also when the modes are orthogonal
             tube_inner_product(u, v, inner, outer)
     assert tube_norm(u, 0.0, 1.0) == tube_norm(u)
+
+
+def test_shared_memo_never_returns_a_gone_fields_jet():
+    # the first field is gone when the second is made; a memo keyed by id()
+    # could hand the second the first's jet
+    rng = np.random.default_rng(31)
+    w = OracleField(chart(), 1, {(a,): c for a, c in enumerate(rand_chains(rng, 3))},
+                    angular=2.0, axial=math.pi)
+    memo = {}
+    tube_norm(delta_star(w), 0.2, 0.8, memo=memo)
+    shared = tube_norm(codifferential(w), 0.2, 0.8, memo=memo)
+    assert shared == tube_norm(codifferential(w), 0.2, 0.8)
+    assert tube_norm(w, 0.2, 0.8, memo=memo) == tube_norm(w, 0.2, 0.8)
+
+
+def test_memo_serves_one_grid():
+    u = scalar_field(chart(), poly_chain([1.0, 0.5]))
+    memo = {}
+    tube_norm(u, 0.2, 0.8, memo=memo)
+    with pytest.raises(ValueError, match="grid"):
+        tube_norm(u, 0.3, 0.8, memo=memo)
+    with pytest.raises(ValueError, match="grid"):
+        tube_inner_product(u, u, 0.2, 0.8, num=80, memo=memo)
 
 
 def test_cross_section_normalizer_value():
