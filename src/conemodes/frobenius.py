@@ -192,10 +192,10 @@ def _power_sum(C, r):
 
 @functools.lru_cache(maxsize=128)
 def _coefficient_data(system: ModeSystem, order: int):
-    """Read-only q_j of r q(r), shape (order+1,), and W_j of r^2 V(r)."""
+    """Read-only float64 q_j of r q(r), shape (order+1,), and framed W_j."""
     drift = system.laurent_drift(order + 1)
-    q = np.array([complex(drift.coefficient(j)) for j in range(order + 1)])
-    W = np.asarray(system.laurent_potential(order + 1), dtype=complex)
+    q = np.array([complex(drift.coefficient(j)) for j in range(order + 1)]).real
+    W = np.asarray(system.laurent_potential(order + 1))
     q.flags.writeable = W.flags.writeable = False
     return q, W
 
@@ -203,16 +203,20 @@ def _coefficient_data(system: ModeSystem, order: int):
 def _series_engine(system, s0, order, seed=None, log_seed=None, source=None):
     """Run the coefficient recursion; returns arrays (v, u), u None without logs.
 
-    Multiplying the system by r^2 gives coefficient equations A_m v_m =
-    sum_{j=1..m} K[m, j] v_{m-j} + source_m, A_m = W_0 - (s0+m)^2 I, K[m, j] =
-    q_j (s0+m-j) I - W_j.  One batched SVD of every A_m gives each order's
-    rank under the `_RANK_TOL` cut and, at full rank, x = Vh^H (U^H b / sigma).
+    It runs in the real frame of `ModeSystem`: the named seeds and source rows
+    (order+1, k) enter as d x, and v, u are float64 unless one is complex
+    there.  Multiplying the system by r^2 gives coefficient equations A_m v_m
+    = sum_{j=1..m} K[m, j] v_{m-j} + source_m, A_m = W_0 - (s0+m)^2 I, K[m, j]
+    = q_j (s0+m-j) I - W_j.  One batched SVD of every A_m gives each order's
+    rank under the `_RANK_TOL` cut and, at full rank, x = Vh^T (U^T b / sigma).
     At resonant orders obstructions are absorbed into a log-companion series,
     seeded inside the null space so that the shifted right-hand side lands in
     the range.
     """
     k = system.arity
     q, W = _coefficient_data(system, order)
+    seed, log_seed, source = data = [x if x is None else system.to_frame(x)
+                                     for x in (seed, log_seed, source)]
     wdiag = np.asarray(component_weights(system.family, system.names), float)
     eye = np.eye(k)
     m_all = np.arange(order + 1)
@@ -221,14 +225,14 @@ def _series_engine(system, s0, order, seed=None, log_seed=None, source=None):
     left, sv, vh = np.linalg.svd(A)
     ranks = np.sum(sv > _RANK_TOL * np.maximum(sv[:, :1], 1.0), axis=1)
     K = (q * (s_all[:, None] - m_all))[..., None, None] * eye - W
-    v = np.zeros((order + 1, k), dtype=complex)
-    u = np.zeros((order + 1, k), dtype=complex)
+    v = np.zeros((order + 1, k), np.result_type(float, *[x for x in data if x is not None]))
+    u = np.zeros_like(v)
 
     def history(seq, m):
         return np.einsum("jab,jb->a", K[m, 1:m + 1], seq[:m][::-1])
 
     def factor_solve(m, rhs):
-        return vh[m].conj().T @ ((left[m].conj().T @ rhs) / sv[m])
+        return vh[m].T @ ((left[m].T @ rhs) / sv[m])
 
     log_active = log_seed is not None
     for m in range(order + 1):
@@ -245,7 +249,7 @@ def _series_engine(system, s0, order, seed=None, log_seed=None, source=None):
                 u[m] = _resonant_solve(A[m], history(u, m), m, "log companion")
         rhs = history(v, m)
         if source is not None:
-            rhs = rhs + source(m)
+            rhs = rhs + source[m]
         if log_active:
             rhs = rhs + 2.0 * s * u[m] + q[1:m + 1] @ u[:m][::-1]
         if m == 0 and seed is not None:
@@ -257,8 +261,8 @@ def _series_engine(system, s0, order, seed=None, log_seed=None, source=None):
         elif rank == k:
             v[m] = factor_solve(m, rhs)
         else:
-            null = vh[m, rank:].conj().T
-            beta = (wdiag[:, None] * null).conj().T @ rhs
+            null = vh[m, rank:].T
+            beta = (wdiag[:, None] * null).T @ rhs
             if np.linalg.norm(beta) <= _SOLVE_TOL * (np.linalg.norm(rhs) + 1.0):
                 v[m] = _min_norm(A[m], rhs)
             else:
@@ -266,12 +270,19 @@ def _series_engine(system, s0, order, seed=None, log_seed=None, source=None):
                     raise FrobeniusError(
                         f"obstruction at order {m} with exponent 0: "
                         "iterated logarithm not supported")
-                gram = (wdiag[:, None] * null).conj().T @ null
+                gram = (wdiag[:, None] * null).T @ null
                 shift = null @ np.linalg.solve(gram, -beta / (2.0 * s))
                 u[m] += shift
                 v[m] = _min_norm(A[m], rhs + 2.0 * s * shift)
                 log_active = True
     return v, (u if u.any() else None)
+
+
+def _series(system: ModeSystem, s0, order: int, **data) -> FrobeniusSeries:
+    """`_series_engine` at exponent s0, its coefficients named back: conj(d) v."""
+    v, u = (x if x is None else tuple(map(tuple, x * system.frame.conj()))
+            for x in _series_engine(system, float(s0), order, **data))
+    return FrobeniusSeries(float(s0), system.names, v, u)
 
 
 def _min_norm(A, rhs):
@@ -303,14 +314,7 @@ def frobenius_series(system: ModeSystem, kappa: float, vector=None,
                 f"exponent {kappa} has null space of dimension {root.nullity}; "
                 "pass an explicit seed vector")
         vector = root.vectors[0]
-    v, u = _series_engine(system, float(kappa), order, seed=vector,
-                          log_seed=log_vector)
-    return FrobeniusSeries(
-        kappa=float(kappa),
-        names=system.names,
-        coefficients=tuple(tuple(x) for x in v),
-        log_coefficients=None if u is None else tuple(tuple(x) for x in u),
-    )
+    return _series(system, kappa, order, seed=vector, log_seed=log_vector)
 
 
 def inhomogeneous_series(system: ModeSystem, source: Mapping[str, RadialExpr],
@@ -333,20 +337,10 @@ def inhomogeneous_series(system: ModeSystem, source: Mapping[str, RadialExpr],
     if not rows:
         raise ValueError("source must have at least one nonzero row")
     s0 = min(leads) + 2
-
-    def term(m):
-        vec = np.zeros(system.arity, dtype=complex)
-        for i, ser in rows.items():
-            vec[i] = complex(ser.coefficient(s0 - 2 + m))
-        return vec
-
-    v, u = _series_engine(system, float(s0), order, source=term)
-    return FrobeniusSeries(
-        kappa=float(s0),
-        names=system.names,
-        coefficients=tuple(tuple(x) for x in v),
-        log_coefficients=None if u is None else tuple(tuple(x) for x in u),
-    )
+    terms = np.zeros((order + 1, system.arity), dtype=complex)
+    for i, ser in rows.items():
+        terms[:, i] = [complex(ser.coefficient(s0 - 2 + m)) for m in range(order + 1)]
+    return _series(system, s0, order, source=terms)
 
 
 def series_block(system: ModeSystem, series: FrobeniusSeries):
@@ -427,20 +421,19 @@ def _step_maps(system: ModeSystem, t, source) -> np.ndarray:
     """One Gauss-Legendre step per interval of ``t`` as augmented affine maps.
 
     Map n sends (X, X', 1) at t[n] to (X, X', 1) at t[n+1], shape
-    (len(t) - 1, 2k + 1, 2k + 1), in the real frame of `ModeSystem`: X and V
-    stand for D X and D V D^-1, d_j = +i on the theta-odd components.  The
-    unknowns are the stage values Z_i of X''; the stages of X' and X are
-    X' + h (A Z)_i and X + h c_i X' + h^2 (A^2 Z)_i, so the collocation
-    conditions Z_i = V_i X_i - q_i X'_i - S_i are one sk x sk linear system
-    per step, solved for all steps at once.  ``source(r)`` gives D S at radii
-    of any shape as (k,) + r.shape, or is None; the maps are float64 unless
-    it is complex.
+    (len(t) - 1, 2k + 1, 2k + 1), with X and V in the real frame of
+    `ModeSystem`.  The unknowns are the stage values Z_i of X''; the stages
+    of X' and X are X' + h (A Z)_i and X + h c_i X' + h^2 (A^2 Z)_i, so the
+    collocation conditions Z_i = V_i X_i - q_i X'_i - S_i are one sk x sk
+    linear system per step, solved for all steps at once.  ``source(r)``
+    gives D S at radii of any shape as (k,) + r.shape, or is None; the maps
+    are float64 unless it is complex.
     """
     c, b, A = _gauss_tableau(_STAGES)
     k, s = system.arity, _STAGES
     h = np.diff(t)
     r = t[:-1, None] + h[:, None] * c
-    V = np.moveaxis(system.frame_potential_at(r), (0, 1), (2, 3))  # (N, s, k, k)
+    V = np.moveaxis(system.potential_at(r), (0, 1), (2, 3))  # (N, s, k, k)
     q = system.drift_at(r)
     S = 0.0 if source is None else -np.moveaxis(source(r), 0, -1)
     eye = np.eye(k)
@@ -487,8 +480,7 @@ def _propagate(P, y0):
 
 def _continue(system: ModeSystem, grid, y0, source, rtol: float):
     """Augmented states at the grid nodes, shape (len(grid), 2k + 1, nb), in
-    the real frame of `_step_maps`; the complex columns of ``y0`` go through
-    its maps as real and imaginary pairs, recombined for the check.
+    the real frame of `_step_maps`: real when ``y0`` and the maps are.
 
     Every interval takes m Gauss-Legendre substeps, m = 1, 2, 4, 8.  The
     check builds the same maps over pairs of intervals: a step of order 8
@@ -497,15 +489,14 @@ def _continue(system: ModeSystem, grid, y0, source, rtol: float):
     largest value, plus one unit of rounding (no state is closer than that),
     it must not exceed ``rtol`` (|D x| = |x|); m doubles while it does.
     """
-    k, nb, npairs = system.arity, y0.shape[1], (grid.size - 1) // 2
+    k, npairs = system.arity, (grid.size - 1) // 2
     for log_m in range(_MAX_SUBSTEPS.bit_length()):
         fine = _compose_pairs(_step_maps(system, _subdivide(grid, 2 ** log_m),
                                          source), log_m)
-        Y = _propagate(fine, np.concatenate([y0.real, y0.imag], axis=1))
+        Y = _propagate(fine, y0)
         coarse = _compose_pairs(_step_maps(
             system, _subdivide(grid[:2 * npairs + 1:2], 2 ** log_m), source), log_m)
         diff = (coarse - fine[1::2][:npairs] @ fine[0::2][:npairs]) @ Y[:-1:2][:npairs]
-        Y, diff = (a[..., :nb] + 1j * a[..., nb:] for a in (Y, diff))
         size = np.max(np.abs(Y[:, :2 * k]), axis=(0, 1))
         est = np.max(np.abs(diff[:, :2 * k]), axis=1) / (size * 255.0) + _EPS
         worst = np.unravel_index(np.argmax(est), est.shape)
@@ -535,11 +526,12 @@ def integrate_mode_ode(system: ModeSystem, series, handoff: float, r_end: float,
     to each column's largest value (FrobeniusError when 8 substeps per
     interval do not reach it; ``rtol`` must be finite and > 0).  The steps
     run in the real frame of `ModeSystem`, d_j = +i on the theta-odd
-    components: series data and source enter as D X and D S, and D^-1 maps
-    the nodal states back; d2..d4 are read off the ODE, for all columns at
-    once, when one column first asks.  Each column is divided by its largest
-    value at the handoff and scaled back afterwards (its source by the same
-    factor), so a branch r^kappa with large kappa starts at size one.
+    components: series data and source enter as D X and D S (a homogeneous
+    column is real there), and D^-1 names the nodal states and d2..d4, read
+    off the ODE for all columns at once when one column first asks.  Each
+    column is divided by its largest value at the handoff and scaled back
+    afterwards (its source by the same factor), so a branch r^kappa with
+    large kappa starts at size one.
 
     Handing off deep inside the singular region loses accuracy: error at
     radius r0 feeds the steepest homogeneous mode with weight
@@ -557,9 +549,9 @@ def integrate_mode_ode(system: ModeSystem, series, handoff: float, r_end: float,
         raise ValueError(f"rtol must be a finite number > 0, not {rtol!r}")
     single = isinstance(series, FrobeniusSeries)
     columns = [series] if single else list(series)
-    k, nb, frame = system.arity, len(columns), np.tile(system.frame, 2)[:, None]
-    y0 = np.stack([np.concatenate([ser.evaluate(handoff), ser.evaluate(handoff, 1)])
-                   for ser in columns], axis=1)
+    k, nb = system.arity, len(columns)
+    y0 = system.to_frame(np.stack([[ser.evaluate(handoff), ser.evaluate(handoff, 1)]
+                                   for ser in columns], axis=-1), axis=1).reshape(2 * k, nb)
     scale = np.max(np.abs(y0), axis=0)
     scale[scale == 0.0] = 1.0
     src_rows = [(system.names.index(name), prof)
@@ -569,36 +561,37 @@ def integrate_mode_ode(system: ModeSystem, series, handoff: float, r_end: float,
         def src(r):
             out = np.zeros((k,) + r.shape, dtype=complex)
             for i, prof in src_rows:
-                out[i] = frame[i] * prof(r) / scale[-1]
-            return out if out.imag.any() else out.real
+                out[i] = prof(r) / scale[-1]
+            return system.to_frame(out, axis=0)
 
     grid = np.geomspace(handoff, r_end, num)
     grid[0], grid[-1] = handoff, r_end
-    start = np.zeros((2 * k + 1, nb), dtype=complex)
-    start[:2 * k] = y0 / scale * frame
+    start = np.concatenate([y0 / scale, np.zeros((1, nb))])
     start[-1, -1] = 1.0 if src_rows else 0.0
-    Y = _continue(system, grid, start, src, rtol)[:, :2 * k] * frame.conj() * scale
-    X, dX = Y[:, :k], Y[:, k:]  # (N, k, nb)
+    Y = _continue(system, grid, start, src, rtol)[:, :2 * k] * scale
+    X, dX = Y[:, :k], Y[:, k:]  # (N, k, nb), in the frame
     higher = functools.cache(functools.partial(_ode_derivatives, system, grid, X, dX,
                                                src_rows))
-    out = [ContinuedSolution(system, grid, X[:, :, c].T, dX[:, :, c].T,
+    values, d1 = (np.moveaxis(a * system.frame.conj()[:, None], 0, -1) for a in (X, dX))
+    out = [ContinuedSolution(system, grid, values[:, c], d1[:, c],
                              lambda c=c: higher()[..., c].swapaxes(-1, -2))
            for c in range(nb)]
     return out[0] if single else out
 
 
 def _ode_derivatives(system: ModeSystem, grid, X, dX, src_rows):
-    """d2, d3, d4 of every column at the nodes, shape (3, N, k, nb), from the
-    ODE X'' = -q X' + V X - S and its first two derivatives."""
+    """Named d2, d3, d4 of every column at the nodes, shape (3, N, k, nb),
+    from the framed ODE X'' = -q X' + V X - S and its first two derivatives."""
     q, qp, qpp = (system.drift_at(grid, d)[:, None, None] for d in range(3))
     V, Vp, Vpp = (np.moveaxis(system.potential_at(grid, d), -1, 0) for d in range(3))
-    S, Sp, Spp = np.zeros((3,) + X.shape, dtype=complex)
+    S = np.zeros((3,) + X.shape, dtype=complex)
     for i, prof in src_rows:
-        S[:, i, -1], Sp[:, i, -1], Spp[:, i, -1] = prof.jet(grid, 2, {})
+        S[:, :, i, -1] = prof.jet(grid, 2, {})
+    S, Sp, Spp = system.to_frame(S, axis=-2)
     d2 = -q * dX + V @ X - S
     d3 = -qp * dX - q * d2 + Vp @ X + V @ dX - Sp
     d4 = -qpp * dX - 2 * qp * d2 - q * d3 + Vpp @ X + 2 * (Vp @ dX) + V @ d2 - Spp
-    return np.stack([d2, d3, d4])
+    return np.stack([d2, d3, d4]) * system.frame.conj()[:, None]
 
 
 def _piecewise(inner: RadialProfile, outer: RadialProfile, cut: float) -> RadialProfile:

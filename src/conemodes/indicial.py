@@ -14,11 +14,10 @@ A repeated exponent whose eigenspace is smaller than its multiplicity forces
 ln(r) factors in the local solution basis; that deficiency is computed here
 both in floating point (from `ModeSystem.w0`, read off the pencil with no
 series table) and exactly over the rationals when t is rational, which is
-how the log locus is certified on a parameter grid.  The exact rank over
-Q(i) of A + iB (A, B rational) is half the rank over Q of the real matrix
-[[A, -B], [B, A]], a Fraction elimination.  Roots can meet only at a
-half-integer t, so both paths take a t within the merge tolerance
-1e-9 (|t| + 3) of a half-integer at that half-integer.
+how the log locus is certified on a parameter grid; both read the real W0 of
+the frame of `ModeSystem`.  Roots can meet only at a half-integer t, so both
+paths take a t within the merge tolerance 1e-9 (|t| + 3) of a half-integer at
+that half-integer.
 
 The float path is batched: `indicial_reports` stacks the shifted matrices
 W0 - kappa^2 I of any number of systems, one per distinct kappa^2, and takes
@@ -119,7 +118,7 @@ def indicial_matrix(system: ModeSystem, kappa: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IndicialRoot:
-    """One exponent: its det multiplicity, eigenvectors, and branch flags."""
+    """One exponent: its det multiplicity, named eigenvectors, and branch flags."""
 
     value: float
     multiplicity: int
@@ -163,10 +162,11 @@ class IndicialReport:
         return len(self.names)
 
     def root(self, value: float, tol: float = 1e-8) -> IndicialRoot:
-        for root in self.roots:
-            if abs(root.value - value) <= tol:
-                return root
-        raise KeyError(f"no indicial root near {value}")
+        """The root nearest to `value`; KeyError when none is within tol."""
+        nearest = min(self.roots, key=lambda root: abs(root.value - value))
+        if not abs(nearest.value - value) <= tol:
+            raise KeyError(f"no indicial root near {value}")
+        return nearest
 
     @property
     def has_log_root(self) -> bool:
@@ -202,7 +202,8 @@ def indicial_reports(systems) -> list:
     share its null vectors; the matrices of all systems of one arity go
     through one `null_space` call, one SVD per distinct kappa^2.  Each
     system's pencil is built at the snapped t (see `oneform_system`), where
-    the clustered roots are exact.
+    the clustered roots are exact.  The matrices are framed and real; their
+    null vectors v are handed out named, as conj(d) v.
     """
     systems = list(systems)
     ts = [s.mode.p * s.gamma for s in systems]
@@ -219,7 +220,9 @@ def indicial_reports(systems) -> list:
             [systems[i].w0 - np.array(sq)[:, None, None] * np.eye(k)
              for i, sq in zip(members, squares)])))
         for i, sq in zip(members, squares):
-            by_square = dict(zip(sq, found))
+            named = [complex(x) for x in systems[i].frame.conj()]
+            by_square = {square: tuple(tuple(map(complex.__mul__, named, v)) for v in vecs)
+                         for square, vecs in zip(sq, found)}
             nulls[i] = [by_square[value ** 2] for value, _ in clusters[i]]
     return [IndicialReport(s.family, s.kind, s.names, t,
                            tuple(IndicialRoot(float(value), mult, vecs, len(vecs) < mult)
@@ -237,18 +240,16 @@ def indicial_report(system: ModeSystem) -> IndicialReport:
 
 
 def _exact_w0(family: str, kind: str, names, t: Fraction):
-    """W0 = A + iB at rational t as the Fraction matrices (A, B).
+    """W0 at rational t in the real frame of `ModeSystem`, as Fraction rows.
 
     Typed by hand from the block formulas, not read off the pencil: W0 is a
-    direct sum of the scalar block t^2, the pair block [[1 + t^2, 2it],
-    [-2it, 1 + t^2]] and, for tensor kinds A and B, the 3x3 block of
-    (f, g, h).
+    direct sum of the scalar block t^2, the pair block [[1 + t^2, 2t],
+    [2t, 1 + t^2]] and, for tensor kinds A and B, the block of (f, g, h).
     """
     s = t * t
-    scalar = ([[s]], [[0]])
-    pair = ([[1 + s, 0], [0, 1 + s]], [[0, 2 * t], [-2 * t, 0]])
-    triple = ([[s + 2, -2, 0], [-2, s + 2, 0], [0, 0, s + 4]],
-              [[0, 0, 2 * t], [0, 0, -2 * t], [-4 * t, 4 * t, 0]])
+    scalar = [[s]]
+    pair = [[1 + s, 2 * t], [2 * t, 1 + s]]
+    triple = [[s + 2, -2, 2 * t], [-2, s + 2, -2 * t], [4 * t, -4 * t, s + 4]]
     if family == "oneform":
         blocks = {"A": [pair, scalar], "B": [pair], "C": [scalar]}[kind]
     else:
@@ -257,14 +258,13 @@ def _exact_w0(family: str, kind: str, names, t: Fraction):
                   "C": [pair] + [scalar] * ("k3" in names),
                   "D": [scalar]}[kind]
     k = len(names)
-    a, b = ([[Fraction(0)] * k for _ in range(k)] for _ in range(2))
+    w0 = [[Fraction(0)] * k for _ in range(k)]
     at = 0
     for block in blocks:
-        for out, part in ((a, block[0]), (b, block[1])):
-            for i, row in enumerate(part):
-                out[at + i][at:at + len(row)] = map(Fraction, row)
-        at += len(block[0])
-    return a, b
+        for i, row in enumerate(block):
+            w0[at + i][at:at + len(row)] = map(Fraction, row)
+        at += len(block)
+    return w0
 
 
 def _rank(rows) -> int:
@@ -291,21 +291,17 @@ def exact_indicial_analysis(family: str, kind: str, names, t: Fraction):
     sorted by descending exponent.  All arithmetic is exact, so the log locus
     this reports is a certificate, not a numerical observation.
 
-    The rank over Q(i) of M = W0 - kappa^2 I = A + iB is half the rank over
-    Q of the real matrix [[A, -B], [B, A]], which is similar to M (+) conj(M).
-    A t within the merge tolerance of a half-integer is certified at that
-    half-integer, as `indicial_report` clusters it.
+    W0 - kappa^2 I is ranked in the real frame (`_exact_w0`), similar to the
+    named matrix over Q(i).  A t within the merge tolerance of a half-integer
+    is certified at that half-integer, as `indicial_report` clusters it.
     """
     t = _snap(Fraction(t))
-    a, b = _exact_w0(family, kind, tuple(names), t)
-    k = len(a)
+    w0 = _exact_w0(family, kind, tuple(names), t)
     out = []
     for kappa, mult in _root_clusters(family, kind, names, t):
         shifted = [[x - kappa * kappa if i == j else x for j, x in enumerate(row)]
-                   for i, row in enumerate(a)]
-        realified = ([ra + [-x for x in rb] for ra, rb in zip(shifted, b)]
-                     + [rb + ra for ra, rb in zip(shifted, b)])
-        nullity = k - _rank(realified) // 2
+                   for i, row in enumerate(w0)]
+        nullity = len(w0) - _rank(shifted)
         out.append((kappa, mult, nullity, nullity < mult))
     return out
 
@@ -371,7 +367,8 @@ def _mode_eigdata(mode: Mode):
 
 
 def _format_vector(v) -> str:
-    return "|".join(f"{c.real:.12g}{c.imag:+.12g}j" for c in v)
+    # + 0.0 prints a zero part of either sign as 0
+    return "|".join(f"{c.real + 0.0:.12g}{c.imag + 0.0:+.12g}j" for c in v)
 
 
 def _table_modes(modes, family: str):

@@ -17,7 +17,8 @@ basis is the seven exponent pairs (0, 0), (-2, 2), (2, -2), (-2, 0), (0, -2),
 (-2, 1), (1, -2), and q is the pair (-1, 1) plus n - 2 times (1, -1).  The
 builders write each operator entry straight into the matrices C_b, one
 coefficient per named basis slot (one, it2, th2, s2, c2, sti, thc in the
-order above), so the pencil is the only form of a system's potential.
+order above), each taken to the real frame D C_b D^-1 where it is real, so
+that float64 pencil is the only form of a system's potential.
 Pointwise values and both radial derivatives of V and q come from the one
 monomial evaluator of :mod:`conemodes.geometry`, and their exact Laurent data
 from its one series table per pair.
@@ -176,11 +177,11 @@ _THETA_ODD = {"oneform": ("g",), "tensor": ("h", "eta", "eta_bar")}
 
 
 @functools.lru_cache(maxsize=None)
-def _frame(family: str, names: tuple):
-    """d of the real frame, and d_i conj(d_j), the factor D puts on entry (i, j)."""
+def _frame(family: str, names: tuple) -> np.ndarray:
+    """d of the real frame D = diag(d): i on the theta-odd components, else 1."""
     d = np.array([1j if nm in _THETA_ODD[family] else 1.0 for nm in names])
     d.flags.writeable = False
-    return d, np.array([[a * b.conjugate() for b in d] for a in d])
+    return d
 
 
 def _check_kind_mode(family: str, kind: str, mode: Mode) -> None:
@@ -287,27 +288,33 @@ _SLOTS = ("one", "it2", "th2", "s2", "c2", "sti", "thc")
 def _basis_series(order: int) -> np.ndarray:
     """S[j, b]: coefficient of r^(j-2) in phi_b, j = 0..order-1, rounded
     from the exact series tables."""
-    out = np.zeros((order, len(_BASIS)), dtype=complex)
+    out = np.zeros((order, len(_BASIS)))
     for b, (a, e) in enumerate(_BASIS):
         if a + 2 < order:
-            out[a + 2:, b] = [complex(x) for x in
+            out[a + 2:, b] = [float(x) for x in
                               sinh_cosh_series(a, e, order - a - 2).coeffs]
     out.flags.writeable = False
     return out
 
 
-def _pencil_writer(names):
-    """A zero pencil over the components `names`, and put(row, col,
-    **slots), which adds each keyword's coefficient to the entry (row, col)
-    of the basis slot it names; a name outside `_SLOTS` raises ValueError."""
+def _pencil_writer(family: str, names):
+    """A zero float64 pencil over the components `names`, and put(row, col,
+    **slots), which adds each keyword's coefficient times d_row conj(d_col) to
+    the entry (row, col) of the basis slot it names; a name outside `_SLOTS`
+    or a coefficient the frame leaves imaginary raises ValueError."""
     idx = {nm: i for i, nm in enumerate(names)}
-    pencil = np.zeros((len(_BASIS), len(names), len(names)), dtype=complex)
+    d = [complex(x) for x in _frame(family, tuple(names))]
+    pencil = np.zeros((len(_BASIS), len(names), len(names)))
 
     def put(row, col, **slots):
+        unit = d[idx[row]] * d[idx[col]].conjugate()
         for slot, c in slots.items():
             if slot not in _SLOTS:
                 raise ValueError(f"{slot!r} is not a potential basis slot")
-            pencil[_SLOTS.index(slot), idx[row], idx[col]] += c
+            framed = c * unit
+            if framed.imag:
+                raise ValueError(f"{family} entry ({row}, {col}) is not real in its frame")
+            pencil[_SLOTS.index(slot), idx[row], idx[col]] += framed.real
 
     return pencil, put
 
@@ -316,12 +323,12 @@ def _pencil_writer(names):
 class ModeSystem:
     """One mode's radial ODE system for a deformation operator.
 
-    ``pencil`` holds the constant matrices C_b, shape (7, k, k), of
-    V(r) = sum_b C_b phi_b(r) over the fixed basis products.  It is fixed by
-    the other fields, so it takes no part in equality or hashing.  In the
-    real frame D = diag(d), d_j = +i on the theta-odd components and 1 on the
-    others, every D C_b D^-1 (+i times an odd-row, even-column entry, -i
-    times its transpose) is real, or the build raises ValueError.
+    X is taken in the real frame D = diag(d), d_j = +i on the theta-odd
+    components and 1 on the others, which absorbs d/dtheta = i p gamma.
+    ``pencil`` holds the read-only float64 matrices D C_b D^-1, shape
+    (7, k, k), of D V(r) D^-1 = sum_b D C_b D^-1 phi_b(r), the one form every
+    method reads.  It is fixed by the other fields, so it takes no part in
+    equality or hashing.
     """
 
     family: str
@@ -333,8 +340,8 @@ class ModeSystem:
     pencil: np.ndarray = field(compare=False, repr=False)
 
     def __post_init__(self):
-        if np.abs((self.pencil * _frame(self.family, self.names)[1]).imag).sum():
-            raise ValueError(f"{self.family} {self.kind} pencil not real in its frame")
+        if self.pencil.dtype != np.float64:
+            raise ValueError(f"{self.family} pencil is not float64 in its frame")
 
     @property
     def arity(self) -> int:
@@ -343,7 +350,12 @@ class ModeSystem:
     @property
     def frame(self) -> np.ndarray:
         """d: i on the theta-odd components, 1 on the others."""
-        return _frame(self.family, self.names)[0]
+        return _frame(self.family, self.names)
+
+    def to_frame(self, x, axis: int = -1):
+        """D x over the components along `axis`, float64 when that is exact."""
+        x = np.moveaxis(np.moveaxis(np.asarray(x), axis, -1) * self.frame, -1, axis)
+        return x if x.imag.any() else x.real
 
     @property
     def drift(self) -> RadialExpr:
@@ -354,21 +366,17 @@ class ModeSystem:
         return np.real(self.drift(r, derivative))
 
     def potential_at(self, r, derivative: int = 0):
-        """V(r) or its radial derivative of the given order, shape
+        """Framed V(r) or its radial derivative of the given order, shape
         (k, k) + r.shape."""
         phi = sinh_cosh_values(_BASIS, r, derivative)
         k = self.arity
         V = self.pencil.reshape(len(_BASIS), k * k).T @ phi.reshape(len(_BASIS), -1)
         return V.reshape((k, k) + phi.shape[1:])
 
-    def frame_potential_at(self, r):
-        """D V(r) D^-1, real, shape (k, k) + r.shape."""
-        framed = (self.pencil * _frame(self.family, self.names)[1]).real
-        return np.einsum("bij,b...->ij...", framed, sinh_cosh_values(_BASIS, r))
-
     def apply(self, block, r):
         """Pointwise operator value on the block's profiles at radii r; a
-        non-zero profile of a component the system lacks raises ValueError."""
+        non-zero profile of a component the system lacks raises ValueError.
+        The jets enter the frame and the rows leave it exactly (times +-1, +-i)."""
         r = np.asarray(r, dtype=float)
         if np.any(r <= 0):
             raise DomainError("operator application needs r > 0")
@@ -378,7 +386,8 @@ class ModeSystem:
             raise ValueError(f"components {sorted(inactive)} are not active in "
                              f"this mode's system at n = {self.n}")
         memo = {}  # shared, so components built from one profile read it once
-        jets = [block.component(name).jet(r, 2, memo) for name in self.names]
+        d = self.frame
+        jets = [dj * block.component(nm).jet(r, 2, memo) for dj, nm in zip(d, self.names)]
         q = self.drift_at(r)
         V = self.potential_at(r)
         out = {}
@@ -386,12 +395,12 @@ class ModeSystem:
             acc = -jets[i][2] - q * jets[i][1]
             for j in range(self.arity):
                 acc = acc + V[i, j] * jets[j][0]
-            out[name] = acc
+            out[name] = d[i].conjugate() * acc
         return out
 
     def rhs_first_order(self, r, y, source=None):
         """First-order form for integrators: y = [X, X'] stacked along axis 0,
-        X of shape (k,) or (k, columns), and O X = source(r) of X's shape."""
+        X of shape (k,) or (k, columns), and O X = source(r), all framed."""
         k = self.arity
         X, dX = y[:k], y[k:]
         # O X = -X'' - q X' + V X = src  =>  X'' = -q X' + V X - src
@@ -407,13 +416,13 @@ class ModeSystem:
 
     @property
     def w0(self) -> np.ndarray:
-        """r^2 V(r) at r = 0: every sh^a ch^b starts with 1 at r^a, so only
-        the slices with a = -2 reach it, each with coefficient 1."""
+        """r^2 V(r) at r = 0, framed: every sh^a ch^b starts with 1 at r^a,
+        so only the slices with a = -2 reach it, each with coefficient 1."""
         return sum(self.pencil[b] for b, (a, _) in enumerate(_BASIS) if a == -2)
 
     def laurent_potential(self, order: int):
-        """W_j matrices: r^2 V(r) = sum_j W_j r^j, j = 0..order-1, from the
-        exact basis series."""
+        """Framed W_j matrices: r^2 V(r) = sum_j W_j r^j, j = 0..order-1,
+        from the exact basis series."""
         return list(np.einsum("jb,bik->jik", _basis_series(order), self.pencil))
 
 
@@ -438,7 +447,7 @@ def oneform_system(model: ConeModel, mode: Mode, kind: str) -> ModeSystem:
     pg = _snap(mode.p * g)  # the t whose roots `indicial_report` clusters
     pg2 = pg * pg
     names = system_names("oneform", kind, n, mode)
-    pencil, put = _pencil_writer(names)
+    pencil, put = _pencil_writer("oneform", names)
     if kind in ("A", "B"):
         lam = mode.lam
         rootl = math.sqrt(lam)
@@ -463,7 +472,7 @@ def tensor_system(model: ConeModel, mode: Mode, kind: str) -> ModeSystem:
     pg = _snap(mode.p * g)  # the t whose roots `indicial_report` clusters
     pg2 = pg * pg
     names = system_names("tensor", kind, n, mode)
-    pencil, put = _pencil_writer(names)
+    pencil, put = _pencil_writer("tensor", names)
 
     if kind in ("A", "B"):
         lam = mode.lam

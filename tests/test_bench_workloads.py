@@ -72,8 +72,8 @@ def test_deform_axis_values_are_pinned(tmp_path):
 # sha256 of the sweep workload's output files at seed 1; a change that means
 # to move them updates these and says why
 _SWEEP_OUTPUT_SHA256 = {
-    "roots.csv": "1a330b82f416fda1b7981ab770b3d800f1606251831002fdb3030a1e8813b07d",
-    "roots.json": "910cceea8ccaca0faf80085e4643d74cd9be7626c52199f7ed73c0f78c75799a",
+    "roots.csv": "e42cb445d0a3d981e17b34a5de0ffe165f965315a745b474b2df883c9fbef78e",
+    "roots.json": "d213343cbb610c148f9306a37ad9226d7160e7c209bf43f574d6d6f4158d0034",
     "angle_sweep.csv": "3999729897565e7e368af23aa1cc9ca6806d6791e446cb7d2ae09fc0497c43a4",
 }
 

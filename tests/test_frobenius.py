@@ -107,6 +107,17 @@ def test_degenerate_root_requires_explicit_seed():
         frobenius_series(system, 4.0, order=2)
 
 
+def test_auto_seed_reads_the_nearest_root():
+    # -t, with a two-dimensional null space, sits 1e-8 from the simple root
+    # t - 1 just outside the snap window: the seed is not taken from the
+    # simple root
+    t = 0.5 + 5e-9
+    system = tensor_system(ConeModel(3, 2 * np.pi / t, 1.0), ScalarMode(4.0, 1), "A")
+    with pytest.raises(FrobeniusError, match="pass an explicit seed vector"):
+        frobenius_series(system, -t, order=2)
+    assert frobenius_series(system, t - 1, order=2).kappa == t - 1
+
+
 def test_series_json_roundtrip():
     system = oneform_system(M_2PI, ScalarMode(4.0, 1), "A")
     for ser in (frobenius_series(system, 2.0, order=5),
@@ -157,13 +168,15 @@ def _recursion_defects(system, ser, source=None):
     the Laurent data with explicit sums over j:
     (W0 - s^2) v_m - sum_j K[m, j] v_(m-j) - 2 s u_m - sum_j q_j u_(m-j)
     - source_m, K[m, j] = q_j (s - j) I - W_j, s = kappa + m, and the log
-    companion's own equation (W0 - s^2) u_m - sum_j K[m, j] u_(m-j)."""
-    order, eye = ser.order, np.eye(system.arity)
+    companion's own equation (W0 - s^2) u_m - sum_j K[m, j] u_(m-j).  The
+    W_j are in the real frame, so the named coefficients and source enter it
+    as d x (D is unitary: the norms are those of the named equations)."""
+    order, eye, d = ser.order, np.eye(system.arity), system.frame
     drift = system.laurent_drift(order + 1)
     q = [complex(drift.coefficient(j)) for j in range(order + 1)]
     W = system.laurent_potential(order + 1)
-    V = np.asarray(ser.coefficients)
-    U = np.asarray(ser.log_coefficients) if ser.has_log else np.zeros_like(V)
+    V = np.asarray(ser.coefficients) * d
+    U = np.asarray(ser.log_coefficients) * d if ser.has_log else np.zeros_like(V)
     norm = np.linalg.norm
     out = []
     for m in range(order + 1):
@@ -181,7 +194,7 @@ def _recursion_defects(system, ser, source=None):
             power_scale += norm(K, 2) * norm(V[m - j]) + abs(q[j]) * norm(U[m - j])
             log_scale += norm(K, 2) * norm(U[m - j])
         if source is not None:
-            power.append(-source(m))
+            power.append(-d * source(m))
             power_scale += norm(power[-1])
         out += [norm(sum(power)) / power_scale if power_scale else 0.0,
                 norm(sum(log)) / log_scale if log_scale else 0.0]
@@ -386,6 +399,16 @@ def test_continuation_guards(monkeypatch):
             integrate_mode_ode(system, ser, 0.1, 1.0, rtol=rtol)
 
 
+def _named_potential(system, r, derivative=0):
+    # V itself, conj(d_i) (D V D^-1)_ij d_j, from the pencil and the frame
+    # the system is built in, whatever `ModeSystem.frame` is patched to
+    from conemodes.geometry import sinh_cosh_values
+    from conemodes.reduction import _BASIS, _frame
+    d = _frame(system.family, system.names)
+    named = system.pencil * np.outer(d.conj(), d)
+    return np.einsum("bij,b...->ij...", named, sinh_cosh_values(_BASIS, r, derivative))
+
+
 def _complex_step_maps(system, t, source):
     # the step maps as built before the real frame, kept as the reference:
     # complex arithmetic on V itself, with the state (X, X', 1) and the
@@ -394,7 +417,7 @@ def _complex_step_maps(system, t, source):
     k, s = system.arity, frobenius._STAGES
     h = np.diff(t)
     r = t[:-1, None] + h[:, None] * c
-    V = np.moveaxis(system.potential_at(r), (0, 1), (2, 3))  # (N, s, k, k)
+    V = np.moveaxis(_named_potential(system, r), (0, 1), (2, 3))  # (N, s, k, k)
     q = system.drift_at(r)
     eye = np.eye(k)
     M = np.einsum("il,niab->nialb", -(A @ A), (h * h)[:, None, None, None] * V)
@@ -452,16 +475,55 @@ def test_real_frame_continuation_matches_complex_maps(case, dtype, monkeypatch):
     got = integrate_mode_ode(system, columns, 0.1, 1.0, source_profiles=profiles)
     # float64 maps unless the frame source is complex
     assert dtypes and set(dtypes) == {np.dtype(dtype)}
-    # the reference continues X itself: complex maps and the identity frame
+    got[0].higher()  # d2..d4 of every column, read in the frame before patching it
+    # the reference continues X itself: complex maps and the identity frame,
+    # and reads d2..d4 off the named potential
     monkeypatch.setattr(frobenius, "_step_maps", _complex_step_maps)
     monkeypatch.setattr(ModeSystem, "frame",
                         property(lambda self: np.ones(self.arity)))
+    monkeypatch.setattr(ModeSystem, "potential_at", _named_potential)
     want = integrate_mode_ode(system, columns, 0.1, 1.0, source_profiles=profiles)
     assert len(got) == len(want) == len(columns)
     for g, w in zip(got, want):
         for level in ("values", "d1", "d2", "d3", "d4"):
             a, b = getattr(g, level), getattr(w, level)
             assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), level
+
+
+def test_homogeneous_data_runs_in_float64(monkeypatch):
+    # every indicial stack, series recursion and step map of homogeneous
+    # Dirichlet solves (complex boundary data; log branches at angle 1) and
+    # of the angle potential (a source on the theta-even f) is float64
+    from conemodes import indicial
+
+    dtypes = {"null_space": set(), "series": set(), "step_maps": set()}
+
+    def record(module, name, key, read):
+        build = getattr(module, name)
+
+        def recorded(*args, **kwargs):
+            out = build(*args, **kwargs)
+            dtypes[key].update(read(args, out))
+            return out
+
+        monkeypatch.setattr(module, name, recorded)
+
+    record(indicial, "null_space", "null_space", lambda args, out: [args[0].dtype])
+    record(frobenius, "_series_engine", "series",
+           lambda args, out: [x.dtype for x in out if x is not None])
+    record(frobenius, "_step_maps", "step_maps", lambda args, out: [out.dtype])
+    model = ConeModel(3, 1.0, 1.0, CS)
+    for family, mode in (("tensor", ScalarMode(4.0, 1)), ("tensor", CoclosedMode(4.0, 1)),
+                         ("oneform", ScalarMode(4.0, 1)), ("tensor", ScalarMode(0.0, 0))):
+        system = frobenius.system_for_mode(model, mode, family)
+        boundary = {name: 1.0 - 0.5j for name in system.names}
+        res = solve_mode_bvp(model, mode, family, boundary, "l12", num=40, rtol=1e-8)
+        assert res.system.pencil.dtype == np.float64
+        assert res.boundary_residual < 1e-10 or res.status != "unique"
+    assert any(b == "log" for b, _ in solve_mode_bvp(
+        model, ScalarMode(0.0, 0), "tensor", {}, "l2", num=40, rtol=1e-8).branch_exponents)
+    angle_deformation_profile(M_HALF, num=40, rtol=1e-8)
+    assert dtypes == {key: {np.dtype(np.float64)} for key in dtypes}
 
 
 # ---------------------------------------------------------------------------

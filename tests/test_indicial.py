@@ -201,9 +201,9 @@ def test_root_vector_residual_sweep():
         report = indicial_report(system)
         assert sum(r.multiplicity for r in report.roots) == 2 * system.arity
         for root in report.roots:
-            m = indicial_matrix(system, root.value)
+            m = indicial_matrix(system, root.value)  # in the real frame
             for v in root.vectors:
-                res = np.linalg.norm(m @ np.asarray(v))
+                res = np.linalg.norm(m @ (system.frame * np.asarray(v)))
                 assert res < 1e-10 * max(1.0, np.linalg.norm(m))
                 checked += 1
     assert checked > 100
@@ -287,24 +287,29 @@ def test_exact_w0_matches_series_w0(family, kind, names):
                     "D": TTMode}[kind](eig, p)
             system = system_for_mode(model, mode, family)
             assert system.names == names
+            # both in the real frame
             w0 = system.laurent_potential(1)[0]
-            a, b = _exact_w0(family, kind, system.names, p * gamma)
-            exact_np = np.array(a, dtype=float) + 1j * np.array(b, dtype=float)
+            exact_np = np.array(_exact_w0(family, kind, system.names, p * gamma),
+                                dtype=float)
             assert np.max(np.abs(w0 - exact_np)) < 1e-12, (gamma, p)
 
 
 @pytest.mark.parametrize("family,kind,names", EXACT_BLOCKS)
 def test_exact_rank_matches_sympy(family, kind, names):
-    """The Fraction elimination against sympy's rank of W0 - kappa^2 I over
-    Q(i), at every t in [-2, 2] with denominator 1, 2 or 6: roots meet only
-    at half-integers |t| <= 2, the offsets being at most 2."""
+    """The Fraction elimination against sympy's rank of the named
+    W0 - kappa^2 I over Q(i), at every t in [-2, 2] with denominator 1, 2 or
+    6: roots meet only at half-integers |t| <= 2, the offsets being at most 2.
+    The named W0 is conj(D) W D of the framed one, d_j = i on the theta-odd
+    components."""
     import sympy as sp
 
     from conemodes.indicial import _exact_w0
+    odd = {"oneform": ("g",), "tensor": ("h", "eta", "eta_bar")}[family]
+    D = sp.diag(*[sp.I if nm in odd else 1 for nm in names])
     for t in sorted({Fraction(num, den) for den in (1, 2, 6)
                      for num in range(-2 * den, 2 * den + 1)}):
-        a, b = _exact_w0(family, kind, names, t)
-        w0, k = sp.Matrix(a) + sp.I * sp.Matrix(b), len(names)
+        framed = sp.Matrix(_exact_w0(family, kind, names, t))
+        w0, k = D.conjugate() * framed * D, len(names)
         want = []
         for kappa, mult in sorted(Counter(closed_root_multiset(family, kind, names, t)).items(),
                                   reverse=True):
@@ -352,7 +357,7 @@ def test_w0_depends_only_on_the_report_key():
     assert len(shared) > 100
     for w0s in shared:
         assert all(np.array_equal(w0, w0s[0]) and
-                   np.array_equal(np.signbit(w0.imag), np.signbit(w0s[0].imag))
+                   np.array_equal(np.signbit(w0), np.signbit(w0s[0]))
                    for w0 in w0s)
 
 
@@ -419,7 +424,8 @@ def test_roots_of_equal_square_share_null_vectors():
             assert plus.nullity > 0
             assert minus.vectors == plus.vectors
             alone = null_space(indicial_matrix(system, minus.value)[None])[0]
-            assert alone == minus.vectors
+            named = system.frame.conj()
+            assert tuple(tuple(named * np.asarray(v)) for v in alone) == minus.vectors
 
 
 CRITICAL = sorted({Fraction(q, m) for m in range(1, 7) for q in range(1, 3 * m + 1)})
@@ -593,6 +599,28 @@ def test_null_space_of_a_stack_matches_each_matrix():
     alone = [null_space(m[None])[0] for m in stack]
     assert [len(v) for v in alone] == [0, 1, 2]
     assert null_space(stack) == tuple(alone)
+
+
+def test_format_vector_prints_zero_parts_unsigned():
+    from conemodes.indicial import _format_vector
+    v = (complex(-0.0, -0.0), complex(0.5, -0.0), complex(-0.0, 0.25), -1j)
+    assert _format_vector(v) == "0+0j|0.5+0j|0+0.25j|0-1j"
+
+
+def test_root_lookup_takes_the_nearest_root():
+    # t = 1/2 + 5e-9 lies just outside the snap window, so -t (multiplicity
+    # and nullity 2) and -(1 - t) (nullity 1) are distinct roots 1e-8 apart,
+    # both within the default tol of -t
+    t = 0.5 + 5e-9
+    system = tensor_system(model_with_gamma(t), ScalarMode(4.0, 1), "A")
+    report = indicial_report(system)
+    assert report.p_gamma == t
+    near = report.root(-t)
+    assert near.value == -t and near.nullity == 2
+    assert report.root(t - 1).nullity == 1
+    assert report.root(-t + 4e-9).value == -t
+    with pytest.raises(KeyError):
+        report.root(0.0)
 
 
 def test_root_table_rows_structure():

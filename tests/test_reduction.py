@@ -518,7 +518,11 @@ def test_tensor_indicial_matrix_frozen():
     expected[4, 4] = 1 + pg2
     expected[5, 5] = pg2
     expected[6, 6] = pg2
-    assert np.max(np.abs(W[0] - expected)) < 1e-14
+    # the pencil is D W D^-1, d_j = i on the theta-odd h and eta
+    d = np.array([1, 1, 1j, 1, 1j, 1, 1])
+    framed = expected * np.outer(d, d.conj())
+    assert not framed.imag.any() and W[0].dtype == np.float64
+    assert np.max(np.abs(W[0] - framed.real)) < 1e-14
     assert np.max(np.abs(W[1])) == 0.0
 
 
@@ -531,7 +535,11 @@ def test_oneform_indicial_matrix_frozen():
         [-2j * pg, 1 + pg**2, 0],
         [0, 0, pg**2],
     ])
-    assert np.max(np.abs(W0 - expected)) < 1e-14
+    # the pencil is D W0 D^-1, d_j = i on the theta-odd g
+    d = np.array([1, 1j, 1])
+    framed = expected * np.outer(d, d.conj())
+    assert not framed.imag.any() and W0.dtype == np.float64
+    assert np.max(np.abs(W0 - framed.real)) < 1e-14
 
 
 def test_laurent_partial_sums_track_potential():
@@ -545,8 +553,8 @@ def test_laurent_partial_sums_track_potential():
 
 def test_pencil_rejects_slot_outside_basis():
     from conemodes.reduction import _pencil_writer
-    pencil, put = _pencil_writer(("f", "g"))
-    put("g", "f", thc=2.0)
+    pencil, put = _pencil_writer("oneform", ("f", "omega"))
+    put("omega", "f", thc=2.0)
     assert pencil.shape == (7, 2, 2) and pencil[6, 1, 0] == 2.0
     assert np.count_nonzero(pencil) == 1
     with pytest.raises(ValueError, match="basis slot"):
@@ -674,10 +682,17 @@ def _ref_tensor_pencil(model, mode, kind):
     return _ref_compile(V)
 
 
+def _ref_frame(family, names):
+    # d of the real frame, typed from the theta-odd components
+    odd = {"oneform": ("g",), "tensor": ("h", "eta", "eta_bar")}[family]
+    return np.array([1j if nm in odd else 1.0 for nm in names])
+
+
 def test_slot_pencils_equal_the_spelled_reference_bitwise():
     # n = 3..5, both families, kinds A-D, p = -3..3 and eigenvalues 0, 0.5,
     # 4, 4 pi^2 and 2.3 (so k2 and k3 occur), at angles that put p gamma on
-    # and off the half-integers; the bit patterns include signs of zero
+    # and off the half-integers; the bit patterns include signs of zero.
+    # The pencil is D ref D^-1, real in the frame.
     angles = (0.3, 1.0, math.pi / 2, 2 * math.pi / 3, math.pi, 2 * math.pi, 5.0)
     eigs = (0.0, 0.5, 4.0, 4 * math.pi ** 2, 2.3)
     builders = {"oneform": (oneform_system, _ref_oneform_pencil),
@@ -693,8 +708,12 @@ def test_slot_pencils_equal_the_spelled_reference_bitwise():
                             if family == "oneform" and isinstance(mode, TTMode):
                                 continue
                             kind = mode_kind(mode, family)
-                            got = build(model, mode, kind).pencil
-                            want = reference(model, mode, kind)
+                            system = build(model, mode, kind)
+                            got = system.pencil
+                            d = _ref_frame(family, system.names)
+                            want = reference(model, mode, kind) * np.outer(d, d.conj())
+                            assert not want.imag.any()
+                            want = want.real
                             assert got.shape == want.shape
                             assert np.array_equal(got.view(np.uint64),
                                                   want.view(np.uint64)), \
@@ -709,7 +728,9 @@ def test_slot_pencils_equal_the_spelled_reference_bitwise():
 def test_every_system_is_real_in_its_frame(n):
     # both families, kinds A-D, p = -2..3 and eigenvalues including 0, so
     # k2 (n >= 4) and k3 (mu + n - 3 > 0) occur; d/dtheta = i p gamma is the
-    # only imaginary entry, and d_j = i on the theta-odd components absorbs it
+    # only imaginary entry, and d_j = i on the theta-odd components absorbs
+    # it: the pencil is stored float64, and named back, conj(D) C_b D, it is
+    # imaginary exactly on the entries that couple odd and even components
     model = ConeModel(n=n, alpha=1.3, tube_radius=1.0)
     modes = [mode for p in range(-2, 4)
              for mode in (ScalarMode(0.0, p), ScalarMode(2.5, p), CoclosedMode(0.0, p),
@@ -720,24 +741,93 @@ def test_every_system_is_real_in_its_frame(n):
                if not (family == "oneform" and isinstance(mode, TTMode))]
     r = np.array([0.05, 0.3, 0.9])
     for system in systems:
+        assert system.pencil.dtype == np.float64 and not system.pencil.flags.writeable
         d = system.frame
-        assert set(d) <= {1.0, 1j}
-        framed = system.pencil * np.outer(d, d.conj())
-        assert not framed.imag.any(), (system.family, system.kind, system.mode)
-        V = system.frame_potential_at(r)
-        want = d[:, None, None] * system.potential_at(r) * d.conj()[None, :, None]
-        assert V.dtype == np.float64
-        np.testing.assert_allclose(V, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+        assert np.array_equal(d, _ref_frame(system.family, system.names))
+        odd = d.imag != 0
+        mixed = odd[:, None] != odd[None, :]
+        named = system.pencil * np.outer(d.conj(), d)
+        assert not named.real[:, mixed].any() and not named.imag[:, ~mixed].any()
+        assert system.potential_at(r).dtype == np.float64
     assert {s.kind for s in systems} == {"A", "B", "C", "D"}
     names = {name for s in systems for name in s.names}
     assert "k3" in names and ("k2" in names) == (n >= 4)
-    assert any(s.pencil.imag.any() for s in systems)
+    assert any((s.pencil * np.outer(s.frame.conj(), s.frame)).imag.any() for s in systems)
 
 
 def test_pencil_not_real_in_its_frame_is_rejected():
+    from conemodes.reduction import _pencil_writer
+    pencil, put = _pencil_writer("tensor", ("sigma_bar", "eta_bar"))
+    put("sigma_bar", "eta_bar", sti=2j)  # imaginary named, real in the frame
+    assert pencil[5, 0, 1] == 2.0
+    with pytest.raises(ValueError, match="frame"):
+        put("sigma_bar", "eta_bar", sti=2.0)
+    with pytest.raises(ValueError, match="frame"):
+        put("sigma_bar", "sigma_bar", one=1j)
     s = tensor_system(MODEL3, CoclosedMode(1.0, 2), "C")
     with pytest.raises(ValueError, match="frame"):
         ModeSystem(s.family, s.kind, s.mode, s.n, s.gamma, s.names, 1j * s.pencil)
+
+
+def _named_apply(model, family, block, r):
+    """The operator on the block from the spelled named pencil, summed as
+    `ModeSystem.apply` sums it: -X_i'' - q X_i' + sum_j V_ij X_j, with the
+    real and imaginary parts of V each summed over the basis as
+    `ModeSystem.potential_at` sums the framed pencil (a complex product
+    may accumulate in another order)."""
+    from conemodes.geometry import sinh_cosh_values
+    from conemodes.reduction import _BASIS, _drift
+    reference = _ref_oneform_pencil if family == "oneform" else _ref_tensor_pencil
+    pencil = reference(model, block.mode, block.kind)
+    names = system_names(family, block.kind, model.n, block.mode)
+    k = len(names)
+    phi = sinh_cosh_values(_BASIS, r).reshape(len(_BASIS), -1)
+    V = sum(part(pencil).reshape(len(_BASIS), k * k).T @ phi * unit
+            for part, unit in ((np.real, 1), (np.imag, 1j))).reshape((k, k) + r.shape)
+    q = np.real(_drift(model.n)(r))
+    memo = {}
+    jets = [block.component(name).jet(r, 2, memo) for name in names]
+    out = {}
+    for i, name in enumerate(names):
+        acc = -jets[i][2] - q * jets[i][1]
+        for j in range(k):
+            acc = acc + V[i, j] * jets[j][0]
+        out[name] = acc
+    return out
+
+
+def test_apply_matches_the_named_reference_bitwise():
+    # n = 3..5, kinds A-D, p = -2..3, random complex polynomial jets: apply
+    # frames the jets by +-1 and +-i and names its output back, so it equals
+    # the named pencil's sum bit for bit, up to signs of zero
+    rng = np.random.default_rng(5)
+    r = np.geomspace(0.02, 1.0, 9)
+    count = 0
+    for n in (3, 4, 5):
+        model = ConeModel(n=n, alpha=1.3, tube_radius=1.0)
+        for p in range(-2, 4):
+            for mode, families in ((ScalarMode(2.5, p), ("oneform", "tensor")),
+                                   (ScalarMode(0.0, p), ("oneform", "tensor")),
+                                   (CoclosedMode(1.5, p), ("oneform", "tensor")),
+                                   (TTMode(2.0, p), ("tensor",))):
+                for family in families:
+                    kind = mode_kind(mode, family)
+                    names = system_names(family, kind, n, mode)
+                    profiles = {nm: RadialProfile.from_expr(RadialExpr(tuple(
+                        (complex(*rng.normal(size=2)), (a, 0)) for a in range(3))))
+                        for nm in names}
+                    block = ModeBlock(family, kind, mode, profiles)
+                    build = oneform_system if family == "oneform" else tensor_system
+                    got = build(model, mode, kind).apply(block, r)
+                    want = _named_apply(model, family, block, r)
+                    assert list(got) == list(want)
+                    for name in names:
+                        assert got[name].dtype == np.complex128
+                        assert np.array_equal(got[name].view(float) + 0.0,
+                                              want[name].view(float) + 0.0), \
+                            (n, p, family, kind, name)
+                    count += 1
+    assert count == 3 * 6 * 7
 
 
 def test_monomial_derivatives_match_mpmath():
