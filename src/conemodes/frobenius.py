@@ -5,7 +5,9 @@ singular point at the cone axis.  This module constructs Frobenius series
 (with logarithmic branches where the indicial structure forces them),
 continues them outward to the tube boundary, and solves Dirichlet problems
 there within a prescribed solution class.  One series recursion factors the
-indicial matrices of all its orders in one batched SVD.
+indicial matrices of all its orders in one batched SVD, built once per
+(system, exponent, order); which orders are resonant, and so may force ln r
+terms, is read off the clustered indicial roots, not the singular values.
 
 The continuation ODE y' = M(r) y + f(r), y = (X, X'), is linear, so it is
 propagated by 4-stage Gauss-Legendre collocation (A-stable, order 8; Hairer
@@ -36,7 +38,7 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .geometry import ConeModel, DomainError, RadialProfile, cubic_hermite, gauss_legendre
-from .indicial import classify_exponent, indicial_report, system_for_mode
+from .indicial import _recursion_ranks, classify_exponent, indicial_report, system_for_mode
 from .modes import Mode, ScalarMode
 from .reduction import (
     ModeBlock,
@@ -62,8 +64,6 @@ __all__ = [
     "induced_singular_deformation",
 ]
 
-# rank cut for detecting resonant orders, relative to the largest singular value
-_RANK_TOL = 1e-8
 # relative obstruction threshold deciding solvable resonance vs log branch
 _SOLVE_TOL = 1e-9
 # Gauss-Legendre stages of the continuation (order 2 * _STAGES) and the most
@@ -191,13 +191,29 @@ def _power_sum(C, r):
 
 
 @functools.lru_cache(maxsize=128)
-def _coefficient_data(system: ModeSystem, order: int):
+def _laurent_data(system: ModeSystem, order: int):
     """Read-only float64 q_j of r q(r), shape (order+1,), and framed W_j."""
     drift = system.laurent_drift(order + 1)
     q = np.array([complex(drift.coefficient(j)) for j in range(order + 1)]).real
     W = np.asarray(system.laurent_potential(order + 1))
     q.flags.writeable = W.flags.writeable = False
     return q, W
+
+
+@functools.lru_cache(maxsize=128)
+def _coefficient_data(system: ModeSystem, s0: float, order: int):
+    """Read-only operators of the recursion at exponent s0, built once per
+    (system, s0, order): q_j of r q(r), A_m, K, the SVD of every A_m, ranks."""
+    q, W = _laurent_data(system, order)
+    eye, m_all = np.eye(system.arity), np.arange(order + 1)
+    s_all = s0 + m_all
+    A = W[0] - (s_all * s_all)[:, None, None] * eye
+    left, sv, vh = np.linalg.svd(A)
+    K = (q * (s_all[:, None] - m_all))[..., None, None] * eye - W
+    data = q, A, K, left, sv, vh, _recursion_ranks(system, s0, sv)
+    for x in data:
+        x.flags.writeable = False
+    return data
 
 
 def _series_engine(system, s0, order, seed=None, log_seed=None, source=None):
@@ -207,74 +223,65 @@ def _series_engine(system, s0, order, seed=None, log_seed=None, source=None):
     (order+1, k) enter as d x, and v, u are float64 unless one is complex
     there.  Multiplying the system by r^2 gives coefficient equations A_m v_m
     = sum_{j=1..m} K[m, j] v_{m-j} + source_m, A_m = W_0 - (s0+m)^2 I, K[m, j]
-    = q_j (s0+m-j) I - W_j.  One batched SVD of every A_m gives each order's
-    rank under the `_RANK_TOL` cut and, at full rank, x = Vh^T (U^T b / sigma).
-    At resonant orders obstructions are absorbed into a log-companion series,
-    seeded inside the null space so that the shifted right-hand side lands in
-    the range.
+    = q_j (s0+m-j) I - W_j.  Order m is resonant only when s0 + m is an
+    indicial root (`_recursion_ranks`); every other A_m has full rank.  Each
+    order solves x = Vh^T (U^T b / sigma) from one batched SVD of every A_m,
+    truncated at its rank.  At a resonant order with null vectors N, w A_m is
+    symmetric (w the component weights), so b lies in the range exactly when
+    beta = (w N)^T b vanishes.  The power part absorbs a non-zero beta into a
+    log companion seeded inside the null space; the companion's own would
+    need an iterated logarithm, and raises.
     """
     k = system.arity
-    q, W = _coefficient_data(system, order)
+    q, A, K, left, sv, vh, ranks = _coefficient_data(system, s0, order)
     seed, log_seed, source = data = [x if x is None else system.to_frame(x)
                                      for x in (seed, log_seed, source)]
     wdiag = np.asarray(component_weights(system.family, system.names), float)
-    eye = np.eye(k)
-    m_all = np.arange(order + 1)
-    s_all = s0 + m_all
-    A = W[0] - (s_all * s_all)[:, None, None] * eye
-    left, sv, vh = np.linalg.svd(A)
-    ranks = np.sum(sv > _RANK_TOL * np.maximum(sv[:, :1], 1.0), axis=1)
-    K = (q * (s_all[:, None] - m_all))[..., None, None] * eye - W
     v = np.zeros((order + 1, k), np.result_type(float, *[x for x in data if x is not None]))
     u = np.zeros_like(v)
 
     def history(seq, m):
         return np.einsum("jab,jb->a", K[m, 1:m + 1], seq[:m][::-1])
 
-    def factor_solve(m, rhs):
-        return vh[m].T @ ((left[m].T @ rhs) / sv[m])
+    def seeded(x, rhs, message):
+        # the seed x, once it satisfies the leading-order equation A_0 x = rhs
+        if np.linalg.norm(A[0] @ x - rhs) > 1e-8 * (
+                np.linalg.norm(x) + np.linalg.norm(rhs) + 1.0):
+            raise FrobeniusError(message)
+        return x
+
+    def solve(m, rhs, companion=False):
+        # A_m x = rhs through the SVD truncated at the rank, after a resonant
+        # order has tested beta and absorbed it into u[m] (power part only)
+        nonlocal log_active
+        r, s = ranks[m], s0 + m
+        if r < k:
+            null = vh[m, r:].T
+            beta = (wdiag[:, None] * null).T @ rhs
+            if np.linalg.norm(beta) > _SOLVE_TOL * (np.linalg.norm(rhs) + 1.0):
+                if companion or abs(s) < 1e-12:
+                    raise FrobeniusError(
+                        f"{'log companion' if companion else 'exponent-0'} recursion hits an "
+                        f"unsolvable resonance at order {m}: iterated logarithm not supported")
+                gram = (wdiag[:, None] * null).T @ null
+                shift = null @ np.linalg.solve(gram, -beta / (2.0 * s))
+                u[m] += shift
+                rhs = rhs + 2.0 * s * shift
+                log_active = True
+        return vh[m, :r].T @ ((left[m, :, :r].T @ rhs) / sv[m, :r])
 
     log_active = log_seed is not None
     for m in range(order + 1):
-        s, rank = s_all[m], ranks[m]
         if log_active:
-            if m == 0:
-                u[0] = log_seed
-                if np.linalg.norm(A[0] @ u[0]) > 1e-8 * (np.linalg.norm(u[0]) + 1.0):
-                    raise FrobeniusError(
-                        "log seed must lie in the indicial null space")
-            elif rank == k:
-                u[m] = factor_solve(m, history(u, m))
-            else:
-                u[m] = _resonant_solve(A[m], history(u, m), m, "log companion")
+            u[m] = (seeded(log_seed, 0.0, "log seed must lie in the indicial null space")
+                    if m == 0 else solve(m, history(u, m), companion=True))
         rhs = history(v, m)
         if source is not None:
             rhs = rhs + source[m]
         if log_active:
-            rhs = rhs + 2.0 * s * u[m] + q[1:m + 1] @ u[:m][::-1]
-        if m == 0 and seed is not None:
-            v[0] = seed
-            if np.linalg.norm(A[0] @ v[0] - rhs) > 1e-8 * (
-                    np.linalg.norm(v[0]) + np.linalg.norm(rhs) + 1.0):
-                raise FrobeniusError(
-                    "seed vector does not satisfy the leading-order equation")
-        elif rank == k:
-            v[m] = factor_solve(m, rhs)
-        else:
-            null = vh[m, rank:].T
-            beta = (wdiag[:, None] * null).T @ rhs
-            if np.linalg.norm(beta) <= _SOLVE_TOL * (np.linalg.norm(rhs) + 1.0):
-                v[m] = _min_norm(A[m], rhs)
-            else:
-                if abs(s) < 1e-12:
-                    raise FrobeniusError(
-                        f"obstruction at order {m} with exponent 0: "
-                        "iterated logarithm not supported")
-                gram = (wdiag[:, None] * null).T @ null
-                shift = null @ np.linalg.solve(gram, -beta / (2.0 * s))
-                u[m] += shift
-                v[m] = _min_norm(A[m], rhs + 2.0 * s * shift)
-                log_active = True
+            rhs = rhs + 2.0 * (s0 + m) * u[m] + q[1:m + 1] @ u[:m][::-1]
+        v[m] = (seeded(seed, rhs, "seed vector does not satisfy the leading-order equation")
+                if m == 0 and seed is not None else solve(m, rhs))
     return v, (u if u.any() else None)
 
 
@@ -283,19 +290,6 @@ def _series(system: ModeSystem, s0, order: int, **data) -> FrobeniusSeries:
     v, u = (x if x is None else tuple(map(tuple, x * system.frame.conj()))
             for x in _series_engine(system, float(s0), order, **data))
     return FrobeniusSeries(float(s0), system.names, v, u)
-
-
-def _min_norm(A, rhs):
-    return np.linalg.lstsq(A, rhs, rcond=_RANK_TOL)[0]
-
-
-def _resonant_solve(A, rhs, m, what):
-    x = _min_norm(A, rhs)
-    if np.linalg.norm(A @ x - rhs) > _SOLVE_TOL * (np.linalg.norm(rhs) + 1.0):
-        raise FrobeniusError(
-            f"{what} recursion hits an unsolvable resonance at order {m}: "
-            "iterated logarithm not supported")
-    return x
 
 
 def frobenius_series(system: ModeSystem, kappa: float, vector=None,
@@ -696,9 +690,6 @@ def solve_mode_bvp(model: ConeModel, mode: Mode, family: str,
                                vector=vec if kind == "power" else None,
                                log_vector=vec if kind == "log" else None)
               for kind, kappa, vec in branches]
-    branch_axis = [np.asarray(ser.coefficients[0], dtype=complex)
-                   if kind == "power" and kappa == 0 else None
-                   for ser, (kind, kappa, _) in zip(series, branches)]
     pser, sprofs = None, None
     if source:
         pser = inhomogeneous_series(system, source, order=order)
@@ -710,26 +701,19 @@ def solve_mode_bvp(model: ConeModel, mode: Mode, family: str,
         {name: _piecewise(ser.profile(name), cont.profile(name), handoff)
          for name in system.names}
         for ser, cont in zip(columns, conts)]
-    branch_profiles = col_profiles[:nb]
 
-    part_profiles = None
-    part_end = np.zeros(k, dtype=complex)
-    part_axis = np.zeros(k, dtype=complex)
-    part_regular = True
-    if pser is not None:
-        part_profiles = col_profiles[-1]
-        part_end = conts[-1].endpoint
-        if pser.kappa < 0:
-            part_regular = False
-        elif pser.kappa == 0:
-            part_axis = np.asarray(pser.coefficients[0], dtype=complex)
-            if pser.has_log and np.any(np.abs(pser.log_coefficients[0]) > 1e-14):
-                part_regular = False
+    # the particular column's axis value, and whether it stays finite there
+    axis, regular = np.zeros(k, dtype=complex), pser is None or pser.kappa >= 0
+    if pser is not None and pser.kappa == 0:
+        axis = np.asarray(pser.coefficients[0], dtype=complex)
+        regular = not (pser.has_log and np.any(np.abs(pser.log_coefficients[0]) > 1e-14))
 
+    # matched in the real frame: D B is float64 for homogeneous columns, and
+    # D times the data is real when the data is real there
     bvec = np.array([complex(boundary.get(nm, 0.0)) for nm in system.names])
-    target = bvec - part_end
+    target = system.to_frame(bvec - (0.0 if pser is None else conts[-1].endpoint))
     if nb:
-        B = np.stack([cont.endpoint for cont in conts[:nb]], axis=1)
+        B = system.to_frame(np.stack([cont.endpoint for cont in conts[:nb]], axis=1), axis=0)
         _, sv, vh = np.linalg.svd(B)
         rank = int(np.sum(sv > 1e-10 * max(sv[0], 1.0)))
         cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
@@ -749,17 +733,15 @@ def solve_mode_bvp(model: ConeModel, mode: Mode, family: str,
         status = "deficient_non_unique"
 
     profiles = {}
-    for i, name in enumerate(system.names):
-        prof = RadialProfile.zero() if part_profiles is None else part_profiles[name]
-        for c, bp in zip(coeffs, branch_profiles):
+    for name in system.names:
+        prof = RadialProfile.zero() if pser is None else col_profiles[-1][name]
+        for c, bp in zip(coeffs, col_profiles):  # the nb branch columns
             prof = prof + c * bp[name]
         profiles[name] = prof
 
-    axis = part_axis.copy()
-    regular = part_regular
-    for c, (kind, kappa, _), v0 in zip(coeffs, branches, branch_axis):
-        if v0 is not None:
-            axis = axis + c * v0
+    for c, ser, (kind, kappa, _) in zip(coeffs, series, branches):
+        if kind == "power" and kappa == 0:
+            axis = axis + c * np.asarray(ser.coefficients[0], dtype=complex)
         elif abs(c) > 1e-9 and (kappa < 0 or (kappa == 0 and kind == "log")):
             regular = False
     axis_values = {name: complex(axis[i]) for i, name in enumerate(system.names)}

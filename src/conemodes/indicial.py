@@ -40,6 +40,7 @@ from conemodes.geometry import ConeModel
 from conemodes.modes import CoclosedMode, Mode, ScalarMode, TTMode
 from conemodes.reduction import (
     ModeSystem,
+    _merge_tol,
     _snap,
     mode_kind,
     oneform_system,
@@ -173,16 +174,15 @@ class IndicialReport:
         return any(r.log_required for r in self.roots)
 
 
-# rank cut of `null_space`: singular values below max(1e-10 s_max, 1e-12)
-# are null
-_NULL_RTOL = 1e-10
+def _null_cut(s):
+    """Cut of each row of descending singular values s: max(1e-10 s_max, 1e-12)."""
+    return np.maximum(s[:, :1] * 1e-10, 1e-12)
 
 
 def null_space(matrices: np.ndarray):
     """Null vectors of each matrix of an (N, k, k) stack, from one SVD call."""
     _, s, vh = np.linalg.svd(matrices)
-    cut = np.maximum(s[:, :1] * _NULL_RTOL, 1e-12)
-    null = s < cut
+    null = s < _null_cut(s)
     return tuple(tuple(tuple(np.conj(v)) for v, z in zip(rows, mask) if z)
                  for rows, mask in zip(vh, null))
 
@@ -191,6 +191,18 @@ def _root_clusters(family: str, kind: str, names, t):
     """Distinct exponents at a snapped t, descending, with multiplicities."""
     counts = Counter(closed_root_multiset(family, kind, tuple(names), t))
     return sorted(counts.items(), reverse=True)
+
+
+def _recursion_ranks(system: ModeSystem, s0: float, s) -> np.ndarray:
+    """Ranks of W0 - (s0 + m)^2 I: full, but where s0 + m is within the merge
+    tolerance of a clustered root at the snapped t, s[m] under `null_space`'s cut."""
+    t = _snap(system.mode.p * system.gamma)
+    ranks, cut = np.full(len(s), system.arity), _null_cut(s)
+    for x, _ in _root_clusters(system.family, system.kind, system.names, t):
+        m = round(x - s0)
+        if 0 <= m < len(s) and abs(s0 + m - x) <= _merge_tol(t):
+            ranks[m] = (s[m] >= cut[m]).sum()
+    return ranks
 
 
 def indicial_reports(systems) -> list:

@@ -430,15 +430,20 @@ def _drift(n: int) -> RadialExpr:
     return _ex("inv_th") + float(n - 2) * _ex("th")
 
 
+def _merge_tol(t):
+    """The merge tolerance 1e-9 (|t| + 3) of indicial roots at frequency t."""
+    return 1e-9 * (abs(t) + 3.0)
+
+
 def _snap(t):
-    """t, or the half-integer within the merge tolerance 1e-9 (|t| + 3) of it.
+    """t, or the half-integer within the merge tolerance of it.
 
     Roots are +-(t + integer), so distinct roots meet only at a half-integer
     t, and the classification thresholds are integers: snapping there means
     an ulp change of the angle cannot split a root or move it across one.
     """
     half = type(t)(round(2 * t)) / 2
-    return half if abs(t - half) <= 1e-9 * (abs(t) + 3.0) else t
+    return half if abs(t - half) <= _merge_tol(t) else t
 
 
 def oneform_system(model: ConeModel, mode: Mode, kind: str) -> ModeSystem:

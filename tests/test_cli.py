@@ -439,6 +439,20 @@ class TestSolve:
         assert report["status"] == "unique"
         assert report["boundary_residual"] < 1e-12
 
+    def test_solve_just_outside_the_snap_window(self, tmp_path):
+        # p * gamma = 3 (1 - 3e-9) is not snapped: no order of the recursion
+        # is resonant, and the near-resonance shows in the conditioning of
+        # the match, not as an error
+        model_path = write_model(tmp_path, angle=(2 * math.pi / 3) * (1 + 3e-9),
+                                 length=1.0)
+        out = tmp_path / "out"
+        result = invoke(["--model", model_path, "--out", str(out), "solve",
+                         "--family", "tensor", "--mode-p", "1", "--mode-eig", "4",
+                         "--solution-class", "l2", "--boundary", '{"f": 1}'])
+        assert result.exit_code == 0, result.output
+        report = json.loads((out / "solve_report.json").read_text())
+        assert report["condition_number"] > 1e6
+
 
 class TestDeformAngle:
     def test_profile_and_induced_outputs(self, tmp_path):
@@ -521,6 +535,7 @@ class TestDeformAngle:
         monkeypatch.setattr(geometry, "_SERIES_TABLES", {})
         monkeypatch.setattr(geometry, "_series_terms", counted)
         frobenius._coefficient_data.cache_clear()
+        frobenius._laurent_data.cache_clear()
         reduction._basis_series.cache_clear()
         model_path = write_model(tmp_path, angle=1.0, length=1.0)
         modes_path = write_modes(tmp_path, scalar=[(0.0, 0)], coclosed=[(0.0, 2)])

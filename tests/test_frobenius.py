@@ -1,5 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conemodes import frobenius
 from conemodes.frobenius import (
@@ -28,6 +32,8 @@ from conemodes.reduction import (
     oneform_system,
     tensor_system,
     _ex,
+    _merge_tol,
+    _snap,
 )
 
 CS = CrossSection("circle", 2.0)
@@ -241,7 +247,9 @@ def test_recursion_equations_hold_at_every_order():
 
 def test_recursion_factors_every_order_in_one_svd(monkeypatch):
     # one batched SVD per recursion; full-rank orders solve from its
-    # factors, so a recursion without resonances calls no solve at all
+    # factors, so a recursion without resonances calls no solve at all; the
+    # factors are cached per (system, s0, order), so start from an empty cache
+    frobenius._coefficient_data.cache_clear()
     calls = {"svd": 0, "solve": 0}
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
@@ -572,6 +580,57 @@ def test_bvp_statuses_hold_inside_the_snap_window(eps, window_reference):
     # inside the merge tolerance of a half-integer p * gamma the systems are
     # built at the snapped frequency, so every solve runs as at eps = 0
     assert _window_statuses(eps) == window_reference
+
+
+# the modes of kinds A, B and C at a theta-frequency p
+_KIND_MODES = {"A": lambda p: ScalarMode(4.0, p), "B": lambda p: ScalarMode(0.0, p),
+               "C": lambda p: CoclosedMode(4.0, p)}
+_TURNS = sorted({Fraction(q, m) for m in range(1, 7) for q in range(1, m + 1)})
+
+
+# just outside the snap window (eps = 3e-9) these l2 solves once raised
+# "log companion recursion hits an unsolvable resonance"
+@example(Fraction(1), 2, "tensor", "A", "l2", 3e-9)
+@example(Fraction(1, 2), 1, "tensor", "A", "l2", 3e-9)
+@example(Fraction(1, 3), 1, "tensor", "B", "l2", 3e-9)
+@example(Fraction(1, 3), 1, "tensor", "A", "l2", 3e-9)
+@example(Fraction(2, 3), 2, "tensor", "A", "l2", 3e-9)
+@given(st.sampled_from(_TURNS), st.integers(min_value=-4, max_value=4),
+       st.sampled_from(["oneform", "tensor"]), st.sampled_from("ABC"),
+       st.sampled_from(["l2", "l12", "strong"]),
+       st.floats(min_value=-1e-8, max_value=1e-8))
+@settings(deadline=None)
+def test_logs_start_only_at_indicial_roots_near_critical_angles(
+        turns, p, family, kind, solution_class, eps):
+    """Within a relative 1e-8 of a critical angle 2 pi q / m, a solve raises
+    no FrobeniusError, and every branch's log companion starts at an order m
+    where kappa + m is a clustered root of the report."""
+    model = ConeModel(3, 2 * np.pi * float(turns) * (1 + eps), 1.0,
+                      CrossSection("circle", 1.0))
+    res = solve_mode_bvp(model, _KIND_MODES[kind](p), family, {},
+                         solution_class=solution_class, num=10, rtol=1e-6)
+    system = res.system
+    roots = [root.value for root in indicial_report(system).roots]
+    tol = _merge_tol(_snap(system.mode.p * system.gamma))
+    for branch, kappa, vec in admissible_branches(system, solution_class):
+        ser = frobenius_series(system, kappa, order=14,
+                               vector=vec if branch == "power" else None,
+                               log_vector=vec if branch == "log" else None)
+        if ser.has_log:
+            start = np.flatnonzero(np.any(np.asarray(ser.log_coefficients) != 0, axis=1))[0]
+            assert min(abs(kappa + start - root) for root in roots) <= tol, (branch, kappa)
+
+
+def test_real_data_matches_to_real_axis_values():
+    # the homogeneous columns are real in the frame, and so is real f/g/k1
+    # data there, so the matching runs in float64 with no imaginary rounding
+    model = ConeModel(3, 1.0, 1.0, CrossSection("circle", 1.0))
+    for solution_class in ("l2", "strong"):
+        res = solve_mode_bvp(model, ScalarMode(0.0, 0), "tensor",
+                             {"f": 0.3, "g": 0.5, "k1": 0.2}, solution_class)
+        assert res.coefficients.dtype == np.float64
+        assert [z.imag for z in res.axis_values.values()] == [0.0] * 4
+        assert res.axis_values["f"].real != 0.0
 
 
 def test_bvp_manufactured_roundtrip_tensor():
