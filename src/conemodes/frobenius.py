@@ -6,8 +6,8 @@ singular point at the cone axis.  This module constructs Frobenius series
 continues them outward to the tube boundary, and solves Dirichlet problems
 there within a prescribed solution class.  One series recursion factors the
 indicial matrices of all its orders in one batched SVD, built once per
-(system, exponent, order); which orders are resonant, and so may force ln r
-terms, is read off the clustered indicial roots, not the singular values.
+(system, exponent, order); which orders are resonant (and may force ln r
+terms), and their ranks, are read off the indicial roots.
 
 The continuation ODE y' = M(r) y + f(r), y = (X, X'), is linear, so it is
 propagated by 4-stage Gauss-Legendre collocation (A-stable, order 8; Hairer
@@ -210,7 +210,7 @@ def _coefficient_data(system: ModeSystem, s0: float, order: int):
     A = W[0] - (s_all * s_all)[:, None, None] * eye
     left, sv, vh = np.linalg.svd(A)
     K = (q * (s_all[:, None] - m_all))[..., None, None] * eye - W
-    data = q, A, K, left, sv, vh, _recursion_ranks(system, s0, sv)
+    data = q, A, K, left, sv, vh, _recursion_ranks(system, s0, order)
     for x in data:
         x.flags.writeable = False
     return data
@@ -224,13 +224,13 @@ def _series_engine(system, s0, order, seed=None, log_seed=None, source=None):
     there.  Multiplying the system by r^2 gives coefficient equations A_m v_m
     = sum_{j=1..m} K[m, j] v_{m-j} + source_m, A_m = W_0 - (s0+m)^2 I, K[m, j]
     = q_j (s0+m-j) I - W_j.  Order m is resonant only when s0 + m is an
-    indicial root (`_recursion_ranks`); every other A_m has full rank.  Each
-    order solves x = Vh^T (U^T b / sigma) from one batched SVD of every A_m,
-    truncated at its rank.  At a resonant order with null vectors N, w A_m is
-    symmetric (w the component weights), so b lies in the range exactly when
-    beta = (w N)^T b vanishes.  The power part absorbs a non-zero beta into a
-    log companion seeded inside the null space; the companion's own would
-    need an iterated logarithm, and raises.
+    indicial root, where A_m has rank k less its nullity (`_recursion_ranks`);
+    every other A_m has full rank.  Each order solves x = Vh^T (U^T b / sigma)
+    from one batched SVD of every A_m, truncated at its rank.  At a resonant
+    order with null vectors N, w A_m is symmetric (w the component weights),
+    so b lies in the range exactly when beta = (w N)^T b vanishes.  The power
+    part absorbs a non-zero beta into a log companion seeded inside the null
+    space; the companion's own would need an iterated logarithm, and raises.
     """
     k = system.arity
     q, A, K, left, sv, vh, ranks = _coefficient_data(system, s0, order)

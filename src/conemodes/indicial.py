@@ -5,31 +5,32 @@ r q -> 1 and r^2 V -> W0 as r -> 0 leaves the indicial equation
 
     (W0 - kappa^2 I) v = 0.
 
-The admissible exponents are therefore plus/minus square roots of the
-eigenvalues of W0, and every block's W0 is built from shifted copies of the
-mode frequency t = p * gamma, so the exponent multiset has the closed form
-{ +-(t + offset) } with small integer offsets fixed by the block kind.
+In the real frame of `ModeSystem` every block's W0 is (tI + O)^2 at the mode
+frequency t = p gamma, with O the integer theta-coupling matrix of its
+components (`reduction.theta_coupling`).  O is diagonalizable over Q with
+the small integer eigenvalues `_OFFSETS` fixed by the block kind, so
 
-A repeated exponent whose eigenspace is smaller than its multiplicity forces
-ln(r) factors in the local solution basis; that deficiency is computed here
-both in floating point (from `ModeSystem.w0`, read off the pencil with no
-series table) and exactly over the rationals when t is rational, which is
-how the log locus is certified on a parameter grid; both read the real W0 of
-the frame of `ModeSystem`.  Roots can meet only at a half-integer t, so both
-paths take a t within the merge tolerance 1e-9 (|t| + 3) of a half-integer at
-that half-integer.
+    W0 - kappa^2 I = (tI + O - kappa)(tI + O + kappa),
 
-The float path is batched: `indicial_reports` stacks the shifted matrices
-W0 - kappa^2 I of any number of systems, one per distinct kappa^2, and takes
-the null vectors of each arity from one SVD call.  Every system is built at
-the snapped t, so its matrices need no wider rank cut.  W0 depends on the
-mode only through (family, kind, component names, t = p gamma), the key of a
-report: not on the cross-section eigenvalue and not on n.  `angle_sweep_rows`
-reports each key once per sweep.
+the exponents are the closed-form multiset { +-(t + o) }, and each root
+carries one label (sign, o) per exponent it clusters, sign (t + o) = kappa.
+Its multiplicity is the number of labels, and its null space is the sum of
+the eigenspaces E(o) of O over the distinct o among its labels, the same at
+every t: those are its vectors.  A repeated exponent whose eigenspace is
+smaller than its multiplicity forces ln(r) factors in the local solution
+basis, and that happens only where both signs of one o meet, at kappa = 0.
+
+A report depends on the mode only through (family, kind, component names,
+t): not on the cross-section eigenvalue, not on n, and not on any pencil.
+Roots can meet only at a half-integer t, so a report takes a t within the
+merge tolerance 1e-9 (|t| + 3) of a half-integer at that half-integer.  The
+log locus is certified independently and exactly over the rationals when t
+is rational, from W0 typed by hand (`exact_indicial_analysis`).
 """
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -40,12 +41,14 @@ from conemodes.geometry import ConeModel
 from conemodes.modes import CoclosedMode, Mode, ScalarMode, TTMode
 from conemodes.reduction import (
     ModeSystem,
+    _frame,
     _merge_tol,
     _snap,
     mode_kind,
     oneform_system,
     system_names,
     tensor_system,
+    theta_coupling,
 )
 
 __all__ = [
@@ -56,7 +59,7 @@ __all__ = [
     "indicial_matrix",
     "closed_root_multiset",
     "indicial_report",
-    "indicial_reports",
+    "indicial_report_at",
     "exact_indicial_analysis",
     "angle_admissibility",
     "system_for_mode",
@@ -119,16 +122,24 @@ def indicial_matrix(system: ModeSystem, kappa: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IndicialRoot:
-    """One exponent: its det multiplicity, named eigenvectors, and branch flags."""
+    """One exponent: its labels (sign, o), one per exponent of the closed
+    multiset it clusters, its named eigenvectors, and branch flags."""
 
     value: float
-    multiplicity: int
+    labels: tuple
     vectors: tuple
-    log_required: bool
+
+    @property
+    def multiplicity(self) -> int:
+        return len(self.labels)
 
     @property
     def nullity(self) -> int:
         return len(self.vectors)
+
+    @property
+    def log_required(self) -> bool:
+        return self.nullity < self.multiplicity
 
     @property
     def in_l2(self) -> bool:
@@ -174,77 +185,54 @@ class IndicialReport:
         return any(r.log_required for r in self.roots)
 
 
-def _null_cut(s):
-    """Cut of each row of descending singular values s: max(1e-10 s_max, 1e-12)."""
-    return np.maximum(s[:, :1] * 1e-10, 1e-12)
-
-
-def null_space(matrices: np.ndarray):
-    """Null vectors of each matrix of an (N, k, k) stack, from one SVD call."""
-    _, s, vh = np.linalg.svd(matrices)
-    null = s < _null_cut(s)
-    return tuple(tuple(tuple(np.conj(v)) for v, z in zip(rows, mask) if z)
-                 for rows, mask in zip(vh, null))
-
-
 def _root_clusters(family: str, kind: str, names, t):
     """Distinct exponents at a snapped t, descending, with multiplicities."""
     counts = Counter(closed_root_multiset(family, kind, tuple(names), t))
     return sorted(counts.items(), reverse=True)
 
 
-def _recursion_ranks(system: ModeSystem, s0: float, s) -> np.ndarray:
-    """Ranks of W0 - (s0 + m)^2 I: full, but where s0 + m is within the merge
-    tolerance of a clustered root at the snapped t, s[m] under `null_space`'s cut."""
-    t = _snap(system.mode.p * system.gamma)
-    ranks, cut = np.full(len(s), system.arity), _null_cut(s)
-    for x, _ in _root_clusters(system.family, system.kind, system.names, t):
-        m = round(x - s0)
-        if 0 <= m < len(s) and abs(s0 + m - x) <= _merge_tol(t):
-            ranks[m] = (s[m] >= cut[m]).sum()
-    return ranks
+@functools.lru_cache(maxsize=None)
+def _eigenspace(family: str, kind: str, names: tuple, o: int) -> tuple:
+    """E(o), named: conj(d) v for the last count(o) right singular vectors v
+    of O - oI, count(o) the multiplicity of o in `_OFFSETS`."""
+    k = len(names)
+    count = _OFFSETS[(family, kind)](names).count(o)
+    vh = np.linalg.svd(theta_coupling(family, names) - o * np.eye(k))[2]
+    named = vh[k - count:] * _frame(family, names).conj()
+    return tuple(tuple(complex(x) for x in v) for v in named)
 
 
-def indicial_reports(systems) -> list:
-    """One report per system, in order: the closed-form exponent multiset
-    clustered at the snapped t, with eigenvectors attached.
-
-    The matrix W0 - kappa^2 I depends on kappa only through kappa^2, so each
-    system stacks one matrix per distinct square, and +kappa and -kappa
-    share its null vectors; the matrices of all systems of one arity go
-    through one `null_space` call, one SVD per distinct kappa^2.  Each
-    system's pencil is built at the snapped t (see `oneform_system`), where
-    the clustered roots are exact.  The matrices are framed and real; their
-    null vectors v are handed out named, as conj(d) v.
-    """
-    systems = list(systems)
-    ts = [s.mode.p * s.gamma for s in systems]
-    clusters = [_root_clusters(s.family, s.kind, s.names, _snap(t))
-                for s, t in zip(systems, ts)]
-    by_arity = {}
-    for i, system in enumerate(systems):
-        by_arity.setdefault(system.arity, []).append(i)
-    nulls = [None] * len(systems)
-    for k, members in by_arity.items():
-        squares = [list(dict.fromkeys(value ** 2 for value, _ in clusters[i]))
-                   for i in members]
-        found = iter(null_space(np.concatenate(
-            [systems[i].w0 - np.array(sq)[:, None, None] * np.eye(k)
-             for i, sq in zip(members, squares)])))
-        for i, sq in zip(members, squares):
-            named = [complex(x) for x in systems[i].frame.conj()]
-            by_square = {square: tuple(tuple(map(complex.__mul__, named, v)) for v in vecs)
-                         for square, vecs in zip(sq, found)}
-            nulls[i] = [by_square[value ** 2] for value, _ in clusters[i]]
-    return [IndicialReport(s.family, s.kind, s.names, t,
-                           tuple(IndicialRoot(float(value), mult, vecs, len(vecs) < mult)
-                                 for (value, mult), vecs in zip(cluster, null)))
-            for s, t, cluster, null in zip(systems, ts, clusters, nulls)]
+def indicial_report_at(family: str, kind: str, names, t) -> IndicialReport:
+    """The report at frequency t: the closed-form exponent multiset clustered
+    at the snapped t, each root with its labels and the eigenspaces E(o)."""
+    names, ts = tuple(names), _snap(t)
+    offsets = _OFFSETS[(family, kind)](names)
+    roots = []
+    for value, _ in _root_clusters(family, kind, names, ts):
+        labels = tuple((sign, o) for o in offsets for sign in (1, -1)
+                       if sign * (ts + o) == value)
+        vectors = sum((_eigenspace(family, kind, names, o)
+                       for o in dict.fromkeys(o for _, o in labels)), ())
+        roots.append(IndicialRoot(float(value), labels, vectors))
+    return IndicialReport(family, kind, names, t, tuple(roots))
 
 
 def indicial_report(system: ModeSystem) -> IndicialReport:
-    """The report of one system (see `indicial_reports`)."""
-    return indicial_reports([system])[0]
+    """The report of one system's key (see `indicial_report_at`)."""
+    return indicial_report_at(system.family, system.kind, system.names,
+                              system.mode.p * system.gamma)
+
+
+def _recursion_ranks(system: ModeSystem, s0: float, order: int) -> np.ndarray:
+    """Ranks of W0 - (s0 + m)^2 I, m = 0..order: full, but k less the root's
+    nullity where s0 + m is within the merge tolerance of a root."""
+    report = indicial_report(system)
+    ranks, tol = np.full(order + 1, system.arity), _merge_tol(_snap(report.p_gamma))
+    for root in report.roots:
+        m = round(root.value - s0)
+        if 0 <= m <= order and abs(s0 + m - root.value) <= tol:
+            ranks[m] = system.arity - root.nullity
+    return ranks
 
 
 # ---------------------------------------------------------------------------
@@ -383,15 +371,18 @@ def _format_vector(v) -> str:
     return "|".join(f"{c.real + 0.0:.12g}{c.imag + 0.0:+.12g}j" for c in v)
 
 
-def _table_modes(modes, family: str):
-    """The modes a family's table covers: one-forms carry no TT mode."""
-    return [mode for mode in modes
-            if not (family == "oneform" and isinstance(mode, TTMode))]
-
-
-def _mode_cells(family: str, kind: str, mode: Mode) -> list:
-    """The leading table columns, family to lambda_like."""
-    return [family, kind, str(mode.p), f"{_mode_eigdata(mode):.12g}"]
+def _table_entries(model: ConeModel, modes, families) -> list:
+    """(family, p, kind, names, leading cells family to lambda_like) per row
+    group of the tables over `families`; one-forms carry no TT mode."""
+    entries = []
+    for family in families:
+        for mode in modes:
+            if not (family == "oneform" and isinstance(mode, TTMode)):
+                kind = mode_kind(mode, family)
+                lead = [family, kind, str(mode.p), f"{_mode_eigdata(mode):.12g}"]
+                names = system_names(family, kind, model.n, mode)
+                entries.append((family, mode.p, kind, names, lead))
+    return entries
 
 
 def _root_cells(report: IndicialReport, full: bool = True) -> list:
@@ -409,11 +400,10 @@ def _root_cells(report: IndicialReport, full: bool = True) -> list:
 
 def root_table_rows(model: ConeModel, modes, family: str):
     """Header and rows of the indicial root table over a mode list."""
-    systems = [system_for_mode(model, mode, family)
-               for mode in _table_modes(modes, family)]
-    rows = [_mode_cells(family, system.kind, system.mode) + cells
-            for system, report in zip(systems, indicial_reports(systems))
-            for cells in _root_cells(report)]
+    rows = []
+    for _, p, kind, names, lead in _table_entries(model, modes, [family]):
+        report = indicial_report_at(family, kind, names, p * model.gamma)
+        rows.extend(lead + cells for cells in _root_cells(report))
     return list(_TABLE_HEADER), rows
 
 
@@ -424,27 +414,16 @@ def angle_sweep_rows(model: ConeModel, modes, families, angles):
     `root_table_rows` row at that angle: no branch classes, no vectors.  A
     report depends only on (family, kind, names, t = p gamma), so each
     distinct key is reported once per call, however many modes and angles
-    share it; the keys first met at one angle are reported together.
+    share it.
     """
-    entries = []
-    for family in families:
-        for mode in _table_modes(modes, family):
-            kind = mode_kind(mode, family)
-            entries.append((family, mode, kind, system_names(family, kind, model.n, mode),
-                            _mode_cells(family, kind, mode)))
+    entries = _table_entries(model, modes, families)
     cells = {}  # key -> root columns, for this call only
     rows = []
     for alpha in angles:
-        at = replace(model, alpha=float(alpha))
-        keys = [(family, kind, names, mode.p * at.gamma)
-                for family, mode, kind, names, _ in entries]
-        fresh = {}
-        for key, (family, mode, *_) in zip(keys, entries):
-            if key not in cells and key not in fresh:
-                fresh[key] = system_for_mode(at, mode, family)
-        for key, report in zip(fresh, indicial_reports(fresh.values())):
-            cells[key] = _root_cells(report, full=False)
-        label = f"{alpha:.12g}"
-        rows.extend([label] + lead + root
-                    for key, (*_, lead) in zip(keys, entries) for root in cells[key])
+        gamma, label = replace(model, alpha=float(alpha)).gamma, f"{alpha:.12g}"
+        for family, p, kind, names, lead in entries:
+            key = (family, kind, names, p * gamma)
+            if key not in cells:
+                cells[key] = _root_cells(indicial_report_at(*key), full=False)
+            rows.extend([label] + lead + root for root in cells[key])
     return ["angle"] + _TABLE_HEADER[:7], rows

@@ -18,7 +18,10 @@ basis is the seven exponent pairs (0, 0), (-2, 2), (2, -2), (-2, 0), (0, -2),
 builders write each operator entry straight into the matrices C_b, one
 coefficient per named basis slot (one, it2, th2, s2, c2, sti, thc in the
 order above), each taken to the real frame D C_b D^-1 where it is real, so
-that float64 pencil is the only form of a system's potential.
+that float64 pencil is the only form of a system's potential.  The sti
+slot, the terms of first order in d/dtheta, is written whole from one
+integer matrix per block, the theta-coupling O (`theta_coupling`): it is
+2 p gamma O, the it2 slot is O^2, and so W0 = (tI + O)^2 at t = p gamma.
 Pointwise values and both radial derivatives of V and q come from the one
 monomial evaluator of :mod:`conemodes.geometry`, and their exact Laurent data
 from its one series table per pair.
@@ -79,6 +82,7 @@ __all__ = [
     "ModeSystem",
     "mode_kind",
     "system_names",
+    "theta_coupling",
     "oneform_system",
     "tensor_system",
     "apply_L_oneform",
@@ -182,6 +186,27 @@ def _frame(family: str, names: tuple) -> np.ndarray:
     d = np.array([1j if nm in _THETA_ODD[family] else 1.0 for nm in names])
     d.flags.writeable = False
     return d
+
+
+# The non-zero entries of O, the theta-coupling in the frame: the direct sum
+# of [[0, 1], [1, 0]] on each (even, odd) pair and of [[0, 0, 1], [0, 0, -1],
+# [2, -2, 0]] on the tensor (f, g, h).
+_COUPLING = {
+    "oneform": {("f", "g"): 1, ("g", "f"): 1},
+    "tensor": {("f", "h"): 1, ("g", "h"): -1, ("h", "f"): 2, ("h", "g"): -2,
+               ("sigma", "eta"): 1, ("eta", "sigma"): 1,
+               ("sigma_bar", "eta_bar"): 1, ("eta_bar", "sigma_bar"): 1},
+}
+
+
+@functools.lru_cache(maxsize=None)
+def theta_coupling(family: str, names: tuple) -> np.ndarray:
+    """O over the components `names`, read-only float64 in the frame; the
+    builders add 2 p gamma O to a zero sti slot, so its zeros read +0.0."""
+    O = np.array([[_COUPLING[family].get((row, col), 0) for col in names]
+                  for row in names], dtype=float)
+    O.flags.writeable = False
+    return O
 
 
 def _check_kind_mode(family: str, kind: str, mode: Mode) -> None:
@@ -453,12 +478,11 @@ def oneform_system(model: ConeModel, mode: Mode, kind: str) -> ModeSystem:
     pg2 = pg * pg
     names = system_names("oneform", kind, n, mode)
     pencil, put = _pencil_writer("oneform", names)
+    pencil[_SLOTS.index("sti")] += 2.0 * pg * theta_coupling("oneform", names)
     if kind in ("A", "B"):
         lam = mode.lam
         rootl = math.sqrt(lam)
         put("f", "f", it2=1.0, th2=float(n - 2), s2=pg2, c2=lam, one=n - 1)
-        put("f", "g", sti=2j * pg)
-        put("g", "f", sti=-2j * pg)
         put("g", "g", it2=1.0, s2=pg2, c2=lam, one=n - 1)
         if kind == "A":
             put("f", "omega", thc=-2.0 * rootl)
@@ -478,6 +502,7 @@ def tensor_system(model: ConeModel, mode: Mode, kind: str) -> ModeSystem:
     pg2 = pg * pg
     names = system_names("tensor", kind, n, mode)
     pencil, put = _pencil_writer("tensor", names)
+    pencil[_SLOTS.index("sti")] += 2.0 * pg * theta_coupling("tensor", names)
 
     if kind in ("A", "B"):
         lam = mode.lam
@@ -485,14 +510,10 @@ def tensor_system(model: ConeModel, mode: Mode, kind: str) -> ModeSystem:
         rn2 = math.sqrt(n - 2)
         put("f", "f", it2=2.0, th2=2.0 * (n - 2), s2=pg2, c2=lam)
         put("f", "g", one=2.0, it2=-2.0)
-        put("f", "h", sti=2j * pg)
         put("f", "k1", one=2.0 * rn2, th2=-2.0 * rn2)
         put("g", "f", one=2.0, it2=-2.0)
         put("g", "g", it2=2.0, s2=pg2, c2=lam)
-        put("g", "h", sti=-2j * pg)
         put("g", "k1", one=2.0 * rn2)
-        put("h", "f", sti=-4j * pg)
-        put("h", "g", sti=4j * pg)
         put("h", "h", it2=4.0, th2=float(n - 2), s2=pg2, c2=lam, one=-2.0)
         put("k1", "f", one=2.0 * rn2, th2=-2.0 * rn2)
         put("k1", "g", one=2.0 * rn2)
@@ -504,11 +525,9 @@ def tensor_system(model: ConeModel, mode: Mode, kind: str) -> ModeSystem:
             put("sigma", "sigma", it2=1.0, th2=float(n + 1), s2=pg2,
                 c2=lam + n - 3, one=-2.0)
             put("sigma", "f", thc=-4.0 * rootl)
-            put("sigma", "eta", sti=2j * pg)
             put("sigma", "k1", thc=4.0 * blam)
             put("eta", "eta", it2=1.0, th2=1.0, s2=pg2, c2=lam + n - 3, one=-2.0)
             put("eta", "h", thc=-2.0 * rootl)
-            put("eta", "sigma", sti=-2j * pg)
             put("k1", "sigma", thc=2.0 * blam)
             if "k2" in names:
                 cb = math.sqrt(n - 3) * math.sqrt(lam / (n - 2) + 1.0)
@@ -519,8 +538,6 @@ def tensor_system(model: ConeModel, mode: Mode, kind: str) -> ModeSystem:
         mu = mode.mu
         put("sigma_bar", "sigma_bar", it2=1.0, th2=float(n + 1), s2=pg2, c2=mu,
             one=-2.0)
-        put("sigma_bar", "eta_bar", sti=2j * pg)
-        put("eta_bar", "sigma_bar", sti=-2j * pg)
         put("eta_bar", "eta_bar", it2=1.0, th2=1.0, s2=pg2, c2=mu, one=-2.0)
         if "k3" in names:
             cc = math.sqrt((mu + n - 3) / 2.0)

@@ -1,8 +1,9 @@
 """The benchmark's argument lists still run: every workload's commands, built
 by bench/workloads.py at their self-test size, exit 0 through the CLI; the
-deform workload's axis values and the sweep and verify workloads' output
-files at seed 1 stay where they were; and a seed-1 sweep factors each
-indicial matrix once per distinct square of its roots."""
+benchmark's own output checks (bench/child.py) pass on each workload's
+seed-1 outputs at full size; the deform workload's axis values and the sweep
+and verify workloads' output files at seed 1 stay where they were; and a
+seed-1 sweep builds no mode system."""
 
 import hashlib
 import importlib.util
@@ -15,11 +16,18 @@ from click.testing import CliRunner
 
 from conemodes.cli import main
 
-_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                     "bench", "workloads.py")
-_SPEC = importlib.util.spec_from_file_location("bench_workloads", _PATH)
-workloads = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(workloads)
+_BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+
+
+def _load(name, filename):
+    spec = importlib.util.spec_from_file_location(name, os.path.join(_BENCH, filename))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load("bench_workloads", "workloads.py")
+child = _load("bench_child", "child.py")
 
 
 @pytest.mark.parametrize("workload", workloads.WORKLOADS)
@@ -72,8 +80,8 @@ def test_deform_axis_values_are_pinned(tmp_path):
 # sha256 of the sweep workload's output files at seed 1; a change that means
 # to move them updates these and says why
 _SWEEP_OUTPUT_SHA256 = {
-    "roots.csv": "e42cb445d0a3d981e17b34a5de0ffe165f965315a745b474b2df883c9fbef78e",
-    "roots.json": "d213343cbb610c148f9306a37ad9226d7160e7c209bf43f574d6d6f4158d0034",
+    "roots.csv": "8cac9755d75f9fa6842add5036bbb6466e81dd30905a779dfaf2fbea57000456",
+    "roots.json": "46cefd345a6e06df69450687bfa63931a95d654afe825abc47dad5998f86d2d4",
     "angle_sweep.csv": "3999729897565e7e368af23aa1cc9ca6806d6791e446cb7d2ae09fc0497c43a4",
 }
 
@@ -99,18 +107,28 @@ def test_verify_outputs_are_pinned(tmp_path):
     assert got == _VERIFY_OUTPUT_SHA256
 
 
-def test_sweep_factors_one_matrix_per_distinct_square(tmp_path, monkeypatch):
-    # the seed-1 sweep's reports hold 2,280 roots, 1,145 distinct squares;
-    # +kappa and -kappa share the one matrix of their square
-    from conemodes import indicial
+def test_sweep_builds_no_mode_system(tmp_path, monkeypatch):
+    # the root tables read every report off its key (family, kind, names, t)
+    from conemodes import cli, frobenius, indicial, reduction
 
-    sizes = []
-    null_space = indicial.null_space
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep built a mode system")
 
-    def counted(matrices):
-        sizes.append(len(matrices))
-        return null_space(matrices)
-
-    monkeypatch.setattr(indicial, "null_space", counted)
+    for module in (cli, frobenius, indicial, reduction):
+        for name in ("oneform_system", "tensor_system"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
     _run_full_size("sweep", tmp_path)
-    assert sum(sizes) == 1145
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_benchmark_checks_pass_at_full_size(workload, tmp_path):
+    # every pass's share of the checks; a sweep column that check_sweep
+    # cannot unpack would otherwise show only as failed benchmark operations
+    spec = workloads.make_spec(workload, 1)
+    out = _run_full_size(workload, tmp_path)
+    for k in range(len(spec["check"].get("angles", [0]))):
+        checks = child.run_checks(dict(spec, **{"pass": k}), str(out),
+                                  [0] * len(spec["commands"]))
+        assert checks.failures == []
+        assert checks.attempted > len(spec["commands"])

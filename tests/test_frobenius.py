@@ -499,12 +499,10 @@ def test_real_frame_continuation_matches_complex_maps(case, dtype, monkeypatch):
 
 
 def test_homogeneous_data_runs_in_float64(monkeypatch):
-    # every indicial stack, series recursion and step map of homogeneous
-    # Dirichlet solves (complex boundary data; log branches at angle 1) and
-    # of the angle potential (a source on the theta-even f) is float64
-    from conemodes import indicial
-
-    dtypes = {"null_space": set(), "series": set(), "step_maps": set()}
+    # every series recursion and step map of homogeneous Dirichlet solves
+    # (complex boundary data; log branches at angle 1) and of the angle
+    # potential (a source on the theta-even f) is float64
+    dtypes = {"series": set(), "step_maps": set()}
 
     def record(module, name, key, read):
         build = getattr(module, name)
@@ -516,7 +514,6 @@ def test_homogeneous_data_runs_in_float64(monkeypatch):
 
         monkeypatch.setattr(module, name, recorded)
 
-    record(indicial, "null_space", "null_space", lambda args, out: [args[0].dtype])
     record(frobenius, "_series_engine", "series",
            lambda args, out: [x.dtype for x in out if x is not None])
     record(frobenius, "_step_maps", "step_maps", lambda args, out: [out.dtype])

@@ -17,14 +17,18 @@ from conemodes.indicial import (
     exact_indicial_analysis,
     indicial_matrix,
     indicial_report,
-    indicial_reports,
-    null_space,
     root_table_rows,
     system_for_mode,
 )
 from conemodes.modes import CoclosedMode, ScalarMode, TTMode, circle_spectrum
 from conemodes.geometry import CrossSection
-from conemodes.reduction import mode_kind, oneform_system, system_names, tensor_system
+from conemodes.reduction import (
+    mode_kind,
+    oneform_system,
+    system_names,
+    tensor_system,
+    theta_coupling,
+)
 
 
 def model_with_gamma(gamma, n=3, a=1.0):
@@ -274,6 +278,36 @@ def test_exact_matches_float_path():
             assert log == root.log_required
 
 
+def _exact_coupling(family, names):
+    return [[Fraction(int(x)) for x in row] for row in theta_coupling(family, names)]
+
+
+@pytest.mark.parametrize("family,kind,names", EXACT_BLOCKS)
+def test_theta_coupling_has_the_offsets_as_eigenvalues(family, kind, names):
+    """O is diagonalizable over Q with eigenvalues `_OFFSETS`: O - oI has
+    rank k - count(o) for each offset o, and these nullities add up to k."""
+    from conemodes.indicial import _OFFSETS, _rank
+    offsets, k = _OFFSETS[(family, kind)](names), len(names)
+    O = _exact_coupling(family, names)
+    assert len(offsets) == k
+    for o in set(offsets):
+        shifted = [[x - o if i == j else x for j, x in enumerate(row)]
+                   for i, row in enumerate(O)]
+        assert _rank(shifted) == k - offsets.count(o), o
+
+
+@pytest.mark.parametrize("family,kind,names", EXACT_BLOCKS)
+def test_exact_w0_is_the_square_of_t_plus_theta_coupling(family, kind, names):
+    from conemodes.indicial import _exact_w0
+    O, k = _exact_coupling(family, names), len(names)
+    for num in range(-18, 19):
+        t = Fraction(num, 6)
+        M = [[x + t if i == j else x for j, x in enumerate(row)] for i, row in enumerate(O)]
+        square = [[sum(M[i][m] * M[m][j] for m in range(k)) for j in range(k)]
+                  for i in range(k)]
+        assert _exact_w0(family, kind, names, t) == square, t
+
+
 @pytest.mark.parametrize("family,kind,names", EXACT_BLOCKS)
 def test_exact_w0_matches_series_w0(family, kind, names):
     from conemodes.indicial import _exact_w0
@@ -328,10 +362,12 @@ def test_float_and_exact_tables_agree_near_half_integer_t(alpha):
     for family in ("oneform", "tensor"):
         for mode in circle_spectrum(model, 1, 2):
             system = system_for_mode(model, mode, family)
-            got = [(r.multiplicity, r.log_required) for r in indicial_report(system).roots]
+            got = [(r.multiplicity, r.nullity, r.log_required)
+                   for r in indicial_report(system).roots]
             exact = exact_indicial_analysis(family, system.kind, system.names,
                                             Fraction(mode.p * system.gamma))
-            assert got == [(mult, log) for _, mult, _, log in exact], (family, mode)
+            assert got == [(mult, nullity, log) for _, mult, nullity, log in exact], \
+                (family, mode)
 
 
 def test_w0_depends_only_on_the_report_key():
@@ -361,61 +397,13 @@ def test_w0_depends_only_on_the_report_key():
                    for w0 in w0s)
 
 
-def test_batched_reports_equal_single_reports():
-    model = ConeModel(n=4, alpha=2 * math.pi / 3, tube_radius=1.0)
-    systems = [system_for_mode(model, mode, family)
-               for mode in (ScalarMode(2.0, 1), ScalarMode(0.0, 0), CoclosedMode(0.0, 3),
-                            CoclosedMode(1.0, -1), TTMode(1.0, 2), ScalarMode(3.0, -2))
-               for family in ("oneform", "tensor")
-               if not (family == "oneform" and isinstance(mode, TTMode))]
-    assert len({s.arity for s in systems}) >= 4
-    assert indicial_reports(systems) == [indicial_report(s) for s in systems]
-    assert indicial_reports([]) == []
-
-
-def test_null_space_gets_one_matrix_per_distinct_square(monkeypatch):
-    # W0 - kappa^2 I depends on kappa only through kappa^2: one call per
-    # arity, carrying one matrix per distinct square of each system's roots,
-    # counted here from the closed-form multiset; angles include snapped
-    # ones (p gamma a half-integer) and p = 0, where +-kappa merge
-    from conemodes import indicial
-
-    calls = []
-
-    def counted(matrices):
-        calls.append(len(matrices))
-        return null_space(matrices)
-
-    monkeypatch.setattr(indicial, "null_space", counted)
-    modes = [mode for p in (-2, 0, 1, 3)
-             for mode in (ScalarMode(0.0, p), ScalarMode(2.0, p), CoclosedMode(1.0, p),
-                          TTMode(1.0, p))]
-    for alpha in (1.3, math.pi / 2, 2 * math.pi / 3, 2 * math.pi):
-        model = ConeModel(n=4, alpha=alpha, tube_radius=1.0)
-        systems = [system_for_mode(model, mode, family) for mode in modes
-                   for family in ("oneform", "tensor")
-                   if not (family == "oneform" and isinstance(mode, TTMode))]
-        calls.clear()
-        reports = indicial_reports(systems)
-        distinct = {}
-        for system in systems:
-            roots = closed_root_multiset(system.family, system.kind, system.names,
-                                         system.mode.p * system.gamma)
-            distinct[system.arity] = (distinct.get(system.arity, 0)
-                                      + len({round(abs(r), 6) for r in roots}))
-        assert sorted(calls) == sorted(distinct.values())
-        assert sum(calls) == sum(len({r.value ** 2 for r in rep.roots})
-                                 for rep in reports)
-        assert sum(calls) < sum(len(rep.roots) for rep in reports)
-
-
 def test_roots_of_equal_square_share_null_vectors():
-    # +kappa and -kappa build bitwise-equal matrices, so the one SVD of their
-    # square gives both roots the vectors each would get from its own matrix
+    # +kappa and -kappa carry the labels (1, o) and (-1, o) of one o, so both
+    # get the eigenspace E(o) of O
     model = ConeModel(n=4, alpha=1.3, tube_radius=1.0)
-    systems = [system_for_mode(model, ScalarMode(2.0, 1), "tensor"),
-               system_for_mode(model, CoclosedMode(0.0, 1), "oneform")]
-    for system, report in zip(systems, indicial_reports(systems)):
+    for system in (system_for_mode(model, ScalarMode(2.0, 1), "tensor"),
+                   system_for_mode(model, CoclosedMode(0.0, 1), "oneform")):
+        report = indicial_report(system)
         pairs = [(root, report.root(-root.value, tol=0.0))
                  for root in report.roots if root.value > 0]
         assert len(pairs) == len(report.roots) // 2 > 0
@@ -423,9 +411,6 @@ def test_roots_of_equal_square_share_null_vectors():
             assert plus.value ** 2 == minus.value ** 2
             assert plus.nullity > 0
             assert minus.vectors == plus.vectors
-            alone = null_space(indicial_matrix(system, minus.value)[None])[0]
-            named = system.frame.conj()
-            assert tuple(tuple(named * np.asarray(v)) for v in alone) == minus.vectors
 
 
 CRITICAL = sorted({Fraction(q, m) for m in range(1, 7) for q in range(1, 3 * m + 1)})
@@ -590,15 +575,6 @@ def test_root_tables_build_no_laurent_tables(monkeypatch):
             _, rows = root_table_rows(model, modes, family)
             assert rows
     assert built == []
-
-
-def test_null_space_of_a_stack_matches_each_matrix():
-    full = np.array([[2.0, 1j], [-1j, 3.0]])
-    rank_one = np.array([[1.0, 1j], [-1j, 1.0]])
-    stack = np.array([full, rank_one, np.zeros((2, 2))])
-    alone = [null_space(m[None])[0] for m in stack]
-    assert [len(v) for v in alone] == [0, 1, 2]
-    assert null_space(stack) == tuple(alone)
 
 
 def test_format_vector_prints_zero_parts_unsigned():

@@ -33,6 +33,7 @@ from conemodes.reduction import (
     standard_deformation_block,
     system_names,
     tensor_system,
+    theta_coupling,
     trace_tensor_mode,
 )
 
@@ -722,6 +723,34 @@ def test_slot_pencils_equal_the_spelled_reference_bitwise():
                             count += 1
     assert count == 3675
     assert {("tensor", "A", 7), ("tensor", "C", 3), ("tensor", "C", 2)} <= kinds
+
+
+def test_pencils_read_their_indicial_layer_off_theta_coupling():
+    # over the grid of the spelled reference: the typed it2 slot is O^2 and
+    # W0 = (tI + O)^2 at the snapped t, bitwise, signs of zero included
+    angles = (0.3, 1.0, math.pi / 2, 2 * math.pi / 3, math.pi, 2 * math.pi, 5.0)
+    keys = set()
+    for n in (3, 4, 5):
+        for alpha in angles:
+            model = ConeModel(n=n, alpha=alpha, tube_radius=1.0)
+            for p in range(-3, 4):
+                for e in (0.0, 0.5, 4.0, 4 * math.pi ** 2, 2.3):
+                    for mode in (ScalarMode(e, p), CoclosedMode(e, p), TTMode(e, p)):
+                        for family, build in (("oneform", oneform_system),
+                                              ("tensor", tensor_system)):
+                            if family == "oneform" and isinstance(mode, TTMode):
+                                continue
+                            system = build(model, mode, mode_kind(mode, family))
+                            O = theta_coupling(family, system.names)
+                            t = _snap(p * model.gamma)
+                            want = t * t * np.eye(system.arity) + 2.0 * t * O + O @ O
+                            it2 = system.pencil[1]
+                            for got, ref in ((it2, O @ O), (system.w0, want)):
+                                assert np.array_equal(got.view(np.uint64),
+                                                      ref.view(np.uint64)), \
+                                    (family, system.names, n, alpha, mode)
+                            keys.add((family, system.names))
+    assert len(keys) == 9
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
