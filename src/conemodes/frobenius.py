@@ -4,10 +4,10 @@ The radial systems produced by :mod:`conemodes.reduction` have a regular
 singular point at the cone axis.  This module constructs Frobenius series
 (with logarithmic branches where the indicial structure forces them),
 continues them outward to the tube boundary, and solves Dirichlet problems
-there within a prescribed solution class.  One series recursion factors the
-indicial matrices of all its orders in one batched SVD, built once per
-(system, exponent, order); which orders are resonant (and may force ln r
-terms), and their ranks, are read off the indicial roots.
+there within a prescribed solution class.  A series recursion solves every
+order in the eigenbasis V of the theta-coupling O, W0 = (tI + O)^2, and
+factors no matrix per order: order m is V diag((t + o)^2 - (s0 + m)^2) V^-1,
+resonant (and may force ln r terms) on the columns o where s0 + m = +-(t + o).
 
 The continuation ODE y' = M(r) y + f(r), y = (X, X'), is linear, so it is
 propagated by 4-stage Gauss-Legendre collocation (A-stable, order 8; Hairer
@@ -38,15 +38,16 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .geometry import ConeModel, DomainError, RadialProfile, cubic_hermite, gauss_legendre
-from .indicial import _recursion_ranks, classify_exponent, indicial_report, system_for_mode
+from .indicial import _eigenbasis, classify_exponent, indicial_report, system_for_mode
 from .modes import Mode, ScalarMode
 from .reduction import (
     ModeBlock,
     ModeSystem,
     RadialExpr,
-    component_weights,
     oneform_system,
     _ex,
+    _merge_tol,
+    _snap,
 )
 
 __all__ = [
@@ -202,18 +203,27 @@ def _laurent_data(system: ModeSystem, order: int):
 
 @functools.lru_cache(maxsize=128)
 def _coefficient_data(system: ModeSystem, s0: float, order: int):
-    """Read-only operators of the recursion at exponent s0, built once per
-    (system, s0, order): q_j of r q(r), A_m, K, the SVD of every A_m, ranks."""
+    """Read-only data of the recursion at exponent s0, built once per (system,
+    s0, order): q_j, K, W_0 - s0^2 I, V, V^-1 and, per order m, its resonant
+    columns, 1 / d_o(m) (0 on them) and whether one has t + o == 0."""
     q, W = _laurent_data(system, order)
+    offsets, V, V_inv = _eigenbasis(system.family, system.kind, system.names)
+    t = _snap(system.mode.p * system.gamma)
     eye, m_all = np.eye(system.arity), np.arange(order + 1)
-    s_all = s0 + m_all
-    A = W[0] - (s_all * s_all)[:, None, None] * eye
-    left, sv, vh = np.linalg.svd(A)
-    K = (q * (s_all[:, None] - m_all))[..., None, None] * eye - W
-    data = q, A, K, left, sv, vh, _recursion_ranks(system, s0, order)
+    s, e = (s0 + m_all)[:, None], t + offsets
+    resonant = np.minimum(np.abs(s - e), np.abs(s + e)) <= _merge_tol(t)
+    inv_d = np.divide(1.0, (e - s) * (e + s), out=np.zeros(resonant.shape),
+                      where=~resonant)
+    K = (q * (s - m_all))[..., None, None] * eye - W
+    data = (q, K, W[0] - s0 * s0 * eye, V, V_inv, resonant, inv_d,
+            (resonant & (e == 0)).any(axis=1))
     for x in data:
         x.flags.writeable = False
     return data
+
+
+def _norm(x) -> float:
+    return float(np.sqrt(np.vdot(x, x).real))
 
 
 def _series_engine(system, s0, order, seed=None, log_seed=None, source=None):
@@ -223,52 +233,43 @@ def _series_engine(system, s0, order, seed=None, log_seed=None, source=None):
     (order+1, k) enter as d x, and v, u are float64 unless one is complex
     there.  Multiplying the system by r^2 gives coefficient equations A_m v_m
     = sum_{j=1..m} K[m, j] v_{m-j} + source_m, A_m = W_0 - (s0+m)^2 I, K[m, j]
-    = q_j (s0+m-j) I - W_j.  Order m is resonant only when s0 + m is an
-    indicial root, where A_m has rank k less its nullity (`_recursion_ranks`);
-    every other A_m has full rank.  Each order solves x = Vh^T (U^T b / sigma)
-    from one batched SVD of every A_m, truncated at its rank.  At a resonant
-    order with null vectors N, w A_m is symmetric (w the component weights),
-    so b lies in the range exactly when beta = (w N)^T b vanishes.  The power
-    part absorbs a non-zero beta into a log companion seeded inside the null
-    space; the companion's own would need an iterated logarithm, and raises.
+    = q_j (s0+m-j) I - W_j.  In O's eigenbasis (`indicial._eigenbasis`) A_m
+    = V diag(d_o(m)) V^-1, d_o(m) = (t + o - s)(t + o + s) at s = s0 + m, so
+    x = V (y / d) from y = V^-1 b, with x = 0 on the resonant columns, where s
+    is within the merge tolerance of +-(t + o).  There b is in the range
+    exactly when beta = y_res vanishes; the power part absorbs a non-zero
+    beta into a log companion V_res (-beta / 2s) in the null space, and the
+    companion's own, or one at t + o == 0, raises (iterated logarithm).
     """
-    k = system.arity
-    q, A, K, left, sv, vh, ranks = _coefficient_data(system, s0, order)
+    q, K, a0, V, V_inv, resonant, inv_d, zero = _coefficient_data(system, s0, order)
     seed, log_seed, source = data = [x if x is None else system.to_frame(x)
                                      for x in (seed, log_seed, source)]
-    wdiag = np.asarray(component_weights(system.family, system.names), float)
-    v = np.zeros((order + 1, k), np.result_type(float, *[x for x in data if x is not None]))
-    u = np.zeros_like(v)
+    dtype = np.result_type(float, *[x for x in data if x is not None])
+    v, u = np.zeros((2, order + 1, system.arity), dtype)
 
     def history(seq, m):
         return np.einsum("jab,jb->a", K[m, 1:m + 1], seq[:m][::-1])
 
     def seeded(x, rhs, message):
         # the seed x, once it satisfies the leading-order equation A_0 x = rhs
-        if np.linalg.norm(A[0] @ x - rhs) > 1e-8 * (
-                np.linalg.norm(x) + np.linalg.norm(rhs) + 1.0):
+        if _norm(a0 @ x - rhs) > 1e-8 * (_norm(x) + _norm(rhs) + 1.0):
             raise FrobeniusError(message)
         return x
 
     def solve(m, rhs, companion=False):
-        # A_m x = rhs through the SVD truncated at the rank, after a resonant
-        # order has tested beta and absorbed it into u[m] (power part only)
+        # A_m x = rhs in O's eigenbasis, after a resonant order has tested
+        # beta and absorbed it into u[m] (power part only)
         nonlocal log_active
-        r, s = ranks[m], s0 + m
-        if r < k:
-            null = vh[m, r:].T
-            beta = (wdiag[:, None] * null).T @ rhs
-            if np.linalg.norm(beta) > _SOLVE_TOL * (np.linalg.norm(rhs) + 1.0):
-                if companion or abs(s) < 1e-12:
-                    raise FrobeniusError(
-                        f"{'log companion' if companion else 'exponent-0'} recursion hits an "
-                        f"unsolvable resonance at order {m}: iterated logarithm not supported")
-                gram = (wdiag[:, None] * null).T @ null
-                shift = null @ np.linalg.solve(gram, -beta / (2.0 * s))
-                u[m] += shift
-                rhs = rhs + 2.0 * s * shift
-                log_active = True
-        return vh[m, :r].T @ ((left[m, :, :r].T @ rhs) / sv[m, :r])
+        y = V_inv @ rhs
+        beta = y[resonant[m]]
+        if _norm(beta) > _SOLVE_TOL * (_norm(rhs) + 1.0):
+            if companion or zero[m]:
+                raise FrobeniusError(
+                    f"{'log companion' if companion else 'exponent-0'} recursion hits an "
+                    f"unsolvable resonance at order {m}: iterated logarithm not supported")
+            u[m] += V[:, resonant[m]] @ (-beta / (2.0 * (s0 + m)))
+            log_active = True
+        return V @ (y * inv_d[m])
 
     log_active = log_seed is not None
     for m in range(order + 1):
@@ -301,8 +302,7 @@ def frobenius_series(system: ModeSystem, kappa: float, vector=None,
     vector is used, which requires a one-dimensional null space.
     """
     if vector is None and log_vector is None:
-        report = indicial_report(system)
-        root = report.root(kappa)
+        root = indicial_report(system).root(kappa)
         if root.nullity != 1:
             raise FrobeniusError(
                 f"exponent {kappa} has null space of dimension {root.nullity}; "
@@ -317,20 +317,16 @@ def inhomogeneous_series(system: ModeSystem, source: Mapping[str, RadialExpr],
 
     The leading exponent is read off from the source; resonances against
     indicial roots are absorbed into a log companion, with the power part
-    normalized to have no component along the homogeneous null directions.
+    normalized to have no coordinate on the resonant eigenspaces of O.
     """
     unknown = set(source) - set(system.names)
     if unknown:
         raise ValueError(f"source names {sorted(unknown)} not in system")
-    rows = {}
-    leads = []
-    for name, expr in source.items():
-        ser = expr.laurent(order + 1)  # the recursion reads orders 0..order
-        rows[system.names.index(name)] = ser
-        leads.append(ser.leading)
+    # the recursion reads orders 0..order
+    rows = {system.names.index(name): expr.laurent(order + 1) for name, expr in source.items()}
     if not rows:
         raise ValueError("source must have at least one nonzero row")
-    s0 = min(leads) + 2
+    s0 = min(ser.leading for ser in rows.values()) + 2
     terms = np.zeros((order + 1, system.arity), dtype=complex)
     for i, ser in rows.items():
         terms[:, i] = [complex(ser.coefficient(s0 - 2 + m)) for m in range(order + 1)]
@@ -349,12 +345,14 @@ def series_block(system: ModeSystem, series: FrobeniusSeries):
 @dataclass
 class ContinuedSolution:
     """Grid solution on [handoff, r_end] with ODE-exact nodal derivatives;
-    ``higher()`` gives d2..d4, shape (3, arity, N), computed on first use."""
+    ``higher()`` gives d2..d4, shape (3, arity, N), computed on first use;
+    ``frame_endpoint`` is D times the endpoint, as the continuation held it."""
 
     system: ModeSystem
     grid: np.ndarray
     values: np.ndarray  # (arity, N)
     d1: np.ndarray
+    frame_endpoint: np.ndarray
     higher: Callable = field(repr=False, compare=False)
 
     d2 = property(lambda self: self.higher()[0])
@@ -567,7 +565,7 @@ def integrate_mode_ode(system: ModeSystem, series, handoff: float, r_end: float,
     higher = functools.cache(functools.partial(_ode_derivatives, system, grid, X, dX,
                                                src_rows))
     values, d1 = (np.moveaxis(a * system.frame.conj()[:, None], 0, -1) for a in (X, dX))
-    out = [ContinuedSolution(system, grid, values[:, c], d1[:, c],
+    out = [ContinuedSolution(system, grid, values[:, c], d1[:, c], X[-1, :, c],
                              lambda c=c: higher()[..., c].swapaxes(-1, -2))
            for c in range(nb)]
     return out[0] if single else out
@@ -708,12 +706,12 @@ def solve_mode_bvp(model: ConeModel, mode: Mode, family: str,
         axis = np.asarray(pser.coefficients[0], dtype=complex)
         regular = not (pser.has_log and np.any(np.abs(pser.log_coefficients[0]) > 1e-14))
 
-    # matched in the real frame: D B is float64 for homogeneous columns, and
-    # D times the data is real when the data is real there
+    # matched in the real frame on the continuation's framed endpoints: D B is
+    # float64 for homogeneous columns, and D times real data is real there
     bvec = np.array([complex(boundary.get(nm, 0.0)) for nm in system.names])
-    target = system.to_frame(bvec - (0.0 if pser is None else conts[-1].endpoint))
+    target = system.to_frame(bvec) - (0.0 if pser is None else conts[-1].frame_endpoint)
     if nb:
-        B = system.to_frame(np.stack([cont.endpoint for cont in conts[:nb]], axis=1), axis=0)
+        B = np.stack([cont.frame_endpoint for cont in conts[:nb]], axis=1)
         _, sv, vh = np.linalg.svd(B)
         rank = int(np.sum(sv > 1e-10 * max(sv[0], 1.0)))
         cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf

@@ -19,6 +19,7 @@ the eigenspaces E(o) of O over the distinct o among its labels, the same at
 every t: those are its vectors.  A repeated exponent whose eigenspace is
 smaller than its multiplicity forces ln(r) factors in the local solution
 basis, and that happens only where both signs of one o meet, at kappa = 0.
+The same eigenbasis of O (`_eigenbasis`) serves the Frobenius recursion.
 
 A report depends on the mode only through (family, kind, component names,
 t): not on the cross-section eigenvalue, not on n, and not on any pencil.
@@ -42,7 +43,6 @@ from conemodes.modes import CoclosedMode, Mode, ScalarMode, TTMode
 from conemodes.reduction import (
     ModeSystem,
     _frame,
-    _merge_tol,
     _snap,
     mode_kind,
     oneform_system,
@@ -108,12 +108,7 @@ _OFFSETS = {
 
 def closed_root_multiset(family: str, kind: str, names, t):
     """All 2k indicial exponents, one plus/minus pair per component."""
-    offsets = _OFFSETS[(family, kind)](tuple(names))
-    roots = []
-    for o in offsets:
-        roots.append(t + o)
-        roots.append(-(t + o))
-    return sorted(roots)
+    return sorted(x for o in _OFFSETS[(family, kind)](tuple(names)) for x in (t + o, -(t + o)))
 
 
 def indicial_matrix(system: ModeSystem, kappa: float) -> np.ndarray:
@@ -192,27 +187,39 @@ def _root_clusters(family: str, kind: str, names, t):
 
 
 @functools.lru_cache(maxsize=None)
-def _eigenspace(family: str, kind: str, names: tuple, o: int) -> tuple:
-    """E(o), named: conj(d) v for the last count(o) right singular vectors v
-    of O - oI, count(o) the multiplicity of o in `_OFFSETS`."""
-    k = len(names)
-    count = _OFFSETS[(family, kind)](names).count(o)
-    vh = np.linalg.svd(theta_coupling(family, names) - o * np.eye(k))[2]
-    named = vh[k - count:] * _frame(family, names).conj()
-    return tuple(tuple(complex(x) for x in v) for v in named)
+def _eigenbasis(family: str, kind: str, names: tuple):
+    """O's eigenbasis in the frame, read-only: the offset o of each column,
+    V, whose columns stack E(o) over the distinct o in `_OFFSETS` order, each
+    E(o) the last count(o) right singular vectors of O - oI, and V^-1."""
+    k, O = len(names), theta_coupling(family, names)
+    counts = Counter(_OFFSETS[(family, kind)](names))  # in `_OFFSETS` order
+    V = np.concatenate([np.linalg.svd(O - o * np.eye(k))[2][k - c:]
+                        for o, c in counts.items()]).T
+    basis = np.repeat(list(counts), list(counts.values())), V, np.linalg.inv(V)
+    for x in basis:
+        x.flags.writeable = False
+    return basis
+
+
+@functools.lru_cache(maxsize=None)
+def _eigenspaces(family: str, kind: str, names: tuple) -> dict:
+    """E(o) for each offset o, named: conj(d) v for V's columns v at o."""
+    offsets, V, _ = _eigenbasis(family, kind, names)
+    named = list(zip(offsets.tolist(),
+                     (V.T * _frame(family, names).conj()).astype(complex).tolist()))
+    return {o: tuple(tuple(v) for p, v in named if p == o) for o, _ in named}
 
 
 def indicial_report_at(family: str, kind: str, names, t) -> IndicialReport:
     """The report at frequency t: the closed-form exponent multiset clustered
     at the snapped t, each root with its labels and the eigenspaces E(o)."""
     names, ts = tuple(names), _snap(t)
-    offsets = _OFFSETS[(family, kind)](names)
+    spaces = _eigenspaces(family, kind, names)
     roots = []
     for value, _ in _root_clusters(family, kind, names, ts):
-        labels = tuple((sign, o) for o in offsets for sign in (1, -1)
-                       if sign * (ts + o) == value)
-        vectors = sum((_eigenspace(family, kind, names, o)
-                       for o in dict.fromkeys(o for _, o in labels)), ())
+        labels = tuple((sign, o) for o in _OFFSETS[(family, kind)](names)
+                       for sign in (1, -1) if sign * (ts + o) == value)
+        vectors = sum((spaces[o] for o in dict.fromkeys(o for _, o in labels)), ())
         roots.append(IndicialRoot(float(value), labels, vectors))
     return IndicialReport(family, kind, names, t, tuple(roots))
 
@@ -221,18 +228,6 @@ def indicial_report(system: ModeSystem) -> IndicialReport:
     """The report of one system's key (see `indicial_report_at`)."""
     return indicial_report_at(system.family, system.kind, system.names,
                               system.mode.p * system.gamma)
-
-
-def _recursion_ranks(system: ModeSystem, s0: float, order: int) -> np.ndarray:
-    """Ranks of W0 - (s0 + m)^2 I, m = 0..order: full, but k less the root's
-    nullity where s0 + m is within the merge tolerance of a root."""
-    report = indicial_report(system)
-    ranks, tol = np.full(order + 1, system.arity), _merge_tol(_snap(report.p_gamma))
-    for root in report.roots:
-        m = round(root.value - s0)
-        if 0 <= m <= order and abs(s0 + m - root.value) <= tol:
-            ranks[m] = system.arity - root.nullity
-    return ranks
 
 
 # ---------------------------------------------------------------------------

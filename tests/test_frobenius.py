@@ -31,6 +31,7 @@ from conemodes.reduction import (
     apply_P_tensor,
     oneform_system,
     tensor_system,
+    theta_coupling,
     _ex,
     _merge_tol,
     _snap,
@@ -245,23 +246,38 @@ def test_recursion_equations_hold_at_every_order():
             system.kind, system.mode, ser.kappa)
 
 
-def test_recursion_factors_every_order_in_one_svd(monkeypatch):
-    # one batched SVD per recursion; full-rank orders solve from its
-    # factors, so a recursion without resonances calls no solve at all; the
-    # factors are cached per (system, s0, order), so start from an empty cache
-    frobenius._coefficient_data.cache_clear()
-    calls = {"svd": 0, "solve": 0}
-    for name in calls:
-        def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, counted)
-    system = oneform_system(M_HALF, ScalarMode(4.0, 1), "A")
-    frobenius_series(system, 5.0, vector=(2 ** -0.5, -1j * 2 ** -0.5, 0.0), order=16)
-    assert calls == {"svd": 1, "solve": 0}
+def test_recursion_calls_no_linalg_once_the_eigenbasis_is_cached(monkeypatch):
+    # every order solves in O's eigenbasis, which the indicial layer caches
+    # per key: once a report has built it, a resonant recursion that forces
+    # a log branch calls no np.linalg function, its per-(system, s0, order)
+    # data built afresh included
     system = oneform_system(M_2PI, ScalarMode(4.0, 1), "A")
-    frobenius_series(system, -1.0, vector=(0, 0, 1), order=16)
-    assert calls["svd"] == 2
+    indicial_report(system)
+    frobenius._coefficient_data.cache_clear()
+    frobenius._laurent_data.cache_clear()
+    calls = []
+    for name, fn in vars(np.linalg).items():
+        if callable(fn) and not isinstance(fn, type) and not name.startswith("_"):
+            def counted(*args, _name=name, _fn=fn, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+    assert frobenius_series(system, -1.0, vector=(0, 0, 1), order=16).has_log
+    assert calls == []
+
+
+def test_resonant_order_has_no_coordinate_on_its_eigenspace():
+    # tensor B at p = 2, alpha = 1 (t = 4 pi): the branch at t - 2 meets the
+    # root t + 2 at order 4, and there E(2) is not orthogonal to E(-2); the
+    # order-4 coefficient has no coordinate on E(2), read through the
+    # spectral projector O (O + 2) / 8 along the offsets 0 and -2
+    system = tensor_system(ConeModel(3, 1.0, 1.0, CS), ScalarMode(0.0, 2), "B")
+    kappa = indicial_report(system).root(2 * system.gamma - 2).value
+    v4 = system.to_frame(frobenius_series(system, kappa, order=4).coefficients[4])
+    O = theta_coupling("tensor", system.names)
+    projected = O @ (O + 2 * np.eye(4)) @ v4 / 8
+    assert np.linalg.norm(v4) > 1
+    assert np.linalg.norm(projected) <= 1e-14 * np.linalg.norm(v4)
 
 
 # inhomogeneous series

@@ -17,12 +17,15 @@ from conemodes.indicial import (
     exact_indicial_analysis,
     indicial_matrix,
     indicial_report,
+    indicial_report_at,
     root_table_rows,
     system_for_mode,
 )
 from conemodes.modes import CoclosedMode, ScalarMode, TTMode, circle_spectrum
 from conemodes.geometry import CrossSection
 from conemodes.reduction import (
+    _frame,
+    component_weights,
     mode_kind,
     oneform_system,
     system_names,
@@ -294,6 +297,27 @@ def test_theta_coupling_has_the_offsets_as_eigenvalues(family, kind, names):
         shifted = [[x - o if i == j else x for j, x in enumerate(row)]
                    for i, row in enumerate(O)]
         assert _rank(shifted) == k - offsets.count(o), o
+
+
+@pytest.mark.parametrize("family,kind,names", EXACT_BLOCKS)
+def test_eigenbasis_diagonalizes_theta_coupling(family, kind, names):
+    """V diag(o) V^-1 is O; w O is symmetric (w the component weights), so
+    V^T w V is block-diagonal by offset; and every report names its vectors
+    bitwise from V's columns: E(o) is the last count(o) right singular
+    vectors of O - oI, times conj(d)."""
+    from conemodes.indicial import _eigenbasis
+    offsets, V, V_inv = _eigenbasis(family, kind, names)
+    O, k = theta_coupling(family, names), len(names)
+    assert np.max(np.abs(V @ np.diag(offsets) @ V_inv - O)) <= 1e-15
+    gram = V.T @ (component_weights(family, names)[:, None] * V)
+    assert np.max(np.abs(gram[offsets[:, None] != offsets]), initial=0.0) <= 1e-15
+    for t in (0.0, 0.5, 1.0, 1.3, 2.0, -1.5):  # roots meet at the half-integers
+        for root in indicial_report_at(family, kind, names, t).roots:
+            named = [tuple(complex(x) for x in v)
+                     for o in dict.fromkeys(o for _, o in root.labels)
+                     for v in np.linalg.svd(O - o * np.eye(k))[2][k - list(offsets).count(o):]
+                     * _frame(family, names).conj()]
+            assert repr(root.vectors) == repr(tuple(named)), (t, root.value)
 
 
 @pytest.mark.parametrize("family,kind,names", EXACT_BLOCKS)
