@@ -25,7 +25,7 @@ from conemodes.frobenius import (
     FrobeniusError,
     admissible_branches,
     angle_deformation_profile,
-    frobenius_series,
+    branch_series,
     induced_singular_deformation,
     solve_mode_bvp,
 )
@@ -357,12 +357,9 @@ def frobenius_cmd(cfg: RunConfig, family, solution_class, order):
         system = system_for_mode(model, mode, family)
         entry = {"family": family, "kind": system.kind,
                  "mode": mode_to_dict(mode), "branches": []}
-        for branch_kind, kappa, vec in admissible_branches(system, solution_class):
-            if branch_kind == "power":
-                ser = frobenius_series(system, kappa, vector=vec, order=order)
-            else:
-                ser = frobenius_series(system, kappa, log_vector=vec, order=order)
-            entry["branches"].append({"type": branch_kind, "exponent": kappa,
+        for branch in admissible_branches(system, solution_class):
+            ser = branch_series(system, branch, order)
+            entry["branches"].append({"type": branch[0], "exponent": branch[1],
                                       "series": ser.to_dict()})
         return entry
 
@@ -499,15 +496,11 @@ def deform_angle(cfg: RunConfig, cutoff, order):
     head, rows = block_csv_rows(model, block)
 
     modes = cfg.load_modes(model)
-    boundary_data = {}
-    for mode in modes:
-        if isinstance(mode, TTMode):
-            continue
-        system = system_for_mode(model, mode, "tensor")
-        if isinstance(mode, ScalarMode) and mode.lam == 0 and mode.p == 0:
-            boundary_data[mode] = dict(bvals)
-        else:
-            boundary_data[mode] = {nm: 0.0 for nm in system.names}
+    # the angle deformation's trace feeds the scalar (0, 0) mode; every other
+    # mode gets zero data, the default of each component the solve leaves out
+    boundary_data = {mode: dict(bvals) if isinstance(mode, ScalarMode)
+                     and mode.lam == 0 and mode.p == 0 else {}
+                     for mode in modes if not isinstance(mode, TTMode)}
     solves = induced_singular_deformation(model, boundary_data, order=order,
                                           rtol=cfg.rtol)
     induced = []

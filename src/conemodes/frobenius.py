@@ -37,8 +37,9 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .geometry import ConeModel, DomainError, RadialProfile, cubic_hermite, gauss_legendre
-from .indicial import _eigenbasis, classify_exponent, indicial_report, system_for_mode
+from .geometry import (ConeModel, DomainError, RadialProfile, gauss_legendre,
+                       hermite_interpolant)
+from .indicial import _eigenbasis, indicial_report, system_for_mode
 from .modes import Mode, ScalarMode
 from .reduction import (
     ModeBlock,
@@ -54,6 +55,7 @@ __all__ = [
     "FrobeniusError",
     "FrobeniusSeries",
     "frobenius_series",
+    "branch_series",
     "inhomogeneous_series",
     "series_block",
     "ContinuedSolution",
@@ -82,19 +84,25 @@ class FrobeniusError(RuntimeError):
 # series container
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrobeniusSeries:
     """Truncated expansion sum_m v_m r^(kappa+m) (+ log r * companion).
 
-    ``coefficients[m]`` is the vector v_m over ``names``.  When a logarithmic
-    branch is present, ``log_coefficients[m]`` holds the companion vector u_m
-    multiplying r^(kappa+m) log r.
+    ``coefficients[m]`` is the vector v_m over ``names``, one row of a
+    read-only complex array of shape (order + 1, arity).  When a logarithmic
+    branch is present, ``log_coefficients[m]`` holds the companion vector
+    u_m multiplying r^(kappa+m) log r, in an array of the same shape.
     """
 
     kappa: float
     names: tuple
-    coefficients: tuple
-    log_coefficients: Optional[tuple] = None
+    coefficients: np.ndarray
+    log_coefficients: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        for x in (self.coefficients, self.log_coefficients):
+            if x is not None:
+                x.flags.writeable = False
 
     @property
     def order(self) -> int:
@@ -108,13 +116,6 @@ class FrobeniusSeries:
     def has_log(self) -> bool:
         return self.log_coefficients is not None
 
-    def _arrays(self):
-        V = np.asarray(self.coefficients, dtype=complex)
-        U = None
-        if self.log_coefficients is not None:
-            U = np.asarray(self.log_coefficients, dtype=complex)
-        return V, U
-
     def evaluate(self, r, derivative: int = 0):
         """Componentwise values of the d-th derivative, shape (arity,) + r.shape."""
         if derivative not in (0, 1, 2, 3):
@@ -124,7 +125,7 @@ class FrobeniusSeries:
         rr = np.atleast_1d(r)
         if np.any(rr <= 0):
             raise DomainError("series evaluation needs r > 0")
-        V, U = self._arrays()
+        V, U = self.coefficients, self.log_coefficients
         kap = self.kappa
         m = np.arange(V.shape[0])
         e = kap + m
@@ -157,18 +158,18 @@ class FrobeniusSeries:
         def pack(mat):
             return [[[z.real, z.imag] for z in row] for row in mat]
 
-        V, U = self._arrays()
+        U = self.log_coefficients
         return {
             "kappa": self.kappa,
             "names": list(self.names),
-            "coefficients": pack(V),
+            "coefficients": pack(self.coefficients),
             "log_coefficients": None if U is None else pack(U),
         }
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "FrobeniusSeries":
         def unpack(rows):
-            return tuple(tuple(complex(re, im) for re, im in row) for row in rows)
+            return np.array([[complex(re, im) for re, im in row] for row in rows])
 
         logs = payload.get("log_coefficients")
         return cls(
@@ -201,13 +202,23 @@ def _laurent_data(system: ModeSystem, order: int):
     return q, W
 
 
+@functools.lru_cache(maxsize=None)
+def _eigenbasis_inverse(family: str, kind: str, names: tuple) -> np.ndarray:
+    """V^-1 of O's eigenbasis V (`indicial._eigenbasis`), read-only, once per
+    key: the recursion is its only reader, so no indicial report pays it."""
+    V_inv = np.linalg.inv(_eigenbasis(family, kind, names)[1])
+    V_inv.flags.writeable = False
+    return V_inv
+
+
 @functools.lru_cache(maxsize=128)
 def _coefficient_data(system: ModeSystem, s0: float, order: int):
     """Read-only data of the recursion at exponent s0, built once per (system,
     s0, order): q_j, K, W_0 - s0^2 I, V, V^-1 and, per order m, its resonant
     columns, 1 / d_o(m) (0 on them) and whether one has t + o == 0."""
     q, W = _laurent_data(system, order)
-    offsets, V, V_inv = _eigenbasis(system.family, system.kind, system.names)
+    offsets, V = _eigenbasis(system.family, system.kind, system.names)
+    V_inv = _eigenbasis_inverse(system.family, system.kind, system.names)
     t = _snap(system.mode.p * system.gamma)
     eye, m_all = np.eye(system.arity), np.arange(order + 1)
     s, e = (s0 + m_all)[:, None], t + offsets
@@ -288,7 +299,7 @@ def _series_engine(system, s0, order, seed=None, log_seed=None, source=None):
 
 def _series(system: ModeSystem, s0, order: int, **data) -> FrobeniusSeries:
     """`_series_engine` at exponent s0, its coefficients named back: conj(d) v."""
-    v, u = (x if x is None else tuple(map(tuple, x * system.frame.conj()))
+    v, u = (x if x is None else np.asarray(x * system.frame.conj(), dtype=complex)
             for x in _series_engine(system, float(s0), order, **data))
     return FrobeniusSeries(float(s0), system.names, v, u)
 
@@ -344,11 +355,13 @@ def series_block(system: ModeSystem, series: FrobeniusSeries):
 
 @dataclass
 class ContinuedSolution:
-    """Grid solution on [handoff, r_end] with ODE-exact nodal derivatives;
-    ``higher()`` gives d2..d4, shape (3, arity, N), computed on first use;
-    ``frame_endpoint`` is D times the endpoint, as the continuation held it."""
+    """``series`` continued over the grid [handoff, r_end] with ODE-exact nodal
+    derivatives; ``higher()`` gives d2..d4, shape (3, arity, N), computed on
+    first use; ``frame_endpoint`` is D times the endpoint, as the
+    continuation held it."""
 
     system: ModeSystem
+    series: FrobeniusSeries
     grid: np.ndarray
     values: np.ndarray  # (arity, N)
     d1: np.ndarray
@@ -364,27 +377,26 @@ class ContinuedSolution:
         return self.values[:, -1]
 
     def profile(self, name: str) -> RadialProfile:
-        """One component as a profile with three derivatives.
+        """One component on the whole tube with three derivatives: the series
+        below the handoff grid[0], the continuation from it on.
 
-        Level k, built when first evaluated, is the cubic Hermite interpolant
-        of the nodal pair (d_k, d_k+1), with d_0 the values, so each level
-        keeps quartic-order accuracy. Near the handoff the nodal d3 and d4
-        carry the propagator's error times V' ~ r^-3 and V'' ~ r^-4: for the
-        angle-potential system at the defaults, against a 6-stage reference
-        with 4 substeps per interval, the nodal values are within 3e-15
-        relative on r < 0.2, d3 within 2e-13 and d4 within 1e-11, so levels
-        2 and 3, read from them, are that much less accurate than the values.
+        There level k, built when first evaluated, is the Hermite interpolant
+        of the nodal (d_k, d_k+1, d_k+2), quintic, for k <= 2, and of (d3, d4)
+        for k = 3, with d_0 the values, so levels 0..2 solve the ODE between
+        the nodes to the rounding of the nodal data.  One interpolant of all
+        four levels would not: its k-th derivative scales rounding by h^-k.
         """
         i, interpolants = self.system.names.index(name), {}
         nodal = ("values", "d1", "d2", "d3", "d4")
 
         def level(k, r):
             if k not in interpolants:
-                interpolants[k] = cubic_hermite(self.grid, getattr(self, nodal[k])[i],
-                                                getattr(self, nodal[k + 1])[i])
+                interpolants[k] = hermite_interpolant(
+                    self.grid, *[getattr(self, a)[i] for a in nodal[k:k + 3]])
             return interpolants[k](r)
 
-        return RadialProfile(*[functools.partial(level, k) for k in range(4)])
+        continued = RadialProfile(*[functools.partial(level, k) for k in range(4)])
+        return _piecewise(self.series.profile(name), continued, self.grid[0])
 
     def profiles(self) -> dict:
         return {name: self.profile(name) for name in self.system.names}
@@ -501,16 +513,17 @@ def _continue(system: ModeSystem, grid, y0, source, rtol: float):
 
 
 def integrate_mode_ode(system: ModeSystem, series, handoff: float, r_end: float,
-                       source_profiles: Optional[Mapping[str, RadialProfile]] = None,
+                       source: Optional[Mapping[str, RadialExpr]] = None,
                        num: int = 400, rtol: float = 1e-11):
     """Continue series solutions from the handoff radius out to ``r_end``.
 
     ``series`` is one FrobeniusSeries, giving one ContinuedSolution, or a
     sequence of them, giving one ContinuedSolution per series.  A sequence is
     continued as one matrix ODE: the series are the columns of a (2k, nb)
-    state, propagated by the same step maps.  When ``source_profiles`` is
-    given, the last series is the particular solution and its column alone
-    is fed the source.
+    state, propagated by the same step maps.  When ``source`` is given, the
+    same map of radial-expression rows that `inhomogeneous_series` takes,
+    the last series is the particular solution and its column alone is fed
+    the source.
 
     The output grid has ``num`` geometric nodes; each interval takes one or
     more 4-stage Gauss-Legendre steps (order 8), refined until the
@@ -546,14 +559,13 @@ def integrate_mode_ode(system: ModeSystem, series, handoff: float, r_end: float,
                                    for ser in columns], axis=-1), axis=1).reshape(2 * k, nb)
     scale = np.max(np.abs(y0), axis=0)
     scale[scale == 0.0] = 1.0
-    src_rows = [(system.names.index(name), prof)
-                for name, prof in (source_profiles or {}).items()]
+    src_rows = [(system.names.index(name), expr) for name, expr in (source or {}).items()]
     src = None
     if src_rows:
         def src(r):
             out = np.zeros((k,) + r.shape, dtype=complex)
-            for i, prof in src_rows:
-                out[i] = prof(r) / scale[-1]
+            for i, expr in src_rows:
+                out[i] = expr(r) / scale[-1]
             return system.to_frame(out, axis=0)
 
     grid = np.geomspace(handoff, r_end, num)
@@ -565,9 +577,9 @@ def integrate_mode_ode(system: ModeSystem, series, handoff: float, r_end: float,
     higher = functools.cache(functools.partial(_ode_derivatives, system, grid, X, dX,
                                                src_rows))
     values, d1 = (np.moveaxis(a * system.frame.conj()[:, None], 0, -1) for a in (X, dX))
-    out = [ContinuedSolution(system, grid, values[:, c], d1[:, c], X[-1, :, c],
+    out = [ContinuedSolution(system, ser, grid, values[:, c], d1[:, c], X[-1, :, c],
                              lambda c=c: higher()[..., c].swapaxes(-1, -2))
-           for c in range(nb)]
+           for c, ser in enumerate(columns)]
     return out[0] if single else out
 
 
@@ -577,8 +589,8 @@ def _ode_derivatives(system: ModeSystem, grid, X, dX, src_rows):
     q, qp, qpp = (system.drift_at(grid, d)[:, None, None] for d in range(3))
     V, Vp, Vpp = (np.moveaxis(system.potential_at(grid, d), -1, 0) for d in range(3))
     S = np.zeros((3,) + X.shape, dtype=complex)
-    for i, prof in src_rows:
-        S[:, :, i, -1] = prof.jet(grid, 2, {})
+    for i, expr in src_rows:
+        S[:, :, i, -1] = [expr(grid, d) for d in range(3)]
     S, Sp, Spp = system.to_frame(S, axis=-2)
     d2 = -q * dX + V @ X - S
     d3 = -qp * dX - q * d2 + Vp @ X + V @ dX - Sp
@@ -646,17 +658,18 @@ class ModeBVPResult:
 
 
 def admissible_branches(system: ModeSystem, solution_class: str):
-    """(kind, exponent, seed vector) triples admitted by the solution class."""
-    report = indicial_report(system)
-    out = []
-    for root in report.roots:
-        if classify_exponent(root.value, False)[solution_class]:
-            for vec in root.vectors:
-                out.append(("power", root.value, tuple(vec)))
-        if root.log_required and classify_exponent(root.value, True)[solution_class]:
-            for vec in root.vectors:
-                out.append(("log", root.value, tuple(vec)))
-    return out
+    """(kind, exponent, seed vector) triples admitted by the solution class,
+    root by root as `IndicialRoot.branches` admits them."""
+    return [(kind, root.value, vec) for root in indicial_report(system).roots
+            for kind, vec in root.branches(solution_class)]
+
+
+def branch_series(system: ModeSystem, branch, order: int) -> FrobeniusSeries:
+    """The series of one `admissible_branches` entry (kind, exponent, seed):
+    a power branch's seed is its v_0, a log branch's its companion's u_0."""
+    kind, kappa, vec = branch
+    seed = "vector" if kind == "power" else "log_vector"
+    return frobenius_series(system, kappa, order=order, **{seed: vec})
 
 
 def solve_mode_bvp(model: ConeModel, mode: Mode, family: str,
@@ -671,7 +684,9 @@ def solve_mode_bvp(model: ConeModel, mode: Mode, family: str,
     r = tube_radius.  A square well-conditioned map gives status "unique";
     fewer branches than components reports "deficient" (residual shows
     whether this particular data is still attainable), more branches or a
-    rank drop reports "non_unique" with the null combinations.
+    rank drop reports "non_unique" with the null combinations.  One SVD of
+    the map decides its rank, gives the least-squares coefficients on the
+    singular values above the rank cut, and spans the null combinations.
     """
     system = system_for_mode(model, mode, family)
     unknown = set(boundary) - set(system.names)
@@ -684,27 +699,20 @@ def solve_mode_bvp(model: ConeModel, mode: Mode, family: str,
     branches = admissible_branches(system, solution_class)
     nb = len(branches)
 
-    series = [frobenius_series(system, kappa, order=order,
-                               vector=vec if kind == "power" else None,
-                               log_vector=vec if kind == "log" else None)
-              for kind, kappa, vec in branches]
-    pser, sprofs = None, None
+    columns = [branch_series(system, branch, order) for branch in branches]
+    pser = None
     if source:
         pser = inhomogeneous_series(system, source, order=order)
-        sprofs = {nm: RadialProfile.from_expr(ex) for nm, ex in source.items()}
-    columns = series + ([pser] if pser is not None else [])
-    conts = integrate_mode_ode(system, columns, handoff, a, source_profiles=sprofs,
+        columns.append(pser)
+    conts = integrate_mode_ode(system, columns, handoff, a, source=source,
                                num=num, rtol=rtol) if columns else []
-    col_profiles = [
-        {name: _piecewise(ser.profile(name), cont.profile(name), handoff)
-         for name in system.names}
-        for ser, cont in zip(columns, conts)]
+    col_profiles = [cont.profiles() for cont in conts]
 
-    # the particular column's axis value, and whether it stays finite there
+    # the particular column's axis value; a kappa = 0 particular series
+    # never carries ln r at order 0 (the recursion raises on that resonance)
     axis, regular = np.zeros(k, dtype=complex), pser is None or pser.kappa >= 0
     if pser is not None and pser.kappa == 0:
-        axis = np.asarray(pser.coefficients[0], dtype=complex)
-        regular = not (pser.has_log and np.any(np.abs(pser.log_coefficients[0]) > 1e-14))
+        axis = pser.coefficients[0]
 
     # matched in the real frame on the continuation's framed endpoints: D B is
     # float64 for homogeneous columns, and D times real data is real there
@@ -712,10 +720,10 @@ def solve_mode_bvp(model: ConeModel, mode: Mode, family: str,
     target = system.to_frame(bvec) - (0.0 if pser is None else conts[-1].frame_endpoint)
     if nb:
         B = np.stack([cont.frame_endpoint for cont in conts[:nb]], axis=1)
-        _, sv, vh = np.linalg.svd(B)
+        u, sv, vh = np.linalg.svd(B)
         rank = int(np.sum(sv > 1e-10 * max(sv[0], 1.0)))
         cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-        coeffs = np.linalg.lstsq(B, target, rcond=1e-12)[0]
+        coeffs = vh[:rank].conj().T @ ((u[:, :rank].conj().T @ target) / sv[:rank])
         residual = float(np.linalg.norm(B @ coeffs - target))
         nulls = tuple(tuple(row) for row in vh[rank:].conj())
     else:
@@ -737,9 +745,9 @@ def solve_mode_bvp(model: ConeModel, mode: Mode, family: str,
             prof = prof + c * bp[name]
         profiles[name] = prof
 
-    for c, ser, (kind, kappa, _) in zip(coeffs, series, branches):
+    for c, ser, (kind, kappa, _) in zip(coeffs, columns, branches):
         if kind == "power" and kappa == 0:
-            axis = axis + c * np.asarray(ser.coefficients[0], dtype=complex)
+            axis = axis + c * ser.coefficients[0]
         elif abs(c) > 1e-9 and (kappa < 0 or (kappa == 0 and kind == "log")):
             regular = False
     axis_values = {name: complex(axis[i]) for i, name in enumerate(system.names)}
@@ -817,37 +825,30 @@ def _cutoff_derivatives(c0: float, c1: float):
 class AngleDeformation:
     """Radial data of the cone-angle deformation family near the axis.
 
-    ``series`` expands the distinguished gauge potential f with
+    ``continuation.series`` expands the distinguished gauge potential f with
     f = -r log r + r^3 (c + c' log r) + ...; the potential solves
     O f = 2 / tanh r in the scalar p = 0 one-form system, normalized to carry
     no admissible homogeneous component at the leading orders.
     """
 
     model: ConeModel
-    system: ModeSystem
-    series: FrobeniusSeries
     continuation: ContinuedSolution
-    handoff: float
-
-    def _profile(self, name: str) -> RadialProfile:
-        # the series inside the handoff, the continuation outside it
-        return _piecewise(self.series.profile(name),
-                          self.continuation.profile(name), self.handoff)
 
     @functools.cached_property
     def f_profile(self) -> RadialProfile:
-        return self._profile("f")
+        return self.continuation.profile("f")
 
     @functools.cached_property
     def g_profile(self) -> RadialProfile:
-        return self._profile("g")
+        return self.continuation.profile("g")
 
     def residual(self, radii) -> np.ndarray:
         """Max componentwise defect of O X = (2/tanh r, 0) at the radii."""
         radii = np.asarray(radii, dtype=float)
-        block = ModeBlock("oneform", self.system.kind, self.system.mode,
+        system = self.continuation.system
+        block = ModeBlock("oneform", system.kind, system.mode,
                           {"f": self.f_profile, "g": self.g_profile})
-        out = self.system.apply(block, radii)
+        out = system.apply(block, radii)
         res_f = np.abs(out["f"] - 2.0 / np.tanh(radii))
         res_g = np.abs(out["g"])
         return np.maximum(res_f, res_g)
@@ -890,9 +891,6 @@ def angle_deformation_profile(model: ConeModel, order: int = 16,
         handoff = _auto_handoff(model.tube_radius)
     source = {"f": 2.0 * _ex("inv_th")}
     series = inhomogeneous_series(system, source, order=order)
-    cont = integrate_mode_ode(
-        system, series, handoff, model.tube_radius,
-        source_profiles={"f": RadialProfile.from_expr(source["f"])},
-        num=num, rtol=rtol)
-    return AngleDeformation(model=model, system=system, series=series,
-                            continuation=cont, handoff=handoff)
+    cont = integrate_mode_ode(system, series, handoff, model.tube_radius,
+                              source=source, num=num, rtol=rtol)
+    return AngleDeformation(model=model, continuation=cont)

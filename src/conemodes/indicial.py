@@ -19,7 +19,8 @@ the eigenspaces E(o) of O over the distinct o among its labels, the same at
 every t: those are its vectors.  A repeated exponent whose eigenspace is
 smaller than its multiplicity forces ln(r) factors in the local solution
 basis, and that happens only where both signs of one o meet, at kappa = 0.
-The same eigenbasis of O (`_eigenbasis`) serves the Frobenius recursion.
+The same eigenbasis of O (`_eigenbasis`) serves the Frobenius recursion,
+which alone also reads its inverse.
 
 A report depends on the mode only through (family, kind, component names,
 t): not on the cross-section eigenvalue, not on n, and not on any pencil.
@@ -56,7 +57,6 @@ __all__ = [
     "classify_exponent",
     "IndicialRoot",
     "IndicialReport",
-    "indicial_matrix",
     "closed_root_multiset",
     "indicial_report",
     "indicial_report_at",
@@ -111,10 +111,6 @@ def closed_root_multiset(family: str, kind: str, names, t):
     return sorted(x for o in _OFFSETS[(family, kind)](tuple(names)) for x in (t + o, -(t + o)))
 
 
-def indicial_matrix(system: ModeSystem, kappa: float) -> np.ndarray:
-    return system.w0 - (kappa ** 2) * np.eye(system.arity)
-
-
 @dataclass(frozen=True)
 class IndicialRoot:
     """One exponent: its labels (sign, o), one per exponent of the closed
@@ -144,16 +140,18 @@ class IndicialRoot:
     def in_l12(self) -> bool:
         return classify_exponent(self.value, self.log_required)["l12"]
 
-    def branch_count(self, solution_class: str) -> int:
-        """Local solutions at this exponent admitted by the class: the
-        eigenvector branches are log-free, the remaining multiplicity
-        carries ln r."""
-        pure = classify_exponent(self.value, False)[solution_class]
-        logful = classify_exponent(self.value, True)[solution_class]
-        count = self.nullity if pure else 0
-        if self.multiplicity > self.nullity and logful:
-            count += self.multiplicity - self.nullity
-        return count
+    def branches(self, solution_class: str) -> list:
+        """(kind, seed vector) of each local solution at this exponent that
+        the class admits: a log-free "power" branch per eigenvector, and,
+        when a log is required, a "log" branch per eigenvector.  Logs occur
+        only at kappa = 0, where both signs of each o meet, so the log
+        branches fill the multiplicity exactly."""
+        out = []
+        if classify_exponent(self.value, False)[solution_class]:
+            out += [("power", vec) for vec in self.vectors]
+        if self.log_required and classify_exponent(self.value, True)[solution_class]:
+            out += [("log", vec) for vec in self.vectors]
+        return out
 
 
 @dataclass(frozen=True)
@@ -189,13 +187,13 @@ def _root_clusters(family: str, kind: str, names, t):
 @functools.lru_cache(maxsize=None)
 def _eigenbasis(family: str, kind: str, names: tuple):
     """O's eigenbasis in the frame, read-only: the offset o of each column,
-    V, whose columns stack E(o) over the distinct o in `_OFFSETS` order, each
-    E(o) the last count(o) right singular vectors of O - oI, and V^-1."""
+    and V, whose columns stack E(o) over the distinct o in `_OFFSETS` order,
+    each E(o) the last count(o) right singular vectors of O - oI."""
     k, O = len(names), theta_coupling(family, names)
     counts = Counter(_OFFSETS[(family, kind)](names))  # in `_OFFSETS` order
     V = np.concatenate([np.linalg.svd(O - o * np.eye(k))[2][k - c:]
                         for o, c in counts.items()]).T
-    basis = np.repeat(list(counts), list(counts.values())), V, np.linalg.inv(V)
+    basis = np.repeat(list(counts), list(counts.values())), V
     for x in basis:
         x.flags.writeable = False
     return basis
@@ -204,7 +202,7 @@ def _eigenbasis(family: str, kind: str, names: tuple):
 @functools.lru_cache(maxsize=None)
 def _eigenspaces(family: str, kind: str, names: tuple) -> dict:
     """E(o) for each offset o, named: conj(d) v for V's columns v at o."""
-    offsets, V, _ = _eigenbasis(family, kind, names)
+    offsets, V = _eigenbasis(family, kind, names)
     named = list(zip(offsets.tolist(),
                      (V.T * _frame(family, names).conj()).astype(complex).tolist()))
     return {o: tuple(tuple(v) for p, v in named if p == o) for o, _ in named}
@@ -325,10 +323,9 @@ def angle_admissibility(model: ConeModel, mode: Mode, family: str = "tensor",
         raise ValueError(f"unknown solution class {solution_class!r}")
     system = system_for_mode(model, mode, family)
     report = indicial_report(system)
-    branches = []
-    count = 0
+    branches, count = [], 0
     for root in report.roots:
-        c = root.branch_count(solution_class)
+        c = len(root.branches(solution_class))
         if c:
             branches.append({"kappa": root.value, "count": c,
                              "log_required": root.log_required})

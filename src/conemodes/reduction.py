@@ -36,8 +36,8 @@ table per family.  The components are
 :class:`conemodes.geometry.RadialProfile` jets, and `ModeSystem.apply` reads
 levels 0..2 of every component through one shared memo, so components built
 from a common profile evaluate it once.  The indicial matrix
-W0 = lim r^2 V is read off the pencil (`ModeSystem.w0`) without any series
-table.
+W0 = lim r^2 V is the leading matrix of `ModeSystem.laurent_potential`, the
+one the Frobenius recursion reads.
 
 One-form block kinds: A (scalar mode with gradient part: f, g, omega),
 B (scalar mode, eigenvalue 0: f, g), C (co-closed mode: varpi).
@@ -438,12 +438,6 @@ class ModeSystem:
         """Series of r * q(r) (leading coefficient 1, even powers)."""
         s = self.drift.laurent(order)
         return LaurentSeries(s.leading + 1, s.coeffs)
-
-    @property
-    def w0(self) -> np.ndarray:
-        """r^2 V(r) at r = 0, framed: every sh^a ch^b starts with 1 at r^a,
-        so only the slices with a = -2 reach it, each with coefficient 1."""
-        return sum(self.pencil[b] for b, (a, _) in enumerate(_BASIS) if a == -2)
 
     def laurent_potential(self, order: int):
         """Framed W_j matrices: r^2 V(r) = sum_j W_j r^j, j = 0..order-1,

@@ -1,9 +1,9 @@
 """The benchmark's argument lists still run: every workload's commands, built
 by bench/workloads.py at their self-test size, exit 0 through the CLI; the
 benchmark's own output checks (bench/child.py) pass on each workload's
-seed-1 outputs at full size; the deform workload's axis values and the sweep
-and verify workloads' output files at seed 1 stay where they were; and a
-seed-1 sweep builds no mode system."""
+seed-1 outputs at full size; the deform workload's axis values and the output
+files of all three workloads at seed 1 stay where they were; and a seed-1
+sweep builds no mode system."""
 
 import hashlib
 import importlib.util
@@ -75,6 +75,24 @@ def test_deform_axis_values_are_pinned(tmp_path):
         assert set(got) == set(want)
         for comp, value in want.items():
             np.testing.assert_allclose(got[comp], value, rtol=1e-12, atol=1e-15)
+
+
+# sha256 of the deform workload's output files at seed 1, next to the axis
+# values above; a change that means to move them updates these and says why
+_DEFORM_OUTPUT_SHA256 = {
+    "angle_profile.csv": "e1195140cce5ddf119eb760b843f97ceabf5cdd7e48a91e04bc6acc9c3b2ad86",
+    "angle_report.json": "39c8a055c7b7cdadaff8fe8324600bec4988d72f15d97ba37b0dd28efabc11dd",
+    "correction_block.csv": "9d07843807795123652e126bb667ab3d2211c645ac01808f65df7aec337877af",
+    "induced.json": "bfc5668ba12090c31620a7342eae75663322e42eb5d9ab7d3b1275506132ccfe",
+    "induced_metric.json": "c6cc3ce8497165a791b414abc697954f43966911aea7859257389dbd0f85fb93",
+}
+
+
+def test_deform_outputs_are_pinned(tmp_path):
+    out = _run_full_size("deform", tmp_path)
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in _DEFORM_OUTPUT_SHA256}
+    assert got == _DEFORM_OUTPUT_SHA256
 
 
 # sha256 of the sweep workload's output files at seed 1; a change that means

@@ -12,6 +12,7 @@ from conemodes.frobenius import (
     FrobeniusSeries,
     admissible_branches,
     angle_deformation_profile,
+    branch_series,
     frobenius_series,
     induced_singular_deformation,
     inhomogeneous_series,
@@ -26,7 +27,6 @@ from conemodes.modes import CoclosedMode, ScalarMode
 from conemodes.reduction import (
     ModeBlock,
     ModeSystem,
-    RadialProfile,
     apply_L_oneform,
     apply_P_tensor,
     oneform_system,
@@ -247,12 +247,13 @@ def test_recursion_equations_hold_at_every_order():
 
 
 def test_recursion_calls_no_linalg_once_the_eigenbasis_is_cached(monkeypatch):
-    # every order solves in O's eigenbasis, which the indicial layer caches
-    # per key: once a report has built it, a resonant recursion that forces
-    # a log branch calls no np.linalg function, its per-(system, s0, order)
-    # data built afresh included
+    # every order solves in O's eigenbasis V, which the indicial layer
+    # caches per key, and V^-1, which the recursion caches per key: once
+    # both are built, a resonant recursion that forces a log branch calls no
+    # np.linalg function, its per-(system, s0, order) data built afresh
+    # included
     system = oneform_system(M_2PI, ScalarMode(4.0, 1), "A")
-    indicial_report(system)
+    frobenius._eigenbasis_inverse(system.family, system.kind, system.names)
     frobenius._coefficient_data.cache_clear()
     frobenius._laurent_data.cache_clear()
     calls = []
@@ -360,14 +361,32 @@ def test_continuation_scales_linearly():
 
 
 def test_continuation_profile_solves_ode_between_nodes():
+    # levels 0..2 are quintic Hermite interpolants of the ODE's own nodal
+    # derivatives, so between the nodes they satisfy the ODE to rounding:
+    # about 4e-15 for the one-form and 6e-14 for the co-closed tensor branch
+    # r^9, where cubic levels left 1.7e-9 and 3.9e-8
+    cases = [(oneform_system(M_HALF, ScalarMode(4.0, 1), "A"), 5.0, apply_L_oneform),
+             (tensor_system(M_HALF, CoclosedMode(0.0, 2), "C"), 9.0, apply_P_tensor)]
+    for system, kappa, apply in cases:
+        ser = frobenius_series(system, kappa, order=14)
+        cont = integrate_mode_ode(system, ser, 0.1, 1.0)
+        combined = ModeBlock(system.family, system.kind, system.mode, cont.profiles())
+        rr = np.linspace(0.13, 0.97, 23)  # avoids grid nodes
+        out = apply(M_HALF, combined, rr)
+        assert max(np.max(np.abs(v)) for v in out.values()) < 1e-12, system.kind
+
+
+def test_continued_profile_reads_the_series_below_the_handoff():
     system = oneform_system(M_HALF, ScalarMode(4.0, 1), "A")
     ser = frobenius_series(system, 5.0, order=14)
     cont = integrate_mode_ode(system, ser, 0.1, 1.0)
-    blk = series_block(system, ser)
-    combined = ModeBlock(blk.family, system.kind, system.mode, cont.profiles())
-    rr = np.linspace(0.13, 0.97, 23)  # avoids grid nodes
-    out = apply_L_oneform(M_HALF, combined, rr)
-    assert max(np.max(np.abs(v)) for v in out.values()) < 1e-8
+    assert cont.series is ser
+    inner, nodes = np.array([1e-3, 0.05, 0.0999]), [0, 150, -1]
+    for i, name in enumerate(system.names):
+        prof = cont.profile(name)
+        assert np.array_equal(prof(inner), ser.evaluate(inner)[i])
+        np.testing.assert_allclose(prof(cont.grid[nodes]), cont.values[i][nodes],
+                                   rtol=1e-13)
 
 
 @pytest.mark.parametrize("model, mode, solution_class, source", [
@@ -379,26 +398,21 @@ def test_continuation_profile_solves_ode_between_nodes():
 def test_matrix_continuation_matches_single_columns(model, mode, solution_class,
                                                     source):
     system = oneform_system(model, mode, "A" if mode.lam > 0 else "B")
-    branches = admissible_branches(system, solution_class)
-    columns = [frobenius_series(system, kap, order=14,
-                                vector=vec if kind == "power" else None,
-                                log_vector=vec if kind == "log" else None)
-               for kind, kap, vec in branches]
+    columns = [branch_series(system, branch, 14)
+               for branch in admissible_branches(system, solution_class)]
     sources = [None] * len(columns)
     if source:
         columns.append(inhomogeneous_series(system, source, order=14))
-        sources.append({nm: RadialProfile.from_expr(ex)
-                        for nm, ex in source.items()})
+        sources.append(source)
     assert any(ser.has_log for ser in columns)
     # nodal d4 carries V'' ~ r^-4 times the continuation's own error, so
     # both calls are held to a tight error bound
     tols = {"rtol": 1e-13}
-    together = integrate_mode_ode(system, columns, 0.1, 1.0,
-                                  source_profiles=sources[-1], **tols)
+    together = integrate_mode_ode(system, columns, 0.1, 1.0, source=sources[-1],
+                                  **tols)
     assert len(together) == len(columns)
     for ser, src, cont in zip(columns, sources, together):
-        alone = integrate_mode_ode(system, ser, 0.1, 1.0, source_profiles=src,
-                                   **tols)
+        alone = integrate_mode_ode(system, ser, 0.1, 1.0, source=src, **tols)
         for attr in ("endpoint", "d2", "d3", "d4"):
             want = getattr(alone, attr)
             got = getattr(cont, attr)
@@ -487,7 +501,6 @@ def _odd_source_case():
                                         (_odd_source_case, np.complex128)])
 def test_real_frame_continuation_matches_complex_maps(case, dtype, monkeypatch):
     system, columns, source = case()
-    profiles = {name: RadialProfile.from_expr(ex) for name, ex in source.items()}
     dtypes, build = [], frobenius._step_maps
 
     def recorded(*args):
@@ -496,7 +509,7 @@ def test_real_frame_continuation_matches_complex_maps(case, dtype, monkeypatch):
         return P
 
     monkeypatch.setattr(frobenius, "_step_maps", recorded)
-    got = integrate_mode_ode(system, columns, 0.1, 1.0, source_profiles=profiles)
+    got = integrate_mode_ode(system, columns, 0.1, 1.0, source=source)
     # float64 maps unless the frame source is complex
     assert dtypes and set(dtypes) == {np.dtype(dtype)}
     got[0].higher()  # d2..d4 of every column, read in the frame before patching it
@@ -506,7 +519,7 @@ def test_real_frame_continuation_matches_complex_maps(case, dtype, monkeypatch):
     monkeypatch.setattr(ModeSystem, "frame",
                         property(lambda self: np.ones(self.arity)))
     monkeypatch.setattr(ModeSystem, "potential_at", _named_potential)
-    want = integrate_mode_ode(system, columns, 0.1, 1.0, source_profiles=profiles)
+    want = integrate_mode_ode(system, columns, 0.1, 1.0, source=source)
     assert len(got) == len(want) == len(columns)
     for g, w in zip(got, want):
         for level in ("values", "d1", "d2", "d3", "d4"):
@@ -625,13 +638,11 @@ def test_logs_start_only_at_indicial_roots_near_critical_angles(
     system = res.system
     roots = [root.value for root in indicial_report(system).roots]
     tol = _merge_tol(_snap(system.mode.p * system.gamma))
-    for branch, kappa, vec in admissible_branches(system, solution_class):
-        ser = frobenius_series(system, kappa, order=14,
-                               vector=vec if branch == "power" else None,
-                               log_vector=vec if branch == "log" else None)
+    for branch in admissible_branches(system, solution_class):
+        ser = branch_series(system, branch, 14)
         if ser.has_log:
-            start = np.flatnonzero(np.any(np.asarray(ser.log_coefficients) != 0, axis=1))[0]
-            assert min(abs(kappa + start - root) for root in roots) <= tol, (branch, kappa)
+            start = np.flatnonzero(np.any(ser.log_coefficients != 0, axis=1))[0]
+            assert min(abs(ser.kappa + start - root) for root in roots) <= tol, branch[:2]
 
 
 def test_real_data_matches_to_real_axis_values():
@@ -742,6 +753,60 @@ def test_bvp_rejects_unknown_boundary_component():
                        {"varpi": 1.0}, "strong")
 
 
+def test_matching_takes_its_coefficients_from_its_one_svd(monkeypatch):
+    # the SVD that decides the rank, the status and the null combinations
+    # also gives the least-squares coefficients: a solve whose caches are
+    # warm runs that one SVD and no lstsq, whatever its status
+    cases = [(M_HALF, ScalarMode(4.0, 1), "tensor", {"f": 1.0, "h": 0.5j}, "strong"),
+             (M_3HALF, ScalarMode(4.0, 1), "oneform", {"f": 1.0}, "strong"),
+             (M_3HALF, ScalarMode(4.0, 1), "oneform", {"f": 1.0}, "l2")]
+    for *args, solution_class in cases:
+        want = solve_mode_bvp(*args, solution_class)
+        calls = []
+        for name in ("svd", "lstsq"):
+            def counted(*a, _name=name, _fn=getattr(np.linalg, name), **kw):
+                calls.append(_name)
+                return _fn(*a, **kw)
+            monkeypatch.setattr(np.linalg, name, counted)
+        got = solve_mode_bvp(*args, solution_class)
+        monkeypatch.undo()
+        assert calls == ["svd"], solution_class
+        assert got.status == want.status
+        assert np.array_equal(got.coefficients, want.coefficients)
+    assert [want.status, len(want.null_combinations)] == ["non_unique", 1]
+
+
+def test_exponent_zero_particular_series_carries_no_log_at_order_zero():
+    # a resonance at order 0 of a kappa = 0 particular series is one at
+    # t + o == 0, where the recursion raises instead of starting a log, so
+    # whenever such a series carries ln r its companion starts at order >= 1
+    # and the axis value is the power part's v_0 alone
+    angles = (2 * np.pi, np.pi, 2 * np.pi / 3, np.pi / 2, 2 * np.pi * (1 + 1e-12),
+              4 * np.pi / 3, 1.0, 2.5)
+    counts = {"series": 0, "logs": 0}
+    for alpha in angles:
+        model = ConeModel(3, alpha, 1.0)
+        for p in range(-2, 3):
+            for mode in (ScalarMode(0.0, p), ScalarMode(4.0, p), CoclosedMode(0.0, p),
+                         CoclosedMode(4.0, p)):
+                for family in ("oneform", "tensor"):
+                    system = frobenius.system_for_mode(model, mode, family)
+                    names = system.names
+                    for source in ({names[0]: _ex("inv_sh_sq")},
+                                   {names[-1]: _ex("sh_th_inv")},
+                                   {nm: _ex("inv_sh_sq") + 0.5 * _ex("th") for nm in names}):
+                        try:
+                            ser = inhomogeneous_series(system, source, order=8)
+                        except FrobeniusError:
+                            continue
+                        assert ser.kappa == 0.0
+                        counts["series"] += 1
+                        if ser.has_log:
+                            counts["logs"] += 1
+                            assert not ser.log_coefficients[0].any(), (alpha, mode, family)
+    assert counts["series"] > 500 and counts["logs"] > 100, counts
+
+
 def test_induced_deformation_axis_content_only_at_p_zero():
     boundary_data = {
         ScalarMode(0.0, 0): {"g": 1.0},
@@ -783,7 +848,7 @@ def test_angle_second_component_vanishes(angle):
 
 
 def test_angle_series_structure(angle):
-    ser = angle.series
+    ser = angle.continuation.series
     assert ser.kappa == 1.0 and ser.has_log
     U = np.asarray(ser.log_coefficients)
     assert np.allclose(U[0], [-1.0, 0.0], atol=1e-14)

@@ -15,7 +15,6 @@ from conemodes.indicial import (
     classify_exponent,
     closed_root_multiset,
     exact_indicial_analysis,
-    indicial_matrix,
     indicial_report,
     indicial_report_at,
     root_table_rows,
@@ -36,6 +35,11 @@ from conemodes.reduction import (
 
 def model_with_gamma(gamma, n=3, a=1.0):
     return ConeModel(n=n, alpha=2 * math.pi / gamma, tube_radius=a)
+
+
+def shifted_w0(system, kappa):
+    """W0 - kappa^2 I, framed, with W0 the leading Laurent matrix of r^2 V."""
+    return system.laurent_potential(1)[0] - kappa ** 2 * np.eye(system.arity)
 
 
 def vector_direction_matches(v, expected):
@@ -182,7 +186,7 @@ def test_det_factorizes_over_closed_multiset(gamma, p, lam):
     t = p * gamma
     offsets = [0, 2, -2, 1, -1, 0, 0]
     for kappa in (0.37, 1.91, 5.5):
-        det = np.linalg.det(indicial_matrix(system, kappa))
+        det = np.linalg.det(shifted_w0(system, kappa))
         expected = np.prod([(t + o) ** 2 - kappa ** 2 for o in offsets])
         scale = max(abs(expected), 1.0)
         assert abs(det - expected) < 1e-8 * scale
@@ -208,7 +212,7 @@ def test_root_vector_residual_sweep():
         report = indicial_report(system)
         assert sum(r.multiplicity for r in report.roots) == 2 * system.arity
         for root in report.roots:
-            m = indicial_matrix(system, root.value)  # in the real frame
+            m = shifted_w0(system, root.value)  # in the real frame
             for v in root.vectors:
                 res = np.linalg.norm(m @ (system.frame * np.asarray(v)))
                 assert res < 1e-10 * max(1.0, np.linalg.norm(m))
@@ -305,8 +309,10 @@ def test_eigenbasis_diagonalizes_theta_coupling(family, kind, names):
     V^T w V is block-diagonal by offset; and every report names its vectors
     bitwise from V's columns: E(o) is the last count(o) right singular
     vectors of O - oI, times conj(d)."""
+    from conemodes.frobenius import _eigenbasis_inverse
     from conemodes.indicial import _eigenbasis
-    offsets, V, V_inv = _eigenbasis(family, kind, names)
+    offsets, V = _eigenbasis(family, kind, names)
+    V_inv = _eigenbasis_inverse(family, kind, names)
     O, k = theta_coupling(family, names), len(names)
     assert np.max(np.abs(V @ np.diag(offsets) @ V_inv - O)) <= 1e-15
     gram = V.T @ (component_weights(family, names)[:, None] * V)
@@ -412,7 +418,8 @@ def test_w0_depends_only_on_the_report_key():
                             assert (kind, system_names(family, kind, n, mode)) == \
                                 (system.kind, system.names)
                             key = (family, kind, system.names, p * model.gamma)
-                            by_key.setdefault(key, []).append(system.w0)
+                            by_key.setdefault(key, []).append(
+                                system.laurent_potential(1)[0])
     shared = [w0s for w0s in by_key.values() if len(w0s) > 1]
     assert len(shared) > 100
     for w0s in shared:
@@ -554,6 +561,42 @@ def test_branch_counts_survive_ulp_changes_of_angle(m, k):
                           tube_radius=1.0)
         assert [angle_admissibility(model, ScalarMode(0.0, 1), fam)["count"]
                 for fam in ("tensor", "oneform")] == [4, 2]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("alpha", [0.8, math.pi / 2, 2 * math.pi / 3, math.pi, 2 * math.pi,
+                                   2 * math.pi * (1 + 1e-12), 5.0, 4 * math.pi])
+def test_admissibility_counts_the_branches_the_solver_gets(alpha, n):
+    # both read `IndicialRoot.branches`, logs at kappa = 0 included
+    model = ConeModel(n=n, alpha=alpha, tube_radius=1.0)
+    for family in ("tensor", "oneform"):
+        for mode in ULP_MODES:
+            if family == "oneform" and isinstance(mode, TTMode):
+                continue
+            system = system_for_mode(model, mode, family)
+            for cls in SOLUTION_CLASSES:
+                assert angle_admissibility(model, mode, family, cls)["count"] == \
+                    len(admissible_branches(system, cls)), (family, mode, cls)
+
+
+def test_reports_compute_no_inverse(monkeypatch):
+    # V^-1 is the recursion's alone: with every eigenbasis built afresh,
+    # neither a report nor the angle sweep inverts a matrix
+    from conemodes import indicial
+    from conemodes.indicial import angle_sweep_rows
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an indicial report computed an inverse")
+
+    indicial._eigenbasis.cache_clear()
+    indicial._eigenspaces.cache_clear()
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    for family, kind, names in EXACT_BLOCKS:
+        assert indicial_report_at(family, kind, names, 1.5).roots
+    model = ConeModel(n=3, alpha=1.3, tube_radius=1.0,
+                      cross_section=CrossSection("circle", 1.0))
+    modes = circle_spectrum(model, m_max=1, p_max=2)
+    assert angle_sweep_rows(model, modes, ("oneform", "tensor"), [0.7, 2.0, 6.0])[1]
 
 
 def test_admissibility_rejects_unknown_class():
