@@ -481,8 +481,8 @@ def deform_angle(cfg: RunConfig, cutoff, order):
 
     deform = angle_deformation_profile(model, order=order, rtol=cfg.rtol)
     grid = np.geomspace(1e-6, a, cfg.nodes)
-    f = deform.f_profile(grid)
-    g = deform.g_profile(grid)
+    memo = {}  # f and g share the continuation's one evaluation on the grid
+    f, g = (prof.jet(grid, 0, memo)[0] for prof in (deform.f_profile, deform.g_profile))
     defect = f + grid * np.log(grid)
 
     small = grid[grid <= 1e-2]

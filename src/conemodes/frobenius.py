@@ -10,7 +10,7 @@ factors no matrix per order: order m is V diag((t + o)^2 - (s0 + m)^2) V^-1,
 resonant (and may force ln r terms) on the columns o where s0 + m = +-(t + o).
 
 The continuation ODE y' = M(r) y + f(r), y = (X, X'), is linear, so it is
-propagated by 4-stage Gauss-Legendre collocation (A-stable, order 8; Hairer
+propagated by 6-stage Gauss-Legendre collocation (A-stable, order 12; Hairer
 and Wanner, Solving ODEs II, IV.5) with numpy alone: every step of the
 geometric output grid becomes one affine map, all maps are built by one
 batched linear solve, and a step-doubling estimate checks each result
@@ -24,9 +24,10 @@ Series and continued solutions hand out each component as a
 solution on the whole tube is one jet node that reads the series below the
 handoff and the continuation above it, so derivatives of a solution (and of
 its products, as in the cone-angle correction block) come from the profile
-algebra rather than from hand-written product rules.  A continued
-solution reads its nodal d2..d4 off the ODE only when a profile level that
-needs them is first evaluated.
+algebra rather than from hand-written product rules.  Between its nodes a
+continued solution is not interpolated: a jet steps out of the node below
+by the same Gauss-Legendre maps, for every column at once, and reads levels
+2..3 off the ODE, only when a profile is first evaluated at those radii.
 """
 
 from __future__ import annotations
@@ -37,8 +38,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .geometry import (ConeModel, DomainError, RadialProfile, gauss_legendre,
-                       hermite_interpolant)
+from .geometry import ConeModel, DomainError, RadialProfile, gauss_legendre
 from .indicial import _eigenbasis, indicial_report, system_for_mode
 from .modes import Mode, ScalarMode
 from .reduction import (
@@ -71,7 +71,7 @@ __all__ = [
 _SOLVE_TOL = 1e-9
 # Gauss-Legendre stages of the continuation (order 2 * _STAGES) and the most
 # substeps per output interval the step-doubling check may ask for
-_STAGES = 4
+_STAGES = 6
 _MAX_SUBSTEPS = 8
 _EPS = np.finfo(float).eps
 
@@ -355,10 +355,11 @@ def series_block(system: ModeSystem, series: FrobeniusSeries):
 
 @dataclass
 class ContinuedSolution:
-    """``series`` continued over the grid [handoff, r_end] with ODE-exact nodal
-    derivatives; ``higher()`` gives d2..d4, shape (3, arity, N), computed on
-    first use; ``frame_endpoint`` is D times the endpoint, as the
-    continuation held it."""
+    """``series`` continued over the grid [handoff, r_end] as column ``column``
+    of the states one `integrate_mode_ode` call continued together;
+    ``frame_endpoint`` is D times the endpoint, as the continuation held it.
+    ``between(r)`` gives the named levels 0..3 of every such column at any
+    radii, shape (4, arity, columns) + r.shape."""
 
     system: ModeSystem
     series: FrobeniusSeries
@@ -366,11 +367,8 @@ class ContinuedSolution:
     values: np.ndarray  # (arity, N)
     d1: np.ndarray
     frame_endpoint: np.ndarray
-    higher: Callable = field(repr=False, compare=False)
-
-    d2 = property(lambda self: self.higher()[0])
-    d3 = property(lambda self: self.higher()[1])
-    d4 = property(lambda self: self.higher()[2])
+    column: int
+    between: Callable = field(repr=False, compare=False)
 
     @property
     def endpoint(self):
@@ -380,22 +378,19 @@ class ContinuedSolution:
         """One component on the whole tube with three derivatives: the series
         below the handoff grid[0], the continuation from it on.
 
-        There level k, built when first evaluated, is the Hermite interpolant
-        of the nodal (d_k, d_k+1, d_k+2), quintic, for k <= 2, and of (d3, d4)
-        for k = 3, with d_0 the values, so levels 0..2 solve the ODE between
-        the nodes to the rounding of the nodal data.  One interpolant of all
-        four levels would not: its k-th derivative scales rounding by h^-k.
+        There every column's levels are read at once per jet memo, the memo
+        keyed by ``between``: levels 0..1 step out of the node below by the
+        maps the continuation used (at a node, no step), so they are the
+        continuation's own solution, and levels 2..3 follow from the ODE.
         """
-        i, interpolants = self.system.names.index(name), {}
-        nodal = ("values", "d1", "d2", "d3", "d4")
+        i, c, between = self.system.names.index(name), self.column, self.between
 
-        def level(k, r):
-            if k not in interpolants:
-                interpolants[k] = hermite_interpolant(
-                    self.grid, *[getattr(self, a)[i] for a in nodal[k:k + 3]])
-            return interpolants[k](r)
+        def node(r, m, memo):
+            if between not in memo:
+                memo[between] = between(r)
+            return memo[between][:m + 1, i, c]
 
-        continued = RadialProfile(*[functools.partial(level, k) for k in range(4)])
+        continued = RadialProfile(node=node, depth=3)
         return _piecewise(self.series.profile(name), continued, self.grid[0])
 
     def profiles(self) -> dict:
@@ -421,22 +416,23 @@ def _gauss_tableau(stages: int):
     return c, b, A
 
 
-def _step_maps(system: ModeSystem, t, source) -> np.ndarray:
-    """One Gauss-Legendre step per interval of ``t`` as augmented affine maps.
+def _step_maps(system: ModeSystem, t0, t1, source) -> np.ndarray:
+    """One Gauss-Legendre step over each interval [t0[n], t1[n]] as augmented
+    affine maps.
 
-    Map n sends (X, X', 1) at t[n] to (X, X', 1) at t[n+1], shape
-    (len(t) - 1, 2k + 1, 2k + 1), with X and V in the real frame of
-    `ModeSystem`.  The unknowns are the stage values Z_i of X''; the stages
-    of X' and X are X' + h (A Z)_i and X + h c_i X' + h^2 (A^2 Z)_i, so the
-    collocation conditions Z_i = V_i X_i - q_i X'_i - S_i are one sk x sk
-    linear system per step, solved for all steps at once.  ``source(r)``
-    gives D S at radii of any shape as (k,) + r.shape, or is None; the maps
-    are float64 unless it is complex.
+    Map n sends (X, X', 1) at t0[n] to (X, X', 1) at t1[n], shape
+    (len(t0), 2k + 1, 2k + 1), with X and V in the real frame of
+    `ModeSystem`; a step of length 0 is the identity.  The unknowns are the
+    stage values Z_i of X''; the stages of X' and X are X' + h (A Z)_i and
+    X + h c_i X' + h^2 (A^2 Z)_i, so the collocation conditions Z_i = V_i X_i
+    - q_i X'_i - S_i are one sk x sk linear system per step, solved for all
+    steps at once.  ``source(r)`` gives D S at radii of any shape as (k,) +
+    r.shape, or is None; the maps are float64 unless it is complex.
     """
     c, b, A = _gauss_tableau(_STAGES)
     k, s = system.arity, _STAGES
-    h = np.diff(t)
-    r = t[:-1, None] + h[:, None] * c
+    h = t1 - t0
+    r = t0[:, None] + h[:, None] * c
     V = np.moveaxis(system.potential_at(r), (0, 1), (2, 3))  # (N, s, k, k)
     q = system.drift_at(r)
     S = 0.0 if source is None else -np.moveaxis(source(r), 0, -1)
@@ -461,15 +457,14 @@ def _step_maps(system: ModeSystem, t, source) -> np.ndarray:
     return P
 
 
-def _subdivide(t, m: int):
-    # m equal substeps in every interval of t, keeping its nodes exactly
-    inner = t[:-1, None] + np.diff(t)[:, None] * (np.arange(m) / m)
-    return np.append(inner.ravel(), t[-1])
-
-
-def _compose_pairs(P, times: int):
-    # halve the number of maps `times` times, composing neighbours
-    for _ in range(times):
+def _substep_maps(system: ModeSystem, t0, t1, source, log_m: int) -> np.ndarray:
+    """The map over each interval [t0[n], t1[n]] as 2^log_m equal steps, each
+    interval's last step ending exactly on t1[n], composed in order."""
+    m = 2 ** log_m
+    nodes = t0[:, None] + (t1 - t0)[:, None] * (np.arange(m + 1) / m)
+    nodes[:, -1] = t1
+    P = _step_maps(system, nodes[:, :-1].ravel(), nodes[:, 1:].ravel(), source)
+    for _ in range(log_m):  # halve the number of maps, composing neighbours
         P = P[1::2] @ P[0::2]
     return P
 
@@ -484,28 +479,29 @@ def _propagate(P, y0):
 
 def _continue(system: ModeSystem, grid, y0, source, rtol: float):
     """Augmented states at the grid nodes, shape (len(grid), 2k + 1, nb), in
-    the real frame of `_step_maps`: real when ``y0`` and the maps are.
+    the real frame of `_step_maps` (real when ``y0`` and the maps are), and
+    log2 of the substeps per interval they took.
 
     Every interval takes m Gauss-Legendre substeps, m = 1, 2, 4, 8.  The
-    check builds the same maps over pairs of intervals: a step of order 8
-    has local error ~ h^9, so |coarse - fine| / (2^8 - 1) estimates the
+    check builds the same maps over pairs of intervals: a step of order 2s
+    has local error ~ h^(2s+1), so |coarse - fine| / (2^2s - 1) estimates the
     local error of the fine maps over each pair.  Relative to each column's
     largest value, plus one unit of rounding (no state is closer than that),
     it must not exceed ``rtol`` (|D x| = |x|); m doubles while it does.
     """
     k, npairs = system.arity, (grid.size - 1) // 2
+    coarse_grid = grid[:2 * npairs + 1:2]
     for log_m in range(_MAX_SUBSTEPS.bit_length()):
-        fine = _compose_pairs(_step_maps(system, _subdivide(grid, 2 ** log_m),
-                                         source), log_m)
+        fine = _substep_maps(system, grid[:-1], grid[1:], source, log_m)
         Y = _propagate(fine, y0)
-        coarse = _compose_pairs(_step_maps(
-            system, _subdivide(grid[:2 * npairs + 1:2], 2 ** log_m), source), log_m)
+        coarse = _substep_maps(system, coarse_grid[:-1], coarse_grid[1:], source, log_m)
         diff = (coarse - fine[1::2][:npairs] @ fine[0::2][:npairs]) @ Y[:-1:2][:npairs]
         size = np.max(np.abs(Y[:, :2 * k]), axis=(0, 1))
-        est = np.max(np.abs(diff[:, :2 * k]), axis=1) / (size * 255.0) + _EPS
+        est = (np.max(np.abs(diff[:, :2 * k]), axis=1)
+               / (size * (2.0 ** (2 * _STAGES) - 1)) + _EPS)
         worst = np.unravel_index(np.argmax(est), est.shape)
         if est[worst] <= rtol:
-            return Y
+            return Y, log_m
     raise FrobeniusError(
         f"continuation error estimate {est[worst]:.3g} exceeds rtol {rtol:.3g} "
         f"at r = {grid[2 * worst[0]]:.6g} with {_MAX_SUBSTEPS} substeps per "
@@ -514,7 +510,7 @@ def _continue(system: ModeSystem, grid, y0, source, rtol: float):
 
 def integrate_mode_ode(system: ModeSystem, series, handoff: float, r_end: float,
                        source: Optional[Mapping[str, RadialExpr]] = None,
-                       num: int = 400, rtol: float = 1e-11):
+                       num: int = 100, rtol: float = 1e-11):
     """Continue series solutions from the handoff radius out to ``r_end``.
 
     ``series`` is one FrobeniusSeries, giving one ContinuedSolution, or a
@@ -526,17 +522,17 @@ def integrate_mode_ode(system: ModeSystem, series, handoff: float, r_end: float,
     the source.
 
     The output grid has ``num`` geometric nodes; each interval takes one or
-    more 4-stage Gauss-Legendre steps (order 8), refined until the
+    more 6-stage Gauss-Legendre steps (order 12), refined until the
     step-doubling estimate of the local error is at most ``rtol`` relative
     to each column's largest value (FrobeniusError when 8 substeps per
     interval do not reach it; ``rtol`` must be finite and > 0).  The steps
     run in the real frame of `ModeSystem`, d_j = +i on the theta-odd
     components: series data and source enter as D X and D S (a homogeneous
-    column is real there), and D^-1 names the nodal states and d2..d4, read
-    off the ODE for all columns at once when one column first asks.  Each
-    column is divided by its largest value at the handoff and scaled back
-    afterwards (its source by the same factor), so a branch r^kappa with
-    large kappa starts at size one.
+    column is real there), and D^-1 names the nodal states and every level
+    between the nodes (`ContinuedSolution.profile`).  Each column is divided
+    by its largest value at the handoff and scaled back afterwards (its
+    source by the same factor), so a branch r^kappa with large kappa starts
+    at size one.
 
     Handing off deep inside the singular region loses accuracy: error at
     radius r0 feeds the steepest homogeneous mode with weight
@@ -572,41 +568,55 @@ def integrate_mode_ode(system: ModeSystem, series, handoff: float, r_end: float,
     grid[0], grid[-1] = handoff, r_end
     start = np.concatenate([y0 / scale, np.zeros((1, nb))])
     start[-1, -1] = 1.0 if src_rows else 0.0
-    Y = _continue(system, grid, start, src, rtol)[:, :2 * k] * scale
-    X, dX = Y[:, :k], Y[:, k:]  # (N, k, nb), in the frame
-    higher = functools.cache(functools.partial(_ode_derivatives, system, grid, X, dX,
-                                               src_rows))
+    Y, log_m = _continue(system, grid, start, src, rtol)
+    X, dX = (Y[:, a:a + k] * scale for a in (0, k))  # (N, k, nb), in the frame
     values, d1 = (np.moveaxis(a * system.frame.conj()[:, None], 0, -1) for a in (X, dX))
-    out = [ContinuedSolution(system, ser, grid, values[:, c], d1[:, c], X[-1, :, c],
-                             lambda c=c: higher()[..., c].swapaxes(-1, -2))
+    between = functools.partial(_between, system, grid, Y, scale, src, src_rows, log_m)
+    out = [ContinuedSolution(system, ser, grid, values[:, c], d1[:, c], X[-1, :, c], c,
+                             between)
            for c, ser in enumerate(columns)]
     return out[0] if single else out
 
 
-def _ode_derivatives(system: ModeSystem, grid, X, dX, src_rows):
-    """Named d2, d3, d4 of every column at the nodes, shape (3, N, k, nb),
-    from the framed ODE X'' = -q X' + V X - S and its first two derivatives."""
-    q, qp, qpp = (system.drift_at(grid, d)[:, None, None] for d in range(3))
-    V, Vp, Vpp = (np.moveaxis(system.potential_at(grid, d), -1, 0) for d in range(3))
-    S = np.zeros((3,) + X.shape, dtype=complex)
+def _between(system: ModeSystem, grid, Y, scale, source, src_rows, log_m: int, r):
+    """Named levels 0..3 of every column at the radii r, shape (4, k, nb) +
+    r.shape.  Levels 0..1 take the 2^log_m substeps the check settled on out
+    of the node below each radius (none at a node, which keeps its state);
+    levels 2..3 are the ODE there (`_ode_derivatives`)."""
+    k, rr = system.arity, np.ravel(r)
+    below = np.clip(np.searchsorted(grid, rr, side="right") - 1, 0, grid.size - 1)
+    state = _substep_maps(system, grid[below], rr, source, log_m) @ Y[below]
+    X, dX = state[:, :k] * scale, state[:, k:2 * k] * scale
+    levels = np.stack([X, dX, *_ode_derivatives(system, rr, X, dX, src_rows)])
+    levels = np.moveaxis(levels * system.frame.conj()[:, None], 1, -1)  # (4, k, nb, R)
+    return levels.reshape(levels.shape[:3] + np.shape(r))
+
+
+def _ode_derivatives(system: ModeSystem, r, X, dX, src_rows):
+    """Framed d2 and d3 of every column at the radii r, each of X's shape
+    (len(r), k, nb), from the ODE X'' = -q X' + V X - S and its derivative."""
+    q, qp = (system.drift_at(r, d)[:, None, None] for d in range(2))
+    V, Vp = (np.moveaxis(system.potential_at(r, d), -1, 0) for d in range(2))
+    S = np.zeros((2,) + X.shape, dtype=complex)
     for i, expr in src_rows:
-        S[:, :, i, -1] = [expr(grid, d) for d in range(3)]
-    S, Sp, Spp = system.to_frame(S, axis=-2)
+        S[:, :, i, -1] = [expr(r, d) for d in range(2)]
+    S, Sp = system.to_frame(S, axis=-2)
     d2 = -q * dX + V @ X - S
-    d3 = -qp * dX - q * d2 + Vp @ X + V @ dX - Sp
-    d4 = -qpp * dX - 2 * qp * d2 - q * d3 + Vpp @ X + 2 * (Vp @ dX) + V @ d2 - Spp
-    return np.stack([d2, d3, d4]) * system.frame.conj()[:, None]
+    return d2, -qp * dX - q * d2 + Vp @ X + V @ dX - Sp
 
 
 def _piecewise(inner: RadialProfile, outer: RadialProfile, cut: float) -> RadialProfile:
-    """`inner` below the cut, `outer` from it on.  Each side is read on the
-    grid clipped to its side, through a sub-memo of the jet's memo shared by
-    every switch at this cut."""
+    """`inner` below the cut, `outer` from it on.  Each side is read only on
+    its own radii, through a sub-memo of the jet's memo shared by every switch
+    at this cut."""
     def node(r, m, memo):
         r = np.asarray(r, dtype=float)
-        lo = inner.jet(np.minimum(r, cut), m, memo.setdefault(("below", cut), {}))
-        hi = outer.jet(np.maximum(r, cut), m, memo.setdefault(("above", cut), {}))
-        return np.where(r < cut, lo, hi)
+        below = r < cut
+        out = np.empty((m + 1,) + r.shape, dtype=complex)
+        for side, prof, on in (("below", inner, below), ("above", outer, ~below)):
+            if on.any():
+                out[:, on] = prof.jet(r[on], m, memo.setdefault((side, cut), {}))
+        return out
 
     return RadialProfile(node=node, depth=min(inner.depth, outer.depth))
 
@@ -677,7 +687,7 @@ def solve_mode_bvp(model: ConeModel, mode: Mode, family: str,
                    solution_class: str = "strong",
                    source: Optional[Mapping[str, RadialExpr]] = None,
                    order: int = 14, handoff: Optional[float] = None,
-                   num: int = 400, rtol: float = 1e-11) -> ModeBVPResult:
+                   num: int = 100, rtol: float = 1e-11) -> ModeBVPResult:
     """Match admissible interior branches to Dirichlet data at the tube edge.
 
     The boundary map sends branch coefficients to component values at
@@ -771,7 +781,7 @@ def solve_mode_bvp(model: ConeModel, mode: Mode, family: str,
 def induced_singular_deformation(model: ConeModel, boundary_data: Mapping,
                                  solution_class: str = "strong",
                                  order: int = 14, handoff: Optional[float] = None,
-                                 num: int = 400, rtol: float = 1e-11) -> dict:
+                                 num: int = 100, rtol: float = 1e-11) -> dict:
     """Per-mode Dirichlet solves extracting the axis limits of the components.
 
     ``boundary_data`` maps tensor modes to component values at the tube edge.
@@ -877,14 +887,14 @@ class AngleDeformation:
         a = self.model.tube_radius
         if cutoff is None:
             cutoff = (0.25 * a, 0.5 * a)
-        block = self.correction_block(cutoff=cutoff)
-        return {name: complex(block.component(name)(a))
+        block, r, memo = self.correction_block(cutoff=cutoff), np.asarray(a, dtype=float), {}
+        return {name: complex(block.component(name).jet(r, 0, memo)[0])
                 for name in ("f", "g", "h", "k1")}
 
 
 def angle_deformation_profile(model: ConeModel, order: int = 16,
                               handoff: Optional[float] = None,
-                              num: int = 600, rtol: float = 1e-11) -> AngleDeformation:
+                              num: int = 100, rtol: float = 1e-11) -> AngleDeformation:
     """Solve the gauge potential ODE for the cone-angle deformation."""
     system = oneform_system(model, ScalarMode(0.0, 0), "B")
     if handoff is None:

@@ -441,16 +441,14 @@ def _zero_profile(depth: int) -> RadialProfile:
     return RadialProfile(*([_zero_fn] * (depth + 1)), is_zero=True)
 
 
-def hermite_interpolant(r_grid, *levels, derivative: int = 0) -> Callable:
-    """The piecewise polynomial of degree 2q + 1 that takes the nodal levels
-    0..q given (values, slopes, second derivatives, ...) at both ends of each
-    piece of the increasing grid, or its derivative of the given order, as a
-    vectorized callable; two levels give the cubic Hermite interpolant.  A
-    point on an interior node takes the piece to its right, and outside the
-    grid the end pieces extend.  The piece coefficients are set up on the
-    first evaluation, so an interpolant never read costs nothing."""
+def hermite_interpolant(r_grid, values, slopes, derivative: int = 0) -> Callable:
+    """The piecewise cubic through (r_grid, values) with the given slopes at
+    the increasing nodes, or its first or second derivative, as a vectorized
+    callable.  A point on an interior node takes the piece to its right, and
+    outside the grid the end pieces extend.  The piece coefficients are set
+    up on the first evaluation, so an interpolant never read costs nothing."""
     x = np.asarray(r_grid, dtype=float)
-    setup = lru_cache(1)(partial(_hermite_coefficients, x, levels, derivative))
+    setup = lru_cache(1)(partial(_hermite_coefficients, x, values, slopes, derivative))
 
     def call(r):
         coef = setup()
@@ -465,26 +463,13 @@ def hermite_interpolant(r_grid, *levels, derivative: int = 0) -> Callable:
     return call
 
 
-def _hermite_coefficients(x, levels, derivative: int) -> list:
-    """Ascending power coefficients in u = r - x[i] on each piece i.
-
-    With y_j the nodal levels and h the piece's width, c_j = y_j / j! at the
-    left node for j <= q.  In t = u / h the top coefficients a_j = c_j h^j,
-    j = q+1..2q+1, solve sum_j j! / (j - i)! a_j = b_i, i = 0..q, where b_i
-    is h^i y_i at the right node less level i of the left node's Taylor part.
-    b_i starts from the nodal difference of y_i, which neighbouring nodes
-    give with no rounding, as the secant does for the cubic.
-    """
-    y = [np.asarray(level, dtype=complex) for level in levels]
-    q, h = len(y) - 1, np.diff(x)
-    coef = [yj[:-1] / math.factorial(j) for j, yj in enumerate(y)]
-    scaled = [cj * h ** j for j, cj in enumerate(coef)]
-    b = [h ** i * np.diff(y[i]) - sum(math.perm(j, i) * scaled[j]
-                                      for j in range(i + 1, q + 1))
-         for i in range(q + 1)]
-    top = range(q + 1, 2 * q + 2)
-    M = np.array([[math.perm(j, i) for j in top] for i in range(q + 1)], dtype=float)
-    coef += [aj / h ** j for j, aj in zip(top, np.linalg.solve(M, np.array(b)))]
+def _hermite_coefficients(x, values, slopes, derivative: int) -> list:
+    """Ascending power coefficients in u = r - x[i] on each piece i."""
+    y, m = np.asarray(values, dtype=complex), np.asarray(slopes, dtype=complex)
+    dx = np.diff(x)
+    secant = np.diff(y) / dx
+    bend = (m[:-1] + m[1:] - 2.0 * secant) / dx
+    coef = [y[:-1], m[:-1], (secant - m[:-1]) / dx - bend, bend / dx]
     for _ in range(derivative):
         coef = [j * cj for j, cj in enumerate(coef[1:], 1)]
     return coef

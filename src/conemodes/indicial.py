@@ -321,8 +321,9 @@ def angle_admissibility(model: ConeModel, mode: Mode, family: str = "tensor",
     """
     if solution_class not in SOLUTION_CLASSES:
         raise ValueError(f"unknown solution class {solution_class!r}")
-    system = system_for_mode(model, mode, family)
-    report = indicial_report(system)
+    kind = mode_kind(mode, family)
+    names = system_names(family, kind, model.n, mode)
+    report = indicial_report_at(family, kind, names, mode.p * model.gamma)
     branches, count = [], 0
     for root in report.roots:
         c = len(root.branches(solution_class))
@@ -332,12 +333,12 @@ def angle_admissibility(model: ConeModel, mode: Mode, family: str = "tensor",
             count += c
     return {
         "family": family,
-        "kind": system.kind,
-        "arity": system.arity,
+        "kind": kind,
+        "arity": len(names),
         "solution_class": solution_class,
         "branches": branches,
         "count": count,
-        "deficit": system.arity - count,
+        "deficit": len(names) - count,
         "has_log_root": report.has_log_root,
     }
 

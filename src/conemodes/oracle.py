@@ -191,6 +191,21 @@ def _derivative(t, factors) -> np.ndarray:
     return np.stack([t[1:]] + [c * t[:-1] for c in factors], axis=1)
 
 
+def _layers(*targets) -> list:
+    """Selections splitting a support into layers of distinct targets: layer k
+    holds the k-th entry of every target, in support order, so one fancy-index
+    update per layer, layer after layer, adds each target's terms in the order
+    np.add.at would.  Distinct targets make one layer, selected by a slice."""
+    count, layer = {}, []
+    for key in zip(*(t.tolist() for t in targets)):
+        count[key] = count.get(key, -1) + 1
+        layer.append(count[key])
+    if max(layer, default=0) == 0:
+        return [slice(None)]
+    layer = np.array(layer)
+    return [np.flatnonzero(layer == k) for k in range(layer.max() + 1)]
+
+
 def _permuted(t, *perm):
     """A dense jet with index s of the result read from slot perm[s] of t."""
     n = len(perm)
@@ -506,9 +521,11 @@ def covariant_derivative(fld: OracleField) -> OracleField:
         # subtract Gamma^c_(a, idx_i) T(idx with c in slot i), in the order (i, c), over
         # the support (c, a, b) of Gamma: an entry off it would subtract only zeros.
         # Slot i trades places with the first slot in t and in out alike.
+        layers = _layers(a, b)
         for i in range(fld.rank):
-            src = t[:-1].swapaxes(1, 1 + i)[:, c]
-            np.subtract.at(out.swapaxes(2, 2 + i), (slice(None), a, b), leibniz(g, src))
+            term, view = leibniz(g, t[:-1].swapaxes(1, 1 + i)[:, c]), out.swapaxes(2, 2 + i)
+            for sel in layers:
+                view[:, a[sel], b[sel]] -= term[:, sel]
         return out
 
     return fld._node(node, fld.depth - 1, fld.rank + 1)
@@ -586,8 +603,9 @@ def ricci_action(h: OracleField) -> OracleField:
         a, c, b, d = idx = grid.support("curv")
         # each out_ab adds its terms in the order (c, d), over the support of the
         # table: an entry off it would add only zeros
-        out = np.zeros_like(t)
-        np.add.at(out, (slice(None), a, b), leibniz(curv[(slice(None),) + idx], t[:, c, d]))
+        out, term = np.zeros_like(t), leibniz(curv[(slice(None),) + idx], t[:, c, d])
+        for sel in _layers(a, b):
+            out[:, a[sel], b[sel]] += term[:, sel]
         return out
 
     return h._node(node, h.depth)

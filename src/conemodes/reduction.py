@@ -819,7 +819,8 @@ def block_csv_rows(model: ConeModel, block, grid=None):
     header = ["r"]
     for nm in names:
         header += [f"{nm}_re", f"{nm}_im"]
-    vals = [block.profiles[nm](grid) for nm in names]
+    memo = {}  # shared, so components built from one profile read it once
+    vals = [block.profiles[nm].jet(grid, 0, memo)[0] for nm in names]
     rows = []
     for i, r in enumerate(grid):
         row = [f"{r:.12g}"]

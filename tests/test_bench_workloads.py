@@ -80,11 +80,11 @@ def test_deform_axis_values_are_pinned(tmp_path):
 # sha256 of the deform workload's output files at seed 1, next to the axis
 # values above; a change that means to move them updates these and says why
 _DEFORM_OUTPUT_SHA256 = {
-    "angle_profile.csv": "e1195140cce5ddf119eb760b843f97ceabf5cdd7e48a91e04bc6acc9c3b2ad86",
+    "angle_profile.csv": "598ef0857abe61616e75b909de3d98e469a27ae5800fea8df163b0211d23a552",
     "angle_report.json": "39c8a055c7b7cdadaff8fe8324600bec4988d72f15d97ba37b0dd28efabc11dd",
     "correction_block.csv": "9d07843807795123652e126bb667ab3d2211c645ac01808f65df7aec337877af",
-    "induced.json": "bfc5668ba12090c31620a7342eae75663322e42eb5d9ab7d3b1275506132ccfe",
-    "induced_metric.json": "c6cc3ce8497165a791b414abc697954f43966911aea7859257389dbd0f85fb93",
+    "induced.json": "ac16296741507ec9632298558272e168fbd1b809c00a9d10e3a64e693784600a",
+    "induced_metric.json": "7fea4489759e173ce46aa3b80c4f6f205db9281245ac169576b60d0dfd2aceee",
 }
 
 

@@ -561,27 +561,27 @@ class TestDeformAngle:
         if first == "induced-metric":  # the longer request extended the tables
             assert any(len(spans) == 2 for spans in computed.values()), computed
 
-    def test_interpolants_set_up_only_when_read(self, tmp_path, monkeypatch):
+    def test_only_the_potential_is_read_between_nodes(self, tmp_path, monkeypatch):
         # the per-mode solves read only endpoints and axis values, so of the
-        # continuation interpolants a deform-angle run builds, only the
-        # levels 0..2 of the potential's f and g, which its residual reads,
-        # are ever set up, and the nodal d2..d4 behind them are computed
-        # once, for the potential alone
-        from conemodes import frobenius, geometry
+        # continuations a deform-angle run makes, only the potential's is
+        # evaluated between its nodes, and only where its profiles are read:
+        # once each for f and g on the output grid, the residual, the
+        # correction block's rows and its boundary values (the leading-ratio
+        # radii lie below the handoff, where the series is read)
+        from conemodes import frobenius
 
-        derived, set_up = [], []
-        derive, setup = frobenius._ode_derivatives, geometry._hermite_coefficients
+        evaluated = []
+        derive = frobenius._ode_derivatives
 
         def counted_derive(system, *args):
-            derived.append(system)
+            evaluated.append(system)
             return derive(system, *args)
 
-        def counted_setup(*args):
-            set_up.append(args)
-            return setup(*args)
-
         monkeypatch.setattr(frobenius, "_ode_derivatives", counted_derive)
-        monkeypatch.setattr(geometry, "_hermite_coefficients", counted_setup)
+        model = ConeModel(3, 1.0, 1.0)
+        deform = frobenius.angle_deformation_profile(model)
+        deform.correction_block(cutoff=(0.25, 0.5))
+        assert evaluated == []
         model_path = write_model(tmp_path, angle=1.0, length=1.0)
         modes_path = write_modes(tmp_path, scalar=[(0.0, 0), (0.0, -1)],
                                  coclosed=[(0.0, 2)])
@@ -589,9 +589,8 @@ class TestDeformAngle:
                          "--out", str(tmp_path / "out"), "--tol-nodes", "60",
                          "deform-angle"])
         assert result.exit_code == 0
-        assert len(set_up) == 6, len(set_up)
-        assert [(s.family, s.kind, s.mode) for s in derived] == [
-            ("oneform", "B", ScalarMode(0.0, 0))]
+        assert [(s.family, s.kind, s.mode) for s in evaluated] == [
+            ("oneform", "B", ScalarMode(0.0, 0))] * 4
 
     def test_tol_rtol_reaches_every_continuation(self, tmp_path, monkeypatch):
         # deform-angle and induced-metric hand --tol-rtol to the potential's

@@ -23,7 +23,7 @@ from conemodes.frobenius import (
 )
 from conemodes.geometry import ConeModel, CrossSection, DomainError
 from conemodes.indicial import indicial_report
-from conemodes.modes import CoclosedMode, ScalarMode
+from conemodes.modes import CoclosedMode, ScalarMode, TTMode
 from conemodes.reduction import (
     ModeBlock,
     ModeSystem,
@@ -313,25 +313,71 @@ def test_continuation_matches_direct_series_evaluation():
     assert np.max(np.abs(cont.endpoint - truth)) < 1e-9
 
 
-def test_continuation_converges_at_eighth_order():
-    # rtol = 1 keeps one Gauss-Legendre step per grid interval
+def test_continuation_converges_at_twelfth_order():
+    # rtol = 1 keeps one 6-stage Gauss-Legendre step per grid interval, and
+    # from 5 to 9 nodes the step halves: the error falls 5.7e-8 -> 1.3e-11
     system = tensor_system(M_HALF, ScalarMode(4.0, 1), "A")
-    truth = frobenius_series(system, 6.0, order=60).evaluate(1.0)
+    truth = frobenius_series(system, 6.0, order=100).evaluate(1.0)
     ser = frobenius_series(system, 6.0, order=14)
     errs = [np.max(np.abs(integrate_mode_ode(system, ser, 0.1, 1.0, num=num,
                                               rtol=1.0).endpoint - truth))
-            for num in (20, 40)]
-    assert errs[1] * 2 ** 6 <= errs[0]
+            for num in (5, 9)]
+    assert errs[1] * 2 ** 10 <= errs[0]
 
 
-def test_continuation_refines_coarse_grid_to_rtol():
-    # one step per interval of a 20-node grid misses the truth by ~6e-9;
-    # the default rtol makes the check split each interval into substeps
+def test_continuation_refines_coarse_grid_to_rtol(monkeypatch):
+    # one step per interval of a 5-node grid misses the truth by ~6e-8; the
+    # default rtol makes the check split each interval into substeps
+    substeps, build = [], frobenius._substep_maps
+
+    def recorded(*args):
+        substeps.append(2 ** args[-1])
+        return build(*args)
+
+    monkeypatch.setattr(frobenius, "_substep_maps", recorded)
     system = tensor_system(M_HALF, ScalarMode(4.0, 1), "A")
-    truth = frobenius_series(system, 6.0, order=60).evaluate(1.0)
+    truth = frobenius_series(system, 6.0, order=100).evaluate(1.0)
     ser = frobenius_series(system, 6.0, order=14)
-    end = integrate_mode_ode(system, ser, 0.1, 1.0, num=20).endpoint
+    end = integrate_mode_ode(system, ser, 0.1, 1.0, num=5).endpoint
+    assert max(substeps) > 1
     assert np.max(np.abs(end - truth)) < 1e-10 * np.max(np.abs(truth))
+
+
+def _guard_columns():
+    # every strong-class column of four modes per family and p = 0..3 at four
+    # angles, with the mode system it belongs to: 310 columns
+    for alpha in (0.8, np.pi / 2, 2.5, 0.99 * 2 * np.pi):
+        model = ConeModel(3, alpha, 1.0)
+        for family in ("tensor", "oneform"):
+            for p in range(4):
+                modes = [ScalarMode(4.0, p), ScalarMode(0.0, p), CoclosedMode(2.0, p)]
+                for mode in modes + ([TTMode(1.0, p)] if family == "tensor" else []):
+                    system = frobenius.system_for_mode(model, mode, family)
+                    branches = admissible_branches(system, "strong")
+                    if branches:
+                        yield system, branches
+
+
+def test_continuation_matches_convergent_series_at_the_tube_edge():
+    # every coefficient is analytic for r < pi / 2, so the order-100 series
+    # at r = 1 is a reference independent of the continuation.  Errors are
+    # relative to the column's largest endpoint value or d1; the largest
+    # measured is 2.2e-11.  Columns above rtol = 1e-11 are subdominant ones
+    # that take on the dominant branches' rounding growth, which the
+    # step-doubling estimate does not see: the open FOUND line on
+    # subdominant columns in CHANGES.md.
+    count = 0
+    for system, branches in _guard_columns():
+        conts = integrate_mode_ode(system, [branch_series(system, b, 14) for b in branches],
+                                   0.1, 1.0)
+        for branch, cont in zip(branches, conts):
+            ref = branch_series(system, branch, 100)
+            want = np.concatenate([ref.evaluate(1.0), ref.evaluate(1.0, 1)])
+            got = np.concatenate([cont.endpoint, cont.d1[:, -1]])
+            err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+            assert err < 1e-10, (system.family, system.kind, system.mode, branch[:2])
+            count += 1
+    assert count == 310
 
 
 def test_continuation_rejects_unattainable_rtol():
@@ -361,10 +407,10 @@ def test_continuation_scales_linearly():
 
 
 def test_continuation_profile_solves_ode_between_nodes():
-    # levels 0..2 are quintic Hermite interpolants of the ODE's own nodal
-    # derivatives, so between the nodes they satisfy the ODE to rounding:
-    # about 4e-15 for the one-form and 6e-14 for the co-closed tensor branch
-    # r^9, where cubic levels left 1.7e-9 and 3.9e-8
+    # levels 0..1 step out of the node below by the continuation's own maps
+    # and levels 2..3 are the ODE there, so between the nodes the profile
+    # satisfies the ODE to rounding: about 2e-15 for the one-form and for
+    # the co-closed tensor branch r^9
     cases = [(oneform_system(M_HALF, ScalarMode(4.0, 1), "A"), 5.0, apply_L_oneform),
              (tensor_system(M_HALF, CoclosedMode(0.0, 2), "C"), 9.0, apply_P_tensor)]
     for system, kappa, apply in cases:
@@ -373,7 +419,7 @@ def test_continuation_profile_solves_ode_between_nodes():
         combined = ModeBlock(system.family, system.kind, system.mode, cont.profiles())
         rr = np.linspace(0.13, 0.97, 23)  # avoids grid nodes
         out = apply(M_HALF, combined, rr)
-        assert max(np.max(np.abs(v)) for v in out.values()) < 1e-12, system.kind
+        assert max(np.max(np.abs(v)) for v in out.values()) < 1e-13, system.kind
 
 
 def test_continued_profile_reads_the_series_below_the_handoff():
@@ -381,7 +427,7 @@ def test_continued_profile_reads_the_series_below_the_handoff():
     ser = frobenius_series(system, 5.0, order=14)
     cont = integrate_mode_ode(system, ser, 0.1, 1.0)
     assert cont.series is ser
-    inner, nodes = np.array([1e-3, 0.05, 0.0999]), [0, 150, -1]
+    inner, nodes = np.array([1e-3, 0.05, 0.0999]), [0, cont.grid.size // 2, -1]
     for i, name in enumerate(system.names):
         prof = cont.profile(name)
         assert np.array_equal(prof(inner), ser.evaluate(inner)[i])
@@ -405,18 +451,32 @@ def test_matrix_continuation_matches_single_columns(model, mode, solution_class,
         columns.append(inhomogeneous_series(system, source, order=14))
         sources.append(source)
     assert any(ser.has_log for ser in columns)
-    # nodal d4 carries V'' ~ r^-4 times the continuation's own error, so
-    # both calls are held to a tight error bound
+    # d3 carries V' ~ r^-3 times the continuation's own error, so both calls
+    # are held to a tight error bound
     tols = {"rtol": 1e-13}
     together = integrate_mode_ode(system, columns, 0.1, 1.0, source=sources[-1],
                                   **tols)
     assert len(together) == len(columns)
     for ser, src, cont in zip(columns, sources, together):
         alone = integrate_mode_ode(system, ser, 0.1, 1.0, source=src, **tols)
-        for attr in ("endpoint", "d2", "d3", "d4"):
-            want = getattr(alone, attr)
-            got = getattr(cont, attr)
-            assert np.max(np.abs(got - want)) < 1e-9 * np.max(np.abs(want))
+        want, got = alone.endpoint, cont.endpoint
+        assert np.max(np.abs(got - want)) < 1e-9 * np.max(np.abs(want))
+        want, got = (_profile_levels(c, _nodes_and_midpoints(c)) for c in (alone, cont))
+        for level in range(4):
+            assert (np.max(np.abs(got[:, level] - want[:, level]))
+                    < 1e-9 * np.max(np.abs(want[:, level]))), level
+
+
+def _nodes_and_midpoints(cont):
+    grid = cont.grid
+    return np.sort(np.concatenate([grid, 0.5 * (grid[1:] + grid[:-1])]))
+
+
+def _profile_levels(cont, r):
+    # levels 0..3 of every component at the radii, shape (k, 4, len(r)),
+    # read through one memo as an operator application reads them
+    memo = {}
+    return np.array([cont.profile(name).jet(r, 3, memo) for name in cont.system.names])
 
 
 def test_continuation_guards(monkeypatch):
@@ -447,14 +507,14 @@ def _named_potential(system, r, derivative=0):
     return np.einsum("bij,b...->ij...", named, sinh_cosh_values(_BASIS, r, derivative))
 
 
-def _complex_step_maps(system, t, source):
+def _complex_step_maps(system, t0, t1, source):
     # the step maps as built before the real frame, kept as the reference:
     # complex arithmetic on V itself, with the state (X, X', 1) and the
     # source S as they are
     c, b, A = frobenius._gauss_tableau(frobenius._STAGES)
     k, s = system.arity, frobenius._STAGES
-    h = np.diff(t)
-    r = t[:-1, None] + h[:, None] * c
+    h = t1 - t0
+    r = t0[:, None] + h[:, None] * c
     V = np.moveaxis(_named_potential(system, r), (0, 1), (2, 3))  # (N, s, k, k)
     q = system.drift_at(r)
     eye = np.eye(k)
@@ -510,20 +570,27 @@ def test_real_frame_continuation_matches_complex_maps(case, dtype, monkeypatch):
 
     monkeypatch.setattr(frobenius, "_step_maps", recorded)
     got = integrate_mode_ode(system, columns, 0.1, 1.0, source=source)
+    radii = _nodes_and_midpoints(got[0])
+    # levels 0..3 of every column at and between the nodes, read in the
+    # frame before patching it
+    got_levels = [_profile_levels(g, radii) for g in got]
     # float64 maps unless the frame source is complex
     assert dtypes and set(dtypes) == {np.dtype(dtype)}
-    got[0].higher()  # d2..d4 of every column, read in the frame before patching it
     # the reference continues X itself: complex maps and the identity frame,
-    # and reads d2..d4 off the named potential
+    # and reads levels 2..3 off the named potential
     monkeypatch.setattr(frobenius, "_step_maps", _complex_step_maps)
     monkeypatch.setattr(ModeSystem, "frame",
                         property(lambda self: np.ones(self.arity)))
     monkeypatch.setattr(ModeSystem, "potential_at", _named_potential)
     want = integrate_mode_ode(system, columns, 0.1, 1.0, source=source)
     assert len(got) == len(want) == len(columns)
-    for g, w in zip(got, want):
-        for level in ("values", "d1", "d2", "d3", "d4"):
+    for g, w, g_levels in zip(got, want, got_levels):
+        for level in ("values", "d1"):
             a, b = getattr(g, level), getattr(w, level)
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), level
+        w_levels = _profile_levels(w, radii)
+        for level in range(4):
+            a, b = g_levels[:, level], w_levels[:, level]
             assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), level
 
 

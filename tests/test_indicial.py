@@ -579,6 +579,29 @@ def test_admissibility_counts_the_branches_the_solver_gets(alpha, n):
                     len(admissible_branches(system, cls)), (family, mode, cls)
 
 
+def test_admissibility_builds_no_mode_system(monkeypatch):
+    # kind, names and the report key are read off the mode, as the root
+    # tables read them, so the bookkeeping builds no pencil
+    from conemodes import indicial, reduction
+
+    model = ConeModel(n=3, alpha=1.3, tube_radius=1.0)
+    systems = {(family, mode): system_for_mode(model, mode, family)
+               for family in ("tensor", "oneform") for mode in ULP_MODES
+               if not (family == "oneform" and isinstance(mode, TTMode))}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("angle_admissibility built a mode system")
+
+    for module in (indicial, reduction):
+        for name in ("oneform_system", "tensor_system"):
+            monkeypatch.setattr(module, name, refuse)
+    for (family, mode), system in systems.items():
+        for cls in SOLUTION_CLASSES:
+            got = angle_admissibility(model, mode, family, cls)
+            assert (got["kind"], got["arity"]) == (system.kind, system.arity)
+            assert got["count"] == len(admissible_branches(system, cls))
+
+
 def test_reports_compute_no_inverse(monkeypatch):
     # V^-1 is the recursion's alone: with every eigenbasis built afresh,
     # neither a report nor the angle sweep inverts a matrix
