@@ -448,6 +448,10 @@ def solve(cfg: RunConfig, family, mode_type, mode_p, mode_eig, boundary,
         click.echo(f"warning: matching is {result.status} "
                    f"({len(result.null_combinations)} null combination(s), "
                    f"condition number {result.condition_number:.3g})", err=True)
+    if result.error_estimate > cfg.rtol:
+        click.echo(f"warning: the match holds to about {result.error_estimate:.1e} "
+                   f"relative, not rtol {cfg.rtol:.1e} (condition number "
+                   f"{result.condition_number:.3g})", err=True)
     click.echo(f"solve: status {result.status}, boundary residual "
                f"{result.boundary_residual:.3e} -> {', '.join(files)}")
 

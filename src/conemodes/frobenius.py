@@ -12,12 +12,15 @@ resonant (and may force ln r terms) on the columns o where s0 + m = +-(t + o).
 The continuation ODE y' = M(r) y + f(r), y = (X, X'), is linear, so it is
 propagated by 6-stage Gauss-Legendre collocation (A-stable, order 12; Hairer
 and Wanner, Solving ODEs II, IV.5) with numpy alone: every step of the
-geometric output grid becomes one affine map, all maps are built by one
-batched linear solve, and a step-doubling estimate checks each result
-against ``rtol``.  All admissible branches of a mode and its particular
-solution are continued together, as the columns of one matrix state pushed
-through the same maps.  Each column is normalized by its largest value at
-the handoff, so a steep branch r^kappa starts at size one.
+geometric output grid becomes one affine map, and all maps are built by
+one batched linear solve.  A step-doubling estimate (Hairer, Norsett and
+Wanner, Solving ODEs I, II.4) sizes the steps: every interval takes 1, 2,
+4, ... substeps until each column's local errors, each relative to the
+column's size so far and summed over the grid, are at most ``rtol``.  All
+admissible branches of a mode and its particular solution are continued
+together, as the columns of one matrix state pushed through the same maps.
+Each column is normalized by its largest value at the handoff, so a steep
+branch r^kappa starts at size one.
 
 Series and continued solutions hand out each component as a
 :class:`conemodes.geometry.RadialProfile` with three derivatives, and a
@@ -72,7 +75,9 @@ _SOLVE_TOL = 1e-9
 # Gauss-Legendre stages of the continuation (order 2 * _STAGES) and the most
 # substeps per output interval the step-doubling check may ask for
 _STAGES = 6
-_MAX_SUBSTEPS = 8
+_MAX_SUBSTEPS = 32
+# geometric nodes of the continuation's output grid, by default
+_GRID_NODES = 25
 _EPS = np.finfo(float).eps
 
 
@@ -357,7 +362,10 @@ def series_block(system: ModeSystem, series: FrobeniusSeries):
 class ContinuedSolution:
     """``series`` continued over the grid [handoff, r_end] as column ``column``
     of the states one `integrate_mode_ode` call continued together;
-    ``frame_endpoint`` is D times the endpoint, as the continuation held it.
+    ``frame_endpoint`` is D times the endpoint, as the continuation held it,
+    and ``error_estimate`` this column's summed local error estimate,
+    relative to its size, plus one rounding unit: the number held to
+    ``rtol``.
     ``between(r)`` gives the named levels 0..3 of every such column at any
     radii, shape (4, arity, columns) + r.shape."""
 
@@ -368,6 +376,7 @@ class ContinuedSolution:
     d1: np.ndarray
     frame_endpoint: np.ndarray
     column: int
+    error_estimate: float
     between: Callable = field(repr=False, compare=False)
 
     @property
@@ -479,38 +488,44 @@ def _propagate(P, y0):
 
 def _continue(system: ModeSystem, grid, y0, source, rtol: float):
     """Augmented states at the grid nodes, shape (len(grid), 2k + 1, nb), in
-    the real frame of `_step_maps` (real when ``y0`` and the maps are), and
-    log2 of the substeps per interval they took.
+    the real frame of `_step_maps` (real when ``y0`` and the maps are), log2
+    of the substeps per interval they took, and each column's error estimate.
 
-    Every interval takes m Gauss-Legendre substeps, m = 1, 2, 4, 8.  The
-    check builds the same maps over pairs of intervals: a step of order 2s
-    has local error ~ h^(2s+1), so |coarse - fine| / (2^2s - 1) estimates the
-    local error of the fine maps over each pair.  Relative to each column's
-    largest value, plus one unit of rounding (no state is closer than that),
-    it must not exceed ``rtol`` (|D x| = |x|); m doubles while it does.
+    Every interval takes m Gauss-Legendre substeps, m = 1, 2, 4, ..., 32.
+    The check builds the same maps over pairs of intervals, an odd count
+    pairing its last interval with the one before, so every interval is
+    checked: a step of order 2s has local error ~ h^(2s+1), so
+    |coarse - fine| / (2^2s - 1) estimates the local error of the fine maps
+    over each pair.  Each is taken relative to the column's largest value up
+    to that pair's end, not over the whole grid: an error made near the
+    handoff grows with a steep column from there, so the column's size at
+    the end would make it read r^kappa times too small.  Summed over the
+    pairs, plus one unit of rounding (no state is closer than that), they
+    must not exceed ``rtol`` (|D x| = |x|); m doubles while they do.
     """
-    k, npairs = system.arity, (grid.size - 1) // 2
-    coarse_grid = grid[:2 * npairs + 1:2]
+    k, n = system.arity, grid.size - 1
+    first = np.minimum(np.arange(0, n, 2), n - 2)  # the first interval of each pair
     for log_m in range(_MAX_SUBSTEPS.bit_length()):
         fine = _substep_maps(system, grid[:-1], grid[1:], source, log_m)
         Y = _propagate(fine, y0)
-        coarse = _substep_maps(system, coarse_grid[:-1], coarse_grid[1:], source, log_m)
-        diff = (coarse - fine[1::2][:npairs] @ fine[0::2][:npairs]) @ Y[:-1:2][:npairs]
-        size = np.max(np.abs(Y[:, :2 * k]), axis=(0, 1))
-        est = (np.max(np.abs(diff[:, :2 * k]), axis=1)
-               / (size * (2.0 ** (2 * _STAGES) - 1)) + _EPS)
-        worst = np.unravel_index(np.argmax(est), est.shape)
+        coarse = _substep_maps(system, grid[first], grid[first + 2], source, log_m)
+        diff = (coarse - fine[first + 1] @ fine[first]) @ Y[first]
+        size = np.maximum.accumulate(np.max(np.abs(Y[:, :2 * k]), axis=1), axis=0)
+        local = (np.max(np.abs(diff[:, :2 * k]), axis=1)
+                 / (size[first + 2] * (2.0 ** (2 * _STAGES) - 1)))
+        est = np.sum(local, axis=0) + _EPS
+        worst = np.argmax(est)
         if est[worst] <= rtol:
-            return Y, log_m
+            return Y, log_m, est
     raise FrobeniusError(
         f"continuation error estimate {est[worst]:.3g} exceeds rtol {rtol:.3g} "
-        f"at r = {grid[2 * worst[0]]:.6g} with {_MAX_SUBSTEPS} substeps per "
-        "interval; raise num or rtol")
+        f"at r = {grid[first[np.argmax(local[:, worst])]]:.6g} with {_MAX_SUBSTEPS} "
+        "substeps per interval; raise num or rtol")
 
 
 def integrate_mode_ode(system: ModeSystem, series, handoff: float, r_end: float,
                        source: Optional[Mapping[str, RadialExpr]] = None,
-                       num: int = 100, rtol: float = 1e-11):
+                       num: int = _GRID_NODES, rtol: float = 1e-11):
     """Continue series solutions from the handoff radius out to ``r_end``.
 
     ``series`` is one FrobeniusSeries, giving one ContinuedSolution, or a
@@ -521,18 +536,21 @@ def integrate_mode_ode(system: ModeSystem, series, handoff: float, r_end: float,
     the last series is the particular solution and its column alone is fed
     the source.
 
-    The output grid has ``num`` geometric nodes; each interval takes one or
-    more 6-stage Gauss-Legendre steps (order 12), refined until the
-    step-doubling estimate of the local error is at most ``rtol`` relative
-    to each column's largest value (FrobeniusError when 8 substeps per
-    interval do not reach it; ``rtol`` must be finite and > 0).  The steps
-    run in the real frame of `ModeSystem`, d_j = +i on the theta-odd
-    components: series data and source enter as D X and D S (a homogeneous
-    column is real there), and D^-1 names the nodal states and every level
-    between the nodes (`ContinuedSolution.profile`).  Each column is divided
-    by its largest value at the handoff and scaled back afterwards (its
-    source by the same factor), so a branch r^kappa with large kappa starts
-    at size one.
+    The output grid has ``num`` geometric nodes; each interval takes m
+    6-stage Gauss-Legendre steps (order 12), m = 1, 2, 4, ..., 32, the same
+    m everywhere, refined until each column's step-doubling estimates of the
+    local error, each relative to the column's largest value up to its
+    radius and summed over the grid, are at most ``rtol`` (FrobeniusError
+    when 32 substeps per interval do not reach it; ``rtol`` must be finite
+    and > 0).  Every ContinuedSolution records its column's summed estimate
+    (``error_estimate``).
+    The steps run in the real frame of `ModeSystem`, d_j = +i on the
+    theta-odd components: series data and source enter as D X and D S (a
+    homogeneous column is real there), and D^-1 names the nodal states and
+    every level between the nodes (`ContinuedSolution.profile`).  Each
+    column is divided by its largest value at the handoff and scaled back
+    afterwards (its source by the same factor), so a branch r^kappa with
+    large kappa starts at size one.
 
     Handing off deep inside the singular region loses accuracy: error at
     radius r0 feeds the steepest homogeneous mode with weight
@@ -568,12 +586,12 @@ def integrate_mode_ode(system: ModeSystem, series, handoff: float, r_end: float,
     grid[0], grid[-1] = handoff, r_end
     start = np.concatenate([y0 / scale, np.zeros((1, nb))])
     start[-1, -1] = 1.0 if src_rows else 0.0
-    Y, log_m = _continue(system, grid, start, src, rtol)
+    Y, log_m, est = _continue(system, grid, start, src, rtol)
     X, dX = (Y[:, a:a + k] * scale for a in (0, k))  # (N, k, nb), in the frame
     values, d1 = (np.moveaxis(a * system.frame.conj()[:, None], 0, -1) for a in (X, dX))
     between = functools.partial(_between, system, grid, Y, scale, src, src_rows, log_m)
     out = [ContinuedSolution(system, ser, grid, values[:, c], d1[:, c], X[-1, :, c], c,
-                             between)
+                             float(est[c]), between)
            for c, ser in enumerate(columns)]
     return out[0] if single else out
 
@@ -633,6 +651,10 @@ class ModeBVPResult:
     pairs in the order matching ``coefficients``.  ``axis_values`` holds the
     r -> 0 limits of the components (the exponent-zero branch content);
     ``axis_regular`` is False when an active branch diverges at the axis.
+    ``error_estimate`` is the matched solution's relative error to first
+    order: the largest continued column's ``error_estimate`` times the
+    condition number of the singular values the match solved on.  Rounding
+    alone puts it at that condition number times 2.2e-16, whatever the grid.
     """
 
     system: ModeSystem
@@ -642,6 +664,7 @@ class ModeBVPResult:
     coefficients: np.ndarray
     condition_number: float
     boundary_residual: float
+    error_estimate: float
     profiles: dict
     axis_values: dict
     axis_regular: bool
@@ -662,6 +685,7 @@ class ModeBVPResult:
             "coefficients": [[z.real, z.imag] for z in self.coefficients],
             "condition_number": self.condition_number,
             "boundary_residual": self.boundary_residual,
+            "error_estimate": self.error_estimate,
             "axis_regular": self.axis_regular,
             "axis_values": {k: [v.real, v.imag] for k, v in self.axis_values.items()},
         }
@@ -687,7 +711,7 @@ def solve_mode_bvp(model: ConeModel, mode: Mode, family: str,
                    solution_class: str = "strong",
                    source: Optional[Mapping[str, RadialExpr]] = None,
                    order: int = 14, handoff: Optional[float] = None,
-                   num: int = 100, rtol: float = 1e-11) -> ModeBVPResult:
+                   num: int = _GRID_NODES, rtol: float = 1e-11) -> ModeBVPResult:
     """Match admissible interior branches to Dirichlet data at the tube edge.
 
     The boundary map sends branch coefficients to component values at
@@ -697,6 +721,8 @@ def solve_mode_bvp(model: ConeModel, mode: Mode, family: str,
     rank drop reports "non_unique" with the null combinations.  One SVD of
     the map decides its rank, gives the least-squares coefficients on the
     singular values above the rank cut, and spans the null combinations.
+    Every branch is a series of ``order`` continued from ``handoff`` by
+    `integrate_mode_ode` on ``num`` nodes to ``rtol``.
     """
     system = system_for_mode(model, mode, family)
     unknown = set(boundary) - set(system.names)
@@ -739,6 +765,10 @@ def solve_mode_bvp(model: ConeModel, mode: Mode, family: str,
     else:
         rank, cond, residual = 0, np.inf, float(np.linalg.norm(target))
         coeffs, nulls = np.zeros(0, dtype=complex), ()
+    # a column's relative error moves the coefficients by up to the condition
+    # of the singular values they were solved on times it
+    solved_cond = float(sv[0] / sv[rank - 1]) if rank else 1.0
+    error = solved_cond * max((cont.error_estimate for cont in conts), default=0.0)
     if rank == nb == k:
         status = "unique"
     elif rank == k:
@@ -770,6 +800,7 @@ def solve_mode_bvp(model: ConeModel, mode: Mode, family: str,
         coefficients=coeffs,
         condition_number=cond,
         boundary_residual=residual,
+        error_estimate=error,
         profiles=profiles,
         axis_values=axis_values,
         axis_regular=regular,
@@ -781,13 +812,14 @@ def solve_mode_bvp(model: ConeModel, mode: Mode, family: str,
 def induced_singular_deformation(model: ConeModel, boundary_data: Mapping,
                                  solution_class: str = "strong",
                                  order: int = 14, handoff: Optional[float] = None,
-                                 num: int = 100, rtol: float = 1e-11) -> dict:
+                                 num: int = _GRID_NODES, rtol: float = 1e-11) -> dict:
     """Per-mode Dirichlet solves extracting the axis limits of the components.
 
     ``boundary_data`` maps tensor modes to component values at the tube edge.
     The axis limits of the cross-section slots (the exponent-zero branch
     content) are what survives at the singular locus; only p = 0 modes can
-    carry them when no indicial root sits at zero for p != 0.
+    carry them when no indicial root sits at zero for p != 0.  The other
+    arguments go to `solve_mode_bvp`.
     """
     results = {}
     for mode, bvals in boundary_data.items():
@@ -894,8 +926,11 @@ class AngleDeformation:
 
 def angle_deformation_profile(model: ConeModel, order: int = 16,
                               handoff: Optional[float] = None,
-                              num: int = 100, rtol: float = 1e-11) -> AngleDeformation:
-    """Solve the gauge potential ODE for the cone-angle deformation."""
+                              num: int = _GRID_NODES,
+                              rtol: float = 1e-11) -> AngleDeformation:
+    """Solve the gauge potential ODE for the cone-angle deformation: its
+    particular series of ``order`` continued from ``handoff`` by
+    `integrate_mode_ode` on ``num`` nodes to ``rtol``."""
     system = oneform_system(model, ScalarMode(0.0, 0), "B")
     if handoff is None:
         handoff = _auto_handoff(model.tube_radius)

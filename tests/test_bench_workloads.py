@@ -2,13 +2,16 @@
 by bench/workloads.py at their self-test size, exit 0 through the CLI; the
 benchmark's own output checks (bench/child.py) pass on each workload's
 seed-1 outputs at full size; the deform workload's axis values and the output
-files of all three workloads at seed 1 stay where they were; and a seed-1
-sweep builds no mode system."""
+files of all three workloads at seed 1 stay where they were; a seed-1 sweep
+builds no mode system; and a seed-1 sweep or deform pass imports no module
+after the CLI."""
 
 import hashlib
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -80,11 +83,11 @@ def test_deform_axis_values_are_pinned(tmp_path):
 # sha256 of the deform workload's output files at seed 1, next to the axis
 # values above; a change that means to move them updates these and says why
 _DEFORM_OUTPUT_SHA256 = {
-    "angle_profile.csv": "598ef0857abe61616e75b909de3d98e469a27ae5800fea8df163b0211d23a552",
+    "angle_profile.csv": "bc0cb4790d0102d33a64e655b58d8dc1144021aef82150f4fae83ce42a1f50a1",
     "angle_report.json": "39c8a055c7b7cdadaff8fe8324600bec4988d72f15d97ba37b0dd28efabc11dd",
     "correction_block.csv": "9d07843807795123652e126bb667ab3d2211c645ac01808f65df7aec337877af",
-    "induced.json": "ac16296741507ec9632298558272e168fbd1b809c00a9d10e3a64e693784600a",
-    "induced_metric.json": "7fea4489759e173ce46aa3b80c4f6f205db9281245ac169576b60d0dfd2aceee",
+    "induced.json": "65bcd8da3af55f701fdabcae75fae74f54348d75e7e71dabaf1abdcf8c6e40c1",
+    "induced_metric.json": "91392b77d39208cc26207e00f5c8159fb1d2b645d1407dce9f73e026288fa781",
 }
 
 
@@ -137,6 +140,43 @@ def test_sweep_builds_no_mode_system(tmp_path, monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     _run_full_size("sweep", tmp_path)
+
+
+# a pass after `import conemodes.cli` in a fresh interpreter, printing the
+# modules it imported; the first np.unique alone imports numpy.ma (18 ms cold)
+_COLD_PASS = """
+import importlib.util, os, sys, tempfile
+spec_ = importlib.util.spec_from_file_location("w", os.path.join(sys.argv[1], "workloads.py"))
+workloads = importlib.util.module_from_spec(spec_)
+spec_.loader.exec_module(workloads)
+from click.testing import CliRunner
+import conemodes.cli as cli
+spec, runner = workloads.make_spec(sys.argv[2], 1), CliRunner()
+with tempfile.TemporaryDirectory() as tmp:
+    for name, text in spec["files"].items():
+        with open(os.path.join(tmp, name), "w") as fh:
+            fh.write(text)
+    before = set(sys.modules)
+    for args in spec["commands"]:
+        args = [arg.replace("{dir}", tmp) for arg in args]
+        assert runner.invoke(cli.main, args).exit_code == 0
+    print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+# verify draws its cases through numpy.random, so it is left out
+@pytest.mark.parametrize("workload", ["sweep", "deform"])
+def test_pass_imports_no_module_after_the_cli(workload):
+    import conemodes
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(conemodes.__file__))]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    result = subprocess.run([sys.executable, "-c", _COLD_PASS, _BENCH, workload], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == []
 
 
 @pytest.mark.parametrize("workload", workloads.WORKLOADS)

@@ -334,6 +334,8 @@ class TestSolve:
         assert report["status"] == "unique"
         assert report["boundary_residual"] < 1e-9
         assert report["condition_number"] > 0
+        assert report["error_estimate"] <= 1e-11
+        assert "warning" not in result.output
         header, rows = read_csv(out / "solve_profiles.csv")
         assert header[0] == "r"
         boundary = rows[-1]
@@ -442,7 +444,7 @@ class TestSolve:
     def test_solve_just_outside_the_snap_window(self, tmp_path):
         # p * gamma = 3 (1 - 3e-9) is not snapped: no order of the recursion
         # is resonant, and the near-resonance shows in the conditioning of
-        # the match, not as an error
+        # the match and in its error estimate, with a warning, not as an error
         model_path = write_model(tmp_path, angle=(2 * math.pi / 3) * (1 + 3e-9),
                                  length=1.0)
         out = tmp_path / "out"
@@ -452,6 +454,8 @@ class TestSolve:
         assert result.exit_code == 0, result.output
         report = json.loads((out / "solve_report.json").read_text())
         assert report["condition_number"] > 1e6
+        assert report["error_estimate"] >= report["condition_number"] * 2.2e-16
+        assert "warning: the match holds to about" in result.output
 
 
 class TestDeformAngle:

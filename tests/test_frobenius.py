@@ -325,9 +325,8 @@ def test_continuation_converges_at_twelfth_order():
     assert errs[1] * 2 ** 10 <= errs[0]
 
 
-def test_continuation_refines_coarse_grid_to_rtol(monkeypatch):
-    # one step per interval of a 5-node grid misses the truth by ~6e-8; the
-    # default rtol makes the check split each interval into substeps
+def _recorded_substeps(monkeypatch):
+    # the substeps per interval of every map the continuation builds from now on
     substeps, build = [], frobenius._substep_maps
 
     def recorded(*args):
@@ -335,6 +334,13 @@ def test_continuation_refines_coarse_grid_to_rtol(monkeypatch):
         return build(*args)
 
     monkeypatch.setattr(frobenius, "_substep_maps", recorded)
+    return substeps
+
+
+def test_continuation_refines_coarse_grid_to_rtol(monkeypatch):
+    # one step per interval of a 5-node grid misses the truth by ~6e-8; the
+    # default rtol makes the check split each interval into substeps
+    substeps = _recorded_substeps(monkeypatch)
     system = tensor_system(M_HALF, ScalarMode(4.0, 1), "A")
     truth = frobenius_series(system, 6.0, order=100).evaluate(1.0)
     ser = frobenius_series(system, 6.0, order=14)
@@ -358,26 +364,58 @@ def _guard_columns():
                         yield system, branches
 
 
+def _edge_errors(system, branches, **kwargs):
+    # each column's endpoint value and d1 against the order-100 series at
+    # r = 1, relative to the column's largest of them, with the column
+    conts = integrate_mode_ode(system, [branch_series(system, b, 14) for b in branches],
+                               0.1, 1.0, **kwargs)
+    for branch, cont in zip(branches, conts):
+        ref = branch_series(system, branch, 100)
+        want = np.concatenate([ref.evaluate(1.0), ref.evaluate(1.0, 1)])
+        got = np.concatenate([cont.endpoint, cont.d1[:, -1]])
+        yield np.max(np.abs(got - want)) / np.max(np.abs(want)), cont
+
+
 def test_continuation_matches_convergent_series_at_the_tube_edge():
     # every coefficient is analytic for r < pi / 2, so the order-100 series
     # at r = 1 is a reference independent of the continuation.  Errors are
     # relative to the column's largest endpoint value or d1; the largest
-    # measured is 2.2e-11.  Columns above rtol = 1e-11 are subdominant ones
-    # that take on the dominant branches' rounding growth, which the
-    # step-doubling estimate does not see: the open FOUND line on
+    # measured is 6.3e-12.  A column above rtol = 1e-11 would be a
+    # subdominant one that takes on the dominant branches' rounding growth,
+    # which the step-doubling estimate does not see: the open FOUND line on
     # subdominant columns in CHANGES.md.
     count = 0
     for system, branches in _guard_columns():
-        conts = integrate_mode_ode(system, [branch_series(system, b, 14) for b in branches],
-                                   0.1, 1.0)
-        for branch, cont in zip(branches, conts):
-            ref = branch_series(system, branch, 100)
-            want = np.concatenate([ref.evaluate(1.0), ref.evaluate(1.0, 1)])
-            got = np.concatenate([cont.endpoint, cont.d1[:, -1]])
-            err = np.max(np.abs(got - want)) / np.max(np.abs(want))
-            assert err < 1e-10, (system.family, system.kind, system.mode, branch[:2])
+        for branch, (err, _) in zip(branches, _edge_errors(system, branches)):
+            assert err < 2e-11, (system.family, system.kind, system.mode, branch[:2])
             count += 1
     assert count == 310
+
+
+def test_error_estimate_holds_a_steep_column_to_its_size_near_the_handoff(monkeypatch):
+    # the co-closed (2, 2) tensor branches grow like r^16.7 at 0.8: an error
+    # made near the handoff grows with the column from there, but divided by
+    # the column's endpoint value it reads about 10^16 times too small.  On
+    # the default grid one substep per interval leaves 6.5e-10 at r = 1
+    substeps = _recorded_substeps(monkeypatch)
+    system = frobenius.system_for_mode(ConeModel(3, 0.8, 1.0), CoclosedMode(2.0, 2),
+                                       "tensor")
+    branches = admissible_branches(system, "strong")
+    assert max(kappa for _, kappa, _ in branches) > 16
+    for err, cont in _edge_errors(system, branches):
+        assert err < 1e-11
+        assert cont.error_estimate <= 1e-11
+    assert max(substeps) >= 2
+
+
+def test_continuation_checks_the_last_interval_of_an_even_grid():
+    # 6 nodes make 5 intervals: pairing them from the handoff leaves the
+    # last, longest one unchecked, and one substep then misses the series
+    # at the edge by 5e-11
+    system = frobenius.system_for_mode(ConeModel(3, 2.5, 1.0), CoclosedMode(2.0, 1),
+                                       "tensor")
+    for err, _ in _edge_errors(system, admissible_branches(system, "strong"), num=6):
+        assert err < 1e-11
 
 
 def test_continuation_rejects_unattainable_rtol():
@@ -771,6 +809,32 @@ def test_bvp_boundary_and_interior_consistency():
     rr = np.geomspace(5e-3, 0.9, 30)
     out = apply_P_tensor(M_HALF, res.block(), rr)
     assert max(np.max(np.abs(v)) for v in out.values()) < 1e-7
+
+
+def test_bvp_error_estimate_covers_the_grid_spread_of_a_near_resonant_match():
+    # at alpha = 2 pi (1 + 1e-8) the l2 exponents of the tensor scalar (4, 1)
+    # mode differ by integers up to 2e-8, so the series branches are nearly
+    # dependent and the match has condition number ~5e8.  One rounding unit
+    # in a column then moves the solution by ~1e-8, on every grid: solves on
+    # 25 to 400 nodes differ by up to 2.6e-8, though each column's truncation
+    # estimate is ~1e-18.  The match's error estimate covers that spread
+    model = ConeModel(3, 2 * np.pi * (1 + 1e-8), 1.0)
+    mode = ScalarMode(4.0, 1)
+    names = frobenius.system_for_mode(model, mode, "tensor").names
+    boundary = {nm: 1.0 + 0.5j * i for i, nm in enumerate(names)}
+    rr = np.array([0.05, 0.3, 0.55, 0.8, 1.0])
+
+    def solve(**kwargs):
+        res = solve_mode_bvp(model, mode, "tensor", boundary, "l2", **kwargs)
+        return res, np.array([res.profiles[nm](rr) for nm in names])
+
+    ref, want = solve(num=400, rtol=1e-13)
+    assert ref.condition_number > 1e8
+    assert ref.error_estimate >= ref.condition_number * np.finfo(float).eps
+    for num in (25, 49, 97, 100):
+        res, got = solve(num=num)
+        err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+        assert err <= min(res.error_estimate, ref.error_estimate), num
 
 
 def test_bvp_zero_boundary_gives_zero():
