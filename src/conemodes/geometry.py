@@ -259,7 +259,7 @@ class RadialProfile:
     memo.
     """
 
-    __slots__ = ("_leaf", "_node", "depth", "is_zero", "_grid")
+    __slots__ = ("_leaf", "_node", "depth", "is_zero")
 
     def __init__(self, *fns, is_zero: bool = False, node: Optional[Callable] = None,
                  depth: int = 0):
@@ -267,7 +267,6 @@ class RadialProfile:
             raise ValueError("need at least the value closure")
         self._leaf, self._node, self.is_zero = fns, node, is_zero
         self.depth = len(fns) - 1 if fns else depth
-        self._grid = None
 
     @property
     def fns(self) -> tuple:
@@ -401,22 +400,7 @@ class RadialProfile:
         r_grid = np.asarray(r_grid, dtype=float)
         values = np.asarray(values, dtype=complex)
         d1 = np.gradient(values, r_grid) if d1 is None else np.asarray(d1, dtype=complex)
-        prof = cls(*[hermite_interpolant(r_grid, values, d1, derivative=k)
-                     for k in range(3)])
-        prof._grid = (r_grid, values, d1)
-        return prof
-
-    def consistency_residual(self) -> float:
-        """Max relative mismatch between the derivative array and a central
-        difference of the value array on the stored grid (grid profiles only)."""
-        if self._grid is None:
-            raise ValueError("consistency check applies to grid-sampled profiles")
-        r, v, d1 = self._grid
-        if len(r) < 3:
-            return 0.0
-        fd = (v[2:] - v[:-2]) / (r[2:] - r[:-2])
-        scale = np.max(np.abs(d1)) or 1.0
-        return float(np.max(np.abs(fd - d1[1:-1])) / scale)
+        return cls(*[hermite_interpolant(r_grid, values, d1, derivative=k) for k in range(3)])
 
 
 def leibniz(a, b) -> np.ndarray:

@@ -56,10 +56,6 @@ class ScalarMode:
         if int(self.p) != self.p:
             raise ValueError("theta-frequency must be an integer")
 
-    @property
-    def has_gradient_oneform(self) -> bool:
-        return self.lam > 0
-
     def conjugate(self) -> "ScalarMode":
         return ScalarMode(self.lam, -self.p)
 

@@ -41,7 +41,6 @@ __all__ = [
     "TubeChart",
     "ChartGrid",
     "OracleField",
-    "christoffel_coords",
     "covariant_derivative",
     "adjoint_divergence",
     "rough_laplacian",
@@ -62,10 +61,8 @@ __all__ = [
     "block_components",
     "tube_inner_product",
     "tube_norm",
-    "cross_section_normalizer",
     "bump_chain",
     "poly_chain",
-    "fd_chain",
     "energy_ratios",
     "identity_suite",
 ]
@@ -120,47 +117,6 @@ def bump_chain(inner: float, outer: float, order: int = 4,
         return np.where((u > 0) & (u < 1), _horner(u, c) * scale ** k, 0.0).astype(complex)
     return RadialProfile(*[functools.partial(call, c=c, k=k)
                            for k, c in enumerate(_derivatives(c, depth))])
-
-
-def _stencil(r, step: float, m: int) -> np.ndarray:
-    """r + i*step stacked first for levels 0..m <= 3: i = 0, then 1, -1, then 2, -2."""
-    n = 1 if m == 0 else 3 if m < 3 else 5
-    return r + step * np.array([0.0, 1.0, -1.0, 2.0, -2.0][:n]).reshape((n,) + (1,) * r.ndim)
-
-
-def _central_differences(values: Callable, r, step: float, m: int) -> np.ndarray:
-    """Levels 0..m <= 3 at the radii r by O(step^2) central differences of one
-    `values` call on their `_stencil`."""
-    h, f = step, values(_stencil(r, step, m))
-    levels = [f[0]]
-    if m >= 1:
-        levels.append((f[1] - f[2]) / (2 * h))
-    if m >= 2:
-        levels.append((f[1] - 2 * f[0] + f[2]) / h ** 2)
-    if m >= 3:
-        levels.append((f[3] - 2 * f[1] + 2 * f[2] - f[4]) / (2 * h ** 3))
-    return np.array(levels)
-
-
-def fd_chain(fn: Callable, step: float, depth: int = 3) -> RadialProfile:
-    """Derivative chain built by central differences of a value closure.
-
-    The secondary verification path: all radial derivatives are O(step^2)
-    finite differences, so identity residuals shrink at second order.  A jet
-    calls `fn` once, through the stencil the finite-difference chart uses too
-    (`_central_differences`); a chain's value is read from a sub-memo of the
-    jet's memo, so fd chains of one graph evaluated together share it.
-    """
-    if depth > 3:
-        raise ValueError("finite-difference chain supports depth <= 3")
-    prof = fn if isinstance(fn, RadialProfile) else RadialProfile(fn)
-
-    def node(r, m, memo):
-        def values(rs):
-            return prof.jet(rs, 0, memo.setdefault(("fd", step, len(rs)), {}))[0].astype(complex)
-        return _central_differences(values, np.asarray(r, dtype=float), step, m)
-
-    return RadialProfile(node=node, depth=depth)
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +212,8 @@ class ChartGrid:
     "g" and "ginv" are the diagonals g_aa and g^aa [:, a], "gam" is Gamma^c_ab
     [:, c, a, b], "riem_low" R_abcd and "curv" [:, a, c, b, d] R_acbd g^cc g^dd.
     `_build` makes a table when first read and again only for a deeper level,
-    off the grid's one `_levi_civita` chain (on the depth-3 stencil with
-    `fd_step` set): a later table continues it, a deeper level starts it over.
+    off the grid's one `_levi_civita` chain: a later table continues it, a
+    deeper level starts it over.
 
     `support(name)` is a table's support, read off the table and kept until the
     table is rebuilt: most entries of "gam", "riem_low" and "curv" are exact
@@ -297,20 +253,11 @@ class ChartGrid:
             out = np.zeros_like(low)
             out[idx] = leibniz(leibniz(low[idx], ginv[:, idx[2]]), ginv[:, idx[4]])
             return out
-        step = self.chart.fd_step
-        if step is None:
-            return self._long_double(name, m + 1)[:m + 1].astype(complex)
-        # the level-0 table on the stacked shifted radii, differenced
-        stack = np.moveaxis(self._long_double(name, 1)[0].astype(complex), -1 - self.r.ndim, 0)
-        return _central_differences(lambda rs: stack[:len(rs)], self.r, step, m)
-
-    def _long_double(self, name: str, levels: int) -> np.ndarray:
-        """Table `name` of the chain, with levels of g to spare for its derivatives."""
-        need, step = levels + {"gam": 1, "riem_low": 2}.get(name, 0), self.chart.fd_step
+        # off the long-double chain, with levels of g to spare for the derivatives
+        need = m + 1 + {"gam": 1, "riem_low": 2}.get(name, 0)
         if self._chain is None or len(self._chain["g"]) < need or name not in self._chain:
-            x = self.r if step is None else _stencil(self.r, step, 3)
-            self._chain = _levi_civita(x, need, name, self._chain)
-        return self._chain[name]
+            self._chain = _levi_civita(self.r, need, name, self._chain)
+        return self._chain[name][:m + 1].astype(complex)
 
 
 @dataclass(frozen=True)
@@ -319,13 +266,10 @@ class TubeChart:
     from `_METRIC`, the one place that describes it.
 
     `at(r)` is the chart on one radius grid.  Fields on it carry at most
-    `depth` levels: 6, or 3 with `fd_step` set, when every radial derivative
-    of the chart tables is an O(step^2) central difference and mode fields
-    should use `fd_chain` profiles, so the whole pipeline sits on that path.
+    `depth` levels.
     """
 
     model: ConeModel
-    fd_step: Optional[float] = None
     _last: Optional[ChartGrid] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -351,30 +295,21 @@ class TubeChart:
     def length(self) -> float:
         return self.model.cross_section.length
 
-    @property
-    def depth(self) -> int:
-        """Deepest jet level that the chart serves and fields on it carry."""
-        return 6 if self.fd_step is None else 3
+    depth = 6  # deepest jet level that the chart serves and fields on it carry
 
     def at(self, r) -> ChartGrid:
         """The chart on the radii r, of any shape; the last grid is kept and
-        returned again for equal radii.  With `fd_step` set the stencil reads
-        r - 2 fd_step, so every r must exceed 2 fd_step."""
+        returned again for equal radii."""
         r, last = np.array(r, dtype=float), self._last
         if last is not None and np.array_equal(last.r, r):
             return last
         if not np.all(r > 0):
             raise DomainError("coordinate radius must be positive")
-        if self.fd_step is not None and not np.all(r > 2 * self.fd_step):
-            raise DomainError("finite-difference stencil needs radii above 2 * fd_step")
         object.__setattr__(self, "_last", ChartGrid(self, r))
         return self._last
 
     def metric(self, r):
         return _diagonal_matrix(self.at(r).jet("g", 0))[0]
-
-    def inverse_metric(self, r):
-        return _diagonal_matrix(self.at(r).jet("ginv", 0))[0]
 
     def ricci(self, r):
         """Ric_bd = g^aa R_abad, summed over a in order."""
@@ -385,11 +320,6 @@ class TubeChart:
 
 def _on_grid(chart: TubeChart, r) -> ChartGrid:  # r itself, or the chart on radii r
     return r if isinstance(r, ChartGrid) else chart.at(np.atleast_1d(r))
-
-
-def christoffel_coords(chart: TubeChart, r):
-    """All Christoffel symbols, Gamma^c_ab at [c, a, b], shape (dim,)*3 + r.shape."""
-    return chart.at(r).jet("gam", 0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -755,13 +685,6 @@ def tube_norm(u: OracleField, inner: float = 0.0, outer: Optional[float] = None,
     return math.sqrt(max(tube_inner_product(u, u, inner, outer, num, memo).real, 0.0))
 
 
-def cross_section_normalizer(model: ConeModel) -> float:
-    """Scale giving the boundary cross-section mode phases unit L^2 norm."""
-    r, (a, b) = model.tube_radius, _sqrt_metric()
-    vol = math.sinh(r) ** a * math.cosh(r) ** b * model.alpha * model.cross_section.length
-    return 1.0 / math.sqrt(vol)
-
-
 # ---------------------------------------------------------------------------
 # identity suite
 
@@ -798,14 +721,11 @@ def _random_tensor(chart, rng, chains, sign: int = 1):
     return _random_mode(chart, rng, 2, comps)
 
 
-def _suite_chains(rng, fd_step, count: int = 3):
-    def one():
-        p = poly_chain(rng.normal(size=4) + 1j * rng.normal(size=4))
-        return p if fd_step is None else fd_chain(p, fd_step)
-    return [one() for _ in range(count)]
+def _suite_chains(rng, count: int = 3):
+    return [poly_chain(rng.normal(size=4) + 1j * rng.normal(size=4)) for _ in range(count)]
 
 
-def _bump_case(rng, model, fd_step, count: int = 3):
+def _bump_case(rng, model, count: int = 3):
     # shared support per case keeps quadrature panels aligned with the
     # piecewise boundary, so Gauss-Legendre stays spectrally accurate
     a = model.tube_radius
@@ -815,8 +735,7 @@ def _bump_case(rng, model, fd_step, count: int = 3):
     chains = []
     for _ in range(count):
         coeffs = rng.normal(size=3) + 1j * rng.normal(size=3)
-        c = bump * poly_chain(coeffs)
-        chains.append(c if fd_step is None else fd_chain(c, fd_step))
+        chains.append(bump * poly_chain(coeffs))
     return chains, lo, hi
 
 
@@ -831,7 +750,7 @@ def energy_ratios(chart: TubeChart, rng, n_cases: int) -> list:
         raise ValueError("n_cases must be positive")
     ratios = []
     for _ in range(n_cases):
-        chains, lo, hi = _bump_case(rng, chart.model, chart.fd_step, 6)
+        chains, lo, hi = _bump_case(rng, chart.model, 6)
         h, memo = _random_tensor(chart, rng, chains), {}
         num = tube_inner_product(apply_P_coords(h), h, lo, hi, memo=memo).real
         ratios.append(num / tube_norm(h, lo, hi, memo=memo) ** 2)
@@ -839,17 +758,16 @@ def energy_ratios(chart: TubeChart, rng, n_cases: int) -> list:
 
 
 def identity_suite(model: ConeModel, n_cases: int = 50, seed: int = 0,
-                   tol: float = 1e-8, fd_step: Optional[float] = None) -> list:
+                   tol: float = 1e-8) -> list:
     """Residual report for the operator identities of the hyperbolic tube.
 
     Differential identities are checked pointwise on random polynomial
     mode fields, all on one chart grid; integral identities use compact bump
-    fields and the tube quadrature. Passing `fd_step` swaps every radial
-    derivative for an O(step^2) central difference, the secondary path.
+    fields and the tube quadrature.
     """
     if n_cases < 1:
         raise ValueError("n_cases must be positive")
-    chart = TubeChart(model, fd_step=fd_step)
+    chart = TubeChart(model)
     rng = np.random.default_rng(seed)
     n = chart.dim
     a = model.tube_radius
@@ -863,7 +781,7 @@ def identity_suite(model: ConeModel, n_cases: int = 50, seed: int = 0,
 
     res = 0.0
     for _ in range(n_cases):
-        h = _random_tensor(chart, rng, _suite_chains(rng, fd_step, 6))
+        h = _random_tensor(chart, rng, _suite_chains(rng, 6))
         lhs = ricci_action(h)
         rhs = h - trace(h) * metric_field(chart)
         res = max(res, _rel_residual(lhs, rhs, grid))
@@ -871,7 +789,7 @@ def identity_suite(model: ConeModel, n_cases: int = 50, seed: int = 0,
 
     res = 0.0
     for _ in range(n_cases):
-        w = _random_oneform(chart, rng, _suite_chains(rng, fd_step))
+        w = _random_oneform(chart, rng, _suite_chains(rng))
         lhs = exterior_d(codifferential(w)) + codifferential(exterior_d(w))
         rhs = rough_laplacian(w) - float(n - 1) * w
         res = max(res, _rel_residual(lhs, rhs, grid))
@@ -879,7 +797,7 @@ def identity_suite(model: ConeModel, n_cases: int = 50, seed: int = 0,
 
     res = 0.0
     for _ in range(n_cases):
-        w = _random_oneform(chart, rng, _suite_chains(rng, fd_step))
+        w = _random_oneform(chart, rng, _suite_chains(rng))
         lhs = 2.0 * bianchi_beta(delta_star(w))
         rhs = rough_laplacian(w) + float(n - 1) * w
         res = max(res, _rel_residual(lhs, rhs, grid))
@@ -888,7 +806,7 @@ def identity_suite(model: ConeModel, n_cases: int = 50, seed: int = 0,
     res = 0.0
     cases = max(4, n_cases // 10)
     for _ in range(cases):
-        chains, lo, hi = _bump_case(rng, model, fd_step)
+        chains, lo, hi = _bump_case(rng, model)
         w, memo = _random_oneform(chart, rng, chains), {}
         # two-form norms here contract both index slots, so the
         # half-normalized form statement picks up another factor 1/2
@@ -901,7 +819,7 @@ def identity_suite(model: ConeModel, n_cases: int = 50, seed: int = 0,
 
     res = 0.0
     for _ in range(n_cases):
-        w2 = _random_tensor(chart, rng, _suite_chains(rng, fd_step), -1)
+        w2 = _random_tensor(chart, rng, _suite_chains(rng), -1)
         lhs = rough_laplacian(w2)
         rhs = (exterior_d(codifferential(w2)) + codifferential(exterior_d(w2))
                + float(2 * (n - 2)) * w2)
@@ -910,7 +828,7 @@ def identity_suite(model: ConeModel, n_cases: int = 50, seed: int = 0,
 
     res = 0.0
     for _ in range(n_cases):
-        w = _random_oneform(chart, rng, _suite_chains(rng, fd_step))
+        w = _random_oneform(chart, rng, _suite_chains(rng))
         lhs = rough_laplacian(delta_star(w))
         rhs = (2.0 * delta_star(w)
                + 2.0 * (codifferential(w) * metric_field(chart))
@@ -920,7 +838,7 @@ def identity_suite(model: ConeModel, n_cases: int = 50, seed: int = 0,
 
     res = 0.0
     for _ in range(n_cases):
-        h = _random_tensor(chart, rng, _suite_chains(rng, fd_step, 6))
+        h = _random_tensor(chart, rng, _suite_chains(rng, 6))
         lhs = rough_laplacian(h)
         rhs = (delta_nabla(d_nabla(h)) + d_nabla(delta_nabla(h))
                + float(n) * h - trace(h) * metric_field(chart))
@@ -929,7 +847,7 @@ def identity_suite(model: ConeModel, n_cases: int = 50, seed: int = 0,
 
     res = 0.0
     for _ in range(n_cases):
-        h, memo = _random_tensor(chart, rng, _suite_chains(rng, fd_step, 6)), {}
+        h, memo = _random_tensor(chart, rng, _suite_chains(rng, 6)), {}
         out = bianchi_beta(linearized_einstein(h))
         scale = np.max(np.abs(bianchi_beta(rough_laplacian(h)).values(grid, memo)))
         res = max(res, float(np.max(np.abs(out.values(grid, memo))) / scale))
@@ -937,7 +855,7 @@ def identity_suite(model: ConeModel, n_cases: int = 50, seed: int = 0,
 
     res = 0.0
     for _ in range(n_cases):
-        w = _random_oneform(chart, rng, _suite_chains(rng, fd_step))
+        w = _random_oneform(chart, rng, _suite_chains(rng))
         lhs = trace(delta_star(w))
         rhs = -1.0 * codifferential(w)
         res = max(res, _rel_residual(lhs, rhs, grid))
@@ -945,7 +863,7 @@ def identity_suite(model: ConeModel, n_cases: int = 50, seed: int = 0,
 
     res = 0.0
     for _ in range(cases):
-        chains, lo, hi = _bump_case(rng, model, fd_step, 6)
+        chains, lo, hi = _bump_case(rng, model, 6)
         w = _random_oneform(chart, rng, chains[:3])
         v0 = OracleField(chart, 1, {(a,): c for a, c in enumerate(chains[3:])},
                          w.angular, w.axial)

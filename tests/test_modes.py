@@ -71,11 +71,6 @@ def test_mode_validation():
     CoclosedMode(-2.0, 1)  # synthetic input allowed
 
 
-def test_gradient_family_flag():
-    assert ScalarMode(2.0, 1).has_gradient_oneform
-    assert not ScalarMode(0.0, 1).has_gradient_oneform
-
-
 def test_active_tensor_families():
     assert active_tensor_families(5, ScalarMode(2.0, 0)) == {"a", "b"}
     assert active_tensor_families(3, ScalarMode(2.0, 0)) == {"a"}
