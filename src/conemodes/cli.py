@@ -54,7 +54,6 @@ from conemodes.reduction import (
     apply_P_tensor,
     block_csv_rows,
     block_from_dict,
-    block_to_dict,
     log_grid,
     standard_deformation_block,
     _exponents,

@@ -12,22 +12,22 @@ the small integer eigenvalues `_OFFSETS` fixed by the block kind, so
 
     W0 - kappa^2 I = (tI + O - kappa)(tI + O + kappa),
 
-the exponents are the closed-form multiset { +-(t + o) }, and each root
-carries one label (sign, o) per exponent it clusters, sign (t + o) = kappa.
-Its multiplicity is the number of labels, and its null space is the sum of
-the eigenspaces E(o) of O over the distinct o among its labels, the same at
-every t: those are its vectors.  A repeated exponent whose eigenspace is
-smaller than its multiplicity forces ln(r) factors in the local solution
-basis, and that happens only where both signs of one o meet, at kappa = 0.
-The same eigenbasis of O (`_eigenbasis`) serves the Frobenius recursion,
-which alone also reads its inverse.
+the exponents are the closed-form multiset { +-(t + o) }.  One pass
+(`_clusters`) groups the labels (sign, o) by sign (t + o) into the roots of
+the float report and the exact certificate alike.  A root's multiplicity is
+its number of labels; its null space, the same at every t, is the sum of the
+eigenspaces E(o) of O over the distinct o among its labels: its vectors.  A
+repeated exponent whose eigenspace is smaller than its multiplicity forces
+ln(r) factors in the local solution basis, and that happens only where both
+signs of one o meet, at kappa = 0.  The same eigenbasis of O (`_eigenbasis`)
+serves the Frobenius recursion, which alone also reads its inverse.
 
 A report depends on the mode only through (family, kind, component names,
 t): not on the cross-section eigenvalue, not on n, and not on any pencil.
 Roots can meet only at a half-integer t, so a report takes a t within the
 merge tolerance 1e-9 (|t| + 3) of a half-integer at that half-integer.  The
-log locus is certified independently and exactly over the rationals when t
-is rational, from W0 typed by hand (`exact_indicial_analysis`).
+log locus is certified exactly over the rationals when t is rational: the
+nullities are ranks of W0 typed by hand (`exact_indicial_analysis`).
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ _OFFSETS = {
 
 
 def closed_root_multiset(family: str, kind: str, names, t):
-    """All 2k indicial exponents, one plus/minus pair per component."""
+    """All 2k exponents +-(t + o), sorted: the tests' reference for roots."""
     return sorted(x for o in _OFFSETS[(family, kind)](tuple(names)) for x in (t + o, -(t + o)))
 
 
@@ -178,10 +178,20 @@ class IndicialReport:
         return any(r.log_required for r in self.roots)
 
 
-def _root_clusters(family: str, kind: str, names, t):
-    """Distinct exponents at a snapped t, descending, with multiplicities."""
-    counts = Counter(closed_root_multiset(family, kind, tuple(names), t))
-    return sorted(counts.items(), reverse=True)
+@functools.lru_cache(maxsize=None)
+def _labels(family: str, kind: str, names: tuple) -> tuple:
+    """(sign, o) of each exponent sign (t + o), in `_OFFSETS` order, +1 first."""
+    return tuple((sign, o) for o in _OFFSETS[(family, kind)](names) for sign in (1, -1))
+
+
+def _clusters(family: str, kind: str, names: tuple, t):
+    """(value, labels) of each distinct exponent at a snapped t, descending.
+    A value is the first of its labels' exponents, so kappa = 0 is +0.0."""
+    groups = {}  # an update keeps the first key of equal values
+    for label in _labels(family, kind, names):
+        value = label[0] * (t + label[1])
+        groups[value] = groups.get(value, ()) + (label,)
+    return sorted(groups.items(), reverse=True)
 
 
 @functools.lru_cache(maxsize=None)
@@ -200,26 +210,22 @@ def _eigenbasis(family: str, kind: str, names: tuple):
 
 
 @functools.lru_cache(maxsize=None)
-def _eigenspaces(family: str, kind: str, names: tuple) -> dict:
-    """E(o) for each offset o, named: conj(d) v for V's columns v at o."""
+def _vectors(family: str, kind: str, names: tuple, labels: tuple) -> tuple:
+    """A root's vectors: E(o) named (conj(d) v) over its labels' distinct o."""
     offsets, V = _eigenbasis(family, kind, names)
     named = list(zip(offsets.tolist(),
                      (V.T * _frame(family, names).conj()).astype(complex).tolist()))
-    return {o: tuple(tuple(v) for p, v in named if p == o) for o, _ in named}
+    return tuple(tuple(v) for o in dict.fromkeys(o for _, o in labels)
+                 for p, v in named if p == o)
 
 
 def indicial_report_at(family: str, kind: str, names, t) -> IndicialReport:
-    """The report at frequency t: the closed-form exponent multiset clustered
-    at the snapped t, each root with its labels and the eigenspaces E(o)."""
-    names, ts = tuple(names), _snap(t)
-    spaces = _eigenspaces(family, kind, names)
-    roots = []
-    for value, _ in _root_clusters(family, kind, names, ts):
-        labels = tuple((sign, o) for o in _OFFSETS[(family, kind)](names)
-                       for sign in (1, -1) if sign * (ts + o) == value)
-        vectors = sum((spaces[o] for o in dict.fromkeys(o for _, o in labels)), ())
-        roots.append(IndicialRoot(float(value), labels, vectors))
-    return IndicialReport(family, kind, names, t, tuple(roots))
+    """The report at frequency t: the labels clustered at the snapped t
+    (`_clusters`), each root with its labels and vectors (`_vectors`)."""
+    names = tuple(names)
+    return IndicialReport(family, kind, names, t, tuple(
+        IndicialRoot(float(value), labels, _vectors(family, kind, names, labels))
+        for value, labels in _clusters(family, kind, names, _snap(t))))
 
 
 def indicial_report(system: ModeSystem) -> IndicialReport:
@@ -284,18 +290,19 @@ def exact_indicial_analysis(family: str, kind: str, names, t: Fraction):
     sorted by descending exponent.  All arithmetic is exact, so the log locus
     this reports is a certificate, not a numerical observation.
 
-    W0 - kappa^2 I is ranked in the real frame (`_exact_w0`), similar to the
-    named matrix over Q(i).  A t within the merge tolerance of a half-integer
-    is certified at that half-integer, as `indicial_report` clusters it.
+    The roots and multiplicities are the report's clusters (`_clusters`) at
+    the Fraction t; each W0 - kappa^2 I is ranked in the real frame
+    (`_exact_w0`), similar to the named matrix over Q(i).  A t within the
+    merge tolerance of a half-integer is certified at that half-integer.
     """
-    t = _snap(Fraction(t))
-    w0 = _exact_w0(family, kind, tuple(names), t)
+    names, t = tuple(names), _snap(Fraction(t))
+    w0 = _exact_w0(family, kind, names, t)
     out = []
-    for kappa, mult in _root_clusters(family, kind, names, t):
+    for kappa, labels in _clusters(family, kind, names, t):
         shifted = [[x - kappa * kappa if i == j else x for j, x in enumerate(row)]
                    for i, row in enumerate(w0)]
         nullity = len(w0) - _rank(shifted)
-        out.append((kappa, mult, nullity, nullity < mult))
+        out.append((kappa, len(labels), nullity, nullity < len(labels)))
     return out
 
 
@@ -392,11 +399,14 @@ def _root_cells(report: IndicialReport, full: bool = True) -> list:
 
 
 def root_table_rows(model: ConeModel, modes, family: str):
-    """Header and rows of the indicial root table over a mode list."""
-    rows = []
+    """Header and rows of the indicial root table over a mode list, each
+    distinct key reported once (the modes m = +-1 of a circle share one)."""
+    cells, rows = {}, []  # key -> root columns
     for _, p, kind, names, lead in _table_entries(model, modes, [family]):
-        report = indicial_report_at(family, kind, names, p * model.gamma)
-        rows.extend(lead + cells for cells in _root_cells(report))
+        key = (family, kind, names, p * model.gamma)
+        if key not in cells:
+            cells[key] = _root_cells(indicial_report_at(*key))
+        rows.extend(lead + root for root in cells[key])
     return list(_TABLE_HEADER), rows
 
 

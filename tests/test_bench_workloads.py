@@ -3,8 +3,8 @@ by bench/workloads.py at their self-test size, exit 0 through the CLI; the
 benchmark's own output checks (bench/child.py) pass on each workload's
 seed-1 outputs at full size; the deform workload's axis values and the output
 files of all three workloads at seed 1 stay where they were; a seed-1 sweep
-builds no mode system; and a seed-1 sweep or deform pass imports no module
-after the CLI."""
+builds no mode system and reports each key once per table; and a seed-1
+sweep or deform pass imports no module after the CLI."""
 
 import hashlib
 import importlib.util
@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -140,6 +141,34 @@ def test_sweep_builds_no_mode_system(tmp_path, monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     _run_full_size("sweep", tmp_path)
+
+
+def test_sweep_reports_each_key_once_per_table(tmp_path, monkeypatch):
+    # the modes m = +-1 share a key, so the root table has fewer distinct
+    # keys than row groups, and the sweep fewer than row groups times angles
+    from conemodes import indicial
+
+    calls, entries = Counter(), Counter()
+    report_at, table_entries = indicial.indicial_report_at, indicial._table_entries
+
+    def counted_report(*key):
+        calls[sys._getframe(1).f_code.co_name, key] += 1
+        return report_at(*key)
+
+    def counted_entries(*args):
+        out = table_entries(*args)
+        entries[sys._getframe(1).f_code.co_name] += len(out)
+        return out
+
+    monkeypatch.setattr(indicial, "indicial_report_at", counted_report)
+    monkeypatch.setattr(indicial, "_table_entries", counted_entries)
+    _run_full_size("sweep", tmp_path)
+    assert set(calls.values()) == {1}
+    tables = Counter(table for table, _ in calls)
+    assert set(tables) == {"root_table_rows", "angle_sweep_rows"}
+    angles = workloads.make_spec("sweep", 1)["check"]["count"]
+    assert tables["root_table_rows"] < entries["root_table_rows"]
+    assert tables["angle_sweep_rows"] < entries["angle_sweep_rows"] * angles
 
 
 # a pass after `import conemodes.cli` in a fresh interpreter, printing the

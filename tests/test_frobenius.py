@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from conemodes import frobenius
 from conemodes.frobenius import (
-    AngleDeformation,
     FrobeniusError,
     FrobeniusSeries,
     admissible_branches,

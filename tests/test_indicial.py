@@ -383,6 +383,75 @@ def test_exact_rank_matches_sympy(family, kind, names):
         assert exact_indicial_analysis(family, kind, names, t) == want, t
 
 
+def _reference_roots(family, kind, names, t):
+    """The report spelled out from the closed multiset: (repr of the value,
+    labels, vectors, multiplicity) per distinct exponent at the snapped t,
+    descending; the labels are the (sign, o) whose exponent equals the
+    value, and the vectors E(o) over their distinct o, in `_OFFSETS` order."""
+    from conemodes.indicial import _OFFSETS
+    from conemodes.reduction import _snap
+    ts, offsets = _snap(t), _OFFSETS[(family, kind)](names)
+    O, k, frame = theta_coupling(family, names), len(names), _frame(family, names).conj()
+    out = []
+    for value, mult in sorted(Counter(closed_root_multiset(family, kind, names, ts)).items(),
+                              reverse=True):
+        labels = tuple((sign, o) for o in offsets for sign in (1, -1)
+                       if sign * (ts + o) == value)
+        vectors = tuple(tuple(complex(x) for x in v)
+                        for o in dict.fromkeys(o for _, o in labels)
+                        for v in np.linalg.svd(O - o * np.eye(k))[2][k - offsets.count(o):]
+                        * frame)
+        out.append((repr(float(value)), labels, vectors, mult))
+    return out
+
+
+def _equivalence_ts():
+    """Random t, 0, negatives, half-integers, and half-integers just inside
+    and just outside the merge window."""
+    rng = np.random.default_rng(32)
+    halves = [h / 2 for h in range(-9, 10)]
+    return ([0.0, -0.0, -1.0, -2.3, -3.75] + list(rng.uniform(-5.0, 5.0, 40)) + halves
+            + [h + sign * eps for h in halves for sign in (1, -1)
+               for eps in (1e-15, 1e-12, 5e-10, 3e-9)])
+
+
+def test_equivalence_blocks_cover_every_circle_key_and_k2_k3():
+    """`EXACT_BLOCKS` holds every report key a circle spectrum reaches, and
+    the n = 4 keys with k2 and k3."""
+    keys = set()
+    model = ConeModel(3, 1.3, 1.0, CrossSection("circle", 1.0))
+    for family in ("oneform", "tensor"):
+        for mode in circle_spectrum(model, 3, 2):
+            system = system_for_mode(model, mode, family)
+            keys.add((family, system.kind, system.names))
+    assert keys <= set(EXACT_BLOCKS)
+    assert {names for _, _, names in EXACT_BLOCKS} >= {
+        ("f", "g", "h", "sigma", "eta", "k1", "k2"), ("sigma_bar", "eta_bar", "k3")}
+
+
+@pytest.mark.parametrize("family,kind,names", EXACT_BLOCKS)
+def test_report_equals_the_spelled_out_rule(family, kind, names):
+    """`indicial_report_at` gives the reference roots bit for bit, zero's
+    sign included; `exact_indicial_analysis` gives the multiplicities of
+    the Fraction multiset."""
+    for t in _equivalence_ts():
+        roots = indicial_report_at(family, kind, names, float(t)).roots
+        want = _reference_roots(family, kind, names, float(t))
+        got = [(repr(r.value), r.labels, r.vectors, r.multiplicity) for r in roots]
+        assert got == want, t
+        for root, (_, labels, vectors, mult) in zip(roots, want):
+            assert root.multiplicity == len(labels) == mult
+            assert root.nullity == len(vectors)
+            assert root.log_required == (len(vectors) < mult)
+    for num in range(-30, 31):
+        t = Fraction(num, 6)
+        want = sorted(Counter(closed_root_multiset(family, kind, names, t)).items(),
+                      reverse=True)
+        got = [(kappa, mult) for kappa, mult, _, _ in
+               exact_indicial_analysis(family, kind, names, t)]
+        assert got == want, t
+
+
 @pytest.mark.parametrize("alpha", [2 * math.pi * (1 - 1e-15), 2 * math.pi * (1 + 1e-15),
                                    math.pi * (1 - 1e-15)])
 def test_float_and_exact_tables_agree_near_half_integer_t(alpha):
@@ -612,7 +681,7 @@ def test_reports_compute_no_inverse(monkeypatch):
         raise AssertionError("an indicial report computed an inverse")
 
     indicial._eigenbasis.cache_clear()
-    indicial._eigenspaces.cache_clear()
+    indicial._vectors.cache_clear()
     monkeypatch.setattr(np.linalg, "inv", refuse)
     for family, kind, names in EXACT_BLOCKS:
         assert indicial_report_at(family, kind, names, 1.5).roots

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicHermiteSpline
 
-from conemodes.geometry import ConeModel, CrossSection, DomainError, hermite_interpolant
+from conemodes.geometry import ConeModel, DomainError, hermite_interpolant
 from conemodes.modes import CoclosedMode, ScalarMode, TTMode
 from conemodes.reduction import (
     ModeBlock,
