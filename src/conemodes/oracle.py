@@ -28,6 +28,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import random
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
@@ -700,8 +701,8 @@ def _rel_residual(x: OracleField, y: OracleField, grid: ChartGrid) -> float:
 
 def _random_mode(chart, rng, rank, comps):
     return OracleField(chart, rank, comps,
-                       angular=float(rng.integers(0, 4)) * chart.gamma,
-                       axial=2 * math.pi * float(rng.integers(-2, 3)) / chart.length)
+                       angular=float(rng.randrange(4)) * chart.gamma,
+                       axial=2 * math.pi * float(rng.randrange(-2, 3)) / chart.length)
 
 
 def _random_oneform(chart, rng, chains):
@@ -721,8 +722,14 @@ def _random_tensor(chart, rng, chains, sign: int = 1):
     return _random_mode(chart, rng, 2, comps)
 
 
+def _complex_normals(rng, size: int) -> np.ndarray:
+    # real parts first, then imaginary parts
+    x = np.array([rng.gauss(0.0, 1.0) for _ in range(2 * size)])
+    return x[:size] + 1j * x[size:]
+
+
 def _suite_chains(rng, count: int = 3):
-    return [poly_chain(rng.normal(size=4) + 1j * rng.normal(size=4)) for _ in range(count)]
+    return [poly_chain(_complex_normals(rng, 4)) for _ in range(count)]
 
 
 def _bump_case(rng, model, count: int = 3):
@@ -732,19 +739,20 @@ def _bump_case(rng, model, count: int = 3):
     lo = rng.uniform(0.1, 0.35) * a
     hi = rng.uniform(0.6, 0.9) * a
     bump = bump_chain(lo, hi, order=4)
-    chains = []
-    for _ in range(count):
-        coeffs = rng.normal(size=3) + 1j * rng.normal(size=3)
-        chains.append(bump * poly_chain(coeffs))
+    chains = [bump * poly_chain(_complex_normals(rng, 3)) for _ in range(count)]
     return chains, lo, hi
 
 
-def energy_ratios(chart: TubeChart, rng, n_cases: int) -> list:
+def energy_ratios(chart: TubeChart, rng: random.Random, n_cases: int) -> list:
     """Rayleigh quotients <P h, h> / |h|^2 of random bump-supported tensors.
 
     The Einstein operator P is bounded below by n - 2 on compactly supported
-    symmetric tensors of the hyperbolic tube; each case draws its support,
-    six component chains and the mode phases from `rng`.
+    symmetric tensors of the hyperbolic tube.  Each case draws from `rng`, in
+    order: the support (lo, hi) by `uniform`, as fractions in [0.1, 0.35] and
+    [0.6, 0.9] of the tube radius; six component chains, each the bump times a
+    quadratic whose three complex coefficients are six `gauss` normals (real
+    parts first); then the mode phases by `randrange`, the angular multiple
+    of gamma in 0..3 and the axial wave number in -2..2.
     """
     if n_cases < 1:
         raise ValueError("n_cases must be positive")
@@ -764,11 +772,21 @@ def identity_suite(model: ConeModel, n_cases: int = 50, seed: int = 0,
     Differential identities are checked pointwise on random polynomial
     mode fields, all on one chart grid; integral identities use compact bump
     fields and the tube quadrature.
+
+    The cases are drawn from one `random.Random(seed)`, identity after
+    identity in report order.  A pointwise case draws its component chains
+    first (six for a symmetric tensor, three for a one-form or two-form),
+    each a cubic whose four complex coefficients are eight `gauss` normals
+    (real parts first), and then the mode phases by `randrange`: the angular
+    multiple of gamma in 0..3 and the axial wave number in -2..2.  A bump
+    case draws as `energy_ratios` does: the support by `uniform`, then its
+    chains (three, or six for the adjoint pairing) of three complex
+    coefficients, then the phases.
     """
     if n_cases < 1:
         raise ValueError("n_cases must be positive")
     chart = TubeChart(model)
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     n = chart.dim
     a = model.tube_radius
     grid = chart.at(np.linspace(0.15 * a, 0.9 * a, 40))

@@ -4,7 +4,7 @@ benchmark's own output checks (bench/child.py) pass on each workload's
 seed-1 outputs at full size; the deform workload's axis values and the output
 files of all three workloads at seed 1 stay where they were; a seed-1 sweep
 builds no mode system and reports each key once per table; and a seed-1
-sweep or deform pass imports no module after the CLI."""
+pass of any workload imports no module after the CLI."""
 
 import hashlib
 import importlib.util
@@ -117,8 +117,8 @@ def test_sweep_outputs_are_pinned(tmp_path):
 
 # sha256 of the verify workload's output files at seed 1, as for the sweep
 _VERIFY_OUTPUT_SHA256 = {
-    "verify.json": "e99874fc9645e080d313eb23896dcabfc8c16d9243b522126bb561ff0a05d1b5",
-    "energy_ratios.csv": "9b042c8270bf8eca550e5a1e181059b12cd687e30207251f5e60240391f3e7bd",
+    "verify.json": "20f7b5b4d8676c2cc07db2acd0fac0bc63bab2650435b0b4c90330afe1970c51",
+    "energy_ratios.csv": "fe4e71a3ec2e0f6ef4e3165b1ac39c1475bf5746ed26536c95ef11eac7f7c000",
 }
 
 
@@ -193,8 +193,7 @@ with tempfile.TemporaryDirectory() as tmp:
 """
 
 
-# verify draws its cases through numpy.random, so it is left out
-@pytest.mark.parametrize("workload", ["sweep", "deform"])
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
 def test_pass_imports_no_module_after_the_cli(workload):
     import conemodes
 

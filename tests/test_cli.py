@@ -761,7 +761,7 @@ class TestVerify:
         assert result.exit_code == 0
         _, rows = read_csv(out / "energy_ratios.csv")
         assert [float(r[1]) for r in rows] == pytest.approx(
-            [305.499843787, 643.218595068, 548.503000872], rel=1e-9)
+            [556.913109018, 300.711978301, 623.342985523], rel=1e-9)
 
     def test_verify_pass_builds_one_chart_chain_per_grid(self, tmp_path, monkeypatch):
         # the benchmark's verify pass: 13 radius grids, each with one long-double
@@ -816,16 +816,19 @@ class TestVerify:
         assert os.listdir(out) == []
 
     def test_seeded_runs_are_deterministic(self, tmp_path):
+        # every suite reads its own stream off the seed: a repeat matches byte
+        # for byte, and the next seed moves both files
         model_path = write_model(tmp_path)
         outs = []
-        for name in ("a", "b"):
+        for name, seed in (("a", 11), ("b", 11), ("c", 12)):
             out = tmp_path / name
             result = invoke(["--model", model_path, "--out", str(out),
-                             "--seed", "11", "verify", "--suite", "oracle",
-                             "--cases", "2"])
+                             "--seed", str(seed), "verify", "--cases", "2"])
             assert result.exit_code == 0
-            outs.append((out / "verify.json").read_text())
+            outs.append([(out / f).read_bytes()
+                         for f in ("verify.json", "energy_ratios.csv")])
         assert outs[0] == outs[1]
+        assert all(x != y for x, y in zip(outs[0], outs[2]))
 
 
 class TestInputValidation:
@@ -923,6 +926,16 @@ class TestInputValidation:
                          "--boundary", '{"f": 1.0}'])
         assert result.exit_code == 2
         assert "--tol-rtol" in result.output
+        assert not out.exists() or os.listdir(out) == []
+
+    def test_negative_seed_rejected_without_output(self, tmp_path):
+        # random.Random(-1) would silently draw the stream of seed 1
+        model_path = write_model(tmp_path)
+        out = tmp_path / "o"
+        result = invoke(["--model", model_path, "--out", str(out),
+                         "--seed", "-1", "verify", "--cases", "1"])
+        assert result.exit_code == 2
+        assert "--seed" in result.output
         assert not out.exists() or os.listdir(out) == []
 
     def test_no_partial_files_on_error(self, tmp_path):

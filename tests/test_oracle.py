@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import random
 
 import mpmath as mp
 import numpy as np
@@ -1083,7 +1084,7 @@ def test_suites_need_at_least_one_case():
     with pytest.raises(ValueError, match="n_cases"):
         identity_suite(MODEL, n_cases=0)
     with pytest.raises(ValueError, match="n_cases"):
-        energy_ratios(chart(), np.random.default_rng(0), 0)
+        energy_ratios(chart(), random.Random(0), 0)
 
 
 def test_identity_suite_report_serializes():
@@ -1119,6 +1120,6 @@ def test_identity_suite_builds_one_chart_per_grid(monkeypatch):
 
 
 def test_positivity_margin_on_bump_tensors():
-    ratios = energy_ratios(TubeChart(MODEL), np.random.default_rng(2), 10)
+    ratios = energy_ratios(TubeChart(MODEL), random.Random(2), 10)
     assert len(ratios) == 10
     assert min(ratios) >= MODEL.n - 2
