@@ -91,8 +91,6 @@ class RunConfig:
     gnuplot: bool
 
     def __post_init__(self):
-        if self.series_order < 1 or self.nodes < 4:
-            raise InputError("series order must be positive and node count at least 4")
         if not (0 < self.rtol < np.inf and self.residual_tol > 0):
             raise InputError("tolerances must be positive, and --tol-rtol finite")
         if self.rtol < np.finfo(float).eps:
@@ -201,13 +199,15 @@ def _gnuplot_script(csv_name: str, title: str, columns, logx: bool) -> str:
               help="output directory")
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True,
               help="seed of verify's random cases")
-@click.option("--tol-series-order", "series_order", type=int, default=14,
-              show_default=True, help="Frobenius truncation order")
+@click.option("--tol-series-order", "series_order", type=click.IntRange(min=1),
+              default=14, show_default=True, help="Frobenius truncation order")
 @click.option("--tol-rtol", "rtol", type=float, default=1e-11,
               show_default=True,
               help="continuation error bound (step-doubling estimate)")
-@click.option("--tol-nodes", "nodes", type=int, default=200,
-              show_default=True, help="quadrature / sampling node count")
+@click.option("--tol-nodes", "nodes", type=click.IntRange(min=4), default=200,
+              show_default=True,
+              help="radial sample count of reduce's outputs and of "
+                   "deform-angle's profile and residual checks")
 @click.option("--tol-residual", "residual_tol", type=float, default=1e-8,
               show_default=True, help="verification residual threshold")
 # accepts only the `--jobs 1` that bench/workloads.py passes, its one caller
@@ -341,7 +341,7 @@ def reduce(cfg: RunConfig, block_file, standard):
               default="tensor", show_default=True)
 @click.option("--solution-class", type=click.Choice(["strong", "l2"]),
               default="strong", show_default=True)
-@click.option("--order", type=int, default=None,
+@click.option("--order", type=click.IntRange(min=1), default=None,
               help="series order (defaults to --tol-series-order)")
 @click.pass_obj
 def frobenius_cmd(cfg: RunConfig, family, solution_class, order):
@@ -349,8 +349,6 @@ def frobenius_cmd(cfg: RunConfig, family, solution_class, order):
     model = cfg.load_model()
     modes = cfg.load_modes(model)
     order = cfg.series_order if order is None else order
-    if order < 1:
-        raise InputError("series order must be positive")
 
     def expand(mode):
         if family == "oneform" and isinstance(mode, TTMode):
@@ -470,15 +468,13 @@ def _axis_coefficients(res) -> dict:
 @main.command("deform-angle")
 @click.option("--cutoff", nargs=2, type=float, default=None,
               help="C0 C1: gauge cutoff radii (defaults to 0.25a 0.5a)")
-@click.option("--order", type=int, default=None,
+@click.option("--order", type=click.IntRange(min=1), default=None,
               help="series order (defaults to max(16, --tol-series-order))")
 @click.pass_obj
 def deform_angle(cfg: RunConfig, cutoff, order):
     """Cone-angle deformation: potential profile, correction block, residuals."""
     model = cfg.load_model()
     order = max(16, cfg.series_order) if order is None else order
-    if order < 1:
-        raise InputError("series order must be positive")
     a = model.tube_radius
     if cutoff is not None and not (0 < cutoff[0] < cutoff[1] <= a):
         raise InputError("cutoff needs 0 < C0 < C1 <= tube radius")
@@ -625,7 +621,7 @@ def _equivalence_suite(model, chart, n_cases, seed, tol):
                 mode = CoclosedMode(0.0, p)
             system = system_for_mode(model, mode, family)
             profiles = _random_polynomial_profiles(rng, system.names)
-            blk = ModeBlock(family, kind, mode, profiles)
+            blk = ModeBlock(family, mode, profiles)
             coords, reduced = operators[family]
             got = block_components(coords(block_field(chart, blk)), kind, grid)
             ref = reduced(model, blk, r)
@@ -642,7 +638,7 @@ def _equivalence_suite(model, chart, n_cases, seed, tol):
 @click.option("--suite", "suites", multiple=True,
               type=click.Choice(["identities", "oracle", "energy"]),
               help="suites to run (default: all)")
-@click.option("--cases", type=int, default=20, show_default=True)
+@click.option("--cases", type=click.IntRange(min=1), default=20, show_default=True)
 @click.pass_context
 def verify(ctx, suites, cases):
     """Run verification suites; nonzero exit when any residual is above tol.
@@ -656,8 +652,6 @@ def verify(ctx, suites, cases):
         chart = TubeChart(model)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    if cases < 1:
-        raise InputError("--cases must be positive")
     suites = tuple(suites) or ("identities", "oracle", "energy")
     tol = cfg.residual_tol
 

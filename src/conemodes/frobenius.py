@@ -60,7 +60,6 @@ __all__ = [
     "frobenius_series",
     "branch_series",
     "inhomogeneous_series",
-    "series_block",
     "ContinuedSolution",
     "integrate_mode_ode",
     "ModeBVPResult",
@@ -152,9 +151,20 @@ class FrobeniusSeries:
         return out[:, 0] if scalar else out
 
     def profile(self, name: str) -> RadialProfile:
-        """One component as a profile with three derivatives."""
+        """One component as a profile with three derivatives.  Every component
+        reads one jet memo entry, keyed by the series, holding the levels of
+        all components, so each level is evaluated once per memo."""
         i = self.names.index(name)
-        return RadialProfile(*[lambda r, k=k: self.evaluate(r, k)[i] for k in range(4)])
+
+        def node(r, m, memo):
+            have = memo.get(self, ())
+            if len(have) <= m:
+                have = np.array([*have, *(self.evaluate(r, k)
+                                          for k in range(len(have), m + 1))])
+                memo[self] = have
+            return have[:m + 1, i]
+
+        return RadialProfile(node=node, depth=3)
 
     def profiles(self) -> dict:
         return {name: self.profile(name) for name in self.names}
@@ -347,11 +357,6 @@ def inhomogeneous_series(system: ModeSystem, source: Mapping[str, RadialExpr],
     for i, ser in rows.items():
         terms[:, i] = [complex(ser.coefficient(s0 - 2 + m)) for m in range(order + 1)]
     return _series(system, s0, order, source=terms)
-
-
-def series_block(system: ModeSystem, series: FrobeniusSeries):
-    """Wrap series profiles as the matching mode block."""
-    return ModeBlock(system.family, system.kind, system.mode, series.profiles())
 
 
 # ---------------------------------------------------------------------------
@@ -672,8 +677,7 @@ class ModeBVPResult:
     handoff: float
 
     def block(self):
-        return ModeBlock(self.system.family, self.system.kind, self.system.mode,
-                         dict(self.profiles))
+        return ModeBlock(self.system.family, self.system.mode, dict(self.profiles))
 
     def summary(self) -> dict:
         return {
@@ -888,7 +892,7 @@ class AngleDeformation:
         """Max componentwise defect of O X = (2/tanh r, 0) at the radii."""
         radii = np.asarray(radii, dtype=float)
         system = self.continuation.system
-        block = ModeBlock("oneform", system.kind, system.mode,
+        block = ModeBlock("oneform", system.mode,
                           {"f": self.f_profile, "g": self.g_profile})
         out = system.apply(block, radii)
         res_f = np.abs(out["f"] - 2.0 / np.tanh(radii))
@@ -912,7 +916,7 @@ class AngleDeformation:
             "g": RadialProfile.constant(1.0) - f * inv_th,
             "k1": -np.sqrt(n - 2) * (f * th),
         }
-        return ModeBlock("tensor", "B", ScalarMode(0.0, 0), profiles)
+        return ModeBlock("tensor", ScalarMode(0.0, 0), profiles)
 
     def boundary_values(self, cutoff=None) -> dict:
         """Component trace of the deformation tensor at the tube edge."""
@@ -931,7 +935,7 @@ def angle_deformation_profile(model: ConeModel, order: int = 16,
     """Solve the gauge potential ODE for the cone-angle deformation: its
     particular series of ``order`` continued from ``handoff`` by
     `integrate_mode_ode` on ``num`` nodes to ``rtol``."""
-    system = oneform_system(model, ScalarMode(0.0, 0), "B")
+    system = oneform_system(model, ScalarMode(0.0, 0))
     if handoff is None:
         handoff = _auto_handoff(model.tube_radius)
     source = {"f": 2.0 * _ex("inv_th")}

@@ -311,11 +311,10 @@ def exact_indicial_analysis(family: str, kind: str, names, t: Fraction):
 
 
 def system_for_mode(model: ConeModel, mode: Mode, family: str) -> ModeSystem:
-    """The reduced system a mode generates, block kind inferred."""
-    kind = mode_kind(mode, family)
+    """The reduced system a mode generates in a family."""
     if family == "oneform":
-        return oneform_system(model, mode, kind)
-    return tensor_system(model, mode, kind)
+        return oneform_system(model, mode)
+    return tensor_system(model, mode)
 
 
 def angle_admissibility(model: ConeModel, mode: Mode, family: str = "tensor",
@@ -329,7 +328,7 @@ def angle_admissibility(model: ConeModel, mode: Mode, family: str = "tensor",
     if solution_class not in SOLUTION_CLASSES:
         raise ValueError(f"unknown solution class {solution_class!r}")
     kind = mode_kind(mode, family)
-    names = system_names(family, kind, model.n, mode)
+    names = system_names(family, model.n, mode)
     report = indicial_report_at(family, kind, names, mode.p * model.gamma)
     branches, count = [], 0
     for root in report.roots:
@@ -380,7 +379,7 @@ def _table_entries(model: ConeModel, modes, families) -> list:
             if not (family == "oneform" and isinstance(mode, TTMode)):
                 kind = mode_kind(mode, family)
                 lead = [family, kind, str(mode.p), f"{_mode_eigdata(mode):.12g}"]
-                names = system_names(family, kind, model.n, mode)
+                names = system_names(family, model.n, mode)
                 entries.append((family, mode.p, kind, names, lead))
     return entries
 

@@ -51,7 +51,7 @@ class ScalarMode:
     p: int
 
     def __post_init__(self):
-        if self.lam < 0:
+        if not self.lam >= 0:  # NaN too, which fits no block kind
             raise ValueError("scalar eigenvalue must be nonnegative")
         if int(self.p) != self.p:
             raise ValueError("theta-frequency must be an integer")

@@ -31,8 +31,9 @@ first-order gradient/exterior-derivative displays for one-form blocks,
 computes weighted tube norms by Gauss-Legendre quadrature, and produces the
 standard singular deformation blocks (cone angle, locus metric, gluing).
 Every unknown is a :class:`ModeBlock`: a family ("oneform" or "tensor"), a
-kind, a mode and component profiles, with the component names read from one
-table per family.  The components are
+mode and component profiles.  Its kind (below) is read off the mode by
+`mode_kind`, the one rule for it, and its component names from one table per
+family and kind.  The components are
 :class:`conemodes.geometry.RadialProfile` jets, and `ModeSystem.apply` reads
 levels 0..2 of every component through one shared memo, so components built
 from a common profile evaluate it once.  The indicial matrix
@@ -209,24 +210,6 @@ def theta_coupling(family: str, names: tuple) -> np.ndarray:
     return O
 
 
-def _check_kind_mode(family: str, kind: str, mode: Mode) -> None:
-    if kind not in _COMPONENTS[family]:
-        raise ValueError(f"unknown {family} block kind {kind!r}")
-    if kind in ("A", "B"):
-        if not isinstance(mode, ScalarMode):
-            raise ValueError(f"kind {kind} blocks carry a scalar mode")
-        if kind == "A" and not mode.lam > 0:
-            raise ValueError("kind A needs a positive scalar eigenvalue")
-        if kind == "B" and mode.lam != 0:
-            raise ValueError("kind B is the zero-eigenvalue scalar block")
-    elif kind == "C":
-        if not isinstance(mode, CoclosedMode):
-            raise ValueError("kind C blocks carry a co-closed mode")
-    elif kind == "D":
-        if not isinstance(mode, TTMode):
-            raise ValueError("kind D blocks carry a trace-free transverse mode")
-
-
 def mode_kind(mode: Mode, family: str) -> str:
     """The block kind a mode generates in a family."""
     if family not in _COMPONENTS:
@@ -246,12 +229,11 @@ def mode_kind(mode: Mode, family: str) -> str:
 _OPTIONAL = {"k2": "b", "k3": "c"}
 
 
-def system_names(family: str, kind: str, n: int, mode: Mode) -> tuple:
-    """The components of a mode's reduced system: the kind's names, less the
-    tensor ones whose cross-section family is inactive at this n and mode.
-    A kind the mode does not generate raises ValueError."""
-    _check_kind_mode(family, kind, mode)
-    names = _COMPONENTS[family][kind]
+def system_names(family: str, n: int, mode: Mode) -> tuple:
+    """The components of a mode's reduced system: the names of the kind the
+    mode generates, less the tensor ones whose cross-section family is
+    inactive at this n and mode."""
+    names = _COMPONENTS[family][mode_kind(mode, family)]
     if family == "oneform":
         return names
     fams = active_tensor_families(n, mode)
@@ -261,20 +243,23 @@ def system_names(family: str, kind: str, n: int, mode: Mode) -> tuple:
 @dataclass(frozen=True)
 class ModeBlock:
     """The radial profiles of one mode of a one-form ("oneform") or
-    symmetric 2-tensor ("tensor") field; a missing component is zero."""
+    symmetric 2-tensor ("tensor") field; a missing component is zero.  The
+    block kind is read off the mode by `mode_kind`."""
 
     family: str
-    kind: str
     mode: Mode
     profiles: Mapping[str, RadialProfile] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.family not in _COMPONENTS:
             raise ValueError(f"unknown block family {self.family!r}")
-        _check_kind_mode(self.family, self.kind, self.mode)
         extra = set(self.profiles) - set(self.names)
         if extra:
             raise ValueError(f"components {sorted(extra)} not in kind {self.kind}")
+
+    @property
+    def kind(self) -> str:
+        return mode_kind(self.mode, self.family)
 
     @property
     def names(self) -> tuple:
@@ -465,12 +450,13 @@ def _snap(t):
     return half if abs(t - half) <= _merge_tol(t) else t
 
 
-def oneform_system(model: ConeModel, mode: Mode, kind: str) -> ModeSystem:
+def oneform_system(model: ConeModel, mode: Mode) -> ModeSystem:
     """Reduced system of the one-form operator (connection Laplacian + (n-1))."""
     n, g = model.n, model.gamma
     pg = _snap(mode.p * g)  # the t whose roots `indicial_report` clusters
     pg2 = pg * pg
-    names = system_names("oneform", kind, n, mode)
+    kind = mode_kind(mode, "oneform")
+    names = system_names("oneform", n, mode)
     pencil, put = _pencil_writer("oneform", names)
     pencil[_SLOTS.index("sti")] += 2.0 * pg * theta_coupling("oneform", names)
     if kind in ("A", "B"):
@@ -488,13 +474,14 @@ def oneform_system(model: ConeModel, mode: Mode, kind: str) -> ModeSystem:
     return ModeSystem("oneform", kind, mode, n, g, names, pencil)
 
 
-def tensor_system(model: ConeModel, mode: Mode, kind: str) -> ModeSystem:
+def tensor_system(model: ConeModel, mode: Mode) -> ModeSystem:
     """Reduced system of the trace-coupled tensor operator (connection
     Laplacian minus twice the curvature action)."""
     n, g = model.n, model.gamma
     pg = _snap(mode.p * g)  # the t whose roots `indicial_report` clusters
     pg2 = pg * pg
-    names = system_names("tensor", kind, n, mode)
+    kind = mode_kind(mode, "tensor")
+    names = system_names("tensor", n, mode)
     pencil, put = _pencil_writer("tensor", names)
     pencil[_SLOTS.index("sti")] += 2.0 * pg * theta_coupling("tensor", names)
 
@@ -549,7 +536,7 @@ def apply_L_oneform(model: ConeModel, block: ModeBlock, r):
     if block.family != "oneform":
         raise ValueError(f"the one-form operator needs a oneform block, not {block.family}")
     r = _check_radii(model, r)
-    return oneform_system(model, block.mode, block.kind).apply(block, r)
+    return oneform_system(model, block.mode).apply(block, r)
 
 
 def apply_P_tensor(model: ConeModel, block: ModeBlock, r):
@@ -557,7 +544,7 @@ def apply_P_tensor(model: ConeModel, block: ModeBlock, r):
     if block.family != "tensor":
         raise ValueError(f"the tensor operator needs a tensor block, not {block.family}")
     r = _check_radii(model, r)
-    return tensor_system(model, block.mode, block.kind).apply(block, r)
+    return tensor_system(model, block.mode).apply(block, r)
 
 
 def _check_radii(model, r):
@@ -750,14 +737,12 @@ def standard_deformation_block(model: ConeModel, kind: str):
     one-form, profile r^2/(sh ch) on the theta-cross slot.
     """
     if kind == "angle":
-        return ModeBlock("tensor", "B", ScalarMode(0.0, 0),
-                         {"g": RadialProfile.constant(1.0)})
+        return ModeBlock("tensor", ScalarMode(0.0, 0), {"g": RadialProfile.constant(1.0)})
     if kind == "locus_metric":
-        return ModeBlock("tensor", "B", ScalarMode(0.0, 0),
-                         {"k1": RadialProfile.constant(1.0)})
+        return ModeBlock("tensor", ScalarMode(0.0, 0), {"k1": RadialProfile.constant(1.0)})
     if kind == "angle_gluing":
         prof = RadialProfile.monomial(2) * RadialProfile.from_expr(_ex("inv_sh", "inv_ch"))
-        return ModeBlock("tensor", "C", CoclosedMode(0.0, 0), {"eta_bar": prof})
+        return ModeBlock("tensor", CoclosedMode(0.0, 0), {"eta_bar": prof})
     raise ValueError(f"unknown standard deformation {kind!r}")
 
 
@@ -791,7 +776,8 @@ def block_to_dict(model: ConeModel, block, grid=None) -> dict:
 
 
 def block_from_dict(d: dict):
-    """Rebuild a block from its sampled JSON form (grid-interpolated)."""
+    """Rebuild a block from its sampled JSON form (grid-interpolated); the
+    form's kind must be the one its mode generates."""
     mode = mode_from_dict(d["mode"])
     grid = np.asarray(d["grid"], dtype=float)
     if not (grid.ndim == 1 and grid.size >= 2 and np.isfinite(grid).all()
@@ -807,7 +793,11 @@ def block_from_dict(d: dict):
             raise ValueError(f"profile {name} arrays must have the grid's length")
         profiles[name] = RadialProfile.from_grid(grid, parts[0] + 1j * parts[1],
                                                  parts[2] + 1j * parts[3])
-    return ModeBlock(d["family"], d["kind"], mode, profiles)
+    block = ModeBlock(d["family"], mode, profiles)
+    if d["kind"] != block.kind:
+        raise ValueError(f"block kind {d['kind']!r} does not match its mode, "
+                         f"which generates kind {block.kind}")
+    return block
 
 
 def block_csv_rows(model: ConeModel, block, grid=None):

@@ -217,7 +217,7 @@ class TestReduce:
         from conemodes.reduction import ModeBlock, RadialProfile, block_to_dict
         model = ConeModel(n=3, alpha=math.pi / 2, tube_radius=1.0,
                           cross_section=CrossSection("circle", 2.0))
-        block = ModeBlock("tensor", "A", ScalarMode(math.pi ** 2, 1), {
+        block = ModeBlock("tensor", ScalarMode(math.pi ** 2, 1), {
             name: RadialProfile.from_sympy(expr)
             for name, expr in [("f", "r**2"), ("g", "r"), ("h", "0"),
                                ("sigma", "r**3"), ("eta", "0"), ("k1", "1")]})
@@ -235,7 +235,8 @@ class TestReduce:
 
     def test_list_profiles_rejected_without_output(self, tmp_path):
         # a list of profiles, a family that is neither oneform nor tensor, a
-        # k2 profile, which no n = 3 system carries, and two bad grids
+        # kind the mode does not generate, a k2 profile, which no n = 3
+        # system carries, and two bad grids
         from conemodes.reduction import ModeBlock, RadialProfile, block_to_dict
         model_path = write_model(tmp_path)
         block = {"family": "tensor", "kind": "B",
@@ -244,7 +245,7 @@ class TestReduce:
         bogus = dict(block, family="bogus", profiles={})
         model = ConeModel(n=3, alpha=math.pi / 2, tube_radius=1.0,
                           cross_section=CrossSection("circle", 2.0))
-        k2 = block_to_dict(model, ModeBlock("tensor", "A", ScalarMode(math.pi ** 2, 1),
+        k2 = block_to_dict(model, ModeBlock("tensor", ScalarMode(math.pi ** 2, 1),
                                             {"k2": RadialProfile.monomial(1)}))
         # samples at r = 0.5 and 1 only, which the 1e-6 end of the grid is far from
         short = dict(block, profiles={"f": {"value_re": [1.0, 2.0], "value_im": [0.0, 0.0],
@@ -252,9 +253,12 @@ class TestReduce:
         arrays = {"value_re": [1.0] * 4, "value_im": [0.0] * 4,
                   "d1_re": [0.0] * 4, "d1_im": [0.0] * 4}
         unsorted = dict(block, grid=[1e-6, 0.7, 0.5, 1.0], profiles={"f": arrays})
+        # a lambda = 0 scalar mode generates kind B, not A
+        mismatched = dict(block, kind="A", profiles={})
         for i, (data, message) in enumerate([
                 (block, "profiles must be a JSON object"),
                 (bogus, "unknown block family 'bogus'"),
+                (mismatched, "block kind 'A' does not match its mode"),
                 (k2, "components ['k2'] are not active"),
                 (short, "does not cover the sample grid"),
                 (unsorted, "strictly increasing")]):
@@ -936,6 +940,21 @@ class TestInputValidation:
                          "--seed", "-1", "verify", "--cases", "1"])
         assert result.exit_code == 2
         assert "--seed" in result.output
+        assert not out.exists() or os.listdir(out) == []
+
+    @pytest.mark.parametrize("args,option", [
+        (["--tol-series-order", "0", "indicial"], "--tol-series-order"),
+        (["--tol-nodes", "3", "reduce", "--standard", "angle"], "--tol-nodes"),
+        (["frobenius", "--order", "0"], "--order"),
+        (["deform-angle", "--order", "-3"], "--order"),
+        (["verify", "--cases", "0"], "--cases"),
+    ])
+    def test_integer_ranges_rejected_without_output(self, tmp_path, args, option):
+        model_path = write_model(tmp_path)
+        out = tmp_path / "o"
+        result = invoke(["--model", model_path, "--out", str(out)] + args)
+        assert result.exit_code == 2
+        assert option in result.output
         assert not out.exists() or os.listdir(out) == []
 
     def test_no_partial_files_on_error(self, tmp_path):

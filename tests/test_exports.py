@@ -10,9 +10,10 @@ import conemodes
 
 MODULES = ["conemodes"] + [f"conemodes.{m.name}"
                            for m in pkgutil.iter_modules(conemodes.__path__)]
-# the package's modules and these tests
-SOURCES = sorted(glob.glob(os.path.join(conemodes.__path__[0], "*.py"))
-                 + glob.glob(os.path.join(os.path.dirname(os.path.abspath(__file__)), "*.py")))
+# the package's modules, and SOURCES: those and these tests
+PACKAGE_SOURCES = sorted(glob.glob(os.path.join(conemodes.__path__[0], "*.py")))
+SOURCES = sorted(PACKAGE_SOURCES + glob.glob(
+    os.path.join(os.path.dirname(os.path.abspath(__file__)), "*.py")))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -79,3 +80,35 @@ def f(x: "Sequence[int]") -> Union[int, None]:
     return np.sum(x) + len(os.sep)
 '''
     assert unused_imports(source) == [(5, "Iterable")]
+
+
+def mode_and_kind_defs(source: str) -> list:
+    """(line, name) of each function taking both a `mode` and a `kind`
+    parameter.  A mode fixes its block kind (`reduction.mode_kind`), so such
+    a signature only adds a way for the two to disagree."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            if {"mode", "kind"} <= {arg.arg for arg in
+                                    args.posonlyargs + args.args + args.kwonlyargs}:
+                out.append((node.lineno, node.name))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", PACKAGE_SOURCES, ids=os.path.basename)
+def test_no_function_takes_a_mode_and_its_kind(path):
+    with open(path, encoding="utf-8") as fh:
+        assert mode_and_kind_defs(fh.read()) == []
+
+
+def test_mode_and_kind_scan_rules():
+    source = '''
+def built(model, mode, kind): ...
+def derived(model, mode): ...
+class Block:
+    def check(self, *, kind, mode=None): ...
+def table(kind):
+    def row(mode): ...
+'''
+    assert mode_and_kind_defs(source) == [(2, "built"), (5, "check")]

@@ -16,7 +16,6 @@ from conemodes.frobenius import (
     induced_singular_deformation,
     inhomogeneous_series,
     integrate_mode_ode,
-    series_block,
     solve_mode_bvp,
     _cutoff_derivatives,
 )
@@ -48,7 +47,7 @@ M_3HALF = ConeModel(3, 3 * np.pi / 2, 1.0, CS)  # gamma = 4/3
 
 
 def test_top_root_auto_seed_matches_indicial_vector():
-    system = oneform_system(M_HALF, ScalarMode(4.0, 1), "A")
+    system = oneform_system(M_HALF, ScalarMode(4.0, 1))
     ser = frobenius_series(system, 5.0, order=0)
     v0 = np.asarray(ser.coefficients[0])
     expected = np.array([1.0, -1.0j, 0.0]) / np.sqrt(2)
@@ -60,7 +59,7 @@ def test_top_root_auto_seed_matches_indicial_vector():
 def test_single_component_recursion_frozen_coefficient():
     # varpi equation at p'gamma = 2: W0 = 4, W2 = 2/3, q2 = 4/3, so
     # (W0 - 16) v2 = (q2*2 - W2) v0 gives v2 = -v0/6
-    system = oneform_system(M_PI, CoclosedMode(0.0, 1), "C")
+    system = oneform_system(M_PI, CoclosedMode(0.0, 1))
     ser = frobenius_series(system, 2.0, order=8)
     V = np.asarray(ser.coefficients)
     assert abs(V[0, 0] - 1.0) < 1e-14
@@ -69,7 +68,7 @@ def test_single_component_recursion_frozen_coefficient():
 
 
 def test_even_potential_gives_even_series():
-    system = oneform_system(M_PI, CoclosedMode(0.0, 1), "C")
+    system = oneform_system(M_PI, CoclosedMode(0.0, 1))
     ser = frobenius_series(system, 2.0, order=9)
     V = np.asarray(ser.coefficients)
     assert np.max(np.abs(V[1::2])) < 1e-14
@@ -79,7 +78,7 @@ def test_obstructed_recursion_grows_log_chain():
     # kappa = -1 branch at p*gamma = 1: the resonance at exponent +1 is
     # obstructed with companion (0, 0, 7/2), the next one at +2 with
     # -(1, -i, 0)/2; both follow from the q2 = 4/3, W2, W3 coefficients
-    system = oneform_system(M_2PI, ScalarMode(4.0, 1), "A")
+    system = oneform_system(M_2PI, ScalarMode(4.0, 1))
     ser = frobenius_series(system, -1.0, vector=(0, 0, 1), order=6)
     assert ser.has_log
     U = np.asarray(ser.log_coefficients)
@@ -91,7 +90,7 @@ def test_obstructed_recursion_grows_log_chain():
 
 
 def test_log_seed_at_zero_exponent():
-    system = oneform_system(M_2PI, ScalarMode(4.0, 0), "A")
+    system = oneform_system(M_2PI, ScalarMode(4.0, 0))
     ser = frobenius_series(system, 0.0, log_vector=(0, 0, 1), order=6)
     assert ser.has_log
     assert np.allclose(ser.log_coefficients[0], [0, 0, 1])
@@ -102,13 +101,13 @@ def test_log_seed_at_zero_exponent():
 
 
 def test_seed_vector_must_be_indicial():
-    system = oneform_system(M_HALF, ScalarMode(4.0, 1), "A")
+    system = oneform_system(M_HALF, ScalarMode(4.0, 1))
     with pytest.raises(FrobeniusError):
         frobenius_series(system, 5.0, vector=(1.0, 0.0, 0.0), order=2)
 
 
 def test_degenerate_root_requires_explicit_seed():
-    system = tensor_system(M_HALF, ScalarMode(4.0, 1), "A")
+    system = tensor_system(M_HALF, ScalarMode(4.0, 1))
     with pytest.raises(FrobeniusError):
         frobenius_series(system, 4.0, order=2)
 
@@ -118,14 +117,14 @@ def test_auto_seed_reads_the_nearest_root():
     # t - 1 just outside the snap window: the seed is not taken from the
     # simple root
     t = 0.5 + 5e-9
-    system = tensor_system(ConeModel(3, 2 * np.pi / t, 1.0), ScalarMode(4.0, 1), "A")
+    system = tensor_system(ConeModel(3, 2 * np.pi / t, 1.0), ScalarMode(4.0, 1))
     with pytest.raises(FrobeniusError, match="pass an explicit seed vector"):
         frobenius_series(system, -t, order=2)
     assert frobenius_series(system, t - 1, order=2).kappa == t - 1
 
 
 def test_series_json_roundtrip():
-    system = oneform_system(M_2PI, ScalarMode(4.0, 1), "A")
+    system = oneform_system(M_2PI, ScalarMode(4.0, 1))
     for ser in (frobenius_series(system, 2.0, order=5),
                 frobenius_series(system, -1.0, vector=(0, 0, 1), order=5)):
         back = FrobeniusSeries.from_dict(ser.to_dict())
@@ -136,7 +135,7 @@ def test_series_json_roundtrip():
 
 
 def test_series_derivatives_match_finite_differences():
-    system = oneform_system(M_2PI, ScalarMode(4.0, 1), "A")
+    system = oneform_system(M_2PI, ScalarMode(4.0, 1))
     ser = frobenius_series(system, -1.0, vector=(0, 0, 1), order=6)
     r = np.array([0.1, 0.3])
     h = 1e-6
@@ -146,10 +145,39 @@ def test_series_derivatives_match_finite_differences():
         assert np.max(np.abs(fd - ser.evaluate(r, d))) < 1e-7 * scale
 
 
+def test_series_profiles_evaluate_each_level_once(monkeypatch):
+    # the four components of a tensor (0, 1) series share one memo entry: a
+    # jet of all of them to level 2 is three evaluations, not twelve, a later
+    # deeper jet adds only the new level, and every level is the series' own
+    # evaluation bit for bit
+    system = tensor_system(ConeModel(3, 1.0, 1.0, CS), ScalarMode(0.0, 1))
+    ser = branch_series(system, admissible_branches(system, "strong")[0], 8)
+    r = np.array([0.05, 0.2, 0.5])
+    want = np.array([ser.evaluate(r, k) for k in range(4)])
+    calls = []
+    evaluate = FrobeniusSeries.evaluate
+
+    def counted(self, r, derivative=0):
+        calls.append(derivative)
+        return evaluate(self, r, derivative)
+
+    monkeypatch.setattr(FrobeniusSeries, "evaluate", counted)
+    system.apply(ModeBlock("tensor", system.mode, ser.profiles()), r)
+    assert calls == [0, 1, 2]
+    calls.clear()
+    profiles, memo = ser.profiles(), {}
+    for m in (0, 2, 3):
+        jets = [profiles[nm].jet(r, m, memo) for nm in system.names]
+    assert calls == [0, 1, 2, 3]
+    for i, jet in enumerate(jets):
+        assert jet.dtype == np.complex128
+        assert np.array_equal(jet, want[:, i])
+
+
 def test_truncation_residual_decay_exponent():
-    system = oneform_system(M_HALF, ScalarMode(4.0, 1), "A")
+    system = oneform_system(M_HALF, ScalarMode(4.0, 1))
     ser = frobenius_series(system, 5.0, order=10)
-    blk = series_block(system, ser)
+    blk = ModeBlock(system.family, system.mode, ser.profiles())
     rr = np.geomspace(0.05, 0.3, 12)
     out = apply_L_oneform(M_HALF, blk, rr)
     res = np.max(np.abs(np.stack(list(out.values()))), axis=0)
@@ -158,7 +186,7 @@ def test_truncation_residual_decay_exponent():
 
 
 def test_higher_order_tightens_truncation():
-    system = tensor_system(M_HALF, ScalarMode(4.0, 1), "A")
+    system = tensor_system(M_HALF, ScalarMode(4.0, 1))
     ref = frobenius_series(system, 6.0, order=40)
     r = 0.3
     errs = []
@@ -224,21 +252,21 @@ def test_recursion_equations_hold_at_every_order():
     # scalar (0, 0) at angle 1), the angle potential's log companion, the
     # obstructed log chain of one-form A at angle 2 pi, a co-closed block
     cases = []
-    system = tensor_system(ConeModel(3, 1.0, 1.0, CS), ScalarMode(0.0, 0), "B")
+    system = tensor_system(ConeModel(3, 1.0, 1.0, CS), ScalarMode(0.0, 0))
     series = _all_branches(system, 16)
     assert any(ser.kappa == 0.0 for ser in series)
     cases += [(system, ser, None) for ser in series]
-    system = oneform_system(M_2PI, ScalarMode(0.0, 0), "B")
+    system = oneform_system(M_2PI, ScalarMode(0.0, 0))
     inv_th = (2.0 * _ex("inv_th")).laurent(17)
     ser = inhomogeneous_series(system, {"f": 2.0 * _ex("inv_th")}, order=16)
     assert ser.has_log
     cases.append((system, ser, lambda m: np.array(
         [complex(inv_th.coefficient(int(ser.kappa) - 2 + m)), 0.0])))
-    system = oneform_system(M_2PI, ScalarMode(4.0, 1), "A")
+    system = oneform_system(M_2PI, ScalarMode(4.0, 1))
     ser = frobenius_series(system, -1.0, vector=(0, 0, 1), order=16)
     assert ser.has_log
     cases.append((system, ser, None))
-    system = tensor_system(M_HALF, CoclosedMode(4.0, 1), "C")
+    system = tensor_system(M_HALF, CoclosedMode(4.0, 1))
     cases += [(system, ser, None) for ser in _all_branches(system, 16)]
     for system, ser, source in cases:
         assert max(_recursion_defects(system, ser, source)) <= 1e-12, (
@@ -251,7 +279,7 @@ def test_recursion_calls_no_linalg_once_the_eigenbasis_is_cached(monkeypatch):
     # both are built, a resonant recursion that forces a log branch calls no
     # np.linalg function, its per-(system, s0, order) data built afresh
     # included
-    system = oneform_system(M_2PI, ScalarMode(4.0, 1), "A")
+    system = oneform_system(M_2PI, ScalarMode(4.0, 1))
     frobenius._eigenbasis_inverse(system.family, system.kind, system.names)
     frobenius._coefficient_data.cache_clear()
     frobenius._laurent_data.cache_clear()
@@ -271,7 +299,7 @@ def test_resonant_order_has_no_coordinate_on_its_eigenspace():
     # root t + 2 at order 4, and there E(2) is not orthogonal to E(-2); the
     # order-4 coefficient has no coordinate on E(2), read through the
     # spectral projector O (O + 2) / 8 along the offsets 0 and -2
-    system = tensor_system(ConeModel(3, 1.0, 1.0, CS), ScalarMode(0.0, 2), "B")
+    system = tensor_system(ConeModel(3, 1.0, 1.0, CS), ScalarMode(0.0, 2))
     kappa = indicial_report(system).root(2 * system.gamma - 2).value
     v4 = system.to_frame(frobenius_series(system, kappa, order=4).coefficients[4])
     O = theta_coupling("tensor", system.names)
@@ -284,7 +312,7 @@ def test_resonant_order_has_no_coordinate_on_its_eigenspace():
 
 
 def test_angle_source_forces_log_with_unit_companion():
-    system = oneform_system(M_2PI, ScalarMode(0.0, 0), "B")
+    system = oneform_system(M_2PI, ScalarMode(0.0, 0))
     ser = inhomogeneous_series(system, {"f": 2.0 * _ex("inv_th")}, order=8)
     assert ser.kappa == 1.0 and ser.has_log
     assert np.allclose(ser.log_coefficients[0], [-1.0, 0.0], atol=1e-14)
@@ -295,7 +323,7 @@ def test_angle_source_forces_log_with_unit_companion():
 
 
 def test_inhomogeneous_rejects_unknown_component():
-    system = oneform_system(M_2PI, ScalarMode(0.0, 0), "B")
+    system = oneform_system(M_2PI, ScalarMode(0.0, 0))
     with pytest.raises(ValueError):
         inhomogeneous_series(system, {"omega": _ex("inv_th")}, order=4)
 
@@ -305,7 +333,7 @@ def test_inhomogeneous_rejects_unknown_component():
 
 
 def test_continuation_matches_direct_series_evaluation():
-    system = tensor_system(M_HALF, ScalarMode(4.0, 1), "A")
+    system = tensor_system(M_HALF, ScalarMode(4.0, 1))
     truth = frobenius_series(system, 6.0, order=60).evaluate(1.0)
     ser = frobenius_series(system, 6.0, order=14)
     cont = integrate_mode_ode(system, ser, 0.1, 1.0)
@@ -315,7 +343,7 @@ def test_continuation_matches_direct_series_evaluation():
 def test_continuation_converges_at_twelfth_order():
     # rtol = 1 keeps one 6-stage Gauss-Legendre step per grid interval, and
     # from 5 to 9 nodes the step halves: the error falls 5.7e-8 -> 1.3e-11
-    system = tensor_system(M_HALF, ScalarMode(4.0, 1), "A")
+    system = tensor_system(M_HALF, ScalarMode(4.0, 1))
     truth = frobenius_series(system, 6.0, order=100).evaluate(1.0)
     ser = frobenius_series(system, 6.0, order=14)
     errs = [np.max(np.abs(integrate_mode_ode(system, ser, 0.1, 1.0, num=num,
@@ -340,7 +368,7 @@ def test_continuation_refines_coarse_grid_to_rtol(monkeypatch):
     # one step per interval of a 5-node grid misses the truth by ~6e-8; the
     # default rtol makes the check split each interval into substeps
     substeps = _recorded_substeps(monkeypatch)
-    system = tensor_system(M_HALF, ScalarMode(4.0, 1), "A")
+    system = tensor_system(M_HALF, ScalarMode(4.0, 1))
     truth = frobenius_series(system, 6.0, order=100).evaluate(1.0)
     ser = frobenius_series(system, 6.0, order=14)
     end = integrate_mode_ode(system, ser, 0.1, 1.0, num=5).endpoint
@@ -418,14 +446,14 @@ def test_continuation_checks_the_last_interval_of_an_even_grid():
 
 
 def test_continuation_rejects_unattainable_rtol():
-    system = tensor_system(M_HALF, ScalarMode(4.0, 1), "A")
+    system = tensor_system(M_HALF, ScalarMode(4.0, 1))
     ser = frobenius_series(system, 6.0, order=14)
     with pytest.raises(FrobeniusError, match=r"exceeds rtol 1e-18 at r = 0\.\d+"):
         integrate_mode_ode(system, ser, 0.1, 1.0, rtol=1e-18)
 
 
 def test_continuation_handoff_richardson():
-    system = tensor_system(M_HALF, ScalarMode(4.0, 1), "A")
+    system = tensor_system(M_HALF, ScalarMode(4.0, 1))
     ser = frobenius_series(system, 6.0, order=16)
     e1 = integrate_mode_ode(system, ser, 0.1, 1.0).endpoint
     e2 = integrate_mode_ode(system, ser, 0.05, 1.0).endpoint
@@ -433,7 +461,7 @@ def test_continuation_handoff_richardson():
 
 
 def test_continuation_scales_linearly():
-    system = oneform_system(M_HALF, ScalarMode(4.0, 1), "A")
+    system = oneform_system(M_HALF, ScalarMode(4.0, 1))
     report = indicial_report(system)
     vec = np.asarray(report.root(5.0).vectors[0])
     s1 = frobenius_series(system, 5.0, vector=vec, order=12)
@@ -448,19 +476,19 @@ def test_continuation_profile_solves_ode_between_nodes():
     # and levels 2..3 are the ODE there, so between the nodes the profile
     # satisfies the ODE to rounding: about 2e-15 for the one-form and for
     # the co-closed tensor branch r^9
-    cases = [(oneform_system(M_HALF, ScalarMode(4.0, 1), "A"), 5.0, apply_L_oneform),
-             (tensor_system(M_HALF, CoclosedMode(0.0, 2), "C"), 9.0, apply_P_tensor)]
+    cases = [(oneform_system(M_HALF, ScalarMode(4.0, 1)), 5.0, apply_L_oneform),
+             (tensor_system(M_HALF, CoclosedMode(0.0, 2)), 9.0, apply_P_tensor)]
     for system, kappa, apply in cases:
         ser = frobenius_series(system, kappa, order=14)
         cont = integrate_mode_ode(system, ser, 0.1, 1.0)
-        combined = ModeBlock(system.family, system.kind, system.mode, cont.profiles())
+        combined = ModeBlock(system.family, system.mode, cont.profiles())
         rr = np.linspace(0.13, 0.97, 23)  # avoids grid nodes
         out = apply(M_HALF, combined, rr)
         assert max(np.max(np.abs(v)) for v in out.values()) < 1e-13, system.kind
 
 
 def test_continued_profile_reads_the_series_below_the_handoff():
-    system = oneform_system(M_HALF, ScalarMode(4.0, 1), "A")
+    system = oneform_system(M_HALF, ScalarMode(4.0, 1))
     ser = frobenius_series(system, 5.0, order=14)
     cont = integrate_mode_ode(system, ser, 0.1, 1.0)
     assert cont.series is ser
@@ -480,7 +508,7 @@ def test_continued_profile_reads_the_series_below_the_handoff():
 ])
 def test_matrix_continuation_matches_single_columns(model, mode, solution_class,
                                                     source):
-    system = oneform_system(model, mode, "A" if mode.lam > 0 else "B")
+    system = oneform_system(model, mode)
     columns = [branch_series(system, branch, 14)
                for branch in admissible_branches(system, solution_class)]
     sources = [None] * len(columns)
@@ -517,7 +545,7 @@ def _profile_levels(cont, r):
 
 
 def test_continuation_guards(monkeypatch):
-    system = oneform_system(M_HALF, ScalarMode(4.0, 1), "A")
+    system = oneform_system(M_HALF, ScalarMode(4.0, 1))
     ser = frobenius_series(system, 5.0, order=6)
     with pytest.raises(DomainError):
         integrate_mode_ode(system, ser, 1e-9, 1.0)
@@ -576,7 +604,7 @@ def _complex_step_maps(system, t0, t1, source):
 
 
 def _angle_potential_case():
-    system = oneform_system(M_HALF, ScalarMode(0.0, 0), "B")
+    system = oneform_system(M_HALF, ScalarMode(0.0, 0))
     source = {"f": 2.0 * _ex("inv_th")}
     return system, [inhomogeneous_series(system, source, order=16)], source
 
@@ -587,7 +615,7 @@ def _odd_source_case():
     # 3 pi / 2 the branches span r^(4/3)..r^(10/3); at pi / 2 they span
     # r^2..r^6, and rounding alone (the reference's maps conjugated by a
     # unitary diagonal and back) moves the r^2 column's values by 1.6e-11
-    system = tensor_system(M_3HALF, ScalarMode(4.0, 1), "A")
+    system = tensor_system(M_3HALF, ScalarMode(4.0, 1))
     source = {"h": 3.0 * _ex("th")}
     branches = [frobenius_series(system, kappa, vector=vec, order=12)
                 for _, kappa, vec in admissible_branches(system, "strong")]
@@ -762,7 +790,7 @@ def test_real_data_matches_to_real_axis_values():
 
 
 def test_bvp_manufactured_roundtrip_tensor():
-    system = tensor_system(M_HALF, ScalarMode(4.0, 1), "A")
+    system = tensor_system(M_HALF, ScalarMode(4.0, 1))
     for seed in (0, 1, 2):
         cstar, boundary = _manufactured(system, "strong", seed)
         res = solve_mode_bvp(M_HALF, ScalarMode(4.0, 1), "tensor", boundary,
@@ -774,7 +802,7 @@ def test_bvp_manufactured_roundtrip_tensor():
 
 
 def test_bvp_manufactured_roundtrip_oneform():
-    system = oneform_system(M_HALF, ScalarMode(4.0, 1), "A")
+    system = oneform_system(M_HALF, ScalarMode(4.0, 1))
     cstar, boundary = _manufactured(system, "strong", 3)
     res = solve_mode_bvp(M_HALF, ScalarMode(4.0, 1), "oneform", boundary,
                          "strong")
@@ -787,7 +815,7 @@ def test_bvp_manufactured_roundtrip_high_exponent():
     # 1e-12 at the handoff r = 0.1; the per-column normalization lifts them
     model = ConeModel(3, 1.0, 1.0, CrossSection("circle", 1.0))
     mode = CoclosedMode(0.0, 2)
-    system = tensor_system(model, mode, "C")
+    system = tensor_system(model, mode)
     for seed in (0, 1, 2):
         cstar, boundary = _manufactured(system, "strong", seed)
         res = solve_mode_bvp(model, mode, "tensor", boundary, "strong")
@@ -799,7 +827,7 @@ def test_bvp_manufactured_roundtrip_high_exponent():
 def test_bvp_boundary_and_interior_consistency():
     rng = np.random.default_rng(11)
     boundary = {nm: complex(*rng.normal(size=2))
-                for nm in tensor_system(M_HALF, ScalarMode(4.0, 1), "A").names}
+                for nm in tensor_system(M_HALF, ScalarMode(4.0, 1)).names}
     res = solve_mode_bvp(M_HALF, ScalarMode(4.0, 1), "tensor", boundary,
                          "strong")
     assert res.boundary_residual < 1e-10

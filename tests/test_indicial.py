@@ -54,7 +54,7 @@ def vector_direction_matches(v, expected):
 
 def test_oneform_roots_quarter_turn():
     model = model_with_gamma(4.0)
-    system = oneform_system(model, ScalarMode(2.0, 1), "A")
+    system = oneform_system(model, ScalarMode(2.0, 1))
     report = indicial_report(system)
     values = sorted(r.value for r in report.roots)
     assert values == pytest.approx([-5, -4, -3, 3, 4, 5])
@@ -67,7 +67,7 @@ def test_oneform_roots_quarter_turn():
 
 def test_tensor_roots_quarter_turn():
     model = model_with_gamma(4.0, n=4)
-    system = tensor_system(model, ScalarMode(2.0, 1), "A")
+    system = tensor_system(model, ScalarMode(2.0, 1))
     report = indicial_report(system)
     values = sorted(r.value for r in report.roots)
     assert values == pytest.approx([-6, -5, -4, -3, -2, 2, 3, 4, 5, 6])
@@ -86,19 +86,19 @@ def test_tensor_roots_quarter_turn():
 
 def test_log_at_full_turn_oneform():
     model = model_with_gamma(1.0)  # alpha = 2 pi
-    report = indicial_report(oneform_system(model, ScalarMode(1.5, 1), "A"))
+    report = indicial_report(oneform_system(model, ScalarMode(1.5, 1)))
     zero = report.root(0.0)
     assert zero.multiplicity == 2 and zero.nullity == 1
     assert zero.log_required
     assert vector_direction_matches(zero.vectors[0], [1, 1j, 0])
-    minus = indicial_report(oneform_system(model, ScalarMode(1.5, -1), "A"))
+    minus = indicial_report(oneform_system(model, ScalarMode(1.5, -1)))
     assert vector_direction_matches(minus.root(0.0).vectors[0], [1, -1j, 0])
     assert not minus.root(2.0).log_required
 
 
 def test_log_axisymmetric_oneform():
     model = model_with_gamma(4.0)
-    report = indicial_report(oneform_system(model, ScalarMode(2.0, 0), "A"))
+    report = indicial_report(oneform_system(model, ScalarMode(2.0, 0)))
     zero = report.root(0.0)
     assert zero.log_required and zero.multiplicity == 2
     assert vector_direction_matches(zero.vectors[0], [0, 0, 1])
@@ -109,7 +109,7 @@ def test_log_axisymmetric_oneform():
 
 def test_no_log_at_half_frequency():
     model = model_with_gamma(0.5)  # alpha = 4 pi, t = 1/2
-    report = indicial_report(oneform_system(model, ScalarMode(2.0, 1), "A"))
+    report = indicial_report(oneform_system(model, ScalarMode(2.0, 1)))
     assert not report.has_log_root
     half = report.root(0.5)
     assert half.multiplicity == 2 and half.nullity == 2
@@ -117,7 +117,7 @@ def test_no_log_at_half_frequency():
 
 def test_log_coclosed_oneform_axisymmetric():
     model = model_with_gamma(4.0)
-    report = indicial_report(oneform_system(model, CoclosedMode(0.0, 0), "C"))
+    report = indicial_report(oneform_system(model, CoclosedMode(0.0, 0)))
     assert report.root(0.0).log_required
 
 
@@ -125,7 +125,7 @@ def test_tensor_log_locus_small_frequencies():
     for gamma, p, want_log in [(1.0, 1, True), (2.0, 1, True), (4.0, 1, False),
                                (0.5, 1, False), (4.0, 0, True)]:
         model = model_with_gamma(gamma, n=4)
-        report = indicial_report(tensor_system(model, ScalarMode(2.0, p), "A"))
+        report = indicial_report(tensor_system(model, ScalarMode(2.0, p)))
         assert report.has_log_root == want_log, (gamma, p)
         if want_log:
             assert report.root(0.0).log_required
@@ -133,7 +133,7 @@ def test_tensor_log_locus_small_frequencies():
 
 def test_tensor_axisymmetric_multiplicities():
     model = model_with_gamma(4.0, n=4)
-    report = indicial_report(tensor_system(model, ScalarMode(2.0, 0), "A"))
+    report = indicial_report(tensor_system(model, ScalarMode(2.0, 0)))
     zero = report.root(0.0)
     assert zero.multiplicity == 6
     assert zero.nullity == 3
@@ -153,11 +153,11 @@ def test_tensor_axisymmetric_multiplicities():
 
 def test_tensor_coclosed_trace_slot_controls_log():
     with_slot = model_with_gamma(4.0, n=4)
-    report = indicial_report(tensor_system(with_slot, CoclosedMode(1.0, 0), "C"))
+    report = indicial_report(tensor_system(with_slot, CoclosedMode(1.0, 0)))
     assert report.names == ("sigma_bar", "eta_bar", "k3")
     assert report.root(0.0).log_required
     without = model_with_gamma(4.0, n=3)
-    report2 = indicial_report(tensor_system(without, CoclosedMode(0.0, 0), "C"))
+    report2 = indicial_report(tensor_system(without, CoclosedMode(0.0, 0)))
     assert report2.names == ("sigma_bar", "eta_bar")
     assert not report2.has_log_root
     assert report2.root(1.0).multiplicity == 2
@@ -166,9 +166,9 @@ def test_tensor_coclosed_trace_slot_controls_log():
 
 def test_tensor_tt_log():
     model = model_with_gamma(4.0, n=4)
-    report = indicial_report(tensor_system(model, TTMode(1.0, 0), "D"))
+    report = indicial_report(tensor_system(model, TTMode(1.0, 0)))
     assert report.root(0.0).log_required
-    report2 = indicial_report(tensor_system(model, TTMode(1.0, 1), "D"))
+    report2 = indicial_report(tensor_system(model, TTMode(1.0, 1)))
     assert not report2.has_log_root
 
 
@@ -182,7 +182,7 @@ def test_tensor_tt_log():
 @settings(max_examples=30, deadline=None)
 def test_det_factorizes_over_closed_multiset(gamma, p, lam):
     model = model_with_gamma(gamma, n=4)
-    system = tensor_system(model, ScalarMode(lam, p), "A")
+    system = tensor_system(model, ScalarMode(lam, p))
     t = p * gamma
     offsets = [0, 2, -2, 1, -1, 0, 0]
     for kappa in (0.37, 1.91, 5.5):
@@ -202,13 +202,13 @@ def test_root_vector_residual_sweep():
         model = model_with_gamma(gamma, n=n)
         pick = rng.integers(0, 4)
         if pick == 0:
-            system = oneform_system(model, ScalarMode(float(rng.uniform(0.1, 8)), p), "A")
+            system = oneform_system(model, ScalarMode(float(rng.uniform(0.1, 8)), p))
         elif pick == 1:
-            system = oneform_system(model, CoclosedMode(float(rng.uniform(0, 5)), p), "C")
+            system = oneform_system(model, CoclosedMode(float(rng.uniform(0, 5)), p))
         elif pick == 2:
-            system = tensor_system(model, ScalarMode(float(rng.uniform(0.1, 8)), p), "A")
+            system = tensor_system(model, ScalarMode(float(rng.uniform(0.1, 8)), p))
         else:
-            system = tensor_system(model, CoclosedMode(float(rng.uniform(0.1, 5)), p), "C")
+            system = tensor_system(model, CoclosedMode(float(rng.uniform(0.1, 5)), p))
         report = indicial_report(system)
         assert sum(r.multiplicity for r in report.roots) == 2 * system.arity
         for root in report.roots:
@@ -274,7 +274,7 @@ def test_exact_matches_float_path():
     gamma = Fraction(3, 2)
     model = model_with_gamma(float(gamma), n=4)
     for p in (-2, -1, 0, 1, 2):
-        system = tensor_system(model, ScalarMode(1.0, p), "A")
+        system = tensor_system(model, ScalarMode(1.0, p))
         report = indicial_report(system)
         exact = exact_indicial_analysis("tensor", "A", system.names, p * gamma)
         assert len(exact) == len(report.roots)
@@ -484,7 +484,7 @@ def test_w0_depends_only_on_the_report_key():
                                 continue
                             system = system_for_mode(model, mode, family)
                             kind = mode_kind(mode, family)
-                            assert (kind, system_names(family, kind, n, mode)) == \
+                            assert (kind, system_names(family, n, mode)) == \
                                 (system.kind, system.names)
                             key = (family, kind, system.names, p * model.gamma)
                             by_key.setdefault(key, []).append(
@@ -582,7 +582,7 @@ def test_admissibility_narrow_angle_all_branches():
     out = angle_admissibility(model, ScalarMode(2.0, 1), "oneform", "strong")
     assert out["count"] == out["arity"] == 3
     assert out["deficit"] == 0
-    report = indicial_report(oneform_system(model, ScalarMode(2.0, 1), "A"))
+    report = indicial_report(oneform_system(model, ScalarMode(2.0, 1)))
     positive = sorted(r.value for r in report.roots if r.value > 0)
     assert positive[0] == pytest.approx(3.0)
 
@@ -699,7 +699,7 @@ def test_admissibility_rejects_unknown_class():
 
 def test_admissible_pairs_have_vectors():
     model = ConeModel(n=3, alpha=math.pi / 2, tube_radius=1.0)
-    branches = admissible_branches(tensor_system(model, ScalarMode(2.0, 1), "A"),
+    branches = admissible_branches(tensor_system(model, ScalarMode(2.0, 1)),
                                    "strong")
     assert [kind for kind, _, _ in branches] == ["power"] * 6
     for _, kappa, vec in branches:
@@ -747,7 +747,7 @@ def test_root_lookup_takes_the_nearest_root():
     # and nullity 2) and -(1 - t) (nullity 1) are distinct roots 1e-8 apart,
     # both within the default tol of -t
     t = 0.5 + 5e-9
-    system = tensor_system(model_with_gamma(t), ScalarMode(4.0, 1), "A")
+    system = tensor_system(model_with_gamma(t), ScalarMode(4.0, 1))
     report = indicial_report(system)
     assert report.p_gamma == t
     near = report.root(-t)
@@ -790,7 +790,7 @@ def test_multiset_negation_and_p_flip(gamma, p):
 
 def test_report_root_lookup_failure():
     model = ConeModel(n=3, alpha=math.pi / 2, tube_radius=1.0)
-    report = indicial_report(oneform_system(model, ScalarMode(2.0, 1), "A"))
+    report = indicial_report(oneform_system(model, ScalarMode(2.0, 1)))
     with pytest.raises(KeyError):
         report.root(17.0)
 

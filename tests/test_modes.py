@@ -64,8 +64,9 @@ def test_circle_spectrum_conjugation_closed(m_max, p_max):
 
 
 def test_mode_validation():
-    with pytest.raises(ValueError):
-        ScalarMode(-1.0, 0)
+    for lam in (-1.0, math.nan):
+        with pytest.raises(ValueError):
+            ScalarMode(lam, 0)
     with pytest.raises(ValueError):
         ScalarMode(1.0, 0.5)
     CoclosedMode(-2.0, 1)  # synthetic input allowed

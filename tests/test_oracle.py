@@ -631,7 +631,7 @@ def test_angular_derivatives_are_exact_multiplications():
 
 def test_scalar_multiplication_adds_frequencies():
     u = scalar_field(chart(), poly_chain([1.0]), angular=2.0, axial=1.0)
-    w = block_field(chart(), ModeBlock("oneform", "B", ScalarMode(0.0, 1),
+    w = block_field(chart(), ModeBlock("oneform", ScalarMode(0.0, 1),
                                        {"f": poly_profile("r")}))
     prod = u * w
     assert prod.angular == 2.0 + w.angular
@@ -669,7 +669,7 @@ def test_rank_limit_on_covariant_derivative():
 # ---------------------------------------------------------------------------
 # gradient display agreement
 
-ONEFORM_A_BLOCK = ModeBlock("oneform", "A", scalar_mode(2), {
+ONEFORM_A_BLOCK = ModeBlock("oneform", scalar_mode(2), {
     "f": poly_profile("0.3 + 0.2*r**2"),
     "g": poly_profile("0.1*r - 0.05*r**3"),
     "omega": poly_profile("0.4 - 0.1*r**2"),
@@ -702,7 +702,7 @@ def test_gradient_display_matches_coordinates_coclosed_family():
     ch = chart()
     r = np.linspace(0.2, 0.95, 6)
     sh, co = np.sinh(r), np.cosh(r)
-    blk = ModeBlock("oneform", "C", CoclosedMode(0.0, 3),
+    blk = ModeBlock("oneform", CoclosedMode(0.0, 3),
                     {"varpi": poly_profile("0.25 + 0.1*r**2")})
     D = covariant_derivative(block_field(ch, blk)).values(r)
     G = grad_oneform(MODEL, blk, r)
@@ -847,11 +847,11 @@ def test_oneform_round_trip_all_kinds():
     r = np.linspace(0.15, 1.0, 8)
     blocks = [
         ONEFORM_A_BLOCK,
-        ModeBlock("oneform", "B", ScalarMode(0.0, 2), {
+        ModeBlock("oneform", ScalarMode(0.0, 2), {
             "f": poly_profile("0.2 + 0.5*r"),
             "g": poly_profile("0.3*r**2"),
         }),
-        ModeBlock("oneform", "C", CoclosedMode(0.0, 1),
+        ModeBlock("oneform", CoclosedMode(0.0, 1),
                   {"varpi": poly_profile("0.7 - 0.2*r")}),
     ]
     for blk in blocks:
@@ -865,7 +865,7 @@ def test_tensor_round_trip_all_kinds():
     ch = chart()
     r = np.linspace(0.15, 1.0, 8)
     blocks = [
-        ModeBlock("tensor", "A", scalar_mode(1), {
+        ModeBlock("tensor", scalar_mode(1), {
             "f": poly_profile("0.3 + 0.2*r**2"),
             "g": poly_profile("0.1 + 0.05*r**3"),
             "h": poly_profile("0.2*r"),
@@ -873,13 +873,13 @@ def test_tensor_round_trip_all_kinds():
             "eta": poly_profile("0.1*r**2"),
             "k1": poly_profile("0.25 + 0.1*r"),
         }),
-        ModeBlock("tensor", "B", ScalarMode(0.0, 3), {
+        ModeBlock("tensor", ScalarMode(0.0, 3), {
             "f": poly_profile("0.4"),
             "g": poly_profile("0.2*r"),
             "h": poly_profile("0.1*r**2"),
             "k1": poly_profile("0.3 - 0.1*r"),
         }),
-        ModeBlock("tensor", "C", CoclosedMode(0.0, 2), {
+        ModeBlock("tensor", CoclosedMode(0.0, 2), {
             "sigma_bar": poly_profile("0.3 - 0.1*r**2"),
             "eta_bar": poly_profile("0.2*r"),
         }),
@@ -892,7 +892,7 @@ def test_tensor_round_trip_all_kinds():
 
 
 def test_block_field_tensor_symmetry():
-    blk = ModeBlock("tensor", "A", scalar_mode(1), {
+    blk = ModeBlock("tensor", scalar_mode(1), {
         "h": poly_profile("0.2*r"),
         "sigma": poly_profile("0.1"),
         "eta": poly_profile("0.3*r"),
@@ -904,22 +904,22 @@ def test_block_field_tensor_symmetry():
 def test_unrealizable_components_are_rejected():
     from conemodes.modes import TTMode
     with pytest.raises(ValueError):
-        block_field(chart(), ModeBlock("tensor", "D", TTMode(0.0, 1),
+        block_field(chart(), ModeBlock("tensor", TTMode(0.0, 1),
                                        {"k4": poly_profile("r")}))
-    blk = ModeBlock("tensor", "C", CoclosedMode(0.0, 2), {
+    blk = ModeBlock("tensor", CoclosedMode(0.0, 2), {
         "sigma_bar": poly_profile("0.3"),
         "k3": poly_profile("0.1*r"),
     })
     with pytest.raises(ValueError):
         block_field(chart(), blk)
     # a k3 that vanishes at 0.2a, 0.5a and 0.9a but not in between
-    roots = ModeBlock("tensor", "C", CoclosedMode(0.0, 2), {
+    roots = ModeBlock("tensor", CoclosedMode(0.0, 2), {
         "sigma_bar": poly_profile("0.3"),
         "k3": poly_profile("(r - 0.2)*(r - 0.5)*(r - 0.9)"),
     })
     with pytest.raises(ValueError):
         block_field(chart(), roots)
-    h = block_field(chart(), ModeBlock("tensor", "B", ScalarMode(0.0, 1),
+    h = block_field(chart(), ModeBlock("tensor", ScalarMode(0.0, 1),
                                        {"f": poly_profile("r")}))
     with pytest.raises(ValueError):
         block_components(h, "D", np.linspace(0.2, 1.0, 5))
@@ -958,7 +958,7 @@ def test_oneform_operator_matches_coordinates(kind, names):
             mode = ScalarMode(0.0, int(rng.integers(0, 4)))
         else:
             mode = CoclosedMode(0.0, int(rng.integers(0, 4)))
-        blk = ModeBlock("oneform", kind, mode, random_profiles(rng, names))
+        blk = ModeBlock("oneform", mode, random_profiles(rng, names))
         out = apply_L_coords(block_field(ch, blk))
         comps = block_components(out, kind, r)
         ref = apply_L_oneform(MODEL, blk, r)
@@ -983,7 +983,7 @@ def test_tensor_operator_matches_coordinates(kind, names):
             mode = ScalarMode(0.0, int(rng.integers(0, 4)))
         else:
             mode = CoclosedMode(0.0, int(rng.integers(0, 4)))
-        blk = ModeBlock("tensor", kind, mode, random_profiles(rng, names))
+        blk = ModeBlock("tensor", mode, random_profiles(rng, names))
         out = apply_P_coords(block_field(ch, blk))
         comps = block_components(out, kind, r)
         ref = apply_P_tensor(MODEL, blk, r)

@@ -27,7 +27,6 @@ from conemodes.reduction import (
     grad_oneform,
     l2_norm_tube,
     log_grid,
-    mode_kind,
     oneform_system,
     scalar_mode_operator,
     standard_deformation_block,
@@ -126,23 +125,21 @@ def test_cubic_hermite_matches_scipy():
 
 
 def test_block_kind_validation():
+    # the kind is read off the mode: A, B, C and D by mode type and eigenvalue
+    assert [ModeBlock("tensor", mode).kind for mode in (
+        ScalarMode(1.0, 0), ScalarMode(0.0, 0), CoclosedMode(0.0, 0),
+        TTMode(0.0, 0))] == ["A", "B", "C", "D"]
+    with pytest.raises(ValueError, match="one-form blocks"):
+        ModeBlock("oneform", TTMode(0.0, 0))
     with pytest.raises(ValueError):
-        ModeBlock("oneform", "A", ScalarMode(0.0, 0))
-    with pytest.raises(ValueError):
-        ModeBlock("oneform", "B", ScalarMode(2.0, 0))
-    with pytest.raises(ValueError):
-        ModeBlock("tensor", "C", ScalarMode(1.0, 0))
-    with pytest.raises(ValueError):
-        ModeBlock("tensor", "D", CoclosedMode(0.0, 0))
-    with pytest.raises(ValueError):
-        ModeBlock("oneform", "B", ScalarMode(0.0, 0),
+        ModeBlock("oneform", ScalarMode(0.0, 0),
                   {"omega": RadialProfile.constant(1.0)})
     with pytest.raises(ValueError, match="family"):
-        ModeBlock("bogus", "B", ScalarMode(0.0, 0))
+        ModeBlock("bogus", ScalarMode(0.0, 0))
     # each operator takes only blocks of its own family
-    tensor_b = ModeBlock("tensor", "B", ScalarMode(0.0, 0),
+    tensor_b = ModeBlock("tensor", ScalarMode(0.0, 0),
                          {"f": RadialProfile.constant(1.0)})
-    oneform_b = ModeBlock("oneform", "B", ScalarMode(0.0, 0),
+    oneform_b = ModeBlock("oneform", ScalarMode(0.0, 0),
                           {"f": RadialProfile.constant(1.0)})
     with pytest.raises(ValueError, match="oneform block"):
         apply_L_oneform(MODEL3, tensor_b, 0.5)
@@ -150,15 +147,15 @@ def test_block_kind_validation():
         apply_P_tensor(MODEL3, oneform_b, 0.5)
     # a component the n = 3 system lacks is rejected, not read as zero
     with pytest.raises(ValueError, match="k2"):
-        apply_P_tensor(MODEL3, ModeBlock("tensor", "A", ScalarMode(1.0, 0),
+        apply_P_tensor(MODEL3, ModeBlock("tensor", ScalarMode(1.0, 0),
                                          {"k2": RadialProfile.constant(1.0)}), 0.5)
     with pytest.raises(ValueError, match="k3"):
-        apply_P_tensor(MODEL3, ModeBlock("tensor", "C", CoclosedMode(0.0, 0),
+        apply_P_tensor(MODEL3, ModeBlock("tensor", CoclosedMode(0.0, 0),
                                          {"k3": RadialProfile.constant(1.0)}), 0.5)
 
 
 def test_missing_components_read_as_zero():
-    b = ModeBlock("tensor", "B", ScalarMode(0.0, 0),
+    b = ModeBlock("tensor", ScalarMode(0.0, 0),
                   {"g": RadialProfile.constant(1.0)})
     assert np.allclose(b.component("f")(np.array([0.5])), 0.0)
 
@@ -169,14 +166,14 @@ def test_missing_components_read_as_zero():
 
 def test_oneform_coclosed_constant_value():
     # flat co-closed profile: potential th^2 + (n-1) at mu = 0, p = 0
-    block = ModeBlock("oneform", "C", CoclosedMode(0.0, 0),
+    block = ModeBlock("oneform", CoclosedMode(0.0, 0),
                       {"varpi": RadialProfile.constant(1.0)})
     out = apply_L_oneform(MODEL3, block, 1.0)
     assert out["varpi"] == pytest.approx(2.5800256583859739, abs=1e-12)
 
 
 def test_tensor_tt_constant_value():
-    block = ModeBlock("tensor", "D", TTMode(0.0, 0),
+    block = ModeBlock("tensor", TTMode(0.0, 0),
                       {"k4": RadialProfile.constant(1.0)})
     out = apply_P_tensor(MODEL3, block, 1.0)
     assert out["k4"] == pytest.approx(-0.8399486832280521, abs=1e-12)
@@ -187,7 +184,7 @@ def test_tensor_indicial_vector_cancellation():
     term; the image decays two orders faster than a generic profile."""
     mode = ScalarMode(2.0, 1)
     kappa = MODEL3.gamma * mode.p + 2  # = 6
-    block = ModeBlock("tensor", "A", mode, {
+    block = ModeBlock("tensor", mode, {
         "f": RadialProfile.monomial(kappa, -1.0),
         "g": RadialProfile.monomial(kappa, 1.0),
         "h": RadialProfile.monomial(kappa, 2j),
@@ -202,7 +199,7 @@ def test_tensor_indicial_vector_cancellation():
 
 
 def test_apply_domain_checks():
-    block = ModeBlock("oneform", "C", CoclosedMode(0.0, 0),
+    block = ModeBlock("oneform", CoclosedMode(0.0, 0),
                       {"varpi": RadialProfile.constant(1.0)})
     with pytest.raises(DomainError):
         apply_L_oneform(MODEL3, block, 0.0)
@@ -218,9 +215,9 @@ def test_apply_linearity():
     a, b = 2.0 - 1j, 0.5j
     combo = {k: a * u.get(k, RadialProfile.zero()) + b * v.get(k, RadialProfile.zero())
              for k in ("f", "g", "omega")}
-    out_u = apply_L_oneform(MODEL3, ModeBlock("oneform", "A", mode, u), r)
-    out_v = apply_L_oneform(MODEL3, ModeBlock("oneform", "A", mode, v), r)
-    out_c = apply_L_oneform(MODEL3, ModeBlock("oneform", "A", mode, combo), r)
+    out_u = apply_L_oneform(MODEL3, ModeBlock("oneform", mode, u), r)
+    out_v = apply_L_oneform(MODEL3, ModeBlock("oneform", mode, v), r)
+    out_c = apply_L_oneform(MODEL3, ModeBlock("oneform", mode, combo), r)
     for k in out_c:
         assert np.max(np.abs(out_c[k] - a * out_u[k] - b * out_v[k])) < 1e-12
 
@@ -237,13 +234,13 @@ def test_apply_evaluates_each_leaf_level_once():
         return call
 
     leaf = RadialProfile(*[level(k) for k in range(4)])
-    block = ModeBlock("tensor", "B", ScalarMode(0.0, 0), {
+    block = ModeBlock("tensor", ScalarMode(0.0, 0), {
         "f": -1.0 * leaf.derivative(),
         "g": RadialProfile.constant(1.0) - leaf * expr_profile((1.0, ("inv_th",))),
         "k1": -math.sqrt(MODEL4.n - 2) * (leaf * expr_profile((1.0, ("th",)))),
     })
     r = np.linspace(0.2, 0.9, 7)
-    out = tensor_system(MODEL4, ScalarMode(0.0, 0), "B").apply(block, r)
+    out = tensor_system(MODEL4, ScalarMode(0.0, 0)).apply(block, r)
     assert all(np.all(np.isfinite(v)) for v in out.values())
     assert calls == {0: 1, 1: 1, 2: 1, 3: 1}
 
@@ -260,9 +257,9 @@ def test_conjugation_intertwines_sign_of_p():
         lambda r, p=p: np.conj(p.d1(r)),
         lambda r, p=p: np.conj(p.d2(r))) for k, p in profs.items()}
     r = np.linspace(0.2, 1.0, 5)
-    out = apply_L_oneform(MODEL3, ModeBlock("oneform", "A", mode, profs), r)
+    out = apply_L_oneform(MODEL3, ModeBlock("oneform", mode, profs), r)
     out_conj = apply_L_oneform(
-        MODEL3, ModeBlock("oneform", "A", mode.conjugate(), conj_profs), r)
+        MODEL3, ModeBlock("oneform", mode.conjugate(), conj_profs), r)
     for k in out:
         assert np.max(np.abs(np.conj(out[k]) - out_conj[k])) < 1e-11
 
@@ -285,7 +282,8 @@ def test_conjugation_intertwines_sign_of_p():
 def test_potential_hermitian_in_weighted_product(family, kind, mode, n):
     model = ConeModel(n=n, alpha=2 * math.pi / 3, tube_radius=1.0)
     sysfun = oneform_system if family == "oneform" else tensor_system
-    system = sysfun(model, mode, kind)
+    system = sysfun(model, mode)
+    assert system.kind == kind
     w = component_weights(family, system.names)
     r = np.linspace(0.15, 1.0, 9)
     V = system.potential_at(r)
@@ -310,7 +308,7 @@ def test_trace_intertwines_scalar_operator():
         "k1": expr_profile((0.7, ("ch", "ch"))),
         "k2": expr_profile((1.3, ("sh", "ch"))),
     }
-    block = ModeBlock("tensor", "A", mode, profs)
+    block = ModeBlock("tensor", mode, profs)
     r = np.linspace(0.1, 1.0, 12)
     out = apply_P_tensor(MODEL4, block, r)
     rn2 = math.sqrt(MODEL4.n - 2)
@@ -323,11 +321,11 @@ def test_trace_intertwines_scalar_operator():
 
 
 def test_trace_vanishes_on_coclosed_and_tt():
-    b = ModeBlock("tensor", "C", CoclosedMode(0.0, 0),
+    b = ModeBlock("tensor", CoclosedMode(0.0, 0),
                   {"eta_bar": RadialProfile.constant(1.0)})
     assert np.allclose(trace_tensor_mode(MODEL3, b)(np.array([0.5])), 0.0)
     assert trace_tensor_mode(
-        MODEL4, ModeBlock("tensor", "D", TTMode(1.0, 0),
+        MODEL4, ModeBlock("tensor", TTMode(1.0, 0),
                           {"k4": RadialProfile.constant(1.0)}))(0.7) == 0
 
 
@@ -336,7 +334,7 @@ def test_trace_vanishes_on_coclosed_and_tt():
 
 
 def test_grad_oneform_radial_example():
-    block = ModeBlock("oneform", "B", ScalarMode(0.0, 0),
+    block = ModeBlock("oneform", ScalarMode(0.0, 0),
                       {"f": RadialProfile.constant(1.0)})
     out = grad_oneform(MODEL3, block, 1.0)
     assert out["eth_eth"] == pytest.approx(COTH1, abs=1e-12)
@@ -346,7 +344,7 @@ def test_grad_oneform_radial_example():
 
 def test_ext_d_oneform_frozen_value():
     model = ConeModel(n=3, alpha=math.pi, tube_radius=1.0)  # gamma = 2
-    block = ModeBlock("oneform", "B", ScalarMode(0.0, 1),
+    block = ModeBlock("oneform", ScalarMode(0.0, 1),
                       {"f": RadialProfile.constant(1.0)})
     out = ext_d_oneform(model, block, 1.0)
     assert out["er_eth"] == pytest.approx(-2j / SINH1, abs=1e-12)
@@ -359,7 +357,7 @@ def test_ext_d_kills_gradients():
     u_f = expr_profile((2.0, ("sh", "ch")))
     u_g = expr_profile((1j * p * model.gamma, ("sh",)))
     u_w = expr_profile((math.sqrt(lam), ("sh", "sh", "inv_ch")))
-    block = ModeBlock("oneform", "A", ScalarMode(lam, p),
+    block = ModeBlock("oneform", ScalarMode(lam, p),
                       {"f": u_f, "g": u_g, "omega": u_w})
     r = np.linspace(0.05, 1.0, 20)
     out = ext_d_oneform(model, block, r)
@@ -369,7 +367,7 @@ def test_ext_d_kills_gradients():
 
 def test_antisymmetrized_grad_is_half_ext_d():
     model = ConeModel(n=3, alpha=3 * math.pi / 2, tube_radius=1.0)
-    block = ModeBlock("oneform", "A", ScalarMode(2.0, 1), {
+    block = ModeBlock("oneform", ScalarMode(2.0, 1), {
         "f": expr_profile((1.0, ("sh", "ch"))),
         "g": expr_profile((1j, ("sh", "sh"))),
         "omega": expr_profile((0.5, ("sh", "inv_ch"))),
@@ -385,7 +383,7 @@ def test_antisymmetrized_grad_is_half_ext_d():
 
 
 def test_grad_coclosed_slots():
-    block = ModeBlock("oneform", "C", CoclosedMode(0.0, 1),
+    block = ModeBlock("oneform", CoclosedMode(0.0, 1),
                       {"varpi": RadialProfile.constant(2.0)})
     out = grad_oneform(MODEL3, block, 1.0)
     assert out["varphi_er"] == pytest.approx(-2.0 * TANH1, abs=1e-12)
@@ -403,7 +401,7 @@ def test_norm_constant_profile_frozen():
 
 
 def test_norm_block_with_symmetrized_weights():
-    b = ModeBlock("tensor", "C", CoclosedMode(0.0, 0),
+    b = ModeBlock("tensor", CoclosedMode(0.0, 0),
                   {"eta_bar": RadialProfile.constant(1.0)})
     full = l2_norm_tube(MODEL3, b)
     half = l2_norm_tube(MODEL3, b, weights="symmetrized")
@@ -479,7 +477,7 @@ def test_unknown_standard_block():
 
 
 def test_tensor_indicial_matrix_frozen():
-    system = tensor_system(MODEL4, ScalarMode(2.0, 1), "A")
+    system = tensor_system(MODEL4, ScalarMode(2.0, 1))
     assert system.names == ("f", "g", "h", "sigma", "eta", "k1", "k2")
     W = system.laurent_potential(2)
     pg2 = 16.0
@@ -508,7 +506,7 @@ def test_tensor_indicial_matrix_frozen():
 
 
 def test_oneform_indicial_matrix_frozen():
-    system = oneform_system(MODEL3, ScalarMode(2.0, 1), "A")
+    system = oneform_system(MODEL3, ScalarMode(2.0, 1))
     W0 = system.laurent_potential(1)[0]
     pg = 4.0
     expected = np.array([
@@ -524,7 +522,7 @@ def test_oneform_indicial_matrix_frozen():
 
 
 def test_laurent_partial_sums_track_potential():
-    system = tensor_system(MODEL3, ScalarMode(2.0, 1), "A")
+    system = tensor_system(MODEL3, ScalarMode(2.0, 1))
     W = system.laurent_potential(8)
     r = 1e-2
     V = system.potential_at(np.array([r]))[:, :, 0]
@@ -577,7 +575,7 @@ def _ref_compile(table):
 def _ref_oneform_pencil(model, mode, kind):
     n = model.n
     pg = _snap(mode.p * model.gamma)
-    k = len(system_names("oneform", kind, n, mode))
+    k = len(system_names("oneform", n, mode))
     V = [[_REF_ZERO] * k for _ in range(k)]
     if kind in ("A", "B"):
         lam = mode.lam
@@ -600,7 +598,7 @@ def _ref_oneform_pencil(model, mode, kind):
 def _ref_tensor_pencil(model, mode, kind):
     n = model.n
     pg = _snap(mode.p * model.gamma)
-    names = system_names("tensor", kind, n, mode)
+    names = system_names("tensor", n, mode)
     idx = {nm: i for i, nm in enumerate(names)}
     V = [[_REF_ZERO] * len(names) for _ in names]
     G = (pg * pg) * _S2
@@ -688,8 +686,8 @@ def test_slot_pencils_equal_the_spelled_reference_bitwise():
                         for family, (build, reference) in builders.items():
                             if family == "oneform" and isinstance(mode, TTMode):
                                 continue
-                            kind = mode_kind(mode, family)
-                            system = build(model, mode, kind)
+                            system = build(model, mode)
+                            kind = system.kind
                             got = system.pencil
                             d = _ref_frame(family, system.names)
                             want = reference(model, mode, kind) * np.outer(d, d.conj())
@@ -720,7 +718,7 @@ def test_pencils_read_their_indicial_layer_off_theta_coupling():
                                               ("tensor", tensor_system)):
                             if family == "oneform" and isinstance(mode, TTMode):
                                 continue
-                            system = build(model, mode, mode_kind(mode, family))
+                            system = build(model, mode)
                             O = theta_coupling(family, system.names)
                             t = _snap(p * model.gamma)
                             want = t * t * np.eye(system.arity) + 2.0 * t * O + O @ O
@@ -746,7 +744,7 @@ def test_every_system_is_real_in_its_frame(n):
              for mode in (ScalarMode(0.0, p), ScalarMode(2.5, p), CoclosedMode(0.0, p),
                           CoclosedMode(3.0, p), TTMode(0.0, p), TTMode(4.0, p))]
     builders = (("oneform", oneform_system), ("tensor", tensor_system))
-    systems = [build(model, mode, mode_kind(mode, family))
+    systems = [build(model, mode)
                for mode in modes for family, build in builders
                if not (family == "oneform" and isinstance(mode, TTMode))]
     r = np.array([0.05, 0.3, 0.9])
@@ -774,7 +772,7 @@ def test_pencil_not_real_in_its_frame_is_rejected():
         put("sigma_bar", "eta_bar", sti=2.0)
     with pytest.raises(ValueError, match="frame"):
         put("sigma_bar", "sigma_bar", one=1j)
-    s = tensor_system(MODEL3, CoclosedMode(1.0, 2), "C")
+    s = tensor_system(MODEL3, CoclosedMode(1.0, 2))
     with pytest.raises(ValueError, match="frame"):
         ModeSystem(s.family, s.kind, s.mode, s.n, s.gamma, s.names, 1j * s.pencil)
 
@@ -789,7 +787,7 @@ def _named_apply(model, family, block, r):
     from conemodes.reduction import _BASIS, _drift
     reference = _ref_oneform_pencil if family == "oneform" else _ref_tensor_pencil
     pencil = reference(model, block.mode, block.kind)
-    names = system_names(family, block.kind, model.n, block.mode)
+    names = system_names(family, model.n, block.mode)
     k = len(names)
     phi = sinh_cosh_values(_BASIS, r).reshape(len(_BASIS), -1)
     V = sum(part(pencil).reshape(len(_BASIS), k * k).T @ phi * unit
@@ -821,14 +819,13 @@ def test_apply_matches_the_named_reference_bitwise():
                                    (CoclosedMode(1.5, p), ("oneform", "tensor")),
                                    (TTMode(2.0, p), ("tensor",))):
                 for family in families:
-                    kind = mode_kind(mode, family)
-                    names = system_names(family, kind, n, mode)
+                    names = system_names(family, n, mode)
                     profiles = {nm: RadialProfile.from_expr(RadialExpr(tuple(
                         (complex(*rng.normal(size=2)), (a, 0)) for a in range(3))))
                         for nm in names}
-                    block = ModeBlock(family, kind, mode, profiles)
+                    block = ModeBlock(family, mode, profiles)
                     build = oneform_system if family == "oneform" else tensor_system
-                    got = build(model, mode, kind).apply(block, r)
+                    got = build(model, mode).apply(block, r)
                     want = _named_apply(model, family, block, r)
                     assert list(got) == list(want)
                     for name in names:
@@ -857,7 +854,7 @@ def test_monomial_derivatives_match_mpmath():
              named["inv_sh_sq"], named["inv_ch_sq"], named["sh_th_inv"],
              lambda x: th(x) / ch(x)]
     drifts = {n: oneform_system(ConeModel(n=n, alpha=1.0, tube_radius=1.0),
-                                ScalarMode(0.0, 0), "B") for n in (3, 4, 7)}
+                                ScalarMode(0.0, 0)) for n in (3, 4, 7)}
     grid = np.concatenate([log_grid(MODEL3), [0.05, 2.5]])
 
     def close(got, fn, d, r):
@@ -886,7 +883,7 @@ def test_monomial_derivatives_match_mpmath():
 
 
 def test_laurent_drift_series():
-    system = oneform_system(MODEL4, ScalarMode(0.0, 0), "B")
+    system = oneform_system(MODEL4, ScalarMode(0.0, 0))
     s = system.laurent_drift(6)
     assert s.leading == 0
     assert complex(s.coeffs[0]) == pytest.approx(1.0)
@@ -901,7 +898,7 @@ def test_laurent_drift_series():
 @settings(max_examples=25, deadline=None)
 def test_expr_laurent_matches_evaluation(p, lam):
     model = ConeModel(n=3, alpha=1.1, tube_radius=1.0)
-    system = oneform_system(model, ScalarMode(lam, p), "A")
+    system = oneform_system(model, ScalarMode(lam, p))
     r = 1e-3
     V = system.potential_at(r)
     W = system.laurent_potential(10)
@@ -920,7 +917,7 @@ def test_expr_laurent_matches_evaluation(p, lam):
 
 def test_block_json_round_trip():
     grid = np.linspace(0.1, 1.0, 400)
-    block = ModeBlock("oneform", "A", ScalarMode(2.0, -1), {
+    block = ModeBlock("oneform", ScalarMode(2.0, -1), {
         "f": expr_profile((1.0, ("sh", "ch"))),
         "g": expr_profile((1j, ("sh", "sh"))),
     })
@@ -936,7 +933,7 @@ def test_block_json_round_trip():
 
 
 def test_block_csv_rows():
-    block = ModeBlock("tensor", "B", ScalarMode(0.0, 0),
+    block = ModeBlock("tensor", ScalarMode(0.0, 0),
                       {"g": RadialProfile.constant(1.0),
                              "f": RadialProfile.constant(2j)})
     header, rows = block_csv_rows(MODEL3, block, np.array([0.5, 1.0]))
