@@ -57,6 +57,7 @@ from conemodes.reduction import (
     block_from_dict,
     log_grid,
     standard_deformation_block,
+    system_names,
     _exponents,
 )
 
@@ -619,8 +620,7 @@ def _equivalence_suite(model, chart, n_cases, seed, tol):
                 mode = ScalarMode(0.0, p)
             else:
                 mode = CoclosedMode(0.0, p)
-            system = system_for_mode(model, mode, family)
-            profiles = _random_polynomial_profiles(rng, system.names)
+            profiles = _random_polynomial_profiles(rng, system_names(family, model.n, mode))
             blk = ModeBlock(family, mode, profiles)
             coords, reduced = operators[family]
             got = block_components(coords(block_field(chart, blk)), kind, grid)

@@ -11,12 +11,17 @@ so angular derivatives are exact multiplications. A field is one dense jet
 tensor (levels x chart.dim^rank components x radii): a leaf reads its
 components' `geometry.RadialProfile` jets, so a reduced block's profiles
 enter as they are, and each operator is one node over the dense jets of its
-operands and of the chart. `TubeChart.at(r)`, the chart on one radius grid,
-holds its dense metric, connection and curvature arrays, read off one
-Levi-Civita chain g -> g^-1 -> Gamma -> R; a contraction against one runs
-over its support, the entries that are not exact zeros.  A suite evaluates its
-pointwise fields on one grid, and consecutive quadratures on one support share
-the chart's last grid.
+operands and of the chart.  A field has one covariant-derivative node, and a
+demand pass before each evaluation sets the deepest level every node is read
+at, so each is evaluated once.  `TubeChart.at(r)`, the chart on one radius
+grid, holds the metric diagonals and, over their supports only (the entries
+that are not identically zero), the connection and curvature tables, read
+off one Levi-Civita chain g -> g^-1 -> Gamma -> R.
+
+A field may stack cases on an axis before the radii.  The identity suite
+evaluates each identity once for all of its cases: the pointwise ones on
+one row of radii, the integral ones on one grid of per-case quadrature
+nodes.
 
 A reduced one-form or tensor mode block enters as `block_field` and comes
 back as `block_components`; both read one table, `_SLOTS`, which names the
@@ -89,33 +94,44 @@ def _horner(x, c):
 
 
 def _derivatives(c, depth: int) -> list:
-    """Ascending coefficients of c and its first `depth` derivatives, rounded
-    as npoly.polyder rounds them."""
+    """Ascending coefficients of c (along its first axis) and its first `depth`
+    derivatives, rounded as npoly.polyder rounds them."""
     out = [c]
     for _ in range(depth):
-        c = c[1:] * np.arange(1, len(c)) if len(c) > 1 else np.zeros(1, c.dtype)
+        c = (c[1:] * np.arange(1, len(c)).reshape((-1,) + (1,) * (c.ndim - 1)) if len(c) > 1
+             else np.zeros((1,) + c.shape[1:], c.dtype))
         out.append(c)
     return out
 
 
 def poly_chain(coeffs, depth: int = 5) -> RadialProfile:
-    """Polynomial radial profile from ascending coefficients."""
+    """Polynomial radial profile from ascending coefficients along the first
+    axis of `coeffs`.  Further axes stack cases, which broadcast against the
+    radii: coefficients of shape (terms, cases, 1) give jets of shape
+    (levels, cases, num) on radii of shape (1, num)."""
     return RadialProfile(*[lambda r, c=c: _horner(np.asarray(r, dtype=float), c)
                            for c in _derivatives(np.array(coeffs, dtype=complex), depth)])
 
 
-def bump_chain(inner: float, outer: float, order: int = 4,
+def bump_chain(inner, outer, order: int = 4,
                amplitude: complex = 1.0, depth: int = 5) -> RadialProfile:
-    """Compactly supported polynomial bump on (inner, outer), C^(order-1)."""
-    if not 0 <= inner < outer:
+    """Compactly supported polynomial bump on (inner, outer), C^(order-1).
+
+    `inner` and `outer` may be arrays of per-case supports, of shape
+    (cases, 1), which broadcast against the radii as `poly_chain`'s cases do.
+    """
+    if not np.all((0 <= inner) & (inner < outer)):
         raise ValueError("need 0 <= inner < outer")
     x = npoly.polyfromroots([0.0] * order + [1.0] * order)  # x^k (x-1)^k
     c = x * amplitude * (-1) ** order * 4.0 ** order  # peak height |amplitude|
-    scale = 1.0 / (outer - inner)
+    scale = 1.0 / (np.asarray(outer, dtype=float) - inner)
+    # scale ** k case by case, by Python's pow: numpy's array power rounds otherwise
+    powers = [np.reshape([s ** k for s in scale.ravel().tolist()], scale.shape)
+              for k in range(depth + 1)]
 
     def call(r, c, k):
         u = (np.asarray(r, dtype=float) - inner) * scale
-        return np.where((u > 0) & (u < 1), _horner(u, c) * scale ** k, 0.0).astype(complex)
+        return np.where((u > 0) & (u < 1), _horner(u, c) * powers[k], 0.0).astype(complex)
     return RadialProfile(*[functools.partial(call, c=c, k=k)
                            for k, c in enumerate(_derivatives(c, depth))])
 
@@ -148,19 +164,24 @@ def _derivative(t, factors) -> np.ndarray:
     return np.stack([t[1:]] + [c * t[:-1] for c in factors], axis=1)
 
 
-def _layers(*targets) -> list:
-    """Selections splitting a support into layers of distinct targets: layer k
-    holds the k-th entry of every target, in support order, so one fancy-index
-    update per layer, layer after layer, adds each target's terms in the order
-    np.add.at would.  Distinct targets make one layer, selected by a slice."""
+@functools.cache
+def _layers(name: str, *slots) -> list:
+    """Selections splitting the support of table `name` into layers of
+    distinct targets, a target being the entry's indices at `slots`: layer k
+    holds the k-th entry of every target, in support order, so one
+    fancy-index update per layer, layer after layer, adds each target's terms
+    in the order np.add.at would.  Distinct targets make one layer, selected
+    by a slice."""
     count, layer = {}, []
-    for key in zip(*(t.tolist() for t in targets)):
+    for key in zip(*(_supports()[name][s].tolist() for s in slots)):
         count[key] = count.get(key, -1) + 1
         layer.append(count[key])
     if max(layer, default=0) == 0:
         return [slice(None)]
-    layer = np.array(layer)
-    return [np.flatnonzero(layer == k) for k in range(layer.max() + 1)]
+    layers = [np.flatnonzero(np.array(layer) == k) for k in range(max(layer) + 1)]
+    for sel in layers:  # shared by every caller
+        sel.flags.writeable = False
+    return layers
 
 
 def _permuted(t, *perm):
@@ -169,61 +190,114 @@ def _permuted(t, *perm):
     return t.transpose((0,) + tuple(1 + p for p in perm) + tuple(range(1 + n, t.ndim)))
 
 
+_NO_PHASE = (0,) * (len(_METRIC) - 1)  # the chart tables' wavenumbers
+
+
+def _metric_jet(x, levels: int) -> np.ndarray:
+    """Levels 0..levels-1 of the diagonal g_aa [:, a] at the radii x, in x's dtype."""
+    s, c = np.sinh(x), np.cosh(x)
+    sh = np.array([(s, c)[k % 2] for k in range(levels)])
+    ch = np.array([(c, s)[k % 2] for k in range(levels)])
+    one = np.array([np.full_like(s, k == 0) for k in range(levels)])
+    return np.stack([functools.reduce(leibniz, [sh] * a + [ch] * b, one) for a, b in _METRIC],
+                    axis=1)
+
+
+def _christoffel(g, ginv, support) -> np.ndarray:
+    """Gamma^c_ab = 1/2 g^cc (d_a g_cb + d_b g_ca - d_c g_ab) at the index
+    triples (c, a, b) of `support`, [:, entry], from the diagonals' jets."""
+    c, a, b = support
+    dg = _derivative(g, _NO_PHASE)  # d_e g_xx at [:, e, x], then an exact zero at x = dim
+    dg = np.concatenate([dg, np.zeros_like(dg[:, :, :1])], axis=2)
+
+    def d(e, x, y):  # d_e g_xy, read as a dense table holds it
+        return dg[:, e, np.where(x == y, x, len(_METRIC))]
+
+    return 0.5 * leibniz(ginv[:, c], d(a, c, b) + d(b, c, a) - d(c, a, b))
+
+
+def _riemann(g, gam, gam_support, support) -> np.ndarray:
+    """R_abcd = g_aa R^a_bcd at the index quadruples (a, b, c, d) of `support`,
+    [:, entry], from the jets of g and of Gamma on `gam_support`.
+
+    R^a_bcd = d_c Gamma^a_db - d_d Gamma^a_cb + sum_k (Gamma^a_ck Gamma^k_db -
+    Gamma^a_dk Gamma^k_cb); the k sum runs in order and skips each k with no
+    entry Gamma^a_.k or no entry Gamma^k_.. on the support.  An entry off the
+    support reads as the exact zero a dense table holds there."""
+    keys = list(zip(*(i.tolist() for i in gam_support)))
+    row = {key: i for i, key in enumerate(keys)}
+
+    def rows(*idx):  # rows of Gamma entries; the appended zero row for one off the support
+        cols = [i.tolist() for i in np.broadcast_arrays(*idx)]
+        return np.array([row.get(key, len(row)) for key in zip(*cols)], dtype=np.intp)
+
+    gam = np.concatenate([gam, np.zeros_like(gam[:, :1])], axis=1)
+    dgam, gam = _derivative(gam, _NO_PHASE), gam[:-1]
+    a, b, c, d = support
+    riem = dgam[:, c, rows(a, d, b)] - dgam[:, d, rows(a, c, b)]
+    quad, upper, last = np.zeros_like(riem), {x for x, _, _ in keys}, {(x, z) for x, _, z in keys}
+    for k in range(len(_METRIC)):
+        sel = np.flatnonzero([k in upper and (ai, k) in last for ai in a.tolist()])
+        if len(sel):
+            ak, bk, ck, dk = (i[sel] for i in support)
+            quad[:, sel] += (leibniz(gam[:, rows(ak, ck, k)], gam[:, rows(k, dk, bk)])
+                             - leibniz(gam[:, rows(ak, dk, k)], gam[:, rows(k, ck, bk)]))
+    return leibniz(g[:, a], riem + quad)
+
+
+@functools.cache
+def _supports() -> dict:
+    """The index arrays, in C order, of the entries of "gam", "riem_low" and
+    "curv" (that of "riem_low") that are not identically zero: read once, off
+    a build of every entry at two radii.  The entries are analytic in r, so
+    one that vanishes at level 0 on an interval vanishes at every level;
+    level 0 at two radii stands in for that."""
+    dim, out = len(_METRIC), {}
+    g = _metric_jet(np.array([0.4, 0.9], dtype=np.longdouble), 3)
+    every = [tuple(np.array(i) for i in zip(*itertools.product(range(dim), repeat=rank)))
+             for rank in (3, 4)]
+    gam = _christoffel(g, jet_reciprocal(g), every[0])
+    keep = gam.any(axis=(0, 2))
+    out["gam"] = tuple(i[keep] for i in every[0])
+    low = _riemann(g, gam[:, keep], out["gam"], every[1])
+    out["riem_low"] = out["curv"] = tuple(i[low.any(axis=(0, 2))] for i in every[1])
+    for support in out.values():  # shared by every caller
+        for i in support:
+            i.flags.writeable = False
+    return out
+
+
 def _levi_civita(r, levels: int, name: str, chain: Optional[dict] = None) -> dict:
     """Chart tables g, ginv, gam, riem_low (see `ChartGrid`) in long double, through
     `name`, from `levels` levels of g; a `chain` with as many is continued.  Near
     the axis R_0101 = -sinh^2 r cancels terms of size cosh^2 r, which in float64
-    costs verify up to 0.7 accuracy digits.  g is diagonal, so a sum over an index
-    of g or g^-1 keeps one term; the k sum runs in order and skips each k whose
-    factor Gamma^a_.k or Gamma^k_.. vanishes at every level and radius."""
+    costs verify up to 0.7 accuracy digits."""
     if chain is None or len(chain["g"]) < levels:
-        x = np.asarray(r, dtype=np.longdouble)
-        s, c = np.sinh(x), np.cosh(x)
-        sh = np.array([(s, c)[k % 2] for k in range(levels)])
-        ch = np.array([(c, s)[k % 2] for k in range(levels)])
-        one = np.array([np.full_like(s, k == 0) for k in range(levels)])
-        g = np.stack([functools.reduce(leibniz, [sh] * a + [ch] * b, one) for a, b in _METRIC],
-                     axis=1)
+        g = _metric_jet(np.asarray(r, dtype=np.longdouble), levels)
         chain = {"g": g, "ginv": jet_reciprocal(g)}
-    g, ginv, no_phase = chain["g"], chain["ginv"], (0,) * (len(_METRIC) - 1)
     if name in ("gam", "riem_low") and "gam" not in chain:
-        # Gamma^a_bc = 1/2 g^aa (d_b g_ac + d_c g_ab - d_a g_bc)
-        dg = _derivative(_diagonal_matrix(g), no_phase)
-        chain["gam"] = 0.5 * leibniz(ginv[:, :, None, None],
-                                     _permuted(dg, 1, 0, 2) + _permuted(dg, 1, 2, 0) - dg)
+        chain["gam"] = _christoffel(chain["g"], chain["ginv"], _supports()["gam"])
     if name == "riem_low" and name not in chain:
-        # R^a_bcd = d_c Gamma^a_db + sum_k Gamma^a_ck Gamma^k_db, less each term with
-        # c and d swapped; one a at a time, which bounds the memory
-        dgam, gam, dim = _derivative(chain["gam"], no_phase), chain["gam"][:-1], len(g[0])
-        low = []
-        for a in range(dim):
-            d = _permuted(dgam[:, :, a], 2, 0, 1)  # [:, b, c, d]
-            quad = (leibniz(gam[:, a, None, :, None, k], gam[:, k].swapaxes(1, 2)[:, :, None])
-                    for k in range(dim) if gam[:, a, :, k].any() and gam[:, k].any())
-            riem = d - d.swapaxes(2, 3) + sum(q - q.swapaxes(2, 3) for q in quad)
-            low.append(leibniz(g[:, a, None, None, None], riem))  # R_abcd = g_aa R^a_bcd
-        chain[name] = np.stack(low, axis=1)
+        chain[name] = _riemann(chain["g"], chain["gam"], _supports()["gam"], _supports()[name])
     return chain
 
 
 class ChartGrid:
-    """The chart's dense jet tables on one radius grid.
+    """The chart's jet tables on one radius grid.
 
-    `jet(name, m)` is levels 0..m of a table, shape (m+1,) + indices + r.shape:
-    "g" and "ginv" are the diagonals g_aa and g^aa [:, a], "gam" is Gamma^c_ab
-    [:, c, a, b], "riem_low" R_abcd and "curv" [:, a, c, b, d] R_acbd g^cc g^dd.
-    `_build` makes a table when first read and again only for a deeper level,
-    off the grid's one `_levi_civita` chain: a later table continues it, a
-    deeper level starts it over.
-
-    `support(name)` is a table's support, read off the table and kept until the
-    table is rebuilt: most entries of "gam", "riem_low" and "curv" are exact
-    zeros at every level, so the contractions against them run over the
-    support only.
+    `jet(name, m)` is levels 0..m of a table, shape (m+1, entries) + r.shape.
+    "g" and "ginv" hold the diagonals g_aa and g^aa at entry a.  "gam"
+    (Gamma^c_ab, indexed (c, a, b)), "riem_low" (R_abcd) and "curv"
+    (R_acbd g^cc g^dd, indexed (a, c, b, d)) hold the entries of
+    `support(name)`, in its order: every other entry is an exact zero at
+    every level and radius, so these tables are built and contracted over
+    their support only.  `_build` makes a table when first read and again
+    only for a deeper level, off the grid's one `_levi_civita` chain: a later
+    table continues it, a deeper level starts it over.
     """
 
     def __init__(self, chart: "TubeChart", r):
-        self.chart, self.r, self._tables, self._chain, self._supports = chart, r, {}, None, {}
+        self.chart, self.r, self._tables, self._chain = chart, r, {}, None
 
     def jet(self, name: str, m: int) -> np.ndarray:
         have = self._tables.get(name)
@@ -231,29 +305,20 @@ class ChartGrid:
             if m > self.chart.depth:
                 raise ValueError(f"jet level {m} is past the chart's depth {self.chart.depth}")
             have = self._tables[name] = self._build(name, m)
-            self._supports.pop(name, None)
         return have[:m + 1]
 
-    def support(self, name: str) -> tuple:
-        """Index arrays, in C order, of the entries of table `name` that are
-        non-zero at some level and radius of the table as built (level 0 if it
-        is not built yet); read its jet first to cover that jet's levels."""
-        have = self._supports.get(name)
-        if have is None:
-            t = self._tables.get(name)
-            t = self.jet(name, 0) if t is None else t
-            radii = tuple(range(t.ndim - self.r.ndim, t.ndim))
-            have = self._supports[name] = np.nonzero(t.any(axis=(0,) + radii))
-        return have
+    @staticmethod
+    def support(name: str) -> tuple:
+        """Index arrays, in C order, of the entries that table "gam",
+        "riem_low" or "curv" holds; the same on every grid."""
+        return _supports()[name]
 
     def _build(self, name: str, m: int) -> np.ndarray:
         if name == "curv":
-            # R_acbd g^cc g^dd on the support of R_abcd, exact zeros elsewhere
+            # R_acbd g^cc g^dd on the support of R_abcd
             low, ginv = self.jet("riem_low", m), self.jet("ginv", m)
-            idx = (slice(None),) + self.support("riem_low")
-            out = np.zeros_like(low)
-            out[idx] = leibniz(leibniz(low[idx], ginv[:, idx[2]]), ginv[:, idx[4]])
-            return out
+            _, c, _, d = self.support(name)
+            return leibniz(leibniz(low, ginv[:, c]), ginv[:, d])
         # off the long-double chain, with levels of g to spare for the derivatives
         need = m + 1 + {"gam": 1, "riem_low": 2}.get(name, 0)
         if self._chain is None or len(self._chain["g"]) < need or name not in self._chain:
@@ -315,7 +380,9 @@ class TubeChart:
     def ricci(self, r):
         """Ric_bd = g^aa R_abad, summed over a in order."""
         grid = self.at(r)
-        low, ginv = grid.jet("riem_low", 0)[0], grid.jet("ginv", 0)[0]
+        low = np.zeros((self.dim,) * 4 + grid.r.shape, dtype=complex)
+        low[grid.support("riem_low")] = grid.jet("riem_low", 0)[0]
+        ginv = grid.jet("ginv", 0)[0]
         return sum(ginv[a] * low[a, :, a] for a in range(self.dim))
 
 
@@ -333,13 +400,23 @@ class OracleField:
 
     A leaf maps index tuples to radial profiles; an operator node holds
     node(grid, m, memo), the field's jet from its operands' jets and the
-    `ChartGrid` tables.  `dense(grid, m, memo)` gives levels 0..m <= depth of
-    every component as one array of shape (m+1,) + (dim,)*rank + grid.r.shape,
-    kept in the memo under the field itself (fields hash by identity).  A memo
-    belongs to one grid and keeps its keys alive, so fields evaluated through
-    it one after another never read each other's jets.  The phase
-    exp(i(angular*theta + axial*s)) is common to every component, so theta
-    and s derivatives are exact multiplications.
+    `ChartGrid` tables, and lists its `operands` as (field, level offset)
+    pairs: a covariant derivative reads its operand one level deeper, every
+    other node at its own level.  `dense(grid, m, memo)` gives levels
+    0..m <= depth of every component as one array of shape
+    (m+1,) + (dim,)*rank + the broadcast shape of grid.r, the phases and the
+    profiles' jets, kept in the memo under the field itself (fields hash by
+    identity).  A memo belongs to one grid and keeps its keys alive, so
+    fields evaluated through it one after another never read each other's
+    jets; `values` and the quadratures first set, in one demand pass, the
+    deepest level each node is read at, so each node is evaluated once.
+
+    The phase exp(i(angular*theta + axial*s)) is common to every component,
+    so theta and s derivatives are exact multiplications.  A field may stack
+    cases: `angular` and `axial` of shape (cases, 1), and profiles whose jets
+    carry the same case axis (`poly_chain`, `bump_chain`), broadcast against
+    radii of shape (1, num) or (cases, num); every case is evaluated as it
+    would be on its own.
     """
 
     chart: TubeChart
@@ -349,6 +426,8 @@ class OracleField:
     axial: float = 0.0
     node: Optional[Callable] = None
     depth: Optional[int] = field(init=False, default=None)
+    operands: tuple = field(init=False, default=())
+    _nabla: Optional["OracleField"] = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         for idx in self.components:
@@ -362,33 +441,40 @@ class OracleField:
         if have is None or len(have) <= m:
             if m > self.depth:
                 raise ValueError(f"jet level {m} is past the field's depth {self.depth}")
+            top = max(m, memo.get(_DEMAND, {}).get(self, m))
             if self.node is not None:
-                have = self.node(grid, m, memo)
+                have = self.node(grid, top, memo)
             else:
-                have = np.zeros((m + 1,) + (grid.chart.dim,) * self.rank + grid.r.shape,
+                jets = [(idx, prof.jet(grid.r, top, memo))
+                        for idx, prof in self.components.items() if not prof.is_zero]
+                shape = np.broadcast_shapes(grid.r.shape, np.shape(self.angular),
+                                            np.shape(self.axial),
+                                            *(jet.shape[1:] for _, jet in jets))
+                have = np.zeros((top + 1,) + (grid.chart.dim,) * self.rank + shape,
                                 dtype=complex)
-                for idx, prof in self.components.items():
-                    if not prof.is_zero:
-                        have[(slice(None),) + idx] = prof.jet(grid.r, m, memo)
+                for idx, jet in jets:
+                    have[(slice(None),) + idx] = jet
             memo[self] = have
         return have[:m + 1]
 
     def values(self, r, memo: Optional[dict] = None):
         """Radial coefficients at the radii or `ChartGrid` r; phase excluded."""
-        return self.dense(_on_grid(self.chart, r), 0, {} if memo is None else memo)[0].copy()
+        grid = _on_grid(self.chart, r)
+        return _level_zero((self,), grid, {} if memo is None else memo)[0].copy()
 
     def evaluate(self, r, theta: float = 0.0, s: float = 0.0):
         phase = np.exp(1j * (self.angular * theta + self.axial * s))
         return self.values(r) * phase
 
-    def _node(self, node, depth: int, rank: Optional[int] = None,
+    def _node(self, node, depth: int, operands: tuple, rank: Optional[int] = None,
               angular: Optional[float] = None,
               axial: Optional[float] = None) -> "OracleField":
-        """A node of this field's rank and mode unless given, capped at the chart's depth."""
+        """A node over `operands`, of this field's rank and mode unless given,
+        capped at the chart's depth."""
         out = OracleField(self.chart, self.rank if rank is None else rank,
                           angular=self.angular if angular is None else angular,
                           axial=self.axial if axial is None else axial, node=node)
-        out.depth = min(depth, self.chart.depth)
+        out.depth, out.operands = min(depth, self.chart.depth), operands
         return out
 
     def _map(self, fn, *others, **overrides) -> "OracleField":
@@ -396,7 +482,8 @@ class OracleField:
         `overrides` (rank, angular, axial) go on to `_node`."""
         fields = (self,) + others
         return self._node(lambda grid, m, memo: fn(*[f.dense(grid, m, memo) for f in fields]),
-                          min(f.depth for f in fields), **overrides)
+                          min(f.depth for f in fields), tuple((f, 0) for f in fields),
+                          **overrides)
 
     def __neg__(self):
         return self._map(np.negative)
@@ -405,8 +492,8 @@ class OracleField:
         return self._map(lambda t: c * t)
 
     def __add__(self, other: "OracleField"):
-        if (self.rank != other.rank or self.angular != other.angular
-                or self.axial != other.axial):
+        if (self.rank != other.rank or not _same(self.angular, other.angular)
+                or not _same(self.axial, other.axial)):
             raise ValueError("can only add fields of the same rank and mode")
         return self._map(np.add, other)
 
@@ -420,6 +507,43 @@ class OracleField:
             s.reshape(s.shape[:1] + (1,) * other.rank + s.shape[1:]), t), other,
             rank=other.rank, angular=self.angular + other.angular,
             axial=self.axial + other.axial)
+
+
+_DEMAND = "demand"  # the memo key of the levels set by the last demand pass
+
+
+def _same(x, y):
+    """Whether two phases agree: scalars, or per-case arrays in every case."""
+    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+        return bool(np.all(np.equal(x, y)))
+    return x == y
+
+
+def _demand(roots) -> dict:
+    """The deepest level each node under `roots` is read at, the roots at
+    level 0: a node's operand is read at the node's level plus its offset."""
+    order, seen = [], set()
+
+    def visit(f):  # operands before the nodes that read them
+        if f not in seen:
+            seen.add(f)
+            for op, _ in f.operands:
+                visit(op)
+            order.append(f)
+
+    for f in roots:
+        visit(f)
+    level = dict.fromkeys(roots, 0)
+    for f in reversed(order):
+        for op, offset in f.operands:
+            level[op] = max(level.get(op, 0), level[f] + offset)
+    return level
+
+
+def _level_zero(fields, grid: ChartGrid, memo: dict) -> list:
+    """Level 0 of each field on the grid, through one memo and one demand pass."""
+    memo[_DEMAND] = _demand(fields)
+    return [f.dense(grid, 0, memo)[0] for f in fields]
 
 
 def scalar_field(chart: TubeChart, profile: RadialProfile,
@@ -437,7 +561,10 @@ def metric_field(chart: TubeChart) -> OracleField:
 
 
 def covariant_derivative(fld: OracleField) -> OracleField:
-    """Levi-Civita derivative; the new index comes first."""
+    """Levi-Civita derivative; the new index comes first.  A field has one
+    derivative node, which every call on it returns."""
+    if fld._nabla is not None:
+        return fld._nabla
     if fld.rank > 3:
         raise ValueError("covariant derivative supports rank <= 3 inputs")
     if fld.depth < 1:
@@ -445,36 +572,34 @@ def covariant_derivative(fld: OracleField) -> OracleField:
 
     def node(grid, m, memo):
         t = fld.dense(grid, m + 1, memo)
-        gam = grid.jet("gam", m)
         c, a, b = grid.support("gam")
-        g = gam[:, c, a, b].reshape((m + 1, len(c)) + (1,) * (fld.rank - 1) + grid.r.shape)
+        g = grid.jet("gam", m).reshape((m + 1, len(c)) + (1,) * (fld.rank - 1) + grid.r.shape)
         out = _derivative(t, (1j * fld.angular, 1j * fld.axial))
         # subtract Gamma^c_(a, idx_i) T(idx with c in slot i), in the order (i, c), over
         # the support (c, a, b) of Gamma: an entry off it would subtract only zeros.
         # Slot i trades places with the first slot in t and in out alike.
-        layers = _layers(a, b)
         for i in range(fld.rank):
             term, view = leibniz(g, t[:-1].swapaxes(1, 1 + i)[:, c]), out.swapaxes(2, 2 + i)
-            for sel in layers:
+            for sel in _layers("gam", 1, 2):
                 view[:, a[sel], b[sel]] -= term[:, sel]
         return out
 
-    return fld._node(node, fld.depth - 1, fld.rank + 1)
+    fld._nabla = fld._node(node, fld.depth - 1, ((fld, 1),), fld.rank + 1)
+    return fld._nabla
 
 
 def _contract(fld: OracleField, sign: int) -> OracleField:
     """sign * g^aa fld_aa..., summed over a in order."""
     def node(grid, m, memo):
-        t = fld.dense(grid, m, memo)
-        ginv = grid.jet("ginv", m)
+        t, ginv, dim = fld.dense(grid, m, memo), grid.jet("ginv", m), grid.chart.dim
+        terms = leibniz(ginv.reshape(ginv.shape[:2] + (1,) * (fld.rank - 2) + grid.r.shape),
+                        t[:, range(dim), range(dim)])
         out = np.zeros_like(t[:, 0, 0])
-        for a in range(grid.chart.dim):
-            term = leibniz(ginv[:, a].reshape(out.shape[:1] + (1,) * (fld.rank - 2)
-                                              + grid.r.shape), t[:, a, a])
-            out += term if sign > 0 else -term
+        for a in range(dim):
+            out += terms[:, a] if sign > 0 else -terms[:, a]
         return out
 
-    return fld._node(node, fld.depth, fld.rank - 2)
+    return fld._node(node, fld.depth, ((fld, 0),), fld.rank - 2)
 
 
 def adjoint_divergence(fld: OracleField) -> OracleField:
@@ -531,15 +656,15 @@ def ricci_action(h: OracleField) -> OracleField:
 
     def node(grid, m, memo):
         t, curv = h.dense(grid, m, memo), grid.jet("curv", m)
-        a, c, b, d = idx = grid.support("curv")
+        a, c, b, d = grid.support("curv")
         # each out_ab adds its terms in the order (c, d), over the support of the
         # table: an entry off it would add only zeros
-        out, term = np.zeros_like(t), leibniz(curv[(slice(None),) + idx], t[:, c, d])
-        for sel in _layers(a, b):
+        out, term = np.zeros_like(t), leibniz(curv, t[:, c, d])
+        for sel in _layers("curv", 0, 2):
             out[:, a[sel], b[sel]] += term[:, sel]
         return out
 
-    return h._node(node, h.depth)
+    return h._node(node, h.depth, ((h, 0),))
 
 
 def d_nabla(fld: OracleField) -> OracleField:
@@ -639,15 +764,20 @@ def block_components(fld: OracleField, kind: str, r) -> dict:
 # quadrature
 
 
-def tube_inner_product(u: OracleField, v: OracleField, inner: float = 0.0,
-                       outer: Optional[float] = None, num: int = 160,
-                       memo: Optional[dict] = None) -> complex:
+def tube_inner_product(u: OracleField, v: OracleField, inner=0.0, outer=None,
+                       num: int = 160, memo: Optional[dict] = None):
     """Hermitian tube inner product of two single-mode fields over the radii
     0 <= inner < outer <= tube radius (the default).
 
     Distinct modes are orthogonal by the exact phase integrals; matching
     modes reduce to a radial Gauss-Legendre quadrature with the volume
     weight sqrt(det g) and transverse measure angle * length.
+
+    Fields that stack cases take per-case supports: `inner` and `outer` of
+    shape (cases, 1) put each case's nodes on one row of a (cases, num)
+    grid.  With a case axis in the fields or the supports the result is the
+    array of per-case products, shape (cases,), each as its case would give
+    on its own (0 for a case whose modes differ); without one, a complex.
 
     Quadratures on one support that pass one `memo` evaluate each field they
     share once.  A memo belongs to the chart grid of its first quadrature; on
@@ -657,9 +787,10 @@ def tube_inner_product(u: OracleField, v: OracleField, inner: float = 0.0,
         raise ValueError("rank mismatch")
     chart, tube = u.chart, u.chart.model.tube_radius
     a = tube if outer is None else outer
-    if not 0 <= inner < a <= tube:
+    if not np.all((0 <= inner) & (inner < a) & (a <= tube)):
         raise DomainError(f"support ({inner}, {a}) is not in the tube of radius {tube}")
-    if u.angular != v.angular or u.axial != v.axial:
+    same = np.logical_and(np.equal(u.angular, v.angular), np.equal(u.axial, v.axial))
+    if same.ndim == 0 and not same:
         return 0j
     x, w = gauss_legendre(num)
     grid = chart.at(0.5 * (a + inner) + 0.5 * (a - inner) * x)
@@ -667,49 +798,59 @@ def tube_inner_product(u: OracleField, v: OracleField, inner: float = 0.0,
     memo = {} if memo is None else memo  # shared, so tube_norm(u) evaluates u once
     if memo.setdefault("grid", grid) is not grid:
         raise ValueError("a memo serves only the chart grid it was first used on")
-    uv, vv = u.dense(grid, 0, memo)[0], v.dense(grid, 0, memo)[0]
+    uv, vv = _level_zero((u, v), grid, memo)
     ginv = grid.jet("ginv", 0)[0]
-    dens = np.zeros_like(r, dtype=complex)
-    for idx in itertools.product(range(chart.dim), repeat=u.rank):
-        fac = np.ones_like(r, dtype=complex)
-        for i in idx:
-            fac = fac * ginv[i]
-        dens = dens + fac * uv[idx] * np.conj(vv[idx])
+    fac = np.ones_like(r, dtype=complex)
+    for k in range(u.rank):  # fac[idx] = g^(idx_0 idx_0) * ... * g^(idx_k idx_k), in slot order
+        fac = np.expand_dims(fac, k) * ginv.reshape((1,) * k + ginv.shape)
+    terms, dens = fac * uv * np.conj(vv), np.zeros_like(r, dtype=complex)
+    for term in terms.reshape((-1,) + terms.shape[u.rank:]):  # idx in C order
+        dens = dens + term
     a, b = _sqrt_metric()
     dens = dens * np.sinh(r) ** a * np.cosh(r) ** b
-    return complex(np.sum(w * dens) * chart.angle * chart.length)
+    out = np.sum(w * dens, axis=-1) * chart.angle * chart.length
+    if same.ndim:
+        out = np.where(same[..., 0], out, 0j)
+    return complex(out) if out.ndim == 0 else out
 
 
-def tube_norm(u: OracleField, inner: float = 0.0, outer: Optional[float] = None,
-              num: int = 160, memo: Optional[dict] = None) -> float:
-    """sqrt(<u, u>) by `tube_inner_product`, whose `memo` it takes."""
-    return math.sqrt(max(tube_inner_product(u, u, inner, outer, num, memo).real, 0.0))
+def tube_norm(u: OracleField, inner=0.0, outer=None, num: int = 160,
+              memo: Optional[dict] = None):
+    """sqrt(<u, u>) by `tube_inner_product`, whose `memo` and per-case
+    supports it takes: a float, or an array of per-case norms."""
+    ip = tube_inner_product(u, u, inner, outer, num, memo)
+    if isinstance(ip, complex):
+        return math.sqrt(max(ip.real, 0.0))
+    return np.sqrt(np.maximum(ip.real, 0.0))
 
 
 # ---------------------------------------------------------------------------
 # identity suite
 
 
-def _rel_residual(x: OracleField, y: OracleField, grid: ChartGrid) -> float:
+def _case_max(v) -> np.ndarray:
+    """max |v| of each case, the case axis next to the radius axis."""
+    return np.max(np.abs(v), axis=tuple(range(v.ndim - 2)) + (-1,))
+
+
+def _rel_residuals(x: OracleField, y: OracleField, grid: ChartGrid) -> list:
+    """max |x - y| / (max |x| + max |y|) per case, 0 where both vanish."""
+    xv, yv = _level_zero((x, y), grid, {})
+    scales = (_case_max(xv) + _case_max(yv)).tolist()
+    return [0.0 if s == 0 else e / s for e, s in zip(_case_max(xv - yv).tolist(), scales)]
+
+
+def _norms(fields, lo, hi) -> list:
+    """Per-case tube norms of fields on one support, through one memo."""
     memo = {}
-    xv, yv = x.dense(grid, 0, memo)[0], y.dense(grid, 0, memo)[0]
-    scale = np.max(np.abs(xv)) + np.max(np.abs(yv))
-    if scale == 0:
-        return 0.0
-    return float(np.max(np.abs(xv - yv)) / scale)
+    return [tube_norm(f, lo, hi, memo=memo).tolist() for f in fields]
 
 
-def _random_mode(chart, rng, rank, comps):
-    return OracleField(chart, rank, comps,
-                       angular=float(rng.randrange(4)) * chart.gamma,
-                       axial=2 * math.pi * float(rng.randrange(-2, 3)) / chart.length)
+def _random_oneform(chart, chains, angular, axial):
+    return OracleField(chart, 1, {(a,): chains[a] for a in range(chart.dim)}, angular, axial)
 
 
-def _random_oneform(chart, rng, chains):
-    return _random_mode(chart, rng, 1, {(a,): chains[a] for a in range(chart.dim)})
-
-
-def _random_tensor(chart, rng, chains, sign: int = 1):
+def _random_tensor(chart, chains, angular, axial, sign: int = 1):
     """A symmetric (sign 1) or antisymmetric (sign -1) 2-tensor; chains cycle
     over the index pairs a <= b, or a < b."""
     pairs = (itertools.combinations_with_replacement if sign > 0
@@ -719,7 +860,7 @@ def _random_tensor(chart, rng, chains, sign: int = 1):
         c = comps[(a, b)] = chains[k % len(chains)]
         if a != b:
             comps[(b, a)] = c if sign > 0 else -c
-    return _random_mode(chart, rng, 2, comps)
+    return OracleField(chart, 2, comps, angular, axial)
 
 
 def _complex_normals(rng, size: int) -> np.ndarray:
@@ -728,19 +869,39 @@ def _complex_normals(rng, size: int) -> np.ndarray:
     return x[:size] + 1j * x[size:]
 
 
-def _suite_chains(rng, count: int = 3):
-    return [poly_chain(_complex_normals(rng, 4)) for _ in range(count)]
+def _phases(chart, rng) -> tuple:
+    """A case's mode: the angular multiple of gamma in 0..3, then the axial
+    wave number in -2..2."""
+    return (float(rng.randrange(4)) * chart.gamma,
+            2 * math.pi * float(rng.randrange(-2, 3)) / chart.length)
 
 
-def _bump_case(rng, model, count: int = 3):
-    # shared support per case keeps quadrature panels aligned with the
-    # piecewise boundary, so Gauss-Legendre stays spectrally accurate
-    a = model.tube_radius
+def _polynomial_case(chart, rng, count: int) -> tuple:
+    """Coefficients of `count` cubic chains, then the phases."""
+    return ([_complex_normals(rng, 4) for _ in range(count)],) + _phases(chart, rng)
+
+
+def _bump_case(chart, rng, count: int) -> tuple:
+    """A support shared by the case's chains, which keeps the quadrature
+    panels aligned with the piecewise boundary so Gauss-Legendre stays
+    spectrally accurate; the coefficients of `count` quadratic factors of the
+    bump; then the phases."""
+    a = chart.model.tube_radius
     lo = rng.uniform(0.1, 0.35) * a
     hi = rng.uniform(0.6, 0.9) * a
+    return (lo, hi, [_complex_normals(rng, 3) for _ in range(count)]) + _phases(chart, rng)
+
+
+def _stacked(cases) -> list:
+    """Per-case draws stacked entry by entry, the case axis before a unit
+    radius axis: numbers become (cases, 1), coefficient lists
+    (count, terms, cases, 1)."""
+    return [np.moveaxis(np.array(entry), 0, -1)[..., None] for entry in zip(*cases)]
+
+
+def _bump_chains(lo, hi, coeffs) -> list:
     bump = bump_chain(lo, hi, order=4)
-    chains = [bump * poly_chain(_complex_normals(rng, 3)) for _ in range(count)]
-    return chains, lo, hi
+    return [bump * poly_chain(c) for c in coeffs]
 
 
 def energy_ratios(chart: TubeChart, rng: random.Random, n_cases: int) -> list:
@@ -752,14 +913,15 @@ def energy_ratios(chart: TubeChart, rng: random.Random, n_cases: int) -> list:
     [0.6, 0.9] of the tube radius; six component chains, each the bump times a
     quadratic whose three complex coefficients are six `gauss` normals (real
     parts first); then the mode phases by `randrange`, the angular multiple
-    of gamma in 0..3 and the axial wave number in -2..2.
+    of gamma in 0..3 and the axial wave number in -2..2.  The cases run one
+    at a time, which bounds the memory of their rank-4 second derivatives.
     """
     if n_cases < 1:
         raise ValueError("n_cases must be positive")
     ratios = []
     for _ in range(n_cases):
-        chains, lo, hi = _bump_case(rng, chart.model, 6)
-        h, memo = _random_tensor(chart, rng, chains), {}
+        lo, hi, coeffs, angular, axial = _bump_case(chart, rng, 6)
+        h, memo = _random_tensor(chart, _bump_chains(lo, hi, coeffs), angular, axial), {}
         num = tube_inner_product(apply_P_coords(h), h, lo, hi, memo=memo).real
         ratios.append(num / tube_norm(h, lo, hi, memo=memo) ** 2)
     return ratios
@@ -782,6 +944,11 @@ def identity_suite(model: ConeModel, n_cases: int = 50, seed: int = 0,
     case draws as `energy_ratios` does: the support by `uniform`, then its
     chains (three, or six for the adjoint pairing) of three complex
     coefficients, then the phases.
+
+    Each identity is evaluated once for all of its cases, stacked on a case
+    axis: the pointwise ones on one row of 40 radii, the integral ones on
+    one grid of each case's quadrature nodes.  A row reports the largest of
+    its per-case residuals, each as its case gives it on its own.
     """
     if n_cases < 1:
         raise ValueError("n_cases must be positive")
@@ -789,106 +956,90 @@ def identity_suite(model: ConeModel, n_cases: int = 50, seed: int = 0,
     rng = random.Random(seed)
     n = chart.dim
     a = model.tube_radius
-    grid = chart.at(np.linspace(0.15 * a, 0.9 * a, 40))
+    grid = chart.at(np.linspace(0.15 * a, 0.9 * a, 40)[None])
+    cases = max(4, n_cases // 10)
     report = []
 
-    def add(name, cases, residual):
-        report.append({"identity": name, "n_cases": cases,
-                       "max_rel_residual": float(residual),
-                       "pass": bool(residual <= tol)})
+    def add(name, count, residuals):
+        res = 0.0
+        for x in residuals:
+            res = max(res, x)
+        report.append({"identity": name, "n_cases": count,
+                       "max_rel_residual": float(res),
+                       "pass": bool(res <= tol)})
 
-    res = 0.0
-    for _ in range(n_cases):
-        h = _random_tensor(chart, rng, _suite_chains(rng, 6))
-        lhs = ricci_action(h)
-        rhs = h - trace(h) * metric_field(chart)
-        res = max(res, _rel_residual(lhs, rhs, grid))
-    add("curvature_action_hyperbolic", n_cases, res)
+    def polynomial(count):  # chains, angular, axial of the n_cases cases
+        coeffs, angular, axial = _stacked([_polynomial_case(chart, rng, count)
+                                           for _ in range(n_cases)])
+        return [poly_chain(c) for c in coeffs], angular, axial
 
-    res = 0.0
-    for _ in range(n_cases):
-        w = _random_oneform(chart, rng, _suite_chains(rng))
-        lhs = exterior_d(codifferential(w)) + codifferential(exterior_d(w))
-        rhs = rough_laplacian(w) - float(n - 1) * w
-        res = max(res, _rel_residual(lhs, rhs, grid))
-    add("weitzenboeck_oneform", n_cases, res)
+    def bumps(count):  # chains, lo, hi, angular, axial of the bump cases
+        lo, hi, coeffs, angular, axial = _stacked([_bump_case(chart, rng, count)
+                                                   for _ in range(cases)])
+        return _bump_chains(lo, hi, coeffs), lo, hi, angular, axial
 
-    res = 0.0
-    for _ in range(n_cases):
-        w = _random_oneform(chart, rng, _suite_chains(rng))
-        lhs = 2.0 * bianchi_beta(delta_star(w))
-        rhs = rough_laplacian(w) + float(n - 1) * w
-        res = max(res, _rel_residual(lhs, rhs, grid))
-    add("gauge_composition_oneform", n_cases, res)
+    h = _random_tensor(chart, *polynomial(6))
+    add("curvature_action_hyperbolic", n_cases,
+        _rel_residuals(ricci_action(h), h - trace(h) * metric_field(chart), grid))
 
-    res = 0.0
-    cases = max(4, n_cases // 10)
-    for _ in range(cases):
-        chains, lo, hi = _bump_case(rng, model)
-        w, memo = _random_oneform(chart, rng, chains), {}
-        # two-form norms here contract both index slots, so the
-        # half-normalized form statement picks up another factor 1/2
-        lhs = tube_norm(delta_star(w), lo, hi, memo=memo) ** 2
-        rhs = (tube_norm(codifferential(w), lo, hi, memo=memo) ** 2
-               + 0.25 * tube_norm(exterior_d(w), lo, hi, memo=memo) ** 2
-               + (n - 1) * tube_norm(w, lo, hi, memo=memo) ** 2)
-        res = max(res, abs(lhs - rhs) / (abs(lhs) + abs(rhs)))
+    w = _random_oneform(chart, *polynomial(3))
+    lhs = exterior_d(codifferential(w)) + codifferential(exterior_d(w))
+    rhs = rough_laplacian(w) - float(n - 1) * w
+    add("weitzenboeck_oneform", n_cases, _rel_residuals(lhs, rhs, grid))
+
+    w = _random_oneform(chart, *polynomial(3))
+    lhs = 2.0 * bianchi_beta(delta_star(w))
+    rhs = rough_laplacian(w) + float(n - 1) * w
+    add("gauge_composition_oneform", n_cases, _rel_residuals(lhs, rhs, grid))
+
+    chains, lo, hi, angular, axial = bumps(3)
+    w = _random_oneform(chart, chains, angular, axial)
+    # two-form norms here contract both index slots, so the
+    # half-normalized form statement picks up another factor 1/2
+    norms = _norms((delta_star(w), codifferential(w), exterior_d(w), w), lo, hi)
+    res = []
+    for sym, cod, ext, w0 in zip(*norms):
+        lhs = sym ** 2
+        rhs = cod ** 2 + 0.25 * ext ** 2 + (n - 1) * w0 ** 2
+        res.append(abs(lhs - rhs) / (abs(lhs) + abs(rhs)))
     add("symmetrized_gradient_energy", cases, res)
 
-    res = 0.0
-    for _ in range(n_cases):
-        w2 = _random_tensor(chart, rng, _suite_chains(rng), -1)
-        lhs = rough_laplacian(w2)
-        rhs = (exterior_d(codifferential(w2)) + codifferential(exterior_d(w2))
-               + float(2 * (n - 2)) * w2)
-        res = max(res, _rel_residual(lhs, rhs, grid))
-    add("weitzenboeck_twoform", n_cases, res)
+    w2 = _random_tensor(chart, *polynomial(3), -1)
+    lhs = rough_laplacian(w2)
+    rhs = (exterior_d(codifferential(w2)) + codifferential(exterior_d(w2))
+           + float(2 * (n - 2)) * w2)
+    add("weitzenboeck_twoform", n_cases, _rel_residuals(lhs, rhs, grid))
 
-    res = 0.0
-    for _ in range(n_cases):
-        w = _random_oneform(chart, rng, _suite_chains(rng))
-        lhs = rough_laplacian(delta_star(w))
-        rhs = (2.0 * delta_star(w)
-               + 2.0 * (codifferential(w) * metric_field(chart))
-               + delta_star(rough_laplacian(w) + float(n - 1) * w))
-        res = max(res, _rel_residual(lhs, rhs, grid))
-    add("laplacian_gauge_commutation", n_cases, res)
+    w = _random_oneform(chart, *polynomial(3))
+    lhs = rough_laplacian(delta_star(w))
+    rhs = (2.0 * delta_star(w)
+           + 2.0 * (codifferential(w) * metric_field(chart))
+           + delta_star(rough_laplacian(w) + float(n - 1) * w))
+    add("laplacian_gauge_commutation", n_cases, _rel_residuals(lhs, rhs, grid))
 
-    res = 0.0
-    for _ in range(n_cases):
-        h = _random_tensor(chart, rng, _suite_chains(rng, 6))
-        lhs = rough_laplacian(h)
-        rhs = (delta_nabla(d_nabla(h)) + d_nabla(delta_nabla(h))
-               + float(n) * h - trace(h) * metric_field(chart))
-        res = max(res, _rel_residual(lhs, rhs, grid))
-    add("weitzenboeck_tensor_hyperbolic", n_cases, res)
+    h = _random_tensor(chart, *polynomial(6))
+    lhs = rough_laplacian(h)
+    rhs = (delta_nabla(d_nabla(h)) + d_nabla(delta_nabla(h))
+           + float(n) * h - trace(h) * metric_field(chart))
+    add("weitzenboeck_tensor_hyperbolic", n_cases, _rel_residuals(lhs, rhs, grid))
 
-    res = 0.0
-    for _ in range(n_cases):
-        h, memo = _random_tensor(chart, rng, _suite_chains(rng, 6)), {}
-        out = bianchi_beta(linearized_einstein(h))
-        scale = np.max(np.abs(bianchi_beta(rough_laplacian(h)).values(grid, memo)))
-        res = max(res, float(np.max(np.abs(out.values(grid, memo))) / scale))
-    add("linearized_bianchi", n_cases, res)
+    h = _random_tensor(chart, *polynomial(6))
+    scale, out = _level_zero((bianchi_beta(rough_laplacian(h)),
+                              bianchi_beta(linearized_einstein(h))), grid, {})
+    add("linearized_bianchi", n_cases,
+        [float(o / s) for o, s in zip(_case_max(out), _case_max(scale))])
 
-    res = 0.0
-    for _ in range(n_cases):
-        w = _random_oneform(chart, rng, _suite_chains(rng))
-        lhs = trace(delta_star(w))
-        rhs = -1.0 * codifferential(w)
-        res = max(res, _rel_residual(lhs, rhs, grid))
-    add("trace_intertwine", n_cases, res)
+    w = _random_oneform(chart, *polynomial(3))
+    add("trace_intertwine", n_cases,
+        _rel_residuals(trace(delta_star(w)), -1.0 * codifferential(w), grid))
 
-    res = 0.0
-    for _ in range(cases):
-        chains, lo, hi = _bump_case(rng, model, 6)
-        w = _random_oneform(chart, rng, chains[:3])
-        v0 = OracleField(chart, 1, {(a,): c for a, c in enumerate(chains[3:])},
-                         w.angular, w.axial)
-        v, memo = covariant_derivative(v0), {}
-        lhs = tube_inner_product(w, adjoint_divergence(v), lo, hi, memo=memo)
-        rhs = tube_inner_product(covariant_derivative(w), v, lo, hi, memo=memo)
-        res = max(res, abs(lhs - rhs) / (abs(lhs) + abs(rhs)))
-    add("adjoint_pairing", cases, res)
+    chains, lo, hi, angular, axial = bumps(6)
+    w = _random_oneform(chart, chains[:3], angular, axial)
+    v0 = OracleField(chart, 1, {(a,): c for a, c in enumerate(chains[3:])},
+                     w.angular, w.axial)
+    v, memo = covariant_derivative(v0), {}
+    lhs = tube_inner_product(w, adjoint_divergence(v), lo, hi, memo=memo).tolist()
+    rhs = tube_inner_product(covariant_derivative(w), v, lo, hi, memo=memo).tolist()
+    add("adjoint_pairing", cases, [abs(x - y) / (abs(x) + abs(y)) for x, y in zip(lhs, rhs)])
 
     return report

@@ -1,6 +1,7 @@
 """End-to-end command-line tests via the click test runner."""
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -784,6 +785,22 @@ class TestVerify:
         assert result.exit_code == 0
         assert len(calls) <= 21
 
+    # sha256 of seed-1 outputs at the default case count, on the benchmark's
+    # model; a change that means to move them updates these and says why
+    _DEFAULT_CASES_SHA256 = {
+        "verify.json": "0d4f4929c52271389d68e9b06e6d8e663b9fd053f9ef37ed2a657c71e9db347a",
+        "energy_ratios.csv": "7b3f99e0df161803fb89cd0fb443b388dae9c6c966a537d809d2385117dd611f",
+    }
+
+    def test_default_case_count_outputs_are_pinned(self, tmp_path):
+        model_path = write_model(tmp_path, angle=1.0, length=1.0)
+        out = tmp_path / "out"
+        result = invoke(["--model", model_path, "--out", str(out), "--seed", "1", "verify"])
+        assert result.exit_code == 0, result.output
+        got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in self._DEFAULT_CASES_SHA256}
+        assert got == self._DEFAULT_CASES_SHA256
+
     def test_fault_injection_fails_with_exit_one(self, tmp_path, monkeypatch):
         class FaultGrid(ChartGrid):
             """Chart grid with the connection entry Gamma^1_01 scaled by 1 + 1e-4."""
@@ -791,7 +808,7 @@ class TestVerify:
             def _build(self, name, m):
                 table = super()._build(name, m)
                 if name == "gam":
-                    table[:, 1, 0, 1] *= 1.0 + 1e-4
+                    table[:, list(zip(*self.support("gam"))).index((1, 0, 1))] *= 1.0 + 1e-4
                 return table
 
         class FaultChart(TubeChart):

@@ -76,6 +76,20 @@ def rand_chains(rng, count, terms=4):
             for _ in range(count)]
 
 
+def _scattered(table, support):
+    """Support rows [:, entry] scattered into the dense index layout, with
+    exact zeros elsewhere."""
+    out = np.zeros(table.shape[:1] + (3,) * len(support) + table.shape[2:], table.dtype)
+    out[(slice(None),) + support] = table
+    return out
+
+
+def dense_table(grid, name, m):
+    """A chart table in the dense index layout: "gam" [:, c, a, b], "riem_low"
+    [:, a, b, c, d] and "curv" [:, a, c, b, d]."""
+    return _scattered(grid.jet(name, m), grid.support(name))
+
+
 # ---------------------------------------------------------------------------
 # derivative chains
 
@@ -174,7 +188,7 @@ def test_connection_term_matches_one_product_per_index_bit_for_bit():
         idxs = list(itertools.product(range(3), repeat=rank))
         fld = OracleField(chart(), rank, dict(zip(idxs, rand_chains(rng, len(idxs)))),
                           angular=2.0, axial=math.pi)
-        t, gam = fld.dense(grid, m + 1, {}), grid.jet("gam", m)
+        t, gam = fld.dense(grid, m + 1, {}), dense_table(grid, "gam", m)
         want = oracle._derivative(t, (2.0j, 1j * math.pi))
         for i in range(rank):
             g = gam.reshape((m + 1, 3, 3) + (1,) * i + (3,) + (1,) * (rank - 1 - i) + r.shape)
@@ -198,7 +212,7 @@ def _same_but_zero_signs(got, want):
 
 
 def _dense_connection_term(fld, grid, m):
-    t, gam = fld.dense(grid, m + 1, {}), grid.jet("gam", m)
+    t, gam = fld.dense(grid, m + 1, {}), dense_table(grid, "gam", m)
     out = oracle._derivative(t, (1j * fld.angular, 1j * fld.axial))
     for i in range(fld.rank):
         g = gam.reshape((m + 1, 3, 3) + (1,) * i + (3,) + (1,) * (fld.rank - 1 - i)
@@ -211,7 +225,7 @@ def _dense_connection_term(fld, grid, m):
 
 def _dense_ricci_action(h, grid, m):
     t = h.dense(grid, m, {})
-    terms = leibniz(grid.jet("curv", m), t[:, None, :, None, :])
+    terms = leibniz(dense_table(grid, "curv", m), t[:, None, :, None, :])
     out = np.zeros_like(t)
     for c, d in itertools.product(range(3), repeat=2):
         out += terms[:, :, c, :, d]
@@ -254,29 +268,52 @@ def test_restricted_contractions_match_dense_ones_bit_for_bit():
 
 def test_restricted_curvature_tables_match_dense_ones_bit_for_bit():
     r = np.linspace(0.05, 1.0, 7)
+    supports = {name: chart().at(r).support(name) for name in ("gam", "riem_low")}
     for m in range(4):
         grid = chart().at(r)
-        low, ginv = grid.jet("riem_low", m), grid.jet("ginv", m)
+        low, ginv = dense_table(grid, "riem_low", m), grid.jet("ginv", m)
         want = leibniz(leibniz(low, ginv[:, None, :, None, None]),
                        ginv[:, None, None, None, :])
-        assert _same_but_zero_signs(grid.jet("curv", m), want), m
+        assert _same_but_zero_signs(dense_table(grid, "curv", m), want), m
         # the long-double chain under the table
         got = oracle._levi_civita(r, m + 3, "riem_low")
-        want = _dense_riemann(oracle._levi_civita(r, m + 3, "gam"))
-        assert _same_but_zero_signs(got["riem_low"], want), m
+        chain = oracle._levi_civita(r, m + 3, "gam")
+        want = _dense_riemann({"g": chain["g"],
+                               "gam": _scattered(chain["gam"], supports["gam"])})
+        assert _same_but_zero_signs(_scattered(got["riem_low"], supports["riem_low"]),
+                                    want), m
+
+
+def _nonzero_pattern(table, rank):
+    return {idx for idx in itertools.product(range(3), repeat=rank)
+            if table[(slice(None),) + idx].any()}
 
 
 def test_chart_supports_are_read_off_the_tables():
+    # each table holds one row per entry of its support, each row non-zero,
+    # and the support is the non-zero pattern of a dense build of every entry
     grid = chart().at(np.array([0.05, 0.4, 1.0]))
     assert len(grid.support("gam")[0]) == 6
     assert len(grid.support("curv")[0]) == 12
     for name in ("g", "ginv", "gam", "riem_low", "curv"):
         table = grid.jet(name, 3)
-        support = grid.support(name)
-        assert support is grid.support(name)  # kept per grid
-        off = np.ones(table.shape[1:-1], dtype=bool)
-        off[support] = False
-        assert np.all(table[:, off] == 0) and np.all(table[:, ~off].any(axis=(0, -1)))
+        rows = len(grid.support(name)[0]) if name not in ("g", "ginv") else 3
+        assert table.shape == (4, rows, 3), name
+        assert np.all(table.any(axis=(0, -1))), name
+    for name in ("gam", "riem_low", "curv"):
+        assert grid.support(name) is chart().at(np.array([0.5])).support(name)  # one per process
+    # the dense build: Gamma, R_abcd and R_acbd g^cc g^dd by the textbook sums
+    # over every index, from the complex jets of the diagonals, levels 0..3 or more
+    g, ginv = grid.jet("g", 5), grid.jet("ginv", 5)
+    dg = oracle._derivative(oracle._diagonal_matrix(g), (0, 0))
+    gam = 0.5 * leibniz(ginv[:, :, None, None], oracle._permuted(dg, 1, 0, 2)
+                        + oracle._permuted(dg, 1, 2, 0) - dg)
+    low = _dense_riemann({"g": g, "gam": gam})
+    curv = leibniz(leibniz(low, ginv[:, None, :, None, None]), ginv[:, None, None, None, :])
+    for name, dense in (("gam", gam), ("riem_low", low), ("curv", curv)):
+        assert len(dense) >= 4, name
+        support = set(zip(*(i.tolist() for i in grid.support(name))))
+        assert support == _nonzero_pattern(dense, len(dense.shape) - 2), name
 
 
 def test_bump_chain_support_and_smoothness():
@@ -317,6 +354,23 @@ def test_polynomial_chains_round_like_numpy():
             want = npoly.polyval(u, npoly.polyder(c, k)) * scale ** k
             want = np.where((u > 0) & (u < 1), want, 0.0).astype(complex)
             assert chain.fns[k](r).tobytes() == want.tobytes(), (amplitude, k)
+
+
+def test_stacked_chains_match_their_cases_bit_for_bit():
+    # stacked coefficients and per-case supports, of shape (..., cases, 1),
+    # give each case's jets as the case's own chain does, through level 5
+    rng = np.random.default_rng(53)
+    cases = 40
+    coeffs = rng.normal(size=(4, cases)) + 1j * rng.normal(size=(4, cases))
+    lo, hi = rng.uniform(0.1, 0.35, size=(cases, 1)), rng.uniform(0.6, 0.9, size=(cases, 1))
+    r = np.linspace(0.05, 1.0, 17)
+    radii = 0.05 + 0.9 * rng.random(size=(cases, 17))  # per-case radii, across the supports
+    poly = poly_chain(coeffs[..., None]).jet(r[None], 5, {})
+    bump = bump_chain(lo, hi).jet(radii, 5, {})
+    for i in range(cases):
+        assert poly[:, i].tobytes() == poly_chain(coeffs[:, i]).jet(r, 5, {}).tobytes(), i
+        want = bump_chain(float(lo[i, 0]), float(hi[i, 0])).jet(radii[i], 5, {})
+        assert bump[:, i].tobytes() == want.tobytes(), i
 
 
 def test_chain_jets_match_closed_forms():
@@ -416,6 +470,89 @@ def test_values_evaluates_each_operator_node_once(monkeypatch):
     assert {c[0] for c in counts} == {1}, [c[0] for c in counts]
 
 
+def test_each_field_has_one_derivative_node():
+    rng = np.random.default_rng(41)
+    w = OracleField(chart(), 1, {(a,): c for a, c in enumerate(rand_chains(rng, 3))},
+                    angular=2.0, axial=math.pi)
+    assert covariant_derivative(w) is covariant_derivative(w)
+    # the operators share it: d w and delta* w read the one derivative of w
+    assert exterior_d(w).operands[0][0] is covariant_derivative(w)
+    assert delta_star(w).operands[0][0] is covariant_derivative(w)
+    assert covariant_derivative(w).operands == ((w, 1),)
+
+
+def _batched_and_single(ch, rng, rank, cases, lo=None, hi=None):
+    """A field stacking `cases` random cases (chains and phases), and each
+    case as a field of its own; on bump supports (lo, hi) when given."""
+    idxs = list(itertools.product(range(3), repeat=rank))
+    coeffs = rng.normal(size=(len(idxs), 3, cases)) + 1j * rng.normal(size=(len(idxs), 3, cases))
+    angular = rng.integers(0, 4, size=(cases, 1)) * ch.gamma
+    axial = rng.integers(-2, 3, size=(cases, 1)) * 2 * math.pi / CS.length
+
+    def chains(c, inner, outer):
+        if inner is None:
+            return [poly_chain(ci) for ci in c]
+        bump = bump_chain(inner, outer)
+        return [bump * poly_chain(ci) for ci in c]
+
+    def make(c, ang, ax, inner, outer):
+        comps = dict(zip(idxs, chains(c, inner, outer)))
+        if rank == 2:  # symmetric
+            comps = {(a, b): comps[min(a, b), max(a, b)] for a, b in idxs}
+        return OracleField(ch, rank, comps, angular=ang, axial=ax)
+
+    batched = make(coeffs[..., None], angular, axial, lo, hi)
+    singles = [make(coeffs[..., i], float(angular[i, 0]), float(axial[i, 0]),
+                    None if lo is None else float(lo[i, 0]),
+                    None if hi is None else float(hi[i, 0])) for i in range(cases)]
+    return batched, singles
+
+
+def test_batched_fields_match_their_cases_bit_for_bit():
+    # a field stacking cases on an axis before the radii gives, case by case,
+    # the jets that the case's own field gives, signs of zero included
+    rng = np.random.default_rng(43)
+    r = np.linspace(0.2, 0.9, 9)
+    cases = 3
+    h, hs = _batched_and_single(chart(), rng, 2, cases)
+    w, ws = _batched_and_single(chart(), rng, 1, cases)
+    ops = [(apply_P_coords, h, hs), (linearized_einstein, h, hs), (bianchi_beta, h, hs),
+           (ricci_action, h, hs), (delta_star, w, ws), (exterior_d, w, ws),
+           (lambda f: f, h, hs)]
+    batched_grid, single_grid = chart().at(r[None]), chart().at(r)
+    for k, (op, fld, singles) in enumerate(ops):
+        out = op(fld)
+        m = min(2, out.depth)
+        got = out.dense(batched_grid, m, {})
+        assert got.shape == (m + 1,) + (3,) * out.rank + (cases, len(r)), k
+        for i, single in enumerate(singles):
+            want = op(single).dense(single_grid, m, {})
+            assert got[..., i, :].tobytes() == want.tobytes(), (k, i)
+
+
+def test_per_case_quadratures_match_their_cases_bit_for_bit():
+    rng = np.random.default_rng(47)
+    cases = 3
+    lo = rng.uniform(0.1, 0.35, size=(cases, 1))
+    hi = rng.uniform(0.6, 0.9, size=(cases, 1))
+    h, hs = _batched_and_single(chart(), rng, 2, cases, lo, hi)
+    memo = {}
+    pairing = tube_inner_product(apply_P_coords(h), h, lo, hi, memo=memo)
+    norms = tube_norm(h, lo, hi, memo=memo)
+    assert pairing.shape == norms.shape == (cases,)
+    for i, single in enumerate(hs):
+        inner, outer = float(lo[i, 0]), float(hi[i, 0])
+        want = tube_inner_product(apply_P_coords(single), single, inner, outer)
+        assert type(want) is complex and pairing[i] == want, i
+        assert norms[i] == tube_norm(single, inner, outer), i
+    # a case whose modes differ pairs to zero, the others as on their own
+    v = OracleField(h.chart, 2, h.components, angular=h.angular,
+                    axial=h.axial + np.array([[0.0], [1.0], [0.0]]))
+    got = tube_inner_product(h, v, lo, hi)
+    assert got[1] == 0
+    assert got[0] == tube_inner_product(hs[0], hs[0], float(lo[0, 0]), float(hi[0, 0]))
+
+
 def test_derivatives_past_field_depth_raise_at_build():
     ch = chart()
     rng = np.random.default_rng(23)
@@ -436,7 +573,9 @@ def test_derivatives_past_field_depth_raise_at_build():
 
 
 def test_frozen_christoffel_values():
-    G = chart().at(np.array([1.0])).jet("gam", 0)[0]
+    grid = chart().at(np.array([1.0]))
+    assert (0, 0, 0) not in set(zip(*(i.tolist() for i in grid.support("gam"))))
+    G = dense_table(grid, "gam", 0)[0]
     assert G[1, 0, 1][0].real == pytest.approx(GAMMA_TH_R_TH, abs=1e-12)
     assert G[1, 1, 0][0].real == pytest.approx(GAMMA_TH_R_TH, abs=1e-12)
     assert G[0, 1, 1][0].real == pytest.approx(GAMMA_R_TH_TH, abs=1e-12)
@@ -451,7 +590,7 @@ def test_chart_table_keys_and_constant_curvature():
         return {idx for idx in itertools.product(range(3), repeat=rank)
                 if np.any(table[(slice(None),) + idx])}
 
-    gam, low = grid.jet("gam", 3), grid.jet("riem_low", 3)
+    gam, low = dense_table(grid, "gam", 3), dense_table(grid, "riem_low", 3)
     assert nonzero(gam, 3) == {(0, 1, 1), (0, 2, 2), (1, 0, 1), (1, 1, 0),
                                (2, 0, 2), (2, 2, 0)}
     assert nonzero(low, 4) == {key for a in range(3) for b in range(3) if a != b
@@ -485,7 +624,7 @@ def test_chart_tables_match_closed_forms():
               (0, 1, 1): lambda x: -mp.sinh(x) * mp.cosh(x),
               (0, 2, 2): lambda x: -mp.sinh(x) * mp.cosh(x)}
     grid = chart().at(r)
-    gam = grid.jet("gam", 4)
+    gam = dense_table(grid, "gam", 4)
     for key, fn in closed.items():
         assert_close(gam[(slice(None),) + key], _exact_levels(fn, r, 4))
     assert_close(grid.jet("ginv", 4)[:, 1],
@@ -498,7 +637,7 @@ def test_curvature_action_table_matches_closed_form():
     # -g_aa / g_dd where a = b and c = d, +1 where a = d and c = b (a != c), else 0
     r = np.array([0.05, 0.3, 0.7, 1.0])
     g = (lambda x: mp.mpf(1), lambda x: mp.sinh(x) ** 2, lambda x: mp.cosh(x) ** 2)
-    curv = chart().at(r).jet("curv", 3)
+    curv = dense_table(chart().at(r), "curv", 3)
     worst = np.zeros(4)
     for a, c, b, d in itertools.product(range(3), repeat=4):
         got = curv[:, a, c, b, d]
@@ -518,7 +657,7 @@ def test_curvature_action_table_matches_closed_form():
                     reason="long double is float64 on this platform")
 def test_chart_curvature_keeps_digits_near_axis():
     # R_0101 = -sinh^2 r is a difference of terms of size cosh^2 r
-    got = chart().at(np.array([0.05])).jet("riem_low", 0)[0, 0, 1, 0, 1, 0]
+    got = dense_table(chart().at(np.array([0.05])), "riem_low", 0)[0, 0, 1, 0, 1, 0]
     want = -float(mp.sinh(mp.mpf(0.05)) ** 2)
     assert abs(got - want) <= 1e-15 * abs(want)
 
@@ -1097,11 +1236,12 @@ def test_identity_suite_report_serializes():
 
 def test_identity_suite_builds_one_chart_per_grid(monkeypatch):
     # one chart value for the pointwise grid, one per quadrature call
-    counts = {"at": 0, "quadrature": 0}
+    counts, shapes = {"at": 0, "quadrature": 0}, []
     at, quadrature = TubeChart.at, oracle.tube_inner_product
 
     def counting_at(self, r):
         counts["at"] += 1
+        shapes.append(np.shape(r))
         return at(self, r)
 
     def counting_quadrature(*args, **kwargs):
@@ -1113,6 +1253,9 @@ def test_identity_suite_builds_one_chart_per_grid(monkeypatch):
     identity_suite(MODEL, n_cases=2)
     assert counts["quadrature"] > 0
     assert counts["at"] == 1 + counts["quadrature"]
+    # every identity evaluates its cases at once: the pointwise ones on one
+    # row of 40 radii, each quadrature on the nodes of its 4 bump cases
+    assert shapes[0] == (1, 40) and set(shapes[1:]) == {(4, 160)}
     # the benchmark's set-up call: one Python float radius
     g = TubeChart(MODEL).metric(0.5)
     assert g.shape == (3, 3)
