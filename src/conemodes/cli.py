@@ -9,8 +9,6 @@ artifacts survive an error.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import os
@@ -57,9 +55,12 @@ from conemodes.reduction import (
     block_from_dict,
     log_grid,
     standard_deformation_block,
-    system_names,
     _exponents,
 )
+
+
+# the bytes that `RunConfig.write_csv`'s guard deletes: all but ',', '"', CR, LF
+_NOT_CSV_SPECIAL = bytes(b for b in range(256) if b not in b',"\r\n')
 
 
 class InputError(click.ClickException):
@@ -145,12 +146,29 @@ class RunConfig:
     def write_json(self, name: str, payload) -> str:
         return self.write_text(name, json.dumps(payload, indent=2) + "\n")
 
-    def write_csv(self, name: str, header, rows) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(header)
-        writer.writerows(rows)
-        return self.write_text(name, buf.getvalue())
+    def write_csv(self, name: str, header, rows, joined: bool = False) -> str:
+        """Write a table: the header's cells, then each row's, joined by ","
+        and ended by CRLF.  `rows` are lists of str cells or, when `joined`,
+        lines whose cells are joined already.  Every table goes through this
+        one writer.  Its bytes are those of csv's excel dialect, which quotes
+        only a cell that holds ",", '"', CR or LF or is its row's empty sole
+        cell.  Such a cell, or a row whose cell count is not the header's,
+        raises ValueError naming the file, and nothing is written."""
+        width, rows = len(header), list(rows)
+        # a row's cells are counted here, a joined line's by its commas alone
+        counted = joined or all(len(row) == width for row in rows)
+        lines = [",".join(header), *(rows if joined else map(",".join, rows))]
+        text = "\r\n".join(lines) + "\r\n"
+        # one pass over the text: with every other character deleted, each
+        # line is left as its commas and CRLF; with the cells counted, a
+        # comma too many is one inside a cell
+        skeleton = text.encode("utf-8").translate(None, _NOT_CSV_SPECIAL)
+        if (not counted or skeleton != (b"," * (width - 1) + b"\r\n") * len(lines)
+                or (width < 2 and "" in lines)):
+            raise ValueError(f"{name}: a row lacks the header's {width} cells, or "
+                             "a cell would need CSV quoting (it holds ',', '\"', CR "
+                             "or LF, or is the empty sole cell of its row)")
+        return self.write_text(name, text)
 
 
 def _read_json(path: str):
@@ -238,7 +256,7 @@ def indicial(cfg: RunConfig, family: str, angle_sweep):
     seven columns of each root row at COUNT angles from START to STOP,
     without branch classes or vectors.  Its exponents depend on the angle
     only through t = p * 2 pi / angle, so every distinct (family, kind,
-    components, t) is reported once per run.
+    components, t) is reported, and its cells formatted, once per run.
     """
     if angle_sweep is not None:
         start, stop, count = angle_sweep
@@ -262,7 +280,7 @@ def indicial(cfg: RunConfig, family: str, angle_sweep):
 
     if angle_sweep is not None:
         files.append(cfg.write_csv("angle_sweep.csv", *angle_sweep_rows(
-            model, modes, families, np.linspace(start, stop, int(count)))))
+            model, modes, families, np.linspace(start, stop, int(count))), joined=True))
 
     if cfg.gnuplot:
         files.append(cfg.write_text("roots.gp", _gnuplot_script(
@@ -607,8 +625,8 @@ def _equivalence_suite(model, chart, n_cases, seed, tol):
     specs = [("oneform", "A"), ("oneform", "B"), ("oneform", "C"),
              ("tensor", "A"), ("tensor", "B"), ("tensor", "C")]
     # bound per call: bench/spans.py rebinds these names in this module
-    operators = {"oneform": (apply_L_coords, apply_L_oneform),
-                 "tensor": (apply_P_coords, apply_P_tensor)}
+    operators = {"oneform": apply_L_coords, "tensor": apply_P_coords}
+    systems = {}  # (family, mode) -> its reduced system, built once per run
     for family, kind in specs:
         worst = 0.0
         for _ in range(n_cases):
@@ -620,11 +638,12 @@ def _equivalence_suite(model, chart, n_cases, seed, tol):
                 mode = ScalarMode(0.0, p)
             else:
                 mode = CoclosedMode(0.0, p)
-            profiles = _random_polynomial_profiles(rng, system_names(family, model.n, mode))
-            blk = ModeBlock(family, mode, profiles)
-            coords, reduced = operators[family]
-            got = block_components(coords(block_field(chart, blk)), kind, grid)
-            ref = reduced(model, blk, r)
+            system = systems.get((family, mode))
+            if system is None:
+                system = systems[family, mode] = system_for_mode(model, mode, family)
+            blk = ModeBlock(family, mode, _random_polynomial_profiles(rng, system.names))
+            got = block_components(operators[family](block_field(chart, blk)), kind, grid)
+            ref = system.apply(blk, r)
             scale = max(np.max(np.abs(v)) for v in ref.values())
             err = max(np.max(np.abs(got[nm] - ref[nm])) for nm in ref) / scale
             worst = max(worst, err)
@@ -637,7 +656,8 @@ def _equivalence_suite(model, chart, n_cases, seed, tol):
 @main.command()
 @click.option("--suite", "suites", multiple=True,
               type=click.Choice(["identities", "oracle", "energy"]),
-              help="suites to run (default: all)")
+              help="suites to run, each once however often named "
+                   "(default: all)")
 @click.option("--cases", type=click.IntRange(min=1), default=20, show_default=True)
 @click.pass_context
 def verify(ctx, suites, cases):
@@ -652,7 +672,8 @@ def verify(ctx, suites, cases):
         chart = TubeChart(model)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    suites = tuple(suites) or ("identities", "oracle", "energy")
+    # a suite named twice runs, and is listed, once
+    suites = tuple(dict.fromkeys(suites)) or ("identities", "oracle", "energy")
     tol = cfg.residual_tol
 
     rows = []
@@ -671,7 +692,7 @@ def verify(ctx, suites, cases):
                      "pass": bool(violation == 0.0)})
         files.append(cfg.write_csv(
             "energy_ratios.csv", ["case", "ratio"],
-            [[i, f"{v:.12g}"] for i, v in enumerate(ratios)]))
+            [[str(i), f"{v:.12g}"] for i, v in enumerate(ratios)]))
 
     ok = all(row["pass"] for row in rows)
     files.insert(0, cfg.write_json("verify.json",

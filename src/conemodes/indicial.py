@@ -410,22 +410,26 @@ def root_table_rows(model: ConeModel, modes, family: str):
 
 
 def angle_sweep_rows(model: ConeModel, modes, families, angles):
-    """Header and rows of the root table swept over cone angles.
+    """Header and lines of the root table swept over cone angles.
 
-    Each row is the angle, then the first seven columns of the
-    `root_table_rows` row at that angle: no branch classes, no vectors.  A
-    report depends only on (family, kind, names, t = p gamma), so each
-    distinct key is reported once per call, however many modes and angles
-    share it.
+    Each line is one row's cells joined by ",": the angle, then the first
+    seven columns of the `root_table_rows` row at that angle, with no branch
+    classes and no vectors.  A report depends only on (family, kind, names,
+    t = p gamma), so each distinct key is reported, and its root cells
+    joined, once per call, however many modes and angles share it; each row
+    group's leading cells are joined once per call too.
     """
-    entries = _table_entries(model, modes, families)
-    cells = {}  # key -> root columns, for this call only
-    rows = []
+    entries = [(family, p, kind, names, ",".join(lead))
+               for family, p, kind, names, lead in _table_entries(model, modes, families)]
+    cells = {}  # key -> one string of root columns per root, for this call only
+    lines = []
     for alpha in angles:
-        gamma, label = replace(model, alpha=float(alpha)).gamma, f"{alpha:.12g}"
+        gamma, label = replace(model, alpha=float(alpha)).gamma, f"{alpha:.12g},"
         for family, p, kind, names, lead in entries:
             key = (family, kind, names, p * gamma)
             if key not in cells:
-                cells[key] = _root_cells(indicial_report_at(*key), full=False)
-            rows.extend([label] + lead + root for root in cells[key])
-    return ["angle"] + _TABLE_HEADER[:7], rows
+                report = indicial_report_at(*key)
+                cells[key] = [",".join(root) for root in _root_cells(report, full=False)]
+            prefix = f"{label}{lead},"
+            lines.extend([prefix + root for root in cells[key]])
+    return ["angle"] + _TABLE_HEADER[:7], lines

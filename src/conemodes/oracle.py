@@ -293,11 +293,17 @@ class ChartGrid:
     every level and radius, so these tables are built and contracted over
     their support only.  `_build` makes a table when first read and again
     only for a deeper level, off the grid's one `_levi_civita` chain: a later
-    table continues it, a deeper level starts it over.
+    table continues it, a deeper level starts it over.  `reserve` starts the
+    chain as deep as later reads will go, so that none starts it over.
     """
 
     def __init__(self, chart: "TubeChart", r):
         self.chart, self.r, self._tables, self._chain = chart, r, {}, None
+        self._levels = 0  # levels of g that the chain starts with at least
+
+    def reserve(self, name: str, m: int) -> None:
+        """Make the chain, when it starts, serve table `name` up to level m."""
+        self._levels = max(self._levels, _chain_levels(name, m))
 
     def jet(self, name: str, m: int) -> np.ndarray:
         have = self._tables.get(name)
@@ -319,11 +325,16 @@ class ChartGrid:
             low, ginv = self.jet("riem_low", m), self.jet("ginv", m)
             _, c, _, d = self.support(name)
             return leibniz(leibniz(low, ginv[:, c]), ginv[:, d])
-        # off the long-double chain, with levels of g to spare for the derivatives
-        need = m + 1 + {"gam": 1, "riem_low": 2}.get(name, 0)
+        need = _chain_levels(name, m)
         if self._chain is None or len(self._chain["g"]) < need or name not in self._chain:
-            self._chain = _levi_civita(self.r, need, name, self._chain)
+            self._chain = _levi_civita(self.r, max(need, self._levels), name, self._chain)
         return self._chain[name][:m + 1].astype(complex)
+
+
+def _chain_levels(name: str, m: int) -> int:
+    """Levels of g that a long-double chain needs for table `name` at level
+    m, with levels to spare for the derivatives."""
+    return m + 1 + {"gam": 1, "riem_low": 2}.get(name, 0)
 
 
 @dataclass(frozen=True)
@@ -957,6 +968,9 @@ def identity_suite(model: ConeModel, n_cases: int = 50, seed: int = 0,
     n = chart.dim
     a = model.tube_radius
     grid = chart.at(np.linspace(0.15 * a, 0.9 * a, 40)[None])
+    # the pointwise rows read R at level 1 (linearized_bianchi) and Gamma at
+    # level 2 (laplacian_gauge_commutation): one chain serves them all
+    grid.reserve("riem_low", 1)
     cases = max(4, n_cases // 10)
     report = []
 

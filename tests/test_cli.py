@@ -2,9 +2,11 @@
 
 import csv
 import hashlib
+import io
 import json
 import math
 import os
+import string
 import subprocess
 import sys
 from dataclasses import replace
@@ -12,6 +14,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conemodes import cli, oracle
 from conemodes.cli import main
@@ -177,6 +181,25 @@ class TestIndicial:
         assert {r[2] for r in rows if r[1] == "oneform"} == {"A", "B", "C"}
         assert "D" in {r[2] for r in rows if r[1] == "tensor"}
 
+    # sha256 of a both-family sweep of 200 angles across 2 pi, at alpha = 2 pi / 3
+    # on the circle of length 2; a change that means to move them updates
+    # these and says why
+    _SWEEP_SHA256 = {
+        "angle_sweep.csv": "ee05ece47d71403769cab3a476b60d32b778009810789075ae8a2d23ee59bc61",
+        "roots.csv": "c33343689fabce00049155057a9ef02436839185342c9c63596b4b0edb65b85c",
+        "roots.json": "3860e0b0aede49743e065a469e5c37f286dc12af7f8ec264e20e4150ace6f358",
+    }
+
+    def test_angle_sweep_outputs_are_pinned(self, tmp_path):
+        model_path = write_model(tmp_path, angle=2 * math.pi / 3)
+        out = tmp_path / "out"
+        result = invoke(["--model", model_path, "--out", str(out), "indicial",
+                         "--family", "both", "--angle-sweep", "0.3", "12.6", "200"])
+        assert result.exit_code == 0, result.output
+        got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in self._SWEEP_SHA256}
+        assert got == self._SWEEP_SHA256
+
     def test_jobs_accepts_only_one(self, tmp_path):
         model_path = write_model(tmp_path)
         modes = write_modes(tmp_path, scalar=[(0.0, 1)])
@@ -197,6 +220,74 @@ class TestIndicial:
                              "indicial", "--angle-sweep", *sweep])
             assert result.exit_code == 2, sweep
             assert os.listdir(out) == [], sweep
+
+
+def run_config(out_dir):
+    return cli.RunConfig(model_path=None, modes_path=None, out_dir=str(out_dir), seed=0,
+                         series_order=14, rtol=1e-11, nodes=200, residual_tol=1e-8,
+                         gnuplot=False)
+
+
+# the characters the table formatters emit: numbers in %g and complex
+# notation, booleans, names, and the vectors' "|" and ";" separators
+_CELLS = st.text(alphabet=string.digits + string.ascii_letters + ".+-|;j", max_size=6)
+
+
+@st.composite
+def _tables(draw):
+    width = draw(st.integers(1, 5))
+    row = st.lists(_CELLS, min_size=width, max_size=width)
+    return draw(row), draw(st.lists(row, max_size=8))
+
+
+class TestCsvWriter:
+    @given(_tables())
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_bytes_match_csv_writer(self, tmp_path, table):
+        # the file is replaced by every example, so one directory serves them all
+        header, rows = table
+        cfg = run_config(tmp_path)
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(header)
+        writer.writerows(rows)
+        if len(header) == 1 and [""] in [header] + rows:
+            # csv quotes a row's empty sole cell as ""
+            with pytest.raises(ValueError):
+                cfg.write_csv("t.csv", header, rows)
+            return
+        want = buf.getvalue().encode("utf-8")
+        assert open(cfg.write_csv("t.csv", header, rows), "rb").read() == want
+        lines = [",".join(row) for row in rows]
+        assert open(cfg.write_csv("t.csv", header, lines, joined=True), "rb").read() == want
+
+    @pytest.mark.parametrize("rows", [
+        [["1", "2,5"]], [["1", 'a"b']], [["1", "2\r"]], [["1\n", "2"]],
+        [["1", "2"], ["3"]], [["1", "2"], ["3", "4", "5"]],
+        [["", ""], [","]],  # one cell short, one comma too many
+    ])
+    def test_guard_names_the_file_and_writes_nothing(self, tmp_path, rows):
+        cfg = run_config(tmp_path / "out")
+        with pytest.raises(ValueError, match="t.csv"):
+            cfg.write_csv("t.csv", ["a", "b"], rows)
+        assert os.listdir(tmp_path / "out") == []
+
+    @pytest.mark.parametrize("lines", [
+        ["1,2,5"], ['1,a"b'], ["1,2\r"], ["1\n,2"], ["1,2", "3"], ["1,2", "3,4,5"],
+    ])
+    def test_guard_checks_joined_lines(self, tmp_path, lines):
+        cfg = run_config(tmp_path / "out")
+        with pytest.raises(ValueError, match="t.csv"):
+            cfg.write_csv("t.csv", ["a", "b"], lines, joined=True)
+        assert os.listdir(tmp_path / "out") == []
+
+    def test_guard_checks_the_header(self, tmp_path):
+        cfg = run_config(tmp_path)
+        for header in (["a,b", "c"], ['"a"', "b"], [""], []):
+            with pytest.raises(ValueError, match="t.csv"):
+                cfg.write_csv("t.csv", header, [])
+        assert os.listdir(tmp_path) == []
 
 
 class TestReduce:
@@ -769,21 +860,60 @@ class TestVerify:
             [556.913109018, 300.711978301, 623.342985523], rel=1e-9)
 
     def test_verify_pass_builds_one_chart_chain_per_grid(self, tmp_path, monkeypatch):
-        # the benchmark's verify pass: 13 radius grids, each with one long-double
-        # chain that later tables continue (the pointwise grid restarts it once)
+        # the benchmark's verify pass: 7 radius grids and 11 calls, each grid
+        # with one long-double chain that later tables continue and none
+        # starts over (the pointwise grid reserves its deepest level)
         calls = []
         levi_civita = oracle._levi_civita
 
-        def counting(*args):
-            calls.append(args[2])
-            return levi_civita(*args)
+        def counting(r, levels, name, chain=None):
+            # r is kept, so the ids of the grids' radii stay distinct
+            calls.append((r, levels, None if chain is None else len(chain["g"])))
+            return levi_civita(r, levels, name, chain)
 
         monkeypatch.setattr(oracle, "_levi_civita", counting)
         model_path = write_model(tmp_path, angle=1.0, length=1.0)
         result = invoke(["--model", model_path, "--out", str(tmp_path / "out"),
                          "--seed", "1", "verify", "--cases", "3"])
         assert result.exit_code == 0
-        assert len(calls) <= 21
+        assert len(calls) == 11
+        grids = {id(r) for r, _, _ in calls}
+        assert len(grids) == 7
+        # one start per grid, and every later call continues its chain
+        assert sum(have is None for _, _, have in calls) == len(grids)
+        assert all(have is None or have >= levels for _, levels, have in calls)
+
+    def test_oracle_suite_builds_each_mode_system_once(self, tmp_path, monkeypatch):
+        # seed 1 draws 18 cases over 15 distinct (family, mode) pairs
+        from conemodes import indicial, reduction
+
+        builds = []
+        for module in (cli, indicial, reduction):
+            for name in ("oneform_system", "tensor_system"):
+                if hasattr(module, name):
+                    def counting(model, mode, _build=getattr(module, name), _name=name):
+                        builds.append((_name, mode))
+                        return _build(model, mode)
+
+                    monkeypatch.setattr(module, name, counting)
+        model_path = write_model(tmp_path, angle=1.0, length=1.0)
+        result = invoke(["--model", model_path, "--out", str(tmp_path / "out"),
+                         "--seed", "1", "verify", "--suite", "oracle", "--cases", "3"])
+        assert result.exit_code == 0
+        assert len(builds) == len(set(builds)) == 15
+
+    def test_suite_named_twice_runs_once(self, tmp_path):
+        model_path = write_model(tmp_path)
+        out = tmp_path / "out"
+        result = invoke(["--model", model_path, "--out", str(out), "verify",
+                         "--suite", "energy", "--suite", "oracle", "--suite", "energy",
+                         "--cases", "2"])
+        assert result.exit_code == 0
+        payload = json.loads((out / "verify.json").read_text())
+        assert payload["suites"] == ["energy", "oracle"]
+        assert [row["identity"] for row in payload["rows"]].count(
+            "einstein_operator_energy_bound") == 1
+        assert len(read_csv(out / "energy_ratios.csv")[1]) == 2
 
     # sha256 of seed-1 outputs at the default case count, on the benchmark's
     # model; a change that means to move them updates these and says why
