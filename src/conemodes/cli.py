@@ -25,10 +25,9 @@ from conemodes.frobenius import (
     admissible_branches,
     angle_deformation_profile,
     branch_series,
-    induced_singular_deformation,
     solve_mode_bvp,
 )
-from conemodes.geometry import ConeModel, DomainError, RadialProfile
+from conemodes.geometry import ConeModel, RadialProfile
 from conemodes.indicial import angle_sweep_rows, root_table_rows, system_for_mode
 from conemodes.modes import (
     CoclosedMode,
@@ -54,6 +53,7 @@ from conemodes.reduction import (
     block_csv_rows,
     block_from_dict,
     log_grid,
+    sample_csv_rows,
     standard_deformation_block,
     _exponents,
 )
@@ -226,7 +226,7 @@ def _gnuplot_script(csv_name: str, title: str, columns, logx: bool) -> str:
 @click.option("--tol-nodes", "nodes", type=click.IntRange(min=4), default=200,
               show_default=True,
               help="radial sample count of reduce's outputs and of "
-                   "deform-angle's profile and residual checks")
+                   "deform-angle's two tables and residual checks")
 @click.option("--tol-residual", "residual_tol", type=float, default=1e-8,
               show_default=True, help="verification residual threshold")
 # accepts only the `--jobs 1` that bench/workloads.py passes, its one caller
@@ -323,20 +323,12 @@ def reduce(cfg: RunConfig, block_file, standard):
     apply = apply_L_oneform if block.family == "oneform" else apply_P_tensor
     try:
         image = apply(model, block, grid)
-    except (ValueError, DomainError) as exc:
+    except ValueError as exc:
         raise InputError(str(exc)) from exc
 
     head, rows = block_csv_rows(model, block, grid)
     names = sorted(image)
-    image_head = ["r"]
-    for nm in names:
-        image_head += [f"{nm}_re", f"{nm}_im"]
-    image_rows = []
-    for i, r in enumerate(grid):
-        row = [f"{r:.12g}"]
-        for nm in names:
-            row += [f"{image[nm][i].real:.12g}", f"{image[nm][i].imag:.12g}"]
-        image_rows.append(row)
+    image_head, image_rows = sample_csv_rows(grid, {nm: image[nm] for nm in names})
 
     files = [
         cfg.write_csv("block.csv", head, rows),
@@ -360,14 +352,17 @@ def reduce(cfg: RunConfig, block_file, standard):
               default="tensor", show_default=True)
 @click.option("--solution-class", type=click.Choice(["strong", "l2"]),
               default="strong", show_default=True)
-@click.option("--order", type=click.IntRange(min=1), default=None,
-              help="series order (defaults to --tol-series-order)")
 @click.pass_obj
-def frobenius_cmd(cfg: RunConfig, family, solution_class, order):
-    """Frobenius series of every admissible branch of the listed modes."""
+def frobenius_cmd(cfg: RunConfig, family, solution_class):
+    """Frobenius series of every admissible branch of the listed modes.
+
+    frobenius.json lists, per mode of the family (one-forms carry no TT
+    mode), its system's kind and each branch the solution class admits at
+    the axis: its type (power or log), its exponent and its series to order
+    --tol-series-order.
+    """
     model = cfg.load_model()
     modes = cfg.load_modes(model)
-    order = cfg.series_order if order is None else order
 
     def expand(mode):
         if family == "oneform" and isinstance(mode, TTMode):
@@ -376,7 +371,7 @@ def frobenius_cmd(cfg: RunConfig, family, solution_class, order):
         entry = {"family": family, "kind": system.kind,
                  "mode": mode_to_dict(mode), "branches": []}
         for branch in admissible_branches(system, solution_class):
-            ser = branch_series(system, branch, order)
+            ser = branch_series(system, branch, cfg.series_order)
             entry["branches"].append({"type": branch[0], "exponent": branch[1],
                                       "series": ser.to_dict()})
         return entry
@@ -449,7 +444,7 @@ def solve(cfg: RunConfig, family, mode_type, mode_p, mode_eig, boundary,
                                 solution_class=solution_class,
                                 source=source_map, order=cfg.series_order,
                                 rtol=cfg.rtol)
-    except (ValueError, DomainError) as exc:
+    except ValueError as exc:
         raise InputError(str(exc)) from exc
 
     head, rows = block_csv_rows(model, result.block())
@@ -500,7 +495,7 @@ def deform_angle(cfg: RunConfig, cutoff, order):
     cut = tuple(cutoff) if cutoff is not None else (0.25 * a, 0.5 * a)
 
     deform = angle_deformation_profile(model, order=order, rtol=cfg.rtol)
-    grid = np.geomspace(1e-6, a, cfg.nodes)
+    grid = log_grid(model, cfg.nodes)
     memo = {}  # f and g share the continuation's one evaluation on the grid
     f, g = (prof.jet(grid, 0, memo)[0] for prof in (deform.f_profile, deform.g_profile))
     defect = f + grid * np.log(grid)
@@ -513,18 +508,17 @@ def deform_angle(cfg: RunConfig, cutoff, order):
 
     block = deform.correction_block(cutoff=cut)
     bvals = deform.boundary_values(cutoff=cut)
-    head, rows = block_csv_rows(model, block)
+    head, rows = block_csv_rows(model, block, grid)
 
     modes = cfg.load_modes(model)
-    # the angle deformation's trace feeds the scalar (0, 0) mode; every other
-    # mode gets zero data, the default of each component the solve leaves out
-    boundary_data = {mode: dict(bvals) if isinstance(mode, ScalarMode)
-                     and mode.lam == 0 and mode.p == 0 else {}
-                     for mode in modes if not isinstance(mode, TTMode)}
-    solves = induced_singular_deformation(model, boundary_data, order=order,
-                                          rtol=cfg.rtol)
     induced = []
-    for mode, res in solves.items():
+    # each distinct non-TT mode once, in list order; the angle deformation's
+    # trace feeds the scalar (0, 0) mode, and every other mode gets zero data,
+    # the default of each component the solve leaves out
+    for mode in dict.fromkeys(m for m in modes if not isinstance(m, TTMode)):
+        core = isinstance(mode, ScalarMode) and mode.lam == 0 and mode.p == 0
+        res = solve_mode_bvp(model, mode, "tensor", bvals if core else {},
+                             order=order, rtol=cfg.rtol)
         induced.append({"mode": mode_to_dict(mode), "status": res.status,
                         "axis_regular": res.axis_regular,
                         "induced": _axis_coefficients(res)})
@@ -564,7 +558,14 @@ def deform_angle(cfg: RunConfig, cutoff, order):
               default="strong", show_default=True)
 @click.pass_obj
 def induced_metric(cfg: RunConfig, boundary_file, solution_class):
-    """Axis limits of per-mode Dirichlet solves: the induced locus data."""
+    """Axis limits of per-mode Dirichlet solves: the induced locus data.
+
+    Each entry gives one tensor mode its component values at the tube edge;
+    a mode listed again keeps its first place and takes the later values.
+    The axis limits of the cross-section slots (the exponent-zero branch
+    content) are what survives at the singular locus; only p = 0 modes can
+    carry them when no indicial root sits at zero for p != 0.
+    """
     model = cfg.load_model()
     entries = _read_json(boundary_file)
     if not isinstance(entries, list):
@@ -582,11 +583,11 @@ def induced_metric(cfg: RunConfig, boundary_file, solution_class):
         boundary_data[mode] = values
 
     try:
-        solves = induced_singular_deformation(model, boundary_data,
-                                              solution_class=solution_class,
-                                              order=cfg.series_order,
-                                              rtol=cfg.rtol)
-    except (ValueError, DomainError) as exc:
+        solves = {mode: solve_mode_bvp(model, mode, "tensor", values,
+                                       solution_class=solution_class,
+                                       order=cfg.series_order, rtol=cfg.rtol)
+                  for mode, values in boundary_data.items()}
+    except ValueError as exc:
         raise InputError(str(exc)) from exc
     payload = []
     for mode, res in solves.items():

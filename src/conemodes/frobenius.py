@@ -66,7 +66,6 @@ __all__ = [
     "solve_mode_bvp",
     "AngleDeformation",
     "angle_deformation_profile",
-    "induced_singular_deformation",
 ]
 
 # relative obstruction threshold deciding solvable resonance vs log branch
@@ -210,8 +209,7 @@ def _power_sum(C, r):
 @functools.lru_cache(maxsize=128)
 def _laurent_data(system: ModeSystem, order: int):
     """Read-only float64 q_j of r q(r), shape (order+1,), and framed W_j."""
-    drift = system.laurent_drift(order + 1)
-    q = np.array([complex(drift.coefficient(j)) for j in range(order + 1)]).real
+    q = system.laurent_drift(order + 1)
     W = np.asarray(system.laurent_potential(order + 1))
     q.flags.writeable = W.flags.writeable = False
     return q, W
@@ -352,11 +350,13 @@ def inhomogeneous_series(system: ModeSystem, source: Mapping[str, RadialExpr],
     rows = {system.names.index(name): expr.laurent(order + 1) for name, expr in source.items()}
     if not rows:
         raise ValueError("source must have at least one nonzero row")
-    s0 = min(ser.leading for ser in rows.values()) + 2
+    low = min(lead for lead, _ in rows.values())
     terms = np.zeros((order + 1, system.arity), dtype=complex)
-    for i, ser in rows.items():
-        terms[:, i] = [complex(ser.coefficient(s0 - 2 + m)) for m in range(order + 1)]
-    return _series(system, s0, order, source=terms)
+    for i, (lead, c) in rows.items():
+        start = lead - low  # the order at which row i's first power enters
+        if start <= order:
+            terms[start:, i] = c[:order + 1 - start]
+    return _series(system, low + 2, order, source=terms)
 
 
 # ---------------------------------------------------------------------------
@@ -714,8 +714,8 @@ def solve_mode_bvp(model: ConeModel, mode: Mode, family: str,
                    boundary: Mapping[str, complex],
                    solution_class: str = "strong",
                    source: Optional[Mapping[str, RadialExpr]] = None,
-                   order: int = 14, handoff: Optional[float] = None,
-                   num: int = _GRID_NODES, rtol: float = 1e-11) -> ModeBVPResult:
+                   order: int = 14, num: int = _GRID_NODES,
+                   rtol: float = 1e-11) -> ModeBVPResult:
     """Match admissible interior branches to Dirichlet data at the tube edge.
 
     The boundary map sends branch coefficients to component values at
@@ -725,16 +725,17 @@ def solve_mode_bvp(model: ConeModel, mode: Mode, family: str,
     rank drop reports "non_unique" with the null combinations.  One SVD of
     the map decides its rank, gives the least-squares coefficients on the
     singular values above the rank cut, and spans the null combinations.
-    Every branch is a series of ``order`` continued from ``handoff`` by
-    `integrate_mode_ode` on ``num`` nodes to ``rtol``.
+    Every branch is a series of ``order`` continued by `integrate_mode_ode`
+    on ``num`` nodes to ``rtol``, from the handoff min(0.1, a / 8) at tube
+    radius a, which the result records.  An unknown solution class raises
+    ValueError (`IndicialRoot.branches`).
     """
     system = system_for_mode(model, mode, family)
     unknown = set(boundary) - set(system.names)
     if unknown:
         raise ValueError(f"boundary names {sorted(unknown)} not in system")
     a = model.tube_radius
-    if handoff is None:
-        handoff = _auto_handoff(a)
+    handoff = _auto_handoff(a)
     k = system.arity
     branches = admissible_branches(system, solution_class)
     nb = len(branches)
@@ -811,26 +812,6 @@ def solve_mode_bvp(model: ConeModel, mode: Mode, family: str,
         null_combinations=nulls,
         handoff=handoff,
     )
-
-
-def induced_singular_deformation(model: ConeModel, boundary_data: Mapping,
-                                 solution_class: str = "strong",
-                                 order: int = 14, handoff: Optional[float] = None,
-                                 num: int = _GRID_NODES, rtol: float = 1e-11) -> dict:
-    """Per-mode Dirichlet solves extracting the axis limits of the components.
-
-    ``boundary_data`` maps tensor modes to component values at the tube edge.
-    The axis limits of the cross-section slots (the exponent-zero branch
-    content) are what survives at the singular locus; only p = 0 modes can
-    carry them when no indicial root sits at zero for p != 0.  The other
-    arguments go to `solve_mode_bvp`.
-    """
-    results = {}
-    for mode, bvals in boundary_data.items():
-        results[mode] = solve_mode_bvp(
-            model, mode, "tensor", bvals, solution_class=solution_class,
-            order=order, handoff=handoff, num=num, rtol=rtol)
-    return results
 
 
 # ---------------------------------------------------------------------------
@@ -929,17 +910,16 @@ class AngleDeformation:
 
 
 def angle_deformation_profile(model: ConeModel, order: int = 16,
-                              handoff: Optional[float] = None,
                               num: int = _GRID_NODES,
                               rtol: float = 1e-11) -> AngleDeformation:
     """Solve the gauge potential ODE for the cone-angle deformation: its
-    particular series of ``order`` continued from ``handoff`` by
-    `integrate_mode_ode` on ``num`` nodes to ``rtol``."""
+    particular series of ``order`` continued by `integrate_mode_ode` on
+    ``num`` nodes to ``rtol``, from the handoff min(0.1, a / 8) at tube
+    radius a."""
     system = oneform_system(model, ScalarMode(0.0, 0))
-    if handoff is None:
-        handoff = _auto_handoff(model.tube_radius)
+    a = model.tube_radius
     source = {"f": 2.0 * _ex("inv_th")}
     series = inhomogeneous_series(system, source, order=order)
-    cont = integrate_mode_ode(system, series, handoff, model.tube_radius,
+    cont = integrate_mode_ode(system, series, _auto_handoff(a), a,
                               source=source, num=num, rtol=rtol)
     return AngleDeformation(model=model, continuation=cont)

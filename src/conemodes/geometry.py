@@ -70,9 +70,9 @@ class DomainError(ValueError):
 class LaurentSeries:
     """Finite Laurent series sum_k coeffs[k] * r**(leading + k).
 
-    Coefficients are exact (`Fraction`, or complex for downstream assembled
-    data).  A series with M coefficients represents the function modulo
-    O(r**(leading + M)).
+    Coefficients are exact rationals (`Fraction`, or int); float data read
+    off a series is rounded once per coefficient where it is read.  A series
+    with M coefficients represents the function modulo O(r**(leading + M)).
     """
 
     leading: int
@@ -105,11 +105,9 @@ class LaurentSeries:
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
-        acc = np.zeros_like(r, dtype=complex)
+        acc = np.zeros_like(r)
         for k, c in enumerate(self.coeffs):
-            acc = acc + complex(c) * r ** (self.leading + k)
-        if np.all(np.abs(acc.imag) == 0.0):
-            acc = acc.real
+            acc = acc + float(c) * r ** (self.leading + k)
         return acc if acc.shape else acc[()]
 
     def parity(self) -> int | None:

@@ -61,7 +61,6 @@ __all__ = [
     "indicial_report",
     "indicial_report_at",
     "exact_indicial_analysis",
-    "angle_admissibility",
     "system_for_mode",
     "root_table_rows",
     "angle_sweep_rows",
@@ -145,7 +144,11 @@ class IndicialRoot:
         the class admits: a log-free "power" branch per eigenvector, and,
         when a log is required, a "log" branch per eigenvector.  Logs occur
         only at kappa = 0, where both signs of each o meet, so the log
-        branches fill the multiplicity exactly."""
+        branches fill the multiplicity exactly.  A class outside
+        `SOLUTION_CLASSES` raises ValueError."""
+        if solution_class not in SOLUTION_CLASSES:
+            raise ValueError(f"unknown solution class {solution_class!r}; "
+                             f"expected one of {SOLUTION_CLASSES}")
         out = []
         if classify_exponent(self.value, False)[solution_class]:
             out += [("power", vec) for vec in self.vectors]
@@ -307,7 +310,7 @@ def exact_indicial_analysis(family: str, kind: str, names, t: Fraction):
 
 
 # ---------------------------------------------------------------------------
-# admissibility at a given cone angle
+# systems by family
 
 
 def system_for_mode(model: ConeModel, mode: Mode, family: str) -> ModeSystem:
@@ -315,38 +318,6 @@ def system_for_mode(model: ConeModel, mode: Mode, family: str) -> ModeSystem:
     if family == "oneform":
         return oneform_system(model, mode)
     return tensor_system(model, mode)
-
-
-def angle_admissibility(model: ConeModel, mode: Mode, family: str = "tensor",
-                        solution_class: str = "strong") -> dict:
-    """Branch bookkeeping for boundary solvability of one mode.
-
-    counts how many local branches at the axis the chosen class admits; a
-    deficit against the block arity means the boundary matching problem is
-    singular in that class, a surplus means non-uniqueness.
-    """
-    if solution_class not in SOLUTION_CLASSES:
-        raise ValueError(f"unknown solution class {solution_class!r}")
-    kind = mode_kind(mode, family)
-    names = system_names(family, model.n, mode)
-    report = indicial_report_at(family, kind, names, mode.p * model.gamma)
-    branches, count = [], 0
-    for root in report.roots:
-        c = len(root.branches(solution_class))
-        if c:
-            branches.append({"kappa": root.value, "count": c,
-                             "log_required": root.log_required})
-            count += c
-    return {
-        "family": family,
-        "kind": kind,
-        "arity": len(names),
-        "solution_class": solution_class,
-        "branches": branches,
-        "count": count,
-        "deficit": len(names) - count,
-        "has_log_root": report.has_log_root,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -14,17 +14,20 @@ with every potential a constant pencil over seven fixed radial products,
 
 Each phi_b, like every radial coefficient, is a monomial sh^a ch^b, so the
 basis is the seven exponent pairs (0, 0), (-2, 2), (2, -2), (-2, 0), (0, -2),
-(-2, 1), (1, -2), and q is the pair (-1, 1) plus n - 2 times (1, -1).  The
-builders write each operator entry straight into the matrices C_b, one
-coefficient per named basis slot (one, it2, th2, s2, c2, sti, thc in the
-order above), each taken to the real frame D C_b D^-1 where it is real, so
-that float64 pencil is the only form of a system's potential.  The sti
-slot, the terms of first order in d/dtheta, is written whole from one
-integer matrix per block, the theta-coupling O (`theta_coupling`): it is
-2 p gamma O, the it2 slot is O^2, and so W0 = (tI + O)^2 at t = p gamma.
+(-2, 1), (1, -2), and q is the two pairs (-1, 1) and (1, -1), with the
+integer coefficients 1 and n - 2.  The builders write each operator entry
+straight into the matrices C_b, one coefficient per named basis slot (one,
+it2, th2, s2, c2, sti, thc in the order above), each taken to the real
+frame D C_b D^-1 where it is real, so that float64 pencil is the only form
+of a system's potential.  The sti slot, the terms of first order in
+d/dtheta, is written whole from one integer matrix per block, the
+theta-coupling O (`theta_coupling`): it is 2 p gamma O, the it2 slot is
+O^2, and so W0 = (tI + O)^2 at t = p gamma.
 Pointwise values and both radial derivatives of V and q come from the one
-monomial evaluator of :mod:`conemodes.geometry`, and their exact Laurent data
-from its one series table per pair.
+monomial evaluator of :mod:`conemodes.geometry`.  Their Laurent data, and
+those of every radial expression, are read off one table per set of pairs
+(`_series_table`), which rounds each exact coefficient of the geometry's
+series once.
 
 This module owns those systems: it applies them pointwise, forms the
 first-order gradient/exterior-derivative displays for one-form blocks,
@@ -60,7 +63,6 @@ import numpy as np
 from conemodes.geometry import (
     ConeModel,
     DomainError,
-    LaurentSeries,
     RADIAL_FUNCTIONS,
     RadialProfile,
     gauss_legendre,
@@ -100,6 +102,7 @@ __all__ = [
     "block_to_dict",
     "block_from_dict",
     "block_csv_rows",
+    "sample_csv_rows",
 ]
 
 
@@ -107,13 +110,27 @@ __all__ = [
 # radial coefficient algebra
 
 
+@functools.lru_cache(maxsize=64)
+def _series_table(pairs: tuple, lead: int, order: int) -> np.ndarray:
+    """S[j, b]: coefficient of r^(lead + j) in sh^a ch^e, (a, e) = pairs[b],
+    j = 0..order-1, each rounded once from the exact series table; read-only.
+    `lead` is at most every a."""
+    out = np.zeros((order, len(pairs)))
+    for b, (a, e) in enumerate(pairs):
+        if a - lead < order:
+            out[a - lead:, b] = [float(x) for x in
+                                 sinh_cosh_series(a, e, order - (a - lead)).coeffs]
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class RadialExpr:
     """Linear combination of radial monomials sh^a ch^b.
 
     terms[k] = (coefficient, (a, b)); the pair (0, 0) is the constant
-    function 1.  Radial expressions spell out the drift q, the scalar mode
-    operator's potential and the source terms of inhomogeneous problems.
+    function 1.  Radial expressions spell out the scalar mode operator's
+    potential and the source terms of inhomogeneous problems.
     """
 
     terms: tuple
@@ -137,16 +154,17 @@ class RadialExpr:
 
     __rmul__ = __mul__
 
-    def laurent(self, order: int) -> LaurentSeries:
-        """Complex Laurent series with `order` coefficients from the lowest
-        power of any term; each term is rounded once from its exact table."""
+    def laurent(self, order: int):
+        """(lead, c): the lowest power `lead` of any term and the complex
+        coefficients c[j] of r^(lead + j), j = 0..order-1.  Each term is read
+        off `_series_table` and added on its own powers only."""
         lead = min((a for _, (a, _) in self.terms), default=0)
+        table = _series_table(tuple(pair for _, pair in self.terms), lead, order)
         acc = np.zeros(order, dtype=complex)
-        for c, (a, b) in self.terms:
+        for b, (c, (a, _)) in enumerate(self.terms):
             if c != 0 and a - lead < order:
-                exact = sinh_cosh_series(a, b, order - (a - lead)).coeffs
-                acc[a - lead:] += [complex(x) * c for x in exact]
-        return LaurentSeries(lead, tuple(complex(x) for x in acc))
+                acc[a - lead:] += table[a - lead:, b] * c
+        return lead, acc
 
 
 def _exponents(names) -> tuple:
@@ -292,19 +310,15 @@ def component_weights(family: str, names) -> np.ndarray:
 # write them by.
 _BASIS = ((0, 0), (-2, 2), (2, -2), (-2, 0), (0, -2), (-2, 1), (1, -2))
 _SLOTS = ("one", "it2", "th2", "s2", "c2", "sti", "thc")
+# The drift q = inv_th + (n - 2) th: the pairs of inv_th and th, with the
+# coefficients 1 and n - 2.
+_DRIFT = ((-1, 1), (1, -1))
 
 
-@functools.lru_cache(maxsize=32)
-def _basis_series(order: int) -> np.ndarray:
-    """S[j, b]: coefficient of r^(j-2) in phi_b, j = 0..order-1, rounded
-    from the exact series tables."""
-    out = np.zeros((order, len(_BASIS)))
-    for b, (a, e) in enumerate(_BASIS):
-        if a + 2 < order:
-            out[a + 2:, b] = [float(x) for x in
-                              sinh_cosh_series(a, e, order - a - 2).coeffs]
-    out.flags.writeable = False
-    return out
+def _drift_at(n: int, r, derivative: int = 0):
+    """q(r) or its radial derivative of the given order, as v0 + (n - 2) v1."""
+    v0, v1 = sinh_cosh_values(_DRIFT, r, derivative)
+    return v0 + (n - 2) * v1
 
 
 def _pencil_writer(family: str, names):
@@ -367,13 +381,9 @@ class ModeSystem:
         x = np.moveaxis(np.moveaxis(np.asarray(x), axis, -1) * self.frame, -1, axis)
         return x if x.imag.any() else x.real
 
-    @property
-    def drift(self) -> RadialExpr:
-        return _drift(self.n)
-
     def drift_at(self, r, derivative: int = 0):
         """q(r) or its radial derivative of the given order."""
-        return np.real(self.drift(r, derivative))
+        return _drift_at(self.n, r, derivative)
 
     def potential_at(self, r, derivative: int = 0):
         """Framed V(r) or its radial derivative of the given order, shape
@@ -419,19 +429,18 @@ class ModeSystem:
             ddX = ddX - source(r)
         return np.concatenate([dX, ddX])
 
-    def laurent_drift(self, order: int) -> LaurentSeries:
-        """Series of r * q(r) (leading coefficient 1, even powers)."""
-        s = self.drift.laurent(order)
-        return LaurentSeries(s.leading + 1, s.coeffs)
+    def laurent_drift(self, order: int) -> np.ndarray:
+        """q_j of r q(r) = sum_j q_j r^j, j = 0..order-1 (q_0 = 1, even j
+        only), float64: the two pairs' columns of `_series_table` summed as
+        v0 + (n - 2) v1, the order `drift_at` sums them in."""
+        v0, v1 = _series_table(_DRIFT, -1, order).T
+        return v0 + (self.n - 2) * v1
 
     def laurent_potential(self, order: int):
         """Framed W_j matrices: r^2 V(r) = sum_j W_j r^j, j = 0..order-1,
-        from the exact basis series."""
-        return list(np.einsum("jb,bik->jik", _basis_series(order), self.pencil))
-
-
-def _drift(n: int) -> RadialExpr:
-    return _ex("inv_th") + float(n - 2) * _ex("th")
+        from the basis columns of `_series_table`."""
+        return list(np.einsum("jb,bik->jik", _series_table(_BASIS, -2, order),
+                              self.pencil))
 
 
 def _merge_tol(t):
@@ -653,7 +662,7 @@ def scalar_mode_operator(model: ConeModel, mode: ScalarMode,
     """
     r = _check_radii(model, r)
     pg = mode.p * model.gamma
-    q = np.real(_drift(model.n)(r))
+    q = _drift_at(model.n, r)
     pot = ((pg * pg) * _ex("inv_sh_sq") + mode.lam * _ex("inv_ch_sq"))(r)
     t = profile.jet(r, 2, {})
     return -t[2] - q * t[1] + (pot + shift) * t[0]
@@ -800,17 +809,13 @@ def block_from_dict(d: dict):
     return block
 
 
-def block_csv_rows(model: ConeModel, block, grid=None):
-    """Plot-ready rows: header then (r, comp_re, comp_im, ...) per radius."""
-    if grid is None:
-        grid = log_grid(model)
-    grid = np.asarray(grid, dtype=float)
-    names = [nm for nm in block.names if nm in block.profiles]
+def sample_csv_rows(grid, samples):
+    """Plot-ready rows: header then (r, name_re, name_im, ...) per radius, for
+    the complex samples on the grid of each name in `samples`, in its order."""
     header = ["r"]
-    for nm in names:
+    for nm in samples:
         header += [f"{nm}_re", f"{nm}_im"]
-    memo = {}  # shared, so components built from one profile read it once
-    vals = [block.profiles[nm].jet(grid, 0, memo)[0] for nm in names]
+    vals = list(samples.values())
     rows = []
     for i, r in enumerate(grid):
         row = [f"{r:.12g}"]
@@ -818,3 +823,14 @@ def block_csv_rows(model: ConeModel, block, grid=None):
             row += [f"{v[i].real:.12g}", f"{v[i].imag:.12g}"]
         rows.append(row)
     return header, rows
+
+
+def block_csv_rows(model: ConeModel, block, grid=None):
+    """`sample_csv_rows` of the block's profiles, in component order, on the
+    grid (default `log_grid`)."""
+    if grid is None:
+        grid = log_grid(model)
+    grid = np.asarray(grid, dtype=float)
+    memo = {}  # shared, so components built from one profile read it once
+    return sample_csv_rows(grid, {nm: block.profiles[nm].jet(grid, 0, memo)[0]
+                                  for nm in block.names if nm in block.profiles})

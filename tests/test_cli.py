@@ -380,6 +380,46 @@ class TestReduce:
         assert proc.stdout.strip() == "False"
         assert (out / "block_image.json").exists()
 
+    # sha256 of block.csv, block_image.csv and block_image.json for a standard
+    # block and for a sampled block file, at the default 200 radii; a change
+    # that means to move them updates these and says why
+    _REDUCE_SHA256 = {
+        "standard": {
+            "block.csv": "7e500ac983fa5cd8002c8f5234163f97697427739e59854b17b65d00337b35c2",
+            "block_image.csv": "85ce42760497e453d83c50a57bd427a88b092482f018a3fb2da93f56f15b56d7",
+            "block_image.json": "9d7121cbd0a5597920406b0eb682c5afa42002bc4339e2253310b17e5675827e",
+        },
+        "block_file": {
+            "block.csv": "c95b6ebb1d233bbd2449d93f049a20b6c4c7511ba75d0e1095b070fe86ef9328",
+            "block_image.csv": "f9b3b806273625bdcb0ef144558520c685c13ea5331760163e5760859513cb70",
+            "block_image.json": "ef52b4ebeaf3e0d5719b80c91a8aa938ffdb899cb3246175226facecf9485230",
+        },
+    }
+
+    @pytest.mark.parametrize("case", ["standard", "block_file"])
+    def test_reduce_outputs_are_pinned(self, tmp_path, case):
+        from conemodes.reduction import ModeBlock, RadialProfile, block_to_dict
+        model_path = write_model(tmp_path)
+        if case == "standard":
+            args = ["--standard", "angle"]
+        else:
+            model = ConeModel(n=3, alpha=math.pi / 2, tube_radius=1.0,
+                              cross_section=CrossSection("circle", 2.0))
+            block = ModeBlock("oneform", ScalarMode(math.pi ** 2, 1), {
+                "f": RadialProfile.monomial(2, 0.5) + RadialProfile.constant(-1.0),
+                "g": RadialProfile.monomial(1, 2.0 + 1.0j),
+                "omega": RadialProfile.monomial(3, -0.25)})
+            block_path = tmp_path / "block.json"
+            block_path.write_text(json.dumps(block_to_dict(model, block)))
+            args = ["--block-file", str(block_path)]
+        out = tmp_path / "out"
+        result = invoke(["--model", model_path, "--out", str(out), "reduce", *args])
+        assert result.exit_code == 0, result.output
+        want = self._REDUCE_SHA256[case]
+        got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in want}
+        assert got == want
+
     def test_requires_exactly_one_input(self, tmp_path):
         model_path = write_model(tmp_path)
         out = tmp_path / "out"
@@ -396,8 +436,8 @@ class TestFrobenius:
         modes = write_modes(tmp_path, scalar=[(0.0, 1)])
         out = tmp_path / "out"
         result = invoke(["--model", model_path, "--modes", modes,
-                         "--out", str(out), "frobenius",
-                         "--family", "oneform", "--order", "8"])
+                         "--out", str(out), "--tol-series-order", "8",
+                         "frobenius", "--family", "oneform"])
         assert result.exit_code == 0
         payload = json.loads((out / "frobenius.json").read_text())
         assert payload and payload[0]["family"] == "oneform"
@@ -412,8 +452,26 @@ class TestFrobenius:
         model_path = write_model(tmp_path)
         out = tmp_path / "out"
         result = invoke(["--model", model_path, "--out", str(out),
-                         "frobenius", "--order", "0"])
+                         "--tol-series-order", "0", "frobenius"])
         assert result.exit_code == 2
+
+    # sha256 of frobenius.json for each family at --tol-series-order 8, on the
+    # default circle spectrum; a change that means to move them updates these
+    # and says why
+    _FROBENIUS_SHA256 = {
+        "oneform": "7fcc93e56d36bd5edda82ba4d774220fcd89750fadd93e991fe822aacfb16d08",
+        "tensor": "6f629f5c077b6ea75f993e88fe36ba28c6378e9ca48bfdf8ce39cf03f033ef14",
+    }
+
+    @pytest.mark.parametrize("family", ["oneform", "tensor"])
+    def test_series_payload_is_pinned(self, tmp_path, family):
+        model_path = write_model(tmp_path)
+        out = tmp_path / "out"
+        result = invoke(["--model", model_path, "--out", str(out),
+                         "--tol-series-order", "8", "frobenius", "--family", family])
+        assert result.exit_code == 0, result.output
+        got = hashlib.sha256((out / "frobenius.json").read_bytes()).hexdigest()
+        assert got == self._FROBENIUS_SHA256[family]
 
 
 class TestSolve:
@@ -511,6 +569,28 @@ class TestSolve:
         report = json.loads((out / "solve_report.json").read_text())
         assert report["boundary_residual"] < 1e-9
 
+    # sha256 of a solve whose complex source has terms of negative real part
+    # on two rows, one of them singular at the axis; a change that means to
+    # move them updates these and says why
+    _SOURCE_SHA256 = {
+        "solve_profiles.csv": "78d334533e462672e0fd49a6473f67c21a8893461de30fb0772bdcd1e1a6e538",
+        "solve_report.json": "abd8628a399432926a56344d95bf4a04a4ff07a81323a06d5dd886786777077b",
+    }
+
+    def test_complex_source_outputs_are_pinned(self, tmp_path):
+        model_path = write_model(tmp_path)
+        out = tmp_path / "out"
+        source = json.dumps({"f": [["-0.5+1j", ["inv_th"]], [2.0, ["sh"]]],
+                             "g": [["-1-0.5j", ["th"]]]})
+        result = invoke(["--model", model_path, "--out", str(out),
+                         "solve", "--family", "oneform", "--mode-p", "0",
+                         "--boundary", '{"f": 0.2, "g": [0.0, 0.3]}',
+                         "--source", source])
+        assert result.exit_code == 0, result.output
+        got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in self._SOURCE_SHA256}
+        assert got == self._SOURCE_SHA256
+
     @pytest.mark.parametrize("source", ['{"f": [[1.0, ["nope"]]]}',
                                         '{"f": [[1.0, "sh"]]}',
                                         '[[1.0, ["sh"]]]'])
@@ -599,6 +679,17 @@ class TestDeformAngle:
         assert abs(slope - 1.0) < 0.1
         assert (out / "angle_profile.gp").exists()
 
+    def test_both_tables_sample_the_tol_nodes_grid(self, tmp_path):
+        model_path = write_model(tmp_path)
+        out = tmp_path / "out"
+        result = invoke(["--model", model_path, "--out", str(out),
+                         "--tol-nodes", "60", "deform-angle"])
+        assert result.exit_code == 0, result.output
+        _, profile = read_csv(out / "angle_profile.csv")
+        _, block = read_csv(out / "correction_block.csv")
+        assert len(profile) == len(block) == 60
+        assert [row[0] for row in profile] == [row[0] for row in block]
+
     def test_bad_cutoff_rejected(self, tmp_path):
         model_path = write_model(tmp_path)
         out = tmp_path / "out"
@@ -636,7 +727,7 @@ class TestDeformAngle:
         monkeypatch.setattr(geometry, "_series_terms", counted)
         frobenius._coefficient_data.cache_clear()
         frobenius._laurent_data.cache_clear()
-        reduction._basis_series.cache_clear()
+        reduction._series_table.cache_clear()
         model_path = write_model(tmp_path, angle=1.0, length=1.0)
         modes_path = write_modes(tmp_path, scalar=[(0.0, 0)], coclosed=[(0.0, 2)])
         bpath = tmp_path / "bvals.json"
@@ -1092,7 +1183,7 @@ class TestInputValidation:
     @pytest.mark.parametrize("args,option", [
         (["--tol-series-order", "0", "indicial"], "--tol-series-order"),
         (["--tol-nodes", "3", "reduce", "--standard", "angle"], "--tol-nodes"),
-        (["frobenius", "--order", "0"], "--order"),
+        (["deform-angle", "--order", "0"], "--order"),
         (["deform-angle", "--order", "-3"], "--order"),
         (["verify", "--cases", "0"], "--cases"),
     ])

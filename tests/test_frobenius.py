@@ -13,7 +13,6 @@ from conemodes.frobenius import (
     angle_deformation_profile,
     branch_series,
     frobenius_series,
-    induced_singular_deformation,
     inhomogeneous_series,
     integrate_mode_ode,
     solve_mode_bvp,
@@ -206,8 +205,7 @@ def _recursion_defects(system, ser, source=None):
     W_j are in the real frame, so the named coefficients and source enter it
     as d x (D is unitary: the norms are those of the named equations)."""
     order, eye, d = ser.order, np.eye(system.arity), system.frame
-    drift = system.laurent_drift(order + 1)
-    q = [complex(drift.coefficient(j)) for j in range(order + 1)]
+    q = system.laurent_drift(order + 1)
     W = system.laurent_potential(order + 1)
     V = np.asarray(ser.coefficients) * d
     U = np.asarray(ser.log_coefficients) * d if ser.has_log else np.zeros_like(V)
@@ -257,11 +255,11 @@ def test_recursion_equations_hold_at_every_order():
     assert any(ser.kappa == 0.0 for ser in series)
     cases += [(system, ser, None) for ser in series]
     system = oneform_system(M_2PI, ScalarMode(0.0, 0))
-    inv_th = (2.0 * _ex("inv_th")).laurent(17)
+    lead, inv_th = (2.0 * _ex("inv_th")).laurent(17)
     ser = inhomogeneous_series(system, {"f": 2.0 * _ex("inv_th")}, order=16)
     assert ser.has_log
     cases.append((system, ser, lambda m: np.array(
-        [complex(inv_th.coefficient(int(ser.kappa) - 2 + m)), 0.0])))
+        [inv_th[int(ser.kappa) - 2 + m - lead], 0.0])))
     system = oneform_system(M_2PI, ScalarMode(4.0, 1))
     ser = frobenius_series(system, -1.0, vector=(0, 0, 1), order=16)
     assert ser.has_log
@@ -320,6 +318,19 @@ def test_angle_source_forces_log_with_unit_companion():
     # parity: no order-1 correction
     assert np.max(np.abs(np.asarray(ser.coefficients[1]))) < 1e-14
     assert np.max(np.abs(np.asarray(ser.log_coefficients[1]))) < 1e-14
+
+
+def test_source_row_starting_past_the_order_adds_nothing():
+    # the g row's lowest power r^6 enters at order 7 of a series whose
+    # leading exponent the f row's r^-1 sets: past order 4, so it adds nothing
+    system = oneform_system(M_2PI, ScalarMode(0.0, 0))
+    alone = inhomogeneous_series(system, {"f": _ex("inv_th")}, order=4)
+    both = inhomogeneous_series(system, {"f": _ex("inv_th"),
+                                         "g": _ex("sh", "sh", "sh", "sh", "sh", "sh")},
+                                order=4)
+    assert both.kappa == alone.kappa
+    assert np.array_equal(both.coefficients, alone.coefficients)
+    assert np.array_equal(both.log_coefficients, alone.log_coefficients)
 
 
 def test_inhomogeneous_rejects_unknown_component():
@@ -911,6 +922,12 @@ def test_bvp_rejects_unknown_boundary_component():
                        {"varpi": 1.0}, "strong")
 
 
+def test_bvp_rejects_unknown_solution_class():
+    # the class is checked where the branches are chosen, with the classes named
+    with pytest.raises(ValueError, match="'sobolev'.*'l2', 'l12', 'strong'"):
+        solve_mode_bvp(M_HALF, ScalarMode(4.0, 1), "oneform", {"f": 1.0}, "sobolev")
+
+
 def test_matching_takes_its_coefficients_from_its_one_svd(monkeypatch):
     # the SVD that decides the rank, the status and the null combinations
     # also gives the least-squares coefficients: a solve whose caches are
@@ -970,7 +987,8 @@ def test_induced_deformation_axis_content_only_at_p_zero():
         ScalarMode(0.0, 0): {"g": 1.0},
         ScalarMode((2 * np.pi / CS.length) ** 2, 2): {"f": 1.0, "g": 0.5},
     }
-    results = induced_singular_deformation(M_HALF, boundary_data)
+    results = {mode: solve_mode_bvp(M_HALF, mode, "tensor", bvals)
+               for mode, bvals in boundary_data.items()}
     p0 = results[ScalarMode(0.0, 0)]
     p2 = [v for k, v in results.items() if k.p == 2][0]
     assert p0.axis_regular
@@ -1062,9 +1080,7 @@ def test_angle_cutoff_block_inside_band(angle):
 
 def test_angle_end_to_end_induced_content(angle):
     boundary = angle.boundary_values()
-    results = induced_singular_deformation(
-        M_HALF, {ScalarMode(0.0, 0): boundary})
-    res = results[ScalarMode(0.0, 0)]
+    res = solve_mode_bvp(M_HALF, ScalarMode(0.0, 0), "tensor", boundary)
     assert res.status == "unique" and res.axis_regular
     vals = res.axis_values
     assert all(np.isfinite([v.real, v.imag]).all() for v in vals.values())

@@ -11,7 +11,6 @@ from conemodes.frobenius import admissible_branches
 from conemodes.geometry import ConeModel
 from conemodes.indicial import (
     SOLUTION_CLASSES,
-    angle_admissibility,
     classify_exponent,
     closed_root_multiset,
     exact_indicial_analysis,
@@ -524,8 +523,7 @@ CRITICAL = sorted({Fraction(q, m) for m in range(1, 7) for q in range(1, 3 * m +
 @settings(max_examples=200, deadline=None)
 def test_reports_near_critical_angles_match_certificate(turns, p, eps, shape, family, n):
     """Within a relative 1e-9 of a critical angle 2 pi q / m, every root keeps
-    a null vector, the float report agrees with the exact certificate, and
-    the branch count agrees with the branches the solver is handed."""
+    a null vector, and the float report agrees with the exact certificate."""
     mode_type, eig = shape
     assume(not (family == "oneform" and mode_type is TTMode))
     mode = mode_type(eig, p)
@@ -538,9 +536,6 @@ def test_reports_near_critical_angles_match_certificate(turns, p, eps, shape, fa
     assert [(mult, nullity, log) for _, mult, nullity, log in exact] == \
         [(r.multiplicity, r.nullity, r.log_required) for r in report.roots]
     assert [float(k) for k, *_ in exact] == pytest.approx([r.value for r in report.roots])
-    for cls in SOLUTION_CLASSES:
-        assert angle_admissibility(model, mode, family, cls)["count"] == \
-            len(admissible_branches(system, cls))
 
 
 @pytest.mark.parametrize("eps", [3e-9, 5e-9, 8e-9, 1e-8, 2e-8, 5e-8])
@@ -579,31 +574,36 @@ def test_classify_exponent_table():
 
 def test_admissibility_narrow_angle_all_branches():
     model = ConeModel(n=3, alpha=math.pi / 2, tube_radius=1.0)
-    out = angle_admissibility(model, ScalarMode(2.0, 1), "oneform", "strong")
-    assert out["count"] == out["arity"] == 3
-    assert out["deficit"] == 0
-    report = indicial_report(oneform_system(model, ScalarMode(2.0, 1)))
+    system = system_for_mode(model, ScalarMode(2.0, 1), "oneform")
+    assert len(admissible_branches(system, "strong")) == system.arity == 3
+    report = indicial_report(system)
     positive = sorted(r.value for r in report.roots if r.value > 0)
     assert positive[0] == pytest.approx(3.0)
 
 
 def test_admissibility_wide_angle_deficit():
     model = ConeModel(n=3, alpha=3 * math.pi / 2, tube_radius=1.0)
-    strong = angle_admissibility(model, ScalarMode(2.0, 1), "oneform", "strong")
-    assert strong["deficit"] == 1
-    kappas = [b["kappa"] for b in strong["branches"]]
+    system = system_for_mode(model, ScalarMode(2.0, 1), "oneform")
+    strong = admissible_branches(system, "strong")
+    assert system.arity - len(strong) == 1
+    kappas = [kappa for _, kappa, _ in strong]
     assert pytest.approx(1 / 3) not in kappas
-    l12 = angle_admissibility(model, ScalarMode(2.0, 1), "oneform", "l12")
-    assert l12["deficit"] == 0
-    assert any(abs(b["kappa"] - 1 / 3) < 1e-12 for b in l12["branches"])
-    l2 = angle_admissibility(model, ScalarMode(2.0, 1), "oneform", "l2")
-    assert l2["deficit"] == -1  # extra branch in (-1, 0): non-uniqueness
+    l12 = admissible_branches(system, "l12")
+    assert system.arity - len(l12) == 0
+    assert any(abs(kappa - 1 / 3) < 1e-12 for _, kappa, _ in l12)
+    l2 = admissible_branches(system, "l2")
+    assert system.arity - len(l2) == -1  # extra branch in (-1, 0): non-uniqueness
 
 
 def test_admissibility_full_turn_log():
+    # t = 1 puts both signs of o = -1 at kappa = 0: a log branch, which l2
+    # admits and the strong class does not
     model = ConeModel(n=3, alpha=2 * math.pi, tube_radius=1.0)
-    out = angle_admissibility(model, ScalarMode(2.0, 1), "oneform", "strong")
-    assert out["has_log_root"]
+    system = system_for_mode(model, ScalarMode(2.0, 1), "oneform")
+    assert indicial_report(system).has_log_root
+    assert [(kind, kappa) for kind, kappa, _ in admissible_branches(system, "l2")
+            if kind == "log"] == [("log", 0.0)]
+    assert all(kind == "power" for kind, _, _ in admissible_branches(system, "strong"))
 
 
 ULP_MODES = [ScalarMode(0.0, p) for p in (-1, 0, 1, 2)] + [
@@ -612,7 +612,7 @@ ULP_MODES = [ScalarMode(0.0, p) for p in (-1, 0, 1, 2)] + [
 
 def admissibility_counts(alpha):
     model = ConeModel(n=3, alpha=alpha, tube_radius=1.0)
-    return [angle_admissibility(model, mode, family, cls)["count"]
+    return [len(admissible_branches(system_for_mode(model, mode, family), cls))
             for family in ("tensor", "oneform") for mode in ULP_MODES
             if not (family == "oneform" and isinstance(mode, TTMode))
             for cls in SOLUTION_CLASSES]
@@ -628,7 +628,8 @@ def test_branch_counts_survive_ulp_changes_of_angle(m, k):
         # the triple roots at +-1 of ScalarMode(0, 1) count in full
         model = ConeModel(n=3, alpha=alpha * (1 + k * np.finfo(float).eps),
                           tube_radius=1.0)
-        assert [angle_admissibility(model, ScalarMode(0.0, 1), fam)["count"]
+        assert [len(admissible_branches(system_for_mode(model, ScalarMode(0.0, 1), fam),
+                                        "strong"))
                 for fam in ("tensor", "oneform")] == [4, 2]
 
 
@@ -636,39 +637,27 @@ def test_branch_counts_survive_ulp_changes_of_angle(m, k):
 @pytest.mark.parametrize("alpha", [0.8, math.pi / 2, 2 * math.pi / 3, math.pi, 2 * math.pi,
                                    2 * math.pi * (1 + 1e-12), 5.0, 4 * math.pi])
 def test_admissibility_counts_the_branches_the_solver_gets(alpha, n):
-    # both read `IndicialRoot.branches`, logs at kappa = 0 included
+    # the solver's branches, logs at kappa = 0 included, are those the exact
+    # certificate implies: per root, nullity power branches when the class
+    # admits r^kappa, and as many log branches when a log is required and
+    # the class admits r^kappa ln r
     model = ConeModel(n=n, alpha=alpha, tube_radius=1.0)
     for family in ("tensor", "oneform"):
         for mode in ULP_MODES:
             if family == "oneform" and isinstance(mode, TTMode):
                 continue
             system = system_for_mode(model, mode, family)
+            exact = exact_indicial_analysis(family, system.kind, system.names,
+                                            Fraction(mode.p * system.gamma))
             for cls in SOLUTION_CLASSES:
-                assert angle_admissibility(model, mode, family, cls)["count"] == \
-                    len(admissible_branches(system, cls)), (family, mode, cls)
-
-
-def test_admissibility_builds_no_mode_system(monkeypatch):
-    # kind, names and the report key are read off the mode, as the root
-    # tables read them, so the bookkeeping builds no pencil
-    from conemodes import indicial, reduction
-
-    model = ConeModel(n=3, alpha=1.3, tube_radius=1.0)
-    systems = {(family, mode): system_for_mode(model, mode, family)
-               for family in ("tensor", "oneform") for mode in ULP_MODES
-               if not (family == "oneform" and isinstance(mode, TTMode))}
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("angle_admissibility built a mode system")
-
-    for module in (indicial, reduction):
-        for name in ("oneform_system", "tensor_system"):
-            monkeypatch.setattr(module, name, refuse)
-    for (family, mode), system in systems.items():
-        for cls in SOLUTION_CLASSES:
-            got = angle_admissibility(model, mode, family, cls)
-            assert (got["kind"], got["arity"]) == (system.kind, system.arity)
-            assert got["count"] == len(admissible_branches(system, cls))
+                want = sorted(
+                    (kind, float(kappa)) for kappa, _, nullity, log in exact
+                    for kind, admitted in (("power", True), ("log", log))
+                    if admitted and classify_exponent(kappa, kind == "log")[cls]
+                    for _ in range(nullity))
+                got = sorted((kind, kappa) for kind, kappa, _ in
+                             admissible_branches(system, cls))
+                assert got == want, (family, mode, cls)
 
 
 def test_reports_compute_no_inverse(monkeypatch):
@@ -693,8 +682,12 @@ def test_reports_compute_no_inverse(monkeypatch):
 
 def test_admissibility_rejects_unknown_class():
     model = ConeModel(n=3, alpha=math.pi / 2, tube_radius=1.0)
-    with pytest.raises(ValueError):
-        angle_admissibility(model, ScalarMode(2.0, 1), "oneform", "sobolev")
+    system = system_for_mode(model, ScalarMode(2.0, 1), "oneform")
+    with pytest.raises(ValueError, match="'sobolev'"):
+        admissible_branches(system, "sobolev")
+    for root in indicial_report(system).roots:
+        with pytest.raises(ValueError, match="'l2', 'l12', 'strong'"):
+            root.branches("sobolev")
 
 
 def test_admissible_pairs_have_vectors():
@@ -725,7 +718,7 @@ def test_root_tables_build_no_laurent_tables(monkeypatch):
 
     monkeypatch.setattr(geometry, "_SERIES_TABLES", {})
     monkeypatch.setattr(geometry, "_series_terms", counted)
-    reduction._basis_series.cache_clear()
+    reduction._series_table.cache_clear()
     modes = [ScalarMode(0.0, 0), ScalarMode(2.0, 1), CoclosedMode(1.0, -1),
              TTMode(1.0, 2)]
     for n in (3, 4):

@@ -784,7 +784,7 @@ def _named_apply(model, family, block, r):
     `ModeSystem.potential_at` sums the framed pencil (a complex product
     may accumulate in another order)."""
     from conemodes.geometry import sinh_cosh_values
-    from conemodes.reduction import _BASIS, _drift
+    from conemodes.reduction import _BASIS
     reference = _ref_oneform_pencil if family == "oneform" else _ref_tensor_pencil
     pencil = reference(model, block.mode, block.kind)
     names = system_names(family, model.n, block.mode)
@@ -792,7 +792,7 @@ def _named_apply(model, family, block, r):
     phi = sinh_cosh_values(_BASIS, r).reshape(len(_BASIS), -1)
     V = sum(part(pencil).reshape(len(_BASIS), k * k).T @ phi * unit
             for part, unit in ((np.real, 1), (np.imag, 1j))).reshape((k, k) + r.shape)
-    q = np.real(_drift(model.n)(r))
+    q = np.real((_ref_ex("inv_th") + (model.n - 2) * _ref_ex("th"))(r))
     memo = {}
     jets = [block.component(name).jet(r, 2, memo) for name in names]
     out = {}
@@ -884,13 +884,30 @@ def test_monomial_derivatives_match_mpmath():
 
 def test_laurent_drift_series():
     system = oneform_system(MODEL4, ScalarMode(0.0, 0))
-    s = system.laurent_drift(6)
-    assert s.leading == 0
-    assert complex(s.coeffs[0]) == pytest.approx(1.0)
-    assert complex(s.coeffs[1]) == 0.0
+    s = system.laurent_drift(6)  # q_j of r q(r) = sum_j q_j r^j
+    assert s[0] == pytest.approx(1.0)
+    assert s[1] == 0.0
     r = 5e-3
     rq = r * system.drift_at(np.array([r]))[0]
-    assert s(r) == pytest.approx(rq, rel=1e-10)
+    assert np.polyval(s[::-1], r) == pytest.approx(rq, rel=1e-10)
+
+
+def test_laurent_drift_rounds_each_exact_coefficient_once():
+    # r q = r coth + (n - 2) r th: each exact coefficient of the two tables
+    # is rounded once and the two summed as a + (n - 2) b, bit for bit
+    from conemodes.geometry import sinh_cosh_series
+    for n in (3, 4, 5):
+        system = oneform_system(ConeModel(n=n, alpha=1.0, tube_radius=1.0),
+                                ScalarMode(0.0, 0))
+        for order in range(1, 21):
+            a = np.array([float(x) for x in sinh_cosh_series(-1, 1, order).coeffs])
+            b = np.zeros(order)
+            if order > 2:
+                b[2:] = [float(x) for x in sinh_cosh_series(1, -1, order - 2).coeffs]
+            got = system.laurent_drift(order)
+            assert got.dtype == np.float64 and got.shape == (order,)
+            assert np.array_equal(got.view(np.int64), (a + (n - 2) * b).view(np.int64)), \
+                (n, order)
 
 
 @given(st.integers(min_value=-3, max_value=3),
